@@ -14,9 +14,10 @@ reproduce identical reports, independent of scheduling.
 
 from __future__ import annotations
 
+import numbers
 import time
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -33,6 +34,7 @@ from .game import (
     fast_entangled_table,
     mdi_value,
     simulate_separable,
+    trace_inputs,
 )
 
 # No strategy without shared entanglement may push the game value below
@@ -57,6 +59,11 @@ class AttackConfig:
     step_decay: float = 0.99
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = {"int": numbers.Integral, "float": numbers.Real}[f.type]
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
         if self.restarts < 1 or self.iterations < 1 or self.mixture_size < 1:
             raise ValueError("restarts, iterations and mixture size must be >= 1")
         if self.share_dim < 1:
@@ -355,12 +362,8 @@ class _FastObjective:
         """response[p][s, k] = tr[E_p (tau_s (x) |psi_pk><psi_pk|)]."""
         out = []
         for e, taus, kets in zip(success, self.inputs, kets_by_party):
-            d = taus.shape[1]
-            share = e.shape[0] // d
-            e4 = e.reshape(d, share, d, share)
             psis = np.stack(kets)
-            # F[s, a, b] = sum_ij E[i a, j b] tau[s, j, i]
-            f = np.einsum("iajb,sji->sab", e4, taus)
+            f = trace_inputs(e, taus)
             out.append(np.einsum("sab,kb,ka->sk", f, psis, psis.conj()).real)
         return out
 
@@ -377,12 +380,7 @@ class _FastObjective:
         raise ValueError("only 2- and 3-party games are supported")
 
     def biseparable(self, params: "_BiseparableParams") -> float:
-        fs = []
-        for e, taus in zip(params.success, self.inputs):
-            d = taus.shape[1]
-            share = e.shape[0] // d
-            e4 = e.reshape(d, share, d, share)
-            fs.append(np.einsum("iajb,sji->sab", e4, taus))
+        fs = [trace_inputs(e, taus) for e, taus in zip(params.success, self.inputs)]
         total = 0.0
         subscripts = {
             "AB|C": ("stu,st,u->", 0, 1, 2),

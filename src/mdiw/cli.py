@@ -104,8 +104,8 @@ class ScenarioConfig:
             raise ConfigError("one loss efficiency per party required")
         if any(not 0.0 < e <= 1.0 for e in loss):
             raise ConfigError(f"loss efficiencies must lie in (0, 1], got {loss}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         att = dict(_ATTACK_DEFAULTS)
         att.update(self.attack)
         unknown = set(att) - set(_ATTACK_DEFAULTS)
@@ -125,6 +125,10 @@ class ScenarioConfig:
             raise ConfigError("state must give a 'family' or an explicit 'matrix'")
         object.__setattr__(self, "loss", tuple(float(e) for e in loss))
         object.__setattr__(self, "attack", att)
+        try:
+            self.resolve_attack_config(self.seed)
+        except ValueError as exc:
+            raise ConfigError(f"bad attack config: {exc}") from None
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -143,11 +147,13 @@ class ScenarioConfig:
                 state=dict(data["state"]),
                 decomposition=data.get("decomposition", "paper"),
                 loss=tuple(data.get("loss", ())),
-                seed=int(data.get("seed", 0)),
+                seed=data.get("seed", 0),
                 attack=dict(data.get("attack", {})),
             )
         except KeyError as exc:
             raise ConfigError(f"missing config key: {exc.args[0]}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad config: {exc}") from None
 
     def to_dict(self) -> dict:
         return {
@@ -182,7 +188,7 @@ class ScenarioConfig:
                         InputEnsemble(party, tuple(spec["labels"]), states,
                                       name=spec.get("name", "custom"))
                     )
-                except (KeyError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError) as exc:
                     raise ConfigError(f"bad ensemble spec for party {party}: {exc}") from None
             else:
                 raise ConfigError(f"ensemble spec must be a name or object, got {type(spec).__name__}")
@@ -201,7 +207,7 @@ class ScenarioConfig:
                 m = serialize.matrix_from_json(self.witness["matrix"])
                 w = Witness(m, tuple(self.witness.get("dims", dims)),
                             self.witness.get("kind", "bipartite-separability"))
-            except (KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"bad witness spec: {exc}") from None
         else:
             raise ConfigError("witness must be a name or an explicit matrix object")
@@ -221,7 +227,7 @@ class ScenarioConfig:
             m = serialize.matrix_from_json(self.state["matrix"])
             dims = tuple(int(d) for d in self.state.get("dims", (2,) * self.parties))
             return DensityMatrix(m, dims), None, None
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad state spec: {exc}") from None
 
     def resolve_decomposition(self) -> Decomposition:
@@ -240,19 +246,8 @@ class ScenarioConfig:
         return builder()
 
     def resolve_attack_config(self, seed: int) -> AttackConfig:
-        att = self.attack
-        try:
-            return AttackConfig(
-                restarts=int(att["restarts"]),
-                iterations=int(att["iterations"]),
-                mixture_size=int(att["mixture_size"]),
-                share_dim=int(att["share_dim"]),
-                seed=seed,
-                step_init=float(att["step_init"]),
-                step_decay=float(att["step_decay"]),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"bad attack config: {exc}") from None
+        fields = {k: v for k, v in self.attack.items() if k not in ("kind", "expectation")}
+        return AttackConfig(seed=seed, **fields)
 
 
 def _effective_seed(config_seed: int) -> int:

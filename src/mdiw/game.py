@@ -6,17 +6,19 @@ always laid out as
 
     input_1 (x) share_1 (x) input_2 (x) share_2 (x) ...
 
-with each party's input adjacent to its share; :func:`joint_state` is the
-single place where that interleaving happens.  The game functional
-contracts a witness decomposition against the all-ones outcome
-probabilities, so a negative value certifies entanglement of the shared
-state no matter what the measurement devices actually did.
+with each party's input adjacent to its share, though tables never build
+that joint space: :func:`trace_inputs` folds each party's inputs into its
+outcome elements, and one contraction with the shared state gives the
+whole table.  The game functional contracts a witness decomposition
+against the all-ones outcome probabilities, so a negative value certifies
+entanglement of the shared state no matter what the devices actually did.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import string
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -281,22 +283,40 @@ class CorrelationTable:
         return len(self.labels)
 
 
-def joint_state(inputs: tuple[DensityMatrix, ...], shared: DensityMatrix) -> np.ndarray:
-    """Assemble inputs and shares into the canonical interleaved layout.
+def trace_inputs(element: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """F[s] = tr_in[E (tau_s (x) 1)]: inputs (S, d, d) traced into E on input (x) share."""
+    d = taus.shape[1]
+    share = element.shape[0] // d
+    # F[s, a, b] = sum_ij E[i a, j b] tau[s, j, i]
+    return np.einsum("iajb,sji->sab", element.reshape(d, share, d, share), taus)
 
-    Starts from input_1 (x) ... (x) input_n (x) share_1 (x) ... (x) share_n
-    and permutes to input_1 (x) share_1 (x) input_2 (x) share_2 (x) ...
-    so that each party's measurement acts on adjacent factors.
-    """
-    n = len(inputs)
-    if len(shared.dims) != n:
-        raise ValueError("one shared factor per party required")
-    raw = kron(kron_all([s.matrix for s in inputs]), shared.matrix)
-    dims = tuple(s.dim for s in inputs) + shared.dims
-    perm = []
-    for p in range(n):
-        perm.extend([p, n + p])
-    return permute_subsystems(raw, dims, perm)
+
+def _input_stacks(ensembles) -> list[np.ndarray]:
+    return [np.stack([s.matrix for s in e.states]) for e in ensembles]
+
+
+def _contract_grid(shared: DensityMatrix, stacks) -> np.ndarray:
+    """p[s, t, ...] = Re sum rho[a, b, ..., A, B, ...] G_1[s, a, A] G_2[t, b, B] ..."""
+    n = len(stacks)
+    labels, rows, cols = (string.ascii_letters[k * n : (k + 1) * n] for k in range(3))
+    spec = ",".join([rows + cols] + [l + r + c for l, r, c in zip(labels, rows, cols)])
+    rho = shared.matrix.reshape(shared.dims + shared.dims)
+    return np.einsum(f"{spec}->{labels}", rho, *stacks).real
+
+
+def _table(ensembles, p_all_ones: np.ndarray, full=None) -> CorrelationTable:
+    """Label-keyed table from arrays indexed by the ensembles' label grid."""
+    keys = list(itertools.product(*(e.labels for e in ensembles)))
+    full_map = None
+    if full is not None:
+        cells = zip(*(p.ravel().tolist() for p in full.values()))
+        full_map = {key: dict(zip(full, cell)) for key, cell in zip(keys, cells)}
+    return CorrelationTable(
+        parties=tuple(e.party for e in ensembles),
+        labels=tuple(e.labels for e in ensembles),
+        p_all_ones=dict(zip(keys, p_all_ones.ravel().tolist())),
+        full=full_map,
+    )
 
 
 def simulate_entangled(
@@ -306,9 +326,9 @@ def simulate_entangled(
 ) -> CorrelationTable:
     """Full-tensor correlation table for a shared-state strategy.
 
-    For every input tuple the joint state is assembled in the canonical
-    layout and contracted against the tensor product of the parties'
-    outcome elements.
+    Each party's inputs are traced into its outcome elements once, and one
+    contraction per outcome bitstring with the shared state gives every
+    input tuple at once.
     """
     ensembles = tuple(ensembles)
     n = strategy.n_parties
@@ -317,32 +337,17 @@ def simulate_entangled(
     for p, (e, d) in enumerate(zip(ensembles, strategy.input_dims)):
         if e.dim != d:
             raise ValueError(f"party {p}: ensemble dim {e.dim} vs measurement input dim {d}")
-    all_ones = kron_all([m.element(1) for m in strategy.measurements])
-    outcome_elems = None
-    if include_full:
-        outcome_elems = {
-            bits: kron_all([m.element(b) for m, b in zip(strategy.measurements, bits)])
-            for bits in itertools.product((0, 1), repeat=n)
-        }
-    p_map: dict[tuple[str, ...], float] = {}
-    full_map: dict[tuple[str, ...], dict[str, float]] | None = {} if include_full else None
-    for combo in itertools.product(*(range(len(e)) for e in ensembles)):
-        key = tuple(e.labels[i] for e, i in zip(ensembles, combo))
-        state = joint_state(
-            tuple(e.states[i] for e, i in zip(ensembles, combo)), strategy.shared
-        )
-        p_map[key] = float(trace_product(all_ones, state).real)
-        if include_full:
-            dist = {}
-            for bits, elem in outcome_elems.items():
-                dist["".join(map(str, bits))] = float(trace_product(elem, state).real)
-            full_map[key] = dist
-    return CorrelationTable(
-        parties=tuple(e.party for e in ensembles),
-        labels=tuple(e.labels for e in ensembles),
-        p_all_ones=p_map,
-        full=full_map,
-    )
+    # g[p][b][s, a, A] = F_p^b[s, A, a]: F's column index meets rho's row index.
+    g = [
+        np.stack([trace_inputs(m.element(b), taus) for b in (0, 1)]).transpose(0, 1, 3, 2)
+        for m, taus in zip(strategy.measurements, _input_stacks(ensembles))
+    ]
+    outcomes = itertools.product((0, 1), repeat=n) if include_full else [(1,) * n]
+    p = {
+        "".join(map(str, bits)): _contract_grid(strategy.shared, [gp[b] for gp, b in zip(g, bits)])
+        for bits in outcomes
+    }
+    return _table(ensembles, p["1" * n], p if include_full else None)
 
 
 def fast_entangled_prob(rho: DensityMatrix, inputs) -> float:
@@ -356,23 +361,20 @@ def fast_entangled_prob(rho: DensityMatrix, inputs) -> float:
     inputs = tuple(inputs)
     if tuple(s.dim for s in inputs) != rho.dims:
         raise ValueError("input dims must match the shared state's factor dims")
-    op = kron_all([s.matrix.T for s in inputs])
-    val = trace_product(op, rho.matrix).real
-    return float(val) / math.prod(rho.dims)
+    return _contract_grid(rho, [s.matrix[None] for s in inputs]).item() / math.prod(rho.dims)
 
 
 def fast_entangled_table(rho: DensityMatrix, ensembles) -> CorrelationTable:
-    """Honest-strategy table over full input grids via the fast contraction."""
+    """Honest-strategy table over full input grids by one contraction.
+
+    tr[(tau_s^T (x) omega_t^T (x) ...) rho] sums rho entrywise against
+    tau_s (x) omega_t (x) ..., so rho meets the stacked inputs directly.
+    """
     ensembles = tuple(ensembles)
-    p_map = {}
-    for combo in itertools.product(*(range(len(e)) for e in ensembles)):
-        key = tuple(e.labels[i] for e, i in zip(ensembles, combo))
-        p_map[key] = fast_entangled_prob(rho, tuple(e.states[i] for e, i in zip(ensembles, combo)))
-    return CorrelationTable(
-        parties=tuple(e.party for e in ensembles),
-        labels=tuple(e.labels for e in ensembles),
-        p_all_ones=p_map,
-    )
+    if tuple(e.dim for e in ensembles) != rho.dims:
+        raise ValueError("input dims must match the shared state's factor dims")
+    p = _contract_grid(rho, _input_stacks(ensembles)) / math.prod(rho.dims)
+    return _table(ensembles, p)
 
 
 def effective_povm_element(element, dims, share: DensityMatrix, share_axes=(1,)) -> np.ndarray:
@@ -580,11 +582,8 @@ def mdi_value(dec: Decomposition, table: CorrelationTable) -> float:
             raise ValueError(
                 f"party {p}: decomposition labels {e.labels} vs table labels {table.labels[p]}"
             )
-    total = 0.0
-    for idx in np.ndindex(dec.beta.shape):
-        key = tuple(e.labels[i] for e, i in zip(dec.ensembles, idx))
-        total += dec.beta[idx] * table.p_all_ones[key]
-    return float(total)
+    p = np.array([table.p_all_ones[key] for key in itertools.product(*table.labels)])
+    return float(np.dot(dec.beta.ravel(), p))
 
 
 def apply_uniform_loss(table: CorrelationTable, etas) -> CorrelationTable:

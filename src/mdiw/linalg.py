@@ -96,8 +96,8 @@ def permute_subsystems(m, dims, perm) -> np.ndarray:
 
     ``perm[i]`` names the current position of the factor that ends up at
     position ``i``, so ``permute_subsystems(kron(a, b), (da, db), (1, 0))``
-    equals ``kron(b, a)``.  Every reordering in the package goes through
-    this one function.
+    equals ``kron(b, a)``.  Every reordering of a matrix's factors in the
+    package goes through this one function.
     """
     m = as_matrix(m)
     dims = check_dims(dims, m.shape[0])

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import TOL_HERM, TOL_PSD, TOL_TRACE, as_matrix, check_dims, hermiticity_defect, kron_all
+from .linalg import TOL_HERM, TOL_PSD, TOL_TRACE, as_matrix, check_dims, hermiticity_defect
 
 _PAULIS = (
     np.eye(2, dtype=complex),
@@ -211,12 +211,6 @@ def random_density_matrix(dims, rng: np.random.Generator, rank: int | None = Non
     return DensityMatrix(m, dims)
 
 
-def random_pure_ket(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random ket via a normalized complex-normal vector."""
-    v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return v / np.linalg.norm(v)
-
-
 ENSEMBLE_BUILDERS = {
     "tetrahedron": tetrahedron_ensemble,
     "pauli6": pauli6_ensemble,
@@ -230,8 +224,3 @@ def named_ensemble(name: str, party: str) -> InputEnsemble:
     except KeyError:
         raise ValueError(f"unknown ensemble {name!r}; known: {sorted(ENSEMBLE_BUILDERS)}") from None
     return builder(party)
-
-
-def product_operator(states: tuple[DensityMatrix, ...]) -> np.ndarray:
-    """Tensor product of the given states' matrices, in party order."""
-    return kron_all([s.matrix for s in states])

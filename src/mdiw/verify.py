@@ -215,12 +215,18 @@ def negated_projector_decomposition():
     return decompose(op, ensembles)
 
 
+# Rows of the product-strategy value table reduced at a time.
+_GRID_BLOCK = 64
+
+
 def product_strategy_grid_minimum(dec, n_theta: int = 61, n_phi: int = 120) -> float:
     """Brute-force minimum over pure product-projector strategies.
 
     Both parties respond with a fixed rank-1 projector; the grid sweeps
     each projector's Bloch vector.  This restricted class lower-bounds
-    the depth a competent optimizer must reach on a non-witness.
+    the depth a competent optimizer must reach on a non-witness.  The
+    value table is reduced in blocks of rows, so memory stays at one
+    block instead of the whole (grid x grid) matrix.
     """
     grid = _bloch_grid(n_theta, n_phi)
     vertices = np.stack([bloch_vector(s) for s in dec.ensembles[0].states])
@@ -228,8 +234,13 @@ def product_strategy_grid_minimum(dec, n_theta: int = 61, n_phi: int = 120) -> f
     resp_a = 0.5 * (1.0 + grid @ vertices.T)
     vertices_b = np.stack([bloch_vector(s) for s in dec.ensembles[1].states])
     resp_b = 0.5 * (1.0 + grid @ vertices_b.T)
-    values = resp_a @ np.asarray(dec.beta) @ resp_b.T
-    return float(values.min())
+    beta = np.asarray(dec.beta)
+    return float(
+        min(
+            (resp_a[i : i + _GRID_BLOCK] @ beta @ resp_b.T).min()
+            for i in range(0, len(grid), _GRID_BLOCK)
+        )
+    )
 
 
 def check_optimizer_power(seed: int = DEFAULT_SEED) -> Verdict:

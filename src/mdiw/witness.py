@@ -26,7 +26,6 @@ from .linalg import (
     check_dims,
     frobenius_distance,
     hermiticity_defect,
-    kron_all,
 )
 from .states import (
     DensityMatrix,
@@ -131,36 +130,36 @@ def witness_value(w: Witness, rho: DensityMatrix) -> float:
 
 
 def _hermitian_coordinates(m: np.ndarray) -> np.ndarray:
-    """Isometric real coordinates of a Hermitian matrix.
+    """Isometric real coordinates of Hermitian matrices, stacked on the last axes.
 
-    Maps the d x d Hermitian matrices onto R^(d^2) so that the Euclidean
+    Maps each d x d Hermitian matrix onto R^(d^2) so that the Euclidean
     norm equals the Frobenius norm; solving the expansion in these
     coordinates keeps the coefficients real by construction.
     """
-    d = m.shape[0]
-    iu = np.triu_indices(d, k=1)
-    sqrt2 = math.sqrt(2.0)
-    return np.concatenate(
-        [np.real(np.diag(m)), sqrt2 * np.real(m[iu]), sqrt2 * np.imag(m[iu])]
-    )
+    d = m.shape[-1]
+    rows, cols = np.triu_indices(d, k=1)
+    off = math.sqrt(2.0) * m[..., rows, cols]
+    diag = np.diagonal(m, axis1=-2, axis2=-1)
+    return np.concatenate([diag.real, off.real, off.imag], axis=-1)
 
 
-def _product_basis(ensembles: tuple[InputEnsemble, ...]) -> list[np.ndarray]:
-    """Transposed-state product operators, row-major over label indices."""
-    ops = []
-    for combo in itertools.product(*(range(len(e)) for e in ensembles)):
-        ops.append(kron_all([e.states[i].matrix.T for e, i in zip(ensembles, combo)]))
+def _product_basis(ensembles: tuple[InputEnsemble, ...]) -> np.ndarray:
+    """Transposed-state product operators stacked as (N, D, D), row-major over labels.
+
+    Built one party at a time as an outer product, which is the Kronecker
+    product of every pair of stacked factors at once.
+    """
+    ops = np.ones((1, 1, 1), dtype=complex)
+    for e in ensembles:
+        taus_t = np.stack([s.matrix.T for s in e.states])
+        n, d = len(ops) * len(taus_t), ops.shape[1] * taus_t.shape[1]
+        ops = (ops[:, None, :, None, :, None] * taus_t[None, :, None, :, None, :]).reshape(n, d, d)
     return ops
 
 
 def reconstruct(dec: Decomposition) -> np.ndarray:
     """Sum beta[s, t, ...] * transpose(tau_s) (x) transpose(omega_t) (x) ..."""
-    dim = math.prod(e.dim for e in dec.ensembles)
-    out = np.zeros((dim, dim), dtype=complex)
-    flat = dec.beta.reshape(-1)
-    for op, coeff in zip(_product_basis(dec.ensembles), flat):
-        out += coeff * op
-    return out
+    return np.tensordot(dec.beta.ravel(), _product_basis(dec.ensembles), axes=1)
 
 
 def decompose(w: Witness, ensembles) -> Decomposition:
@@ -180,14 +179,11 @@ def decompose(w: Witness, ensembles) -> Decomposition:
         if e.dim != d:
             raise ValueError(f"ensemble for party {e.party} has dim {e.dim}, witness needs {d}")
     basis = _product_basis(ensembles)
-    a = np.stack([_hermitian_coordinates(op) for op in basis], axis=1)
+    a = _hermitian_coordinates(basis).T
     target = _hermitian_coordinates(w.matrix)
     coeffs, _, _, _ = np.linalg.lstsq(a, target, rcond=None)
-    shape = tuple(len(e) for e in ensembles)
-    beta = coeffs.reshape(shape)
-    residual = frobenius_distance(
-        w.matrix, reconstruct(Decomposition(beta, ensembles, 0.0))
-    )
+    beta = coeffs.reshape(tuple(len(e) for e in ensembles))
+    residual = frobenius_distance(w.matrix, np.tensordot(coeffs, basis, axes=1))
     return Decomposition(beta, ensembles, residual)
 
 

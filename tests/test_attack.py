@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from mdiw.states import projector, singlet_ket, tetrahedron_ensemble, werner_state, noisy_ghz
+from mdiw.states import bloch_vector, projector, singlet_ket, tetrahedron_ensemble, werner_state, noisy_ghz
 from mdiw.witness import Witness, decompose, ghz_beta, pauli6_beta, tetrahedron_beta
 from mdiw.game import mdi_value, simulate_separable
 from mdiw.attack import (
@@ -19,7 +21,7 @@ from mdiw.attack import (
     violation_scan,
     zero_crossing,
 )
-from mdiw.verify import negated_projector_decomposition, product_strategy_grid_minimum
+from mdiw.verify import _bloch_grid, negated_projector_decomposition, product_strategy_grid_minimum
 
 SMALL = AttackConfig(restarts=8, iterations=120, mixture_size=3, share_dim=2, seed=7)
 
@@ -172,6 +174,27 @@ class TestPowerNegativeControl:
         oracle = product_strategy_grid_minimum(dec)
         assert oracle == pytest.approx(-0.5, abs=1e-3)
 
+    def test_grid_oracle_reduces_in_blocks(self):
+        # 61 x 120 Bloch points per party: the whole value table would be a
+        # 7320 x 7320 float64 matrix of 428 MB
+        dec = negated_projector_decomposition()
+        tracemalloc.start()
+        try:
+            oracle = product_strategy_grid_minimum(dec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
+        assert oracle == pytest.approx(-0.5, abs=1e-12)
+        # on a grid small enough to hold, the blocks give the whole table's minimum exactly
+        grid = _bloch_grid(21, 40)
+        resp_a, resp_b = (
+            0.5 * (1.0 + grid @ np.stack([bloch_vector(s) for s in e.states]).T)
+            for e in dec.ensembles
+        )
+        whole = resp_a @ np.asarray(dec.beta) @ resp_b.T
+        assert product_strategy_grid_minimum(dec, 21, 40) == whole.min()
+
 
 class TestViolationScan:
     def test_werner_curve_matches_closed_form(self):
@@ -210,6 +233,8 @@ class TestConfigAndReport:
             AttackConfig(seed=-1)
         with pytest.raises(ValueError):
             AttackConfig(share_dim=0)
+        with pytest.raises(ValueError, match="must be int"):
+            AttackConfig(restarts=2.5)
 
     def test_report_dict_schema(self):
         report = attack(tetrahedron_beta(), tetrahedron_beta().ensembles, SMALL)

@@ -20,6 +20,22 @@ BASE_CONFIG = {
 }
 
 
+# Wrong JSON types: each used to crash with a traceback (exit 1, the code
+# for a failed bound) or to be coerced silently.
+MALFORMED = {
+    "parties_string": {"parties": "x"},
+    "v_string": {"state": {"family": "werner", "v": "abc"}},
+    "ensembles_number": {"ensembles": 5},
+    "loss_strings": {"loss": ["a", "b"]},
+    "state_list": {"state": [1]},
+    "ensemble_state_not_pairs": {
+        "ensembles": [{"labels": ["0"], "states": [[[1, 0]]]}, "tetrahedron"]
+    },
+    "seed_float": {"seed": 1.7},
+    "restarts_string": {"attack": {"restarts": "many"}},
+}
+
+
 def write_config(tmp_path, overrides=None, name="cfg.json"):
     data = json.loads(json.dumps(BASE_CONFIG))
     for key, value in (overrides or {}).items():
@@ -66,6 +82,14 @@ class TestScenarioConfig:
         data.update(overrides)
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict(data)
+
+    @pytest.mark.parametrize("overrides", list(MALFORMED.values()), ids=list(MALFORMED))
+    def test_malformed_config_exits_2(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path, overrides)
+        assert main(["simulate", "-c", cfg, "-o", str(tmp_path / "t.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_unresolvable_tabulated_combination(self):
         cfg = ScenarioConfig.from_dict(

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdiw.linalg import hermitian_eigenvalues, kron, partial_trace
 from mdiw.states import (
     DensityMatrix,
+    InputEnsemble,
     bloch_vector,
     max_entangled,
     noisy_ghz,
@@ -74,6 +76,61 @@ def game_probability_oracle(inputs, rho, elements):
                         term *= inputs[p][j[p], i[p]]
                     total += term
     return float(total.real)
+
+
+def random_binary_povm(rng, d_in, share):
+    d = d_in * share
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    e = g.conj().T @ g
+    return binary_povm(e / (np.linalg.eigvalsh(e)[-1] * (1.0 + rng.uniform())), (d_in, share))
+
+
+def random_ensemble(rng, party, d, size):
+    states = tuple(random_density_matrix((d,), rng) for _ in range(size))
+    return InputEnsemble(party, tuple(str(i) for i in range(size)), states)
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+class TestContractionProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=seeds, shares=st.lists(st.integers(1, 3), min_size=2, max_size=3),
+           include_full=st.booleans())
+    def test_simulate_entangled_matches_index_oracle(self, seed, shares, include_full):
+        rng = np.random.default_rng(seed)
+        n = len(shares)
+        ens = tuple(tetrahedron_ensemble(p) for p in "ABC"[:n])
+        rho = random_density_matrix(tuple(shares), rng)
+        strategy = EntangledStrategy(rho, tuple(random_binary_povm(rng, 2, d) for d in shares))
+        table = simulate_entangled(strategy, ens, include_full=include_full)
+        assert (table.full is not None) == include_full
+        # One cell and one outcome string per example keep the index oracle cheap.
+        idx = tuple(int(i) for i in rng.integers(4, size=n))
+        key = tuple(str(i) for i in idx)
+        inputs = [ens[p].states[i].matrix for p, i in enumerate(idx)]
+        elements = [m.element(1) for m in strategy.measurements]
+        want = game_probability_oracle(inputs, rho.matrix, elements)
+        assert table.p_all_ones[key] == pytest.approx(want, abs=1e-12)
+        if include_full:
+            bits = "".join(str(int(b)) for b in rng.integers(2, size=n))
+            elements = [m.element(int(b)) for m, b in zip(strategy.measurements, bits)]
+            want = game_probability_oracle(inputs, rho.matrix, elements)
+            assert table.full[key][bits] == pytest.approx(want, abs=1e-12)
+            assert table.full[key]["1" * n] == table.p_all_ones[key]
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=seeds, dims=st.lists(st.integers(2, 3), min_size=2, max_size=3),
+           size=st.integers(1, 4))
+    def test_fast_table_matches_bell_strategy(self, seed, dims, size):
+        rng = np.random.default_rng(seed)
+        ens = tuple(random_ensemble(rng, p, d, size) for p, d in zip("ABC", dims))
+        rho = random_density_matrix(tuple(dims), rng)
+        fast = fast_entangled_table(rho, ens)
+        full = simulate_entangled(bell_strategy(rho), ens)
+        assert fast.p_all_ones.keys() == full.p_all_ones.keys()
+        for key, p in fast.p_all_ones.items():
+            assert p == pytest.approx(full.p_all_ones[key], abs=1e-12)
 
 
 class TestBellOutcomePovm:

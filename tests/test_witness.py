@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mdiw.linalg import frobenius_distance, hermitian_eigenvalues, hermiticity_defect
+from mdiw.linalg import TOL_RECON, frobenius_distance, hermitian_eigenvalues, hermiticity_defect
 from mdiw.states import (
     DensityMatrix,
     InputEnsemble,
@@ -12,6 +13,7 @@ from mdiw.states import (
     noisy_ghz,
     pauli6_ensemble,
     projector,
+    random_density_matrix,
     singlet_ket,
     tetrahedron_ensemble,
     werner_state,
@@ -35,6 +37,25 @@ from mdiw.witness import (
 def random_hermitian(rng, d):
     m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return (m + m.conj().T) / 2
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(4, 6), min_size=2, max_size=3))
+    def test_decompose_reconstruct_round_trip(self, seed, sizes):
+        # four or more random qubit states span the Hermitian 2 x 2 matrices
+        # almost surely, so every such ensemble is tomographically complete
+        rng = np.random.default_rng(seed)
+        ensembles = tuple(
+            InputEnsemble(p, tuple(str(i) for i in range(k)),
+                          tuple(random_density_matrix((2,), rng) for _ in range(k)))
+            for p, k in zip("ABC", sizes)
+        )
+        w = Witness(random_hermitian(rng, 2 ** len(sizes)), (2,) * len(sizes))
+        dec = decompose(w, ensembles)
+        assert dec.beta.shape == tuple(sizes)
+        assert dec.residual <= TOL_RECON
+        assert frobenius_distance(reconstruct(dec), w.matrix) <= TOL_RECON
 
 
 class TestSingletWitness:
