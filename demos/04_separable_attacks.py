@@ -1,11 +1,13 @@
-"""Stress-testing the separable bound with randomized adversaries.
+"""Stress-testing the separable bound with see-saw adversaries.
 
 No strategy built from unentangled shared states can push the game value
 below zero, whatever the measurement devices do.  The search below tries
 anyway: random mixtures, random share states, random measurements, then
-greedy refinement.  On a genuine witness it piles up at the bound from
-above; on a non-witness operator the same optimizer digs far below zero,
-showing the failure to violate is not optimizer weakness.
+see-saw refinement, where each step sets one measurement, share state or
+weight vector to its exact minimizer with the rest held fixed.  On a
+genuine witness it stops at the bound; on a non-witness operator the same
+optimizer digs far below zero, showing the failure to violate is not
+optimizer weakness.
 """
 
 import numpy as np
@@ -18,7 +20,7 @@ cfg = AttackConfig(restarts=40, iterations=400, mixture_size=4, share_dim=2, see
 print("--- separable attack on the singlet-witness game ---")
 dec = tetrahedron_beta()
 report = attack(dec, dec.ensembles, cfg)
-print(f"evaluated {report.evaluations} strategies in {report.wall_time:.1f}s")
+print(f"evaluated {report.evaluations} strategies in {report.wall_time:.2f}s")
 print(f"five best restart minima: {sorted(report.restart_minima)[:5]}")
 print(f"global minimum: {report.min_value:.3e}  (bound: >= 0)")
 
@@ -26,7 +28,7 @@ print("\n--- biseparable attack on the GHZ game ---")
 decg = ghz_beta()
 cfgb = AttackConfig(restarts=25, iterations=400, mixture_size=4, share_dim=2, seed=2024)
 reportb = biseparable_attack(decg, decg.ensembles, cfgb)
-print(f"evaluated {reportb.evaluations} strategies in {reportb.wall_time:.1f}s")
+print(f"evaluated {reportb.evaluations} strategies in {reportb.wall_time:.2f}s")
 print(f"global minimum: {reportb.min_value:.3e}  (bound: >= 0)")
 
 print("\n--- negative control: the same optimizer on a non-witness ---")

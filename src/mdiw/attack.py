@@ -3,8 +3,12 @@
 The bound "game value >= 0 without shared entanglement" holds for any
 measurement devices, any shared randomness and any share dimension; this
 module stress-tests an implementation of the game by actively trying to
-break the bound with randomized, locally refined strategies.  It also
-sweeps entangled state families to reproduce their violation curves.
+break the bound.  Each restart samples a random strategy and refines it by
+see-saw (Werner & Wolf, QIC 1, 1 (2001); Liang & Doherty, PRA 75, 042103
+(2007)): the value is linear in each success element, share state and
+weight vector on its own, so each step sets one of them to its exact
+minimizer, an eigenprojector or a vertex of the simplex.  It also sweeps
+entangled state families to reproduce their violation curves.
 
 Randomness contract: restart ``r`` of a search with master seed ``m`` draws
 from ``numpy.random.default_rng((m, r))``, i.e. a PCG64 generator seeded
@@ -30,10 +34,10 @@ from .game import (
     BiseparableStrategy,
     BiseparableTerm,
     SeparableStrategy,
+    _input_stacks,
     binary_povm,
     fast_entangled_table,
     mdi_value,
-    simulate_separable,
     trace_inputs,
 )
 
@@ -41,13 +45,20 @@ from .game import (
 # -BOUND_TOL when the decomposition reconstructs a valid witness.
 BOUND_TOL = 1e-9
 
+# A sweep that lowers the value by no more than this ends its restart.
+_STOP = 1e-15
+
 
 @dataclass(frozen=True)
 class AttackConfig:
-    """Knobs for the randomized strategy search.
+    """Knobs for the see-saw strategy search.
 
-    ``share_dim`` caps the dimension of each party's share; the bound holds
-    for any dimension, so the cap is a validation budget, not an assumption.
+    ``mixture_size`` and ``share_dim`` shape each restart's random start and
+    so the class searched: that many mixture terms, and shares of that
+    dimension.  The bound holds for any dimension, so the cap is a
+    validation budget, not an assumption.  ``iterations`` caps the sweeps
+    per restart; a restart also ends at the first sweep that lowers the
+    value by at most ``1e-15``.
     """
 
     restarts: int = 200
@@ -55,30 +66,27 @@ class AttackConfig:
     mixture_size: int = 4
     share_dim: int = 2
     seed: int = 0
-    step_init: float = 0.3
-    step_decay: float = 0.99
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            kind = {"int": numbers.Integral, "float": numbers.Real}[f.type]
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{f.name} must be int, got {value!r}")
         if self.restarts < 1 or self.iterations < 1 or self.mixture_size < 1:
             raise ValueError("restarts, iterations and mixture size must be >= 1")
         if self.share_dim < 1:
             raise ValueError("share dimension must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        if not 0.0 < self.step_decay < 1.0:
-            raise ValueError("step decay must lie in (0, 1)")
-        if self.step_init <= 0.0:
-            raise ValueError("initial step must be positive")
 
 
 @dataclass(frozen=True)
 class AttackReport:
-    """Search outcome: the global minimum and per-restart bookkeeping."""
+    """Search outcome: the global minimum and per-restart bookkeeping.
+
+    ``evaluations`` counts the values computed: one per restart for its
+    start plus one per sweep run.
+    """
 
     min_value: float
     best_strategy: SeparableStrategy | BiseparableStrategy
@@ -125,22 +133,6 @@ def _random_success_element(rng: np.random.Generator, d: int) -> np.ndarray:
     e = g.conj().T @ g
     top = float(np.linalg.eigvalsh(e)[-1])
     return e / (top * (1.0 + rng.uniform(0.0, 1.0)))
-
-
-def _clip_success_element(e: np.ndarray) -> np.ndarray:
-    """Project a Hermitian matrix onto the operator interval [0, 1]."""
-    e = (e + e.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(e)
-    vals = np.clip(vals, 0.0, 1.0)
-    return (vecs * vals) @ vecs.conj().T
-
-
-def _normalize_weights(w: np.ndarray) -> np.ndarray:
-    w = np.clip(w, 0.0, None)
-    s = w.sum()
-    if s <= 0.0:
-        return np.full(w.shape, 1.0 / len(w))
-    return w / s
 
 
 def random_separable_strategy(
@@ -213,198 +205,201 @@ def random_biseparable_strategy(
     return BiseparableStrategy(tuple(terms), povms)
 
 
-class _SeparableParams:
-    """Mutable search representation of a fully separable strategy."""
+def _negative_projector(x: np.ndarray) -> np.ndarray:
+    """Minimizer of tr[E x] over 0 <= E <= 1, kept at rank >= 1.
 
-    def __init__(self, strategy: SeparableStrategy, share_dim: int):
-        self.share_dim = share_dim
-        self.input_dims = tuple(p.dims[0] for p in strategy.measurements)
-        self.weights = np.asarray(strategy.weights, dtype=float)
-        # Pure kets per (term, party); sampled strategies are pure per term.
-        self.kets = [
-            [self._to_ket(s) for s in term] for term in strategy.share_states
-        ]
-        self.success = [p.element(1).copy() for p in strategy.measurements]
-
-    @staticmethod
-    def _to_ket(state: DensityMatrix) -> np.ndarray:
-        vals, vecs = np.linalg.eigh(state.matrix)
-        return vecs[:, -1].copy()
-
-    def materialize(self) -> SeparableStrategy:
-        terms = tuple(
-            tuple(
-                DensityMatrix(np.outer(k, k.conj()), (self.share_dim,)) for k in term
-            )
-            for term in self.kets
-        )
-        povms = tuple(
-            binary_povm(e, (d, self.share_dim))
-            for e, d in zip(self.success, self.input_dims)
-        )
-        return SeparableStrategy(tuple(self.weights), terms, povms)
-
-    def perturb(self, rng: np.random.Generator, step: float) -> None:
-        n_parties = len(self.input_dims)
-        k = len(self.kets)
-        block = int(rng.integers(3))
-        if block == 0:
-            self.weights = _normalize_weights(
-                self.weights + step * rng.normal(size=self.weights.shape)
-            )
-        elif block == 1:
-            i = int(rng.integers(k))
-            p = int(rng.integers(n_parties))
-            ket = self.kets[i][p]
-            ket = ket + step * (rng.normal(size=ket.shape) + 1j * rng.normal(size=ket.shape))
-            self.kets[i][p] = ket / np.linalg.norm(ket)
-        else:
-            p = int(rng.integers(n_parties))
-            e = self.success[p]
-            noise = rng.normal(size=e.shape) + 1j * rng.normal(size=e.shape)
-            self.success[p] = _clip_success_element(e + step * noise)
-
-    def copy(self) -> "_SeparableParams":
-        out = object.__new__(_SeparableParams)
-        out.share_dim = self.share_dim
-        out.input_dims = self.input_dims
-        out.weights = self.weights.copy()
-        out.kets = [[k.copy() for k in term] for term in self.kets]
-        out.success = [e.copy() for e in self.success]
-        return out
-
-
-class _BiseparableParams:
-    """Mutable search representation of a biseparable strategy.
-
-    Bipartition tags stay fixed within a restart; only weights, kets and
-    measurement elements move.
+    This is the projector onto the negative eigenspace of ``x``.  The lowest
+    eigenvector always stays in, so a restart never settles on the trivial
+    fixed point E = 0, where the value is 0 and every other step is flat.
     """
-
-    def __init__(self, strategy: BiseparableStrategy, share_dim: int):
-        self.share_dim = share_dim
-        self.input_dims = tuple(p.dims[0] for p in strategy.measurements)
-        self.tags = [t.bipartition for t in strategy.terms]
-        self.weights = np.array([t.weight for t in strategy.terms])
-        self.group_kets = [_SeparableParams._to_ket(t.group_state) for t in strategy.terms]
-        self.single_kets = [_SeparableParams._to_ket(t.singleton_state) for t in strategy.terms]
-        self.success = [p.element(1).copy() for p in strategy.measurements]
-
-    def materialize(self) -> BiseparableStrategy:
-        d = self.share_dim
-        terms = []
-        for tag, w, g, s in zip(self.tags, self.weights, self.group_kets, self.single_kets):
-            terms.append(
-                BiseparableTerm(
-                    tag,
-                    float(w),
-                    DensityMatrix(np.outer(g, g.conj()), (d, d)),
-                    DensityMatrix(np.outer(s, s.conj()), (d,)),
-                )
-            )
-        povms = tuple(
-            binary_povm(e, (dim, d)) for e, dim in zip(self.success, self.input_dims)
-        )
-        return BiseparableStrategy(tuple(terms), povms)
-
-    def perturb(self, rng: np.random.Generator, step: float) -> None:
-        k = len(self.tags)
-        block = int(rng.integers(4))
-        if block == 0:
-            self.weights = _normalize_weights(
-                self.weights + step * rng.normal(size=self.weights.shape)
-            )
-        elif block == 1:
-            i = int(rng.integers(k))
-            ket = self.group_kets[i]
-            ket = ket + step * (rng.normal(size=ket.shape) + 1j * rng.normal(size=ket.shape))
-            self.group_kets[i] = ket / np.linalg.norm(ket)
-        elif block == 2:
-            i = int(rng.integers(k))
-            ket = self.single_kets[i]
-            ket = ket + step * (rng.normal(size=ket.shape) + 1j * rng.normal(size=ket.shape))
-            self.single_kets[i] = ket / np.linalg.norm(ket)
-        else:
-            p = int(rng.integers(3))
-            e = self.success[p]
-            noise = rng.normal(size=e.shape) + 1j * rng.normal(size=e.shape)
-            self.success[p] = _clip_success_element(e + step * noise)
-
-    def copy(self) -> "_BiseparableParams":
-        out = object.__new__(_BiseparableParams)
-        out.share_dim = self.share_dim
-        out.input_dims = self.input_dims
-        out.tags = list(self.tags)
-        out.weights = self.weights.copy()
-        out.group_kets = [k.copy() for k in self.group_kets]
-        out.single_kets = [k.copy() for k in self.single_kets]
-        out.success = [e.copy() for e in self.success]
-        return out
+    vals, vecs = np.linalg.eigh(x)
+    v = vecs[:, : max(1, int(np.count_nonzero(vals < 0.0)))]
+    return v @ v.conj().T
 
 
-class _FastObjective:
-    """Game value evaluated directly on search parameters.
+def _lowest_states(ops: np.ndarray) -> np.ndarray:
+    """|v><v| for the lowest eigenvector v of each operator in a (K, n, n) stack."""
+    v = np.linalg.eigh(ops)[1][..., 0]
+    return v[:, :, None] * v[:, None, :].conj()
 
-    Uses the same trace identity as the effective-element route,
-    tr[eff (x) ...] = tr[E (input (x) share)], but contracted with einsum
-    on raw arrays so the refinement loop skips re-validating dataclasses
-    every step.  Tests pin this against
-    ``mdi_value(dec, simulate_separable(...))`` on the materialized
-    strategies.
+
+def _input_share_sum(taus: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """X = sum_s tau_s (x) y_s on input (x) share, so that sum_s tr[E (tau_s (x) y_s)] = tr[E X]."""
+    d, m = taus.shape[1], y.shape[1]
+    return np.einsum("sij,sab->iajb", taus, y).reshape(d * m, d * m)
+
+
+def _responses(f: np.ndarray, shares: np.ndarray) -> np.ndarray:
+    """r[s, k] = tr[F[s] sigma_k] = tr[E (tau_s (x) sigma_k)], with F = trace_inputs(E, tau)."""
+    return np.einsum("sab,kba->sk", f, shares).real
+
+
+def _coefficient_spec(n: int, p: int) -> str:
+    """einsum spec of c[s, k]: beta contracted with every party's responses except p's."""
+    idx = "stu"[:n]
+    others = ",".join(f"{c}k" for q, c in enumerate(idx) if q != p)
+    return f"{idx},{others}->{idx[p]}k"
+
+
+# Fully separable search state: (weights (K,), per-party share stacks
+# (K, m, m), per-party success elements on input (x) share).
+
+
+def _separable_arrays(strategy: SeparableStrategy) -> tuple:
+    shares = [
+        np.stack([term[p].matrix for term in strategy.share_states])
+        for p in range(strategy.n_parties)
+    ]
+    return np.asarray(strategy.weights), shares, [m.element(1) for m in strategy.measurements]
+
+
+def _separable_terms(beta, inputs, state) -> np.ndarray:
+    """Game value of each mixture term; the strategy's value is weights @ terms."""
+    _, shares, elements = state
+    resp = [_responses(trace_inputs(e, t), s) for e, t, s in zip(elements, inputs, shares)]
+    c = np.einsum(_coefficient_spec(len(resp), 0), beta, *resp[1:])
+    return np.einsum("sk,sk->k", c, resp[0])
+
+
+def _separable_sweep(beta, inputs, state):
+    """One see-saw sweep; every step minimizes the value exactly over one block.
+
+    For each party p in turn: its success element against the others'
+    responses, then its share state in every term.  Last, all weight moves
+    to the lowest term.
     """
-
-    def __init__(self, dec: Decomposition):
-        self.beta = np.asarray(dec.beta)
-        # inputs[p][s] = tau_s for party p, stacked as (S, d, d)
-        self.inputs = [np.stack([s.matrix for s in e.states]) for e in dec.ensembles]
-
-    def _responses(self, success, kets_by_party):
-        """response[p][s, k] = tr[E_p (tau_s (x) |psi_pk><psi_pk|)]."""
-        out = []
-        for e, taus, kets in zip(success, self.inputs, kets_by_party):
-            psis = np.stack(kets)
-            f = trace_inputs(e, taus)
-            out.append(np.einsum("sab,kb,ka->sk", f, psis, psis.conj()).real)
-        return out
-
-    def separable(self, params: "_SeparableParams") -> float:
-        resp = self._responses(params.success, list(zip(*params.kets)))
-        if len(resp) == 2:
-            return float(np.einsum("st,sk,tk,k->", self.beta, resp[0], resp[1], params.weights))
-        if len(resp) == 3:
-            return float(
-                np.einsum(
-                    "stu,sk,tk,uk,k->", self.beta, resp[0], resp[1], resp[2], params.weights
-                )
-            )
-        raise ValueError("only 2- and 3-party games are supported")
-
-    def biseparable(self, params: "_BiseparableParams") -> float:
-        fs = [trace_inputs(e, taus) for e, taus in zip(params.success, self.inputs)]
-        total = 0.0
-        subscripts = {
-            "AB|C": ("stu,st,u->", 0, 1, 2),
-            "AC|B": ("stu,su,t->", 0, 2, 1),
-            "BC|A": ("stu,tu,s->", 1, 2, 0),
-        }
-        for tag, w, g_ket, s_ket in zip(
-            params.tags, params.weights, params.group_kets, params.single_kets
-        ):
-            sub, p, q, r = subscripts[tag]
-            share = params.share_dim
-            sg = np.outer(g_ket, g_ket.conj()).reshape(share, share, share, share)
-            # pair[s, t] = tr[(E_p (x) E_q) (tau_s (x) tau_t (x) sigma_group)]
-            pair = np.einsum("sab,tAB,bBaA->st", fs[p], fs[q], sg).real
-            single = np.einsum("uab,b,a->u", fs[r], s_ket, s_ket.conj()).real
-            total += w * np.einsum(sub, self.beta, pair, single)
-        return float(total)
+    weights, shares, elements = state
+    shares, elements = list(shares), list(elements)
+    fs = [trace_inputs(e, t) for e, t in zip(elements, inputs)]
+    resp = [_responses(f, s) for f, s in zip(fs, shares)]
+    for p, taus in enumerate(inputs):
+        # c[s, k]: the value of term k per unit response of party p to input s
+        c = np.einsum(
+            _coefficient_spec(len(inputs), p), beta, *(r for q, r in enumerate(resp) if q != p)
+        )
+        y = np.einsum("sk,k,kab->sab", c, weights, shares[p])
+        elements[p] = _negative_projector(_input_share_sum(taus, y))
+        fs[p] = trace_inputs(elements[p], taus)
+        shares[p] = _lowest_states(np.einsum("sk,sab->kab", c, fs[p]))
+        resp[p] = _responses(fs[p], shares[p])
+    terms = np.einsum("sk,sk->k", c, resp[-1])
+    # all weight onto the lowest term
+    return (np.eye(len(terms))[np.argmin(terms)], shares, elements), float(terms.min())
 
 
-def _search(dec, ensembles, config, sampler, wrapper, objective, hook=None):
-    """Shared restart/refine loop for both strategy families.
+def _separable_strategy(state) -> SeparableStrategy:
+    weights, shares, elements = state
+    m = [s.shape[1] for s in shares]
+    terms = tuple(
+        tuple(DensityMatrix(s[k], (d,)) for s, d in zip(shares, m)) for k in range(len(weights))
+    )
+    povms = tuple(binary_povm(e, (e.shape[0] // d, d)) for e, d in zip(elements, m))
+    return SeparableStrategy(tuple(weights), terms, povms)
 
-    ``hook(restart, iteration, best)`` is a test seam invoked after every
-    accepted-or-rejected step; it must not mutate anything.
+
+# Biseparable search state: (weights (K,), bipartition tags, group states
+# (K, m*m, m*m), singleton states (K, m, m), per-party success elements).
+# A term tagged (p, q | r) has group state on share_p (x) share_q, p < q.
+
+
+def _biseparable_arrays(strategy: BiseparableStrategy) -> tuple:
+    terms = strategy.terms
+    return (
+        np.array([t.weight for t in terms]),
+        tuple(t.bipartition for t in terms),
+        np.stack([t.group_state.matrix for t in terms]),
+        np.stack([t.singleton_state.matrix for t in terms]),
+        [m.element(1) for m in strategy.measurements],
+    )
+
+
+def _pair_responses(fp: np.ndarray, fq: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """pair[s, t] = tr[(F_p[s] (x) F_q[t]) sigma_group] for a group tensor (m, m, m, m)."""
+    return np.einsum("sab,tAB,bBaA->st", fp, fq, group).real
+
+
+def _biseparable_terms(beta, inputs, state) -> np.ndarray:
+    """Game value of each mixture term; the strategy's value is weights @ terms."""
+    _, tags, groups, singles, elements = state
+    fs = [trace_inputs(e, t) for e, t in zip(elements, inputs)]
+    m = singles.shape[1]
+    out = []
+    for tag, g, sigma in zip(tags, groups, singles):
+        (p, q), r = BIPARTITIONS_3[tag]
+        pair = _pair_responses(fs[p], fs[q], g.reshape(m, m, m, m))
+        single = _responses(fs[r], sigma[None])[:, 0]
+        out.append(np.einsum("stu,st,u->", beta.transpose(p, q, r), pair, single))
+    return np.array(out)
+
+
+def _biseparable_sweep(beta, inputs, state):
+    """One see-saw sweep; every step minimizes the value exactly over one block.
+
+    Each party's success element in turn, then every group state, then
+    every singleton state, then all weight onto the lowest term.
+    """
+    weights, tags, groups, singles, elements = state
+    elements = list(elements)
+    m = singles.shape[1]
+    fs = [trace_inputs(e, t) for e, t in zip(elements, inputs)]
+    layout = [BIPARTITIONS_3[tag] for tag in tags]
+    betas = [beta.transpose(p, q, r) for (p, q), r in layout]
+    g4 = groups.reshape(-1, m, m, m, m)
+    for x, taus in enumerate(inputs):
+        # y[s]: the share operator party x meets alongside input s, summed over terms
+        y = 0.0
+        for w, ((p, q), r), bt, g, sigma in zip(weights, layout, betas, g4, singles):
+            if x == r:
+                c = np.einsum("stu,st->u", bt, _pair_responses(fs[p], fs[q], g))
+                y = y + w * c[:, None, None] * sigma
+                continue
+            b = np.einsum("stu,uab,ba->st", bt, fs[r], sigma).real
+            if x == p:  # tr_q[(1 (x) F_q[t]) sigma_group]
+                y = y + w * np.einsum("st,tAB,aBcA->sac", b, fs[q], g)
+            else:  # tr_p[(F_p[s] (x) 1) sigma_group]
+                y = y + w * np.einsum("st,sab,bAaC->tAC", b, fs[p], g)
+        elements[x] = _negative_projector(_input_share_sum(taus, y))
+        fs[x] = trace_inputs(elements[x], taus)
+    pair_ops = [
+        np.einsum("stu,uab,ba,scd,tCD->cCdD", bt, fs[r], sigma, fs[p], fs[q])
+        for ((p, q), r), bt, sigma in zip(layout, betas, singles)
+    ]
+    groups = _lowest_states(np.stack(pair_ops).reshape(-1, m * m, m * m))
+    coeffs = [
+        np.einsum("stu,st->u", bt, _pair_responses(fs[p], fs[q], g))
+        for ((p, q), _), bt, g in zip(layout, betas, groups.reshape(-1, m, m, m, m))
+    ]
+    singles = _lowest_states(
+        np.stack([np.einsum("u,uab->ab", c, fs[r]) for c, (_, r) in zip(coeffs, layout)])
+    )
+    terms = np.array(
+        [c @ _responses(fs[r], s[None])[:, 0] for c, (_, r), s in zip(coeffs, layout, singles)]
+    )
+    return (np.eye(len(terms))[np.argmin(terms)], tags, groups, singles, elements), float(terms.min())
+
+
+def _biseparable_strategy(state) -> BiseparableStrategy:
+    weights, tags, groups, singles, elements = state
+    m = singles.shape[1]
+    terms = tuple(
+        BiseparableTerm(tag, float(w), DensityMatrix(g, (m, m)), DensityMatrix(s, (m,)))
+        for tag, w, g, s in zip(tags, weights, groups, singles)
+    )
+    povms = tuple(binary_povm(e, (e.shape[0] // m, m)) for e in elements)
+    return BiseparableStrategy(terms, povms)
+
+
+def _search(dec, ensembles, config, sample, arrays, terms, sweep, build, hook=None):
+    """Shared restart/see-saw loop for both strategy families.
+
+    A search state is a tuple of arrays whose first entry is the mixture
+    weights: ``arrays`` reads it off a sampled strategy, ``terms`` gives
+    each mixture term's value, ``sweep`` returns the next state and its
+    value, and ``build`` turns the best state back into a strategy.  Each
+    restart starts from ``sample`` drawn with its own stream and runs sweeps
+    until one lowers the value by at most ``_STOP``, or for
+    ``config.iterations`` sweeps.  ``hook(restart, sweep, best)`` is a test
+    seam invoked after every sweep; it must not mutate anything.
     """
     if dec.residual > TOL_RECON:
         warnings.warn(
@@ -412,40 +407,36 @@ def _search(dec, ensembles, config, sampler, wrapper, objective, hook=None):
             "the nonnegativity bound is only guaranteed for exact witnesses",
             stacklevel=3,
         )
-    ensembles = tuple(ensembles)
     input_dims = tuple(e.dim for e in ensembles)
+    beta, inputs = np.asarray(dec.beta), _input_stacks(dec.ensembles)
 
     restart_minima = []
-    best_overall = None
-    best_params = None
+    best_overall = best_state = None
     evaluations = 0
     t0 = time.perf_counter()
     for r in range(config.restarts):
         rng = restart_rng(config.seed, r)
-        params = wrapper(sampler(input_dims, config.share_dim, config.mixture_size, rng),
-                         config.share_dim)
-        best = objective(params)
+        state = arrays(sample(input_dims, config.share_dim, config.mixture_size, rng))
+        value = float(state[0] @ terms(beta, inputs, state))
         evaluations += 1
-        step = config.step_init
+        best, kept = value, state
         for it in range(config.iterations):
-            candidate = params.copy()
-            candidate.perturb(rng, step)
-            value = objective(candidate)
+            previous = value
+            state, value = sweep(beta, inputs, state)
             evaluations += 1
             if value < best:
-                best = value
-                params = candidate
-            step *= config.step_decay
+                best, kept = value, state
             if hook is not None:
                 hook(r, it, best)
+            if previous - value <= _STOP:
+                break
         restart_minima.append(best)
         if best_overall is None or best < best_overall:
-            best_overall = best
-            best_params = params
+            best_overall, best_state = best, kept
     wall = time.perf_counter() - t0
     return AttackReport(
         min_value=float(best_overall),
-        best_strategy=best_params.materialize(),
+        best_strategy=build(best_state),
         restart_minima=tuple(restart_minima),
         evaluations=evaluations,
         wall_time=wall,
@@ -456,26 +447,30 @@ def _search(dec, ensembles, config, sampler, wrapper, objective, hook=None):
 def attack(dec: Decomposition, ensembles, config: AttackConfig, hook=None) -> AttackReport:
     """Minimize the game value over fully separable strategies.
 
-    Every evaluated point is a feasible strategy (weights on the simplex,
-    unit share kets, success elements clipped into [0, 1]), so a minimum
-    below ``-BOUND_TOL`` on an exact witness decomposition indicates an
-    implementation bug, not a theory violation.
+    Every point the see-saw visits is a feasible strategy (weights on the
+    simplex, pure share states, success elements that are projectors), so a
+    minimum below ``-BOUND_TOL`` on an exact witness decomposition
+    indicates an implementation bug, not a theory violation.
     """
-    objective = _FastObjective(dec).separable
     return _search(
-        dec, ensembles, config, random_separable_strategy, _SeparableParams, objective, hook
+        dec, ensembles, config, random_separable_strategy, _separable_arrays,
+        _separable_terms, _separable_sweep, _separable_strategy, hook,
     )
 
 
 def biseparable_attack(
     dec: Decomposition, ensembles, config: AttackConfig, hook=None
 ) -> AttackReport:
-    """Minimize the game value over biseparable tripartite strategies."""
+    """Minimize the game value over biseparable tripartite strategies.
+
+    Bipartition tags stay as sampled within a restart; weights, group and
+    singleton states and the success elements move.
+    """
     if dec.n_parties != 3:
         raise ValueError("biseparable attacks need a three-party decomposition")
-    objective = _FastObjective(dec).biseparable
     return _search(
-        dec, ensembles, config, random_biseparable_strategy, _BiseparableParams, objective, hook
+        dec, ensembles, config, random_biseparable_strategy, _biseparable_arrays,
+        _biseparable_terms, _biseparable_sweep, _biseparable_strategy, hook,
     )
 
 

@@ -59,8 +59,6 @@ _ATTACK_DEFAULTS = {
     "iterations": 500,
     "mixture_size": 4,
     "share_dim": 2,
-    "step_init": 0.3,
-    "step_decay": 0.99,
 }
 
 # Tabulated coefficient sources, keyed by (witness name, ensemble names).
@@ -93,8 +91,8 @@ class ScenarioConfig:
     attack: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.parties not in (2, 3):
-            raise ConfigError(f"parties must be 2 or 3, got {self.parties}")
+        if not isinstance(self.parties, int) or isinstance(self.parties, bool) or self.parties not in (2, 3):
+            raise ConfigError(f"parties must be the integer 2 or 3, got {self.parties!r}")
         if len(self.ensembles) != self.parties:
             raise ConfigError("one ensemble per party required")
         if self.decomposition not in ("paper", "solve"):
@@ -141,7 +139,7 @@ class ScenarioConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         try:
             return cls(
-                parties=int(data["parties"]),
+                parties=data["parties"],
                 witness=data["witness"],
                 ensembles=tuple(data["ensembles"]),
                 state=dict(data["state"]),
@@ -194,8 +192,10 @@ class ScenarioConfig:
                 raise ConfigError(f"ensemble spec must be a name or object, got {type(spec).__name__}")
         return tuple(out)
 
-    def resolve_witness(self) -> Witness:
-        ensembles = self.resolve_ensembles()
+    def resolve_witness(self, ensembles=None) -> Witness:
+        """The witness, checked against the (given or resolved) ensembles' dims."""
+        if ensembles is None:
+            ensembles = self.resolve_ensembles()
         dims = tuple(e.dim for e in ensembles)
         if isinstance(self.witness, str):
             try:
@@ -232,7 +232,7 @@ class ScenarioConfig:
 
     def resolve_decomposition(self) -> Decomposition:
         ensembles = self.resolve_ensembles()
-        w = self.resolve_witness()
+        w = self.resolve_witness(ensembles)
         if self.decomposition == "solve":
             return decompose(w, ensembles)
         key = (self.witness if isinstance(self.witness, str) else None,
@@ -307,8 +307,8 @@ def cmd_simulate(config: ScenarioConfig, out: str | None = None,
     """Emit the correlation table as CSV plus a one-line JSON summary."""
     dec = config.resolve_decomposition()
     rho, family, v = config.resolve_state()
-    w = config.resolve_witness()
     ensembles = dec.ensembles
+    w = config.resolve_witness(ensembles)
     if full:
         table = simulate_entangled(bell_strategy(rho), ensembles, include_full=True)
     else:

@@ -158,7 +158,7 @@ def check_ghz_threshold(seed: int = DEFAULT_SEED) -> Verdict:
 
 
 def check_separable_bound(seed: int = DEFAULT_SEED) -> Verdict:
-    """Randomized separable attacks never push either singlet game below 0."""
+    """See-saw attacks from random separable starts never push either singlet game below 0."""
 
     def run():
         jobs = (
@@ -184,7 +184,7 @@ def check_separable_bound(seed: int = DEFAULT_SEED) -> Verdict:
 
 
 def check_biseparable_bound(seed: int = DEFAULT_SEED) -> Verdict:
-    """Randomized biseparable attacks never push the GHZ game below 0."""
+    """See-saw attacks from random biseparable starts never push the GHZ game below 0."""
 
     def run():
         dec = ghz_beta()
@@ -404,18 +404,21 @@ def check_linalg_invariants(seed: int = DEFAULT_SEED) -> Verdict:
     return _timed("linalg_invariants", run)
 
 
-ALL_CHECKS = (
-    check_werner_closed_form,
-    check_witness_trace_identity,
-    check_closed_form_reconstructions,
-    check_ghz_threshold,
-    check_separable_bound,
-    check_biseparable_bound,
-    check_optimizer_power,
-    check_oracle_equivalence,
-    check_loss_invariance,
-    check_linalg_invariants,
-)
+# Runtime budget in seconds of each check at its full size, in run order.
+BUDGETS = {
+    check_werner_closed_form: 1.0,
+    check_witness_trace_identity: 5.0,
+    check_closed_form_reconstructions: 1.0,
+    check_ghz_threshold: 10.0,
+    check_separable_bound: 300.0,
+    check_biseparable_bound: 600.0,
+    check_optimizer_power: 120.0,
+    check_oracle_equivalence: 30.0,
+    check_loss_invariance: 120.0,
+    check_linalg_invariants: 10.0,
+}
+
+ALL_CHECKS = tuple(BUDGETS)
 
 
 def run_all(seed: int = DEFAULT_SEED) -> list[Verdict]:

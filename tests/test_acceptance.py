@@ -8,18 +8,7 @@ import pytest
 
 from mdiw import verify
 
-CRITERIA = [
-    (verify.check_werner_closed_form, 1.0),
-    (verify.check_witness_trace_identity, 5.0),
-    (verify.check_closed_form_reconstructions, 1.0),
-    (verify.check_ghz_threshold, 10.0),
-    (verify.check_separable_bound, 300.0),
-    (verify.check_biseparable_bound, 600.0),
-    (verify.check_optimizer_power, 120.0),
-    (verify.check_oracle_equivalence, 30.0),
-    (verify.check_loss_invariance, 120.0),
-    (verify.check_linalg_invariants, 10.0),
-]
+CRITERIA = list(verify.BUDGETS.items())
 
 IDS = [f"{i + 1:02d}_{check.__name__.removeprefix('check_')}" for i, (check, _) in enumerate(CRITERIA)]
 

@@ -3,14 +3,30 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mdiw.states import bloch_vector, projector, singlet_ket, tetrahedron_ensemble, werner_state, noisy_ghz
-from mdiw.witness import Witness, decompose, ghz_beta, pauli6_beta, tetrahedron_beta
-from mdiw.game import mdi_value, simulate_separable
+from mdiw.states import (
+    bloch_vector,
+    ghz_ket,
+    noisy_ghz,
+    projector,
+    singlet_ket,
+    tetrahedron_ensemble,
+    werner_state,
+)
+from mdiw.witness import Witness, decompose, ghz_beta, pauli6_beta, singlet_witness, tetrahedron_beta
+from mdiw.game import (
+    EntangledStrategy,
+    _input_stacks,
+    mdi_value,
+    mixture_as_shared_state,
+    simulate_entangled,
+    simulate_separable,
+)
 from mdiw.attack import (
     AttackConfig,
-    _BiseparableParams,
-    _FastObjective,
-    _SeparableParams,
+    _biseparable_arrays,
+    _biseparable_terms,
+    _separable_arrays,
+    _separable_terms,
     attack,
     biseparable_attack,
     expected_game_value,
@@ -58,27 +74,31 @@ class TestRandomStrategies:
 
 
 class TestFastObjective:
+    """The see-saw's value contraction against the public simulation route."""
+
     def test_separable_matches_public_route(self):
         rng = np.random.default_rng(64)
         for dec in (tetrahedron_beta(), pauli6_beta()):
-            fo = _FastObjective(dec)
+            beta, inputs = np.asarray(dec.beta), _input_stacks(dec.ensembles)
             for _ in range(20):
                 share_dim = int(rng.integers(1, 5))
-                s = random_separable_strategy((2, 2), share_dim, int(rng.integers(1, 4)), rng)
-                params = _SeparableParams(s, share_dim)
-                fast = fo.separable(params)
-                slow = mdi_value(dec, simulate_separable(params.materialize(), dec.ensembles))
+                s = random_separable_strategy(
+                    (2, 2), share_dim, int(rng.integers(1, 4)), rng, mixedness=0.5
+                )
+                state = _separable_arrays(s)
+                fast = state[0] @ _separable_terms(beta, inputs, state)
+                slow = mdi_value(dec, simulate_separable(s, dec.ensembles))
                 assert fast == pytest.approx(slow, abs=1e-12)
 
     def test_biseparable_matches_public_route(self):
         rng = np.random.default_rng(65)
         dec = ghz_beta()
-        fo = _FastObjective(dec)
+        beta, inputs = np.asarray(dec.beta), _input_stacks(dec.ensembles)
         for _ in range(20):
             s = random_biseparable_strategy((2, 2, 2), 2, int(rng.integers(1, 4)), rng)
-            params = _BiseparableParams(s, 2)
-            fast = fo.biseparable(params)
-            slow = mdi_value(dec, simulate_separable(params.materialize(), dec.ensembles))
+            state = _biseparable_arrays(s)
+            fast = state[0] @ _biseparable_terms(beta, inputs, state)
+            slow = mdi_value(dec, simulate_separable(s, dec.ensembles))
             assert fast == pytest.approx(slow, abs=1e-12)
 
 
@@ -123,15 +143,24 @@ class TestSearch:
             assert report.restart_minima[r] == values[-1]
 
     def test_report_minimum_consistent(self):
-        report = attack(tetrahedron_beta(), tetrahedron_beta().ensembles, SMALL)
+        sweeps = []
+        report = attack(
+            tetrahedron_beta(), tetrahedron_beta().ensembles, SMALL, hook=lambda *a: sweeps.append(a)
+        )
         assert report.min_value == min(report.restart_minima)
-        assert report.evaluations == SMALL.restarts * (SMALL.iterations + 1)
+        # one value per restart's start, plus one per sweep run
+        assert report.evaluations == SMALL.restarts + len(sweeps)
+        assert SMALL.restarts < report.evaluations <= SMALL.restarts * (SMALL.iterations + 1)
 
     def test_best_strategy_reproduces_reported_minimum(self):
-        dec = tetrahedron_beta()
-        report = attack(dec, dec.ensembles, SMALL)
-        value = mdi_value(dec, simulate_separable(report.best_strategy, dec.ensembles))
-        assert value == pytest.approx(report.min_value, abs=1e-12)
+        for search, dec in ((attack, tetrahedron_beta()), (biseparable_attack, ghz_beta())):
+            report = search(dec, dec.ensembles, SMALL)
+            s = report.best_strategy
+            value = mdi_value(dec, simulate_separable(s, dec.ensembles))
+            assert value == pytest.approx(report.min_value, abs=1e-12)
+            entangled = EntangledStrategy(mixture_as_shared_state(s), s.measurements)
+            value = mdi_value(dec, simulate_entangled(entangled, dec.ensembles))
+            assert value == pytest.approx(report.min_value, abs=1e-12)
 
     def test_inexact_decomposition_warns(self):
         from mdiw.states import InputEnsemble, bloch_state
@@ -166,6 +195,25 @@ class TestPowerNegativeControl:
         report = attack(dec, dec.ensembles, cfg)
         assert report.min_value <= -0.2
         assert report.min_value >= -1.0 - 1e-9  # sum of coefficients bounds the depth
+
+    def test_biseparable_attack_violates_non_witness(self):
+        ensembles = tuple(tetrahedron_ensemble(p) for p in "ABC")
+        dec = decompose(Witness(-projector(ghz_ket()), (2, 2, 2)), ensembles)
+        assert dec.residual < 1e-10
+        cfg = AttackConfig(restarts=4, iterations=50, mixture_size=4, share_dim=2, seed=11)
+        report = biseparable_attack(dec, dec.ensembles, cfg)
+        assert report.min_value <= -0.2
+        assert report.min_value >= -1.0 - 1e-9
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
+    def test_attack_reaches_graded_control(self, eps):
+        # W_eps = W_singlet - eps*1 is violated by exactly -eps (the product
+        # state |01>), so the detection floor must sit far below eps
+        ensembles = (tetrahedron_ensemble("A"), tetrahedron_ensemble("B"))
+        dec = decompose(Witness(singlet_witness().matrix - eps * np.eye(4), (2, 2)), ensembles)
+        cfg = AttackConfig(restarts=4, iterations=50, mixture_size=4, share_dim=2, seed=101)
+        report = attack(dec, dec.ensembles, cfg)
+        assert -eps - 1e-9 <= report.min_value <= -0.99 * eps
 
     def test_grid_oracle_near_closed_form(self):
         # for the negated singlet projector the best pure product pair is
@@ -228,7 +276,7 @@ class TestConfigAndReport:
         with pytest.raises(ValueError):
             AttackConfig(restarts=0)
         with pytest.raises(ValueError):
-            AttackConfig(step_decay=1.0)
+            AttackConfig(iterations=0)
         with pytest.raises(ValueError):
             AttackConfig(seed=-1)
         with pytest.raises(ValueError):

@@ -24,6 +24,7 @@ BASE_CONFIG = {
 # for a failed bound) or to be coerced silently.
 MALFORMED = {
     "parties_string": {"parties": "x"},
+    "parties_float": {"parties": 2.5},
     "v_string": {"state": {"family": "werner", "v": "abc"}},
     "ensembles_number": {"ensembles": 5},
     "loss_strings": {"loss": ["a", "b"]},
@@ -75,6 +76,7 @@ class TestScenarioConfig:
             {"seed": -3},
             {"attack": {"kind": "quantum"}},
             {"extra_key": 1},
+            {"attack": {"step_init": 0.3}},
         ],
     )
     def test_invalid_configs_rejected(self, overrides):
