@@ -35,6 +35,8 @@ from .game import (
     BiseparableTerm,
     SeparableStrategy,
     _input_stacks,
+    _pair_responses,
+    _responses,
     binary_povm,
     fast_entangled_table,
     mdi_value,
@@ -229,11 +231,6 @@ def _input_share_sum(taus: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("sij,sab->iajb", taus, y).reshape(d * m, d * m)
 
 
-def _responses(f: np.ndarray, shares: np.ndarray) -> np.ndarray:
-    """r[s, k] = tr[F[s] sigma_k] = tr[E (tau_s (x) sigma_k)], with F = trace_inputs(E, tau)."""
-    return np.einsum("sab,kba->sk", f, shares).real
-
-
 def _coefficient_spec(n: int, p: int) -> str:
     """einsum spec of c[s, k]: beta contracted with every party's responses except p's."""
     idx = "stu"[:n]
@@ -311,11 +308,6 @@ def _biseparable_arrays(strategy: BiseparableStrategy) -> tuple:
         np.stack([t.singleton_state.matrix for t in terms]),
         [m.element(1) for m in strategy.measurements],
     )
-
-
-def _pair_responses(fp: np.ndarray, fq: np.ndarray, group: np.ndarray) -> np.ndarray:
-    """pair[s, t] = tr[(F_p[s] (x) F_q[t]) sigma_group] for a group tensor (m, m, m, m)."""
-    return np.einsum("sab,tAB,bBaA->st", fp, fq, group).real
 
 
 def _biseparable_terms(beta, inputs, state) -> np.ndarray:

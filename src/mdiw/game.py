@@ -9,9 +9,12 @@ always laid out as
 with each party's input adjacent to its share, though tables never build
 that joint space: :func:`trace_inputs` folds each party's inputs into its
 outcome elements, and one contraction with the shared state gives the
-whole table.  The game functional contracts a witness decomposition
-against the all-ones outcome probabilities, so a negative value certifies
-entanglement of the shared state no matter what the devices actually did.
+whole table.  Unentangled strategies contract the same traced elements
+against each mixture term's share states into per-party responses, and
+one contraction over the terms gives their table.  The game functional
+contracts a witness decomposition against the all-ones outcome
+probabilities, so a negative value certifies entanglement of the shared
+state no matter what the devices actually did.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .linalg import (
     kron_all,
     partial_trace,
     permute_subsystems,
-    trace_product,
 )
 from .states import DensityMatrix, InputEnsemble, max_entangled, projector
 from .witness import Decomposition
@@ -291,6 +293,26 @@ def trace_inputs(element: np.ndarray, taus: np.ndarray) -> np.ndarray:
     return np.einsum("iajb,sji->sab", element.reshape(d, share, d, share), taus)
 
 
+def _responses(f: np.ndarray, shares: np.ndarray) -> np.ndarray:
+    """r[s, k] = tr[F[s] sigma_k] = tr[E (tau_s (x) sigma_k)], with F = trace_inputs(E, tau)."""
+    return np.einsum("sab,kba->sk", f, shares).real
+
+
+def _pair_responses(fp: np.ndarray, fq: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """pair[s, t] = tr[(F_p[s] (x) F_q[t]) sigma_group] for a group tensor (m_p, m_q, m_p, m_q)."""
+    return np.einsum("sab,tAB,bBaA->st", fp, fq, group).real
+
+
+def _check_ensembles(measurements, ensembles) -> None:
+    """One ensemble per party, each on its measurement's input space."""
+    n = len(measurements)
+    if len(ensembles) != n:
+        raise ValueError(f"strategy has {n} parties, got {len(ensembles)} ensembles")
+    for p, (e, m) in enumerate(zip(ensembles, measurements)):
+        if e.dim != m.dims[0]:
+            raise ValueError(f"party {p}: ensemble dim {e.dim} vs measurement input dim {m.dims[0]}")
+
+
 def _input_stacks(ensembles) -> list[np.ndarray]:
     return [np.stack([s.matrix for s in e.states]) for e in ensembles]
 
@@ -332,11 +354,7 @@ def simulate_entangled(
     """
     ensembles = tuple(ensembles)
     n = strategy.n_parties
-    if len(ensembles) != n:
-        raise ValueError(f"strategy has {n} parties, got {len(ensembles)} ensembles")
-    for p, (e, d) in enumerate(zip(ensembles, strategy.input_dims)):
-        if e.dim != d:
-            raise ValueError(f"party {p}: ensemble dim {e.dim} vs measurement input dim {d}")
+    _check_ensembles(strategy.measurements, ensembles)
     # g[p][b][s, a, A] = F_p^b[s, A, a]: F's column index meets rho's row index.
     g = [
         np.stack([trace_inputs(m.element(b), taus) for b in (0, 1)]).transpose(0, 1, 3, 2)
@@ -407,140 +425,68 @@ def effective_povm_element(element, dims, share: DensityMatrix, share_axes=(1,))
     return partial_trace(element @ embedded, dims, keep=kept)
 
 
-def _separable_effective_elements(strategy: SeparableStrategy) -> list[tuple[np.ndarray, ...]]:
-    """Per-term, per-party effective success elements on the input spaces."""
-    out = []
-    for term in strategy.share_states:
-        row = []
-        for povm, sigma in zip(strategy.measurements, term):
-            row.append(effective_povm_element(povm.element(1), povm.dims, sigma, (1,)))
-        out.append(tuple(row))
-    return out
-
-
-def _biseparable_effective_elements(
-    strategy: BiseparableStrategy,
-) -> list[tuple[tuple[int, ...], np.ndarray, int, np.ndarray]]:
-    """Per-term (group parties, group element, singleton party, singleton element)."""
-    out = []
-    for term in strategy.terms:
-        p, q = term.group
-        mp, mq = strategy.measurements[p], strategy.measurements[q]
-        joint = kron(mp.element(1), mq.element(1))
-        dims = mp.dims + mq.dims
-        group_eff = effective_povm_element(joint, dims, term.group_state, share_axes=(1, 3))
-        ms = strategy.measurements[term.singleton]
-        single_eff = effective_povm_element(
-            ms.element(1), ms.dims, term.singleton_state, (1,)
-        )
-        out.append(((p, q), group_eff, term.singleton, single_eff))
-    return out
-
-
-def _input_grid(ensembles):
-    ensembles = tuple(ensembles)
-    for combo in itertools.product(*(range(len(e)) for e in ensembles)):
-        key = tuple(e.labels[i] for e, i in zip(ensembles, combo))
-        states = tuple(e.states[i] for e, i in zip(ensembles, combo))
-        yield key, states
-
-
 def simulate_separable(strategy, ensembles, include_full: bool = False) -> CorrelationTable:
     """Correlation table for strategies without any shared entanglement.
 
-    Works through effective elements: each mixture term contributes the
-    product of traces of its effective success elements against the input
-    states (grouped according to the term's bipartition in the
-    biseparable case).  Agrees with running :func:`simulate_entangled` on
-    the explicitly mixed shared state.
+    Each party's inputs are traced into its success element once, and its
+    responses ``r[s, k] = tr[E (tau_s (x) sigma_k)]`` to every input and
+    mixture term follow from one contraction with the term's share states
+    (for a biseparable term, the group's pair responses against its group
+    state).  One contraction over the terms then gives every input tuple
+    at once; outcome 0 uses ``1 - r``.  The search in
+    :mod:`mdiw.attack` scores strategies through the same response
+    contraction, and :func:`simulate_entangled` on the explicitly mixed
+    shared state agrees with it.
     """
     ensembles = tuple(ensembles)
-    if isinstance(strategy, SeparableStrategy):
-        return _simulate_fully_separable(strategy, ensembles, include_full)
-    if isinstance(strategy, BiseparableStrategy):
-        return _simulate_biseparable(strategy, ensembles, include_full)
-    raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
-
-
-def _simulate_fully_separable(
-    strategy: SeparableStrategy, ensembles, include_full: bool
-) -> CorrelationTable:
-    n = strategy.n_parties
-    if len(ensembles) != n:
-        raise ValueError(f"strategy has {n} parties, got {len(ensembles)} ensembles")
-    effectives = _separable_effective_elements(strategy)
-    weights = np.asarray(strategy.weights)
-    # a[k][p][s] = tr(effective element of term k, party p applied to input s)
-    response = [
-        [
-            np.array([trace_product(eff[p], st.matrix).real for st in ensembles[p].states])
-            for p in range(n)
-        ]
-        for eff in effectives
+    if not isinstance(strategy, (SeparableStrategy, BiseparableStrategy)):
+        raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
+    _check_ensembles(strategy.measurements, ensembles)
+    fs = [
+        trace_inputs(m.element(1), taus)
+        for m, taus in zip(strategy.measurements, _input_stacks(ensembles))
     ]
-    p_map = {}
-    full_map = {} if include_full else None
-    for idx in itertools.product(*(range(len(e)) for e in ensembles)):
-        key = tuple(e.labels[i] for e, i in zip(ensembles, idx))
-        p = 0.0
-        for k, w in enumerate(weights):
-            prod = w
-            for party, s in enumerate(idx):
-                prod *= response[k][party][s]
-            p += prod
-        p_map[key] = float(p)
+    if isinstance(strategy, BiseparableStrategy):
         if include_full:
-            dist = {}
-            for bits in itertools.product((0, 1), repeat=n):
-                q = 0.0
-                for k, w in enumerate(weights):
-                    prod = w
-                    for party, s in enumerate(idx):
-                        r1 = response[k][party][s]
-                        prod *= r1 if bits[party] == 1 else 1.0 - r1
-                    q += prod
-                dist["".join(map(str, bits))] = float(q)
-            full_map[key] = dist
-    return CorrelationTable(
-        parties=tuple(e.party for e in ensembles),
-        labels=tuple(e.labels for e in ensembles),
-        p_all_ones=p_map,
-        full=full_map,
-    )
+            raise NotImplementedError("full distributions are only kept for all-ones-based checks")
+        return _table(ensembles, _biseparable_grid(strategy, fs))
+    n = strategy.n_parties
+    weights = np.asarray(strategy.weights)
+    resp = [
+        _responses(f, np.stack([term[p].matrix for term in strategy.share_states]))
+        for p, f in enumerate(fs)
+    ]
+    parties = string.ascii_lowercase[:n]
+    spec = ",".join(["K"] + [f"{c}K" for c in parties]) + f"->{parties}"
+    outcomes = itertools.product((0, 1), repeat=n) if include_full else [(1,) * n]
+    p = {
+        "".join(map(str, bits)): np.einsum(
+            spec, weights, *(r if b else 1.0 - r for r, b in zip(resp, bits))
+        )
+        for bits in outcomes
+    }
+    return _table(ensembles, p["1" * n], p if include_full else None)
 
 
-def _simulate_biseparable(
-    strategy: BiseparableStrategy, ensembles, include_full: bool
-) -> CorrelationTable:
-    if len(ensembles) != 3:
-        raise ValueError("biseparable strategies need three ensembles")
-    effectives = _biseparable_effective_elements(strategy)
-    weights = [t.weight for t in strategy.terms]
-    p_map = {}
-    for key, states in _input_grid(ensembles):
-        p = 0.0
-        for w, ((gp, gq), group_eff, single, single_eff) in zip(weights, effectives):
-            pair = kron(states[gp].matrix, states[gq].matrix)
-            p += (
-                w
-                * trace_product(group_eff, pair).real
-                * trace_product(single_eff, states[single].matrix).real
-            )
-        p_map[key] = float(p)
-    if include_full:
-        raise NotImplementedError("full distributions are only kept for all-ones-based checks")
-    return CorrelationTable(
-        parties=tuple(e.party for e in ensembles),
-        labels=tuple(e.labels for e in ensembles),
-        p_all_ones=p_map,
-    )
+def _biseparable_grid(strategy: BiseparableStrategy, fs) -> np.ndarray:
+    """p[s, t, u] = sum_k w_k pair_k[group inputs] * single_k[singleton input]."""
+    p = 0.0
+    for term in strategy.terms:
+        (a, b), c = term.group, term.singleton
+        pair = _pair_responses(
+            fs[a], fs[b], term.group_state.matrix.reshape(term.group_state.dims * 2)
+        )
+        single = _responses(fs[c], term.singleton_state.matrix[None])[:, 0]
+        # axes come out in (a, b, c) order; argsort puts them in party order
+        p = p + term.weight * np.einsum("st,u->stu", pair, single).transpose(np.argsort((a, b, c)))
+    return p
 
 
 def mixture_as_shared_state(strategy) -> DensityMatrix:
     """Explicit shared state of a separable or biseparable strategy.
 
     Materializing the mixture lets :func:`simulate_entangled` serve as an
-    independent cross-check of the effective-element route.
+    independent cross-check of :func:`simulate_separable`.
     """
     if isinstance(strategy, SeparableStrategy):
         dims = tuple(p.dims[1] for p in strategy.measurements)

@@ -181,9 +181,3 @@ def validate(m, kind: str) -> ValidationReport:
             if eigs[-1] > 1.0 + TOL_PSD:
                 violations.append(("max_eigenvalue", float(eigs[-1])))
     return ValidationReport(kind, not violations, tuple(violations))
-
-
-def trace_product(a, b) -> complex:
-    """tr(a @ b) without forming the product matrix."""
-    a, b = as_matrix(a), as_matrix(b)
-    return complex(np.sum(a * b.T))

@@ -181,7 +181,10 @@ def decompose(w: Witness, ensembles) -> Decomposition:
     basis = _product_basis(ensembles)
     a = _hermitian_coordinates(basis).T
     target = _hermitian_coordinates(w.matrix)
-    coeffs, _, _, _ = np.linalg.lstsq(a, target, rcond=None)
+    coeffs = np.linalg.lstsq(a, target, rcond=None)[0]
+    # One step of iterative refinement: the correction also lies in the row
+    # space of ``a``, so the solution stays the minimum-norm one.
+    coeffs += np.linalg.lstsq(a, target - a @ coeffs, rcond=None)[0]
     beta = coeffs.reshape(tuple(len(e) for e in ensembles))
     residual = frobenius_distance(w.matrix, np.tensordot(coeffs, basis, axes=1))
     return Decomposition(beta, ensembles, residual)

@@ -5,21 +5,33 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdiw.linalg import hermitian_eigenvalues, kron, partial_trace
+from mdiw.linalg import hermitian_eigenvalues, kron, partial_trace, permute_subsystems
 from mdiw.states import (
     DensityMatrix,
     InputEnsemble,
     bloch_vector,
     max_entangled,
     noisy_ghz,
+    pauli6_ensemble,
     projector,
     random_density_matrix,
     singlet_ket,
     tetrahedron_ensemble,
     werner_state,
 )
-from mdiw.witness import singlet_witness, tetrahedron_beta, witness_value, ghz_beta
+from mdiw.witness import (
+    Decomposition,
+    Witness,
+    decompose,
+    ghz_beta,
+    ghz_witness,
+    pauli6_beta,
+    singlet_witness,
+    tetrahedron_beta,
+    witness_value,
+)
 from mdiw.game import (
+    BIPARTITIONS_3,
     BiseparableStrategy,
     BiseparableTerm,
     CorrelationTable,
@@ -40,7 +52,12 @@ from mdiw.game import (
     simulate_separable,
     table_to_csv,
 )
-from mdiw.attack import random_biseparable_strategy, random_kraus_set, random_separable_strategy
+from mdiw.attack import (
+    BOUND_TOL,
+    random_biseparable_strategy,
+    random_kraus_set,
+    random_separable_strategy,
+)
 
 
 def game_probability_oracle(inputs, rho, elements):
@@ -88,6 +105,11 @@ def random_binary_povm(rng, d_in, share):
 def random_ensemble(rng, party, d, size):
     states = tuple(random_density_matrix((d,), rng) for _ in range(size))
     return InputEnsemble(party, tuple(str(i) for i in range(size)), states)
+
+
+def random_hermitian(rng, d):
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return (m + m.conj().T) / 2
 
 
 seeds = st.integers(0, 2**32 - 1)
@@ -389,6 +411,199 @@ class TestSimulateSeparable:
                 * np.trace(strategy.measurements[1].element(1) @ ens[1].states[j].matrix).real
             )
             assert table.p_all_ones[(str(i), str(j))] == pytest.approx(want, abs=1e-13)
+
+
+def separable_cell_oracle(strategy, states, bits):
+    """One cell by effective elements: sum_k w_k prod_p tr[A_pk tau_p], per outcome bit."""
+    total = 0.0
+    for w, term in zip(strategy.weights, strategy.share_states):
+        prod = w
+        for m, sigma, tau, b in zip(strategy.measurements, term, states, bits):
+            eff = effective_povm_element(m.element(int(b)), m.dims, sigma, (1,))
+            prod *= np.trace(eff @ tau.matrix).real
+        total += prod
+    return total
+
+
+def biseparable_cell_oracle(strategy, states):
+    """One all-ones cell by effective elements on each term's group and singleton."""
+    total = 0.0
+    for term in strategy.terms:
+        (p, q), r = term.group, term.singleton
+        mp, mq, mr = (strategy.measurements[i] for i in (p, q, r))
+        group = effective_povm_element(
+            kron(mp.element(1), mq.element(1)), mp.dims + mq.dims, term.group_state, (1, 3)
+        )
+        single = effective_povm_element(mr.element(1), mr.dims, term.singleton_state, (1,))
+        total += (
+            term.weight
+            * np.trace(group @ kron(states[p].matrix, states[q].matrix)).real
+            * np.trace(single @ states[r].matrix).real
+        )
+    return total
+
+
+def one_term_per_bipartition(rng, dims, share):
+    """Biseparable strategy with one random mixed term for each bipartition."""
+    weights = rng.dirichlet(np.ones(3))
+    terms = tuple(
+        BiseparableTerm(
+            tag,
+            float(w),
+            random_density_matrix((share, share), rng),
+            random_density_matrix((share,), rng),
+        )
+        for tag, w in zip(sorted(BIPARTITIONS_3), weights)
+    )
+    return BiseparableStrategy(terms, tuple(random_binary_povm(rng, d, share) for d in dims))
+
+
+class TestSeparableTableOracle:
+    """simulate_separable against the per-cell effective-element route."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=seeds, dims=st.lists(st.integers(2, 3), min_size=2, max_size=3),
+           share=st.integers(1, 3), mixture=st.integers(1, 3), include_full=st.booleans())
+    def test_separable_matches_cell_oracle(self, seed, dims, share, mixture, include_full):
+        rng = np.random.default_rng(seed)
+        n = len(dims)
+        ens = tuple(random_ensemble(rng, p, d, 3) for p, d in zip("ABC", dims))
+        strategy = random_separable_strategy(tuple(dims), share, mixture, rng, mixedness=0.5)
+        table = simulate_separable(strategy, ens, include_full=include_full)
+        assert (table.full is not None) == include_full
+        for idx in itertools.product(range(3), repeat=n):
+            key = tuple(str(i) for i in idx)
+            states = [e.states[i] for e, i in zip(ens, idx)]
+            want = separable_cell_oracle(strategy, states, "1" * n)
+            assert table.p_all_ones[key] == pytest.approx(want, abs=1e-12)
+            if include_full:
+                for bits in map("".join, itertools.product("01", repeat=n)):
+                    want = separable_cell_oracle(strategy, states, bits)
+                    assert table.full[key][bits] == pytest.approx(want, abs=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=seeds, dims=st.lists(st.integers(2, 3), min_size=3, max_size=3),
+           share=st.integers(1, 3))
+    def test_biseparable_matches_cell_oracle(self, seed, dims, share):
+        rng = np.random.default_rng(seed)
+        ens = tuple(random_ensemble(rng, p, d, 3) for p, d in zip("ABC", dims))
+        strategy = one_term_per_bipartition(rng, dims, share)
+        table = simulate_separable(strategy, ens)
+        for idx in itertools.product(range(3), repeat=3):
+            states = [e.states[i] for e, i in zip(ens, idx)]
+            want = biseparable_cell_oracle(strategy, states)
+            assert table.p_all_ones[tuple(map(str, idx))] == pytest.approx(want, abs=1e-12)
+
+    def test_oracle_rejects_swapped_group_factors(self):
+        # Swapping the factors of every group state must show up in the table.
+        rng = np.random.default_rng(58)
+        ens = tuple(random_ensemble(rng, p, 2, 3) for p in "ABC")
+        strategy = one_term_per_bipartition(rng, (2, 2, 2), 2)
+        swapped = BiseparableStrategy(
+            tuple(
+                BiseparableTerm(
+                    t.bipartition,
+                    t.weight,
+                    DensityMatrix(permute_subsystems(t.group_state.matrix, (2, 2), (1, 0)), (2, 2)),
+                    t.singleton_state,
+                )
+                for t in strategy.terms
+            ),
+            strategy.measurements,
+        )
+        table = simulate_separable(swapped, ens)
+        worst = max(
+            abs(table.p_all_ones[tuple(map(str, idx))]
+                - biseparable_cell_oracle(strategy, [e.states[i] for e, i in zip(ens, idx)]))
+            for idx in itertools.product(range(3), repeat=3)
+        )
+        assert worst > 1e-6
+
+    def test_ensemble_dimension_checked(self):
+        rng = np.random.default_rng(59)
+        strategy = random_separable_strategy((2, 2), 2, 2, rng)
+        ens = (tetrahedron_ensemble("A"), random_ensemble(rng, "B", 3, 3))
+        with pytest.raises(ValueError, match="party 1: ensemble dim 3"):
+            simulate_separable(strategy, ens)
+
+
+SINGLET_GAMES = {"tetrahedron": tetrahedron_beta, "pauli6": pauli6_beta}
+
+
+class TestGameProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds, game=st.sampled_from(sorted(SINGLET_GAMES)), share=st.integers(1, 3),
+           mixture=st.integers(1, 4), n_kraus=st.integers(1, 3))
+    def test_kraus_mapped_separable_strategy_respects_bound(self, seed, game, share, mixture, n_kraus):
+        rng = np.random.default_rng(seed)
+        dec = SINGLET_GAMES[game]()
+        strategy = random_separable_strategy((2, 2), share, mixture, rng)
+        povms = tuple(
+            apply_pre_measurement_map(m, random_kraus_set(2 * share, n_kraus, rng))
+            for m in strategy.measurements
+        )
+        mapped = SeparableStrategy(strategy.weights, strategy.share_states, povms)
+        assert mdi_value(dec, simulate_separable(mapped, dec.ensembles)) >= -BOUND_TOL
+
+    @pytest.mark.parametrize("game", sorted(SINGLET_GAMES))
+    def test_bound_gate_fails_with_shared_entanglement(self, game):
+        # The same Kraus-mapped measurements on a shared singlet break the bound.
+        dec = SINGLET_GAMES[game]()
+        povm = apply_pre_measurement_map(bell_outcome_povm(2), [np.eye(4)])
+        table = simulate_entangled(EntangledStrategy(werner_state(1.0), (povm, povm)), dec.ensembles)
+        assert mdi_value(dec, table) == pytest.approx(-0.125, abs=1e-13)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=seeds, n=st.integers(2, 3), named=st.booleans())
+    def test_honest_value_is_witness_expectation(self, seed, n, named):
+        rng = np.random.default_rng(seed)
+        if named:
+            w, dec = (singlet_witness(), tetrahedron_beta()) if n == 2 else (ghz_witness(), ghz_beta())
+        else:
+            w = Witness(random_hermitian(rng, 2**n), (2,) * n)
+            dec = decompose(w, tuple(pauli6_ensemble(p) for p in "ABC"[:n]))
+        rho = random_density_matrix((2,) * n, rng)
+        value = mdi_value(dec, fast_entangled_table(rho, dec.ensembles))
+        assert value == pytest.approx(witness_value(w, rho) / 2**n, abs=1e-12)
+
+    def test_honest_value_gate_fails_on_relabelled_inputs(self):
+        # Reversing one party's input order without touching beta breaks the identity.
+        dec = tetrahedron_beta()
+        b = dec.ensembles[1]
+        ens = (dec.ensembles[0], InputEnsemble(b.party, b.labels, b.states[::-1]))
+        rho = werner_state(1.0)
+        value = mdi_value(Decomposition(dec.beta, ens, 0.0), fast_entangled_table(rho, ens))
+        assert abs(value - witness_value(singlet_witness(), rho) / 4) > 1e-3
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=seeds, perm=st.integers(2, 3).flatmap(lambda n: st.permutations(range(n))))
+    def test_value_invariant_under_party_permutation(self, seed, perm):
+        rng = np.random.default_rng(seed)
+        n = len(perm)
+        dims = tuple(int(d) for d in rng.integers(2, 4, size=n))
+        ens = tuple(random_ensemble(rng, p, d, 3 + p_i) for p_i, (p, d) in enumerate(zip("ABC", dims)))
+        beta = rng.normal(size=tuple(len(e) for e in ens))
+        rho = random_density_matrix(dims, rng)
+        value = mdi_value(Decomposition(beta, ens, 0.0), fast_entangled_table(rho, ens))
+        moved = tuple(ens[i] for i in perm)
+        rho_moved = DensityMatrix(
+            permute_subsystems(rho.matrix, dims, perm), tuple(dims[i] for i in perm)
+        )
+        dec_moved = Decomposition(beta.transpose(perm), moved, 0.0)
+        assert mdi_value(dec_moved, fast_entangled_table(rho_moved, moved)) == pytest.approx(
+            value, abs=1e-12
+        )
+
+    def test_permutation_gate_fails_when_beta_is_left_behind(self):
+        rng = np.random.default_rng(60)
+        ens = tuple(random_ensemble(rng, p, 2, 4) for p in "AB")
+        beta = rng.normal(size=(4, 4))
+        rho = random_density_matrix((2, 2), rng)
+        value = mdi_value(Decomposition(beta, ens, 0.0), fast_entangled_table(rho, ens))
+        moved = ens[::-1]
+        rho_moved = DensityMatrix(permute_subsystems(rho.matrix, (2, 2), (1, 0)), (2, 2))
+        stale = mdi_value(Decomposition(beta, moved, 0.0), fast_entangled_table(rho_moved, moved))
+        assert abs(stale - value) > 1e-6
 
 
 class TestMdiValue:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mdiw.linalg import TOL_RECON, frobenius_distance, hermitian_eigenvalues, hermiticity_defect
 from mdiw.states import (
@@ -42,6 +42,8 @@ def random_hermitian(rng, d):
 class TestRoundTripProperty:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(4, 6), min_size=2, max_size=3))
+    # condition number ~1.3e6; plain least squares leaves residual 2.9e-10
+    @example(seed=782050530, sizes=[4, 4, 4])
     def test_decompose_reconstruct_round_trip(self, seed, sizes):
         # four or more random qubit states span the Hermitian 2 x 2 matrices
         # almost surely, so every such ensemble is tomographically complete
