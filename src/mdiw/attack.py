@@ -124,9 +124,21 @@ def restart_rng(master_seed: int, restart: int) -> np.random.Generator:
     return np.random.default_rng((master_seed, restart))
 
 
-def _random_unit(rng: np.random.Generator, d: int) -> np.ndarray:
-    v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return v / np.linalg.norm(v)
+def _unit_kets(draws: np.ndarray) -> np.ndarray:
+    """Normalized kets from normal draws shaped (..., 2, m): m real parts, then m imaginary.
+
+    Each norm sums the real and the imaginary squares as separate dot
+    products, as ``np.linalg.norm`` does for a single complex ket.
+    """
+    v = draws[..., 0, :] + 1j * draws[..., 1, :]
+    re, im = v.real[..., None, :], v.imag[..., None, :]
+    sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+    return v / np.sqrt(sq[..., 0])
+
+
+def _projectors(v: np.ndarray) -> np.ndarray:
+    """|v><v| for each ket along the last axis of a stack."""
+    return v[..., :, None] * v[..., None, :].conj()
 
 
 def _random_success_element(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -150,25 +162,27 @@ def random_separable_strategy(
     normalized complex-normal kets (optionally blended toward the
     maximally mixed state), and each party's success element from a
     rescaled Gram matrix, so every draw is feasible by construction.
+
+    Stream order: the weights (one ``dirichlet`` call); every share ket in
+    one ``normal`` call, term by term and party by party within a term,
+    each ket as ``share_dim`` real parts then ``share_dim`` imaginary parts;
+    with ``mixedness > 0``, every blend weight lambda in one ``uniform``
+    call in the same term/party order; then each party's success element.
+    All share states are checked as one stack.
     """
     input_dims = tuple(int(d) for d in input_dims)
+    n, m = len(input_dims), share_dim
     weights = tuple(rng.dirichlet(np.ones(mixture_size)))
-    terms = []
-    for _ in range(mixture_size):
-        states = []
-        for _p in input_dims:
-            psi = _random_unit(rng, share_dim)
-            m = np.outer(psi, psi.conj())
-            if mixedness > 0.0:
-                lam = rng.uniform(0.0, mixedness)
-                m = (1.0 - lam) * m + lam * np.eye(share_dim) / share_dim
-            states.append(DensityMatrix(m, (share_dim,)))
-        terms.append(tuple(states))
+    shares = _projectors(_unit_kets(rng.normal(size=(mixture_size, n, 2, m))))
+    if mixedness > 0.0:
+        lam = rng.uniform(0.0, mixedness, size=(mixture_size, n))[..., None, None]
+        shares = (1.0 - lam) * shares + lam * np.eye(m) / m
+    states = DensityMatrix.stack(shares.reshape(-1, m, m), (m,))
+    terms = tuple(states[k * n : (k + 1) * n] for k in range(mixture_size))
     povms = tuple(
-        binary_povm(_random_success_element(rng, d * share_dim), (d, share_dim))
-        for d in input_dims
+        binary_povm(_random_success_element(rng, d * m), (d, m)) for d in input_dims
     )
-    return SeparableStrategy(weights, tuple(terms), povms)
+    return SeparableStrategy(weights, terms, povms)
 
 
 def random_biseparable_strategy(
@@ -181,30 +195,37 @@ def random_biseparable_strategy(
 
     Group states are random pure two-party kets (entangled within the
     group is allowed); bipartitions are drawn uniformly per term.
+
+    Stream order: the weights (one ``dirichlet`` call); then per term its
+    bipartition (one ``integers`` call) and its kets in one ``normal``
+    call, the group ket (``share_dim**2`` real parts, then as many
+    imaginary parts) before the singleton ket (``share_dim`` real, then
+    ``share_dim`` imaginary); then each party's success element.  Group
+    and singleton states are checked as one stack each.
     """
     input_dims = tuple(int(d) for d in input_dims)
     if len(input_dims) != 3:
         raise ValueError("biseparable strategies are tripartite")
+    m = share_dim
     weights = rng.dirichlet(np.ones(mixture_size))
     tags = sorted(BIPARTITIONS_3)
-    terms = []
-    for k in range(mixture_size):
-        tag = tags[int(rng.integers(len(tags)))]
-        group_ket = _random_unit(rng, share_dim * share_dim)
-        single_ket = _random_unit(rng, share_dim)
-        terms.append(
-            BiseparableTerm(
-                tag,
-                float(weights[k]),
-                DensityMatrix(np.outer(group_ket, group_ket.conj()), (share_dim, share_dim)),
-                DensityMatrix(np.outer(single_ket, single_ket.conj()), (share_dim,)),
-            )
+    picks, draws = [], []
+    for _ in range(mixture_size):
+        picks.append(tags[int(rng.integers(len(tags)))])
+        draws.append(rng.normal(size=2 * (m * m + m)))
+    draws = np.array(draws)
+    groups = _projectors(_unit_kets(draws[:, : 2 * m * m].reshape(-1, 2, m * m)))
+    singles = _projectors(_unit_kets(draws[:, 2 * m * m :].reshape(-1, 2, m)))
+    terms = tuple(
+        BiseparableTerm(tag, float(w), g, s)
+        for tag, w, g, s in zip(
+            picks, weights, DensityMatrix.stack(groups, (m, m)), DensityMatrix.stack(singles, (m,))
         )
-    povms = tuple(
-        binary_povm(_random_success_element(rng, d * share_dim), (d, share_dim))
-        for d in input_dims
     )
-    return BiseparableStrategy(tuple(terms), povms)
+    povms = tuple(
+        binary_povm(_random_success_element(rng, d * m), (d, m)) for d in input_dims
+    )
+    return BiseparableStrategy(terms, povms)
 
 
 def _negative_projector(x: np.ndarray) -> np.ndarray:
@@ -221,8 +242,7 @@ def _negative_projector(x: np.ndarray) -> np.ndarray:
 
 def _lowest_states(ops: np.ndarray) -> np.ndarray:
     """|v><v| for the lowest eigenvector v of each operator in a (K, n, n) stack."""
-    v = np.linalg.eigh(ops)[1][..., 0]
-    return v[:, :, None] * v[:, None, :].conj()
+    return _projectors(np.linalg.eigh(ops)[1][..., 0])
 
 
 def _input_share_sum(taus: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -287,9 +307,7 @@ def _separable_sweep(beta, inputs, state):
 def _separable_strategy(state) -> SeparableStrategy:
     weights, shares, elements = state
     m = [s.shape[1] for s in shares]
-    terms = tuple(
-        tuple(DensityMatrix(s[k], (d,)) for s, d in zip(shares, m)) for k in range(len(weights))
-    )
+    terms = tuple(zip(*(DensityMatrix.stack(s, (d,)) for s, d in zip(shares, m))))
     povms = tuple(binary_povm(e, (e.shape[0] // d, d)) for e, d in zip(elements, m))
     return SeparableStrategy(tuple(weights), terms, povms)
 
@@ -374,8 +392,10 @@ def _biseparable_strategy(state) -> BiseparableStrategy:
     weights, tags, groups, singles, elements = state
     m = singles.shape[1]
     terms = tuple(
-        BiseparableTerm(tag, float(w), DensityMatrix(g, (m, m)), DensityMatrix(s, (m,)))
-        for tag, w, g, s in zip(tags, weights, groups, singles)
+        BiseparableTerm(tag, float(w), g, s)
+        for tag, w, g, s in zip(
+            tags, weights, DensityMatrix.stack(groups, (m, m)), DensityMatrix.stack(singles, (m,))
+        )
     )
     povms = tuple(binary_povm(e, (e.shape[0] // m, m)) for e in elements)
     return BiseparableStrategy(terms, povms)
@@ -471,13 +491,17 @@ def random_kraus_set(dim: int, n_ops: int, rng: np.random.Generator) -> list[np.
 
     The operators are complex-normal draws jointly rescaled so that
     sum_i K_i^dagger K_i <= 1, with strict inequality almost surely
-    (i.e. the operation loses weight, like a lossy channel).
+    (i.e. the operation loses weight, like a lossy channel).  Stream
+    order: every operator in one ``normal`` call, operator by operator,
+    each as its ``dim x dim`` real parts then its imaginary parts; then one
+    ``uniform`` draw for the scale.
     """
-    ops = [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(n_ops)]
-    total = sum(k.conj().T @ k for k in ops)
+    g = rng.normal(size=(n_ops, 2, dim, dim))
+    ops = g[:, 0] + 1j * g[:, 1]
+    total = (ops.conj().transpose(0, 2, 1) @ ops).sum(axis=0)
     top = float(np.linalg.eigvalsh(total)[-1])
     scale = np.sqrt(top * (1.0 + rng.uniform(0.0, 1.0)))
-    return [k / scale for k in ops]
+    return list(ops / scale)
 
 
 def violation_scan(

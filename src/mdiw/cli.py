@@ -72,6 +72,22 @@ _FAMILIES = {"werner": (werner_state, 2), "noisy_ghz": (noisy_ghz, 3)}
 _FAMILY_WITNESS = {"werner": "singlet", "noisy_ghz": "ghz"}
 
 
+# JSON container type of each config key that holds one.
+_CONTAINERS = {"ensembles": list, "state": dict, "loss": list, "attack": dict}
+
+
+def _is_number(x) -> bool:
+    """A JSON number: int or float, not a bool (JSON true/false load as bools)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _dims(value, what: str) -> tuple[int, ...]:
+    """Subsystem dimensions given in a config: a JSON array of integers."""
+    if not isinstance(value, list) or any(type(d) is not int for d in value):
+        raise ConfigError(f"{what} dims must be a JSON array of integers, got {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Plain-data scenario description; resolution to objects is lazy.
@@ -86,7 +102,7 @@ class ScenarioConfig:
     ensembles: tuple
     state: dict
     decomposition: str = "paper"
-    loss: tuple = ()
+    loss: tuple | None = None
     seed: int = 0
     attack: dict = field(default_factory=dict)
 
@@ -97,11 +113,11 @@ class ScenarioConfig:
             raise ConfigError("one ensemble per party required")
         if self.decomposition not in ("paper", "solve"):
             raise ConfigError(f"decomposition source must be 'paper' or 'solve', got {self.decomposition!r}")
-        loss = self.loss or tuple(1.0 for _ in range(self.parties))
+        loss = (1.0,) * self.parties if self.loss is None else self.loss
         if len(loss) != self.parties:
             raise ConfigError("one loss efficiency per party required")
-        if any(not 0.0 < e <= 1.0 for e in loss):
-            raise ConfigError(f"loss efficiencies must lie in (0, 1], got {loss}")
+        if any(not _is_number(e) or not 0.0 < e <= 1.0 for e in loss):
+            raise ConfigError(f"loss efficiencies must be numbers in (0, 1], got {list(loss)}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         att = dict(_ATTACK_DEFAULTS)
@@ -117,8 +133,8 @@ class ScenarioConfig:
             if self.state["family"] not in _FAMILIES:
                 raise ConfigError(f"unknown state family {self.state['family']!r}")
             v = self.state.get("v")
-            if v is None or not 0.0 <= float(v) <= 1.0:
-                raise ConfigError(f"family parameter v must lie in [0, 1], got {v}")
+            if not _is_number(v) or not 0.0 <= v <= 1.0:
+                raise ConfigError(f"family parameter v must be a number in [0, 1], got {v!r}")
         elif "matrix" not in self.state:
             raise ConfigError("state must give a 'family' or an explicit 'matrix'")
         object.__setattr__(self, "loss", tuple(float(e) for e in loss))
@@ -137,6 +153,10 @@ class ScenarioConfig:
         }
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, kind in _CONTAINERS.items():
+            if key in data and not isinstance(data[key], kind):
+                expected = "array" if kind is list else "object"
+                raise ConfigError(f"{key} must be a JSON {expected}, got {data[key]!r}")
         try:
             return cls(
                 parties=data["parties"],
@@ -144,7 +164,7 @@ class ScenarioConfig:
                 ensembles=tuple(data["ensembles"]),
                 state=dict(data["state"]),
                 decomposition=data.get("decomposition", "paper"),
-                loss=tuple(data.get("loss", ())),
+                loss=tuple(data["loss"]) if "loss" in data else None,
                 seed=data.get("seed", 0),
                 attack=dict(data.get("attack", {})),
             )
@@ -177,6 +197,8 @@ class ScenarioConfig:
                 except ValueError as exc:
                     raise ConfigError(str(exc)) from None
             elif isinstance(spec, dict):
+                if not isinstance(spec.get("name", ""), str):
+                    raise ConfigError(f"ensemble name for party {party} must be a string")
                 try:
                     states = tuple(
                         DensityMatrix(serialize.matrix_from_json(m), (len(m),))
@@ -205,8 +227,8 @@ class ScenarioConfig:
         elif isinstance(self.witness, dict):
             try:
                 m = serialize.matrix_from_json(self.witness["matrix"])
-                w = Witness(m, tuple(self.witness.get("dims", dims)),
-                            self.witness.get("kind", "bipartite-separability"))
+                w_dims = _dims(self.witness["dims"], "witness") if "dims" in self.witness else dims
+                w = Witness(m, w_dims, self.witness.get("kind", "bipartite-separability"))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"bad witness spec: {exc}") from None
         else:
@@ -225,7 +247,7 @@ class ScenarioConfig:
             return builder(v), name, v
         try:
             m = serialize.matrix_from_json(self.state["matrix"])
-            dims = tuple(int(d) for d in self.state.get("dims", (2,) * self.parties))
+            dims = _dims(self.state["dims"], "state") if "dims" in self.state else (2,) * self.parties
             return DensityMatrix(m, dims), None, None
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad state spec: {exc}") from None
@@ -308,6 +330,9 @@ def cmd_simulate(config: ScenarioConfig, out: str | None = None,
     dec = config.resolve_decomposition()
     rho, family, v = config.resolve_state()
     ensembles = dec.ensembles
+    dims = tuple(e.dim for e in ensembles)
+    if rho.dims != dims:
+        raise ConfigError(f"state dims {rho.dims} do not match ensemble dims {dims}")
     w = config.resolve_witness(ensembles)
     if full:
         table = simulate_entangled(bell_strategy(rho), ensembles, include_full=True)

@@ -31,7 +31,6 @@ from .linalg import (
     TOL_PSD,
     as_matrix,
     check_dims,
-    hermiticity_defect,
     kron,
     kron_all,
     partial_trace,
@@ -45,9 +44,11 @@ from .witness import Decomposition
 class POVM:
     """Ordered measurement elements on a (possibly multi-factor) space.
 
-    Elements must be Hermitian, positive semidefinite and sum to the
-    identity; this is enforced here, at construction, so the simulation
-    loops can stay branch-free.
+    Elements must be finite, Hermitian, positive semidefinite and sum to
+    the identity; this is enforced here, at construction, on the elements
+    stacked as one array (one numpy call per predicate), so the simulation
+    loops can stay branch-free.  Each stored element is a read-only view of
+    that checked stack, a copy of the input.
     """
 
     elements: tuple[np.ndarray, ...]
@@ -55,26 +56,25 @@ class POVM:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        elements = tuple(as_matrix(e) for e in self.elements)
-        if len(elements) != len(self.outcomes):
+        if not len(self.elements):
+            raise ValueError("POVM needs at least one element")
+        es = np.array(self.elements, dtype=complex, order="C")
+        if es.ndim != 3 or es.shape[1] != es.shape[2]:
+            raise ValueError("POVM elements must share one square shape")
+        if not np.isfinite(es).all():
+            raise ValueError("matrix has NaN or Inf entries")
+        if len(es) != len(self.outcomes):
             raise ValueError("one outcome label per element required")
-        d = elements[0].shape[0]
+        d = es.shape[1]
         dims = check_dims(self.dims, d)
-        total = np.zeros((d, d), dtype=complex)
-        for e in elements:
-            if e.shape != (d, d):
-                raise ValueError("POVM elements must share one square shape")
-            if hermiticity_defect(e) > TOL_HERM:
-                raise ValueError("POVM element not Hermitian")
-            if float(np.linalg.eigvalsh(e)[0]) < -TOL_PSD:
-                raise ValueError("POVM element not positive semidefinite")
-            total += e
-        if np.abs(total - np.eye(d)).max() > 1e-10:
+        if np.abs(es - es.conj().transpose(0, 2, 1)).max() > TOL_HERM:
+            raise ValueError("POVM element not Hermitian")
+        if np.linalg.eigvalsh(es)[:, 0].min() < -TOL_PSD:
+            raise ValueError("POVM element not positive semidefinite")
+        if np.abs(es.sum(axis=0) - np.eye(d)).max() > 1e-10:
             raise ValueError("POVM elements do not sum to the identity")
-        elements = tuple(e.copy() for e in elements)
-        for e in elements:
-            e.setflags(write=False)
-        object.__setattr__(self, "elements", elements)
+        es.setflags(write=False)
+        object.__setattr__(self, "elements", tuple(es))
         object.__setattr__(self, "outcomes", tuple(int(o) for o in self.outcomes))
         object.__setattr__(self, "dims", dims)
 
@@ -83,8 +83,10 @@ class POVM:
 
 
 def binary_povm(success_element: np.ndarray, dims) -> POVM:
-    """POVM {E, 1 - E} with outcomes (1, 0)."""
-    e = as_matrix(success_element)
+    """POVM {E, 1 - E} with outcomes (1, 0); :class:`POVM` checks both elements."""
+    e = np.asarray(success_element, dtype=complex)
+    if e.ndim != 2:
+        raise ValueError(f"expected a matrix, got array of shape {e.shape}")
     return POVM((e, np.eye(e.shape[0], dtype=complex) - e), (1, 0), tuple(dims))
 
 
@@ -104,14 +106,17 @@ def apply_pre_measurement_map(povm: POVM, kraus_ops) -> POVM:
 
     The map may be trace-non-increasing (losses); missing weight lands on
     outcome 0.  In the Heisenberg picture the success element E becomes
-    sum_i K_i^dagger E K_i, which stays between 0 and the identity.
+    sum_i K_i^dagger E K_i, which stays between 0 and the identity; an
+    empty Kraus list gives E = 0.  The operators are contracted as one
+    stack, summed in list order like the term-by-term loop.
     """
     e1 = povm.element(1)
-    transformed = np.zeros_like(e1)
-    for k in kraus_ops:
-        k = as_matrix(k)
-        transformed += k.conj().T @ e1 @ k
-    return binary_povm(transformed, povm.dims)
+    ks = np.asarray(list(kraus_ops), dtype=complex)
+    if not len(ks):
+        ks = ks.reshape((0,) + e1.shape)
+    if ks.shape[1:] != e1.shape:
+        raise ValueError(f"Kraus operators must be {e1.shape} matrices, got a stack {ks.shape}")
+    return binary_povm((ks.conj().transpose(0, 2, 1) @ e1 @ ks).sum(axis=0), povm.dims)
 
 
 @dataclass(frozen=True)

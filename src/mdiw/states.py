@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import TOL_HERM, TOL_PSD, TOL_TRACE, as_matrix, check_dims, hermiticity_defect
+from .linalg import TOL_HERM, TOL_PSD, TOL_TRACE, as_matrix, check_dims
 
 _PAULIS = (
     np.eye(2, dtype=complex),
@@ -29,36 +29,77 @@ def pauli(k: int) -> np.ndarray:
     return _PAULIS[k].copy()
 
 
+def _check_densities(ms: np.ndarray, dims) -> tuple[int, ...]:
+    """Check every matrix of a complex (K, d, d) stack as a density matrix.
+
+    Finite, Hermitian within ``TOL_HERM``, unit trace within ``TOL_TRACE``
+    and eigenvalues >= -``TOL_PSD``: one numpy call per predicate for the
+    whole stack.  A failure names the worst matrix's figure, so a stack of
+    one gives the single matrix's message.  Returns the checked ``dims``.
+    """
+    if not np.isfinite(ms).all():
+        raise ValueError("matrix has NaN or Inf entries")
+    if ms.shape[1] != ms.shape[2]:
+        raise ValueError("density matrix must be square")
+    dims = check_dims(dims, ms.shape[1])
+    if not len(ms):
+        return dims
+    defect = np.abs(ms - ms.conj().transpose(0, 2, 1)).max()
+    if defect > TOL_HERM:
+        raise ValueError(f"not Hermitian (defect {defect:.3e})")
+    traces = ms.trace(axis1=1, axis2=2).real
+    off = np.abs(traces - 1.0)
+    if off.max() > TOL_TRACE:
+        raise ValueError(f"trace {float(traces[off.argmax()])} is not 1")
+    min_eig = np.linalg.eigvalsh(ms)[:, 0].min()
+    if min_eig < -TOL_PSD:
+        raise ValueError(f"not positive semidefinite (min eigenvalue {min_eig:.3e})")
+    return dims
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A validated quantum state: Hermitian, PSD, unit trace.
 
     ``dims`` records the subsystem structure (one entry per tensor factor);
     a trivial dimension-1 factor is allowed so that strategies with no
-    shared system fit the same interfaces.
+    shared system fit the same interfaces.  Construction checks the matrix
+    as a stack of one; :meth:`stack` checks many states with one call per
+    predicate, and both raise the same messages.
     """
 
     matrix: np.ndarray
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        m = as_matrix(self.matrix)
-        if m.shape[0] != m.shape[1]:
-            raise ValueError("density matrix must be square")
-        dims = check_dims(self.dims, m.shape[0])
-        defect = hermiticity_defect(m)
-        if defect > TOL_HERM:
-            raise ValueError(f"not Hermitian (defect {defect:.3e})")
-        tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > TOL_TRACE:
-            raise ValueError(f"trace {tr} is not 1")
-        min_eig = float(np.linalg.eigvalsh(m)[0])
-        if min_eig < -TOL_PSD:
-            raise ValueError(f"not positive semidefinite (min eigenvalue {min_eig:.3e})")
-        m = m.copy()
+        m = np.array(self.matrix, dtype=complex, order="C")
+        if m.ndim != 2:
+            raise ValueError(f"expected a matrix, got array of shape {m.shape}")
+        dims = _check_densities(m[None], self.dims)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)
+
+    @classmethod
+    def stack(cls, ms, dims) -> tuple["DensityMatrix", ...]:
+        """States from a (K, d, d) stack of matrices, all with subsystem ``dims``.
+
+        The whole stack passes the same checks as one state, in one call per
+        predicate; each state's matrix is a read-only view of one checked copy.
+        """
+        ms = np.array(ms, dtype=complex, order="C")
+        if ms.ndim != 3:
+            raise ValueError(f"expected a stack of matrices, got array of shape {ms.shape}")
+        dims = _check_densities(ms, dims)
+        ms.setflags(write=False)
+        out = []
+        for m in ms:
+            # already checked as part of the stack, so __post_init__ is skipped
+            rho = object.__new__(cls)
+            object.__setattr__(rho, "matrix", m)
+            object.__setattr__(rho, "dims", dims)
+            out.append(rho)
+        return tuple(out)
 
     @property
     def dim(self) -> int:

@@ -14,6 +14,7 @@ from mdiw.states import (
 )
 from mdiw.witness import Witness, decompose, ghz_beta, pauli6_beta, singlet_witness, tetrahedron_beta
 from mdiw.game import (
+    BIPARTITIONS_3,
     EntangledStrategy,
     _input_stacks,
     mdi_value,
@@ -31,12 +32,14 @@ from mdiw.attack import (
     biseparable_attack,
     expected_game_value,
     random_biseparable_strategy,
+    random_kraus_set,
     random_separable_strategy,
     report_to_dict,
     restart_rng,
     violation_scan,
     zero_crossing,
 )
+from mdiw.serialize import dumps
 from mdiw.verify import _bloch_grid, negated_projector_decomposition, product_strategy_grid_minimum
 
 SMALL = AttackConfig(restarts=8, iterations=120, mixture_size=3, share_dim=2, seed=7)
@@ -71,6 +74,98 @@ class TestRandomStrategies:
         rng = np.random.default_rng(63)
         s = random_separable_strategy((2, 2), 1, 1, rng)
         assert s.measurements[0].dims == (2, 1)
+
+
+# Per-draw reference samplers: one rng call per ket, operator and element,
+# in the order the vectorized samplers document.
+
+
+def _loop_ket(rng, d):
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return v / np.linalg.norm(v)
+
+
+def _loop_success_element(rng, d):
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    e = g.conj().T @ g
+    return e / (float(np.linalg.eigvalsh(e)[-1]) * (1.0 + rng.uniform(0.0, 1.0)))
+
+
+def _loop_separable(input_dims, m, k, rng, mixedness=0.0):
+    weights = rng.dirichlet(np.ones(k))
+    shares = [[projector(_loop_ket(rng, m)) for _ in input_dims] for _ in range(k)]
+    if mixedness > 0.0:
+        for term in shares:
+            for p, sigma in enumerate(term):
+                lam = rng.uniform(0.0, mixedness)
+                term[p] = (1.0 - lam) * sigma + lam * np.eye(m) / m
+    return weights, shares, [_loop_success_element(rng, d * m) for d in input_dims]
+
+
+def _loop_biseparable(input_dims, m, k, rng):
+    weights = rng.dirichlet(np.ones(k))
+    tags = sorted(BIPARTITIONS_3)
+    terms = []
+    for _ in range(k):
+        tag = tags[int(rng.integers(len(tags)))]
+        terms.append((tag, projector(_loop_ket(rng, m * m)), projector(_loop_ket(rng, m))))
+    return weights, terms, [_loop_success_element(rng, d * m) for d in input_dims]
+
+
+def _loop_kraus(dim, n_ops, rng):
+    ops = [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(n_ops)]
+    top = float(np.linalg.eigvalsh(sum(k.conj().T @ k for k in ops))[-1])
+    scale = np.sqrt(top * (1.0 + rng.uniform(0.0, 1.0)))
+    return [k / scale for k in ops]
+
+
+def _close(a, b) -> bool:
+    return np.abs(np.asarray(a) - np.asarray(b)).max() <= 1e-15
+
+
+class TestStreamContract:
+    """The vectorized samplers draw the same numbers as one rng call per draw."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("mixedness", [0.0, 0.5])
+    def test_separable_sampler(self, seed, mixedness):
+        dims, m, k = [(2, 2), (2, 3, 2), (3, 2)][seed % 3], 1 + seed % 3, 1 + seed % 4
+        rng, ref = np.random.default_rng((seed, 1)), np.random.default_rng((seed, 1))
+        s = random_separable_strategy(dims, m, k, rng, mixedness=mixedness)
+        weights, shares, elements = _loop_separable(dims, m, k, ref, mixedness)
+        assert _close(s.weights, weights)
+        for term, want in zip(s.share_states, shares):
+            assert all(_close(sigma.matrix, w) for sigma, w in zip(term, want))
+        assert all(_close(p.element(1), e) for p, e in zip(s.measurements, elements))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_biseparable_sampler(self, seed):
+        m, k = 1 + seed % 3, 1 + seed % 5
+        rng, ref = np.random.default_rng((seed, 2)), np.random.default_rng((seed, 2))
+        s = random_biseparable_strategy((2, 2, 2), m, k, rng)
+        weights, terms, elements = _loop_biseparable((2, 2, 2), m, k, ref)
+        for term, w, (tag, group, single) in zip(s.terms, weights, terms):
+            assert (term.bipartition, term.weight) == (tag, w)
+            assert _close(term.group_state.matrix, group)
+            assert _close(term.singleton_state.matrix, single)
+        assert all(_close(p.element(1), e) for p, e in zip(s.measurements, elements))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("dim, n_ops", [(2, 1), (4, 2), (4, 3), (3, 5)])
+    def test_kraus_sampler(self, dim, n_ops):
+        rng, ref = np.random.default_rng((dim, n_ops)), np.random.default_rng((dim, n_ops))
+        ops = random_kraus_set(dim, n_ops, rng)
+        want = _loop_kraus(dim, n_ops, ref)
+        assert len(ops) == n_ops and all(_close(a, b) for a, b in zip(ops, want))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 5, 17])
+    def test_reports_byte_identical_per_seed(self, seed):
+        cfg = AttackConfig(restarts=3, iterations=40, mixture_size=3, share_dim=2, seed=seed)
+        for search, dec in ((attack, tetrahedron_beta()), (biseparable_attack, ghz_beta())):
+            first, again = (dumps(report_to_dict(search(dec, dec.ensembles, cfg))) for _ in range(2))
+            assert first == again
 
 
 class TestFastObjective:

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mdiw import serialize
 from mdiw.cli import ConfigError, ScenarioConfig, main
-from mdiw.states import projector, singlet_ket
+from mdiw.states import projector, singlet_ket, tetrahedron_ensemble
 
 
 BASE_CONFIG = {
@@ -34,6 +39,10 @@ MALFORMED = {
     },
     "seed_float": {"seed": 1.7},
     "restarts_string": {"attack": {"restarts": "many"}},
+    "loss_bool": {"loss": [True, 1.0]},
+    "loss_empty": {"loss": []},
+    "v_bool": {"state": {"family": "werner", "v": True}},
+    "v_numeric_string": {"state": {"family": "werner", "v": "0.5"}},
 }
 
 
@@ -403,3 +412,76 @@ class TestVerifyPlumbing:
         ]
         for a, b in zip(first, second):
             assert verify.verdict_to_dict(a) == verify.verdict_to_dict(b)
+
+
+# Every key of the config schema, nested ones as paths.
+SCHEMA_PATHS = (
+    ("parties",), ("witness",), ("witness", "matrix"), ("witness", "dims"),
+    ("ensembles",), ("ensembles", 0), ("ensembles", 1), ("state",), ("state", "family"),
+    ("state", "v"), ("state", "matrix"), ("state", "dims"), ("decomposition",), ("loss",),
+    ("loss", 0), ("seed",), ("attack",), ("attack", "kind"), ("attack", "expectation"),
+    ("attack", "restarts"), ("attack", "share_dim"),
+)
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 4),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["", "x", "0.5", "2", "tetrahedron", "pauli6", "singlet", "ghz", "werner",
+                     "solve", "paper", "biseparable"]),
+    st.just([]),
+    st.just({}),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["matrix", "labels", "states", "family", "v", "name"]),
+                      inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """BASE_CONFIG with a few schema keys replaced by arbitrary JSON, or removed."""
+    data = json.loads(json.dumps(BASE_CONFIG))
+    for path in sorted(draw(st.sets(st.sampled_from(SCHEMA_PATHS), min_size=1, max_size=3))):
+        parent = data
+        for key in path[:-1]:
+            parent = parent.get(key) if isinstance(parent, dict) else None
+        key = path[-1]
+        if isinstance(parent, dict) and isinstance(key, str):
+            if draw(st.integers(0, 4)) == 0:
+                parent.pop(key, None)
+            else:
+                parent[key] = draw(JSON_VALUES)
+        elif isinstance(parent, list) and isinstance(key, int) and key < len(parent):
+            parent[key] = draw(JSON_VALUES)
+    return data
+
+
+class TestConfigFuzz:
+    """The CLI contract on any config: exit 0, 1 or 2, never a traceback."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(fuzzed_configs())
+    # a valid state on the wrong factors crashed `simulate` past config checks
+    @example(dict(BASE_CONFIG, state={"matrix": serialize.matrix_to_json(np.eye(4) / 4), "dims": [4]}))
+    # a non-string ensemble name crashed the tabulated-coefficient lookup
+    @example(dict(BASE_CONFIG, ensembles=[
+        {"labels": list("0123"), "states": [serialize.matrix_to_json(s.matrix) for s in
+                                            tetrahedron_ensemble().states], "name": []},
+        "tetrahedron",
+    ]))
+    def test_any_config_keeps_exit_contract(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps(data))
+            out = str(Path(tmp) / "out")
+            for argv in (["simulate", "--summary", out], ["decompose"]):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = main(argv + ["-c", str(cfg), "-o", out])
+                assert code in (0, 1, 2)
+                if code == 2:
+                    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -189,6 +189,46 @@ class TestPovmValidation:
         povm = bell_outcome_povm(2)
         assert np.allclose(povm.element(1) + povm.element(0), np.eye(4))
 
+    def test_rejects_empty_element_tuple(self):
+        with pytest.raises(ValueError, match="at least one element"):
+            POVM((), (), (2,))
+
+    @pytest.mark.parametrize(
+        "elements, keyword",
+        [
+            ((np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), [[np.nan, 0.0], [0.0, 0.0]]), "NaN or Inf"),
+            ((np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), [[0.0, 0.1], [0.0, 0.0]]), "not Hermitian"),
+            ((np.diag([1.0, 0.0]), np.diag([0.0, 1.5]), np.diag([0.0, -0.5])), "positive semidefinite"),
+            ((np.diag([1.0, 0.0]), np.diag([0.0, 0.5]), np.diag([0.0, 0.25])), "sum to the identity"),
+        ],
+        ids=["non_finite", "non_hermitian", "not_psd", "not_complete"],
+    )
+    def test_broken_last_element_rejected_like_first(self, elements, keyword):
+        # only the last element breaks its predicate (completeness: only the sum)
+        with pytest.raises(ValueError, match=keyword) as last:
+            POVM(elements, (0, 1, 2), (2,))
+        with pytest.raises(ValueError, match=keyword) as first:
+            POVM(elements[::-1], (0, 1, 2), (2,))
+        assert str(last.value) == str(first.value)
+
+    @pytest.mark.parametrize("depth, accepted", [(0.5e-10, True), (2e-10, False)])
+    def test_graded_psd_boundary(self, depth, accepted):
+        # min eigenvalue -depth against TOL_PSD = 1e-10, on the last element only
+        elements = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0 + depth]), np.diag([0.0, -depth]))
+        if accepted:
+            assert POVM(elements, (0, 1, 2), (2,)).element(2)[1, 1] == -depth
+        else:
+            with pytest.raises(ValueError, match="positive semidefinite"):
+                POVM(elements, (0, 1, 2), (2,))
+
+    def test_elements_are_read_only_copies(self):
+        e = np.diag([1.0, 0.0]).astype(complex)
+        povm = binary_povm(e, (2,))
+        e[0, 0] = 0.5
+        assert povm.element(1)[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            povm.element(1)[0, 0] = 0.5
+
 
 class TestSimulateEntangled:
     def test_singlet_diagonal_inputs_never_coincide(self):
@@ -706,6 +746,24 @@ class TestPreMeasurementMaps:
         povm = bell_outcome_povm(2)
         same = apply_pre_measurement_map(povm, [np.eye(4)])
         assert np.allclose(same.element(1), povm.element(1), atol=1e-14)
+
+    def test_empty_kraus_list_never_clicks(self):
+        lost = apply_pre_measurement_map(bell_outcome_povm(2), [])
+        assert np.array_equal(lost.element(1), np.zeros((4, 4)))
+
+    def test_matches_term_by_term_sum(self):
+        rng = np.random.default_rng(56)
+        povm = random_binary_povm(rng, 2, 2)
+        ops = random_kraus_set(4, 3, rng)
+        loop = np.zeros((4, 4), dtype=complex)
+        for k in ops:
+            loop += k.conj().T @ povm.element(1) @ k
+        mapped = apply_pre_measurement_map(povm, ops).element(1)
+        assert np.abs(mapped - loop).max() <= 1e-15
+
+    def test_rejects_wrong_kraus_shape(self):
+        with pytest.raises(ValueError, match="Kraus"):
+            apply_pre_measurement_map(bell_outcome_povm(2), [np.eye(2)])
 
 
 class TestCsvRendering:

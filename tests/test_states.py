@@ -225,3 +225,68 @@ class TestTypes:
         assert named_ensemble("tetrahedron", "B").party == "B"
         with pytest.raises(ValueError, match="unknown ensemble"):
             named_ensemble("cube", "A")
+
+
+# One broken 2x2 matrix per density predicate, each failing only that one.
+BROKEN_DENSITIES = {
+    "non_finite": (np.array([[np.nan, 0.0], [0.0, 1.0]]), "NaN or Inf"),
+    "non_hermitian": (np.array([[0.5, 0.1], [0.0, 0.5]]), "not Hermitian"),
+    "trace_off": (np.diag([0.6, 0.6]), "trace"),
+    "negative_eigenvalue": (np.diag([1.5, -0.5]), "positive semidefinite"),
+}
+
+
+class TestDensityStack:
+    """``DensityMatrix.stack`` checks every matrix of the stack, not just the first."""
+
+    @staticmethod
+    def valid_stack(n=3):
+        return [bloch_state(v).matrix for v in TETRAHEDRON_VERTICES[:n]]
+
+    def test_states_match_single_construction(self):
+        ms = self.valid_stack()
+        states = DensityMatrix.stack(ms, (2,))
+        assert len(states) == len(ms)
+        for rho, m in zip(states, ms):
+            assert isinstance(rho, DensityMatrix) and rho.dims == (2,) and rho.dim == 2
+            assert np.array_equal(rho.matrix, DensityMatrix(m, (2,)).matrix)
+            with pytest.raises(ValueError):
+                rho.matrix[0, 0] = 9.0
+
+    def test_input_is_copied(self):
+        ms = np.array(self.valid_stack())
+        states = DensityMatrix.stack(ms, (2,))
+        ms[0, 0, 0] = 9.0
+        assert states[0].matrix[0, 0] != 9.0
+
+    @pytest.mark.parametrize("case", list(BROKEN_DENSITIES), ids=list(BROKEN_DENSITIES))
+    def test_broken_last_matrix_rejected_like_single(self, case):
+        broken, keyword = BROKEN_DENSITIES[case]
+        with pytest.raises(ValueError, match=keyword) as single:
+            DensityMatrix(broken, (2,))
+        with pytest.raises(ValueError, match=keyword) as stacked:
+            DensityMatrix.stack(self.valid_stack() + [broken], (2,))
+        assert str(stacked.value) == str(single.value)
+
+    @pytest.mark.parametrize("depth, accepted", [(0.5e-10, True), (2e-10, False)])
+    def test_graded_psd_boundary(self, depth, accepted):
+        # min eigenvalue -depth against TOL_PSD = 1e-10, on the last matrix only
+        edge = np.diag([1.0 + depth, -depth])
+        ms = self.valid_stack() + [edge]
+        if accepted:
+            assert DensityMatrix.stack(ms, (2,))[-1].matrix[1, 1] == -depth
+            DensityMatrix(edge, (2,))
+        else:
+            with pytest.raises(ValueError, match="positive semidefinite"):
+                DensityMatrix.stack(ms, (2,))
+            with pytest.raises(ValueError, match="positive semidefinite"):
+                DensityMatrix(edge, (2,))
+
+    def test_shape_and_dims_checked(self):
+        with pytest.raises(ValueError, match="stack"):
+            DensityMatrix.stack(np.eye(2) / 2, (2,))
+        with pytest.raises(ValueError, match="square"):
+            DensityMatrix.stack(np.zeros((2, 2, 3)), (2,))
+        with pytest.raises(ValueError, match="dims"):
+            DensityMatrix.stack(self.valid_stack(), (3,))
+        assert DensityMatrix.stack(np.zeros((0, 2, 2)), (2,)) == ()
