@@ -10,7 +10,6 @@ from .linalg import (
     TOL_HERM,
     TOL_PSD,
     TOL_RECON,
-    ValidationReport,
     frobenius_distance,
     hermitian_eigenvalues,
     kron,
@@ -18,7 +17,6 @@ from .linalg import (
     partial_trace,
     permute_subsystems,
     transpose,
-    validate,
 )
 from .states import (
     DensityMatrix,
@@ -60,7 +58,6 @@ from .game import (
     bell_strategy,
     binary_povm,
     effective_povm_element,
-    fast_entangled_prob,
     fast_entangled_table,
     mdi_value,
     mixture_as_shared_state,

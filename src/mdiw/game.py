@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -261,33 +261,56 @@ class BiseparableStrategy:
 
 @dataclass(frozen=True)
 class CorrelationTable:
-    """P(all outcomes = 1 | input labels), optionally with full distributions.
+    """P(all outcomes = 1 | inputs) on the input grid, optionally with full distributions.
 
-    ``full``, when present, maps each input-label tuple to a dict from
-    outcome bitstrings (party order, '1' = click) to probabilities.
+    ``p_all_ones[s, t, ...]`` is indexed by each party's input position in
+    its ``labels`` tuple.  ``full``, when present, puts one outcome axis of
+    size 2 per party in front (index 1 = click):
+    ``full[a, b, ..., s, t, ...] = P(a, b, ... | s, t, ...)``.  Both are
+    checked once, as whole arrays, and stored as read-only copies; labels
+    only return when a table is rendered by :func:`table_to_csv`.
     """
 
     parties: tuple[str, ...]
     labels: tuple[tuple[str, ...], ...]
-    p_all_ones: dict[tuple[str, ...], float]
-    full: dict[tuple[str, ...], dict[str, float]] | None = field(default=None)
+    p_all_ones: np.ndarray
+    full: np.ndarray | None = None
 
     def __post_init__(self):
-        expected = set(itertools.product(*self.labels))
-        if set(self.p_all_ones) != expected:
-            raise ValueError("table keys do not cover the input label grid")
-        for key, p in self.p_all_ones.items():
-            if not -1e-10 <= p <= 1.0 + 1e-10:
-                raise ValueError(f"probability {p} out of range at {key}")
+        if len(self.parties) != len(self.labels):
+            raise ValueError(f"{len(self.parties)} party names for {len(self.labels)} label tuples")
+        grid = tuple(len(ls) for ls in self.labels)
+        p = _checked_probabilities("p_all_ones", self.p_all_ones, grid, self.labels)
+        object.__setattr__(self, "p_all_ones", p)
         if self.full is not None:
-            for key, dist in self.full.items():
-                s = sum(dist.values())
-                if abs(s - 1.0) > 1e-10:
-                    raise ValueError(f"distribution at {key} sums to {s}")
+            full = _checked_probabilities("full", self.full, (2,) * len(grid) + grid, self.labels)
+            sums = full.reshape(-1, *grid).sum(axis=0)
+            worst = np.unravel_index(np.abs(sums - 1.0).argmax(), grid)
+            if abs(sums[worst] - 1.0) > 1e-10:
+                raise ValueError(f"distribution at {_key(self.labels, worst)} sums to {sums[worst]}")
+            object.__setattr__(self, "full", full)
 
     @property
     def n_parties(self) -> int:
         return len(self.labels)
+
+
+def _key(labels, idx) -> tuple[str, ...]:
+    """Label tuple of one input-grid cell, for error messages."""
+    return tuple(ls[i] for ls, i in zip(labels, idx[-len(labels):]))
+
+
+def _checked_probabilities(name: str, values, shape, labels) -> np.ndarray:
+    """Read-only float copy of ``values``, which must have ``shape`` and lie in [0, 1]."""
+    a = np.asarray(values)
+    if a.shape != shape:
+        raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+    a = a.astype(float)
+    if not (a.min() >= -1e-10 and a.max() <= 1.0 + 1e-10):  # NaN fails both
+        worst = np.unravel_index(np.nan_to_num(np.abs(a - 0.5), nan=np.inf).argmax(), shape)
+        raise ValueError(f"probability {a[worst]} out of range at {_key(labels, worst)}")
+    a.setflags(write=False)
+    return a
 
 
 def trace_inputs(element: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -332,17 +355,17 @@ def _contract_grid(shared: DensityMatrix, stacks) -> np.ndarray:
 
 
 def _table(ensembles, p_all_ones: np.ndarray, full=None) -> CorrelationTable:
-    """Label-keyed table from arrays indexed by the ensembles' label grid."""
-    keys = list(itertools.product(*(e.labels for e in ensembles)))
-    full_map = None
-    if full is not None:
-        cells = zip(*(p.ravel().tolist() for p in full.values()))
-        full_map = {key: dict(zip(full, cell)) for key, cell in zip(keys, cells)}
+    """Table over the ensembles' input grid.
+
+    ``full`` stacks one grid per outcome bitstring, bitstrings in
+    lexicographic order.
+    """
+    n = len(ensembles)
     return CorrelationTable(
         parties=tuple(e.party for e in ensembles),
         labels=tuple(e.labels for e in ensembles),
-        p_all_ones=dict(zip(keys, p_all_ones.ravel().tolist())),
-        full=full_map,
+        p_all_ones=p_all_ones,
+        full=None if full is None else full.reshape((2,) * n + p_all_ones.shape),
     )
 
 
@@ -366,25 +389,10 @@ def simulate_entangled(
         for m, taus in zip(strategy.measurements, _input_stacks(ensembles))
     ]
     outcomes = itertools.product((0, 1), repeat=n) if include_full else [(1,) * n]
-    p = {
-        "".join(map(str, bits)): _contract_grid(strategy.shared, [gp[b] for gp, b in zip(g, bits)])
-        for bits in outcomes
-    }
-    return _table(ensembles, p["1" * n], p if include_full else None)
-
-
-def fast_entangled_prob(rho: DensityMatrix, inputs) -> float:
-    """All-ones probability of the honest strategy, without the full tensor.
-
-    For projections onto maximally entangled states the joint contraction
-    collapses to tr[(transpose(tau_1) (x) ... ) rho] divided by the product
-    of the input dimensions.  Must agree with :func:`simulate_entangled`
-    under :func:`bell_strategy` to full precision.
-    """
-    inputs = tuple(inputs)
-    if tuple(s.dim for s in inputs) != rho.dims:
-        raise ValueError("input dims must match the shared state's factor dims")
-    return _contract_grid(rho, [s.matrix[None] for s in inputs]).item() / math.prod(rho.dims)
+    p = np.stack(
+        [_contract_grid(strategy.shared, [gp[b] for gp, b in zip(g, bits)]) for bits in outcomes]
+    )
+    return _table(ensembles, p[-1], p if include_full else None)
 
 
 def fast_entangled_table(rho: DensityMatrix, ensembles) -> CorrelationTable:
@@ -464,13 +472,11 @@ def simulate_separable(strategy, ensembles, include_full: bool = False) -> Corre
     parties = string.ascii_lowercase[:n]
     spec = ",".join(["K"] + [f"{c}K" for c in parties]) + f"->{parties}"
     outcomes = itertools.product((0, 1), repeat=n) if include_full else [(1,) * n]
-    p = {
-        "".join(map(str, bits)): np.einsum(
-            spec, weights, *(r if b else 1.0 - r for r, b in zip(resp, bits))
-        )
+    p = np.stack([
+        np.einsum(spec, weights, *(r if b else 1.0 - r for r, b in zip(resp, bits)))
         for bits in outcomes
-    }
-    return _table(ensembles, p["1" * n], p if include_full else None)
+    ])
+    return _table(ensembles, p[-1], p if include_full else None)
 
 
 def _biseparable_grid(strategy: BiseparableStrategy, fs) -> np.ndarray:
@@ -533,57 +539,48 @@ def mdi_value(dec: Decomposition, table: CorrelationTable) -> float:
             raise ValueError(
                 f"party {p}: decomposition labels {e.labels} vs table labels {table.labels[p]}"
             )
-    p = np.array([table.p_all_ones[key] for key in itertools.product(*table.labels)])
-    return float(np.dot(dec.beta.ravel(), p))
+    return float(np.dot(dec.beta.ravel(), table.p_all_ones.ravel()))
 
 
 def apply_uniform_loss(table: CorrelationTable, etas) -> CorrelationTable:
     """Model per-party detection efficiency eta as outcome-1 -> 0 leakage.
 
     All-ones probabilities are multiplied by the product of the
-    efficiencies; stored full distributions are re-routed so lost weight
-    lands on outcome 0 and each distribution stays normalized.
+    efficiencies.  Stored full distributions pass, party by party, through
+    the column-stochastic map ``[[1, 1 - eta], [0, eta]]`` on that party's
+    outcome axis: a click is kept with probability eta and otherwise lands
+    on outcome 0, so each distribution stays normalized.
     """
     etas = tuple(float(e) for e in etas)
     if len(etas) != table.n_parties:
         raise ValueError("one efficiency per party required")
     if any(not 0.0 < e <= 1.0 for e in etas):
         raise ValueError(f"efficiencies must lie in (0, 1], got {etas}")
-    factor = math.prod(etas)
-    new_p = {key: p * factor for key, p in table.p_all_ones.items()}
-    new_full = None
-    if table.full is not None:
-        new_full = {}
-        for key, dist in table.full.items():
-            out: dict[str, float] = {bits: 0.0 for bits in dist}
-            for bits, p in dist.items():
-                outcomes = [int(b) for b in bits]
-                # Each clicked party keeps its click with prob eta, loses it otherwise.
-                for kept in itertools.product(*[(0, 1) if b else (0,) for b in outcomes]):
-                    w = 1.0
-                    for b, k, eta in zip(outcomes, kept, etas):
-                        if b == 1:
-                            w *= eta if k == 1 else 1.0 - eta
-                    out["".join(map(str, kept))] += p * w
-            new_full[key] = out
-    return CorrelationTable(table.parties, table.labels, new_p, new_full)
+    full = table.full
+    if full is not None:
+        for p, eta in enumerate(etas):
+            keep = np.array([[1.0, 1.0 - eta], [0.0, eta]])
+            full = np.moveaxis(np.tensordot(keep, full, axes=(1, p)), 0, p)
+    return CorrelationTable(table.parties, table.labels, table.p_all_ones * math.prod(etas), full)
 
 
 def table_to_csv(table: CorrelationTable) -> str:
     """CSV rendering: one label column per party, then probabilities.
 
     Rows are ordered lexicographically by label tuple; numbers carry 17
-    significant digits, lines end with LF.
+    significant digits, lines end with LF.  This is the one place where
+    input indices turn back into labels.
     """
+    n = table.n_parties
+    orders = [sorted(range(len(ls)), key=ls.__getitem__) for ls in table.labels]
+    grid = np.ix_(*orders)
+    columns = [table.p_all_ones[grid].ravel()]
     headers = list(table.parties) + ["p_all_ones"]
-    bitstrings: list[str] = []
     if table.full is not None:
-        bitstrings = sorted(next(iter(table.full.values())))
-        headers += [f"p_{b}" for b in bitstrings]
+        headers += [f"p_{''.join(bits)}" for bits in itertools.product("01", repeat=n)]
+        columns += list(table.full[(...,) + grid].reshape(2**n, -1))
+    keys = itertools.product(*([ls[i] for i in o] for ls, o in zip(table.labels, orders)))
     lines = [",".join(headers)]
-    for key in sorted(table.p_all_ones):
-        row = list(key) + [format(table.p_all_ones[key], ".17g")]
-        if table.full is not None:
-            row += [format(table.full[key][b], ".17g") for b in bitstrings]
-        lines.append(",".join(row))
+    for key, row in zip(keys, np.stack(columns, axis=1).tolist()):
+        lines.append(",".join([*key, *(format(x, ".17g") for x in row)]))
     return "\n".join(lines) + "\n"

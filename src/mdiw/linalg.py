@@ -9,7 +9,6 @@ That single convention is used everywhere in this package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,51 +132,3 @@ def partial_trace(m, dims, keep) -> np.ndarray:
         remaining -= 1
     d_keep = math.prod(dims[k] for k in keep) if keep else 1
     return t.reshape(d_keep, d_keep)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of :func:`validate`: which predicates failed and by how much."""
-
-    kind: str
-    ok: bool
-    violations: tuple[tuple[str, float], ...]
-
-    def __str__(self) -> str:
-        if self.ok:
-            return f"{self.kind}: pass"
-        parts = ", ".join(f"{name}={mag:.3e}" for name, mag in self.violations)
-        return f"{self.kind}: FAIL ({parts})"
-
-
-_VALIDATION_KINDS = ("hermitian", "psd", "density", "povm_element")
-
-
-def validate(m, kind: str) -> ValidationReport:
-    """Check a matrix against one of the standard operator predicates.
-
-    Kinds: ``hermitian``, ``psd`` (Hermitian and eigenvalues >= -TOL_PSD),
-    ``density`` (psd and unit trace), ``povm_element`` (psd and eigenvalues
-    <= 1 + TOL_PSD).  Never raises; failures are reported with magnitudes.
-    """
-    if kind not in _VALIDATION_KINDS:
-        raise ValueError(f"unknown validation kind {kind!r}")
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        return ValidationReport(kind, False, (("square", float(abs(m.shape[0] - m.shape[1]))),))
-    violations: list[tuple[str, float]] = []
-    defect = hermiticity_defect(m)
-    if defect > TOL_HERM:
-        violations.append(("hermitian", defect))
-    if kind != "hermitian" and not violations:
-        eigs = np.linalg.eigvalsh(m)
-        if eigs[0] < -TOL_PSD:
-            violations.append(("min_eigenvalue", float(eigs[0])))
-        if kind == "density":
-            tr_err = abs(float(np.trace(m).real) - 1.0)
-            if tr_err > TOL_TRACE:
-                violations.append(("unit_trace", tr_err))
-        elif kind == "povm_element":
-            if eigs[-1] > 1.0 + TOL_PSD:
-                violations.append(("max_eigenvalue", float(eigs[-1])))
-    return ValidationReport(kind, not violations, tuple(violations))

@@ -238,31 +238,17 @@ def ghz_coefficient(s: int, t: int, u: int) -> float:
     return (3.0 / 32.0) * pair_sign * (sum_sign + label_sign * math.sqrt(3.0))
 
 
-def ghz_beta(source: str = "auto") -> Decomposition:
+def ghz_beta() -> Decomposition:
     """Expansion of the GHZ witness over three tetrahedron ensembles.
 
-    ``source`` selects how the coefficients are produced:
-
-    * ``"formula"``: the closed-form table from :func:`ghz_coefficient`,
-      whatever its measured residual;
-    * ``"solve"``: minimum-norm least squares via :func:`decompose`;
-    * ``"auto"``: the formula if it reconstructs the witness exactly,
-      otherwise the solver result (keeping the formula reachable for
-      comparison).
+    The closed-form table from :func:`ghz_coefficient`, with its measured
+    reconstruction residual.
     """
-    if source not in ("auto", "formula", "solve"):
-        raise ValueError(f"unknown source {source!r}")
     ensembles = tuple(tetrahedron_ensemble(p) for p in ("A", "B", "C"))
-    w = ghz_witness()
-    if source == "solve":
-        return decompose(w, ensembles)
     beta = np.empty((4, 4, 4))
     for s, t, u in itertools.product(range(4), repeat=3):
         beta[s, t, u] = ghz_coefficient(s, t, u)
-    dec = _finished(beta, ensembles, w.matrix)
-    if source == "formula" or dec.exact:
-        return dec
-    return decompose(w, ensembles)
+    return _finished(beta, ensembles, ghz_witness().matrix)
 
 
 WITNESS_BUILDERS = {

