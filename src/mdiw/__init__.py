@@ -57,10 +57,8 @@ from .game import (
     bell_outcome_povm,
     bell_strategy,
     binary_povm,
-    effective_povm_element,
     fast_entangled_table,
     mdi_value,
-    mixture_as_shared_state,
     simulate_entangled,
     simulate_separable,
     table_to_csv,

@@ -5,10 +5,12 @@ measurement devices, any shared randomness and any share dimension; this
 module stress-tests an implementation of the game by actively trying to
 break the bound.  Each restart samples a random strategy and refines it by
 see-saw (Werner & Wolf, QIC 1, 1 (2001); Liang & Doherty, PRA 75, 042103
-(2007)): the value is linear in each success element, share state and
+(2007)): the value is linear in each success element, block state and
 weight vector on its own, so each step sets one of them to its exact
-minimizer, an eigenprojector or a vertex of the simplex.  It also sweeps
-entangled state families to reproduce their violation curves.
+minimizer, an eigenprojector or a vertex of the simplex.  Separable and
+biseparable strategies share the one sweep, in the block form and with the
+contractions of :mod:`mdiw.game`.  It also sweeps entangled state families
+to reproduce their violation curves.
 
 Randomness contract: restart ``r`` of a search with master seed ``m`` draws
 from ``numpy.random.default_rng((m, r))``, i.e. a PCG64 generator seeded
@@ -34,9 +36,13 @@ from .game import (
     BiseparableStrategy,
     BiseparableTerm,
     SeparableStrategy,
+    _biseparable_strategy,
+    _block_responses,
+    _grid,
+    _groups,
     _input_stacks,
-    _pair_responses,
     _responses,
+    _separable_strategy,
     binary_povm,
     fast_entangled_table,
     mdi_value,
@@ -245,173 +251,68 @@ def _lowest_states(ops: np.ndarray) -> np.ndarray:
     return _projectors(np.linalg.eigh(ops)[1][..., 0])
 
 
-def _input_share_sum(taus: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """X = sum_s tau_s (x) y_s on input (x) share, so that sum_s tr[E (tau_s (x) y_s)] = tr[E X]."""
-    d, m = taus.shape[1], y.shape[1]
-    return np.einsum("sij,sab->iajb", taus, y).reshape(d * m, d * m)
+def _start(beta, inputs, strategy) -> tuple[tuple, float]:
+    """Search state of a strategy, and its value.
 
-
-def _coefficient_spec(n: int, p: int) -> str:
-    """einsum spec of c[s, k]: beta contracted with every party's responses except p's."""
-    idx = "stu"[:n]
-    others = ",".join(f"{c}k" for q, c in enumerate(idx) if q != p)
-    return f"{idx},{others}->{idx[p]}k"
-
-
-# Fully separable search state: (weights (K,), per-party share stacks
-# (K, m, m), per-party success elements on input (x) share).
-
-
-def _separable_arrays(strategy: SeparableStrategy) -> tuple:
-    shares = [
-        np.stack([term[p].matrix for term in strategy.share_states])
-        for p in range(strategy.n_parties)
-    ]
-    return np.asarray(strategy.weights), shares, [m.element(1) for m in strategy.measurements]
-
-
-def _separable_terms(beta, inputs, state) -> np.ndarray:
-    """Game value of each mixture term; the strategy's value is weights @ terms."""
-    _, shares, elements = state
-    resp = [_responses(trace_inputs(e, t), s) for e, t, s in zip(elements, inputs, shares)]
-    c = np.einsum(_coefficient_spec(len(resp), 0), beta, *resp[1:])
-    return np.einsum("sk,sk->k", c, resp[0])
-
-
-def _separable_sweep(beta, inputs, state):
-    """One see-saw sweep; every step minimizes the value exactly over one block.
-
-    For each party p in turn: its success element against the others'
-    responses, then its share state in every term.  Last, all weight moves
-    to the lowest term.
+    The state is the block form (weights, groups, success elements; see
+    :mod:`mdiw.game`), then each party's F_p and every block's R.
     """
-    weights, shares, elements = state
-    shares, elements = list(shares), list(elements)
+    weights, groups = _groups(strategy)
+    elements = [m.element(1) for m in strategy.measurements]
     fs = [trace_inputs(e, t) for e, t in zip(elements, inputs)]
-    resp = [_responses(f, s) for f, s in zip(fs, shares)]
-    for p, taus in enumerate(inputs):
-        # c[s, k]: the value of term k per unit response of party p to input s
-        c = np.einsum(
-            _coefficient_spec(len(inputs), p), beta, *(r for q, r in enumerate(resp) if q != p)
-        )
-        y = np.einsum("sk,k,kab->sab", c, weights, shares[p])
-        elements[p] = _negative_projector(_input_share_sum(taus, y))
-        fs[p] = trace_inputs(elements[p], taus)
-        shares[p] = _lowest_states(np.einsum("sk,sab->kab", c, fs[p]))
-        resp[p] = _responses(fs[p], shares[p])
-    terms = np.einsum("sk,sk->k", c, resp[-1])
-    # all weight onto the lowest term
-    return (np.eye(len(terms))[np.argmin(terms)], shares, elements), float(terms.min())
+    resp = _responses(groups, fs)
+    value = float(np.dot(beta.ravel(), _grid(weights, groups, resp).ravel()))
+    return (weights, groups, elements, fs, resp), value
 
 
-def _separable_strategy(state) -> SeparableStrategy:
-    weights, shares, elements = state
-    m = [s.shape[1] for s in shares]
-    terms = tuple(zip(*(DensityMatrix.stack(s, (d,)) for s, d in zip(shares, m))))
-    povms = tuple(binary_povm(e, (e.shape[0] // d, d)) for e, d in zip(elements, m))
-    return SeparableStrategy(tuple(weights), terms, povms)
+def _sweep(beta, inputs, state):
+    """One see-saw sweep; every step minimizes the value exactly over one variable.
 
-
-# Biseparable search state: (weights (K,), bipartition tags, group states
-# (K, m*m, m*m), singleton states (K, m, m), per-party success elements).
-# A term tagged (p, q | r) has group state on share_p (x) share_q, p < q.
-
-
-def _biseparable_arrays(strategy: BiseparableStrategy) -> tuple:
-    terms = strategy.terms
-    return (
-        np.array([t.weight for t in terms]),
-        tuple(t.bipartition for t in terms),
-        np.stack([t.group_state.matrix for t in terms]),
-        np.stack([t.singleton_state.matrix for t in terms]),
-        [m.element(1) for m in strategy.measurements],
-    )
-
-
-def _biseparable_terms(beta, inputs, state) -> np.ndarray:
-    """Game value of each mixture term; the strategy's value is weights @ terms."""
-    _, tags, groups, singles, elements = state
-    fs = [trace_inputs(e, t) for e, t in zip(elements, inputs)]
-    m = singles.shape[1]
-    out = []
-    for tag, g, sigma in zip(tags, groups, singles):
-        (p, q), r = BIPARTITIONS_3[tag]
-        pair = _pair_responses(fs[p], fs[q], g.reshape(m, m, m, m))
-        single = _responses(fs[r], sigma[None])[:, 0]
-        out.append(np.einsum("stu,st,u->", beta.transpose(p, q, r), pair, single))
-    return np.array(out)
-
-
-def _biseparable_sweep(beta, inputs, state):
-    """One see-saw sweep; every step minimizes the value exactly over one block.
-
-    Each party's success element in turn, then every group state, then
-    every singleton state, then all weight onto the lowest term.
+    For each party x in turn: its success element against everything
+    else, then, in every term, the state of the block holding x.  Last,
+    all weight moves to the lowest term.  The state's F_p and R stay current.
     """
-    weights, tags, groups, singles, elements = state
-    elements = list(elements)
-    m = singles.shape[1]
-    fs = [trace_inputs(e, t) for e, t in zip(elements, inputs)]
-    layout = [BIPARTITIONS_3[tag] for tag in tags]
-    betas = [beta.transpose(p, q, r) for (p, q), r in layout]
-    g4 = groups.reshape(-1, m, m, m, m)
+    weights, groups, elements, fs, resp = state
+    elements, fs, resp = list(elements), list(fs), [list(r) for r in resp]
+    groups = [(idx, specs, list(states)) for idx, specs, states in groups]
     for x, taus in enumerate(inputs):
-        # y[s]: the share operator party x meets alongside input s, summed over terms
-        y = 0.0
-        for w, ((p, q), r), bt, g, sigma in zip(weights, layout, betas, g4, singles):
-            if x == r:
-                c = np.einsum("stu,st->u", bt, _pair_responses(fs[p], fs[q], g))
-                y = y + w * c[:, None, None] * sigma
-                continue
-            b = np.einsum("stu,uab,ba->st", bt, fs[r], sigma).real
-            if x == p:  # tr_q[(1 (x) F_q[t]) sigma_group]
-                y = y + w * np.einsum("st,tAB,aBcA->sac", b, fs[q], g)
-            else:  # tr_p[(F_p[s] (x) 1) sigma_group]
-                y = y + w * np.einsum("st,sab,bAaC->tAC", b, fs[p], g)
-        elements[x] = _negative_projector(_input_share_sum(taus, y))
+        y, cs = 0.0, []
+        for (idx, specs, states), r in zip(groups, resp):
+            b = specs.where[x]
+            block = specs.blocks[b]
+            # c[k, s_B]: the value of term k per unit response of x's block to inputs s_B
+            c = np.einsum(block.coefficient, beta, *[rj for j, rj in enumerate(r) if j != b])
+            partners = [fs[q] for q in block.parties if q != x] + [states[b].reshape(block.shape)]
+            y = y + np.einsum(specs.partner[x], weights[idx], c, *partners)
+            cs.append(c)
+        # X = sum_s tau_s (x) Y[s] on input (x) share: the weighted terms sum to tr[E_x X]
+        x_op = np.einsum("sij,sab->iajb", taus, y).reshape(elements[x].shape)
+        elements[x] = _negative_projector(x_op)
         fs[x] = trace_inputs(elements[x], taus)
-    pair_ops = [
-        np.einsum("stu,uab,ba,scd,tCD->cCdD", bt, fs[r], sigma, fs[p], fs[q])
-        for ((p, q), r), bt, sigma in zip(layout, betas, singles)
-    ]
-    groups = _lowest_states(np.stack(pair_ops).reshape(-1, m * m, m * m))
-    coeffs = [
-        np.einsum("stu,st->u", bt, _pair_responses(fs[p], fs[q], g))
-        for ((p, q), _), bt, g in zip(layout, betas, groups.reshape(-1, m, m, m, m))
-    ]
-    singles = _lowest_states(
-        np.stack([np.einsum("u,uab->ab", c, fs[r]) for c, (_, r) in zip(coeffs, layout)])
-    )
-    terms = np.array(
-        [c @ _responses(fs[r], s[None])[:, 0] for c, (_, r), s in zip(coeffs, layout, singles)]
-    )
-    return (np.eye(len(terms))[np.argmin(terms)], tags, groups, singles, elements), float(terms.min())
+        for (_, specs, states), r, c in zip(groups, resp, cs):
+            b = specs.where[x]
+            block = specs.blocks[b]
+            ops = np.einsum(block.operator, c, *[fs[p] for p in block.parties])
+            states[b] = _lowest_states(ops.reshape(states[b].shape))
+            r[b] = _block_responses(block, fs, states[b])
+    # each term's value, from the last party's block: its c and updated R
+    terms = np.empty(len(weights))
+    for (idx, specs, _), r, c in zip(groups, resp, cs):
+        b = specs.where[-1]
+        terms[idx] = np.einsum(specs.blocks[b].value, c, r[b])
+    # all weight onto the lowest term
+    return (np.eye(len(terms))[np.argmin(terms)], groups, elements, fs, resp), float(terms.min())
 
 
-def _biseparable_strategy(state) -> BiseparableStrategy:
-    weights, tags, groups, singles, elements = state
-    m = singles.shape[1]
-    terms = tuple(
-        BiseparableTerm(tag, float(w), g, s)
-        for tag, w, g, s in zip(
-            tags, weights, DensityMatrix.stack(groups, (m, m)), DensityMatrix.stack(singles, (m,))
-        )
-    )
-    povms = tuple(binary_povm(e, (e.shape[0] // m, m)) for e in elements)
-    return BiseparableStrategy(terms, povms)
-
-
-def _search(dec, ensembles, config, sample, arrays, terms, sweep, build, hook=None):
+def _search(dec, ensembles, config, sample, build, hook=None):
     """Shared restart/see-saw loop for both strategy families.
 
-    A search state is a tuple of arrays whose first entry is the mixture
-    weights: ``arrays`` reads it off a sampled strategy, ``terms`` gives
-    each mixture term's value, ``sweep`` returns the next state and its
-    value, and ``build`` turns the best state back into a strategy.  Each
-    restart starts from ``sample`` drawn with its own stream and runs sweeps
-    until one lowers the value by at most ``_STOP``, or for
-    ``config.iterations`` sweeps.  ``hook(restart, sweep, best)`` is a test
-    seam invoked after every sweep; it must not mutate anything.
+    Each restart starts from ``sample`` drawn with its own stream, put in
+    block form by :func:`_start`, and runs :func:`_sweep` until a sweep
+    lowers the value by at most ``_STOP``, or for ``config.iterations``
+    sweeps.  ``build`` turns the best state back into a strategy.
+    ``hook(restart, sweep, best)`` is a test seam invoked after every
+    sweep; it must not mutate anything.
     """
     if dec.residual > TOL_RECON:
         warnings.warn(
@@ -428,13 +329,13 @@ def _search(dec, ensembles, config, sample, arrays, terms, sweep, build, hook=No
     t0 = time.perf_counter()
     for r in range(config.restarts):
         rng = restart_rng(config.seed, r)
-        state = arrays(sample(input_dims, config.share_dim, config.mixture_size, rng))
-        value = float(state[0] @ terms(beta, inputs, state))
+        strategy = sample(input_dims, config.share_dim, config.mixture_size, rng)
+        state, value = _start(beta, inputs, strategy)
         evaluations += 1
         best, kept = value, state
         for it in range(config.iterations):
             previous = value
-            state, value = sweep(beta, inputs, state)
+            state, value = _sweep(beta, inputs, state)
             evaluations += 1
             if value < best:
                 best, kept = value, state
@@ -446,9 +347,11 @@ def _search(dec, ensembles, config, sample, arrays, terms, sweep, build, hook=No
         if best_overall is None or best < best_overall:
             best_overall, best_state = best, kept
     wall = time.perf_counter() - t0
+    weights, groups, elements, _, _ = best_state
+    povms = tuple(binary_povm(e, m.dims) for e, m in zip(elements, strategy.measurements))
     return AttackReport(
         min_value=float(best_overall),
-        best_strategy=build(best_state),
+        best_strategy=build(weights, groups, povms),
         restart_minima=tuple(restart_minima),
         evaluations=evaluations,
         wall_time=wall,
@@ -464,10 +367,7 @@ def attack(dec: Decomposition, ensembles, config: AttackConfig, hook=None) -> At
     minimum below ``-BOUND_TOL`` on an exact witness decomposition
     indicates an implementation bug, not a theory violation.
     """
-    return _search(
-        dec, ensembles, config, random_separable_strategy, _separable_arrays,
-        _separable_terms, _separable_sweep, _separable_strategy, hook,
-    )
+    return _search(dec, ensembles, config, random_separable_strategy, _separable_strategy, hook)
 
 
 def biseparable_attack(
@@ -480,10 +380,7 @@ def biseparable_attack(
     """
     if dec.n_parties != 3:
         raise ValueError("biseparable attacks need a three-party decomposition")
-    return _search(
-        dec, ensembles, config, random_biseparable_strategy, _biseparable_arrays,
-        _biseparable_terms, _biseparable_sweep, _biseparable_strategy, hook,
-    )
+    return _search(dec, ensembles, config, random_biseparable_strategy, _biseparable_strategy, hook)
 
 
 def random_kraus_set(dim: int, n_ops: int, rng: np.random.Generator) -> list[np.ndarray]:

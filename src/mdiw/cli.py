@@ -127,6 +127,8 @@ class ScenarioConfig:
             raise ConfigError(f"unknown attack config keys: {sorted(unknown)}")
         if att["kind"] not in ("separable", "biseparable"):
             raise ConfigError(f"attack kind must be 'separable' or 'biseparable', got {att['kind']!r}")
+        if att["kind"] == "biseparable" and self.parties != 3:
+            raise ConfigError(f"attack kind 'biseparable' needs 3 parties, got {self.parties}")
         if att["expectation"] not in ("bounded", "violable"):
             raise ConfigError("attack expectation must be 'bounded' or 'violable'")
         if "family" in self.state:

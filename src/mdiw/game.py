@@ -9,33 +9,26 @@ always laid out as
 with each party's input adjacent to its share, though tables never build
 that joint space: :func:`trace_inputs` folds each party's inputs into its
 outcome elements, and one contraction with the shared state gives the
-whole table.  Unentangled strategies contract the same traced elements
-against each mixture term's share states into per-party responses, and
-one contraction over the terms gives their table.  The game functional
-contracts a witness decomposition against the all-ones outcome
-probabilities, so a negative value certifies entanglement of the shared
-state no matter what the devices actually did.
+whole table.  Unentangled strategies mix terms that are products over
+blocks of parties; the traced elements meet each block's states in one
+contraction, and one more over the weighted terms gives their table.  The
+game functional contracts a witness decomposition against the all-ones
+outcome probabilities, so a negative value certifies entanglement of the
+shared state no matter what the devices actually did.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import string
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (
-    TOL_HERM,
-    TOL_PSD,
-    as_matrix,
-    check_dims,
-    kron,
-    kron_all,
-    partial_trace,
-    permute_subsystems,
-)
+from .linalg import TOL_HERM, TOL_PSD, check_dims
 from .states import DensityMatrix, InputEnsemble, max_entangled, projector
 from .witness import Decomposition
 
@@ -321,16 +314,6 @@ def trace_inputs(element: np.ndarray, taus: np.ndarray) -> np.ndarray:
     return np.einsum("iajb,sji->sab", element.reshape(d, share, d, share), taus)
 
 
-def _responses(f: np.ndarray, shares: np.ndarray) -> np.ndarray:
-    """r[s, k] = tr[F[s] sigma_k] = tr[E (tau_s (x) sigma_k)], with F = trace_inputs(E, tau)."""
-    return np.einsum("sab,kba->sk", f, shares).real
-
-
-def _pair_responses(fp: np.ndarray, fq: np.ndarray, group: np.ndarray) -> np.ndarray:
-    """pair[s, t] = tr[(F_p[s] (x) F_q[t]) sigma_group] for a group tensor (m_p, m_q, m_p, m_q)."""
-    return np.einsum("sab,tAB,bBaA->st", fp, fq, group).real
-
-
 def _check_ensembles(measurements, ensembles) -> None:
     """One ensemble per party, each on its measurement's input space."""
     n = len(measurements)
@@ -408,119 +391,151 @@ def fast_entangled_table(rho: DensityMatrix, ensembles) -> CorrelationTable:
     return _table(ensembles, p)
 
 
-def effective_povm_element(element, dims, share: DensityMatrix, share_axes=(1,)) -> np.ndarray:
-    """Absorb a share state into a POVM element.
+# Unentangled mixtures in block form: each term is a product of states over
+# a partition of the parties into blocks, and the terms sharing a partition
+# form a group (idx, specs, states) -- their indices into the weights, the
+# partition's einsum specs (see _specs) and one (K_g, D_b, D_b) state stack
+# per block.  Fully separable is one group of singletons; biseparable, one
+# group per bipartition used.  Only these conversions know the two families.
 
-    Returns the partial trace over the share factors of
-    ``element @ (identity (x) share)``, an operator on the remaining
-    (input) factors that lies between 0 and the identity whenever the
-    element does.  ``share_axes`` lists which factors of ``element`` the
-    share state occupies, in ascending order.
-    """
-    element = as_matrix(element)
-    dims = check_dims(dims, element.shape[0])
-    n = len(dims)
-    share_axes = tuple(sorted(int(a) for a in share_axes))
-    if any(a < 0 or a >= n for a in share_axes):
-        raise ValueError(f"share axes {share_axes} out of range")
-    if tuple(dims[a] for a in share_axes) != share.dims:
-        raise ValueError(
-            f"share state dims {share.dims} do not match element factors {share_axes}"
+
+def _groups(strategy) -> tuple[np.ndarray, list]:
+    """Weights (K,) and groups of a separable or biseparable strategy."""
+    if not isinstance(strategy, (SeparableStrategy, BiseparableStrategy)):
+        raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
+    n, shares = strategy.n_parties, tuple(m.dims[1] for m in strategy.measurements)
+    if isinstance(strategy, SeparableStrategy):
+        states = [np.stack([term[p].matrix for term in strategy.share_states]) for p in range(n)]
+        specs = _specs(tuple((p,) for p in range(n)), shares)
+        return np.asarray(strategy.weights), [(np.arange(len(strategy.weights)), specs, states)]
+    terms, groups = strategy.terms, []
+    for tag, (pair, single) in BIPARTITIONS_3.items():
+        idx = [i for i, t in enumerate(terms) if t.bipartition == tag]
+        if idx:
+            states = [np.stack([terms[i].group_state.matrix for i in idx]),
+                      np.stack([terms[i].singleton_state.matrix for i in idx])]
+            groups.append((np.array(idx), _specs((pair, (single,)), shares), states))
+    return np.array([t.weight for t in terms]), groups
+
+
+def _separable_strategy(weights, groups, measurements) -> SeparableStrategy:
+    """Inverse of :func:`_groups` for one group of singleton blocks."""
+    ((_, _, states),) = groups
+    terms = zip(*(DensityMatrix.stack(s, (s.shape[1],)) for s in states))
+    return SeparableStrategy(tuple(weights), tuple(terms), measurements)
+
+
+def _biseparable_strategy(weights, groups, measurements) -> BiseparableStrategy:
+    """Inverse of :func:`_groups` for bipartition groups; terms return to their indices."""
+    tags = {layout: tag for tag, layout in BIPARTITIONS_3.items()}
+    terms = [None] * len(weights)
+    for idx, specs, (group, singles) in groups:
+        pair, (single,) = (b.parties for b in specs.blocks)
+        share = tuple(measurements[p].dims[1] for p in pair + (single,))
+        pairs, ones = DensityMatrix.stack(group, share[:2]), DensityMatrix.stack(singles, share[2:])
+        for i, g, s in zip(idx, pairs, ones):
+            terms[i] = BiseparableTerm(tags[pair, single], weights[i], g, s)
+    return BiseparableStrategy(tuple(terms), measurements)
+
+
+# einsum letters: k runs over a group's terms; party p has the input letter
+# _IN[p], and _ROW[p], _COL[p] index its share factor.
+_IN, _ROW, _COL = "stuvwxyz", "abcdefgh", "ABCDEFGH"
+
+
+class _Block(NamedTuple):
+    """einsum specs of one block B, with F_p = trace_inputs(E_p, tau_p) and sigma its states."""
+
+    parties: tuple[int, ...]
+    shape: tuple[int, ...]  # a (K, D, D) state stack as (K, m_p..., m_p...)
+    response: str  # R[k, s_B] = tr[(F_p[s_p] (x) ...) sigma_k]
+    coefficient: str  # c[k, s_B]: beta against the other blocks' R; term k is worth sum c R
+    operator: str  # O_k = sum c[k, s_B] F_p[s_p] (x) ..., so term k is worth tr[O_k sigma_k]
+    value: str  # sum c R, term by term
+
+
+class _Specs(NamedTuple):
+    blocks: tuple[_Block, ...]
+    where: tuple[int, ...]  # index of the block holding each party
+    partner: tuple[str, ...]  # per party x: Y[s_x] on share_x, the terms summing to tr[F_x Y]
+    grid: str  # p[s, t, ...] from the weights and every block's R
+
+
+@functools.cache
+def _specs(partition: tuple, shares: tuple) -> _Specs:
+    """einsum specs of a partition of the parties, whose share dims are ``shares``."""
+    n = len(shares)
+    ins = ["".join(_IN[p] for p in b) for b in partition]
+    fs = [",".join(_IN[p] + _ROW[p] + _COL[p] for p in b) for b in partition]
+    # tr[F sigma] = F[r, c] sigma[c, r]: the state's rows meet F's columns
+    sigma = ["k" + "".join(_COL[p] for p in b) + "".join(_ROW[p] for p in b) for b in partition]
+    where = tuple(next(i for i, b in enumerate(partition) if p in b) for p in range(n))
+    blocks = tuple(
+        _Block(
+            parties=b,
+            shape=(-1,) + 2 * tuple(shares[p] for p in b),
+            response=f"{f},{g}->k{i}",
+            coefficient=",".join([_IN[:n]] + [f"k{o}" for o in ins if o != i]) + f"->k{i}",
+            operator=f"k{i},{f}->k" + "".join(_ROW[p] for p in b) + "".join(_COL[p] for p in b),
+            value=f"k{i},k{i}->k",
         )
-    kept = tuple(i for i in range(n) if i not in share_axes)
-    # Embed the share on its axes: build (kept factors) (x) share, then
-    # permute back to the element's factor order.
-    ident = np.eye(math.prod(dims[i] for i in kept) if kept else 1, dtype=complex)
-    embedded = kron(ident, share.matrix)
-    order = kept + share_axes  # current factor order of `embedded`
-    perm = tuple(order.index(i) for i in range(n))
-    embedded = permute_subsystems(embedded, tuple(dims[i] for i in order), perm)
-    return partial_trace(element @ embedded, dims, keep=kept)
+        for b, i, f, g in zip(partition, ins, fs, sigma)
+    )
+    partner = tuple(
+        ",".join(["k", "k" + ins[where[x]]]
+                 + [_IN[q] + _ROW[q] + _COL[q] for q in partition[where[x]] if q != x]
+                 + [sigma[where[x]]]) + f"->{_IN[x]}{_COL[x]}{_ROW[x]}"
+        for x in range(n)
+    )
+    return _Specs(blocks, where, partner, ",".join(["k"] + [f"k{i}" for i in ins]) + f"->{_IN[:n]}")
+
+
+def _block_responses(block: _Block, fs, states: np.ndarray) -> np.ndarray:
+    """R[k, s_B] = tr[(F_p[s_p] (x) ...) sigma_k] for one block of a group."""
+    operands = [fs[p] for p in block.parties] + [states.reshape(block.shape)]
+    return np.einsum(block.response, *operands).real
+
+
+def _responses(groups, fs) -> list[list[np.ndarray]]:
+    """Every group's block responses, block by block."""
+    return [[_block_responses(b, fs, s) for b, s in zip(specs.blocks, states)]
+            for _, specs, states in groups]
+
+
+def _grid(weights: np.ndarray, groups, resp) -> np.ndarray:
+    """p[s, t, ...] = sum_k w_k prod_B R_B[k, s_B] over every group's terms."""
+    return sum(np.einsum(specs.grid, weights[idx], *r) for (idx, specs, _), r in zip(groups, resp))
 
 
 def simulate_separable(strategy, ensembles, include_full: bool = False) -> CorrelationTable:
     """Correlation table for strategies without any shared entanglement.
 
-    Each party's inputs are traced into its success element once, and its
-    responses ``r[s, k] = tr[E (tau_s (x) sigma_k)]`` to every input and
-    mixture term follow from one contraction with the term's share states
-    (for a biseparable term, the group's pair responses against its group
-    state).  One contraction over the terms then gives every input tuple
-    at once; outcome 0 uses ``1 - r``.  The search in
-    :mod:`mdiw.attack` scores strategies through the same response
-    contraction, and :func:`simulate_entangled` on the explicitly mixed
-    shared state agrees with it.
+    The strategy's terms become block products (see :func:`_groups`).  Each
+    party's inputs are traced into its outcome elements once, one
+    contraction per block gives ``R[k, s_B] = tr[(F_p[s_p] (x) ...)
+    sigma_k]`` for every input and term, and one per group contracts the
+    weighted terms into every input tuple at once; with ``include_full``
+    the outcome-0 elements ride along as extra inputs.  The see-saw in
+    :mod:`mdiw.attack` shares these contractions.
     """
     ensembles = tuple(ensembles)
-    if not isinstance(strategy, (SeparableStrategy, BiseparableStrategy)):
-        raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
+    weights, groups = _groups(strategy)
     _check_ensembles(strategy.measurements, ensembles)
+    if include_full and isinstance(strategy, BiseparableStrategy):
+        raise NotImplementedError("full distributions are only kept for all-ones-based checks")
+    bits = (0, 1) if include_full else (1,)
     fs = [
-        trace_inputs(m.element(1), taus)
+        np.concatenate([trace_inputs(m.element(b), taus) for b in bits])
         for m, taus in zip(strategy.measurements, _input_stacks(ensembles))
     ]
-    if isinstance(strategy, BiseparableStrategy):
-        if include_full:
-            raise NotImplementedError("full distributions are only kept for all-ones-based checks")
-        return _table(ensembles, _biseparable_grid(strategy, fs))
-    n = strategy.n_parties
-    weights = np.asarray(strategy.weights)
-    resp = [
-        _responses(f, np.stack([term[p].matrix for term in strategy.share_states]))
-        for p, f in enumerate(fs)
-    ]
-    parties = string.ascii_lowercase[:n]
-    spec = ",".join(["K"] + [f"{c}K" for c in parties]) + f"->{parties}"
-    outcomes = itertools.product((0, 1), repeat=n) if include_full else [(1,) * n]
-    p = np.stack([
-        np.einsum(spec, weights, *(r if b else 1.0 - r for r, b in zip(resp, bits)))
-        for bits in outcomes
-    ])
-    return _table(ensembles, p[-1], p if include_full else None)
-
-
-def _biseparable_grid(strategy: BiseparableStrategy, fs) -> np.ndarray:
-    """p[s, t, u] = sum_k w_k pair_k[group inputs] * single_k[singleton input]."""
-    p = 0.0
-    for term in strategy.terms:
-        (a, b), c = term.group, term.singleton
-        pair = _pair_responses(
-            fs[a], fs[b], term.group_state.matrix.reshape(term.group_state.dims * 2)
-        )
-        single = _responses(fs[c], term.singleton_state.matrix[None])[:, 0]
-        # axes come out in (a, b, c) order; argsort puts them in party order
-        p = p + term.weight * np.einsum("st,u->stu", pair, single).transpose(np.argsort((a, b, c)))
-    return p
-
-
-def mixture_as_shared_state(strategy) -> DensityMatrix:
-    """Explicit shared state of a separable or biseparable strategy.
-
-    Materializing the mixture lets :func:`simulate_entangled` serve as an
-    independent cross-check of :func:`simulate_separable`.
-    """
-    if isinstance(strategy, SeparableStrategy):
-        dims = tuple(p.dims[1] for p in strategy.measurements)
-        d = math.prod(dims)
-        m = np.zeros((d, d), dtype=complex)
-        for w, term in zip(strategy.weights, strategy.share_states):
-            m += w * kron_all([s.matrix for s in term])
-        return DensityMatrix(m, dims)
-    if isinstance(strategy, BiseparableStrategy):
-        dims = tuple(p.dims[1] for p in strategy.measurements)
-        d = math.prod(dims)
-        m = np.zeros((d, d), dtype=complex)
-        for term in strategy.terms:
-            p, q = term.group
-            raw = kron(term.group_state.matrix, term.singleton_state.matrix)
-            order = (p, q, term.singleton)  # current factor order of `raw`
-            perm = tuple(order.index(i) for i in range(3))
-            aligned = permute_subsystems(
-                raw, tuple(dims[i] for i in order), perm
-            )
-            m += term.weight * aligned
-        return DensityMatrix(m, dims)
-    raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
+    p = _grid(weights, groups, _responses(groups, fs))
+    if not include_full:
+        return _table(ensembles, p)
+    # each party's axis runs over (outcome, input); the outcome axes go in front
+    n = len(fs)
+    p = p.reshape([d for e in ensembles for d in (2, len(e))])
+    p = p.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
+    return _table(ensembles, p[(1,) * n], p)
 
 
 def mdi_value(dec: Decomposition, table: CorrelationTable) -> float:

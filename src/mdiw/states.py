@@ -122,6 +122,8 @@ class InputEnsemble:
             raise ValueError("one label per state required")
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate input labels: {labels}")
+        if any(c in l for l in labels for c in ',"\r\n'):
+            raise ValueError(f"input labels must not hold a comma, quote or line break: {labels}")
         if not states:
             raise ValueError("ensemble must contain at least one state")
         d = states[0].dim

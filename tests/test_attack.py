@@ -15,19 +15,22 @@ from mdiw.states import (
 from mdiw.witness import Witness, decompose, ghz_beta, pauli6_beta, singlet_witness, tetrahedron_beta
 from mdiw.game import (
     BIPARTITIONS_3,
+    BiseparableStrategy,
+    BiseparableTerm,
     EntangledStrategy,
+    _biseparable_strategy,
+    _groups,
     _input_stacks,
+    _separable_strategy,
+    binary_povm,
     mdi_value,
-    mixture_as_shared_state,
     simulate_entangled,
     simulate_separable,
 )
 from mdiw.attack import (
     AttackConfig,
-    _biseparable_arrays,
-    _biseparable_terms,
-    _separable_arrays,
-    _separable_terms,
+    _start,
+    _sweep,
     attack,
     biseparable_attack,
     expected_game_value,
@@ -41,6 +44,7 @@ from mdiw.attack import (
 )
 from mdiw.serialize import dumps
 from mdiw.verify import _bloch_grid, negated_projector_decomposition, product_strategy_grid_minimum
+from oracles import mixture_as_shared_state
 
 SMALL = AttackConfig(restarts=8, iterations=120, mixture_size=3, share_dim=2, seed=7)
 
@@ -168,33 +172,61 @@ class TestStreamContract:
             assert first == again
 
 
-class TestFastObjective:
-    """The see-saw's value contraction against the public simulation route."""
+class TestBlockForm:
+    """The see-saw and simulation share one block form of every unentangled mixture."""
 
-    def test_separable_matches_public_route(self):
-        rng = np.random.default_rng(64)
-        for dec in (tetrahedron_beta(), pauli6_beta()):
-            beta, inputs = np.asarray(dec.beta), _input_stacks(dec.ensembles)
-            for _ in range(20):
-                share_dim = int(rng.integers(1, 5))
-                s = random_separable_strategy(
-                    (2, 2), share_dim, int(rng.integers(1, 4)), rng, mixedness=0.5
-                )
-                state = _separable_arrays(s)
-                fast = state[0] @ _separable_terms(beta, inputs, state)
-                slow = mdi_value(dec, simulate_separable(s, dec.ensembles))
-                assert fast == pytest.approx(slow, abs=1e-12)
-
-    def test_biseparable_matches_public_route(self):
-        rng = np.random.default_rng(65)
-        dec = ghz_beta()
+    @pytest.mark.parametrize("game", ["tetrahedron", "pauli6", "ghz"])
+    @pytest.mark.parametrize("share_dim", [1, 2, 3])
+    def test_sweep_matches_public_route(self, game, share_dim):
+        dec = {"tetrahedron": tetrahedron_beta, "pauli6": pauli6_beta, "ghz": ghz_beta}[game]()
+        sample, build = (
+            (random_biseparable_strategy, _biseparable_strategy)
+            if game == "ghz"
+            else (random_separable_strategy, _separable_strategy)
+        )
         beta, inputs = np.asarray(dec.beta), _input_stacks(dec.ensembles)
-        for _ in range(20):
-            s = random_biseparable_strategy((2, 2, 2), 2, int(rng.integers(1, 4)), rng)
-            state = _biseparable_arrays(s)
-            fast = state[0] @ _biseparable_terms(beta, inputs, state)
-            slow = mdi_value(dec, simulate_separable(s, dec.ensembles))
-            assert fast == pytest.approx(slow, abs=1e-12)
+        rng = np.random.default_rng((66, share_dim))
+        for _ in range(5):
+            s = sample((2,) * dec.n_parties, share_dim, int(rng.integers(1, 5)), rng)
+            state, start = _start(beta, inputs, s)
+            public = mdi_value(dec, simulate_separable(s, dec.ensembles))
+            assert start == pytest.approx(public, abs=1e-12)
+            (weights, groups, elements, _, _), value = _sweep(beta, inputs, state)
+            povms = tuple(binary_povm(e, m.dims) for e, m in zip(elements, s.measurements))
+            swept = build(weights, groups, povms)
+            public = mdi_value(dec, simulate_separable(swept, dec.ensembles))
+            assert value == pytest.approx(public, abs=1e-12)
+            # an independent route: the mixture as one explicit shared state
+            entangled = EntangledStrategy(mixture_as_shared_state(swept), povms)
+            explicit = mdi_value(dec, simulate_entangled(entangled, dec.ensembles))
+            assert value == pytest.approx(explicit, abs=1e-12)
+
+    def test_biseparable_round_trip_keeps_term_order(self):
+        rng = np.random.default_rng(67)
+        s = random_biseparable_strategy((2, 2, 2), 2, 3, rng)
+        strategy = BiseparableStrategy(
+            tuple(
+                BiseparableTerm(tag, w, t.group_state, t.singleton_state)
+                for tag, w, t in zip(("AB|C", "BC|A", "AB|C"), (0.5, 0.3, 0.2), s.terms)
+            ),
+            s.measurements,
+        )
+        weights, groups = _groups(strategy)
+        back = _biseparable_strategy(weights, groups, strategy.measurements)
+        assert [(t.bipartition, t.weight) for t in back.terms] == [
+            ("AB|C", 0.5), ("BC|A", 0.3), ("AB|C", 0.2)
+        ]
+        for a, b in zip(back.terms, strategy.terms):
+            assert np.array_equal(a.group_state.matrix, b.group_state.matrix)
+            assert np.array_equal(a.singleton_state.matrix, b.singleton_state.matrix)
+
+    def test_separable_round_trip(self):
+        s = random_separable_strategy((2, 3), 2, 3, np.random.default_rng(68), mixedness=0.5)
+        weights, groups = _groups(s)
+        back = _separable_strategy(weights, groups, s.measurements)
+        assert back.weights == s.weights
+        for a, b in zip(back.share_states, s.share_states):
+            assert all(np.array_equal(x.matrix, y.matrix) for x, y in zip(a, b))
 
 
 class TestSearch:

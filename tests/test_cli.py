@@ -43,6 +43,8 @@ MALFORMED = {
     "loss_empty": {"loss": []},
     "v_bool": {"state": {"family": "werner", "v": True}},
     "v_numeric_string": {"state": {"family": "werner", "v": "0.5"}},
+    # `attack` crashed with a ValueError traceback on a 2-party config
+    "biseparable_two_parties": {"attack": {"kind": "biseparable"}},
 }
 
 
@@ -101,6 +103,24 @@ class TestScenarioConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_biseparable_attack_on_two_parties_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, MALFORMED["biseparable_two_parties"])
+        assert main(["attack", "-c", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "3 parties" in err
+
+    @pytest.mark.parametrize("label", ["a,b", 'a"b', "a\nb", "a\rb"])
+    def test_label_that_breaks_csv_exits_2(self, tmp_path, capsys, label):
+        # the label went into the CSV unquoted: 4 fields per row under a 3-column header
+        states = [serialize.matrix_to_json(s.matrix) for s in tetrahedron_ensemble().states]
+        custom = {"labels": ["0", "1", "2", label], "states": states}
+        overrides = {"ensembles": [custom, "tetrahedron"], "decomposition": "solve"}
+        cfg = write_config(tmp_path, overrides)
+        assert main(["simulate", "-c", cfg, "-o", str(tmp_path / "t.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "input labels" in err
+        assert not (tmp_path / "t.csv").exists()
 
     def test_unresolvable_tabulated_combination(self):
         cfg = ScenarioConfig.from_dict(
@@ -460,6 +480,17 @@ def fuzzed_configs(draw):
     return data
 
 
+def _capped_search(data):
+    """A copy of ``data`` whose integer attack restarts and iterations are at most 2."""
+    data = json.loads(json.dumps(data))
+    search = data.get("attack") if isinstance(data, dict) else None
+    if isinstance(search, dict):
+        for key in ("restarts", "iterations"):
+            if type(search.get(key)) is int:
+                search[key] = min(search[key], 2)
+    return data
+
+
 class TestConfigFuzz:
     """The CLI contract on any config: exit 0, 1 or 2, never a traceback."""
 
@@ -473,15 +504,21 @@ class TestConfigFuzz:
                                             tetrahedron_ensemble().states], "name": []},
         "tetrahedron",
     ]))
+    # a biseparable search on a 2-party config crashed `attack`
+    @example(dict(BASE_CONFIG, attack={"kind": "biseparable", "restarts": 1}))
     def test_any_config_keeps_exit_contract(self, data):
         with tempfile.TemporaryDirectory() as tmp:
             cfg = Path(tmp) / "cfg.json"
             cfg.write_text(json.dumps(data))
             out = str(Path(tmp) / "out")
-            for argv in (["simulate", "--summary", out], ["decompose"]):
+            quick = Path(tmp) / "quick.json"
+            quick.write_text(json.dumps(_capped_search(data)))
+            for argv, path in (
+                (["simulate", "--summary", out], cfg), (["decompose"], cfg), (["attack"], quick)
+            ):
                 err = io.StringIO()
                 with contextlib.redirect_stderr(err):
-                    code = main(argv + ["-c", str(cfg), "-o", out])
+                    code = main(argv + ["-c", str(path), "-o", out])
                 assert code in (0, 1, 2)
                 if code == 2:
                     assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -44,10 +44,8 @@ from mdiw.game import (
     bell_outcome_povm,
     bell_strategy,
     binary_povm,
-    effective_povm_element,
     fast_entangled_table,
     mdi_value,
-    mixture_as_shared_state,
     simulate_entangled,
     simulate_separable,
     table_to_csv,
@@ -58,6 +56,7 @@ from mdiw.attack import (
     random_kraus_set,
     random_separable_strategy,
 )
+from oracles import effective_povm_element, mixture_as_shared_state
 
 
 def game_probability_oracle(inputs, rho, elements):
@@ -525,6 +524,27 @@ class TestSeparableTableOracle:
         for idx in itertools.product(range(3), repeat=3):
             states = [e.states[i] for e, i in zip(ens, idx)]
             want = biseparable_cell_oracle(strategy, states)
+            assert table.p_all_ones[idx] == pytest.approx(want, abs=1e-12)
+
+    def test_biseparable_unequal_share_dims(self):
+        # each party's share has its own dimension, so each bipartition's group
+        # state has its own size; AB|C appears twice, around the other two
+        rng = np.random.default_rng(69)
+        shares = (1, 2, 3)
+        ens = tuple(random_ensemble(rng, p, 2, 3) for p in "ABC")
+        terms = tuple(
+            BiseparableTerm(
+                tag,
+                float(w),
+                random_density_matrix(tuple(shares[p] for p in BIPARTITIONS_3[tag][0]), rng),
+                random_density_matrix((shares[BIPARTITIONS_3[tag][1]],), rng),
+            )
+            for tag, w in zip(("AB|C", "AC|B", "BC|A", "AB|C"), rng.dirichlet(np.ones(4)))
+        )
+        strategy = BiseparableStrategy(terms, tuple(random_binary_povm(rng, 2, m) for m in shares))
+        table = simulate_separable(strategy, ens)
+        for idx in itertools.product(range(3), repeat=3):
+            want = biseparable_cell_oracle(strategy, [e.states[i] for e, i in zip(ens, idx)])
             assert table.p_all_ones[idx] == pytest.approx(want, abs=1e-12)
 
     def test_oracle_rejects_swapped_group_factors(self):
