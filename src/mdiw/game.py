@@ -54,18 +54,9 @@ class POVM:
         es = np.array(self.elements, dtype=complex, order="C")
         if es.ndim != 3 or es.shape[1] != es.shape[2]:
             raise ValueError("POVM elements must share one square shape")
-        if not np.isfinite(es).all():
-            raise ValueError("matrix has NaN or Inf entries")
         if len(es) != len(self.outcomes):
             raise ValueError("one outcome label per element required")
-        d = es.shape[1]
-        dims = check_dims(self.dims, d)
-        if np.abs(es - es.conj().transpose(0, 2, 1)).max() > TOL_HERM:
-            raise ValueError("POVM element not Hermitian")
-        if np.linalg.eigvalsh(es)[:, 0].min() < -TOL_PSD:
-            raise ValueError("POVM element not positive semidefinite")
-        if np.abs(es.sum(axis=0) - np.eye(d)).max() > 1e-10:
-            raise ValueError("POVM elements do not sum to the identity")
+        dims = _check_povms(es[None], self.dims)
         es.setflags(write=False)
         object.__setattr__(self, "elements", tuple(es))
         object.__setattr__(self, "outcomes", tuple(int(o) for o in self.outcomes))
@@ -73,6 +64,47 @@ class POVM:
 
     def element(self, outcome: int) -> np.ndarray:
         return self.elements[self.outcomes.index(outcome)]
+
+
+def _check_povms(es: np.ndarray, dims) -> tuple[int, ...]:
+    """Check every POVM of a complex (N, n_outcomes, d, d) stack; returns the checked ``dims``.
+
+    Finite, Hermitian within ``TOL_HERM``, positive semidefinite within
+    ``TOL_PSD`` and summing to the identity: one numpy call per predicate
+    for the whole stack, with the single POVM's messages.
+    """
+    if not np.isfinite(es).all():
+        raise ValueError("matrix has NaN or Inf entries")
+    d = es.shape[-1]
+    dims = check_dims(dims, d)
+    if np.abs(es - es.conj().swapaxes(-1, -2)).max() > TOL_HERM:
+        raise ValueError("POVM element not Hermitian")
+    if np.linalg.eigvalsh(es)[..., 0].min() < -TOL_PSD:
+        raise ValueError("POVM element not positive semidefinite")
+    if np.abs(es.sum(axis=1) - np.eye(d)).max() > 1e-10:
+        raise ValueError("POVM elements do not sum to the identity")
+    return dims
+
+
+def _binary_povms(success: np.ndarray, dims) -> tuple[POVM, ...]:
+    """POVMs {E, 1 - E} with outcomes (1, 0) for a (N, d, d) stack of success elements.
+
+    The whole stack is checked once, with the single POVM's predicates and
+    messages; each POVM holds read-only views of one checked copy.
+    """
+    es = np.empty((len(success), 2) + success.shape[1:], dtype=complex)
+    es[:, 0], es[:, 1] = success, np.eye(success.shape[-1]) - success
+    dims = _check_povms(es, dims)
+    es.setflags(write=False)
+    out = []
+    for pair in es:
+        # already checked as part of the stack, so __post_init__ is skipped
+        povm = object.__new__(POVM)
+        object.__setattr__(povm, "elements", tuple(pair))
+        object.__setattr__(povm, "outcomes", (1, 0))
+        object.__setattr__(povm, "dims", dims)
+        out.append(povm)
+    return tuple(out)
 
 
 def binary_povm(success_element: np.ndarray, dims) -> POVM:
@@ -307,11 +339,15 @@ def _checked_probabilities(name: str, values, shape, labels) -> np.ndarray:
 
 
 def trace_inputs(element: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """F[s] = tr_in[E (tau_s (x) 1)]: inputs (S, d, d) traced into E on input (x) share."""
+    """F[..., s] = tr_in[E (tau_s (x) 1)]: inputs (S, d, d) traced into E on input (x) share.
+
+    ``element`` is one operator or a stack of them; leading axes carry through.
+    """
     d = taus.shape[1]
-    share = element.shape[0] // d
+    share = element.shape[-1] // d
     # F[s, a, b] = sum_ij E[i a, j b] tau[s, j, i]
-    return np.einsum("iajb,sji->sab", element.reshape(d, share, d, share), taus)
+    e = element.reshape(element.shape[:-2] + (d, share, d, share))
+    return np.einsum("...iajb,sji->...sab", e, taus)
 
 
 def _check_ensembles(measurements, ensembles) -> None:
@@ -393,35 +429,61 @@ def fast_entangled_table(rho: DensityMatrix, ensembles) -> CorrelationTable:
 
 # Unentangled mixtures in block form: each term is a product of states over
 # a partition of the parties into blocks, and the terms sharing a partition
-# form a group (idx, specs, states) -- their indices into the weights, the
-# partition's einsum specs (see _specs) and one (K_g, D_b, D_b) state stack
-# per block.  Fully separable is one group of singletons; biseparable, one
-# group per bipartition used.  Only these conversions know the two families.
+# form a group (idx, restart, specs, states) -- their indices into the
+# weights, the restart each of them belongs to, the partition's einsum specs
+# (see _specs) and one (K_g, D_b, D_b) state stack per block.  The weights
+# are an (R, K) matrix whose row r weighs restart r's terms and is zero
+# elsewhere, so the R independent mixtures of a see-saw search run as one
+# batch; one strategy is the case R = 1.  Terms run restart by restart.
+# Fully separable is one group of singletons; biseparable, one group per
+# bipartition used.  Only these conversions know the two families.
+
+
+def _separable_groups(states, restart) -> list:
+    """The one group of singleton blocks, from each party's (K, m, m) state stack."""
+    specs = _specs(tuple((p,) for p in range(len(states))), tuple(s.shape[-1] for s in states))
+    return [(np.arange(len(restart)), restart, specs, list(states))]
+
+
+def _biseparable_groups(tags, pairs, singles, restart, shares) -> list:
+    """One group per bipartition used; term i has ``tags[i]``, ``pairs[i]`` and ``singles[i]``."""
+    groups = []
+    for tag, (pair, single) in BIPARTITIONS_3.items():
+        idx = [i for i, t in enumerate(tags) if t == tag]
+        if idx:
+            states = [np.stack([pairs[i] for i in idx]), np.stack([singles[i] for i in idx])]
+            groups.append((np.array(idx), restart[idx], _specs((pair, (single,)), shares), states))
+    return groups
 
 
 def _groups(strategy) -> tuple[np.ndarray, list]:
-    """Weights (K,) and groups of a separable or biseparable strategy."""
+    """Weights (1, K) and groups of a separable or biseparable strategy."""
     if not isinstance(strategy, (SeparableStrategy, BiseparableStrategy)):
         raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
     n, shares = strategy.n_parties, tuple(m.dims[1] for m in strategy.measurements)
     if isinstance(strategy, SeparableStrategy):
         states = [np.stack([term[p].matrix for term in strategy.share_states]) for p in range(n)]
-        specs = _specs(tuple((p,) for p in range(n)), shares)
-        return np.asarray(strategy.weights), [(np.arange(len(strategy.weights)), specs, states)]
-    terms, groups = strategy.terms, []
-    for tag, (pair, single) in BIPARTITIONS_3.items():
-        idx = [i for i, t in enumerate(terms) if t.bipartition == tag]
-        if idx:
-            states = [np.stack([terms[i].group_state.matrix for i in idx]),
-                      np.stack([terms[i].singleton_state.matrix for i in idx])]
-            groups.append((np.array(idx), _specs((pair, (single,)), shares), states))
-    return np.array([t.weight for t in terms]), groups
+        restart = np.zeros(len(strategy.weights), dtype=int)
+        return np.asarray(strategy.weights)[None], _separable_groups(states, restart)
+    terms = strategy.terms
+    groups = _biseparable_groups(
+        [t.bipartition for t in terms],
+        [t.group_state.matrix for t in terms],
+        [t.singleton_state.matrix for t in terms],
+        np.zeros(len(terms), dtype=int),
+        shares,
+    )
+    return np.array([[t.weight for t in terms]]), groups
+
+
+# The inverses of _groups take one restart's weights (K,) and groups whose
+# state stacks have already passed the density checks.
 
 
 def _separable_strategy(weights, groups, measurements) -> SeparableStrategy:
     """Inverse of :func:`_groups` for one group of singleton blocks."""
-    ((_, _, states),) = groups
-    terms = zip(*(DensityMatrix.stack(s, (s.shape[1],)) for s in states))
+    ((_, _, _, states),) = groups
+    terms = zip(*(DensityMatrix._views(s, (s.shape[1],)) for s in states))
     return SeparableStrategy(tuple(weights), tuple(terms), measurements)
 
 
@@ -429,17 +491,21 @@ def _biseparable_strategy(weights, groups, measurements) -> BiseparableStrategy:
     """Inverse of :func:`_groups` for bipartition groups; terms return to their indices."""
     tags = {layout: tag for tag, layout in BIPARTITIONS_3.items()}
     terms = [None] * len(weights)
-    for idx, specs, (group, singles) in groups:
+    for idx, _, specs, (group, singles) in groups:
         pair, (single,) = (b.parties for b in specs.blocks)
         share = tuple(measurements[p].dims[1] for p in pair + (single,))
-        pairs, ones = DensityMatrix.stack(group, share[:2]), DensityMatrix.stack(singles, share[2:])
+        pairs = DensityMatrix._views(group, share[:2])
+        ones = DensityMatrix._views(singles, share[2:])
         for i, g, s in zip(idx, pairs, ones):
             terms[i] = BiseparableTerm(tags[pair, single], weights[i], g, s)
     return BiseparableStrategy(tuple(terms), measurements)
 
 
 # einsum letters: k runs over a group's terms; party p has the input letter
-# _IN[p], and _ROW[p], _COL[p] index its share factor.
+# _IN[p], and _ROW[p], _COL[p] index its share factor.  Every term reads its
+# own restart's F_p, so F operands carry k too.  A pair block's partner term
+# folds in the other party's F one einsum at a time: one five-operand einsum
+# over all of its indices costs several times more.
 _IN, _ROW, _COL = "stuvwxyz", "abcdefgh", "ABCDEFGH"
 
 
@@ -457,8 +523,24 @@ class _Block(NamedTuple):
 class _Specs(NamedTuple):
     blocks: tuple[_Block, ...]
     where: tuple[int, ...]  # index of the block holding each party
-    partner: tuple[str, ...]  # per party x: Y[s_x] on share_x, the terms summing to tr[F_x Y]
-    grid: str  # p[s, t, ...] from the weights and every block's R
+    partner: tuple[tuple, ...]  # per party x: (folds of others into sigma, w_k Y_k[s_x] on share_x)
+    grid: str  # w_k prod_B R_B[k, s_B], term by term
+
+
+def _partner_folds(block, x: int) -> tuple[str, ...]:
+    """Specs folding F_q, for each party q of ``block`` but x, into its states sigma[k, cols, rows].
+
+    Each fold trades q's row and column for q's input letter.
+    """
+    specs, done, left = [], "", list(block)
+    for q in block:
+        if q != x:
+            before = "k" + done + "".join(_COL[p] for p in left) + "".join(_ROW[p] for p in left)
+            left.remove(q)
+            done += _IN[q]
+            after = "k" + done + "".join(_COL[p] for p in left) + "".join(_ROW[p] for p in left)
+            specs.append(f"k{_IN[q]}{_ROW[q]}{_COL[q]},{before}->{after}")
+    return tuple(specs)
 
 
 @functools.cache
@@ -466,57 +548,93 @@ def _specs(partition: tuple, shares: tuple) -> _Specs:
     """einsum specs of a partition of the parties, whose share dims are ``shares``."""
     n = len(shares)
     ins = ["".join(_IN[p] for p in b) for b in partition]
-    fs = [",".join(_IN[p] + _ROW[p] + _COL[p] for p in b) for b in partition]
+    where = tuple(next(i for i, b in enumerate(partition) if p in b) for p in range(n))
+    fss = [",".join(f"k{_IN[p]}{_ROW[p]}{_COL[p]}" for p in b) for b in partition]
     # tr[F sigma] = F[r, c] sigma[c, r]: the state's rows meet F's columns
     sigma = ["k" + "".join(_COL[p] for p in b) + "".join(_ROW[p] for p in b) for b in partition]
-    where = tuple(next(i for i, b in enumerate(partition) if p in b) for p in range(n))
     blocks = tuple(
         _Block(
             parties=b,
             shape=(-1,) + 2 * tuple(shares[p] for p in b),
-            response=f"{f},{g}->k{i}",
+            response=f"{fs},{g}->k{i}",
             coefficient=",".join([_IN[:n]] + [f"k{o}" for o in ins if o != i]) + f"->k{i}",
-            operator=f"k{i},{f}->k" + "".join(_ROW[p] for p in b) + "".join(_COL[p] for p in b),
+            operator=f"k{i},{fs}->k" + "".join(_ROW[p] for p in b) + "".join(_COL[p] for p in b),
             value=f"k{i},k{i}->k",
         )
-        for b, i, f, g in zip(partition, ins, fs, sigma)
+        for b, i, fs, g in zip(partition, ins, fss, sigma)
     )
     partner = tuple(
-        ",".join(["k", "k" + ins[where[x]]]
-                 + [_IN[q] + _ROW[q] + _COL[q] for q in partition[where[x]] if q != x]
-                 + [sigma[where[x]]]) + f"->{_IN[x]}{_COL[x]}{_ROW[x]}"
+        (_partner_folds(partition[where[x]], x),
+         f"k,k{ins[where[x]]},k{ins[where[x]].replace(_IN[x], '')}{_COL[x]}{_ROW[x]}"
+         f"->k{_IN[x]}{_COL[x]}{_ROW[x]}")
         for x in range(n)
     )
-    return _Specs(blocks, where, partner, ",".join(["k"] + [f"k{i}" for i in ins]) + f"->{_IN[:n]}")
+    grid = ",".join(["k"] + [f"k{i}" for i in ins]) + f"->k{_IN[:n]}"
+    return _Specs(blocks, where, partner, grid)
 
 
-def _block_responses(block: _Block, fs, states: np.ndarray) -> np.ndarray:
+def _term_fs(fs, restart, parties) -> list[np.ndarray]:
+    """F_p of each listed party as every term reads it: its own restart's slice.
+
+    A batch of one restart passes its (1, S, m, m) F_p as is; einsum
+    broadcasts it over the terms.
+    """
+    return [fs[p] if len(fs[p]) == 1 else fs[p][restart] for p in parties]
+
+
+def _fold(folds, x: np.ndarray, fb) -> np.ndarray:
+    """Fold each F_p of ``fb`` (from :func:`_term_fs`) into ``x``, one einsum per fold."""
+    for spec, f in zip(folds, fb):
+        x = np.einsum(spec, f, x)
+    return x
+
+
+def _block_responses(block: _Block, fb, states: np.ndarray) -> np.ndarray:
     """R[k, s_B] = tr[(F_p[s_p] (x) ...) sigma_k] for one block of a group."""
-    operands = [fs[p] for p in block.parties] + [states.reshape(block.shape)]
-    return np.einsum(block.response, *operands).real
+    return np.einsum(block.response, *fb, states.reshape(block.shape)).real
 
 
 def _responses(groups, fs) -> list[list[np.ndarray]]:
-    """Every group's block responses, block by block."""
-    return [[_block_responses(b, fs, s) for b, s in zip(specs.blocks, states)]
-            for _, specs, states in groups]
+    """Every group's block responses, block by block; ``fs`` holds each party's (R, S, m, m) F_p."""
+    return [
+        [_block_responses(b, _term_fs(fs, restart, b.parties), s)
+         for b, s in zip(specs.blocks, states)]
+        for _, restart, specs, states in groups
+    ]
+
+
+def _restart_sums(z: np.ndarray, restart: np.ndarray, n: int) -> np.ndarray:
+    """out[r] = the sum of z[k] over restart r's terms, added in term order.
+
+    ``restart`` must run restart by restart, as a group's terms do.
+    """
+    if n == 1:
+        return z.sum(axis=0, keepdims=True)
+    counts = np.bincount(restart, minlength=n)
+    slot = np.arange(len(restart)) - (np.cumsum(counts) - counts)[restart]
+    padded = np.zeros((n, counts.max()) + z.shape[1:], dtype=z.dtype)
+    padded[restart, slot] = z
+    return padded.sum(axis=1)
 
 
 def _grid(weights: np.ndarray, groups, resp) -> np.ndarray:
-    """p[s, t, ...] = sum_k w_k prod_B R_B[k, s_B] over every group's terms."""
-    return sum(np.einsum(specs.grid, weights[idx], *r) for (idx, specs, _), r in zip(groups, resp))
+    """p[r, s, t, ...] = sum of w[r, k] prod_B R_B[k, s_B] over restart r's terms in every group."""
+    return sum(
+        _restart_sums(np.einsum(specs.grid, weights[restart, idx], *r), restart, len(weights))
+        for (idx, restart, specs, _), r in zip(groups, resp)
+    )
 
 
 def simulate_separable(strategy, ensembles, include_full: bool = False) -> CorrelationTable:
     """Correlation table for strategies without any shared entanglement.
 
-    The strategy's terms become block products (see :func:`_groups`).  Each
-    party's inputs are traced into its outcome elements once, one
-    contraction per block gives ``R[k, s_B] = tr[(F_p[s_p] (x) ...)
-    sigma_k]`` for every input and term, and one per group contracts the
-    weighted terms into every input tuple at once; with ``include_full``
-    the outcome-0 elements ride along as extra inputs.  The see-saw in
-    :mod:`mdiw.attack` shares these contractions.
+    The strategy's terms become block products, a batch of one restart
+    (see :func:`_groups`).  Each party's inputs are traced into its outcome
+    elements once, one contraction per block gives ``R[k, s_B] =
+    tr[(F_p[s_p] (x) ...) sigma_k]`` for every input and term, and one per
+    group contracts the weighted terms into every input tuple at once; with
+    ``include_full`` the outcome-0 elements ride along as extra inputs.
+    The see-saw in :mod:`mdiw.attack` shares these contractions.
     """
     ensembles = tuple(ensembles)
     weights, groups = _groups(strategy)
@@ -525,10 +643,10 @@ def simulate_separable(strategy, ensembles, include_full: bool = False) -> Corre
         raise NotImplementedError("full distributions are only kept for all-ones-based checks")
     bits = (0, 1) if include_full else (1,)
     fs = [
-        np.concatenate([trace_inputs(m.element(b), taus) for b in bits])
+        np.concatenate([trace_inputs(m.element(b), taus) for b in bits])[None]
         for m, taus in zip(strategy.measurements, _input_stacks(ensembles))
     ]
-    p = _grid(weights, groups, _responses(groups, fs))
+    p = _grid(weights, groups, _responses(groups, fs))[0]
     if not include_full:
         return _table(ensembles, p)
     # each party's axis runs over (outcome, input); the outcome axes go in front

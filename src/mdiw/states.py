@@ -90,8 +90,14 @@ class DensityMatrix:
         ms = np.array(ms, dtype=complex, order="C")
         if ms.ndim != 3:
             raise ValueError(f"expected a stack of matrices, got array of shape {ms.shape}")
-        dims = _check_densities(ms, dims)
+        return cls._views(ms, _check_densities(ms, dims))
+
+    @classmethod
+    def _views(cls, ms, dims) -> tuple["DensityMatrix", ...]:
+        """States viewing a read-only copy of a stack that passed :func:`_check_densities`."""
+        ms = np.array(ms, dtype=complex, order="C")
         ms.setflags(write=False)
+        dims = tuple(int(d) for d in dims)
         out = []
         for m in ms:
             # already checked as part of the stack, so __post_init__ is skipped

@@ -5,13 +5,16 @@ explicit embedding and partial trace, and :func:`mixture_as_shared_state`
 materializes an unentangled mixture as one shared state, so that
 :func:`mdiw.game.simulate_entangled` can cross-check the block contractions
 of :func:`mdiw.game.simulate_separable` and the see-saw.
+:func:`sequential_search` runs the see-saw's restarts one after another,
+as the reference for the batched search.
 """
 
 import math
 
 import numpy as np
 
-from mdiw.game import BiseparableStrategy, SeparableStrategy
+from mdiw.attack import _STOP, AttackReport, _start, _sweep, restart_rng
+from mdiw.game import BiseparableStrategy, SeparableStrategy, _groups, _input_stacks, binary_povm
 from mdiw.linalg import as_matrix, check_dims, kron, kron_all, partial_trace, permute_subsystems
 from mdiw.states import DensityMatrix
 
@@ -75,3 +78,51 @@ def mixture_as_shared_state(strategy) -> DensityMatrix:
             m += term.weight * aligned
         return DensityMatrix(m, dims)
     raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
+
+
+
+def sequential_search(dec, ensembles, config, sample, build, hook=None) -> AttackReport:
+    """The see-saw search with its restarts run one after another.
+
+    Each restart samples its start with the public sampler ``sample`` from
+    its own stream, and runs the see-saw steps of :mod:`mdiw.attack` as a
+    batch of one until a sweep lowers its value by at most ``_STOP``, or for
+    ``config.iterations`` sweeps.  ``hook(restart, sweep, best)`` fires after
+    every sweep.  Wall time is reported as 0.
+    """
+    input_dims = tuple(e.dim for e in ensembles)
+    beta, inputs = np.asarray(dec.beta), _input_stacks(dec.ensembles)
+
+    restart_minima = []
+    best_overall = best_state = None
+    evaluations = 0
+    for r in range(config.restarts):
+        rng = restart_rng(config.seed, r)
+        strategy = sample(input_dims, config.share_dim, config.mixture_size, rng)
+        elements = [m.element(1)[None] for m in strategy.measurements]
+        state, (value,) = _start(beta, inputs, *_groups(strategy), elements)
+        evaluations += 1
+        best, kept = value, state
+        for it in range(config.iterations):
+            previous = value
+            state, (value,) = _sweep(beta, inputs, state)
+            evaluations += 1
+            if value < best:
+                best, kept = value, state
+            if hook is not None:
+                hook(r, it, best)
+            if previous - value <= _STOP:
+                break
+        restart_minima.append(best)
+        if best_overall is None or best < best_overall:
+            best_overall, best_state = best, kept
+    weights, groups, elements, _, _ = best_state
+    povms = tuple(binary_povm(e[0], m.dims) for e, m in zip(elements, strategy.measurements))
+    return AttackReport(
+        min_value=float(best_overall),
+        best_strategy=build(weights[0], groups, povms),
+        restart_minima=tuple(float(b) for b in restart_minima),
+        evaluations=evaluations,
+        wall_time=0.0,
+        config=config,
+    )

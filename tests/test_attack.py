@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mdiw.states import (
+    DensityMatrix,
     bloch_vector,
     ghz_ket,
     noisy_ghz,
@@ -29,6 +30,11 @@ from mdiw.game import (
 )
 from mdiw.attack import (
     AttackConfig,
+    _biseparable_batch,
+    _draw_biseparable,
+    _draw_separable,
+    _negative_projectors,
+    _separable_batch,
     _start,
     _sweep,
     attack,
@@ -44,7 +50,7 @@ from mdiw.attack import (
 )
 from mdiw.serialize import dumps
 from mdiw.verify import _bloch_grid, negated_projector_decomposition, product_strategy_grid_minimum
-from oracles import mixture_as_shared_state
+from oracles import mixture_as_shared_state, sequential_search
 
 SMALL = AttackConfig(restarts=8, iterations=120, mixture_size=3, share_dim=2, seed=7)
 
@@ -188,12 +194,13 @@ class TestBlockForm:
         rng = np.random.default_rng((66, share_dim))
         for _ in range(5):
             s = sample((2,) * dec.n_parties, share_dim, int(rng.integers(1, 5)), rng)
-            state, start = _start(beta, inputs, s)
+            elements = [m.element(1)[None] for m in s.measurements]
+            state, (start,) = _start(beta, inputs, *_groups(s), elements)
             public = mdi_value(dec, simulate_separable(s, dec.ensembles))
             assert start == pytest.approx(public, abs=1e-12)
-            (weights, groups, elements, _, _), value = _sweep(beta, inputs, state)
-            povms = tuple(binary_povm(e, m.dims) for e, m in zip(elements, s.measurements))
-            swept = build(weights, groups, povms)
+            (weights, groups, elements, _, _), (value,) = _sweep(beta, inputs, state)
+            povms = tuple(binary_povm(e[0], m.dims) for e, m in zip(elements, s.measurements))
+            swept = build(weights[0], groups, povms)
             public = mdi_value(dec, simulate_separable(swept, dec.ensembles))
             assert value == pytest.approx(public, abs=1e-12)
             # an independent route: the mixture as one explicit shared state
@@ -212,7 +219,7 @@ class TestBlockForm:
             s.measurements,
         )
         weights, groups = _groups(strategy)
-        back = _biseparable_strategy(weights, groups, strategy.measurements)
+        back = _biseparable_strategy(weights[0], groups, strategy.measurements)
         assert [(t.bipartition, t.weight) for t in back.terms] == [
             ("AB|C", 0.5), ("BC|A", 0.3), ("AB|C", 0.2)
         ]
@@ -223,10 +230,169 @@ class TestBlockForm:
     def test_separable_round_trip(self):
         s = random_separable_strategy((2, 3), 2, 3, np.random.default_rng(68), mixedness=0.5)
         weights, groups = _groups(s)
-        back = _separable_strategy(weights, groups, s.measurements)
+        back = _separable_strategy(weights[0], groups, s.measurements)
         assert back.weights == s.weights
         for a, b in zip(back.share_states, s.share_states):
             assert all(np.array_equal(x.matrix, y.matrix) for x, y in zip(a, b))
+
+
+def _graded(eps):
+    ensembles = (tetrahedron_ensemble("A"), tetrahedron_ensemble("B"))
+    return decompose(Witness(singlet_witness().matrix - eps * np.eye(4), (2, 2)), ensembles)
+
+
+SEPARABLE = (attack, random_separable_strategy, _separable_strategy)
+BISEPARABLE = (biseparable_attack, random_biseparable_strategy, _biseparable_strategy)
+# name: (family, decomposition, mixture size, share dim, iterations, seed)
+BATCH_CASES = {
+    "tetrahedron": (SEPARABLE, tetrahedron_beta, 8, 4, 200, 7),
+    "pauli6": (SEPARABLE, pauli6_beta, 4, 2, 200, 8),
+    "graded_1e-4": (SEPARABLE, lambda: _graded(1e-4), 4, 2, 200, 101),
+    "ghz": (BISEPARABLE, ghz_beta, 6, 2, 200, 9),
+    # restarts stop after 1, 4 or 5 sweeps; capped at 2, some stop on their own
+    "ghz_share1": (BISEPARABLE, ghz_beta, 3, 1, 500, 66),
+    "ghz_share1_capped": (BISEPARABLE, ghz_beta, 3, 1, 2, 66),
+}
+
+
+class TestBatchedSearch:
+    """All restarts run as one batch and still reproduce the restart-by-restart search."""
+
+    @pytest.mark.parametrize("restarts", [1, 3, 7])
+    @pytest.mark.parametrize("case", list(BATCH_CASES))
+    def test_matches_sequential_loop(self, case, restarts):
+        (search, sample, build), make, mixture, share, iterations, seed = BATCH_CASES[case]
+        dec = make()
+        cfg = AttackConfig(restarts=restarts, iterations=iterations, mixture_size=mixture,
+                           share_dim=share, seed=seed)
+        calls, want_calls = [], []
+        batched = search(dec, dec.ensembles, cfg, hook=lambda *a: calls.append(a))
+        want = sequential_search(
+            dec, dec.ensembles, cfg, sample, build, hook=lambda *a: want_calls.append(a)
+        )
+        assert batched.evaluations == want.evaluations
+        assert np.abs(np.subtract(batched.restart_minima, want.restart_minima)).max() <= 1e-12
+        rescored = mdi_value(dec, simulate_separable(batched.best_strategy, dec.ensembles))
+        assert rescored == pytest.approx(batched.min_value, abs=1e-12)
+        # one hook call per running restart after each sweep, sweep by sweep in restart order
+        order = sorted(((r, it) for r, it, _ in want_calls), key=lambda c: (c[1], c[0]))
+        assert [(r, it) for r, it, _ in calls] == order
+        got = {(r, it): b for r, it, b in calls}
+        assert all(abs(got[r, it] - b) <= 1e-12 for r, it, b in want_calls)
+
+    def test_restarts_stop_at_different_sweeps(self):
+        # the ghz_share1 cases must exercise the stop mask
+        dec = ghz_beta()
+        sweeps: dict[int, int] = {}
+        cfg = AttackConfig(restarts=7, iterations=500, mixture_size=3, share_dim=1, seed=66)
+        biseparable_attack(dec, dec.ensembles, cfg, hook=lambda r, it, b: sweeps.__setitem__(r, it + 1))
+        assert len(set(sweeps.values())) >= 3 and min(sweeps.values()) == 1
+
+
+class TestBuildPhase:
+    """Draws of R restarts become one batch, checked once, without touching the streams."""
+
+    def test_separable_batch_matches_public_sampler_per_restart(self):
+        dims, m, k = (2, 3), 2, 3
+        rngs = [restart_rng(12, r) for r in range(5)]
+        weights, shares, elements, povms = _separable_batch(
+            [_draw_separable(rng, dims, m, k) for rng in rngs], dims, m
+        )
+        for r, rng in enumerate(rngs):
+            ref = restart_rng(12, r)
+            want = random_separable_strategy(dims, m, k, ref)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert tuple(weights[r]) == want.weights
+            assert np.array_equal(shares[r], [[s.matrix for s in term] for term in want.share_states])
+            for e, p, w in zip(elements, povms, want.measurements):
+                assert np.array_equal(e[r], w.element(1)) and np.array_equal(p[r].element(1), e[r])
+
+    def test_biseparable_batch_matches_public_sampler_per_restart(self):
+        dims, m, k = (2, 2, 2), 2, 3
+        rngs = [restart_rng(12, r) for r in range(5)]
+        weights, tags, pairs, singles, elements, povms = _biseparable_batch(
+            [_draw_biseparable(rng, dims, m, k) for rng in rngs], dims, m
+        )
+        for r, rng in enumerate(rngs):
+            ref = restart_rng(12, r)
+            want = random_biseparable_strategy(dims, m, k, ref)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            mine = slice(r * k, (r + 1) * k)
+            assert [(t.bipartition, t.weight) for t in want.terms] == list(zip(tags[mine], weights[r]))
+            assert np.array_equal(pairs[mine], [t.group_state.matrix for t in want.terms])
+            assert np.array_equal(singles[mine], [t.singleton_state.matrix for t in want.terms])
+            for e, p, w in zip(elements, povms, want.measurements):
+                assert np.array_equal(e[r], w.element(1)) and np.array_equal(p[r].element(1), e[r])
+
+    def test_non_psd_share_in_last_restart_rejected_like_single(self):
+        dims, m = (2, 2), 2
+        draws = [_draw_separable(restart_rng(13, r), dims, m, 2, mixedness=0.5) for r in range(4)]
+        draws[-1][2][-1, -1] = 3.0  # blend weight 3: (1 - 3) |v><v| + 3 * 1/2 has eigenvalue -1/2
+        ket = draws[-1][1][-1, -1]
+        v = (ket[0] + 1j * ket[1]) / np.linalg.norm(ket[0] + 1j * ket[1])
+        broken = -2.0 * np.outer(v, v.conj()) + 1.5 * np.eye(m)
+        with pytest.raises(ValueError, match="positive semidefinite") as single:
+            DensityMatrix(broken, (m,))
+        with pytest.raises(ValueError, match="positive semidefinite") as batched:
+            _separable_batch(draws, dims, m)
+        assert str(batched.value) == str(single.value)
+
+    @pytest.mark.parametrize("family", ["separable", "biseparable"])
+    def test_success_element_above_one_in_last_restart_rejected_like_single(self, family):
+        draw, batch, dims = {
+            "separable": (_draw_separable, _separable_batch, (2, 2)),
+            "biseparable": (_draw_biseparable, _biseparable_batch, (2, 2, 2)),
+        }[family]
+        draws = [draw(restart_rng(14, r), dims, 2, 2) for r in range(4)]
+        g, _ = draws[-1][3][0]
+        draws[-1][3][0] = (g, -0.5)  # scale 1 / (top * 0.5): the top eigenvalue becomes 2
+        e = g.conj().T @ g
+        with pytest.raises(ValueError, match="positive semidefinite") as single:
+            binary_povm(e / (np.linalg.eigvalsh(e)[-1] * 0.5), (2, 2))
+        with pytest.raises(ValueError, match="positive semidefinite") as batched:
+            batch(draws, dims, 2)
+        assert str(batched.value) == str(single.value)
+
+
+class TestNegativeProjectorRank:
+    """The success-element step keeps rank >= 1: exact only where X has a negative eigenvalue."""
+
+    def test_psd_operator_keeps_lowest_eigenvector(self):
+        x = np.array([np.diag([1.0, 2.0]), np.diag([-1.0, 2.0]), np.diag([-1.0, -2.0])], dtype=complex)
+        e = _negative_projectors(x)
+        # for X >= 0 the minimizer is E = 0 (value 0), but the step keeps rank 1 (value 1)
+        assert np.allclose(e[0], np.diag([1.0, 0.0]))
+        assert np.allclose(e[1], np.diag([1.0, 0.0]))
+        assert np.allclose(e[2], np.eye(2))
+
+    def test_sweep_can_raise_value_on_ghz_share_dim_1(self):
+        dec = ghz_beta()
+        beta, inputs = np.asarray(dec.beta), _input_stacks(dec.ensembles)
+        rng = np.random.default_rng((66, 1))
+        moves = []
+        for _ in range(5):
+            s = random_biseparable_strategy((2, 2, 2), 1, int(rng.integers(1, 5)), rng)
+            elements = [m.element(1)[None] for m in s.measurements]
+            state, (start,) = _start(beta, inputs, *_groups(s), elements)
+            moves.append((start, _sweep(beta, inputs, state)[1][0]))
+        rising = [i for i, (a, b) in enumerate(moves) if b > a]
+        assert rising == [0, 3]
+        assert moves[0] == pytest.approx((0.14587, 0.25160), abs=1e-5)
+        assert moves[3] == pytest.approx((0.16007, 0.18995), abs=1e-5)
+
+    def test_rising_sweep_ends_restart_with_start_value_kept(self):
+        # restart 3 of this search rises on its first sweep, stops, and keeps its start
+        dec = ghz_beta()
+        cfg = AttackConfig(restarts=7, iterations=500, mixture_size=3, share_dim=1, seed=66)
+        history: dict[int, list[float]] = {}
+        report = biseparable_attack(dec, dec.ensembles, cfg,
+                                    hook=lambda r, it, b: history.setdefault(r, []).append(b))
+        start = mdi_value(dec, simulate_separable(
+            random_biseparable_strategy((2, 2, 2), 1, 3, restart_rng(66, 3)), dec.ensembles))
+        assert len(history[3]) == 1
+        assert report.restart_minima[3] == pytest.approx(start, abs=1e-12)
+        assert report.restart_minima[3] > 0.15
+        assert report.min_value <= 1e-15
 
 
 class TestSearch:
