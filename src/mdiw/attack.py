@@ -14,8 +14,9 @@ contractions of :mod:`mdiw.game`.  It also sweeps entangled state families
 to reproduce their violation curves.
 
 All restarts of a search run as one batch: their terms share one block
-form whose weights are an (R, K) matrix, zero outside each restart's terms,
-and every sweep updates every running restart at once.
+form whose weights are the dense (R, K) matrix of each restart's own
+mixture weights, every sweep updates every running restart at once, and a
+restart that stops leaves the batch.
 
 Randomness contract: restart ``r`` of a search with master seed ``m`` draws
 from ``numpy.random.default_rng((m, r))``, i.e. a PCG64 generator seeded
@@ -40,7 +41,6 @@ from .witness import Decomposition
 from .game import (
     BIPARTITIONS_3,
     BiseparableStrategy,
-    BiseparableTerm,
     SeparableStrategy,
     _binary_povms,
     _biseparable_groups,
@@ -160,9 +160,10 @@ def _projectors(v: np.ndarray) -> np.ndarray:
 
 # Each sampler has a draw phase, which calls one restart's generator in the
 # documented stream order and keeps the raw numbers, and a build phase, which
-# turns the draws of R restarts into checked arrays with a leading restart
-# axis, every share state and success element checked once.  The public
-# samplers are the case R = 1; the search puts the build in block form.
+# puts the draws of R restarts in block form (see :mod:`mdiw.game`), every
+# share state and success element checked once.  The search starts from the
+# block form; a public sampler builds a batch of one and turns it back into
+# a strategy with the inverse the search also uses.
 
 
 def _draw_success_element(rng: np.random.Generator, d: int) -> tuple[np.ndarray, float]:
@@ -190,41 +191,20 @@ def _success_batch(draws, input_dims, m) -> tuple[list, list]:
     return elements, povms
 
 
-def _block_weights(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Block-diagonal (R, R K) weights from R rows of K, and the restart of each term."""
-    r, k = weights.shape
-    restart = np.repeat(np.arange(r), k)
-    full = np.zeros((r, r * k))
-    full[restart, np.arange(r * k)] = weights.ravel()
-    return full, restart
-
-
-def _draw_separable(rng, input_dims, m, k, mixedness=0.0):
+def _draw_separable(rng, input_dims, m, k):
     """One restart's draws for :func:`random_separable_strategy`, in its stream order."""
-    n = len(input_dims)
     weights = rng.dirichlet(np.ones(k))
-    kets = rng.normal(size=(k, n, 2, m))
-    lam = rng.uniform(0.0, mixedness, size=(k, n)) if mixedness > 0.0 else None
-    return weights, kets, lam, [_draw_success_element(rng, d * m) for d in input_dims]
-
-
-def _separable_batch(draws, input_dims, m):
-    """Weights (R, K), share states (R, K, n, m, m), success elements and POVMs of R draws."""
-    weights = np.array([w for w, _, _, _ in draws])
-    shares = _projectors(_unit_kets(np.array([kets for _, kets, _, _ in draws])))
-    if draws[0][2] is not None:
-        lam = np.array([lam for _, _, lam, _ in draws])[..., None, None]
-        shares = (1.0 - lam) * shares + lam * np.eye(m) / m
-    _check_densities(shares.reshape(-1, m, m), (m,))
-    return weights, shares, *_success_batch([s for _, _, _, s in draws], input_dims, m)
+    kets = rng.normal(size=(k, len(input_dims), 2, m))
+    return weights, kets, [_draw_success_element(rng, d * m) for d in input_dims]
 
 
 def _separable_block(draws, input_dims, m):
-    """Block form (weights, groups, elements) of a separable batch."""
-    weights, shares, elements, _ = _separable_batch(draws, input_dims, m)
-    weights, restart = _block_weights(weights)
-    states = np.moveaxis(shares, 2, 0).reshape(len(input_dims), -1, m, m)
-    return weights, _separable_groups(states, restart), elements
+    """Block form (weights, groups, success elements) of R restarts' separable draws, and the POVMs."""
+    shares = _projectors(_unit_kets(np.array([kets for _, kets, _ in draws])))
+    _check_densities(shares.reshape(-1, m, m), (m,))
+    states = shares.transpose(2, 0, 1, 3, 4).reshape(len(input_dims), -1, m, m)
+    elements, povms = _success_batch([s for _, _, s in draws], input_dims, m)
+    return np.array([w for w, _, _ in draws]), _separable_groups(states), elements, povms
 
 
 def random_separable_strategy(
@@ -232,29 +212,23 @@ def random_separable_strategy(
     share_dim: int,
     mixture_size: int,
     rng: np.random.Generator,
-    mixedness: float = 0.0,
 ) -> SeparableStrategy:
     """Sample a valid strategy whose shared state is fully product per term.
 
     Weights come from a symmetric simplex sample, share states from
-    normalized complex-normal kets (optionally blended toward the
-    maximally mixed state), and each party's success element from a
-    rescaled Gram matrix, so every draw is feasible by construction.
+    normalized complex-normal kets, and each party's success element from
+    a rescaled Gram matrix, so every draw is feasible by construction.
 
     Stream order: the weights (one ``dirichlet`` call); every share ket in
     one ``normal`` call, term by term and party by party within a term,
     each ket as ``share_dim`` real parts then ``share_dim`` imaginary parts;
-    with ``mixedness > 0``, every blend weight lambda in one ``uniform``
-    call in the same term/party order; then each party's success element.
-    All share states are checked as one stack.
+    then each party's success element.  All share states are checked as
+    one stack.
     """
     input_dims, m = tuple(int(d) for d in input_dims), share_dim
-    draws = _draw_separable(rng, input_dims, m, mixture_size, mixedness)
-    (weights,), (shares,), _, povms = _separable_batch([draws], input_dims, m)
-    states = DensityMatrix._views(shares.reshape(-1, m, m), (m,))
-    n = len(input_dims)
-    terms = tuple(states[k * n : (k + 1) * n] for k in range(mixture_size))
-    return SeparableStrategy(tuple(weights), terms, tuple(p[0] for p in povms))
+    draws = _draw_separable(rng, input_dims, m, mixture_size)
+    weights, groups, _, povms = _separable_block([draws], input_dims, m)
+    return _separable_strategy(weights[0], groups, tuple(p[0] for p in povms))
 
 
 def _draw_biseparable(rng, input_dims, m, k):
@@ -270,12 +244,8 @@ def _draw_biseparable(rng, input_dims, m, k):
     return weights, picks, kets, [_draw_success_element(rng, d * m) for d in input_dims]
 
 
-def _biseparable_batch(draws, input_dims, m):
-    """Weights (R, K), every term's tag, group and singleton states, success elements and POVMs.
-
-    Terms run restart by restart.
-    """
-    weights = np.array([w for w, _, _, _ in draws])
+def _biseparable_block(draws, input_dims, m):
+    """Block form (weights, groups, success elements) of R restarts' biseparable draws, and the POVMs."""
     tags = [tag for _, picks, _, _ in draws for tag in picks]
     kets = np.array([ket for _, _, ks, _ in draws for ket in ks])
     pairs = _projectors(_unit_kets(kets[:, : 2 * m * m].reshape(-1, 2, m * m)))
@@ -283,14 +253,8 @@ def _biseparable_batch(draws, input_dims, m):
     _check_densities(pairs, (m, m))
     _check_densities(singles, (m,))
     elements, povms = _success_batch([s for _, _, _, s in draws], input_dims, m)
-    return weights, tags, pairs, singles, elements, povms
-
-
-def _biseparable_block(draws, input_dims, m):
-    """Block form (weights, groups, elements) of a biseparable batch."""
-    weights, tags, pairs, singles, elements, _ = _biseparable_batch(draws, input_dims, m)
-    weights, restart = _block_weights(weights)
-    return weights, _biseparable_groups(tags, pairs, singles, restart, (m,) * 3), elements
+    groups = _biseparable_groups(tags, pairs, singles, (m,) * 3)
+    return np.array([w for w, _, _, _ in draws]), groups, elements, povms
 
 
 def random_biseparable_strategy(
@@ -313,10 +277,8 @@ def random_biseparable_strategy(
     """
     input_dims, m = tuple(int(d) for d in input_dims), share_dim
     draws = _draw_biseparable(rng, input_dims, m, mixture_size)
-    (weights,), tags, pairs, singles, _, povms = _biseparable_batch([draws], input_dims, m)
-    groups, ones = DensityMatrix._views(pairs, (m, m)), DensityMatrix._views(singles, (m,))
-    terms = tuple(BiseparableTerm(*term) for term in zip(tags, map(float, weights), groups, ones))
-    return BiseparableStrategy(terms, tuple(p[0] for p in povms))
+    weights, groups, _, povms = _biseparable_block([draws], input_dims, m)
+    return _biseparable_strategy(weights[0], groups, tuple(p[0] for p in povms))
 
 
 def _negative_projectors(x: np.ndarray) -> np.ndarray:
@@ -348,8 +310,10 @@ def _start(beta, inputs, weights, groups, elements) -> tuple[tuple, np.ndarray]:
     every block's R.
     """
     fs = [trace_inputs(e, t) for e, t in zip(elements, inputs)]
-    resp = _responses(groups, fs)
-    values = _grid(weights, groups, resp).reshape(len(weights), -1) @ beta.ravel()
+    resp = _responses(groups, fs, weights.shape[1])
+    grid, beta = _grid(weights, groups, resp).reshape(len(weights), -1), beta.ravel()
+    # one dot per restart: a stacked matmul rounds rows differently by batch size
+    values = np.array([np.dot(g, beta) for g in grid])
     return (weights, groups, list(elements), fs, resp), values
 
 
@@ -368,75 +332,64 @@ def _sweep(beta, inputs, state):
     The state's F_p and R stay current.
     """
     weights, groups, elements, fs, resp = state
-    n = len(weights)
+    shape, w = weights.shape, weights.ravel()
     elements, fs, resp = list(elements), list(fs), [list(r) for r in resp]
-    groups = [(idx, restart, specs, list(states)) for idx, restart, specs, states in groups]
+    groups = [(idx, specs, list(states)) for idx, specs, states in groups]
     for x, taus in enumerate(inputs):
-        y, cs = 0.0, []
-        for (idx, restart, specs, states), r in zip(groups, resp):
+        parts, cs = [], []
+        for (idx, specs, states), r in zip(groups, resp):
             b = specs.where[x]
             block = specs.blocks[b]
             # c[k, s_B]: the value of term k per unit response of x's block to inputs s_B
             c = np.einsum(block.coefficient, beta, *[rj for j, rj in enumerate(r) if j != b])
             folds, final = specs.partner[x]
-            partners = _term_fs(fs, restart, [q for q in block.parties if q != x])
+            partners = _term_fs(fs, idx, shape[1], [q for q in block.parties if q != x])
             g = _fold(folds, states[b].reshape(block.shape), partners)
-            y = y + _restart_sums(np.einsum(final, weights[restart, idx], c, g), restart, n)
+            parts.append((idx, np.einsum(final, w[idx], c, g)))
             cs.append(c)
+        y = _restart_sums(shape, parts)
         # X = sum_s tau_s (x) Y[s] on input (x) share: the weighted terms sum to tr[E_x X]
         x_op = np.einsum("sij,rsab->riajb", taus, y).reshape(elements[x].shape)
         elements[x] = _negative_projectors(x_op)
         fs[x] = trace_inputs(elements[x], taus)
-        for (_, restart, specs, states), r, c in zip(groups, resp, cs):
+        for (idx, specs, states), r, c in zip(groups, resp, cs):
             b = specs.where[x]
             block = specs.blocks[b]
-            fb = _term_fs(fs, restart, block.parties)
+            fb = _term_fs(fs, idx, shape[1], block.parties)
             ops = np.einsum(block.operator, c, *fb)
             states[b] = _lowest_states(ops.reshape(states[b].shape))
             r[b] = _block_responses(block, fb, states[b])
     # each term's value, from the last party's block: its c and updated R
-    terms, owner = np.empty(weights.shape[1]), np.empty(weights.shape[1], dtype=int)
-    for (idx, restart, specs, _), r, c in zip(groups, resp, cs):
+    terms = np.empty(w.size)
+    for (idx, specs, _), r, c in zip(groups, resp, cs):
         b = specs.where[-1]
         terms[idx] = np.einsum(specs.blocks[b].value, c, r[b])
-        owner[idx] = restart
     # per restart, all weight onto its lowest term
-    own = np.where(owner == np.arange(n)[:, None], terms, np.inf)
-    low = own.argmin(axis=1)
-    weights = np.zeros_like(weights)
-    weights[np.arange(n), low] = 1.0
-    return (weights, groups, elements, fs, resp), own[np.arange(n), low]
+    terms, rows = terms.reshape(shape), np.arange(shape[0])
+    low = terms.argmin(axis=1)
+    weights = np.zeros(shape)
+    weights[rows, low] = 1.0
+    return (weights, groups, elements, fs, resp), terms[rows, low]
 
 
-def _keep(kept, state, better: np.ndarray) -> tuple:
-    """``kept`` (weights, groups, elements) with the restarts in ``better`` taken from ``state``."""
+def _select(state, restarts) -> tuple:
+    """The search state of the listed restarts (ascending) alone, their terms renumbered.
 
-    def pick(mask, new, old):
-        return np.where(mask.reshape(mask.shape + (1,) * (new.ndim - 1)), new, old)
-
-    if better.all() or not better.any():
-        return state[:3] if better.all() else kept
-    weights, groups, elements = kept
-    return (
-        pick(better, state[0], weights),
-        [(idx, restart, specs, [pick(better[restart], s, o) for s, o in zip(now[3], states)])
-         for (idx, restart, specs, states), now in zip(groups, state[1])],
-        [pick(better, e, o) for e, o in zip(state[2], elements)],
-    )
-
-
-def _restart_slice(weights, groups, r: int) -> tuple[np.ndarray, list]:
-    """Restart r's weights (K_r,) and groups alone, their states checked as density matrices."""
-    cols = np.sort(np.concatenate([idx[restart == r] for idx, restart, _, _ in groups]))
-    out = []
-    for idx, restart, specs, states in groups:
-        mine = restart == r
+    A group left without terms is dropped.
+    """
+    weights, groups, elements, fs, resp = state
+    r, k = weights.shape
+    slot = np.full(r, -1)
+    slot[restarts] = np.arange(len(restarts))
+    kept_groups, kept_resp = [], []
+    for (idx, specs, states), rs in zip(groups, resp):
+        new = slot[idx // k]
+        mine = new >= 0
         if mine.any():
-            stacks = [s[mine] for s in states]
-            for block, s in zip(specs.blocks, stacks):
-                _check_densities(s, block.shape[1 : 1 + len(block.parties)])
-            out.append((np.searchsorted(cols, idx[mine]), restart[mine] - r, specs, stacks))
-    return weights[r, cols], out
+            kept_groups.append((new[mine] * k + idx[mine] % k, specs, [s[mine] for s in states]))
+            kept_resp.append([x[mine] for x in rs])
+    elements, fs = ([x[restarts] for x in xs] for xs in (elements, fs))
+    return weights[restarts], kept_groups, elements, fs, kept_resp
 
 
 def _search(dec, ensembles, config, draw, block, build, hook=None):
@@ -445,14 +398,15 @@ def _search(dec, ensembles, config, draw, block, build, hook=None):
     Restart r draws its start with ``draw`` from its own stream
     ``restart_rng(config.seed, r)``, in restart order; ``block`` checks all
     the draws and puts them in block form, and :func:`_start` values them.
-    Every :func:`_sweep` then sweeps the whole batch.  A restart stops at
-    its first sweep that lowers its value by at most ``_STOP``, or after
-    ``config.iterations`` sweeps; from then on a mask freezes its best
-    value, the state kept at that value and its evaluation count, while
-    the batch sweeps on until every restart has stopped.  ``build`` turns
-    the best restart's kept slice back into a strategy.
+    Every :func:`_sweep` then sweeps the restarts still running.  A restart
+    stops at its first sweep that lowers its value by at most ``_STOP``, or
+    after ``config.iterations`` sweeps, and leaves the batch at once
+    (:func:`_select`).  Every earlier sweep lowered its value, so its best
+    state is the one before or after that last sweep (before, on a tie).
+    The best restart's (the lowest-index one on a tie) is checked and
+    turned back into a strategy by ``build``.
     ``hook(restart, sweep, best)`` is a test seam invoked after every sweep
-    once per restart still running, in restart order; it must not mutate
+    once per restart that ran it, in restart order; it must not mutate
     anything.
     """
     if dec.residual > TOL_RECON:
@@ -469,31 +423,41 @@ def _search(dec, ensembles, config, draw, block, build, hook=None):
         draw(restart_rng(config.seed, r), input_dims, m, config.mixture_size)
         for r in range(config.restarts)
     ]
-    state, value = _start(beta, inputs, *block(draws, input_dims, m))
-    best, kept = value, state[:3]
-    running = np.ones(config.restarts, dtype=bool)
+    state, value = _start(beta, inputs, *block(draws, input_dims, m)[:3])
+    running = np.arange(config.restarts)
+    minima = np.empty(config.restarts)
+    champion = None  # (value, restart, selected state) of the best stopped restart
     evaluations = config.restarts
     for it in range(config.iterations):
-        state, new = _sweep(beta, inputs, state)
-        evaluations += int(running.sum())
-        better = running & (new < best)
-        best = np.where(better, new, best)
-        kept = _keep(kept, state, better)
+        swept, new = _sweep(beta, inputs, state)
+        evaluations += len(running)
+        lower = new < value
+        best = np.where(lower, new, value)
         if hook is not None:
-            for r in np.flatnonzero(running):
-                hook(int(r), it, float(best[r]))
-        running &= ~(value - new <= _STOP)
-        value = new
-        if not running.any():
+            for r, b in zip(running, best):
+                hook(int(r), it, float(b))
+        stop = (value - new <= _STOP) | (it + 1 == config.iterations)
+        if stop.any():
+            minima[running[stop]] = best[stop]
+            j = np.flatnonzero(stop)[np.argmin(best[stop])]
+            if champion is None or (best[j], running[j]) < champion[:2]:
+                champion = (best[j], running[j], _select(swept if lower[j] else state, [j]))
+            go = np.flatnonzero(~stop)
+            state, value, running = _select(swept, go), new[go], running[go]
+        else:
+            state, value = swept, new
+        if not len(running):
             break
     wall = time.perf_counter() - t0
-    r = int(np.argmin(best))
-    weights, groups = _restart_slice(kept[0], kept[1], r)
-    povms = tuple(binary_povm(e[r], (d, m)) for e, d in zip(kept[2], input_dims))
+    min_value, _, (weights, groups, elements, _, _) = champion
+    for _, specs, states in groups:
+        for b, s in zip(specs.blocks, states):
+            _check_densities(s, b.shape[1 : 1 + len(b.parties)])
+    povms = tuple(binary_povm(e[0], (d, m)) for e, d in zip(elements, input_dims))
     return AttackReport(
-        min_value=float(best[r]),
-        best_strategy=build(weights, groups, povms),
-        restart_minima=tuple(float(b) for b in best),
+        min_value=float(min_value),
+        best_strategy=build(weights[0], groups, povms),
+        restart_minima=tuple(float(b) for b in minima),
         evaluations=evaluations,
         wall_time=wall,
         config=config,

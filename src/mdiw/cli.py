@@ -39,6 +39,7 @@ from .witness import (
 from .game import (
     apply_uniform_loss,
     bell_strategy,
+    check_efficiencies,
     fast_entangled_table,
     mdi_value,
     simulate_entangled,
@@ -116,8 +117,13 @@ class ScenarioConfig:
         loss = (1.0,) * self.parties if self.loss is None else self.loss
         if len(loss) != self.parties:
             raise ConfigError("one loss efficiency per party required")
-        if any(not _is_number(e) or not 0.0 < e <= 1.0 for e in loss):
-            raise ConfigError(f"loss efficiencies must be numbers in (0, 1], got {list(loss)}")
+        bad_loss = f"loss efficiencies must be numbers in (0, 1], got {list(loss)}"
+        if not all(map(_is_number, loss)):
+            raise ConfigError(bad_loss)
+        try:
+            loss = check_efficiencies(loss)
+        except ValueError:
+            raise ConfigError(bad_loss) from None
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         att = dict(_ATTACK_DEFAULTS)
@@ -139,7 +145,7 @@ class ScenarioConfig:
                 raise ConfigError(f"family parameter v must be a number in [0, 1], got {v!r}")
         elif "matrix" not in self.state:
             raise ConfigError("state must give a 'family' or an explicit 'matrix'")
-        object.__setattr__(self, "loss", tuple(float(e) for e in loss))
+        object.__setattr__(self, "loss", loss)
         object.__setattr__(self, "attack", att)
         try:
             self.resolve_attack_config(self.seed)

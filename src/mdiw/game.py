@@ -429,30 +429,30 @@ def fast_entangled_table(rho: DensityMatrix, ensembles) -> CorrelationTable:
 
 # Unentangled mixtures in block form: each term is a product of states over
 # a partition of the parties into blocks, and the terms sharing a partition
-# form a group (idx, restart, specs, states) -- their indices into the
-# weights, the restart each of them belongs to, the partition's einsum specs
-# (see _specs) and one (K_g, D_b, D_b) state stack per block.  The weights
-# are an (R, K) matrix whose row r weighs restart r's terms and is zero
-# elsewhere, so the R independent mixtures of a see-saw search run as one
-# batch; one strategy is the case R = 1.  Terms run restart by restart.
-# Fully separable is one group of singletons; biseparable, one group per
-# bipartition used.  Only these conversions know the two families.
+# form a group (idx, specs, states) -- their indices into the weights, the
+# partition's einsum specs (see _specs) and one (K_g, D_b, D_b) state stack
+# per block.  The weights are a dense (R, K) matrix, row r the K weights of
+# restart r, so the R independent mixtures of a see-saw search run as one
+# batch; one strategy is the case R = 1.  Terms run restart-major: term i
+# is weights.flat[i], of restart i // K.  Fully separable is one group of
+# singletons; biseparable, one group per bipartition used.  Only these
+# conversions know the two families.
 
 
-def _separable_groups(states, restart) -> list:
+def _separable_groups(states) -> list:
     """The one group of singleton blocks, from each party's (K, m, m) state stack."""
     specs = _specs(tuple((p,) for p in range(len(states))), tuple(s.shape[-1] for s in states))
-    return [(np.arange(len(restart)), restart, specs, list(states))]
+    return [(np.arange(len(states[0])), specs, list(states))]
 
 
-def _biseparable_groups(tags, pairs, singles, restart, shares) -> list:
+def _biseparable_groups(tags, pairs, singles, shares) -> list:
     """One group per bipartition used; term i has ``tags[i]``, ``pairs[i]`` and ``singles[i]``."""
     groups = []
     for tag, (pair, single) in BIPARTITIONS_3.items():
         idx = [i for i, t in enumerate(tags) if t == tag]
         if idx:
-            states = [np.stack([pairs[i] for i in idx]), np.stack([singles[i] for i in idx])]
-            groups.append((np.array(idx), restart[idx], _specs((pair, (single,)), shares), states))
+            states = [np.array([pairs[i] for i in idx]), np.array([singles[i] for i in idx])]
+            groups.append((np.array(idx), _specs((pair, (single,)), shares), states))
     return groups
 
 
@@ -463,14 +463,12 @@ def _groups(strategy) -> tuple[np.ndarray, list]:
     n, shares = strategy.n_parties, tuple(m.dims[1] for m in strategy.measurements)
     if isinstance(strategy, SeparableStrategy):
         states = [np.stack([term[p].matrix for term in strategy.share_states]) for p in range(n)]
-        restart = np.zeros(len(strategy.weights), dtype=int)
-        return np.asarray(strategy.weights)[None], _separable_groups(states, restart)
+        return np.asarray(strategy.weights)[None], _separable_groups(states)
     terms = strategy.terms
     groups = _biseparable_groups(
         [t.bipartition for t in terms],
         [t.group_state.matrix for t in terms],
         [t.singleton_state.matrix for t in terms],
-        np.zeros(len(terms), dtype=int),
         shares,
     )
     return np.array([[t.weight for t in terms]]), groups
@@ -482,7 +480,7 @@ def _groups(strategy) -> tuple[np.ndarray, list]:
 
 def _separable_strategy(weights, groups, measurements) -> SeparableStrategy:
     """Inverse of :func:`_groups` for one group of singleton blocks."""
-    ((_, _, _, states),) = groups
+    ((_, _, states),) = groups
     terms = zip(*(DensityMatrix._views(s, (s.shape[1],)) for s in states))
     return SeparableStrategy(tuple(weights), tuple(terms), measurements)
 
@@ -491,7 +489,7 @@ def _biseparable_strategy(weights, groups, measurements) -> BiseparableStrategy:
     """Inverse of :func:`_groups` for bipartition groups; terms return to their indices."""
     tags = {layout: tag for tag, layout in BIPARTITIONS_3.items()}
     terms = [None] * len(weights)
-    for idx, _, specs, (group, singles) in groups:
+    for idx, specs, (group, singles) in groups:
         pair, (single,) = (b.parties for b in specs.blocks)
         share = tuple(measurements[p].dims[1] for p in pair + (single,))
         pairs = DensityMatrix._views(group, share[:2])
@@ -573,13 +571,13 @@ def _specs(partition: tuple, shares: tuple) -> _Specs:
     return _Specs(blocks, where, partner, grid)
 
 
-def _term_fs(fs, restart, parties) -> list[np.ndarray]:
-    """F_p of each listed party as every term reads it: its own restart's slice.
+def _term_fs(fs, idx, k: int, parties) -> list[np.ndarray]:
+    """F_p of each listed party as terms ``idx`` read it: the slice of each term's restart, idx // k.
 
     A batch of one restart passes its (1, S, m, m) F_p as is; einsum
     broadcasts it over the terms.
     """
-    return [fs[p] if len(fs[p]) == 1 else fs[p][restart] for p in parties]
+    return [fs[p] if len(fs[p]) == 1 else fs[p][idx // k] for p in parties]
 
 
 def _fold(folds, x: np.ndarray, fb) -> np.ndarray:
@@ -594,35 +592,38 @@ def _block_responses(block: _Block, fb, states: np.ndarray) -> np.ndarray:
     return np.einsum(block.response, *fb, states.reshape(block.shape)).real
 
 
-def _responses(groups, fs) -> list[list[np.ndarray]]:
-    """Every group's block responses, block by block; ``fs`` holds each party's (R, S, m, m) F_p."""
+def _responses(groups, fs, k: int) -> list[list[np.ndarray]]:
+    """Every group's block responses, block by block, from each party's (R, S, m, m) F_p in ``fs``.
+
+    ``k`` is the number of terms per restart.
+    """
     return [
-        [_block_responses(b, _term_fs(fs, restart, b.parties), s)
+        [_block_responses(b, _term_fs(fs, idx, k, b.parties), s)
          for b, s in zip(specs.blocks, states)]
-        for _, restart, specs, states in groups
+        for idx, specs, states in groups
     ]
 
 
-def _restart_sums(z: np.ndarray, restart: np.ndarray, n: int) -> np.ndarray:
-    """out[r] = the sum of z[k] over restart r's terms, added in term order.
+def _restart_sums(shape, parts) -> np.ndarray:
+    """out[r] = the sum of z[i] over restart r's terms, added in term order.
 
-    ``restart`` must run restart by restart, as a group's terms do.
+    ``parts`` holds one (idx, z) pair per group, z[j] the value of term
+    idx[j]; together they cover every term of the (R, K) weights ``shape``.
     """
-    if n == 1:
-        return z.sum(axis=0, keepdims=True)
-    counts = np.bincount(restart, minlength=n)
-    slot = np.arange(len(restart)) - (np.cumsum(counts) - counts)[restart]
-    padded = np.zeros((n, counts.max()) + z.shape[1:], dtype=z.dtype)
-    padded[restart, slot] = z
-    return padded.sum(axis=1)
+    z = parts[0][1]
+    if len(parts) > 1:  # a lone group holds every term in order already
+        z = np.empty((math.prod(shape),) + z.shape[1:], dtype=z.dtype)
+        for idx, part in parts:
+            z[idx] = part
+    return z.reshape(tuple(shape) + z.shape[1:]).sum(axis=1)
 
 
 def _grid(weights: np.ndarray, groups, resp) -> np.ndarray:
-    """p[r, s, t, ...] = sum of w[r, k] prod_B R_B[k, s_B] over restart r's terms in every group."""
-    return sum(
-        _restart_sums(np.einsum(specs.grid, weights[restart, idx], *r), restart, len(weights))
-        for (idx, restart, specs, _), r in zip(groups, resp)
-    )
+    """p[r, s, t, ...] = sum of w[r, k] prod_B R_B[k, s_B] over restart r's terms."""
+    w = weights.ravel()
+    return _restart_sums(weights.shape, [
+        (idx, np.einsum(specs.grid, w[idx], *r)) for (idx, specs, _), r in zip(groups, resp)
+    ])
 
 
 def simulate_separable(strategy, ensembles, include_full: bool = False) -> CorrelationTable:
@@ -646,7 +647,7 @@ def simulate_separable(strategy, ensembles, include_full: bool = False) -> Corre
         np.concatenate([trace_inputs(m.element(b), taus) for b in bits])[None]
         for m, taus in zip(strategy.measurements, _input_stacks(ensembles))
     ]
-    p = _grid(weights, groups, _responses(groups, fs))[0]
+    p = _grid(weights, groups, _responses(groups, fs, weights.shape[1]))[0]
     if not include_full:
         return _table(ensembles, p)
     # each party's axis runs over (outcome, input); the outcome axes go in front
@@ -675,6 +676,14 @@ def mdi_value(dec: Decomposition, table: CorrelationTable) -> float:
     return float(np.dot(dec.beta.ravel(), table.p_all_ones.ravel()))
 
 
+def check_efficiencies(etas) -> tuple[float, ...]:
+    """Detection efficiencies as floats; each must lie in (0, 1]."""
+    etas = tuple(float(e) for e in etas)
+    if any(not 0.0 < e <= 1.0 for e in etas):
+        raise ValueError(f"efficiencies must lie in (0, 1], got {etas}")
+    return etas
+
+
 def apply_uniform_loss(table: CorrelationTable, etas) -> CorrelationTable:
     """Model per-party detection efficiency eta as outcome-1 -> 0 leakage.
 
@@ -684,11 +693,10 @@ def apply_uniform_loss(table: CorrelationTable, etas) -> CorrelationTable:
     outcome axis: a click is kept with probability eta and otherwise lands
     on outcome 0, so each distribution stays normalized.
     """
-    etas = tuple(float(e) for e in etas)
+    etas = tuple(etas)
     if len(etas) != table.n_parties:
         raise ValueError("one efficiency per party required")
-    if any(not 0.0 < e <= 1.0 for e in etas):
-        raise ValueError(f"efficiencies must lie in (0, 1], got {etas}")
+    etas = check_efficiencies(etas)
     full = table.full
     if full is not None:
         for p, eta in enumerate(etas):

@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from mdiw.states import (
     ghz_ket,
     noisy_ghz,
     projector,
+    random_density_matrix,
     singlet_ket,
     tetrahedron_ensemble,
     werner_state,
@@ -19,6 +21,7 @@ from mdiw.game import (
     BiseparableStrategy,
     BiseparableTerm,
     EntangledStrategy,
+    SeparableStrategy,
     _biseparable_strategy,
     _groups,
     _input_stacks,
@@ -30,11 +33,12 @@ from mdiw.game import (
 )
 from mdiw.attack import (
     AttackConfig,
-    _biseparable_batch,
+    _biseparable_block,
     _draw_biseparable,
     _draw_separable,
     _negative_projectors,
-    _separable_batch,
+    _select,
+    _separable_block,
     _start,
     _sweep,
     attack,
@@ -53,6 +57,13 @@ from mdiw.verify import _bloch_grid, negated_projector_decomposition, product_st
 from oracles import mixture_as_shared_state, sequential_search
 
 SMALL = AttackConfig(restarts=8, iterations=120, mixture_size=3, share_dim=2, seed=7)
+
+
+def _mixed_separable(dims, m, k, rng) -> SeparableStrategy:
+    """A sampled separable strategy with its share states replaced by random mixed states."""
+    s = random_separable_strategy(dims, m, k, rng)
+    shares = tuple(tuple(random_density_matrix((m,), rng) for _ in dims) for _ in range(k))
+    return SeparableStrategy(s.weights, shares, s.measurements)
 
 
 class TestRandomStrategies:
@@ -75,10 +86,15 @@ class TestRandomStrategies:
 
     def test_mixed_share_states_supported(self):
         rng = np.random.default_rng(62)
-        s = random_separable_strategy((2, 2), 2, 2, rng, mixedness=0.5)
+        s = _mixed_separable((2, 2), 2, 2, rng)
         for term in s.share_states:
             for state in term:
                 assert np.trace(state.matrix).real == pytest.approx(1.0)
+                assert np.trace(state.matrix @ state.matrix).real < 1.0 - 1e-6
+        dec = tetrahedron_beta()
+        value = mdi_value(dec, simulate_separable(s, dec.ensembles))
+        entangled = EntangledStrategy(mixture_as_shared_state(s), s.measurements)
+        assert value == pytest.approx(mdi_value(dec, simulate_entangled(entangled, dec.ensembles)), abs=1e-12)
 
     def test_trivial_share_dimension_degenerates(self):
         rng = np.random.default_rng(63)
@@ -101,14 +117,9 @@ def _loop_success_element(rng, d):
     return e / (float(np.linalg.eigvalsh(e)[-1]) * (1.0 + rng.uniform(0.0, 1.0)))
 
 
-def _loop_separable(input_dims, m, k, rng, mixedness=0.0):
+def _loop_separable(input_dims, m, k, rng):
     weights = rng.dirichlet(np.ones(k))
     shares = [[projector(_loop_ket(rng, m)) for _ in input_dims] for _ in range(k)]
-    if mixedness > 0.0:
-        for term in shares:
-            for p, sigma in enumerate(term):
-                lam = rng.uniform(0.0, mixedness)
-                term[p] = (1.0 - lam) * sigma + lam * np.eye(m) / m
     return weights, shares, [_loop_success_element(rng, d * m) for d in input_dims]
 
 
@@ -137,12 +148,11 @@ class TestStreamContract:
     """The vectorized samplers draw the same numbers as one rng call per draw."""
 
     @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("mixedness", [0.0, 0.5])
-    def test_separable_sampler(self, seed, mixedness):
+    def test_separable_sampler(self, seed):
         dims, m, k = [(2, 2), (2, 3, 2), (3, 2)][seed % 3], 1 + seed % 3, 1 + seed % 4
         rng, ref = np.random.default_rng((seed, 1)), np.random.default_rng((seed, 1))
-        s = random_separable_strategy(dims, m, k, rng, mixedness=mixedness)
-        weights, shares, elements = _loop_separable(dims, m, k, ref, mixedness)
+        s = random_separable_strategy(dims, m, k, rng)
+        weights, shares, elements = _loop_separable(dims, m, k, ref)
         assert _close(s.weights, weights)
         for term, want in zip(s.share_states, shares):
             assert all(_close(sigma.matrix, w) for sigma, w in zip(term, want))
@@ -228,7 +238,7 @@ class TestBlockForm:
             assert np.array_equal(a.singleton_state.matrix, b.singleton_state.matrix)
 
     def test_separable_round_trip(self):
-        s = random_separable_strategy((2, 3), 2, 3, np.random.default_rng(68), mixedness=0.5)
+        s = _mixed_separable((2, 3), 2, 3, np.random.default_rng(68))
         weights, groups = _groups(s)
         back = _separable_strategy(weights[0], groups, s.measurements)
         assert back.weights == s.weights
@@ -289,68 +299,84 @@ class TestBatchedSearch:
         assert len(set(sweeps.values())) >= 3 and min(sweeps.values()) == 1
 
 
+class TestStoppedRestarts:
+    def test_stopped_restarts_leave_the_batch(self, monkeypatch):
+        # restarts of this search stop after 1, 4 or 5 sweeps; every sweep must
+        # run only the restarts still running, one counted evaluation each
+        module = importlib.import_module("mdiw.attack")
+        sweep, batch_sizes = module._sweep, []
+
+        def spy(beta, inputs, state):
+            batch_sizes.append(len(state[0]))
+            return sweep(beta, inputs, state)
+
+        monkeypatch.setattr(module, "_sweep", spy)
+        dec = ghz_beta()
+        cfg = AttackConfig(restarts=7, iterations=500, mixture_size=3, share_dim=1, seed=66)
+        report = biseparable_attack(dec, dec.ensembles, cfg)
+        assert sum(batch_sizes) == report.evaluations - cfg.restarts == 26
+
+
 class TestBuildPhase:
     """Draws of R restarts become one batch, checked once, without touching the streams."""
 
-    def test_separable_batch_matches_public_sampler_per_restart(self):
-        dims, m, k = (2, 3), 2, 3
+    @pytest.mark.parametrize("family", ["separable", "biseparable"])
+    def test_select_matches_block_of_one(self, family):
+        rng = np.random.default_rng(15)
+        if family == "separable":
+            dims, draw, block = (2, 3), _draw_separable, _separable_block
+            inputs = [np.stack([random_density_matrix((d,), rng).matrix for _ in range(3)]) for d in dims]
+            beta = rng.normal(size=(3, 3))
+        else:
+            dims, draw, block, dec = (2, 2, 2), _draw_biseparable, _biseparable_block, ghz_beta()
+            inputs, beta = _input_stacks(dec.ensembles), np.asarray(dec.beta)
+        m, k = 2, 3
         rngs = [restart_rng(12, r) for r in range(5)]
-        weights, shares, elements, povms = _separable_batch(
-            [_draw_separable(rng, dims, m, k) for rng in rngs], dims, m
-        )
+        batch = block([draw(rng, dims, m, k) for rng in rngs], dims, m)
+        state, values = _start(beta, inputs, *batch[:3])
         for r, rng in enumerate(rngs):
             ref = restart_rng(12, r)
-            want = random_separable_strategy(dims, m, k, ref)
+            alone = block([draw(ref, dims, m, k)], dims, m)
             assert rng.bit_generator.state == ref.bit_generator.state
-            assert tuple(weights[r]) == want.weights
-            assert np.array_equal(shares[r], [[s.matrix for s in term] for term in want.share_states])
-            for e, p, w in zip(elements, povms, want.measurements):
-                assert np.array_equal(e[r], w.element(1)) and np.array_equal(p[r].element(1), e[r])
-
-    def test_biseparable_batch_matches_public_sampler_per_restart(self):
-        dims, m, k = (2, 2, 2), 2, 3
-        rngs = [restart_rng(12, r) for r in range(5)]
-        weights, tags, pairs, singles, elements, povms = _biseparable_batch(
-            [_draw_biseparable(rng, dims, m, k) for rng in rngs], dims, m
-        )
-        for r, rng in enumerate(rngs):
-            ref = restart_rng(12, r)
-            want = random_biseparable_strategy(dims, m, k, ref)
-            assert rng.bit_generator.state == ref.bit_generator.state
-            mine = slice(r * k, (r + 1) * k)
-            assert [(t.bipartition, t.weight) for t in want.terms] == list(zip(tags[mine], weights[r]))
-            assert np.array_equal(pairs[mine], [t.group_state.matrix for t in want.terms])
-            assert np.array_equal(singles[mine], [t.singleton_state.matrix for t in want.terms])
-            for e, p, w in zip(elements, povms, want.measurements):
-                assert np.array_equal(e[r], w.element(1)) and np.array_equal(p[r].element(1), e[r])
+            weights, groups, elements, _, _ = _select(state, [r])
+            assert np.array_equal(weights, alone[0])
+            assert len(groups) == len(alone[1])
+            for (idx, specs, states), (want_idx, want_specs, want_states) in zip(groups, alone[1]):
+                assert np.array_equal(idx, want_idx) and specs == want_specs
+                assert all(np.array_equal(a, b) for a, b in zip(states, want_states))
+            assert all(np.array_equal(a, b) for a, b in zip(elements, alone[2]))
+            for e, p, want in zip(batch[2], batch[3], alone[3]):
+                assert np.array_equal(p[r].element(1), e[r]) and np.array_equal(want[0].element(1), e[r])
+            assert _start(beta, inputs, *alone[:3])[1][0] == values[r]
 
     def test_non_psd_share_in_last_restart_rejected_like_single(self):
+        # a NaN in the last restart's last ket: only a check of every restart's shares sees it
         dims, m = (2, 2), 2
-        draws = [_draw_separable(restart_rng(13, r), dims, m, 2, mixedness=0.5) for r in range(4)]
-        draws[-1][2][-1, -1] = 3.0  # blend weight 3: (1 - 3) |v><v| + 3 * 1/2 has eigenvalue -1/2
+        draws = [_draw_separable(restart_rng(13, r), dims, m, 2) for r in range(4)]
         ket = draws[-1][1][-1, -1]
-        v = (ket[0] + 1j * ket[1]) / np.linalg.norm(ket[0] + 1j * ket[1])
-        broken = -2.0 * np.outer(v, v.conj()) + 1.5 * np.eye(m)
-        with pytest.raises(ValueError, match="positive semidefinite") as single:
-            DensityMatrix(broken, (m,))
-        with pytest.raises(ValueError, match="positive semidefinite") as batched:
-            _separable_batch(draws, dims, m)
+        ket[0, 0] = np.nan
+        with np.errstate(invalid="ignore"):
+            v = (ket[0] + 1j * ket[1]) / np.linalg.norm(ket[0] + 1j * ket[1])
+            with pytest.raises(ValueError, match="NaN") as single:
+                DensityMatrix(np.outer(v, v.conj()), (m,))
+            with pytest.raises(ValueError, match="NaN") as batched:
+                _separable_block(draws, dims, m)
         assert str(batched.value) == str(single.value)
 
     @pytest.mark.parametrize("family", ["separable", "biseparable"])
     def test_success_element_above_one_in_last_restart_rejected_like_single(self, family):
-        draw, batch, dims = {
-            "separable": (_draw_separable, _separable_batch, (2, 2)),
-            "biseparable": (_draw_biseparable, _biseparable_batch, (2, 2, 2)),
+        draw, block, dims = {
+            "separable": (_draw_separable, _separable_block, (2, 2)),
+            "biseparable": (_draw_biseparable, _biseparable_block, (2, 2, 2)),
         }[family]
         draws = [draw(restart_rng(14, r), dims, 2, 2) for r in range(4)]
-        g, _ = draws[-1][3][0]
-        draws[-1][3][0] = (g, -0.5)  # scale 1 / (top * 0.5): the top eigenvalue becomes 2
+        g, _ = draws[-1][-1][0]
+        draws[-1][-1][0] = (g, -0.5)  # scale 1 / (top * 0.5): the top eigenvalue becomes 2
         e = g.conj().T @ g
         with pytest.raises(ValueError, match="positive semidefinite") as single:
             binary_povm(e / (np.linalg.eigvalsh(e)[-1] * 0.5), (2, 2))
         with pytest.raises(ValueError, match="positive semidefinite") as batched:
-            batch(draws, dims, 2)
+            block(draws, dims, 2)
         assert str(batched.value) == str(single.value)
 
 

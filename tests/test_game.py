@@ -44,6 +44,7 @@ from mdiw.game import (
     bell_outcome_povm,
     bell_strategy,
     binary_povm,
+    check_efficiencies,
     fast_entangled_table,
     mdi_value,
     simulate_entangled,
@@ -501,7 +502,11 @@ class TestSeparableTableOracle:
         rng = np.random.default_rng(seed)
         n = len(dims)
         ens = tuple(random_ensemble(rng, p, d, 3) for p, d in zip("ABC", dims))
-        strategy = random_separable_strategy(tuple(dims), share, mixture, rng, mixedness=0.5)
+        strategy = SeparableStrategy(
+            tuple(rng.dirichlet(np.ones(mixture))),
+            tuple(tuple(random_density_matrix((share,), rng) for _ in dims) for _ in range(mixture)),
+            tuple(random_binary_povm(rng, d, share) for d in dims),
+        )
         table = simulate_separable(strategy, ens, include_full=include_full)
         assert (table.full is not None) == include_full
         for idx in itertools.product(range(3), repeat=n):
@@ -732,6 +737,12 @@ class TestUniformLoss:
         table = fast_entangled_table(werner_state(1.0), tetrahedron_beta().ensembles)
         with pytest.raises(ValueError):
             apply_uniform_loss(table, (0.0, 1.0))
+
+    @pytest.mark.parametrize("eta", [0.0, -0.5, 1.5, float("nan"), float("inf")])
+    def test_efficiency_range_checked_once(self, eta):
+        assert check_efficiencies((1, 0.5)) == (1.0, 0.5)
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1\]"):
+            check_efficiencies((1.0, eta))
 
 
 class TestPreMeasurementMaps:
