@@ -41,7 +41,7 @@ print(f"  max |difference| over all 16 input pairs = {worst:.2e}\n")
 
 print("Sweeping the Werner family:")
 grid = np.linspace(0.0, 1.0, 11)
-curve = violation_scan(werner_state, dec, grid)
+curve = violation_scan("werner", dec, grid)
 print(f"{'v':>6} {'I':>12} {'(1-3v)/16':>12}")
 for v, value in curve:
     print(f"{v:6.2f} {value:12.6f} {(1 - 3 * v) / 16:12.6f}")

@@ -28,7 +28,7 @@ for v in (0.0, 3 / 7, 0.6, 1.0):
 
 print("\nGame values with honest maximally-entangled projections (= tr[W rho]/8):")
 grid = np.linspace(0.0, 1.0, 8)
-curve = violation_scan(noisy_ghz, dec, grid)
+curve = violation_scan("noisy_ghz", dec, grid)
 for v, value in curve:
     print(f"  v = {v:.4f}: I = {value:+.8f}   (3-7v)/64 = {(3 - 7 * v) / 64:+.8f}")
 

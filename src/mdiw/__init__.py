@@ -62,6 +62,7 @@ from .game import (
     simulate_entangled,
     simulate_separable,
     table_to_csv,
+    violation_scan,
 )
 from .attack import (
     AttackConfig,
@@ -74,7 +75,6 @@ from .attack import (
     random_kraus_set,
     random_separable_strategy,
     report_to_dict,
-    violation_scan,
     zero_crossing,
 )
 from .verify import Verdict, run_all

@@ -10,8 +10,8 @@ weight vector on its own, so each step sets one of them to its exact
 minimizer, an eigenprojector or a vertex of the simplex (the success
 element step keeps rank >= 1, see :func:`_sweep`).  Separable and
 biseparable strategies share the one sweep, in the block form and with the
-contractions of :mod:`mdiw.game`.  It also sweeps entangled state families
-to reproduce their violation curves.
+contractions of :mod:`mdiw.game`, which also scores the violation curves
+whose closed forms and zero crossings live here.
 
 All restarts of a search run as one batch: their terms share one block
 form whose weights are the dense (R, K) matrix of each restart's own
@@ -31,12 +31,11 @@ import numbers
 import time
 import warnings
 from dataclasses import asdict, dataclass, fields
-from typing import Callable
 
 import numpy as np
 
 from .linalg import TOL_RECON
-from .states import DensityMatrix, _check_densities
+from .states import _check_densities
 from .witness import Decomposition
 from .game import (
     BIPARTITIONS_3,
@@ -55,8 +54,6 @@ from .game import (
     _separable_strategy,
     _term_fs,
     binary_povm,
-    fast_entangled_table,
-    mdi_value,
     trace_inputs,
 )
 
@@ -508,24 +505,6 @@ def random_kraus_set(dim: int, n_ops: int, rng: np.random.Generator) -> list[np.
     top = float(np.linalg.eigvalsh(total)[-1])
     scale = np.sqrt(top * (1.0 + rng.uniform(0.0, 1.0)))
     return list(ops / scale)
-
-
-def violation_scan(
-    family: Callable[[float], DensityMatrix],
-    dec: Decomposition,
-    grid,
-) -> list[tuple[float, float]]:
-    """Game value of the honest strategy along a state family.
-
-    For each parameter the family state is played with maximally entangled
-    projections against the decomposition's own input ensembles.
-    """
-    out = []
-    for v in grid:
-        rho = family(float(v))
-        table = fast_entangled_table(rho, dec.ensembles)
-        out.append((float(v), mdi_value(dec, table)))
-    return out
 
 
 def zero_crossing(curve) -> float:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from . import serialize
 from .linalg import TOL_RECON
-from .states import DensityMatrix, InputEnsemble, named_ensemble, noisy_ghz, werner_state
+from .states import FAMILIES, DensityMatrix, InputEnsemble, family_state, named_ensemble
 from .witness import (
     Decomposition,
     Witness,
@@ -44,6 +44,7 @@ from .game import (
     mdi_value,
     simulate_entangled,
     table_to_csv,
+    violation_scan,
 )
 from .attack import AttackConfig, BOUND_TOL, attack, biseparable_attack, expected_game_value, report_to_dict
 from .verify import DEFAULT_SEED, run_all, verdict_to_dict
@@ -69,7 +70,6 @@ _TABULATED = {
     ("ghz", ("tetrahedron", "tetrahedron", "tetrahedron")): ghz_beta,
 }
 
-_FAMILIES = {"werner": (werner_state, 2), "noisy_ghz": (noisy_ghz, 3)}
 _FAMILY_WITNESS = {"werner": "singlet", "noisy_ghz": "ghz"}
 
 
@@ -121,7 +121,7 @@ class ScenarioConfig:
         if not all(map(_is_number, loss)):
             raise ConfigError(bad_loss)
         try:
-            loss = check_efficiencies(loss)
+            loss = check_efficiencies(loss, self.parties)
         except ValueError:
             raise ConfigError(bad_loss) from None
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
@@ -138,7 +138,7 @@ class ScenarioConfig:
         if att["expectation"] not in ("bounded", "violable"):
             raise ConfigError("attack expectation must be 'bounded' or 'violable'")
         if "family" in self.state:
-            if self.state["family"] not in _FAMILIES:
+            if self.state["family"] not in FAMILIES:
                 raise ConfigError(f"unknown state family {self.state['family']!r}")
             v = self.state.get("v")
             if not _is_number(v) or not 0.0 <= v <= 1.0:
@@ -248,11 +248,8 @@ class ScenarioConfig:
     def resolve_state(self) -> tuple[DensityMatrix, str | None, float | None]:
         if "family" in self.state:
             name = self.state["family"]
-            builder, parties = _FAMILIES[name]
-            if parties != self.parties:
-                raise ConfigError(f"family {name!r} is a {parties}-party state")
             v = float(self.state["v"])
-            return builder(v), name, v
+            return family_state(name, v), name, v
         try:
             m = serialize.matrix_from_json(self.state["matrix"])
             dims = _dims(self.state["dims"], "state") if "dims" in self.state else (2,) * self.parties
@@ -319,17 +316,17 @@ def cmd_decompose(config: ScenarioConfig, out: str | None = None) -> int:
     return 0 if dec.residual <= TOL_RECON else 1
 
 
-def _loss_factor(config: ScenarioConfig) -> float:
-    return math.prod(config.loss)
+def _check_state_dims(state_dims, ensembles) -> None:
+    dims = tuple(e.dim for e in ensembles)
+    if state_dims != dims:
+        raise ConfigError(f"state dims {state_dims} do not match ensemble dims {dims}")
 
 
 def _expected_value(config: ScenarioConfig, dec: Decomposition, family: str | None,
                     v: float | None) -> float | None:
-    if family is None or not dec.exact:
+    if family is None or not dec.exact or _FAMILY_WITNESS[family] != config.witness:
         return None
-    if not isinstance(config.witness, str) or _FAMILY_WITNESS[family] != config.witness:
-        return None
-    return expected_game_value(family, v) * _loss_factor(config)
+    return expected_game_value(family, v) * math.prod(config.loss)
 
 
 def cmd_simulate(config: ScenarioConfig, out: str | None = None,
@@ -338,9 +335,7 @@ def cmd_simulate(config: ScenarioConfig, out: str | None = None,
     dec = config.resolve_decomposition()
     rho, family, v = config.resolve_state()
     ensembles = dec.ensembles
-    dims = tuple(e.dim for e in ensembles)
-    if rho.dims != dims:
-        raise ConfigError(f"state dims {rho.dims} do not match ensemble dims {dims}")
+    _check_state_dims(rho.dims, ensembles)
     w = config.resolve_witness(ensembles)
     if full:
         table = simulate_entangled(bell_strategy(rho), ensembles, include_full=True)
@@ -353,7 +348,7 @@ def cmd_simulate(config: ScenarioConfig, out: str | None = None,
         "expected": _expected_value(config, dec, family, v),
         "witness_value_scaled": witness_value(w, rho) / math.prod(rho.dims),
     }
-    if full and _loss_factor(config) < 1.0:
+    if full and math.prod(config.loss) < 1.0:
         # lossy full distributions are a convention: lost clicks are folded
         # into outcome 0, keeping each row normalized
         summary["loss_folding"] = "outcome-0"
@@ -370,26 +365,16 @@ def cmd_scan(config: ScenarioConfig, v_from: float, v_to: float, steps: int,
     if steps < 2:
         raise ConfigError(f"need at least 2 steps, got {steps}")
     dec = config.resolve_decomposition()
-    _, family, _ = config.resolve_state()
+    family = config.state.get("family")
     if family is None:
         raise ConfigError("scan requires a named state family")
-    builder, _ = _FAMILIES[family]
-    factor = _loss_factor(config)
+    _check_state_dims(FAMILIES[family][1], dec.ensembles)
+    grid = [v_from + (v_to - v_from) * i / (steps - 1) for i in range(steps)]
     lines = ["v,I,expected,abs_err"]
-    for i in range(steps):
-        v = v_from + (v_to - v_from) * i / (steps - 1)
-        table = apply_uniform_loss(fast_entangled_table(builder(v), dec.ensembles), config.loss)
-        value = mdi_value(dec, table)
+    for v, value in violation_scan(family, dec, grid, config.loss):
         expected = _expected_value(config, dec, family, v)
-        if expected is None:
-            lines.append(f"{serialize.fmt_float(v)},{serialize.fmt_float(value)},,")
-        else:
-            err = abs(value - expected)
-            lines.append(
-                ",".join(
-                    serialize.fmt_float(x) for x in (v, value, expected, err)
-                )
-            )
+        row = (v, value) if expected is None else (v, value, expected, abs(value - expected))
+        lines.append(",".join(map(serialize.fmt_float, row)) + ",," * (expected is None))
     _write("\n".join(lines) + "\n", out)
     return 0
 

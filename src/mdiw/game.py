@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import TOL_HERM, TOL_PSD, check_dims
-from .states import DensityMatrix, InputEnsemble, max_entangled, projector
+from .states import FAMILIES, DensityMatrix, family_matrices, max_entangled, projector
 from .witness import Decomposition
 
 
@@ -364,13 +364,13 @@ def _input_stacks(ensembles) -> list[np.ndarray]:
     return [np.stack([s.matrix for s in e.states]) for e in ensembles]
 
 
-def _contract_grid(shared: DensityMatrix, stacks) -> np.ndarray:
-    """p[s, t, ...] = Re sum rho[a, b, ..., A, B, ...] G_1[s, a, A] G_2[t, b, B] ..."""
+def _contract_grid(rho: np.ndarray, dims, stacks) -> np.ndarray:
+    """p[..., s, t, ...] = Re sum rho[..., a, b, ..., A, B, ...] G_1[s, a, A] G_2[t, b, B] ..."""
     n = len(stacks)
     labels, rows, cols = (string.ascii_letters[k * n : (k + 1) * n] for k in range(3))
-    spec = ",".join([rows + cols] + [l + r + c for l, r, c in zip(labels, rows, cols)])
-    rho = shared.matrix.reshape(shared.dims + shared.dims)
-    return np.einsum(f"{spec}->{labels}", rho, *stacks).real
+    spec = ",".join(["..." + rows + cols] + [l + r + c for l, r, c in zip(labels, rows, cols)])
+    rho = rho.reshape(rho.shape[:-2] + tuple(dims) * 2)
+    return np.einsum(f"{spec}->...{labels}", rho, *stacks).real
 
 
 def _table(ensembles, p_all_ones: np.ndarray, full=None) -> CorrelationTable:
@@ -408,9 +408,9 @@ def simulate_entangled(
         for m, taus in zip(strategy.measurements, _input_stacks(ensembles))
     ]
     outcomes = itertools.product((0, 1), repeat=n) if include_full else [(1,) * n]
-    p = np.stack(
-        [_contract_grid(strategy.shared, [gp[b] for gp, b in zip(g, bits)]) for bits in outcomes]
-    )
+    rho = strategy.shared
+    p = np.stack([_contract_grid(rho.matrix, rho.dims, [gp[b] for gp, b in zip(g, bits)])
+                  for bits in outcomes])
     return _table(ensembles, p[-1], p if include_full else None)
 
 
@@ -423,7 +423,7 @@ def fast_entangled_table(rho: DensityMatrix, ensembles) -> CorrelationTable:
     ensembles = tuple(ensembles)
     if tuple(e.dim for e in ensembles) != rho.dims:
         raise ValueError("input dims must match the shared state's factor dims")
-    p = _contract_grid(rho, _input_stacks(ensembles)) / math.prod(rho.dims)
+    p = _contract_grid(rho.matrix, rho.dims, _input_stacks(ensembles)) / math.prod(rho.dims)
     return _table(ensembles, p)
 
 
@@ -676,9 +676,11 @@ def mdi_value(dec: Decomposition, table: CorrelationTable) -> float:
     return float(np.dot(dec.beta.ravel(), table.p_all_ones.ravel()))
 
 
-def check_efficiencies(etas) -> tuple[float, ...]:
-    """Detection efficiencies as floats; each must lie in (0, 1]."""
+def check_efficiencies(etas, parties: int) -> tuple[float, ...]:
+    """Detection efficiencies as floats, one per party; each must lie in (0, 1]."""
     etas = tuple(float(e) for e in etas)
+    if len(etas) != parties:
+        raise ValueError("one efficiency per party required")
     if any(not 0.0 < e <= 1.0 for e in etas):
         raise ValueError(f"efficiencies must lie in (0, 1], got {etas}")
     return etas
@@ -693,16 +695,41 @@ def apply_uniform_loss(table: CorrelationTable, etas) -> CorrelationTable:
     outcome axis: a click is kept with probability eta and otherwise lands
     on outcome 0, so each distribution stays normalized.
     """
-    etas = tuple(etas)
-    if len(etas) != table.n_parties:
-        raise ValueError("one efficiency per party required")
-    etas = check_efficiencies(etas)
+    etas = check_efficiencies(etas, table.n_parties)
     full = table.full
     if full is not None:
         for p, eta in enumerate(etas):
             keep = np.array([[1.0, 1.0 - eta], [0.0, eta]])
             full = np.moveaxis(np.tensordot(keep, full, axes=(1, p)), 0, p)
     return CorrelationTable(table.parties, table.labels, table.p_all_ones * math.prod(etas), full)
+
+
+# Parameters per stacked contraction of a violation scan: its memory does not grow with the grid.
+SCAN_BLOCK = 1024
+
+
+def violation_scan(family: str, dec: Decomposition, grid, etas=None) -> list[tuple[float, float]]:
+    """Honest-strategy game value along ``grid`` for a family of :data:`mdiw.states.FAMILIES`.
+
+    ``etas`` are the detector efficiencies (lossless when omitted).  Blocks of
+    ``SCAN_BLOCK`` states are built and checked as one stack, contracted in
+    one einsum and range-checked before the scaling by prod(etas) <= 1; each
+    value is beta's dot product with its own row, as when scored one by one.
+    """
+    dims = FAMILIES[family][1]
+    if tuple(e.dim for e in dec.ensembles) != dims:
+        raise ValueError("input dims must match the shared state's factor dims")
+    factor = 1.0 if etas is None else math.prod(check_efficiencies(etas, len(dims)))
+    beta, stacks = dec.beta.ravel(), _input_stacks(dec.ensembles)
+    labels = tuple(e.labels for e in dec.ensembles)
+    grid = [float(v) for v in grid]
+    out = []
+    for start in range(0, len(grid), SCAN_BLOCK):
+        vs = grid[start : start + SCAN_BLOCK]
+        p = _contract_grid(family_matrices(family, vs), dims, stacks) / math.prod(dims)
+        p = _checked_probabilities("p_all_ones", p, p.shape, labels) * factor
+        out += [(v, float(np.dot(beta, row.ravel()))) for v, row in zip(vs, p)]
+    return out
 
 
 def table_to_csv(table: CorrelationTable) -> str:

@@ -184,11 +184,8 @@ _PAULI6_LABELS = ("+x", "+y", "+z", "-x", "-y", "-z")
 
 def pauli6_ensemble(party: str = "A") -> InputEnsemble:
     """The six Pauli eigenstates (1 + (-1)^s1 sigma_s2)/2 as inputs."""
-    states = []
-    for s1, s2 in _PAULI6_INDEX:
-        m = 0.5 * (_PAULIS[0] + (-1.0) ** s1 * _PAULIS[s2])
-        states.append(DensityMatrix(m, (2,)))
-    return InputEnsemble(party, _PAULI6_LABELS, tuple(states), name="pauli6")
+    ms = [0.5 * (_PAULIS[0] + (-1.0) ** s1 * _PAULIS[s2]) for s1, s2 in _PAULI6_INDEX]
+    return InputEnsemble(party, _PAULI6_LABELS, DensityMatrix.stack(ms, (2,)), name="pauli6")
 
 
 def ket(bits: str, d: int = 2) -> np.ndarray:
@@ -218,10 +215,7 @@ def max_entangled(d: int) -> np.ndarray:
     """The maximally entangled ket (1/sqrt(d)) sum_i |ii>."""
     if d < 2:
         raise ValueError(f"local dimension must be >= 2, got {d}")
-    v = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        v[i * d + i] = 1.0
-    return v / math.sqrt(d)
+    return np.eye(d, dtype=complex).ravel() / math.sqrt(d)
 
 
 def projector(vec) -> np.ndarray:
@@ -230,23 +224,38 @@ def projector(vec) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+# Linear families v P + (1 - v) 1/D of a pure state P in white noise: name -> (P, dims).
+FAMILIES = {
+    "werner": (projector(singlet_ket()), (2, 2)),
+    "noisy_ghz": (projector(ghz_ket()), (2, 2, 2)),
+}
+
+
+def family_matrices(name: str, vs) -> np.ndarray:
+    """(S, D, D) stack of family ``name`` at parameters ``vs`` in [0, 1], checked once."""
+    target, dims = FAMILIES[name]
+    vs = np.asarray(vs, dtype=float).reshape(-1, 1, 1)
+    outside = ~((vs >= 0.0) & (vs <= 1.0))
+    if outside.any():
+        raise ValueError(f"mixing parameter must lie in [0, 1], got {vs[outside][0]}")
+    ms = vs * target + (1.0 - vs) * np.eye(len(target), dtype=complex) / len(target)
+    _check_densities(ms, dims)
+    return ms
+
+
+def family_state(name: str, v: float) -> DensityMatrix:
+    """The state of family ``name`` at parameter ``v``: its stack of one."""
+    return DensityMatrix._views(family_matrices(name, [v]), FAMILIES[name][1])[0]
+
+
 def werner_state(v: float) -> DensityMatrix:
     """Two-qubit mixture v |psi-><psi-| + (1-v) 1/4, entangled iff v > 1/3."""
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"mixing parameter must lie in [0, 1], got {v}")
-    m = v * projector(singlet_ket()) + (1.0 - v) * np.eye(4, dtype=complex) / 4.0
-    return DensityMatrix(m, (2, 2))
+    return family_state("werner", v)
 
 
 def noisy_ghz(v: float) -> DensityMatrix:
-    """Three-qubit mixture v |GHZ><GHZ| + (1-v) 1/8.
-
-    Genuinely tripartite entangled iff v > 3/7.
-    """
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"mixing parameter must lie in [0, 1], got {v}")
-    m = v * projector(ghz_ket()) + (1.0 - v) * np.eye(8, dtype=complex) / 8.0
-    return DensityMatrix(m, (2, 2, 2))
+    """Three-qubit mixture v |GHZ><GHZ| + (1-v) 1/8, genuinely tripartite entangled iff v > 3/7."""
+    return family_state("noisy_ghz", v)
 
 
 def random_density_matrix(dims, rng: np.random.Generator, rank: int | None = None) -> DensityMatrix:

@@ -16,10 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .linalg import TOL_RECON
 from .states import (
     bloch_vector,
-    noisy_ghz,
     projector,
     random_density_matrix,
     singlet_ket,
@@ -43,6 +41,7 @@ from .game import (
     mdi_value,
     simulate_entangled,
     simulate_separable,
+    violation_scan,
 )
 from .attack import (
     AttackConfig,
@@ -52,7 +51,6 @@ from .attack import (
     expected_game_value,
     random_kraus_set,
     random_separable_strategy,
-    violation_scan,
     zero_crossing,
 )
 
@@ -87,7 +85,7 @@ def check_werner_closed_form(seed: int = DEFAULT_SEED) -> Verdict:
 
     def run():
         dec = tetrahedron_beta()
-        curve = violation_scan(werner_state, dec, _werner_grid())
+        curve = violation_scan("werner", dec, _werner_grid())
         err = max(abs(i - expected_game_value("werner", v)) for v, i in curve)
         return err <= 1e-12, {"max_abs_err": err, "tolerance": 1e-12}
 
@@ -144,7 +142,7 @@ def check_ghz_threshold(seed: int = DEFAULT_SEED) -> Verdict:
     def run():
         dec = ghz_beta()
         grid = [i / 14.0 for i in range(15)]
-        curve = violation_scan(noisy_ghz, dec, grid)
+        curve = violation_scan("noisy_ghz", dec, grid)
         crossing = zero_crossing(curve)
         err = abs(crossing - 3.0 / 7.0)
         return err <= 1e-10, {

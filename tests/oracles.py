@@ -6,7 +6,9 @@ materializes an unentangled mixture as one shared state, so that
 :func:`mdiw.game.simulate_entangled` can cross-check the block contractions
 of :func:`mdiw.game.simulate_separable` and the see-saw.
 :func:`sequential_search` runs the see-saw's restarts one after another,
-as the reference for the batched search.
+as the reference for the batched search, and :func:`pointwise_scan` scores
+a violation curve one state at a time, as the reference for the stacked
+scan.
 """
 
 import math
@@ -14,7 +16,16 @@ import math
 import numpy as np
 
 from mdiw.attack import _STOP, AttackReport, _start, _sweep, restart_rng
-from mdiw.game import BiseparableStrategy, SeparableStrategy, _groups, _input_stacks, binary_povm
+from mdiw.game import (
+    BiseparableStrategy,
+    SeparableStrategy,
+    _groups,
+    _input_stacks,
+    apply_uniform_loss,
+    binary_povm,
+    fast_entangled_table,
+    mdi_value,
+)
 from mdiw.linalg import as_matrix, check_dims, kron, kron_all, partial_trace, permute_subsystems
 from mdiw.states import DensityMatrix
 
@@ -126,3 +137,18 @@ def sequential_search(dec, ensembles, config, sample, build, hook=None) -> Attac
         wall_time=0.0,
         config=config,
     )
+
+
+
+def pointwise_scan(family, dec, grid, etas) -> list[tuple[float, float]]:
+    """The violation curve one state at a time.
+
+    ``family`` builds one state from its parameter; each state gets its own
+    table, which passes through the detector efficiencies ``etas`` and is
+    scored against ``dec``.
+    """
+    out = []
+    for v in grid:
+        table = apply_uniform_loss(fast_entangled_table(family(float(v)), dec.ensembles), etas)
+        out.append((float(v), mdi_value(dec, table)))
+    return out

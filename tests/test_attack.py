@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mdiw.states import (
+    FAMILIES,
     DensityMatrix,
     bloch_vector,
     ghz_ket,
@@ -18,6 +19,7 @@ from mdiw.states import (
 from mdiw.witness import Witness, decompose, ghz_beta, pauli6_beta, singlet_witness, tetrahedron_beta
 from mdiw.game import (
     BIPARTITIONS_3,
+    SCAN_BLOCK,
     BiseparableStrategy,
     BiseparableTerm,
     EntangledStrategy,
@@ -30,6 +32,7 @@ from mdiw.game import (
     mdi_value,
     simulate_entangled,
     simulate_separable,
+    violation_scan,
 )
 from mdiw.attack import (
     AttackConfig,
@@ -49,12 +52,13 @@ from mdiw.attack import (
     random_separable_strategy,
     report_to_dict,
     restart_rng,
-    violation_scan,
     zero_crossing,
 )
 from mdiw.serialize import dumps
 from mdiw.verify import _bloch_grid, negated_projector_decomposition, product_strategy_grid_minimum
-from oracles import mixture_as_shared_state, sequential_search
+from oracles import mixture_as_shared_state, pointwise_scan, sequential_search
+
+game_module = importlib.import_module("mdiw.game")
 
 SMALL = AttackConfig(restarts=8, iterations=120, mixture_size=3, share_dim=2, seed=7)
 
@@ -563,23 +567,108 @@ class TestPowerNegativeControl:
         assert product_strategy_grid_minimum(dec, 21, 40) == whole.min()
 
 
+# name: (family, its one-state builder, decomposition, detector efficiencies)
+SCAN_GAMES = {
+    "werner_tetrahedron": ("werner", werner_state, tetrahedron_beta, None),
+    "werner_tetrahedron_lossy": ("werner", werner_state, tetrahedron_beta, (0.9, 0.7)),
+    "werner_pauli6": ("werner", werner_state, pauli6_beta, None),
+    "ghz": ("noisy_ghz", noisy_ghz, ghz_beta, None),
+    "ghz_lossy": ("noisy_ghz", noisy_ghz, ghz_beta, (0.9, 0.8, 0.7)),
+}
+
+
 class TestViolationScan:
     def test_werner_curve_matches_closed_form(self):
         dec = tetrahedron_beta()
         grid = np.linspace(0.0, 1.0, 11)
-        curve = violation_scan(werner_state, dec, grid)
+        curve = violation_scan("werner", dec, grid)
         for v, value in curve:
             assert value == pytest.approx(expected_game_value("werner", v), abs=1e-12)
 
     def test_werner_zero_crossing(self):
         dec = tetrahedron_beta()
-        curve = violation_scan(werner_state, dec, np.linspace(0.0, 1.0, 11))
+        curve = violation_scan("werner", dec, np.linspace(0.0, 1.0, 11))
         assert zero_crossing(curve) == pytest.approx(1 / 3, abs=1e-10)
 
     def test_ghz_zero_crossing(self):
         dec = ghz_beta()
-        curve = violation_scan(noisy_ghz, dec, np.linspace(0.0, 1.0, 15))
+        curve = violation_scan("noisy_ghz", dec, np.linspace(0.0, 1.0, 15))
         assert zero_crossing(curve) == pytest.approx(3 / 7, abs=1e-10)
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 7])
+    @pytest.mark.parametrize("game", sorted(SCAN_GAMES))
+    def test_matches_pointwise_oracle(self, game, size):
+        family, builder, make_dec, etas = SCAN_GAMES[game]
+        dec = make_dec()
+        grid = np.linspace(0.0, 1.0, size) if size > 1 else [0.37][:size]
+        curve = violation_scan(family, dec, grid, etas)
+        reference = pointwise_scan(builder, dec, grid, etas or (1.0,) * dec.n_parties)
+        assert curve == reference  # bit for bit, v and I alike
+        assert violation_scan(family, dec, []) == []
+
+    def test_blocks_bound_memory(self):
+        # 100,000 noisy-GHZ states as one (S, 8, 8) complex stack, with its
+        # eigenvalue workspace and (S, 4, 4, 4) table, peak near 300 MB
+        dec = ghz_beta()
+        grid = np.linspace(0.0, 1.0, 100_000)
+        tracemalloc.start()
+        try:
+            curve = violation_scan("noisy_ghz", dec, grid, (0.9, 0.8, 0.7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
+        assert len(curve) == len(grid)
+        # three whole blocks and one more state, bit for bit the pointwise route
+        grid = np.linspace(0.0, 1.0, 3 * SCAN_BLOCK + 1)
+        etas = (0.9, 0.8, 0.7)
+        assert violation_scan("noisy_ghz", dec, grid, etas) == pointwise_scan(noisy_ghz, dec, grid, etas)
+
+    def test_parameter_out_of_range_raises_single_builder_message(self):
+        with pytest.raises(ValueError) as single:
+            werner_state(1.5)
+        for grid in ([0.5, 1.5], [0.5] * (3 * SCAN_BLOCK + 1) + [1.5]):
+            with pytest.raises(ValueError) as scan:
+                violation_scan("werner", tetrahedron_beta(), grid)
+            assert str(scan.value) == str(single.value) == "mixing parameter must lie in [0, 1], got 1.5"
+
+    def test_states_checked_in_every_block(self, monkeypatch):
+        # a family whose target is not a state: v = 0 is white noise, v = 1 is not a state
+        monkeypatch.setitem(FAMILIES, "werner", (-projector(singlet_ket()), (2, 2)))
+        with pytest.raises(ValueError) as single:
+            werner_state(1.0)
+        # the last block holds two states, the second one broken
+        grid = [0.0] * (3 * SCAN_BLOCK + 1) + [1.0]
+        with pytest.raises(ValueError) as scan:
+            violation_scan("werner", tetrahedron_beta(), grid)
+        assert str(scan.value) == str(single.value)
+        violation_scan("werner", tetrahedron_beta(), grid[:-1])
+
+    def test_probabilities_range_checked_in_every_block(self, monkeypatch):
+        contract = game_module._contract_grid
+        blocks = []
+
+        def last_block_spoiled(ms, dims, stacks):
+            p = contract(ms, dims, stacks)
+            blocks.append(len(ms))
+            if len(blocks) == 4:
+                p[-1, 2, 1] = 8.0  # one probability of 2 in the last block
+            return p
+
+        monkeypatch.setattr(game_module, "_contract_grid", last_block_spoiled)
+        grid = np.linspace(0.0, 1.0, 3 * SCAN_BLOCK + 1)
+        with pytest.raises(ValueError, match=r"probability 2\.0 out of range at \('2', '1'\)"):
+            violation_scan("werner", tetrahedron_beta(), grid, (0.5, 0.5))
+        assert blocks == [SCAN_BLOCK] * 3 + [1]
+
+    def test_efficiencies_and_dims_checked(self):
+        dec = tetrahedron_beta()
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1\]"):
+            violation_scan("werner", dec, [0.5], (1.5, 1.0))
+        with pytest.raises(ValueError, match="one efficiency per party"):
+            violation_scan("werner", dec, [0.5], (0.9,))
+        with pytest.raises(ValueError, match="input dims"):
+            violation_scan("noisy_ghz", dec, [0.5])
 
     def test_no_crossing_raises(self):
         with pytest.raises(ValueError, match="sign"):

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mdiw import serialize
+from mdiw import cli, serialize
 from mdiw.cli import ConfigError, ScenarioConfig, main
-from mdiw.states import projector, singlet_ket, tetrahedron_ensemble
+from mdiw.states import noisy_ghz, projector, singlet_ket, tetrahedron_ensemble, werner_state
+from oracles import pointwise_scan
 
 
 BASE_CONFIG = {
@@ -300,6 +301,60 @@ class TestScanCommand:
         cfg = write_config(tmp_path, {"state": state})
         assert main(["scan", "-c", cfg]) == 2
 
+    def test_family_on_wrong_factors_exits_2(self, tmp_path, capsys):
+        # qutrit inputs met the two-qubit Werner family in a traceback
+        qutrit = serialize.matrix_to_json(np.eye(3) / 3)
+        cfg = write_config(tmp_path, {
+            "witness": {"matrix": serialize.matrix_to_json(np.eye(9))},
+            "ensembles": [{"labels": ["0"], "states": [qutrit]}] * 2,
+            "decomposition": "solve",
+        })
+        assert main(["scan", "-c", cfg]) == 2
+        assert capsys.readouterr().err == "error: state dims (2, 2) do not match ensemble dims (3, 3)\n"
+
+
+GHZ_CONFIG = {
+    "parties": 3,
+    "witness": "ghz",
+    "ensembles": ["tetrahedron"] * 3,
+    "state": {"family": "noisy_ghz", "v": 0.5},
+    "loss": [1.0, 1.0, 1.0],
+}
+# name: overrides of BASE_CONFIG, the README config
+SCAN_CONFIGS = {
+    "readme": {},
+    "readme_lossy": {"loss": [0.9, 0.7]},
+    "pauli6": {"ensembles": ["pauli6", "pauli6"]},
+    "ghz": GHZ_CONFIG,
+    "ghz_lossy": dict(GHZ_CONFIG, loss=[0.9, 0.8, 0.7]),
+    "explicit_solve": {
+        "witness": {"matrix": serialize.matrix_to_json(0.5 * np.eye(4) - projector(singlet_ket()))},
+        "decomposition": "solve",
+    },
+}
+
+
+class TestScanOracle:
+    """`mdiw scan` writes the bytes of the same curve scored one state at a time."""
+
+    @pytest.mark.parametrize("grid", [("0", "1", "101"), ("0.05", "0.95", "37")])
+    @pytest.mark.parametrize("name", sorted(SCAN_CONFIGS))
+    def test_csv_matches_pointwise_route(self, tmp_path, monkeypatch, name, grid):
+        cfg = write_config(tmp_path, SCAN_CONFIGS[name])
+        v_from, v_to, steps = grid
+        argv = ["scan", "-c", cfg, "--from", v_from, "--to", v_to, "--steps", steps, "-o"]
+        stacked, pointwise = tmp_path / "stacked.csv", tmp_path / "pointwise.csv"
+        assert main(argv + [str(stacked)]) == 0
+        builders = {"werner": werner_state, "noisy_ghz": noisy_ghz}
+        monkeypatch.setattr(cli, "violation_scan", lambda family, dec, grid, etas:
+                            pointwise_scan(builders[family], dec, grid, etas))
+        assert main(argv + [str(pointwise)]) == 0
+        assert stacked.read_bytes() == pointwise.read_bytes()
+        rows = stacked.read_text().splitlines()[1:]
+        assert len(rows) == int(steps)
+        # the explicit witness has no closed form: its expected and error columns stay blank
+        assert all(row.endswith(",,") for row in rows) == (name == "explicit_solve")
+
 
 class TestAttackCommand:
     def test_bounded_expectation_passes(self, tmp_path, capsys):
@@ -514,7 +569,8 @@ class TestConfigFuzz:
             quick = Path(tmp) / "quick.json"
             quick.write_text(json.dumps(_capped_search(data)))
             for argv, path in (
-                (["simulate", "--summary", out], cfg), (["decompose"], cfg), (["attack"], quick)
+                (["simulate", "--summary", out], cfg), (["scan", "--steps", "3"], cfg),
+                (["decompose"], cfg), (["attack"], quick),
             ):
                 err = io.StringIO()
                 with contextlib.redirect_stderr(err):

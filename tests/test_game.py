@@ -740,9 +740,9 @@ class TestUniformLoss:
 
     @pytest.mark.parametrize("eta", [0.0, -0.5, 1.5, float("nan"), float("inf")])
     def test_efficiency_range_checked_once(self, eta):
-        assert check_efficiencies((1, 0.5)) == (1.0, 0.5)
+        assert check_efficiencies((1, 0.5), 2) == (1.0, 0.5)
         with pytest.raises(ValueError, match=r"must lie in \(0, 1\]"):
-            check_efficiencies((1.0, eta))
+            check_efficiencies((1.0, eta), 2)
 
 
 class TestPreMeasurementMaps:
