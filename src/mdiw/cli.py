@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import serialize
 from .linalg import TOL_RECON
@@ -30,10 +30,8 @@ from .witness import (
     Witness,
     decompose,
     decomposition_to_dict,
-    ghz_beta,
     named_witness,
-    pauli6_beta,
-    tetrahedron_beta,
+    tabulated_beta,
     witness_value,
 )
 from .game import (
@@ -63,13 +61,6 @@ _ATTACK_DEFAULTS = {
     "share_dim": 2,
 }
 
-# Tabulated coefficient sources, keyed by (witness name, ensemble names).
-_TABULATED = {
-    ("singlet", ("tetrahedron", "tetrahedron")): tetrahedron_beta,
-    ("singlet", ("pauli6", "pauli6")): pauli6_beta,
-    ("ghz", ("tetrahedron", "tetrahedron", "tetrahedron")): ghz_beta,
-}
-
 _FAMILY_WITNESS = {"werner": "singlet", "noisy_ghz": "ghz"}
 
 
@@ -91,11 +82,12 @@ def _dims(value, what: str) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Plain-data scenario description; resolution to objects is lazy.
+    """Plain-data scenario description, checked for shape and type on construction.
 
     ``witness`` is a name or an explicit matrix spec, ``ensembles`` one
     name or spec per party, ``state`` a named family with parameter ``v``
-    or an explicit matrix.  Round-trips losslessly through ``to_dict``.
+    or an explicit matrix.  Round-trips losslessly through ``to_dict``;
+    :meth:`resolve` builds the objects it names.
     """
 
     parties: int
@@ -147,10 +139,7 @@ class ScenarioConfig:
             raise ConfigError("state must give a 'family' or an explicit 'matrix'")
         object.__setattr__(self, "loss", loss)
         object.__setattr__(self, "attack", att)
-        try:
-            self.resolve_attack_config(self.seed)
-        except ValueError as exc:
-            raise ConfigError(f"bad attack config: {exc}") from None
+        self._attack_config()  # a bad search knob is a bad config before any command runs
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -195,86 +184,92 @@ class ScenarioConfig:
 
     # -- resolution to domain objects -------------------------------------
 
-    def resolve_ensembles(self) -> tuple[InputEnsemble, ...]:
-        parties = ("A", "B", "C")[: self.parties]
-        out = []
-        for party, spec in zip(parties, self.ensembles):
-            if isinstance(spec, str):
-                try:
-                    out.append(named_ensemble(spec, party))
-                except ValueError as exc:
-                    raise ConfigError(str(exc)) from None
-            elif isinstance(spec, dict):
-                if not isinstance(spec.get("name", ""), str):
-                    raise ConfigError(f"ensemble name for party {party} must be a string")
-                try:
-                    states = tuple(
-                        DensityMatrix(serialize.matrix_from_json(m), (len(m),))
-                        for m in spec["states"]
-                    )
-                    out.append(
-                        InputEnsemble(party, tuple(spec["labels"]), states,
-                                      name=spec.get("name", "custom"))
-                    )
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ConfigError(f"bad ensemble spec for party {party}: {exc}") from None
-            else:
-                raise ConfigError(f"ensemble spec must be a name or object, got {type(spec).__name__}")
-        return tuple(out)
-
-    def resolve_witness(self, ensembles=None) -> Witness:
-        """The witness, checked against the (given or resolved) ensembles' dims."""
-        if ensembles is None:
-            ensembles = self.resolve_ensembles()
+    def resolve(self) -> "Scenario":
+        """Build every object the config names, once, and cross-check their dims."""
+        ensembles = tuple(map(self._ensemble, ("A", "B", "C"), self.ensembles))
         dims = tuple(e.dim for e in ensembles)
-        if isinstance(self.witness, str):
-            try:
-                w = named_witness(self.witness)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-        elif isinstance(self.witness, dict):
-            try:
-                m = serialize.matrix_from_json(self.witness["matrix"])
-                w_dims = _dims(self.witness["dims"], "witness") if "dims" in self.witness else dims
-                w = Witness(m, w_dims, self.witness.get("kind", "bipartite-separability"))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"bad witness spec: {exc}") from None
-        else:
-            raise ConfigError("witness must be a name or an explicit matrix object")
+        w = self._witness(dims)
         if w.dims != dims:
             raise ConfigError(f"witness dims {w.dims} do not match ensemble dims {dims}")
-        return w
+        if self.decomposition == "solve":
+            dec = decompose(w, ensembles)
+        else:
+            try:
+                dec = tabulated_beta(self.witness if isinstance(self.witness, str) else None, w, ensembles)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
+        family = self.state.get("family")
+        v = None if family is None else float(self.state["v"])
+        rho = self._explicit_state() if family is None else family_state(family, v)
+        if rho.dims != dims:
+            raise ConfigError(f"state dims {rho.dims} do not match ensemble dims {dims}")
+        return Scenario(self, dec, w, rho, family, v, self._attack_config())
 
-    def resolve_state(self) -> tuple[DensityMatrix, str | None, float | None]:
-        if "family" in self.state:
-            name = self.state["family"]
-            v = float(self.state["v"])
-            return family_state(name, v), name, v
+    def resolve_decomposition(self) -> Decomposition:
+        # kept for the cli_scan set-up of perfbench/workloads.py
+        return self.resolve().decomposition
+
+    def _ensemble(self, party: str, spec) -> InputEnsemble:
+        if isinstance(spec, str):
+            try:
+                return named_ensemble(spec, party)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
+        if not isinstance(spec, dict):
+            raise ConfigError(f"ensemble spec must be a name or object, got {type(spec).__name__}")
+        if not isinstance(spec.get("name", ""), str):
+            raise ConfigError(f"ensemble name for party {party} must be a string")
+        try:
+            states = tuple(DensityMatrix(serialize.matrix_from_json(m), (len(m),)) for m in spec["states"])
+            return InputEnsemble(party, tuple(spec["labels"]), states, name=spec.get("name", "custom"))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad ensemble spec for party {party}: {exc}") from None
+
+    def _witness(self, dims: tuple[int, ...]) -> Witness:
+        """The witness; an explicit matrix without ``dims`` takes the ensemble dims."""
+        if isinstance(self.witness, str):
+            try:
+                return named_witness(self.witness)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
+        if not isinstance(self.witness, dict):
+            raise ConfigError("witness must be a name or an explicit matrix object")
+        try:
+            m = serialize.matrix_from_json(self.witness["matrix"])
+            w_dims = _dims(self.witness["dims"], "witness") if "dims" in self.witness else dims
+            return Witness(m, w_dims, self.witness.get("kind", "bipartite-separability"))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad witness spec: {exc}") from None
+
+    def _explicit_state(self) -> DensityMatrix:
         try:
             m = serialize.matrix_from_json(self.state["matrix"])
             dims = _dims(self.state["dims"], "state") if "dims" in self.state else (2,) * self.parties
-            return DensityMatrix(m, dims), None, None
+            return DensityMatrix(m, dims)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad state spec: {exc}") from None
 
-    def resolve_decomposition(self) -> Decomposition:
-        ensembles = self.resolve_ensembles()
-        w = self.resolve_witness(ensembles)
-        if self.decomposition == "solve":
-            return decompose(w, ensembles)
-        key = (self.witness if isinstance(self.witness, str) else None,
-               tuple(e.name for e in ensembles))
-        builder = _TABULATED.get(key)
-        if builder is None:
-            raise ConfigError(
-                "no tabulated coefficients for this witness/ensemble combination; "
-                "use decomposition source 'solve'"
-            )
-        return builder()
-
-    def resolve_attack_config(self, seed: int) -> AttackConfig:
+    def _attack_config(self) -> AttackConfig:
+        """The search knobs at the config seed; ``MDIW_SEED`` is applied by ``attack`` alone."""
         fields = {k: v for k, v in self.attack.items() if k not in ("kind", "expectation")}
-        return AttackConfig(seed=seed, **fields)
+        try:
+            return AttackConfig(seed=self.seed, **fields)
+        except ValueError as exc:
+            raise ConfigError(f"bad attack config: {exc}") from None
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """A config resolved to objects, once: the decomposition carries its ensembles,
+    ``family``/``v`` are None for an explicit state, and ``attack_config`` has the config seed."""
+
+    config: ScenarioConfig
+    decomposition: Decomposition
+    witness: Witness
+    state: DensityMatrix
+    family: str | None
+    v: float | None
+    attack_config: AttackConfig
 
 
 def _effective_seed(config_seed: int) -> int:
@@ -309,46 +304,36 @@ def _write(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def cmd_decompose(config: ScenarioConfig, out: str | None = None) -> int:
+def cmd_decompose(scenario: Scenario, out: str | None = None) -> int:
     """Write the decomposition JSON; exit 0 iff it is exact."""
-    dec = config.resolve_decomposition()
+    dec = scenario.decomposition
     _write(serialize.dumps(decomposition_to_dict(dec), indent=2), out)
     return 0 if dec.residual <= TOL_RECON else 1
 
 
-def _check_state_dims(state_dims, ensembles) -> None:
-    dims = tuple(e.dim for e in ensembles)
-    if state_dims != dims:
-        raise ConfigError(f"state dims {state_dims} do not match ensemble dims {dims}")
-
-
-def _expected_value(config: ScenarioConfig, dec: Decomposition, family: str | None,
-                    v: float | None) -> float | None:
-    if family is None or not dec.exact or _FAMILY_WITNESS[family] != config.witness:
+def _expected_value(scenario: Scenario, v: float) -> float | None:
+    """The closed-form game value of the scenario's family at ``v``, if it has one."""
+    family, config = scenario.family, scenario.config
+    if family is None or not scenario.decomposition.exact or _FAMILY_WITNESS[family] != config.witness:
         return None
     return expected_game_value(family, v) * math.prod(config.loss)
 
 
-def cmd_simulate(config: ScenarioConfig, out: str | None = None,
+def cmd_simulate(scenario: Scenario, out: str | None = None,
                  summary_out: str | None = None, full: bool = False) -> int:
     """Emit the correlation table as CSV plus a one-line JSON summary."""
-    dec = config.resolve_decomposition()
-    rho, family, v = config.resolve_state()
-    ensembles = dec.ensembles
-    _check_state_dims(rho.dims, ensembles)
-    w = config.resolve_witness(ensembles)
+    dec, rho, loss = scenario.decomposition, scenario.state, scenario.config.loss
     if full:
-        table = simulate_entangled(bell_strategy(rho), ensembles, include_full=True)
+        table = simulate_entangled(bell_strategy(rho), dec.ensembles, include_full=True)
     else:
-        table = fast_entangled_table(rho, ensembles)
-    table = apply_uniform_loss(table, config.loss)
-    value = mdi_value(dec, table)
+        table = fast_entangled_table(rho, dec.ensembles)
+    table = apply_uniform_loss(table, loss)
     summary = {
-        "I": value,
-        "expected": _expected_value(config, dec, family, v),
-        "witness_value_scaled": witness_value(w, rho) / math.prod(rho.dims),
+        "I": mdi_value(dec, table),
+        "expected": _expected_value(scenario, scenario.v),
+        "witness_value_scaled": witness_value(scenario.witness, rho) / math.prod(rho.dims),
     }
-    if full and math.prod(config.loss) < 1.0:
+    if full and math.prod(loss) < 1.0:
         # lossy full distributions are a convention: lost clicks are folded
         # into outcome 0, keeping each row normalized
         summary["loss_folding"] = "outcome-0"
@@ -357,47 +342,41 @@ def cmd_simulate(config: ScenarioConfig, out: str | None = None,
     return 0
 
 
-def cmd_scan(config: ScenarioConfig, v_from: float, v_to: float, steps: int,
+def cmd_scan(scenario: Scenario, v_from: float, v_to: float, steps: int,
              out: str | None = None) -> int:
     """CSV violation curve (v, I, expected, abs_err) over a parameter grid."""
     if not (0.0 <= v_from < v_to <= 1.0):
         raise ConfigError(f"need 0 <= from < to <= 1, got [{v_from}, {v_to}]")
     if steps < 2:
         raise ConfigError(f"need at least 2 steps, got {steps}")
-    dec = config.resolve_decomposition()
-    family = config.state.get("family")
-    if family is None:
+    if scenario.family is None:
         raise ConfigError("scan requires a named state family")
-    _check_state_dims(FAMILIES[family][1], dec.ensembles)
     grid = [v_from + (v_to - v_from) * i / (steps - 1) for i in range(steps)]
     lines = ["v,I,expected,abs_err"]
-    for v, value in violation_scan(family, dec, grid, config.loss):
-        expected = _expected_value(config, dec, family, v)
+    for v, value in violation_scan(scenario.family, scenario.decomposition, grid, scenario.config.loss):
+        expected = _expected_value(scenario, v)
         row = (v, value) if expected is None else (v, value, expected, abs(value - expected))
         lines.append(",".join(map(serialize.fmt_float, row)) + ",," * (expected is None))
     _write("\n".join(lines) + "\n", out)
     return 0
 
 
-def cmd_attack(config: ScenarioConfig, out: str | None = None) -> int:
+def cmd_attack(scenario: Scenario, out: str | None = None) -> int:
     """Run the configured strategy search and write its report JSON.
 
     Exit 0 means the outcome matched the configured expectation: the bound
     held ('bounded'), or a violation was found ('violable', the negative
     control for optimizer power).
     """
-    dec = config.resolve_decomposition()
-    attack_config = config.resolve_attack_config(_effective_seed(config.seed))
-    kind = config.attack["kind"]
+    dec, search = scenario.decomposition, scenario.config.attack
+    attack_config = replace(scenario.attack_config, seed=_effective_seed(scenario.attack_config.seed))
     with warnings.catch_warnings():
-        if config.attack["expectation"] == "violable":
+        if search["expectation"] == "violable":
             warnings.simplefilter("ignore")  # inexact/non-witness runs are intentional here
-        if kind == "biseparable":
-            report = biseparable_attack(dec, dec.ensembles, attack_config)
-        else:
-            report = attack(dec, dec.ensembles, attack_config)
+        run = biseparable_attack if search["kind"] == "biseparable" else attack
+        report = run(dec, dec.ensembles, attack_config)
     _write(serialize.dumps(report_to_dict(report), indent=2), out)
-    if config.attack["expectation"] == "violable":
+    if search["expectation"] == "violable":
         return 0 if report.min_value < 0.0 else 1
     return 0 if report.min_value >= -BOUND_TOL else 1
 
@@ -449,15 +428,15 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             return cmd_verify(args.out)
-        config = load_config(args.config)
+        scenario = load_config(args.config).resolve()
         if args.command == "decompose":
-            return cmd_decompose(config, args.out)
+            return cmd_decompose(scenario, args.out)
         if args.command == "simulate":
-            return cmd_simulate(config, args.out, args.summary, args.full)
+            return cmd_simulate(scenario, args.out, args.summary, args.full)
         if args.command == "scan":
-            return cmd_scan(config, args.v_from, args.v_to, args.steps, args.out)
+            return cmd_scan(scenario, args.v_from, args.v_to, args.steps, args.out)
         if args.command == "attack":
-            return cmd_attack(config, args.out)
+            return cmd_attack(scenario, args.out)
         raise AssertionError(f"unhandled command {args.command}")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

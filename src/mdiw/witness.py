@@ -28,6 +28,7 @@ from .linalg import (
     hermiticity_defect,
 )
 from .states import (
+    _PAULI6_INDEX,
     DensityMatrix,
     InputEnsemble,
     ghz_ket,
@@ -190,39 +191,17 @@ def decompose(w: Witness, ensembles) -> Decomposition:
     return Decomposition(beta, ensembles, residual)
 
 
-def _finished(beta: np.ndarray, ensembles, target: np.ndarray) -> Decomposition:
-    """Attach the measured reconstruction residual to a fixed coefficient table."""
-    dec = Decomposition(beta, ensembles, 0.0)
-    residual = frobenius_distance(target, reconstruct(dec))
-    return Decomposition(beta, ensembles, residual)
-
-
-def tetrahedron_beta() -> Decomposition:
-    """Closed-form expansion of the singlet witness over tetrahedron inputs.
-
-    beta[s, t] = 5/8 on the diagonal and -1/8 off it.
-    """
+def _tetrahedron_table() -> np.ndarray:
+    """Singlet witness over tetrahedron inputs: 5/8 on the diagonal and -1/8 off it."""
     beta = np.full((4, 4), -1.0 / 8.0)
     np.fill_diagonal(beta, 5.0 / 8.0)
-    ensembles = (tetrahedron_ensemble("A"), tetrahedron_ensemble("B"))
-    return _finished(beta, ensembles, singlet_witness().matrix)
+    return beta
 
 
-def pauli6_beta() -> Decomposition:
-    """Closed-form expansion of the singlet witness over Pauli eigenstates.
-
-    With s = (s1, s2) indexing sign and axis, beta is zero unless the axes
-    agree, 1/3 when the signs also agree and -1/6 otherwise.
-    """
-    from .states import _PAULI6_INDEX  # label order shared with the ensemble
-
-    beta = np.zeros((6, 6))
-    for i, (s1, s2) in enumerate(_PAULI6_INDEX):
-        for j, (t1, t2) in enumerate(_PAULI6_INDEX):
-            if s2 == t2:
-                beta[i, j] = (3.0 * (1 if s1 == t1 else 0) - 1.0) / 6.0
-    ensembles = (pauli6_ensemble("A"), pauli6_ensemble("B"))
-    return _finished(beta, ensembles, singlet_witness().matrix)
+def _pauli6_table() -> np.ndarray:
+    """Singlet witness over Pauli eigenstates: 0 unless the axes agree, then 1/3 or -1/6 by sign."""
+    return np.array([[(3.0 * (s1 == t1) - 1.0) / 6.0 if s2 == t2 else 0.0 for t1, t2 in _PAULI6_INDEX]
+                     for s1, s2 in _PAULI6_INDEX])
 
 
 def ghz_coefficient(s: int, t: int, u: int) -> float:
@@ -238,17 +217,50 @@ def ghz_coefficient(s: int, t: int, u: int) -> float:
     return (3.0 / 32.0) * pair_sign * (sum_sign + label_sign * math.sqrt(3.0))
 
 
-def ghz_beta() -> Decomposition:
-    """Expansion of the GHZ witness over three tetrahedron ensembles.
-
-    The closed-form table from :func:`ghz_coefficient`, with its measured
-    reconstruction residual.
-    """
-    ensembles = tuple(tetrahedron_ensemble(p) for p in ("A", "B", "C"))
+def _ghz_table() -> np.ndarray:
+    """GHZ witness over three tetrahedron ensembles: :func:`ghz_coefficient` at every label."""
     beta = np.empty((4, 4, 4))
     for s, t, u in itertools.product(range(4), repeat=3):
         beta[s, t, u] = ghz_coefficient(s, t, u)
-    return _finished(beta, ensembles, ghz_witness().matrix)
+    return beta
+
+
+# Closed-form coefficient tables, keyed by (witness name, ensemble names).
+_TABULATED = {
+    ("singlet", ("tetrahedron", "tetrahedron")): _tetrahedron_table,
+    ("singlet", ("pauli6", "pauli6")): _pauli6_table,
+    ("ghz", ("tetrahedron", "tetrahedron", "tetrahedron")): _ghz_table,
+}
+
+
+def tabulated_beta(name: str | None, w: Witness, ensembles) -> Decomposition:
+    """The closed-form table of witness ``name`` over the ensembles' names, attached to those ensembles.
+
+    The residual is measured against ``w`` over the states they hold, so an
+    ensemble that takes a built-in name but holds other states is inexact.
+    """
+    ensembles = tuple(ensembles)
+    table = _TABULATED.get((name, tuple(e.name for e in ensembles)))
+    if table is None:
+        raise ValueError("no tabulated coefficients for this witness/ensemble combination; "
+                         "use decomposition source 'solve'")
+    dec = Decomposition(table(), ensembles, 0.0)
+    return Decomposition(dec.beta, ensembles, frobenius_distance(w.matrix, reconstruct(dec)))
+
+
+def tetrahedron_beta() -> Decomposition:
+    """Closed-form expansion of the singlet witness over tetrahedron inputs."""
+    return tabulated_beta("singlet", singlet_witness(), tuple(map(tetrahedron_ensemble, "AB")))
+
+
+def pauli6_beta() -> Decomposition:
+    """Closed-form expansion of the singlet witness over Pauli eigenstates."""
+    return tabulated_beta("singlet", singlet_witness(), tuple(map(pauli6_ensemble, "AB")))
+
+
+def ghz_beta() -> Decomposition:
+    """Closed-form expansion of the GHZ witness over three tetrahedron ensembles."""
+    return tabulated_beta("ghz", ghz_witness(), tuple(map(tetrahedron_ensemble, "ABC")))
 
 
 WITNESS_BUILDERS = {

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mdiw import cli, serialize
+from mdiw import cli, serialize, states
 from mdiw.cli import ConfigError, ScenarioConfig, main
-from mdiw.states import noisy_ghz, projector, singlet_ket, tetrahedron_ensemble, werner_state
+from mdiw.states import (InputEnsemble, noisy_ghz, pauli6_ensemble, projector, singlet_ket,
+                         tetrahedron_ensemble, werner_state)
+from mdiw.witness import Decomposition, Witness, reconstruct, tetrahedron_beta
 from oracles import pointwise_scan
 
 
@@ -133,7 +135,7 @@ class TestScenarioConfig:
             }
         )
         with pytest.raises(ConfigError, match="tabulated"):
-            cfg.resolve_decomposition()
+            cfg.resolve()
 
     def test_witness_ensemble_dims_cross_checked(self):
         cfg = ScenarioConfig.from_dict(
@@ -145,7 +147,65 @@ class TestScenarioConfig:
             }
         )
         with pytest.raises(ConfigError, match="dims"):
-            cfg.resolve_witness()
+            cfg.resolve()
+
+
+def custom_ensemble(ensemble_states, name="tetrahedron"):
+    """A config ensemble spec that holds the given states under ``name``."""
+    return {"labels": [str(i) for i in range(len(ensemble_states))],
+            "states": [serialize.matrix_to_json(s.matrix) for s in ensemble_states], "name": name}
+
+
+class TestCustomEnsembleNames:
+    """A tabulated table is attached to the ensembles the config gives, whatever their names."""
+
+    def test_other_states_under_builtin_name_are_inexact(self, tmp_path, capsys):
+        # +x, +y, +z, -x under the tetrahedron's name used to get the built-in tetrahedron
+        spec = custom_ensemble(pauli6_ensemble().states[:4])
+        cfg = write_config(tmp_path, {"ensembles": [spec, spec]})
+        assert main(["decompose", "-c", cfg]) == 1
+        assert json.loads(capsys.readouterr().out)["residual"] > 0.4
+        assert main(["simulate", "-c", cfg, "-o", str(tmp_path / "t.csv")]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["expected"] is None
+        given = InputEnsemble("A", tuple("0123"), pauli6_ensemble().states[:4], name="tetrahedron")
+        dec = Decomposition(tetrahedron_beta().beta, (given, given), 0.0)
+        rho = werner_state(1.0).matrix
+        assert summary["I"] == pytest.approx(np.trace(reconstruct(dec) @ rho).real / 4, abs=1e-12)
+        assert summary["I"] != pytest.approx(-0.125, abs=1e-3)
+
+    def test_builtin_states_under_builtin_name_match_named_config(self, tmp_path):
+        spec = custom_ensemble(tetrahedron_ensemble().states)
+        named = write_config(tmp_path, name="named.json")
+        custom = write_config(tmp_path, {"ensembles": [spec, spec]}, name="custom.json")
+        assert main(["decompose", "-c", named, "-o", str(tmp_path / "named.out")]) == 0
+        assert main(["decompose", "-c", custom, "-o", str(tmp_path / "custom.out")]) == 0
+        assert (tmp_path / "named.out").read_bytes() == (tmp_path / "custom.out").read_bytes()
+
+    @pytest.mark.parametrize("command", ["decompose", "simulate", "scan", "attack"])
+    def test_size_that_does_not_fit_table_exits_2(self, tmp_path, capsys, command):
+        spec = custom_ensemble(pauli6_ensemble().states)
+        cfg = write_config(tmp_path, {"ensembles": [spec, "tetrahedron"]})
+        assert main([command, "-c", cfg, "-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "(6, 4)" in err
+
+
+# States that cannot be resolved for the README config's ensembles
+UNRESOLVABLE_STATES = {
+    "wrong_factors": {"matrix": serialize.matrix_to_json(np.eye(4) / 4), "dims": [4]},
+    "not_psd": {"matrix": serialize.matrix_to_json(np.diag([0.75, 0.5, 0.0, -0.25])), "dims": [2, 2]},
+}
+
+
+@pytest.mark.parametrize("command", ["decompose", "simulate", "scan", "attack"])
+@pytest.mark.parametrize("state", sorted(UNRESOLVABLE_STATES))
+def test_unresolvable_state_exits_2_on_every_command(tmp_path, capsys, command, state):
+    # decompose and attack never resolved the state and exited 0
+    cfg = write_config(tmp_path, {"state": UNRESOLVABLE_STATES[state]})
+    assert main([command, "-c", cfg, "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "state" in err
 
 
 class TestDecomposeCommand:
@@ -356,6 +416,32 @@ class TestScanOracle:
         assert all(row.endswith(",,") for row in rows) == (name == "explicit_solve")
 
 
+class TestResolveOnce:
+    """Each command builds the config's ensembles, its state and its witness once."""
+
+    @pytest.mark.parametrize("argv, grid", [(["decompose"], 0), (["simulate"], 0), (["scan", "--steps", "3"], 3)],
+                             ids=["decompose", "simulate", "scan"])
+    @pytest.mark.parametrize("name, inputs", [("readme", 8), ("ghz", 12)], ids=["readme", "ghz"])
+    def test_objects_built_once(self, tmp_path, monkeypatch, capsys, name, inputs, argv, grid):
+        built = {"matrices": 0, "witnesses": 0}
+        check, post_init = states._check_densities, Witness.__post_init__
+
+        def counted_check(ms, dims):
+            built["matrices"] += len(ms)
+            return check(ms, dims)
+
+        def counted_post_init(w):
+            built["witnesses"] += 1
+            post_init(w)
+
+        monkeypatch.setattr(states, "_check_densities", counted_check)
+        monkeypatch.setattr(Witness, "__post_init__", counted_post_init)
+        cfg = write_config(tmp_path, SCAN_CONFIGS[name])
+        assert main(argv + ["-c", cfg, "-o", str(tmp_path / "out")]) == 0
+        # ensemble states + the config state + the scan grid, and one witness
+        assert built == {"matrices": inputs + 1 + grid, "witnesses": 1}
+
+
 class TestAttackCommand:
     def test_bounded_expectation_passes(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -561,6 +647,8 @@ class TestConfigFuzz:
     ]))
     # a biseparable search on a 2-party config crashed `attack`
     @example(dict(BASE_CONFIG, attack={"kind": "biseparable", "restarts": 1}))
+    # six states under the tetrahedron's name do not fit its 4 x 4 table
+    @example(dict(BASE_CONFIG, ensembles=[custom_ensemble(pauli6_ensemble().states), "tetrahedron"]))
     def test_any_config_keeps_exit_contract(self, data):
         with tempfile.TemporaryDirectory() as tmp:
             cfg = Path(tmp) / "cfg.json"
