@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from . import serialize
 from .linalg import TOL_RECON
@@ -55,10 +55,7 @@ class ConfigError(Exception):
 _ATTACK_DEFAULTS = {
     "kind": "separable",
     "expectation": "bounded",
-    "restarts": 200,
-    "iterations": 500,
-    "mixture_size": 4,
-    "share_dim": 2,
+    **{f.name: f.default for f in fields(AttackConfig) if f.name != "seed"},
 }
 
 _FAMILY_WITNESS = {"werner": "singlet", "noisy_ghz": "ghz"}
@@ -307,7 +304,7 @@ def _write(text: str, path: str | None) -> None:
 def cmd_decompose(scenario: Scenario, out: str | None = None) -> int:
     """Write the decomposition JSON; exit 0 iff it is exact."""
     dec = scenario.decomposition
-    _write(serialize.dumps(decomposition_to_dict(dec), indent=2), out)
+    _write(serialize.dumps(decomposition_to_dict(dec)), out)
     return 0 if dec.residual <= TOL_RECON else 1
 
 
@@ -338,7 +335,7 @@ def cmd_simulate(scenario: Scenario, out: str | None = None,
         # into outcome 0, keeping each row normalized
         summary["loss_folding"] = "outcome-0"
     _write(table_to_csv(table), out)
-    _write(serialize.dumps(summary, indent=2), summary_out)
+    _write(serialize.dumps(summary), summary_out)
     return 0
 
 
@@ -375,7 +372,7 @@ def cmd_attack(scenario: Scenario, out: str | None = None) -> int:
             warnings.simplefilter("ignore")  # inexact/non-witness runs are intentional here
         run = biseparable_attack if search["kind"] == "biseparable" else attack
         report = run(dec, dec.ensembles, attack_config)
-    _write(serialize.dumps(report_to_dict(report), indent=2), out)
+    _write(serialize.dumps(report_to_dict(report)), out)
     if search["expectation"] == "violable":
         return 0 if report.min_value < 0.0 else 1
     return 0 if report.min_value >= -BOUND_TOL else 1
@@ -387,7 +384,7 @@ def cmd_verify(out: str | None = None, seed: int | None = None) -> int:
         seed = _effective_seed(DEFAULT_SEED)
     verdicts = run_all(seed)
     doc = {"seed": seed, "verdicts": [verdict_to_dict(v) for v in verdicts]}
-    _write(serialize.dumps(doc, indent=2), out)
+    _write(serialize.dumps(doc), out)
     return 0 if all(v.passed for v in verdicts) else 1
 
 

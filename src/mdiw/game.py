@@ -35,84 +35,69 @@ from .witness import Decomposition
 
 @dataclass(frozen=True)
 class POVM:
-    """Ordered measurement elements on a (possibly multi-factor) space.
+    """A two-outcome measurement on a (possibly multi-factor) space, given by its click element.
 
-    Elements must be finite, Hermitian, positive semidefinite and sum to
-    the identity; this is enforced here, at construction, on the elements
-    stacked as one array (one numpy call per predicate), so the simulation
-    loops can stay branch-free.  Each stored element is a read-only view of
-    that checked stack, a copy of the input.
+    ``click`` is the outcome-1 element E; outcome 0 has ``1 - E``.  E must
+    be finite, Hermitian and lie between 0 and the identity; this is
+    enforced here, at construction, so the simulation loops can stay
+    branch-free.  E is stored as a read-only copy of the input.
     """
 
-    elements: tuple[np.ndarray, ...]
-    outcomes: tuple[int, ...]
+    click: np.ndarray
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        if not len(self.elements):
-            raise ValueError("POVM needs at least one element")
-        es = np.array(self.elements, dtype=complex, order="C")
-        if es.ndim != 3 or es.shape[1] != es.shape[2]:
-            raise ValueError("POVM elements must share one square shape")
-        if len(es) != len(self.outcomes):
-            raise ValueError("one outcome label per element required")
-        dims = _check_povms(es[None], self.dims)
-        es.setflags(write=False)
-        object.__setattr__(self, "elements", tuple(es))
-        object.__setattr__(self, "outcomes", tuple(int(o) for o in self.outcomes))
+        (e,), dims = _checked_clicks([self.click], self.dims)
+        object.__setattr__(self, "click", e)
         object.__setattr__(self, "dims", dims)
 
     def element(self, outcome: int) -> np.ndarray:
-        return self.elements[self.outcomes.index(outcome)]
+        if outcome not in (0, 1):
+            raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
+        return self.click if outcome else np.eye(len(self.click)) - self.click
 
 
-def _check_povms(es: np.ndarray, dims) -> tuple[int, ...]:
-    """Check every POVM of a complex (N, n_outcomes, d, d) stack; returns the checked ``dims``.
+def _checked_clicks(clicks, dims) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Checked read-only complex copy of a (N, d, d) stack of click elements, and the checked ``dims``.
 
-    Finite, Hermitian within ``TOL_HERM``, positive semidefinite within
-    ``TOL_PSD`` and summing to the identity: one numpy call per predicate
-    for the whole stack, with the single POVM's messages.
+    Finite, Hermitian within ``TOL_HERM`` and eigenvalues in
+    [-``TOL_PSD``, 1 + ``TOL_PSD``]: one numpy call per predicate for the
+    whole stack, one ``eigvalsh`` per element, with the single POVM's messages.
     """
+    es = np.array(clicks, dtype=complex)
+    if es.ndim != 3 or es.shape[1] != es.shape[2]:
+        raise ValueError(f"expected a square matrix, got array of shape {es.shape[1:]}")
     if not np.isfinite(es).all():
         raise ValueError("matrix has NaN or Inf entries")
-    d = es.shape[-1]
-    dims = check_dims(dims, d)
+    dims = check_dims(dims, es.shape[-1])
     if np.abs(es - es.conj().swapaxes(-1, -2)).max() > TOL_HERM:
         raise ValueError("POVM element not Hermitian")
-    if np.linalg.eigvalsh(es)[..., 0].min() < -TOL_PSD:
+    eigs = np.linalg.eigvalsh(es)
+    if eigs[:, 0].min() < -TOL_PSD or eigs[:, -1].max() > 1.0 + TOL_PSD:
         raise ValueError("POVM element not positive semidefinite")
-    if np.abs(es.sum(axis=1) - np.eye(d)).max() > 1e-10:
-        raise ValueError("POVM elements do not sum to the identity")
-    return dims
-
-
-def _binary_povms(success: np.ndarray, dims) -> tuple[POVM, ...]:
-    """POVMs {E, 1 - E} with outcomes (1, 0) for a (N, d, d) stack of success elements.
-
-    The whole stack is checked once, with the single POVM's predicates and
-    messages; each POVM holds read-only views of one checked copy.
-    """
-    es = np.empty((len(success), 2) + success.shape[1:], dtype=complex)
-    es[:, 0], es[:, 1] = success, np.eye(success.shape[-1]) - success
-    dims = _check_povms(es, dims)
     es.setflags(write=False)
+    return es, dims
+
+
+def _binary_povms(clicks: np.ndarray, dims) -> tuple[POVM, ...]:
+    """One POVM per click element of a (N, d, d) stack, checked once as a stack.
+
+    Each POVM holds a read-only view of one checked copy.
+    """
+    es, dims = _checked_clicks(clicks, dims)
     out = []
-    for pair in es:
+    for e in es:
         # already checked as part of the stack, so __post_init__ is skipped
         povm = object.__new__(POVM)
-        object.__setattr__(povm, "elements", tuple(pair))
-        object.__setattr__(povm, "outcomes", (1, 0))
+        object.__setattr__(povm, "click", e)
         object.__setattr__(povm, "dims", dims)
         out.append(povm)
     return tuple(out)
 
 
 def binary_povm(success_element: np.ndarray, dims) -> POVM:
-    """POVM {E, 1 - E} with outcomes (1, 0); :class:`POVM` checks both elements."""
-    e = np.asarray(success_element, dtype=complex)
-    if e.ndim != 2:
-        raise ValueError(f"expected a matrix, got array of shape {e.shape}")
-    return POVM((e, np.eye(e.shape[0], dtype=complex) - e), (1, 0), tuple(dims))
+    """POVM {E, 1 - E} with outcomes (1, 0); :class:`POVM` checks E."""
+    return POVM(success_element, dims)
 
 
 def bell_outcome_povm(d: int) -> POVM:
@@ -159,20 +144,22 @@ class EntangledStrategy:
         measurements = tuple(self.measurements)
         if len(measurements) != len(self.shared.dims):
             raise ValueError("one measurement per shared-state factor required")
-        for p, (povm, d_share) in enumerate(zip(measurements, self.shared.dims)):
-            if len(povm.dims) != 2 or povm.dims[1] != d_share:
-                raise ValueError(
-                    f"party {p}: POVM dims {povm.dims} incompatible with share dim {d_share}"
-                )
+        for p, (m, d) in enumerate(zip(_share_dims(measurements), self.shared.dims)):
+            if m != d:
+                raise ValueError(f"party {p}: POVM share dim {m} incompatible with shared factor dim {d}")
         object.__setattr__(self, "measurements", measurements)
 
     @property
     def n_parties(self) -> int:
         return len(self.measurements)
 
-    @property
-    def input_dims(self) -> tuple[int, ...]:
-        return tuple(p.dims[0] for p in self.measurements)
+
+def _share_dims(measurements) -> tuple[int, ...]:
+    """Each party's share dim; every POVM must act on input_p (x) share_p."""
+    for p, povm in enumerate(measurements):
+        if len(povm.dims) != 2:
+            raise ValueError(f"party {p}: POVM dims {povm.dims} are not (input, share)")
+    return tuple(povm.dims[1] for povm in measurements)
 
 
 def bell_strategy(shared: DensityMatrix) -> EntangledStrategy:
@@ -203,12 +190,12 @@ class SeparableStrategy:
             raise ValueError(f"mixture weights sum to {sum(weights)}, not 1")
         if len(share_states) != len(weights):
             raise ValueError("one share-state tuple per mixture term required")
-        n = len(measurements)
+        shares = _share_dims(measurements)
         for term in share_states:
-            if len(term) != n:
+            if len(term) != len(shares):
                 raise ValueError("each mixture term needs one share state per party")
             for p, (sigma, povm) in enumerate(zip(term, measurements)):
-                if povm.dims[1] != sigma.dim:
+                if shares[p] != sigma.dim:
                     raise ValueError(f"party {p}: share state dim {sigma.dim} vs POVM {povm.dims}")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "share_states", share_states)
@@ -270,11 +257,12 @@ class BiseparableStrategy:
             raise ValueError(f"term weights sum to {total}, not 1")
         if any(t.weight < -1e-12 for t in terms):
             raise ValueError("term weights must be nonnegative")
+        shares = _share_dims(measurements)
         for t in terms:
             p, q = t.group
-            if t.group_state.dims != (measurements[p].dims[1], measurements[q].dims[1]):
+            if t.group_state.dims != (shares[p], shares[q]):
                 raise ValueError("group state dims inconsistent with its bipartition")
-            if t.singleton_state.dims != (measurements[t.singleton].dims[1],):
+            if t.singleton_state.dims != (shares[t.singleton],):
                 raise ValueError("singleton state dim inconsistent with its bipartition")
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "measurements", measurements)
@@ -350,16 +338,6 @@ def trace_inputs(element: np.ndarray, taus: np.ndarray) -> np.ndarray:
     return np.einsum("...iajb,sji->...sab", e, taus)
 
 
-def _check_ensembles(measurements, ensembles) -> None:
-    """One ensemble per party, each on its measurement's input space."""
-    n = len(measurements)
-    if len(ensembles) != n:
-        raise ValueError(f"strategy has {n} parties, got {len(ensembles)} ensembles")
-    for p, (e, m) in enumerate(zip(ensembles, measurements)):
-        if e.dim != m.dims[0]:
-            raise ValueError(f"party {p}: ensemble dim {e.dim} vs measurement input dim {m.dims[0]}")
-
-
 def _input_stacks(ensembles) -> list[np.ndarray]:
     return [np.stack([s.matrix for s in e.states]) for e in ensembles]
 
@@ -373,45 +351,60 @@ def _contract_grid(rho: np.ndarray, dims, stacks) -> np.ndarray:
     return np.einsum(f"{spec}->...{labels}", rho, *stacks).real
 
 
-def _table(ensembles, p_all_ones: np.ndarray, full=None) -> CorrelationTable:
-    """Table over the ensembles' input grid.
+def _traced_inputs(measurements, ensembles, include_full: bool) -> list[np.ndarray]:
+    """Each party's inputs traced into its click element, F_p[s] = tr_in[E_p (tau_s (x) 1)].
 
-    ``full`` stacks one grid per outcome bitstring, bitstrings in
-    lexicographic order.
+    With ``include_full`` the inputs traced into the outcome-0 element come
+    first and those traced into E_p after them, so each input axis doubles.
+    Each ensemble must be on its measurement's input space.
     """
-    n = len(ensembles)
+    n = len(measurements)
+    if len(ensembles) != n:
+        raise ValueError(f"strategy has {n} parties, got {len(ensembles)} ensembles")
+    for p, (e, m) in enumerate(zip(ensembles, measurements)):
+        if e.dim != m.dims[0]:
+            raise ValueError(f"party {p}: ensemble dim {e.dim} vs measurement input dim {m.dims[0]}")
+    bits = (0, 1) if include_full else (1,)
+    return [
+        np.concatenate([trace_inputs(m.element(b), taus) for b in bits])
+        for m, taus in zip(measurements, _input_stacks(ensembles))
+    ]
+
+
+def _table(ensembles, p: np.ndarray, include_full: bool) -> CorrelationTable:
+    """Table over the ensembles' input grid from the grid ``p`` of :func:`_traced_inputs` inputs.
+
+    With ``include_full`` each party's axis of ``p`` runs over (outcome,
+    input); the outcome axes move to the front.
+    """
+    full = None
+    if include_full:
+        n = len(ensembles)
+        p = p.reshape([d for e in ensembles for d in (2, len(e))])
+        full = p.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
+        p = full[(1,) * n]
     return CorrelationTable(
         parties=tuple(e.party for e in ensembles),
         labels=tuple(e.labels for e in ensembles),
-        p_all_ones=p_all_ones,
-        full=None if full is None else full.reshape((2,) * n + p_all_ones.shape),
+        p_all_ones=p,
+        full=full,
     )
 
 
-def simulate_entangled(
-    strategy: EntangledStrategy,
-    ensembles,
-    include_full: bool = False,
-) -> CorrelationTable:
+def simulate_entangled(strategy: EntangledStrategy, ensembles,
+                       include_full: bool = False) -> CorrelationTable:
     """Full-tensor correlation table for a shared-state strategy.
 
     Each party's inputs are traced into its outcome elements once, and one
-    contraction per outcome bitstring with the shared state gives every
-    input tuple at once.
+    contraction with the shared state gives every input tuple at once; with
+    ``include_full`` the outcome-0 elements ride along as extra inputs.
     """
     ensembles = tuple(ensembles)
-    n = strategy.n_parties
-    _check_ensembles(strategy.measurements, ensembles)
-    # g[p][b][s, a, A] = F_p^b[s, A, a]: F's column index meets rho's row index.
-    g = [
-        np.stack([trace_inputs(m.element(b), taus) for b in (0, 1)]).transpose(0, 1, 3, 2)
-        for m, taus in zip(strategy.measurements, _input_stacks(ensembles))
-    ]
-    outcomes = itertools.product((0, 1), repeat=n) if include_full else [(1,) * n]
+    fs = _traced_inputs(strategy.measurements, ensembles, include_full)
     rho = strategy.shared
-    p = np.stack([_contract_grid(rho.matrix, rho.dims, [gp[b] for gp, b in zip(g, bits)])
-                  for bits in outcomes])
-    return _table(ensembles, p[-1], p if include_full else None)
+    # F's column index meets rho's row index
+    p = _contract_grid(rho.matrix, rho.dims, [f.transpose(0, 2, 1) for f in fs])
+    return _table(ensembles, p, include_full)
 
 
 def fast_entangled_table(rho: DensityMatrix, ensembles) -> CorrelationTable:
@@ -424,7 +417,7 @@ def fast_entangled_table(rho: DensityMatrix, ensembles) -> CorrelationTable:
     if tuple(e.dim for e in ensembles) != rho.dims:
         raise ValueError("input dims must match the shared state's factor dims")
     p = _contract_grid(rho.matrix, rho.dims, _input_stacks(ensembles)) / math.prod(rho.dims)
-    return _table(ensembles, p)
+    return _table(ensembles, p, False)
 
 
 # Unentangled mixtures in block form: each term is a product of states over
@@ -639,22 +632,9 @@ def simulate_separable(strategy, ensembles, include_full: bool = False) -> Corre
     """
     ensembles = tuple(ensembles)
     weights, groups = _groups(strategy)
-    _check_ensembles(strategy.measurements, ensembles)
-    if include_full and isinstance(strategy, BiseparableStrategy):
-        raise NotImplementedError("full distributions are only kept for all-ones-based checks")
-    bits = (0, 1) if include_full else (1,)
-    fs = [
-        np.concatenate([trace_inputs(m.element(b), taus) for b in bits])[None]
-        for m, taus in zip(strategy.measurements, _input_stacks(ensembles))
-    ]
+    fs = [f[None] for f in _traced_inputs(strategy.measurements, ensembles, include_full)]
     p = _grid(weights, groups, _responses(groups, fs, weights.shape[1]))[0]
-    if not include_full:
-        return _table(ensembles, p)
-    # each party's axis runs over (outcome, input); the outcome axes go in front
-    n = len(fs)
-    p = p.reshape([d for e in ensembles for d in (2, len(e))])
-    p = p.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
-    return _table(ensembles, p[(1,) * n], p)
+    return _table(ensembles, p, include_full)
 
 
 def mdi_value(dec: Decomposition, table: CorrelationTable) -> float:

@@ -14,16 +14,15 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def dumps(obj, indent: int = 0) -> str:
-    """Render a JSON document with fixed float formatting and key order."""
-    return _render(obj, indent, 0) + "\n"
+def dumps(obj) -> str:
+    """Render a JSON document with fixed float formatting and key order, indented by 2."""
+    return _render(obj, 0) + "\n"
 
 
-def _render(obj, indent: int, depth: int) -> str:
-    pad = " " * (indent * (depth + 1))
-    close_pad = " " * (indent * depth)
-    nl = "\n" if indent else ""
-    sep = "," + (nl + pad if indent else " ")
+def _render(obj, depth: int) -> str:
+    pad = "  " * (depth + 1)
+    close_pad = "  " * depth
+    sep = ",\n" + pad
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -38,15 +37,15 @@ def _render(obj, indent: int, depth: int) -> str:
         if not obj:
             return "{}"
         items = sep.join(
-            f"{_escape(str(k))}: {_render(v, indent, depth + 1)}" for k, v in obj.items()
+            f"{_escape(str(k))}: {_render(v, depth + 1)}" for k, v in obj.items()
         )
-        return "{" + nl + pad + items + nl + close_pad + "}"
+        return "{\n" + pad + items + "\n" + close_pad + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(obj)
         if not seq:
             return "[]"
-        items = sep.join(_render(v, indent, depth + 1) for v in seq)
-        return "[" + nl + pad + items + nl + close_pad + "]"
+        items = sep.join(_render(v, depth + 1) for v in seq)
+        return "[\n" + pad + items + "\n" + close_pad + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

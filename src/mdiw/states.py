@@ -258,12 +258,11 @@ def noisy_ghz(v: float) -> DensityMatrix:
     return family_state("noisy_ghz", v)
 
 
-def random_density_matrix(dims, rng: np.random.Generator, rank: int | None = None) -> DensityMatrix:
-    """Random full-rank (or rank-limited) state from a Ginibre factor."""
+def random_density_matrix(dims, rng: np.random.Generator) -> DensityMatrix:
+    """Random full-rank state from a square Ginibre factor."""
     dims = tuple(int(d) for d in dims)
     d = math.prod(dims)
-    r = d if rank is None else int(rank)
-    g = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     m = g @ g.conj().T
     m /= np.trace(m).real
     return DensityMatrix(m, dims)

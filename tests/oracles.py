@@ -5,12 +5,16 @@ explicit embedding and partial trace, and :func:`mixture_as_shared_state`
 materializes an unentangled mixture as one shared state, so that
 :func:`mdiw.game.simulate_entangled` can cross-check the block contractions
 of :func:`mdiw.game.simulate_separable` and the see-saw.
+:func:`per_bitstring_table` contracts a shared-state strategy once per
+outcome bitstring, as the reference for the one contraction of
+:func:`mdiw.game.simulate_entangled`.
 :func:`sequential_search` runs the see-saw's restarts one after another,
 as the reference for the batched search, and :func:`pointwise_scan` scores
 a violation curve one state at a time, as the reference for the stacked
 scan.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -19,12 +23,14 @@ from mdiw.attack import _STOP, AttackReport, _start, _sweep, restart_rng
 from mdiw.game import (
     BiseparableStrategy,
     SeparableStrategy,
+    _contract_grid,
     _groups,
     _input_stacks,
     apply_uniform_loss,
     binary_povm,
     fast_entangled_table,
     mdi_value,
+    trace_inputs,
 )
 from mdiw.linalg import as_matrix, check_dims, kron, kron_all, partial_trace, permute_subsystems
 from mdiw.states import DensityMatrix
@@ -89,6 +95,27 @@ def mixture_as_shared_state(strategy) -> DensityMatrix:
             m += term.weight * aligned
         return DensityMatrix(m, dims)
     raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
+
+
+
+def per_bitstring_table(strategy, ensembles, include_full):
+    """``(p_all_ones, full)`` of a shared-state strategy, one contraction per outcome bitstring.
+
+    Each party's inputs are traced into both outcome elements; the grids
+    of the bitstrings are stacked in lexicographic order, and ``full`` is
+    None without ``include_full``.
+    """
+    n = strategy.n_parties
+    # g[p][b][s, a, A] = F_p^b[s, A, a]: F's column index meets rho's row index.
+    g = [
+        np.stack([trace_inputs(m.element(b), taus) for b in (0, 1)]).transpose(0, 1, 3, 2)
+        for m, taus in zip(strategy.measurements, _input_stacks(ensembles))
+    ]
+    outcomes = itertools.product((0, 1), repeat=n) if include_full else [(1,) * n]
+    rho = strategy.shared
+    p = np.stack([_contract_grid(rho.matrix, rho.dims, [gp[b] for gp, b in zip(g, bits)])
+                  for bits in outcomes])
+    return p[-1], p.reshape((2,) * n + p.shape[1:]) if include_full else None
 
 
 

@@ -536,7 +536,7 @@ class TestSerializeHelpers:
 
     def test_dumps_is_valid_json(self):
         doc = {"a": [1.5, None, True], "b": {"c": "text \" with quotes"}}
-        assert json.loads(serialize.dumps(doc, indent=2)) == doc
+        assert json.loads(serialize.dumps(doc)) == doc
 
 
 class TestVerifyPlumbing:

@@ -39,6 +39,7 @@ from mdiw.game import (
     EntangledStrategy,
     POVM,
     SeparableStrategy,
+    _binary_povms,
     apply_pre_measurement_map,
     apply_uniform_loss,
     bell_outcome_povm,
@@ -57,7 +58,7 @@ from mdiw.attack import (
     random_kraus_set,
     random_separable_strategy,
 )
-from oracles import effective_povm_element, mixture_as_shared_state
+from oracles import effective_povm_element, mixture_as_shared_state, per_bitstring_table
 
 
 def game_probability_oracle(inputs, rho, elements):
@@ -141,6 +142,29 @@ class TestContractionProperties:
             assert table.full[(1,) * n + idx] == table.p_all_ones[idx]
 
     @settings(max_examples=30, deadline=None)
+    @given(seed=seeds, shares=st.lists(st.integers(1, 3), min_size=2, max_size=3),
+           include_full=st.booleans(), random_state=st.booleans(),
+           inputs=st.sampled_from(["tetrahedron", "pauli6", "random"]))
+    def test_simulate_entangled_matches_per_bitstring_route(self, seed, shares, include_full,
+                                                          random_state, inputs):
+        # one contraction over the outcome-extended inputs, bit for bit the
+        # contraction of every outcome bitstring on its own
+        rng = np.random.default_rng(seed)
+        n = len(shares)
+        builders = {"tetrahedron": tetrahedron_ensemble, "pauli6": pauli6_ensemble,
+                    "random": lambda p: random_ensemble(rng, p, 2, 3)}
+        ens = tuple(builders[inputs](p) for p in "ABC"[:n])
+        if random_state:
+            rho = random_density_matrix(tuple(shares), rng)
+        else:
+            rho = DensityMatrix(np.eye(math.prod(shares)) / math.prod(shares), tuple(shares))
+        strategy = EntangledStrategy(rho, tuple(random_binary_povm(rng, 2, d) for d in shares))
+        table = simulate_entangled(strategy, ens, include_full=include_full)
+        p_all_ones, full = per_bitstring_table(strategy, ens, include_full)
+        assert np.array_equal(table.p_all_ones, p_all_ones)
+        assert (table.full is None and full is None) or np.array_equal(table.full, full)
+
+    @settings(max_examples=30, deadline=None)
     @given(seed=seeds, dims=st.lists(st.integers(2, 3), min_size=2, max_size=3),
            size=st.integers(1, 4))
     def test_fast_table_matches_bell_strategy(self, seed, dims, size):
@@ -159,10 +183,6 @@ class TestBellOutcomePovm:
         assert np.isclose(np.trace(e).real, 1.0)
         assert np.allclose(hermitian_eigenvalues(e), [0, 0, 0, 1], atol=1e-12)
 
-    def test_completeness(self):
-        povm = bell_outcome_povm(2)
-        assert np.allclose(sum(povm.elements), np.eye(4), atol=1e-14)
-
     def test_higher_dimension(self):
         e = bell_outcome_povm(3).element(1)
         assert np.allclose(e, projector(max_entangled(3)), atol=1e-14)
@@ -172,60 +192,87 @@ class TestBellOutcomePovm:
             bell_outcome_povm(1)
 
 
+def click_stack(broken, last):
+    """Three valid click elements, with ``broken`` first or last."""
+    good = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    return np.array(good + [broken] if last else [broken] + good, dtype=complex)
+
+
 class TestPovmValidation:
     def test_rejects_non_psd_element(self):
-        bad = np.diag([1.5, -0.5])
         with pytest.raises(ValueError, match="positive"):
-            POVM((bad, np.eye(2) - bad), (1, 0), (2,))
-
-    def test_rejects_incomplete_elements(self):
-        e = np.diag([0.5, 0.5])
-        with pytest.raises(ValueError, match="identity"):
-            POVM((e, e / 2), (1, 0), (2,))
+            POVM(np.diag([1.5, -0.5]), (2,))
 
     def test_element_lookup_by_outcome(self):
         povm = bell_outcome_povm(2)
         assert np.allclose(povm.element(1) + povm.element(0), np.eye(4))
 
-    def test_rejects_empty_element_tuple(self):
-        with pytest.raises(ValueError, match="at least one element"):
-            POVM((), (), (2,))
+    def test_rejects_other_outcomes(self):
+        with pytest.raises(ValueError, match="outcome must be 0 or 1"):
+            bell_outcome_povm(2).element(2)
 
     @pytest.mark.parametrize(
-        "elements, keyword",
+        "broken, keyword",
         [
-            ((np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), [[np.nan, 0.0], [0.0, 0.0]]), "NaN or Inf"),
-            ((np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), [[0.0, 0.1], [0.0, 0.0]]), "not Hermitian"),
-            ((np.diag([1.0, 0.0]), np.diag([0.0, 1.5]), np.diag([0.0, -0.5])), "positive semidefinite"),
-            ((np.diag([1.0, 0.0]), np.diag([0.0, 0.5]), np.diag([0.0, 0.25])), "sum to the identity"),
+            ([[np.nan, 0.0], [0.0, 0.0]], "NaN or Inf"),
+            ([[0.0, 0.1], [0.0, 0.0]], "not Hermitian"),
+            (np.diag([0.0, -0.5]), "positive semidefinite"),
+            (np.diag([0.0, 1.5]), "positive semidefinite"),
         ],
-        ids=["non_finite", "non_hermitian", "not_psd", "not_complete"],
+        ids=["non_finite", "non_hermitian", "not_psd", "above_identity"],
     )
-    def test_broken_last_element_rejected_like_first(self, elements, keyword):
-        # only the last element breaks its predicate (completeness: only the sum)
+    def test_broken_last_element_rejected_like_first(self, broken, keyword):
+        # only the last click element of the stack breaks its predicate
         with pytest.raises(ValueError, match=keyword) as last:
-            POVM(elements, (0, 1, 2), (2,))
+            _binary_povms(click_stack(broken, last=True), (2,))
         with pytest.raises(ValueError, match=keyword) as first:
-            POVM(elements[::-1], (0, 1, 2), (2,))
-        assert str(last.value) == str(first.value)
+            _binary_povms(click_stack(broken, last=False), (2,))
+        with pytest.raises(ValueError, match=keyword) as single:
+            POVM(np.array(broken, dtype=complex), (2,))
+        assert str(last.value) == str(first.value) == str(single.value)
 
     @pytest.mark.parametrize("depth, accepted", [(0.5e-10, True), (2e-10, False)])
     def test_graded_psd_boundary(self, depth, accepted):
-        # min eigenvalue -depth against TOL_PSD = 1e-10, on the last element only
-        elements = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0 + depth]), np.diag([0.0, -depth]))
-        if accepted:
-            assert POVM(elements, (0, 1, 2), (2,)).element(2)[1, 1] == -depth
-        else:
-            with pytest.raises(ValueError, match="positive semidefinite"):
-                POVM(elements, (0, 1, 2), (2,))
+        # eigenvalue -depth, then 1 + depth, against TOL_PSD = 1e-10, on the last element only
+        for eig in (-depth, 1.0 + depth):
+            stack = click_stack(np.diag([0.0, eig]), last=True)
+            if accepted:
+                assert _binary_povms(stack, (2,))[-1].element(1)[1, 1] == eig
+                assert POVM(stack[-1], (2,)).element(1)[1, 1] == eig
+            else:
+                with pytest.raises(ValueError, match="positive semidefinite"):
+                    _binary_povms(stack, (2,))
+                with pytest.raises(ValueError, match="positive semidefinite"):
+                    POVM(stack[-1], (2,))
 
     def test_elements_are_read_only_copies(self):
         e = np.diag([1.0, 0.0]).astype(complex)
         povm = binary_povm(e, (2,))
+        stacked = _binary_povms(e[None], (2,))[0]
         e[0, 0] = 0.5
-        assert povm.element(1)[0, 0] == 1.0
-        with pytest.raises(ValueError):
-            povm.element(1)[0, 0] = 0.5
+        for p in (povm, stacked):
+            assert p.element(1)[0, 0] == 1.0
+            with pytest.raises(ValueError):
+                p.element(1)[0, 0] = 0.5
+
+    @pytest.mark.parametrize("dims", [(2, 1, 2), (4,), (8,)], ids=["three_factors", "one_factor", "too_large"])
+    @pytest.mark.parametrize("kind", ["entangled", "separable", "biseparable"])
+    def test_strategies_reject_povm_not_on_input_and_share(self, kind, dims):
+        # party 1's POVM does not act on input (x) share: its share dim would
+        # broadcast or index past the end of its dims
+        rng = np.random.default_rng(70)
+        good = random_biseparable_strategy((2, 2, 2), 1, 2, rng)
+        d = math.prod(dims)
+        bad = binary_povm(np.diag(np.arange(d) % 2), dims)
+        measurements = (good.measurements[0], bad, good.measurements[2])
+        with pytest.raises(ValueError, match="party 1: POVM dims"):
+            if kind == "entangled":
+                EntangledStrategy(random_density_matrix((1, 1, 1), rng), measurements)
+            elif kind == "separable":
+                SeparableStrategy((1.0,), (tuple(DensityMatrix(np.eye(1), (1,)) for _ in range(3)),),
+                                  measurements)
+            else:
+                BiseparableStrategy(good.terms, measurements)
 
 
 class TestSimulateEntangled:
@@ -459,16 +506,16 @@ def separable_cell_oracle(strategy, states, bits):
     return total
 
 
-def biseparable_cell_oracle(strategy, states):
-    """One all-ones cell by effective elements on each term's group and singleton."""
+def biseparable_cell_oracle(strategy, states, bits):
+    """One cell by effective elements on each term's group and singleton, per outcome bit."""
     total = 0.0
     for term in strategy.terms:
         (p, q), r = term.group, term.singleton
         mp, mq, mr = (strategy.measurements[i] for i in (p, q, r))
         group = effective_povm_element(
-            kron(mp.element(1), mq.element(1)), mp.dims + mq.dims, term.group_state, (1, 3)
+            kron(mp.element(bits[p]), mq.element(bits[q])), mp.dims + mq.dims, term.group_state, (1, 3)
         )
-        single = effective_povm_element(mr.element(1), mr.dims, term.singleton_state, (1,))
+        single = effective_povm_element(mr.element(bits[r]), mr.dims, term.singleton_state, (1,))
         total += (
             term.weight
             * np.trace(group @ kron(states[p].matrix, states[q].matrix)).real
@@ -520,16 +567,21 @@ class TestSeparableTableOracle:
 
     @settings(max_examples=30, deadline=None)
     @given(seed=seeds, dims=st.lists(st.integers(2, 3), min_size=3, max_size=3),
-           share=st.integers(1, 3))
-    def test_biseparable_matches_cell_oracle(self, seed, dims, share):
+           share=st.integers(1, 3), include_full=st.booleans())
+    def test_biseparable_matches_cell_oracle(self, seed, dims, share, include_full):
         rng = np.random.default_rng(seed)
         ens = tuple(random_ensemble(rng, p, d, 3) for p, d in zip("ABC", dims))
         strategy = one_term_per_bipartition(rng, dims, share)
-        table = simulate_separable(strategy, ens)
+        table = simulate_separable(strategy, ens, include_full=include_full)
+        assert (table.full is not None) == include_full
         for idx in itertools.product(range(3), repeat=3):
             states = [e.states[i] for e, i in zip(ens, idx)]
-            want = biseparable_cell_oracle(strategy, states)
+            want = biseparable_cell_oracle(strategy, states, (1, 1, 1))
             assert table.p_all_ones[idx] == pytest.approx(want, abs=1e-12)
+            if include_full:
+                for bits in itertools.product((0, 1), repeat=3):
+                    want = biseparable_cell_oracle(strategy, states, bits)
+                    assert table.full[bits + idx] == pytest.approx(want, abs=1e-12)
 
     def test_biseparable_unequal_share_dims(self):
         # each party's share has its own dimension, so each bipartition's group
@@ -548,9 +600,14 @@ class TestSeparableTableOracle:
         )
         strategy = BiseparableStrategy(terms, tuple(random_binary_povm(rng, 2, m) for m in shares))
         table = simulate_separable(strategy, ens)
+        full = simulate_separable(strategy, ens, include_full=True)
         for idx in itertools.product(range(3), repeat=3):
-            want = biseparable_cell_oracle(strategy, [e.states[i] for e, i in zip(ens, idx)])
+            states = [e.states[i] for e, i in zip(ens, idx)]
+            want = biseparable_cell_oracle(strategy, states, (1, 1, 1))
             assert table.p_all_ones[idx] == pytest.approx(want, abs=1e-12)
+            for bits in itertools.product((0, 1), repeat=3):
+                want = biseparable_cell_oracle(strategy, states, bits)
+                assert full.full[bits + idx] == pytest.approx(want, abs=1e-12)
 
     def test_oracle_rejects_swapped_group_factors(self):
         # Swapping the factors of every group state must show up in the table.
@@ -572,7 +629,7 @@ class TestSeparableTableOracle:
         table = simulate_separable(swapped, ens)
         worst = max(
             abs(table.p_all_ones[idx]
-                - biseparable_cell_oracle(strategy, [e.states[i] for e, i in zip(ens, idx)]))
+                - biseparable_cell_oracle(strategy, [e.states[i] for e, i in zip(ens, idx)], (1, 1, 1)))
             for idx in itertools.product(range(3), repeat=3)
         )
         assert worst > 1e-6
