@@ -13,7 +13,6 @@ from .linalg import (
     frobenius_distance,
     hermitian_eigenvalues,
     kron,
-    kron_all,
     partial_trace,
     permute_subsystems,
     transpose,
@@ -56,7 +55,6 @@ from .game import (
     apply_uniform_loss,
     bell_outcome_povm,
     bell_strategy,
-    binary_povm,
     fast_entangled_table,
     mdi_value,
     simulate_entangled,

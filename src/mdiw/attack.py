@@ -40,6 +40,7 @@ from .witness import Decomposition
 from .game import (
     BIPARTITIONS_3,
     BiseparableStrategy,
+    POVM,
     SeparableStrategy,
     _binary_povms,
     _biseparable_groups,
@@ -53,7 +54,6 @@ from .game import (
     _separable_groups,
     _separable_strategy,
     _term_fs,
-    binary_povm,
     trace_inputs,
 )
 
@@ -114,10 +114,6 @@ class AttackReport:
     def __post_init__(self):
         if self.min_value != min(self.restart_minima):
             raise ValueError("reported minimum must equal the best restart minimum")
-
-    @property
-    def bound_respected(self) -> bool:
-        return self.min_value >= -BOUND_TOL
 
 
 def report_to_dict(report: AttackReport) -> dict:
@@ -450,7 +446,7 @@ def _search(dec, ensembles, config, draw, block, build, hook=None):
     for _, specs, states in groups:
         for b, s in zip(specs.blocks, states):
             _check_densities(s, b.shape[1 : 1 + len(b.parties)])
-    povms = tuple(binary_povm(e[0], (d, m)) for e, d in zip(elements, input_dims))
+    povms = tuple(POVM(e[0], (d, m)) for e, d in zip(elements, input_dims))
     return AttackReport(
         min_value=float(min_value),
         best_strategy=build(weights[0], groups, povms),

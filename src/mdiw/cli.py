@@ -65,11 +65,6 @@ _FAMILY_WITNESS = {"werner": "singlet", "noisy_ghz": "ghz"}
 _CONTAINERS = {"ensembles": list, "state": dict, "loss": list, "attack": dict}
 
 
-def _is_number(x) -> bool:
-    """A JSON number: int or float, not a bool (JSON true/false load as bools)."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def _dims(value, what: str) -> tuple[int, ...]:
     """Subsystem dimensions given in a config: a JSON array of integers."""
     if not isinstance(value, list) or any(type(d) is not int for d in value):
@@ -83,7 +78,7 @@ class ScenarioConfig:
 
     ``witness`` is a name or an explicit matrix spec, ``ensembles`` one
     name or spec per party, ``state`` a named family with parameter ``v``
-    or an explicit matrix.  Round-trips losslessly through ``to_dict``;
+    or an explicit matrix, given as rows of [re, im] number pairs.
     :meth:`resolve` builds the objects it names.
     """
 
@@ -107,7 +102,7 @@ class ScenarioConfig:
         if len(loss) != self.parties:
             raise ConfigError("one loss efficiency per party required")
         bad_loss = f"loss efficiencies must be numbers in (0, 1], got {list(loss)}"
-        if not all(map(_is_number, loss)):
+        if not all(map(serialize.is_number, loss)):
             raise ConfigError(bad_loss)
         try:
             loss = check_efficiencies(loss, self.parties)
@@ -130,7 +125,7 @@ class ScenarioConfig:
             if self.state["family"] not in FAMILIES:
                 raise ConfigError(f"unknown state family {self.state['family']!r}")
             v = self.state.get("v")
-            if not _is_number(v) or not 0.0 <= v <= 1.0:
+            if not serialize.is_number(v) or not 0.0 <= v <= 1.0:
                 raise ConfigError(f"family parameter v must be a number in [0, 1], got {v!r}")
         elif "matrix" not in self.state:
             raise ConfigError("state must give a 'family' or an explicit 'matrix'")
@@ -166,18 +161,6 @@ class ScenarioConfig:
             raise ConfigError(f"missing config key: {exc.args[0]}") from None
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad config: {exc}") from None
-
-    def to_dict(self) -> dict:
-        return {
-            "parties": self.parties,
-            "witness": self.witness,
-            "ensembles": list(self.ensembles),
-            "state": dict(self.state),
-            "decomposition": self.decomposition,
-            "loss": list(self.loss),
-            "seed": self.seed,
-            "attack": dict(self.attack),
-        }
 
     # -- resolution to domain objects -------------------------------------
 
@@ -378,10 +361,9 @@ def cmd_attack(scenario: Scenario, out: str | None = None) -> int:
     return 0 if report.min_value >= -BOUND_TOL else 1
 
 
-def cmd_verify(out: str | None = None, seed: int | None = None) -> int:
+def cmd_verify(out: str | None = None) -> int:
     """Run the acceptance checks and write one verdict per criterion."""
-    if seed is None:
-        seed = _effective_seed(DEFAULT_SEED)
+    seed = _effective_seed(DEFAULT_SEED)
     verdicts = run_all(seed)
     doc = {"seed": seed, "verdicts": [verdict_to_dict(v) for v in verdicts]}
     _write(serialize.dumps(doc), out)

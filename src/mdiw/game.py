@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import TOL_HERM, TOL_PSD, check_dims
-from .states import FAMILIES, DensityMatrix, family_matrices, max_entangled, projector
+from .states import FAMILIES, DensityMatrix, _unchecked, family_matrices, max_entangled, projector
 from .witness import Decomposition
 
 
@@ -85,19 +85,7 @@ def _binary_povms(clicks: np.ndarray, dims) -> tuple[POVM, ...]:
     Each POVM holds a read-only view of one checked copy.
     """
     es, dims = _checked_clicks(clicks, dims)
-    out = []
-    for e in es:
-        # already checked as part of the stack, so __post_init__ is skipped
-        povm = object.__new__(POVM)
-        object.__setattr__(povm, "click", e)
-        object.__setattr__(povm, "dims", dims)
-        out.append(povm)
-    return tuple(out)
-
-
-def binary_povm(success_element: np.ndarray, dims) -> POVM:
-    """POVM {E, 1 - E} with outcomes (1, 0); :class:`POVM` checks E."""
-    return POVM(success_element, dims)
+    return tuple(_unchecked(POVM, click=e, dims=dims) for e in es)
 
 
 def bell_outcome_povm(d: int) -> POVM:
@@ -108,7 +96,7 @@ def bell_outcome_povm(d: int) -> POVM:
     """
     if d < 2:
         raise ValueError(f"local dimension must be >= 2, got {d}")
-    return binary_povm(projector(max_entangled(d)), (d, d))
+    return POVM(projector(max_entangled(d)), (d, d))
 
 
 def apply_pre_measurement_map(povm: POVM, kraus_ops) -> POVM:
@@ -126,7 +114,7 @@ def apply_pre_measurement_map(povm: POVM, kraus_ops) -> POVM:
         ks = ks.reshape((0,) + e1.shape)
     if ks.shape[1:] != e1.shape:
         raise ValueError(f"Kraus operators must be {e1.shape} matrices, got a stack {ks.shape}")
-    return binary_povm((ks.conj().transpose(0, 2, 1) @ e1 @ ks).sum(axis=0), povm.dims)
+    return POVM((ks.conj().transpose(0, 2, 1) @ e1 @ ks).sum(axis=0), povm.dims)
 
 
 @dataclass(frozen=True)

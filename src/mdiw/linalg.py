@@ -47,17 +47,6 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def kron_all(factors) -> np.ndarray:
-    """Kronecker product of a sequence of matrices, left to right."""
-    factors = list(factors)
-    if not factors:
-        raise ValueError("need at least one factor")
-    out = as_matrix(factors[0])
-    for f in factors[1:]:
-        out = np.kron(out, as_matrix(f))
-    return out
-
-
 def transpose(m) -> np.ndarray:
     """Entrywise transpose (i,j) -> (j,i), without conjugation."""
     return as_matrix(m).T.copy()
@@ -95,8 +84,7 @@ def permute_subsystems(m, dims, perm) -> np.ndarray:
 
     ``perm[i]`` names the current position of the factor that ends up at
     position ``i``, so ``permute_subsystems(kron(a, b), (da, db), (1, 0))``
-    equals ``kron(b, a)``.  Every reordering of a matrix's factors in the
-    package goes through this one function.
+    equals ``kron(b, a)``.
     """
     m = as_matrix(m)
     dims = check_dims(dims, m.shape[0])

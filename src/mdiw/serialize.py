@@ -70,10 +70,17 @@ def matrix_to_json(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
+def is_number(x) -> bool:
+    """A JSON number: int or float, not a bool (JSON true/false load as bools)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def matrix_from_json(data) -> np.ndarray:
-    """Inverse of :func:`matrix_to_json`."""
+    """Inverse of :func:`matrix_to_json`; every entry must be an array of two numbers."""
     rows = []
-    for row in data:
+    for i, row in enumerate(data):
+        if not all(isinstance(z, list) and len(z) == 2 and all(map(is_number, z)) for z in row):
+            raise ValueError(f"matrix row {i} must hold [re, im] pairs of numbers, got {row!r}")
         rows.append([complex(float(z[0]), float(z[1])) for z in row])
     m = np.array(rows, dtype=complex)
     if m.ndim != 2:

@@ -57,6 +57,17 @@ def _check_densities(ms: np.ndarray, dims) -> tuple[int, ...]:
     return dims
 
 
+def _unchecked(cls, **fields):
+    """A ``cls`` instance holding ``fields`` as given, with ``__post_init__`` skipped.
+
+    For views of a stack whose checks already ran once for the whole stack.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A validated quantum state: Hermitian, PSD, unit trace.
@@ -98,14 +109,7 @@ class DensityMatrix:
         ms = np.array(ms, dtype=complex, order="C")
         ms.setflags(write=False)
         dims = tuple(int(d) for d in dims)
-        out = []
-        for m in ms:
-            # already checked as part of the stack, so __post_init__ is skipped
-            rho = object.__new__(cls)
-            object.__setattr__(rho, "matrix", m)
-            object.__setattr__(rho, "dims", dims)
-            out.append(rho)
-        return tuple(out)
+        return tuple(_unchecked(cls, matrix=m, dims=dims) for m in ms)
 
     @property
     def dim(self) -> int:

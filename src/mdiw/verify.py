@@ -8,6 +8,7 @@ twice with the same seed produces identical verdicts.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 import warnings
@@ -70,131 +71,133 @@ def verdict_to_dict(v: Verdict) -> dict:
     return {"criterion": v.criterion, "passed": v.passed, "details": v.details}
 
 
-def _timed(name: str, fn) -> Verdict:
-    t0 = time.perf_counter()
-    passed, details = fn()
-    return Verdict(name, bool(passed), details, time.perf_counter() - t0)
+# Each registered check and its runtime budget in seconds at full size, in run order.
+BUDGETS = {}
+
+
+def _criterion(budget: float):
+    """Register a check ``(seed) -> (passed, details)`` in :data:`BUDGETS`.
+
+    The registered check takes the seed (default :data:`DEFAULT_SEED`),
+    times the run and names its :class:`Verdict` after the function.
+    """
+
+    def register(run):
+        name = run.__name__.removeprefix("check_")
+
+        @functools.wraps(run)
+        def check(seed: int = DEFAULT_SEED) -> Verdict:
+            t0 = time.perf_counter()
+            passed, details = run(seed)
+            return Verdict(name, bool(passed), details, time.perf_counter() - t0)
+
+        BUDGETS[check] = budget
+        return check
+
+    return register
 
 
 def _werner_grid():
     return [i * 0.05 for i in range(21)]
 
 
-def check_werner_closed_form(seed: int = DEFAULT_SEED) -> Verdict:
+@_criterion(1.0)
+def check_werner_closed_form(seed: int) -> tuple[bool, dict]:
     """Honest-strategy value on Werner states equals (1 - 3v)/16 pointwise."""
-
-    def run():
-        dec = tetrahedron_beta()
-        curve = violation_scan("werner", dec, _werner_grid())
-        err = max(abs(i - expected_game_value("werner", v)) for v, i in curve)
-        return err <= 1e-12, {"max_abs_err": err, "tolerance": 1e-12}
-
-    return _timed("werner_closed_form", run)
+    dec = tetrahedron_beta()
+    curve = violation_scan("werner", dec, _werner_grid())
+    err = max(abs(i - expected_game_value("werner", v)) for v, i in curve)
+    return err <= 1e-12, {"max_abs_err": err, "tolerance": 1e-12}
 
 
-def check_witness_trace_identity(seed: int = DEFAULT_SEED) -> Verdict:
+@_criterion(5.0)
+def check_witness_trace_identity(seed: int) -> tuple[bool, dict]:
     """tr[W rho_v] = (1 - 3v)/4, and game value = tr[W rho]/4 for random rho."""
-
-    def run():
-        w = singlet_witness()
-        trace_err = max(
-            abs(witness_value(w, werner_state(v)) - (1.0 - 3.0 * v) / 4.0)
-            for v in _werner_grid()
-        )
-        rng = np.random.default_rng((seed, 2))
-        identity_err = 0.0
-        decs = (tetrahedron_beta(), pauli6_beta())
-        for _ in range(50):
-            rho = random_density_matrix((2, 2), rng)
-            target = witness_value(w, rho) / 4.0
-            for dec in decs:
-                table = fast_entangled_table(rho, dec.ensembles)
-                identity_err = max(identity_err, abs(mdi_value(dec, table) - target))
-        passed = trace_err <= 1e-12 and identity_err <= 1e-10
-        return passed, {
-            "max_trace_err": trace_err,
-            "trace_tolerance": 1e-12,
-            "max_quantum_value_err": identity_err,
-            "quantum_value_tolerance": 1e-10,
-        }
-
-    return _timed("witness_trace_identity", run)
+    w = singlet_witness()
+    trace_err = max(
+        abs(witness_value(w, werner_state(v)) - (1.0 - 3.0 * v) / 4.0)
+        for v in _werner_grid()
+    )
+    rng = np.random.default_rng((seed, 2))
+    identity_err = 0.0
+    decs = (tetrahedron_beta(), pauli6_beta())
+    for _ in range(50):
+        rho = random_density_matrix((2, 2), rng)
+        target = witness_value(w, rho) / 4.0
+        for dec in decs:
+            table = fast_entangled_table(rho, dec.ensembles)
+            identity_err = max(identity_err, abs(mdi_value(dec, table) - target))
+    passed = trace_err <= 1e-12 and identity_err <= 1e-10
+    return passed, {
+        "max_trace_err": trace_err,
+        "trace_tolerance": 1e-12,
+        "max_quantum_value_err": identity_err,
+        "quantum_value_tolerance": 1e-10,
+    }
 
 
-def check_closed_form_reconstructions(seed: int = DEFAULT_SEED) -> Verdict:
+@_criterion(1.0)
+def check_closed_form_reconstructions(seed: int) -> tuple[bool, dict]:
     """Both tabulated singlet-witness expansions reconstruct the witness."""
-
-    def run():
-        r1 = tetrahedron_beta().residual
-        r2 = pauli6_beta().residual
-        return max(r1, r2) < 1e-10, {
-            "tetrahedron_residual": r1,
-            "pauli6_residual": r2,
-            "tolerance": 1e-10,
-        }
-
-    return _timed("closed_form_reconstructions", run)
+    r1 = tetrahedron_beta().residual
+    r2 = pauli6_beta().residual
+    return max(r1, r2) < 1e-10, {
+        "tetrahedron_residual": r1,
+        "pauli6_residual": r2,
+        "tolerance": 1e-10,
+    }
 
 
-def check_ghz_threshold(seed: int = DEFAULT_SEED) -> Verdict:
+@_criterion(10.0)
+def check_ghz_threshold(seed: int) -> tuple[bool, dict]:
     """The noisy-GHZ violation curve changes sign at v = 3/7."""
-
-    def run():
-        dec = ghz_beta()
-        grid = [i / 14.0 for i in range(15)]
-        curve = violation_scan("noisy_ghz", dec, grid)
-        crossing = zero_crossing(curve)
-        err = abs(crossing - 3.0 / 7.0)
-        return err <= 1e-10, {
-            "crossing": crossing,
-            "abs_err": err,
-            "tolerance": 1e-10,
-            "coefficients_residual": dec.residual,
-        }
-
-    return _timed("ghz_threshold", run)
+    dec = ghz_beta()
+    grid = [i / 14.0 for i in range(15)]
+    curve = violation_scan("noisy_ghz", dec, grid)
+    crossing = zero_crossing(curve)
+    err = abs(crossing - 3.0 / 7.0)
+    return err <= 1e-10, {
+        "crossing": crossing,
+        "abs_err": err,
+        "tolerance": 1e-10,
+        "coefficients_residual": dec.residual,
+    }
 
 
-def check_separable_bound(seed: int = DEFAULT_SEED) -> Verdict:
+@_criterion(300.0)
+def check_separable_bound(seed: int) -> tuple[bool, dict]:
     """See-saw attacks from random separable starts never push either singlet game below 0."""
-
-    def run():
-        jobs = (
-            (tetrahedron_beta(), AttackConfig(restarts=200, iterations=500, mixture_size=8,
-                                              share_dim=4, seed=seed)),
-            (pauli6_beta(), AttackConfig(restarts=200, iterations=500, mixture_size=4,
-                                         share_dim=2, seed=seed + 1)),
-        )
-        details = {}
-        minima = []
-        evals = 0
-        for dec, cfg in jobs:
-            rep = attack(dec, dec.ensembles, cfg)
-            key = dec.ensembles[0].name
-            details[f"min_I_{key}"] = rep.min_value
-            minima.append(rep.min_value)
-            evals += rep.evaluations
-        details["evaluations"] = evals
-        details["tolerance"] = -BOUND_TOL
-        return min(minima) >= -BOUND_TOL, details
-
-    return _timed("separable_bound", run)
+    jobs = (
+        (tetrahedron_beta(), AttackConfig(restarts=200, iterations=500, mixture_size=8,
+                                          share_dim=4, seed=seed)),
+        (pauli6_beta(), AttackConfig(restarts=200, iterations=500, mixture_size=4,
+                                     share_dim=2, seed=seed + 1)),
+    )
+    details = {}
+    minima = []
+    evals = 0
+    for dec, cfg in jobs:
+        rep = attack(dec, dec.ensembles, cfg)
+        key = dec.ensembles[0].name
+        details[f"min_I_{key}"] = rep.min_value
+        minima.append(rep.min_value)
+        evals += rep.evaluations
+    details["evaluations"] = evals
+    details["tolerance"] = -BOUND_TOL
+    return min(minima) >= -BOUND_TOL, details
 
 
-def check_biseparable_bound(seed: int = DEFAULT_SEED) -> Verdict:
+@_criterion(600.0)
+def check_biseparable_bound(seed: int) -> tuple[bool, dict]:
     """See-saw attacks from random biseparable starts never push the GHZ game below 0."""
-
-    def run():
-        dec = ghz_beta()
-        cfg = AttackConfig(restarts=100, iterations=500, mixture_size=6, share_dim=2, seed=seed)
-        rep = biseparable_attack(dec, dec.ensembles, cfg)
-        return rep.min_value >= -BOUND_TOL, {
-            "min_I": rep.min_value,
-            "evaluations": rep.evaluations,
-            "tolerance": -BOUND_TOL,
-        }
-
-    return _timed("biseparable_bound", run)
+    dec = ghz_beta()
+    cfg = AttackConfig(restarts=100, iterations=500, mixture_size=6, share_dim=2, seed=seed)
+    rep = biseparable_attack(dec, dec.ensembles, cfg)
+    return rep.min_value >= -BOUND_TOL, {
+        "min_I": rep.min_value,
+        "evaluations": rep.evaluations,
+        "tolerance": -BOUND_TOL,
+    }
 
 
 def _bloch_grid(n_theta: int, n_phi: int) -> np.ndarray:
@@ -241,90 +244,81 @@ def product_strategy_grid_minimum(dec, n_theta: int = 61, n_phi: int = 120) -> f
     )
 
 
-def check_optimizer_power(seed: int = DEFAULT_SEED) -> Verdict:
+@_criterion(120.0)
+def check_optimizer_power(seed: int) -> tuple[bool, dict]:
     """On a non-witness the attack must dig at least as deep as the grid oracle."""
-
-    def run():
-        dec = negated_projector_decomposition()
-        oracle = product_strategy_grid_minimum(dec)
-        cfg = AttackConfig(restarts=200, iterations=500, mixture_size=4, share_dim=2, seed=seed)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the non-witness flag is expected here
-            rep = attack(dec, dec.ensembles, cfg)
-        # The grid class (pure product projectors, no share) is a subset of
-        # the searched class, so the attack may legitimately go deeper; the
-        # sum of all coefficients (-1) bounds how deep anything can go.
-        reached = rep.min_value <= 0.95 * oracle
-        sane = rep.min_value >= -1.0 - BOUND_TOL
-        strong = rep.min_value <= -0.2
-        return reached and sane and strong, {
-            "grid_minimum": oracle,
-            "attack_minimum": rep.min_value,
-            "required_at_most": 0.95 * oracle,
-        }
-
-    return _timed("optimizer_power", run)
+    dec = negated_projector_decomposition()
+    oracle = product_strategy_grid_minimum(dec)
+    cfg = AttackConfig(restarts=200, iterations=500, mixture_size=4, share_dim=2, seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the non-witness flag is expected here
+        rep = attack(dec, dec.ensembles, cfg)
+    # The grid class (pure product projectors, no share) is a subset of
+    # the searched class, so the attack may legitimately go deeper; the
+    # sum of all coefficients (-1) bounds how deep anything can go.
+    reached = rep.min_value <= 0.95 * oracle
+    sane = rep.min_value >= -1.0 - BOUND_TOL
+    strong = rep.min_value <= -0.2
+    return reached and sane and strong, {
+        "grid_minimum": oracle,
+        "attack_minimum": rep.min_value,
+        "required_at_most": 0.95 * oracle,
+    }
 
 
-def check_oracle_equivalence(seed: int = DEFAULT_SEED) -> Verdict:
+@_criterion(30.0)
+def check_oracle_equivalence(seed: int) -> tuple[bool, dict]:
     """Fast all-ones probabilities equal the full tensor contraction."""
-
-    def run():
-        rng = np.random.default_rng((seed, 8))
-        worst = 0.0
-        for n_parties in (2, 3):
-            ensembles = tuple(
-                tetrahedron_ensemble(p) for p in ("A", "B", "C")[:n_parties]
-            )
-            for _ in range(20):
-                rho = random_density_matrix((2,) * n_parties, rng)
-                fast = fast_entangled_table(rho, ensembles)
-                full = simulate_entangled(bell_strategy(rho), ensembles)
-                worst = max(worst, float(np.abs(fast.p_all_ones - full.p_all_ones).max()))
-        return worst <= 1e-12, {"max_abs_diff": worst, "tolerance": 1e-12}
-
-    return _timed("oracle_equivalence", run)
+    rng = np.random.default_rng((seed, 8))
+    worst = 0.0
+    for n_parties in (2, 3):
+        ensembles = tuple(
+            tetrahedron_ensemble(p) for p in ("A", "B", "C")[:n_parties]
+        )
+        for _ in range(20):
+            rho = random_density_matrix((2,) * n_parties, rng)
+            fast = fast_entangled_table(rho, ensembles)
+            full = simulate_entangled(bell_strategy(rho), ensembles)
+            worst = max(worst, float(np.abs(fast.p_all_ones - full.p_all_ones).max()))
+    return worst <= 1e-12, {"max_abs_diff": worst, "tolerance": 1e-12}
 
 
-def check_loss_invariance(seed: int = DEFAULT_SEED) -> Verdict:
+@_criterion(120.0)
+def check_loss_invariance(seed: int) -> tuple[bool, dict]:
     """Uniform losses scale the game value multiplicatively and keep its sign;
     pre-measurement operations cannot break the separable bound."""
-
-    def run():
-        dec = tetrahedron_beta()
-        table = fast_entangled_table(werner_state(1.0), dec.ensembles)
-        base = mdi_value(dec, table)
-        scale_err = 0.0
-        signs_ok = True
-        for eta_a in (0.1, 0.5, 0.9):
-            for eta_b in (0.1, 0.5, 0.9):
-                lossy = mdi_value(dec, apply_uniform_loss(table, (eta_a, eta_b)))
-                scale_err = max(scale_err, abs(lossy - eta_a * eta_b * base))
-                signs_ok = signs_ok and (lossy < 0.0) == (base < 0.0)
-        rng = np.random.default_rng((seed, 9))
-        min_i = np.inf
-        samples = 10_000
-        for _ in range(samples):
-            k = int(rng.integers(1, 5))
-            strategy = random_separable_strategy((2, 2), 2, k, rng)
-            povms = []
-            for povm in strategy.measurements:
-                kraus = random_kraus_set(povm.element(1).shape[0], int(rng.integers(1, 4)), rng)
-                povms.append(apply_pre_measurement_map(povm, kraus))
-            noisy = simulate_separable(
-                type(strategy)(strategy.weights, strategy.share_states, tuple(povms)),
-                dec.ensembles,
-            )
-            min_i = min(min_i, mdi_value(dec, noisy))
-        passed = scale_err <= 1e-13 and signs_ok and min_i >= -BOUND_TOL
-        return passed, {
-            "max_scaling_err": scale_err,
-            "signs_preserved": signs_ok,
-            "min_I_with_pre_measurement_maps": float(min_i),
-            "samples": samples,
-        }
-
-    return _timed("loss_invariance", run)
+    dec = tetrahedron_beta()
+    table = fast_entangled_table(werner_state(1.0), dec.ensembles)
+    base = mdi_value(dec, table)
+    scale_err = 0.0
+    signs_ok = True
+    for eta_a in (0.1, 0.5, 0.9):
+        for eta_b in (0.1, 0.5, 0.9):
+            lossy = mdi_value(dec, apply_uniform_loss(table, (eta_a, eta_b)))
+            scale_err = max(scale_err, abs(lossy - eta_a * eta_b * base))
+            signs_ok = signs_ok and (lossy < 0.0) == (base < 0.0)
+    rng = np.random.default_rng((seed, 9))
+    min_i = np.inf
+    samples = 10_000
+    for _ in range(samples):
+        k = int(rng.integers(1, 5))
+        strategy = random_separable_strategy((2, 2), 2, k, rng)
+        povms = []
+        for povm in strategy.measurements:
+            kraus = random_kraus_set(povm.element(1).shape[0], int(rng.integers(1, 4)), rng)
+            povms.append(apply_pre_measurement_map(povm, kraus))
+        noisy = simulate_separable(
+            type(strategy)(strategy.weights, strategy.share_states, tuple(povms)),
+            dec.ensembles,
+        )
+        min_i = min(min_i, mdi_value(dec, noisy))
+    passed = scale_err <= 1e-13 and signs_ok and min_i >= -BOUND_TOL
+    return passed, {
+        "max_scaling_err": scale_err,
+        "signs_preserved": signs_ok,
+        "min_I_with_pre_measurement_maps": float(min_i),
+        "samples": samples,
+    }
 
 
 def _random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -332,92 +326,57 @@ def _random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
-def check_linalg_invariants(seed: int = DEFAULT_SEED) -> Verdict:
-    """Tensor/trace/transpose/eigenvalue identities on random instances."""
-
-    def run():
-        rng = np.random.default_rng((seed, 10))
-        rounds = 200
-        worst = {
-            "kron_associativity": 0.0,
-            "trace_multiplicativity": 0.0,
-            "partial_trace_factorization": 0.0,
-            "transpose_involution": 0.0,
-            "transpose_spectrum": 0.0,
-            "eigenvalue_trace_sum": 0.0,
-        }
-        for _ in range(rounds):
-            da, db, dc = rng.integers(2, 4, size=3)
-            a = _random_hermitian(rng, da)
-            b = _random_hermitian(rng, db)
-            c = _random_hermitian(rng, dc)
-            left = linalg.kron(linalg.kron(a, b), c)
-            right = linalg.kron(a, linalg.kron(b, c))
-            worst["kron_associativity"] = max(
-                worst["kron_associativity"], float(np.abs(left - right).max())
-            )
-            worst["trace_multiplicativity"] = max(
-                worst["trace_multiplicativity"],
-                float(abs(np.trace(linalg.kron(a, b)) - np.trace(a) * np.trace(b))),
-            )
-        for _ in range(rounds):
-            da, db = rng.integers(2, 5, size=2)
-            a = _random_hermitian(rng, da)
-            b = _random_hermitian(rng, db)
-            pt = linalg.partial_trace(linalg.kron(a, b), (da, db), keep={0})
-            worst["partial_trace_factorization"] = max(
-                worst["partial_trace_factorization"],
-                float(np.abs(pt - np.trace(b) * a).max()),
-            )
-        for _ in range(rounds):
-            d = int(rng.integers(2, 9))
-            m = _random_hermitian(rng, d)
-            worst["transpose_involution"] = max(
-                worst["transpose_involution"],
-                float(np.abs(linalg.transpose(linalg.transpose(m)) - m).max()),
-            )
-            ev_m = linalg.hermitian_eigenvalues(m)
-            ev_t = linalg.hermitian_eigenvalues(linalg.transpose(m))
-            worst["transpose_spectrum"] = max(
-                worst["transpose_spectrum"], float(np.abs(ev_m - ev_t).max())
-            )
-        for _ in range(2 * rounds):
-            d = int(rng.integers(2, 17))
-            m = _random_hermitian(rng, d)
-            worst["eigenvalue_trace_sum"] = max(
-                worst["eigenvalue_trace_sum"],
-                abs(float(linalg.hermitian_eigenvalues(m).sum()) - float(np.trace(m).real)),
-            )
-        passed = (
-            worst["kron_associativity"] <= 1e-12
-            and worst["trace_multiplicativity"] <= 1e-12
-            and worst["partial_trace_factorization"] <= 1e-12
-            and worst["transpose_involution"] == 0.0
-            and worst["transpose_spectrum"] <= 1e-10
-            and worst["eigenvalue_trace_sum"] <= 1e-10
-        )
-        return passed, worst
-
-    return _timed("linalg_invariants", run)
-
-
-# Runtime budget in seconds of each check at its full size, in run order.
-BUDGETS = {
-    check_werner_closed_form: 1.0,
-    check_witness_trace_identity: 5.0,
-    check_closed_form_reconstructions: 1.0,
-    check_ghz_threshold: 10.0,
-    check_separable_bound: 300.0,
-    check_biseparable_bound: 600.0,
-    check_optimizer_power: 120.0,
-    check_oracle_equivalence: 30.0,
-    check_loss_invariance: 120.0,
-    check_linalg_invariants: 10.0,
+# Largest error each identity of check_linalg_invariants may show.
+_LINALG_TOLERANCES = {
+    "kron_associativity": 1e-12,
+    "trace_multiplicativity": 1e-12,
+    "partial_trace_factorization": 1e-12,
+    "transpose_involution": 0.0,
+    "transpose_spectrum": 1e-10,
+    "eigenvalue_trace_sum": 1e-10,
 }
 
-ALL_CHECKS = tuple(BUDGETS)
+
+@_criterion(10.0)
+def check_linalg_invariants(seed: int) -> tuple[bool, dict]:
+    """Tensor/trace/transpose/eigenvalue identities on random instances."""
+    rng = np.random.default_rng((seed, 10))
+    rounds = 200
+    worst = dict.fromkeys(_LINALG_TOLERANCES, 0.0)
+
+    def note(identity: str, err: float) -> None:
+        worst[identity] = max(worst[identity], err)
+
+    for _ in range(rounds):
+        da, db, dc = rng.integers(2, 4, size=3)
+        a = _random_hermitian(rng, da)
+        b = _random_hermitian(rng, db)
+        c = _random_hermitian(rng, dc)
+        left = linalg.kron(linalg.kron(a, b), c)
+        right = linalg.kron(a, linalg.kron(b, c))
+        note("kron_associativity", float(np.abs(left - right).max()))
+        note("trace_multiplicativity", float(abs(np.trace(linalg.kron(a, b)) - np.trace(a) * np.trace(b))))
+    for _ in range(rounds):
+        da, db = rng.integers(2, 5, size=2)
+        a = _random_hermitian(rng, da)
+        b = _random_hermitian(rng, db)
+        pt = linalg.partial_trace(linalg.kron(a, b), (da, db), keep={0})
+        note("partial_trace_factorization", float(np.abs(pt - np.trace(b) * a).max()))
+    for _ in range(rounds):
+        d = int(rng.integers(2, 9))
+        m = _random_hermitian(rng, d)
+        note("transpose_involution", float(np.abs(linalg.transpose(linalg.transpose(m)) - m).max()))
+        ev_m = linalg.hermitian_eigenvalues(m)
+        ev_t = linalg.hermitian_eigenvalues(linalg.transpose(m))
+        note("transpose_spectrum", float(np.abs(ev_m - ev_t).max()))
+    for _ in range(2 * rounds):
+        d = int(rng.integers(2, 17))
+        m = _random_hermitian(rng, d)
+        eig_sum = float(linalg.hermitian_eigenvalues(m).sum())
+        note("eigenvalue_trace_sum", abs(eig_sum - float(np.trace(m).real)))
+    return all(worst[k] <= tol for k, tol in _LINALG_TOLERANCES.items()), worst
 
 
 def run_all(seed: int = DEFAULT_SEED) -> list[Verdict]:
     """Run every acceptance check in order."""
-    return [check(seed) for check in ALL_CHECKS]
+    return [check(seed) for check in BUDGETS]

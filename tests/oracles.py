@@ -14,6 +14,7 @@ a violation curve one state at a time, as the reference for the stacked
 scan.
 """
 
+import functools
 import itertools
 import math
 
@@ -22,17 +23,17 @@ import numpy as np
 from mdiw.attack import _STOP, AttackReport, _start, _sweep, restart_rng
 from mdiw.game import (
     BiseparableStrategy,
+    POVM,
     SeparableStrategy,
     _contract_grid,
     _groups,
     _input_stacks,
     apply_uniform_loss,
-    binary_povm,
     fast_entangled_table,
     mdi_value,
     trace_inputs,
 )
-from mdiw.linalg import as_matrix, check_dims, kron, kron_all, partial_trace, permute_subsystems
+from mdiw.linalg import as_matrix, check_dims, kron, partial_trace, permute_subsystems
 from mdiw.states import DensityMatrix
 
 
@@ -78,7 +79,7 @@ def mixture_as_shared_state(strategy) -> DensityMatrix:
         d = math.prod(dims)
         m = np.zeros((d, d), dtype=complex)
         for w, term in zip(strategy.weights, strategy.share_states):
-            m += w * kron_all([s.matrix for s in term])
+            m += w * functools.reduce(kron, [s.matrix for s in term])
         return DensityMatrix(m, dims)
     if isinstance(strategy, BiseparableStrategy):
         dims = tuple(p.dims[1] for p in strategy.measurements)
@@ -155,7 +156,7 @@ def sequential_search(dec, ensembles, config, sample, build, hook=None) -> Attac
         if best_overall is None or best < best_overall:
             best_overall, best_state = best, kept
     weights, groups, elements, _, _ = best_state
-    povms = tuple(binary_povm(e[0], m.dims) for e, m in zip(elements, strategy.measurements))
+    povms = tuple(POVM(e[0], m.dims) for e, m in zip(elements, strategy.measurements))
     return AttackReport(
         min_value=float(best_overall),
         best_strategy=build(weights[0], groups, povms),

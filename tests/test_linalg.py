@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mdiw import linalg
-from mdiw.game import binary_povm
+from mdiw import linalg, verify
+from mdiw.game import POVM
 from mdiw.states import DensityMatrix, pauli, werner_state, singlet_ket, projector
 
 I2 = np.eye(2)
@@ -199,7 +199,7 @@ class TestValidate:
 
     def test_povm_element_above_identity_fails(self):
         with pytest.raises(ValueError, match="positive semidefinite"):
-            binary_povm(2 * I2, (2,))
+            POVM(2 * I2, (2,))
 
 
 class TestPermuteSubsystems:
@@ -213,9 +213,9 @@ class TestPermuteSubsystems:
     def test_three_factor_cycle(self):
         rng = np.random.default_rng(12)
         mats = [random_hermitian(rng, d) for d in (2, 3, 2)]
-        full = linalg.kron_all(mats)
+        full = linalg.kron(linalg.kron(mats[0], mats[1]), mats[2])
         cycled = linalg.permute_subsystems(full, (2, 3, 2), (2, 0, 1))
-        assert np.allclose(cycled, linalg.kron_all([mats[2], mats[0], mats[1]]), atol=1e-13)
+        assert np.allclose(cycled, linalg.kron(linalg.kron(mats[2], mats[0]), mats[1]), atol=1e-13)
 
     def test_identity_permutation(self):
         rng = np.random.default_rng(13)
@@ -260,3 +260,39 @@ class TestInvariantSuite:
             ev = linalg.hermitian_eigenvalues(m)
             ev_t = linalg.hermitian_eigenvalues(linalg.transpose(m))
             assert np.abs(ev - ev_t).max() < 1e-10
+
+
+def _plus(kernel, entry, eps):
+    """``kernel`` with ``eps`` added to one entry of its result."""
+
+    def broken(*args, **kwargs):
+        out = np.array(kernel(*args, **kwargs))
+        out[entry] += eps
+        return out
+
+    return broken
+
+
+class TestInvariantsCriterion:
+    """The linalg_invariants criterion fails on a broken kernel, on the identity that kernel feeds."""
+
+    # kernel: entry of its result, a defect about 10x the tolerance of the identity it feeds
+    # (any nonzero one for the exact involution), and that identity
+    DEFECTS = {
+        "kron": ((0, 1), 1e-11, "kron_associativity"),
+        "partial_trace": ((0, 0), 1e-11, "partial_trace_factorization"),
+        "transpose": ((0, 1), 1e-11, "transpose_involution"),
+        "hermitian_eigenvalues": (-1, 1e-9, "eigenvalue_trace_sum"),
+    }
+
+    @pytest.mark.parametrize("kernel", list(DEFECTS))
+    def test_broken_kernel_fails_its_identity(self, monkeypatch, kernel):
+        entry, eps, identity = self.DEFECTS[kernel]
+        monkeypatch.setattr(linalg, kernel, _plus(getattr(linalg, kernel), entry, eps))
+        verdict = verify.check_linalg_invariants()
+        over = [k for k, tol in verify._LINALG_TOLERANCES.items() if not verdict.details[k] <= tol]
+        assert not verdict.passed and over == [identity]
+
+    def test_unbroken_kernels_pass(self):
+        verdict = verify.check_linalg_invariants()
+        assert verdict.passed and list(verdict.details) == list(verify._LINALG_TOLERANCES)
