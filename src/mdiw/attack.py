@@ -48,7 +48,6 @@ from .game import (
     _block_responses,
     _fold,
     _grid,
-    _input_stacks,
     _responses,
     _restart_sums,
     _separable_groups,
@@ -409,7 +408,7 @@ def _search(dec, ensembles, config, draw, block, build, hook=None):
             stacklevel=3,
         )
     input_dims, m = tuple(e.dim for e in ensembles), config.share_dim
-    beta, inputs = np.asarray(dec.beta), _input_stacks(dec.ensembles)
+    beta, inputs = np.asarray(dec.beta), [e.matrices for e in dec.ensembles]
 
     t0 = time.perf_counter()
     draws = [

@@ -15,6 +15,7 @@ The environment variable ``MDIW_SEED`` overrides the config seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -370,6 +371,7 @@ def cmd_verify(out: str | None = None) -> int:
     return 0 if all(v.passed for v in verdicts) else 1
 
 
+@functools.cache  # built on the first call; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mdiw", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -326,10 +326,6 @@ def trace_inputs(element: np.ndarray, taus: np.ndarray) -> np.ndarray:
     return np.einsum("...iajb,sji->...sab", e, taus)
 
 
-def _input_stacks(ensembles) -> list[np.ndarray]:
-    return [np.stack([s.matrix for s in e.states]) for e in ensembles]
-
-
 def _contract_grid(rho: np.ndarray, dims, stacks) -> np.ndarray:
     """p[..., s, t, ...] = Re sum rho[..., a, b, ..., A, B, ...] G_1[s, a, A] G_2[t, b, B] ..."""
     n = len(stacks)
@@ -354,8 +350,8 @@ def _traced_inputs(measurements, ensembles, include_full: bool) -> list[np.ndarr
             raise ValueError(f"party {p}: ensemble dim {e.dim} vs measurement input dim {m.dims[0]}")
     bits = (0, 1) if include_full else (1,)
     return [
-        np.concatenate([trace_inputs(m.element(b), taus) for b in bits])
-        for m, taus in zip(measurements, _input_stacks(ensembles))
+        np.concatenate([trace_inputs(m.element(b), e.matrices) for b in bits])
+        for m, e in zip(measurements, ensembles)
     ]
 
 
@@ -404,7 +400,7 @@ def fast_entangled_table(rho: DensityMatrix, ensembles) -> CorrelationTable:
     ensembles = tuple(ensembles)
     if tuple(e.dim for e in ensembles) != rho.dims:
         raise ValueError("input dims must match the shared state's factor dims")
-    p = _contract_grid(rho.matrix, rho.dims, _input_stacks(ensembles)) / math.prod(rho.dims)
+    p = _contract_grid(rho.matrix, rho.dims, [e.matrices for e in ensembles]) / math.prod(rho.dims)
     return _table(ensembles, p, False)
 
 
@@ -688,7 +684,7 @@ def violation_scan(family: str, dec: Decomposition, grid, etas=None) -> list[tup
     if tuple(e.dim for e in dec.ensembles) != dims:
         raise ValueError("input dims must match the shared state's factor dims")
     factor = 1.0 if etas is None else math.prod(check_efficiencies(etas, len(dims)))
-    beta, stacks = dec.beta.ravel(), _input_stacks(dec.ensembles)
+    beta, stacks = dec.beta.ravel(), [e.matrices for e in dec.ensembles]
     labels = tuple(e.labels for e in dec.ensembles)
     grid = [float(v) for v in grid]
     out = []

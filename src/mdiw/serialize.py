@@ -1,7 +1,8 @@
 """Deterministic JSON/CSV rendering and matrix encoding for the CLI.
 
 Floats are written with 17 significant digits so serialized doubles
-round-trip exactly and repeated runs produce byte-identical artifacts.
+round-trip exactly and repeated runs produce byte-identical artifacts;
+JSON has no NaN or infinity, so :func:`dumps` writes those as ``null``.
 Complex matrices travel as nested row-major arrays of [re, im] pairs.
 """
 
@@ -30,7 +31,7 @@ def _render(obj, depth: int) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return fmt_float(obj)
+        return fmt_float(obj) if np.isfinite(obj) else "null"
     if isinstance(obj, str):
         return _escape(obj)
     if isinstance(obj, dict):

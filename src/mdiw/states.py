@@ -118,12 +118,17 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class InputEnsemble:
-    """Labelled quantum inputs handed to one party of the game."""
+    """Labelled quantum inputs handed to one party of the game.
+
+    ``matrices`` is the read-only (S, d, d) stack of the checked states, in
+    label order, built once on construction.
+    """
 
     party: str
     labels: tuple[str, ...]
     states: tuple[DensityMatrix, ...]
     name: str = field(default="custom")
+    matrices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = tuple(str(l) for l in self.labels)
@@ -139,8 +144,11 @@ class InputEnsemble:
         d = states[0].dim
         if any(s.dim != d for s in states):
             raise ValueError("all ensemble states must share one dimension")
+        matrices = np.stack([s.matrix for s in states])
+        matrices.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "states", states)
+        object.__setattr__(self, "matrices", matrices)
 
     @property
     def dim(self) -> int:
@@ -177,8 +185,10 @@ TETRAHEDRON_VERTICES = np.array(
 
 def tetrahedron_ensemble(party: str = "A") -> InputEnsemble:
     """Four pure qubit inputs whose Bloch vectors form a regular tetrahedron."""
-    states = tuple(bloch_state(v) for v in TETRAHEDRON_VERTICES)
-    return InputEnsemble(party, ("0", "1", "2", "3"), states, name="tetrahedron")
+    n = TETRAHEDRON_VERTICES[:, :, None, None]
+    # bloch_state's expression, one vertex per leading index
+    ms = 0.5 * (_PAULIS[0] + n[:, 0] * _PAULIS[1] + n[:, 1] * _PAULIS[2] + n[:, 2] * _PAULIS[3])
+    return InputEnsemble(party, ("0", "1", "2", "3"), DensityMatrix.stack(ms, (2,)), name="tetrahedron")
 
 
 # (sign_bit, axis) pairs defining the six Pauli eigenstates, in label order.

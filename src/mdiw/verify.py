@@ -345,7 +345,7 @@ def check_linalg_invariants(seed: int) -> tuple[bool, dict]:
     worst = dict.fromkeys(_LINALG_TOLERANCES, 0.0)
 
     def note(identity: str, err: float) -> None:
-        worst[identity] = max(worst[identity], err)
+        worst[identity] = float(np.maximum(worst[identity], err))  # a NaN error sticks
 
     for _ in range(rounds):
         da, db, dc = rng.integers(2, 4, size=3)

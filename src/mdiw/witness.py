@@ -152,7 +152,7 @@ def _product_basis(ensembles: tuple[InputEnsemble, ...]) -> np.ndarray:
     """
     ops = np.ones((1, 1, 1), dtype=complex)
     for e in ensembles:
-        taus_t = np.stack([s.matrix.T for s in e.states])
+        taus_t = e.matrices.swapaxes(-1, -2)
         n, d = len(ops) * len(taus_t), ops.shape[1] * taus_t.shape[1]
         ops = (ops[:, None, :, None, :, None] * taus_t[None, :, None, :, None, :]).reshape(n, d, d)
     return ops

@@ -27,7 +27,6 @@ from mdiw.game import (
     SeparableStrategy,
     _contract_grid,
     _groups,
-    _input_stacks,
     apply_uniform_loss,
     fast_entangled_table,
     mdi_value,
@@ -109,8 +108,8 @@ def per_bitstring_table(strategy, ensembles, include_full):
     n = strategy.n_parties
     # g[p][b][s, a, A] = F_p^b[s, A, a]: F's column index meets rho's row index.
     g = [
-        np.stack([trace_inputs(m.element(b), taus) for b in (0, 1)]).transpose(0, 1, 3, 2)
-        for m, taus in zip(strategy.measurements, _input_stacks(ensembles))
+        np.stack([trace_inputs(m.element(b), e.matrices) for b in (0, 1)]).transpose(0, 1, 3, 2)
+        for m, e in zip(strategy.measurements, ensembles)
     ]
     outcomes = itertools.product((0, 1), repeat=n) if include_full else [(1,) * n]
     rho = strategy.shared
@@ -130,7 +129,7 @@ def sequential_search(dec, ensembles, config, sample, build, hook=None) -> Attac
     every sweep.  Wall time is reported as 0.
     """
     input_dims = tuple(e.dim for e in ensembles)
-    beta, inputs = np.asarray(dec.beta), _input_stacks(dec.ensembles)
+    beta, inputs = np.asarray(dec.beta), [e.matrices for e in dec.ensembles]
 
     restart_minima = []
     best_overall = best_state = None

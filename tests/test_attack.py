@@ -27,7 +27,6 @@ from mdiw.game import (
     SeparableStrategy,
     _biseparable_strategy,
     _groups,
-    _input_stacks,
     _separable_strategy,
     mdi_value,
     simulate_entangled,
@@ -204,7 +203,7 @@ class TestBlockForm:
             if game == "ghz"
             else (random_separable_strategy, _separable_strategy)
         )
-        beta, inputs = np.asarray(dec.beta), _input_stacks(dec.ensembles)
+        beta, inputs = np.asarray(dec.beta), [e.matrices for e in dec.ensembles]
         rng = np.random.default_rng((66, share_dim))
         for _ in range(5):
             s = sample((2,) * dec.n_parties, share_dim, int(rng.integers(1, 5)), rng)
@@ -333,7 +332,7 @@ class TestBuildPhase:
             beta = rng.normal(size=(3, 3))
         else:
             dims, draw, block, dec = (2, 2, 2), _draw_biseparable, _biseparable_block, ghz_beta()
-            inputs, beta = _input_stacks(dec.ensembles), np.asarray(dec.beta)
+            inputs, beta = [e.matrices for e in dec.ensembles], np.asarray(dec.beta)
         m, k = 2, 3
         rngs = [restart_rng(12, r) for r in range(5)]
         batch = block([draw(rng, dims, m, k) for rng in rngs], dims, m)
@@ -397,7 +396,7 @@ class TestNegativeProjectorRank:
 
     def test_sweep_can_raise_value_on_ghz_share_dim_1(self):
         dec = ghz_beta()
-        beta, inputs = np.asarray(dec.beta), _input_stacks(dec.ensembles)
+        beta, inputs = np.asarray(dec.beta), [e.matrices for e in dec.ensembles]
         rng = np.random.default_rng((66, 1))
         moves = []
         for _ in range(5):

@@ -1,6 +1,10 @@
+import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -475,6 +479,58 @@ class TestResolveOnce:
         assert built == {"matrices": inputs + 1 + grid, "witnesses": 1}
 
 
+class TestRepeatedCalls:
+    """``main`` builds its parser once per process and carries nothing from one call to the next."""
+
+    def test_no_parser_built_after_first_call(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["decompose", "-c", cfg, "-o", str(tmp_path / "first.json")]) == 0
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counted_init(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+        assert main(["scan", "-c", cfg, "--steps", "3", "-o", str(tmp_path / "curve.csv")]) == 0
+        assert main(["simulate", "-c", cfg, "-o", str(tmp_path / "t.csv")]) == 0
+        assert built == []
+
+    def test_simulate_flags_do_not_carry_over(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        full, plain = tmp_path / "full.csv", tmp_path / "plain.csv"
+        argv = ["simulate", "-c", cfg, "--full", "--summary", str(tmp_path / "s.json"), "-o", str(full)]
+        assert main(argv) == 0
+        assert main(["simulate", "-c", cfg, "-o", str(plain)]) == 0
+        assert "p_00" in full.read_text().splitlines()[0]
+        assert plain.read_text().splitlines()[0] == "A,B,p_all_ones"
+        assert json.loads(capsys.readouterr().out)["I"] == pytest.approx(-0.125, abs=1e-12)
+
+    def test_scan_steps_default_after_explicit_steps(self, tmp_path):
+        cfg = write_config(tmp_path)
+        few, default = tmp_path / "few.csv", tmp_path / "default.csv"
+        assert main(["scan", "-c", cfg, "--steps", "3", "-o", str(few)]) == 0
+        assert main(["scan", "-c", cfg, "-o", str(default)]) == 0
+        assert len(few.read_text().splitlines()) == 1 + 3
+        assert len(default.read_text().splitlines()) == 1 + 101
+
+    def test_call_after_usage_error_matches_fresh_process(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--steps", "3"])
+        assert exc.value.code == 2
+        argv = ["scan", "-c", cfg, "--from", "0.25", "--steps", "7", "-o"]
+        assert main(argv + [str(tmp_path / "here.csv")]) == 0
+        path = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+        fresh = subprocess.run(
+            [sys.executable, "-c", "import sys; from mdiw.cli import main; sys.exit(main(sys.argv[1:]))",
+             *argv, str(tmp_path / "fresh.csv")],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, timeout=120,
+        )
+        assert (fresh.returncode, fresh.stderr) == (0, b"")
+        assert (tmp_path / "here.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+
 class TestAttackCommand:
     def test_bounded_expectation_passes(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -570,6 +626,11 @@ class TestSerializeHelpers:
     def test_dumps_is_valid_json(self):
         doc = {"a": [1.5, None, True], "b": {"c": "text \" with quotes"}}
         assert json.loads(serialize.dumps(doc)) == doc
+
+    def test_dumps_writes_non_finite_floats_as_null(self):
+        doc = {"nan": float("nan"), "inf": [np.inf, -np.float64("inf")], "x": 0.5}
+        assert json.loads(serialize.dumps(doc)) == {"nan": None, "inf": [None, None], "x": 0.5}
+        assert serialize.fmt_float(float("nan")) == "nan"
 
 
 class TestVerifyPlumbing:

@@ -1,7 +1,10 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
-from mdiw import linalg, verify
+from mdiw import linalg, serialize, verify
 from mdiw.game import POVM
 from mdiw.states import DensityMatrix, pauli, werner_state, singlet_ket, projector
 
@@ -296,3 +299,12 @@ class TestInvariantsCriterion:
     def test_unbroken_kernels_pass(self):
         verdict = verify.check_linalg_invariants()
         assert verdict.passed and list(verdict.details) == list(verify._LINALG_TOLERANCES)
+
+    def test_nan_eigenvalues_fail_their_identities(self, monkeypatch):
+        # max(0.0, nan) is 0.0, so a NaN error has to stick in the worst figure
+        monkeypatch.setattr(linalg, "hermitian_eigenvalues", lambda m: np.full(len(m), np.nan))
+        verdict = verify.check_linalg_invariants()
+        nan = [k for k, err in verdict.details.items() if math.isnan(err)]
+        assert not verdict.passed and nan == ["transpose_spectrum", "eigenvalue_trace_sum"]
+        doc = json.loads(serialize.dumps(verify.verdict_to_dict(verdict)))
+        assert doc["passed"] is False and doc["details"]["eigenvalue_trace_sum"] is None

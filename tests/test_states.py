@@ -18,6 +18,7 @@ from mdiw.states import (
     pauli,
     pauli6_ensemble,
     projector,
+    random_density_matrix,
     singlet_ket,
     tetrahedron_ensemble,
     werner_state,
@@ -111,6 +112,31 @@ class TestPauli6Ensemble:
     def test_sums_to_three_identities(self):
         total = sum(s.matrix for s in pauli6_ensemble().states)
         assert np.allclose(total, 3 * np.eye(2), atol=1e-12)
+
+
+def _custom_ensemble(party="A"):
+    rng = np.random.default_rng(5)
+    states = tuple(random_density_matrix((3,), rng) for _ in range(4))
+    return InputEnsemble(party, ("a", "b", "c", "d"), states)
+
+
+class TestEnsembleStack:
+    """Each ensemble keeps the read-only stack of its checked states."""
+
+    @pytest.mark.parametrize("build", [tetrahedron_ensemble, pauli6_ensemble, _custom_ensemble],
+                             ids=["tetrahedron", "pauli6", "custom"])
+    def test_stack_is_the_states_bitwise_and_read_only(self, build):
+        e = build("B")
+        stacked = np.stack([s.matrix for s in e.states])
+        assert e.matrices.shape == stacked.shape == (len(e), e.dim, e.dim)
+        assert e.matrices.dtype == stacked.dtype and e.matrices.tobytes() == stacked.tobytes()
+        with pytest.raises(ValueError):
+            e.matrices[0, 0, 0] = 0.0
+
+    def test_tetrahedron_stack_is_bloch_state_bitwise(self):
+        matrices = tetrahedron_ensemble().matrices
+        for v, m in zip(TETRAHEDRON_VERTICES, matrices, strict=True):
+            assert m.tobytes() == bloch_state(v).matrix.tobytes()
 
 
 class TestWernerFamily:
