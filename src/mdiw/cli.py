@@ -332,7 +332,7 @@ def cmd_scan(scenario: Scenario, v_from: float, v_to: float, steps: int,
         raise ConfigError(f"need at least 2 steps, got {steps}")
     if scenario.family is None:
         raise ConfigError("scan requires a named state family")
-    grid = [v_from + (v_to - v_from) * i / (steps - 1) for i in range(steps)]
+    grid = [min(v_from + (v_to - v_from) * i / (steps - 1), v_to) for i in range(steps)]
     lines = ["v,I,expected,abs_err"]
     for v, value in violation_scan(scenario.family, scenario.decomposition, grid, scenario.config.loss):
         expected = _expected_value(scenario, v)

@@ -88,8 +88,9 @@ def _binary_povms(clicks: np.ndarray, dims) -> tuple[POVM, ...]:
     return tuple(_unchecked(POVM, click=e, dims=dims) for e in es)
 
 
+@functools.cache
 def bell_outcome_povm(d: int) -> POVM:
-    """Projection onto the maximally entangled ket versus its complement.
+    """Projection onto the maximally entangled ket versus its complement, built once per ``d``.
 
     Outcome 1 flags a successful projection of (input (x) share) onto
     (1/sqrt(d)) sum_i |ii>.

@@ -7,6 +7,7 @@ basis.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -183,12 +184,11 @@ TETRAHEDRON_VERTICES = np.array(
 ) / math.sqrt(3.0)
 
 
+@functools.cache
 def tetrahedron_ensemble(party: str = "A") -> InputEnsemble:
-    """Four pure qubit inputs whose Bloch vectors form a regular tetrahedron."""
-    n = TETRAHEDRON_VERTICES[:, :, None, None]
-    # bloch_state's expression, one vertex per leading index
-    ms = 0.5 * (_PAULIS[0] + n[:, 0] * _PAULIS[1] + n[:, 1] * _PAULIS[2] + n[:, 2] * _PAULIS[3])
-    return InputEnsemble(party, ("0", "1", "2", "3"), DensityMatrix.stack(ms, (2,)), name="tetrahedron")
+    """Four pure qubit inputs whose Bloch vectors form a regular tetrahedron, built once per party."""
+    states = tuple(map(bloch_state, TETRAHEDRON_VERTICES))
+    return InputEnsemble(party, ("0", "1", "2", "3"), states, name="tetrahedron")
 
 
 # (sign_bit, axis) pairs defining the six Pauli eigenstates, in label order.
@@ -196,8 +196,9 @@ _PAULI6_INDEX = ((0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3))
 _PAULI6_LABELS = ("+x", "+y", "+z", "-x", "-y", "-z")
 
 
+@functools.cache
 def pauli6_ensemble(party: str = "A") -> InputEnsemble:
-    """The six Pauli eigenstates (1 + (-1)^s1 sigma_s2)/2 as inputs."""
+    """The six Pauli eigenstates (1 + (-1)^s1 sigma_s2)/2 as inputs, built once per party."""
     ms = [0.5 * (_PAULIS[0] + (-1.0) ** s1 * _PAULIS[s2]) for s1, s2 in _PAULI6_INDEX]
     return InputEnsemble(party, _PAULI6_LABELS, DensityMatrix.stack(ms, (2,)), name="pauli6")
 

@@ -13,6 +13,7 @@ coefficient tensor beta is exactly what the game functional in
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -108,12 +109,14 @@ class Decomposition:
         return len(self.ensembles)
 
 
+@functools.cache
 def singlet_witness() -> Witness:
     """W = 1/2 - |psi-><psi-|, detecting two-qubit states near the singlet."""
     m = 0.5 * np.eye(4, dtype=complex) - projector(singlet_ket())
     return Witness(m, (2, 2), kind="bipartite-separability")
 
 
+@functools.cache
 def ghz_witness() -> Witness:
     """W = 1/2 - |GHZ><GHZ|, detecting genuine tripartite entanglement."""
     m = 0.5 * np.eye(8, dtype=complex) - projector(ghz_ket())
@@ -191,17 +194,23 @@ def decompose(w: Witness, ensembles) -> Decomposition:
     return Decomposition(beta, ensembles, residual)
 
 
+# Each table is built on first use and shared; it is read-only, so no caller can change it.
+@functools.cache
 def _tetrahedron_table() -> np.ndarray:
     """Singlet witness over tetrahedron inputs: 5/8 on the diagonal and -1/8 off it."""
     beta = np.full((4, 4), -1.0 / 8.0)
     np.fill_diagonal(beta, 5.0 / 8.0)
+    beta.setflags(write=False)
     return beta
 
 
+@functools.cache
 def _pauli6_table() -> np.ndarray:
     """Singlet witness over Pauli eigenstates: 0 unless the axes agree, then 1/3 or -1/6 by sign."""
-    return np.array([[(3.0 * (s1 == t1) - 1.0) / 6.0 if s2 == t2 else 0.0 for t1, t2 in _PAULI6_INDEX]
+    beta = np.array([[(3.0 * (s1 == t1) - 1.0) / 6.0 if s2 == t2 else 0.0 for t1, t2 in _PAULI6_INDEX]
                      for s1, s2 in _PAULI6_INDEX])
+    beta.setflags(write=False)
+    return beta
 
 
 def ghz_coefficient(s: int, t: int, u: int) -> float:
@@ -217,11 +226,11 @@ def ghz_coefficient(s: int, t: int, u: int) -> float:
     return (3.0 / 32.0) * pair_sign * (sum_sign + label_sign * math.sqrt(3.0))
 
 
+@functools.cache
 def _ghz_table() -> np.ndarray:
     """GHZ witness over three tetrahedron ensembles: :func:`ghz_coefficient` at every label."""
-    beta = np.empty((4, 4, 4))
-    for s, t, u in itertools.product(range(4), repeat=3):
-        beta[s, t, u] = ghz_coefficient(s, t, u)
+    beta = np.array([ghz_coefficient(*k) for k in itertools.product(range(4), repeat=3)]).reshape(4, 4, 4)
+    beta.setflags(write=False)
     return beta
 
 

@@ -10,9 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from mdiw import cli, serialize, states
+from mdiw import cli, serialize, states, witness
 from mdiw.cli import ConfigError, ScenarioConfig, main
 from mdiw.states import (InputEnsemble, noisy_ghz, pauli6_ensemble, projector, singlet_ket,
                          tetrahedron_ensemble, werner_state)
@@ -181,6 +181,17 @@ class TestCustomEnsembleNames:
         assert main(["decompose", "-c", named, "-o", str(tmp_path / "named.out")]) == 0
         assert main(["decompose", "-c", custom, "-o", str(tmp_path / "custom.out")]) == 0
         assert (tmp_path / "named.out").read_bytes() == (tmp_path / "custom.out").read_bytes()
+
+    def test_shared_builtins_do_not_leak_between_configs(self, tmp_path):
+        # the README config, then custom +x, +y, +z, -x under the tetrahedron's name, then the README again
+        readme = write_config(tmp_path, name="readme.json")
+        spec = custom_ensemble(pauli6_ensemble().states[:4])
+        custom = write_config(tmp_path, {"ensembles": [spec, spec]}, name="custom.json")
+        outs = [tmp_path / f"dec{i}.json" for i in range(3)]
+        codes = [main(["decompose", "-c", cfg, "-o", str(out)]) for cfg, out in zip((readme, custom, readme), outs)]
+        assert codes == [0, 1, 0]
+        assert json.loads(outs[1].read_text())["residual"] == pytest.approx(0.4507, abs=5e-5)
+        assert outs[2].read_bytes() == outs[0].read_bytes()
 
     @pytest.mark.parametrize("command", ["decompose", "simulate", "scan", "attack"])
     def test_size_that_does_not_fit_table_exits_2(self, tmp_path, capsys, command):
@@ -389,6 +400,28 @@ class TestScanCommand:
         low, high = flips[0]
         assert low < 3 / 7 < high
 
+    def test_last_point_lands_on_to(self, tmp_path):
+        # 0.2 + 0.8 * 6 / 6 is 1.0000000000000002: the family check raised and the scan exited 1
+        cfg = write_config(tmp_path)
+        out = tmp_path / "curve.csv"
+        assert main(["scan", "-c", cfg, "--from", "0.2", "--to", "1", "--steps", "7", "-o", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 7 and rows[-1].split(",")[0] == "1"
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(2, 9))
+    # the last point was 0.90000000000000013, written with exit 0
+    @example(0.3, 0.9, 3)
+    def test_every_point_within_range(self, a, b, steps):
+        assume(a != b)
+        v_from, v_to = sorted((a, b))
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = write_config(Path(tmp)), Path(tmp) / "curve.csv"
+            argv = ["scan", "-c", cfg, "--from", repr(v_from), "--to", repr(v_to), "--steps", str(steps)]
+            assert main(argv + ["-o", str(out)]) == 0
+            vs = [float(row.split(",")[0]) for row in out.read_text().splitlines()[1:]]
+        assert len(vs) == steps and all(v_from <= v <= v_to for v in vs)
+
     def test_bad_range_exits_2(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["scan", "-c", cfg, "--from", "0.9", "--to", "0.2"]) == 2
@@ -454,7 +487,8 @@ class TestScanOracle:
 
 
 class TestResolveOnce:
-    """Each command builds the config's ensembles, its state and its witness once."""
+    """Each command builds the config's ensembles, its state and its witness once; a second
+    command in the same process builds only its state, since built-in ensembles and witnesses are shared."""
 
     @pytest.mark.parametrize("argv, grid", [(["decompose"], 0), (["simulate"], 0), (["scan", "--steps", "3"], 3)],
                              ids=["decompose", "simulate", "scan"])
@@ -471,12 +505,18 @@ class TestResolveOnce:
             built["witnesses"] += 1
             post_init(w)
 
+        for builder in (*states.ENSEMBLE_BUILDERS.values(), *witness.WITNESS_BUILDERS.values(),
+                        *witness._TABULATED.values()):
+            builder.cache_clear()
         monkeypatch.setattr(states, "_check_densities", counted_check)
         monkeypatch.setattr(Witness, "__post_init__", counted_post_init)
         cfg = write_config(tmp_path, SCAN_CONFIGS[name])
         assert main(argv + ["-c", cfg, "-o", str(tmp_path / "out")]) == 0
         # ensemble states + the config state + the scan grid, and one witness
         assert built == {"matrices": inputs + 1 + grid, "witnesses": 1}
+        built.update(matrices=0, witnesses=0)
+        assert main(argv + ["-c", cfg, "-o", str(tmp_path / "out")]) == 0
+        assert built == {"matrices": 1 + grid, "witnesses": 0}
 
 
 class TestRepeatedCalls:

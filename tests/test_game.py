@@ -190,6 +190,11 @@ class TestBellOutcomePovm:
         with pytest.raises(ValueError):
             bell_outcome_povm(1)
 
+    def test_shared_per_dimension_and_read_only(self):
+        assert bell_outcome_povm(2) is bell_outcome_povm(2)
+        with pytest.raises(ValueError):
+            bell_outcome_povm(2).click[0, 0] = 0.0
+
 
 def click_stack(broken, last):
     """Three valid click elements, with ``broken`` first or last."""

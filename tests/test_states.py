@@ -139,6 +139,22 @@ class TestEnsembleStack:
             assert m.tobytes() == bloch_state(v).matrix.tobytes()
 
 
+class TestSharedEnsembles:
+    """A built-in ensemble is built once per party and shared read-only."""
+
+    @pytest.mark.parametrize("build", [tetrahedron_ensemble, pauli6_ensemble], ids=["tetrahedron", "pauli6"])
+    def test_one_object_per_party_differing_only_in_party(self, build):
+        a, b = build("A"), build("B")
+        assert build("B") is b and (a.party, b.party) == ("A", "B")
+        assert (a.labels, a.name, [s.dims for s in a.states]) == (b.labels, b.name, [s.dims for s in b.states])
+        assert a.matrices.tobytes() == b.matrices.tobytes()
+
+    @pytest.mark.parametrize("build", [tetrahedron_ensemble, pauli6_ensemble], ids=["tetrahedron", "pauli6"])
+    def test_state_matrices_are_read_only(self, build):
+        with pytest.raises(ValueError):
+            build("A").states[0].matrix[0, 0] = 0.0
+
+
 class TestWernerFamily:
     def test_v_zero_fully_mixed(self):
         assert np.allclose(werner_state(0.0).matrix, np.eye(4) / 4)

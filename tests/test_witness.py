@@ -20,6 +20,9 @@ from mdiw.states import (
 )
 from mdiw.witness import (
     Decomposition,
+    _ghz_table,
+    _pauli6_table,
+    _tetrahedron_table,
     Witness,
     decompose,
     decomposition_to_dict,
@@ -179,6 +182,24 @@ class TestFixedCoefficientTables:
         a = reconstruct(tetrahedron_beta())
         b = reconstruct(pauli6_beta())
         assert np.allclose(a, b, atol=1e-10)
+
+
+class TestSharedBuiltins:
+    """Built-in witnesses and closed-form tables are built once and shared read-only."""
+
+    @pytest.mark.parametrize("build", [singlet_witness, ghz_witness], ids=["singlet", "ghz"])
+    def test_witness_is_shared_and_read_only(self, build):
+        assert build() is build()
+        with pytest.raises(ValueError):
+            build().matrix[0, 0] = 0.0
+
+    @pytest.mark.parametrize("table", [_tetrahedron_table, _pauli6_table, _ghz_table],
+                             ids=["tetrahedron", "pauli6", "ghz"])
+    def test_table_is_shared_and_read_only(self, table):
+        beta = table()
+        assert table() is beta
+        with pytest.raises(ValueError):
+            beta[(0,) * beta.ndim] = 0.0
 
 
 class TestGhzBeta:
