@@ -14,7 +14,6 @@ from .linalg import (
     hermitian_eigenvalues,
     kron,
     partial_trace,
-    permute_subsystems,
     transpose,
 )
 from .states import (
@@ -25,7 +24,6 @@ from .states import (
     max_entangled,
     named_ensemble,
     noisy_ghz,
-    pauli,
     pauli6_ensemble,
     tetrahedron_ensemble,
     werner_state,

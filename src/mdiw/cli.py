@@ -272,17 +272,28 @@ def load_config(path: str) -> ScenarioConfig:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, or nested too deep
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     return ScenarioConfig.from_dict(data)
+
+
+def _check_outputs(*paths) -> None:
+    """Reject an output path that names a directory or lies in no directory, before any work is done."""
+    for path in (p for p in paths if p is not None):
+        full = os.path.abspath(path)
+        if not os.path.basename(path) or os.path.isdir(full) or not os.path.isdir(os.path.dirname(full)):
+            raise ConfigError(f"cannot write {path}: not a file in an existing directory")
 
 
 def _write(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def cmd_decompose(scenario: Scenario, out: str | None = None) -> int:
@@ -407,6 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_outputs(args.out, getattr(args, "summary", None))
         if args.command == "verify":
             return cmd_verify(args.out)
         scenario = load_config(args.config).resolve()

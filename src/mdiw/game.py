@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import TOL_HERM, TOL_PSD, check_dims
+from .linalg import check_operators
 from .states import FAMILIES, DensityMatrix, _unchecked, family_matrices, max_entangled, projector
 from .witness import Decomposition
 
@@ -58,23 +58,12 @@ class POVM:
 
 
 def _checked_clicks(clicks, dims) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Checked read-only complex copy of a (N, d, d) stack of click elements, and the checked ``dims``.
+    """Read-only complex copy of a (N, d, d) stack of click elements, and the checked ``dims``.
 
-    Finite, Hermitian within ``TOL_HERM`` and eigenvalues in
-    [-``TOL_PSD``, 1 + ``TOL_PSD``]: one numpy call per predicate for the
-    whole stack, one ``eigvalsh`` per element, with the single POVM's messages.
+    The click rule: eigenvalues in [0, 1] (see :func:`mdiw.linalg.check_operators`).
     """
     es = np.array(clicks, dtype=complex)
-    if es.ndim != 3 or es.shape[1] != es.shape[2]:
-        raise ValueError(f"expected a square matrix, got array of shape {es.shape[1:]}")
-    if not np.isfinite(es).all():
-        raise ValueError("matrix has NaN or Inf entries")
-    dims = check_dims(dims, es.shape[-1])
-    if np.abs(es - es.conj().swapaxes(-1, -2)).max() > TOL_HERM:
-        raise ValueError("POVM element not Hermitian")
-    eigs = np.linalg.eigvalsh(es)
-    if eigs[:, 0].min() < -TOL_PSD or eigs[:, -1].max() > 1.0 + TOL_PSD:
-        raise ValueError("POVM element not positive semidefinite")
+    dims = check_operators(es, dims, spectrum=(0.0, 1.0))
     es.setflags(write=False)
     return es, dims
 
@@ -156,6 +145,15 @@ def bell_strategy(shared: DensityMatrix) -> EntangledStrategy:
     return EntangledStrategy(shared, tuple(bell_outcome_povm(d) for d in shared.dims))
 
 
+def _check_weights(weights) -> None:
+    """Mixture weights must be nonnegative and sum to 1, each within 1e-12; a NaN fails the sum."""
+    if any(w < -1e-12 for w in weights):
+        raise ValueError("mixture weights must be nonnegative")
+    total = sum(weights)
+    if not abs(total - 1.0) <= 1e-12:
+        raise ValueError(f"mixture weights sum to {total}, not 1")
+
+
 @dataclass(frozen=True)
 class SeparableStrategy:
     """A mixture of per-party share states with fixed per-party measurements.
@@ -173,10 +171,7 @@ class SeparableStrategy:
         weights = tuple(float(w) for w in self.weights)
         share_states = tuple(tuple(term) for term in self.share_states)
         measurements = tuple(self.measurements)
-        if any(w < -1e-12 for w in weights):
-            raise ValueError("mixture weights must be nonnegative")
-        if abs(sum(weights) - 1.0) > 1e-12:
-            raise ValueError(f"mixture weights sum to {sum(weights)}, not 1")
+        _check_weights(weights)
         if len(share_states) != len(weights):
             raise ValueError("one share-state tuple per mixture term required")
         shares = _share_dims(measurements)
@@ -241,11 +236,7 @@ class BiseparableStrategy:
         measurements = tuple(self.measurements)
         if len(measurements) != 3:
             raise ValueError("biseparable strategies are tripartite")
-        total = sum(t.weight for t in terms)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"term weights sum to {total}, not 1")
-        if any(t.weight < -1e-12 for t in terms):
-            raise ValueError("term weights must be nonnegative")
+        _check_weights([t.weight for t in terms])
         shares = _share_dims(measurements)
         for t in terms:
             p, q = t.group

@@ -60,10 +60,41 @@ def frobenius_distance(a, b) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def hermiticity_defect(m) -> float:
-    """Largest entrywise deviation |m - m^dagger|."""
-    m = as_matrix(m)
-    return float(np.abs(m - m.conj().T).max())
+def check_operators(ms: np.ndarray, dims, spectrum=None, unit_trace: bool = False) -> tuple[int, ...]:
+    """Check a complex (N, d, d) stack of Hermitian operators; return the checked ``dims``.
+
+    Every entry finite, each matrix square and Hermitian within
+    ``TOL_HERM``, ``dims`` fitting d; with ``unit_trace`` each trace is 1
+    within ``TOL_TRACE``, and with ``spectrum=(lo, hi)`` each eigenvalue
+    lies in [lo, hi] within ``TOL_PSD``.  This is the one place validity is
+    decided: one numpy call per predicate for the whole stack and one
+    ``eigvalsh`` per matrix, nothing copied.  A failure names the worst
+    matrix's figure, so a stack of one gives the single matrix's message.
+    """
+    if ms.ndim != 3 or ms.shape[1] != ms.shape[2]:
+        raise ValueError(f"expected square matrices, got array of shape {ms.shape[1:]}")
+    if not np.isfinite(ms).all():
+        raise ValueError("matrix has NaN or Inf entries")
+    dims = check_dims(dims, ms.shape[1])
+    if not len(ms):
+        return dims
+    defect = np.abs(ms - ms.conj().transpose(0, 2, 1)).max()
+    if defect > TOL_HERM:
+        raise ValueError(f"not Hermitian (defect {defect:.3e})")
+    if unit_trace:
+        traces = ms.trace(axis1=1, axis2=2).real
+        off = np.abs(traces - 1.0)
+        if off.max() > TOL_TRACE:
+            raise ValueError(f"trace {float(traces[off.argmax()])} is not 1")
+    if spectrum is not None:
+        lo, hi = spectrum
+        eigs = np.linalg.eigvalsh(ms)
+        low, high = eigs[:, 0].min(), eigs[:, -1].max()
+        if low < lo - TOL_PSD:
+            raise ValueError(f"not positive semidefinite (min eigenvalue {low:.3e}, below {lo:g})")
+        if high > hi + TOL_PSD:
+            raise ValueError(f"{hi:g} - E not positive semidefinite (max eigenvalue {high:.3e}, above {hi:g})")
+    return dims
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:
@@ -72,30 +103,9 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     Uses the dedicated LAPACK Hermitian solver; raises if the input is not
     Hermitian within ``TOL_HERM``.
     """
-    m = as_matrix(m)
-    defect = hermiticity_defect(m)
-    if defect > TOL_HERM:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {TOL_HERM})")
+    m = np.asarray(m, dtype=complex)
+    check_operators(m[None], m.shape[-1:])
     return np.linalg.eigvalsh(m)
-
-
-def permute_subsystems(m, dims, perm) -> np.ndarray:
-    """Reorder the tensor factors of a square matrix.
-
-    ``perm[i]`` names the current position of the factor that ends up at
-    position ``i``, so ``permute_subsystems(kron(a, b), (da, db), (1, 0))``
-    equals ``kron(b, a)``.
-    """
-    m = as_matrix(m)
-    dims = check_dims(dims, m.shape[0])
-    n = len(dims)
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"perm {perm} is not a permutation of 0..{n - 1}")
-    t = m.reshape(dims + dims)
-    t = t.transpose(tuple(perm) + tuple(n + p for p in perm))
-    d = math.prod(dims)
-    return t.reshape(d, d).copy()
 
 
 def partial_trace(m, dims, keep) -> np.ndarray:

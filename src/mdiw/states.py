@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import TOL_HERM, TOL_PSD, TOL_TRACE, as_matrix, check_dims
+from .linalg import as_matrix, check_operators
 
 _PAULIS = (
     np.eye(2, dtype=complex),
@@ -23,39 +23,9 @@ _PAULIS = (
 )
 
 
-def pauli(k: int) -> np.ndarray:
-    """The 2x2 Pauli matrix sigma_k, with sigma_0 the identity."""
-    if k not in (0, 1, 2, 3):
-        raise ValueError(f"Pauli index must be 0..3, got {k}")
-    return _PAULIS[k].copy()
-
-
 def _check_densities(ms: np.ndarray, dims) -> tuple[int, ...]:
-    """Check every matrix of a complex (K, d, d) stack as a density matrix.
-
-    Finite, Hermitian within ``TOL_HERM``, unit trace within ``TOL_TRACE``
-    and eigenvalues >= -``TOL_PSD``: one numpy call per predicate for the
-    whole stack.  A failure names the worst matrix's figure, so a stack of
-    one gives the single matrix's message.  Returns the checked ``dims``.
-    """
-    if not np.isfinite(ms).all():
-        raise ValueError("matrix has NaN or Inf entries")
-    if ms.shape[1] != ms.shape[2]:
-        raise ValueError("density matrix must be square")
-    dims = check_dims(dims, ms.shape[1])
-    if not len(ms):
-        return dims
-    defect = np.abs(ms - ms.conj().transpose(0, 2, 1)).max()
-    if defect > TOL_HERM:
-        raise ValueError(f"not Hermitian (defect {defect:.3e})")
-    traces = ms.trace(axis1=1, axis2=2).real
-    off = np.abs(traces - 1.0)
-    if off.max() > TOL_TRACE:
-        raise ValueError(f"trace {float(traces[off.argmax()])} is not 1")
-    min_eig = np.linalg.eigvalsh(ms)[:, 0].min()
-    if min_eig < -TOL_PSD:
-        raise ValueError(f"not positive semidefinite (min eigenvalue {min_eig:.3e})")
-    return dims
+    """The density rule for a complex (K, d, d) stack: unit trace, eigenvalues >= 0 (see check_operators)."""
+    return check_operators(ms, dims, spectrum=(0.0, math.inf), unit_trace=True)
 
 
 def _unchecked(cls, **fields):
@@ -85,8 +55,6 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex, order="C")
-        if m.ndim != 2:
-            raise ValueError(f"expected a matrix, got array of shape {m.shape}")
         dims = _check_densities(m[None], self.dims)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -99,7 +67,7 @@ class DensityMatrix:
         The whole stack passes the same checks as one state, in one call per
         predicate; each state's matrix is a read-only view of one checked copy.
         """
-        ms = np.array(ms, dtype=complex, order="C")
+        ms = np.asarray(ms, dtype=complex)
         if ms.ndim != 3:
             raise ValueError(f"expected a stack of matrices, got array of shape {ms.shape}")
         return cls._views(ms, _check_densities(ms, dims))

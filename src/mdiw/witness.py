@@ -20,14 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    TOL_HERM,
-    TOL_RECON,
-    as_matrix,
-    check_dims,
-    frobenius_distance,
-    hermiticity_defect,
-)
+from .linalg import TOL_RECON, check_operators, frobenius_distance
 from .states import (
     _PAULI6_INDEX,
     DensityMatrix,
@@ -55,16 +48,10 @@ class Witness:
     kind: str = "bipartite-separability"
 
     def __post_init__(self):
-        m = as_matrix(self.matrix)
-        if m.shape[0] != m.shape[1]:
-            raise ValueError("witness must be square")
-        dims = check_dims(self.dims, m.shape[0])
-        defect = hermiticity_defect(m)
-        if defect > TOL_HERM:
-            raise ValueError(f"witness not Hermitian (defect {defect:.3e})")
+        m = np.array(self.matrix, dtype=complex)
+        dims = check_operators(m[None], self.dims)
         if self.kind not in WITNESS_KINDS:
             raise ValueError(f"unknown witness kind {self.kind!r}")
-        m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)

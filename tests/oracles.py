@@ -12,6 +12,8 @@ outcome bitstring, as the reference for the one contraction of
 as the reference for the batched search, and :func:`pointwise_scan` scores
 a violation curve one state at a time, as the reference for the stacked
 scan.
+:func:`pauli` and :func:`permute_subsystems` are small operator helpers
+that only the tests use.
 """
 
 import functools
@@ -32,8 +34,41 @@ from mdiw.game import (
     mdi_value,
     trace_inputs,
 )
-from mdiw.linalg import as_matrix, check_dims, kron, partial_trace, permute_subsystems
+from mdiw.linalg import as_matrix, check_dims, kron, partial_trace
 from mdiw.states import DensityMatrix
+
+_PAULIS = (
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def pauli(k: int) -> np.ndarray:
+    """The 2x2 Pauli matrix sigma_k, with sigma_0 the identity."""
+    if k not in (0, 1, 2, 3):
+        raise ValueError(f"Pauli index must be 0..3, got {k}")
+    return _PAULIS[k].copy()
+
+
+def permute_subsystems(m, dims, perm) -> np.ndarray:
+    """Reorder the tensor factors of a square matrix.
+
+    ``perm[i]`` names the current position of the factor that ends up at
+    position ``i``, so ``permute_subsystems(kron(a, b), (da, db), (1, 0))``
+    equals ``kron(b, a)``.
+    """
+    m = as_matrix(m)
+    dims = check_dims(dims, m.shape[0])
+    n = len(dims)
+    perm = tuple(int(p) for p in perm)
+    if sorted(perm) != list(range(n)):
+        raise ValueError(f"perm {perm} is not a permutation of 0..{n - 1}")
+    t = m.reshape(dims + dims)
+    t = t.transpose(tuple(perm) + tuple(n + p for p in perm))
+    d = math.prod(dims)
+    return t.reshape(d, d).copy()
 
 
 def effective_povm_element(element, dims, share: DensityMatrix, share_axes=(1,)) -> np.ndarray:

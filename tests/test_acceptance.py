@@ -4,9 +4,12 @@ Every criterion runs at its full budget and prints one pass/fail line; run
 with ``pytest tests/test_acceptance.py -v -s`` to watch the lines appear.
 """
 
+import operator
+
+import numpy as np
 import pytest
 
-from mdiw import verify
+from mdiw import game, states, verify, witness
 
 CRITERIA = list(verify.BUDGETS.items())
 
@@ -36,3 +39,32 @@ def test_verify_command_all_green(tmp_path, capsys):
     names = [v["criterion"] for v in doc["verdicts"]]
     assert names == [check.__name__.removeprefix("check_") for check, _ in CRITERIA]
     assert all(v["passed"] for v in doc["verdicts"])
+
+
+def _offset_singlet_beta():
+    """W_singlet - 1e-4 * 1 solved over tetrahedron inputs: a product strategy reaches I = -1e-4."""
+    w = witness.singlet_witness()
+    shifted = witness.Witness(w.matrix - 1e-4 * np.eye(4), w.dims)
+    return witness.decompose(shifted, tuple(map(states.tetrahedron_ensemble, "AB")))
+
+
+def _untransposed_trace_inputs(element, taus, trace_inputs=game.trace_inputs):
+    """trace_inputs with each input state entering untransposed, tr_in[E (tau^T (x) 1)]."""
+    return trace_inputs(element, taus.swapaxes(-1, -2))
+
+
+# criterion: (module, attribute replaced by the defect, the defect, detail, side of its gate it must reach)
+NEGATIVE_CONTROLS = {
+    "werner_closed_form": (verify, "tetrahedron_beta", _offset_singlet_beta, "max_abs_err", operator.gt),
+    "separable_bound": (verify, "tetrahedron_beta", _offset_singlet_beta, "min_I_tetrahedron", operator.lt),
+    "oracle_equivalence": (game, "trace_inputs", _untransposed_trace_inputs, "max_abs_diff", operator.gt),
+}
+
+
+@pytest.mark.parametrize("name", list(NEGATIVE_CONTROLS))
+def test_negative_control_crosses_gate(monkeypatch, name):
+    module, attribute, defect, detail, crosses = NEGATIVE_CONTROLS[name]
+    monkeypatch.setattr(module, attribute, defect)
+    verdict = getattr(verify, f"check_{name}")(verify.DEFAULT_SEED)
+    assert not verdict.passed
+    assert crosses(verdict.details[detail], verdict.details["tolerance"]), verdict.details

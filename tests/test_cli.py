@@ -289,6 +289,44 @@ class TestDecomposeCommand:
         assert json.loads(out.read_text())["residual"] < 1e-10
 
 
+# name: (argv, with {cfg} the README config and {tmp} the work directory; the config file's
+# bytes, or None for the README config).  Each used to end in a traceback with exit 1, the
+# code of a failed bound, and the simulate case left its CSV behind.
+BAD_FILES = {
+    "out_is_directory": (["decompose", "-c", "{cfg}", "-o", "{tmp}"], None),
+    "out_in_missing_directory": (["decompose", "-c", "{cfg}", "-o", "{tmp}/missing/x"], None),
+    "summary_in_missing_directory": (
+        ["simulate", "-c", "{cfg}", "-o", "{tmp}/t.csv", "--summary", "{tmp}/missing/s.json"], None),
+    "config_not_utf8": (["decompose", "-c", "{cfg}", "-o", "{tmp}/d.json"], b"\xff\xfe{}"),
+    "config_nested_too_deep": (["decompose", "-c", "{cfg}", "-o", "{tmp}/d.json"],
+                               b"[" * 100_000 + b"]" * 100_000),
+    "verify_out_in_missing_directory": (["verify", "-o", "{tmp}/missing/v.json"], None),
+    # a trailing slash names a directory; the summary path is checked before the CSV is written
+    "summary_names_missing_directory": (
+        ["simulate", "-c", "{cfg}", "-o", "{tmp}/t.csv", "--summary", "{tmp}/missing/"], None),
+    "empty_out": (["simulate", "-c", "{cfg}", "--summary", "{tmp}/s.json", "-o", ""], None),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_FILES))
+def test_bad_file_exits_2_before_any_work(tmp_path, monkeypatch, capsys, case):
+    argv, config_bytes = BAD_FILES[case]
+    cfg = write_config(tmp_path)
+    if config_bytes is not None:
+        Path(cfg).write_bytes(config_bytes)
+
+    def no_checks(seed):
+        raise AssertionError("verify ran its checks before checking its output path")
+
+    monkeypatch.setattr(cli, "run_all", no_checks)
+    before = {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in tmp_path.rglob("*") if p.is_file()}
+    assert main([a.format(cfg=cfg, tmp=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    after = {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in tmp_path.rglob("*") if p.is_file()}
+    assert after == before
+
+
 class TestSimulateCommand:
     def test_werner_v1(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdiw.linalg import hermitian_eigenvalues, kron, partial_trace, permute_subsystems
+from mdiw.linalg import hermitian_eigenvalues, kron, partial_trace
 from mdiw.states import (
     DensityMatrix,
     InputEnsemble,
@@ -57,7 +57,7 @@ from mdiw.attack import (
     random_kraus_set,
     random_separable_strategy,
 )
-from oracles import effective_povm_element, mixture_as_shared_state, per_bitstring_table
+from oracles import effective_povm_element, mixture_as_shared_state, per_bitstring_table, permute_subsystems
 
 
 def game_probability_oracle(inputs, rho, elements):

@@ -1,12 +1,17 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mdiw import linalg, serialize, verify
-from mdiw.game import POVM
-from mdiw.states import DensityMatrix, pauli, werner_state, singlet_ket, projector
+from mdiw.attack import AttackConfig, attack, biseparable_attack, random_biseparable_strategy, random_separable_strategy
+from mdiw.game import POVM, _binary_povms
+from mdiw.witness import Witness, ghz_beta, tetrahedron_beta
+from mdiw.states import DensityMatrix, werner_state, singlet_ket, projector
+from oracles import pauli, permute_subsystems
 
 I2 = np.eye(2)
 
@@ -210,24 +215,143 @@ class TestPermuteSubsystems:
         rng = np.random.default_rng(10)
         a = random_hermitian(rng, 2)
         b = random_hermitian(rng, 3)
-        swapped = linalg.permute_subsystems(linalg.kron(a, b), (2, 3), (1, 0))
+        swapped = permute_subsystems(linalg.kron(a, b), (2, 3), (1, 0))
         assert np.allclose(swapped, linalg.kron(b, a), atol=1e-14)
 
     def test_three_factor_cycle(self):
         rng = np.random.default_rng(12)
         mats = [random_hermitian(rng, d) for d in (2, 3, 2)]
         full = linalg.kron(linalg.kron(mats[0], mats[1]), mats[2])
-        cycled = linalg.permute_subsystems(full, (2, 3, 2), (2, 0, 1))
+        cycled = permute_subsystems(full, (2, 3, 2), (2, 0, 1))
         assert np.allclose(cycled, linalg.kron(linalg.kron(mats[2], mats[0]), mats[1]), atol=1e-13)
 
     def test_identity_permutation(self):
         rng = np.random.default_rng(13)
         m = rng.normal(size=(6, 6))
-        assert np.allclose(linalg.permute_subsystems(m, (2, 3), (0, 1)), m)
+        assert np.allclose(permute_subsystems(m, (2, 3), (0, 1)), m)
 
     def test_invalid_permutation(self):
         with pytest.raises(ValueError):
-            linalg.permute_subsystems(np.eye(4), (2, 2), (0, 0))
+            permute_subsystems(np.eye(4), (2, 2), (0, 0))
+
+
+# rule: (one matrix, a stack of matrices or None), each built with dims (3,) and raising on a bad input
+RULES = {
+    "density": (lambda m: DensityMatrix(m, (3,)), lambda ms: DensityMatrix.stack(ms, (3,))),
+    "click": (lambda m: POVM(m, (3,)), lambda ms: _binary_povms(ms, (3,))),
+    "witness": (lambda m: Witness(m, (3,)), None),
+    "hermitian_eigenvalues": (linalg.hermitian_eigenvalues, None),
+}
+# predicate: (3x3 matrix that breaks only it, by t, for every rule listed; keyword; those rules)
+EDGES = {
+    "hermitian": (lambda t: np.array([[0.5, t, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]]),
+                  "not Hermitian", tuple(RULES)),
+    "unit_trace": (lambda t: np.diag([0.5 + t, 0.5, 0.0]), "trace", ("density",)),
+    "eigenvalue_below_0": (lambda t: np.diag([0.5 + t, 0.5, -t]), "positive semidefinite", ("density", "click")),
+    "eigenvalue_above_1": (lambda t: np.diag([1.0 + t, 0.0, 0.0]), "positive semidefinite", ("click",)),
+}
+VALID_STACK = [np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])]
+EDGE_CASES = [(rule, edge) for edge, (_, _, rules) in EDGES.items() for rule in rules]
+
+
+def _rejected_alike(rule, m, keyword):
+    """``m`` fails ``rule`` with ``keyword``, alone and as the last matrix of a stack, with one message."""
+    single, stacked = RULES[rule]
+    with pytest.raises(ValueError, match=keyword) as one:
+        single(m)
+    if stacked is not None:
+        with pytest.raises(ValueError, match=keyword) as many:
+            stacked(VALID_STACK + [m])
+        assert str(many.value) == str(one.value)
+
+
+class TestOperatorRules:
+    """Each constructor applies linalg.check_operators with its rule; a stack fails like its worst matrix."""
+
+    @pytest.mark.parametrize("t, accepted", [(0.5e-10, True), (2e-10, False)])
+    @pytest.mark.parametrize("rule, edge", EDGE_CASES, ids=[f"{r}-{e}" for r, e in EDGE_CASES])
+    def test_graded_boundary(self, rule, edge, t, accepted):
+        # t = 0.5e-10 and 2e-10 sit on either side of TOL_HERM = TOL_TRACE = TOL_PSD = 1e-10
+        build, keyword, _ = EDGES[edge]
+        single, stacked = RULES[rule]
+        if accepted:
+            single(build(t))
+            if stacked is not None:
+                assert len(stacked(VALID_STACK + [build(t)])) == 3
+        else:
+            _rejected_alike(rule, build(t), keyword)
+
+    @pytest.mark.parametrize("rule", list(RULES))
+    def test_non_finite_rejected(self, rule):
+        _rejected_alike(rule, np.diag([np.nan, 0.5, 0.5]), "NaN or Inf")
+
+
+# name: a strategy sampled or searched through the public API
+STRATEGIES = {
+    "random_separable_strategy": lambda: random_separable_strategy((2, 2), 2, 3, np.random.default_rng(3)),
+    "random_biseparable_strategy": lambda: random_biseparable_strategy((2, 2, 2), 2, 3, np.random.default_rng(3)),
+    "attack_best_strategy": lambda: attack(
+        tetrahedron_beta(), tetrahedron_beta().ensembles,
+        AttackConfig(restarts=2, iterations=3, mixture_size=2, share_dim=2)).best_strategy,
+    "biseparable_attack_best_strategy": lambda: biseparable_attack(
+        ghz_beta(), ghz_beta().ensembles,
+        AttackConfig(restarts=2, iterations=3, mixture_size=2, share_dim=2)).best_strategy,
+}
+
+
+@pytest.mark.parametrize("name", list(STRATEGIES))
+def test_strategies_hold_read_only_shares_and_clicks(name):
+    strategy = STRATEGIES[name]()
+    if hasattr(strategy, "share_states"):
+        shares = [rho.matrix for term in strategy.share_states for rho in term]
+    else:
+        shares = [m for t in strategy.terms for m in (t.group_state.matrix, t.singleton_state.matrix)]
+    for m in shares + [p.click for p in strategy.measurements]:
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 9.0
+
+
+VALIDITY_TOLERANCES = {"TOL_HERM", "TOL_PSD", "TOL_TRACE"}
+
+
+def _tolerance_uses(source: str, imports_allowed: bool = False) -> list[int]:
+    """Lines whose code (not strings) names a validity tolerance; with ``imports_allowed``, imports don't count."""
+    named = []
+    for node in ast.walk(ast.parse(source)):
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(node, ast.alias) and not imports_allowed:
+            name = node.name
+        if name in VALIDITY_TOLERANCES:
+            named.append(node.lineno)
+    return sorted(named)
+
+
+class TestOneValidityRule:
+    """Only linalg.check_operators decides validity: no other module uses its tolerances."""
+
+    def test_no_other_module_names_the_tolerances(self):
+        uses = {}
+        for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+            if path.name != "linalg.py":
+                lines = _tolerance_uses(path.read_text(), imports_allowed=path.name == "__init__.py")
+                if lines:
+                    uses[path.name] = lines
+        assert uses == {}
+
+    @pytest.mark.parametrize("source, lines", [
+        ("if defect > TOL_HERM:\n    pass\n", [1]),
+        ("x = 1\nok = eig >= -linalg.TOL_PSD\n", [2]),
+        ("from .linalg import TOL_TRACE, as_matrix\n", [1]),
+        ('"""Hermitian within ``TOL_HERM``."""\nfrom .linalg import TOL_RECON\n', []),
+    ], ids=["compare", "attribute", "import", "docstring_and_other_tolerance"])
+    def test_scan_sees_each_use(self, source, lines):
+        assert _tolerance_uses(source) == lines
+
+    def test_allowed_imports_still_flag_other_uses(self):
+        source = "from .linalg import TOL_HERM, TOL_PSD\n"
+        assert _tolerance_uses(source, imports_allowed=True) == []
+        assert _tolerance_uses(source + "bad = TOL_PSD < 0\n", imports_allowed=True) == [2]
 
 
 class TestInvariantSuite:

@@ -15,7 +15,6 @@ from mdiw.states import (
     max_entangled,
     named_ensemble,
     noisy_ghz,
-    pauli,
     pauli6_ensemble,
     projector,
     random_density_matrix,
@@ -24,6 +23,7 @@ from mdiw.states import (
     werner_state,
 )
 from mdiw.witness import ghz_witness, singlet_witness, witness_value
+from oracles import pauli
 
 
 class TestPauli:
