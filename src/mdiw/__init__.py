@@ -66,6 +66,7 @@ from .attack import (
     BOUND_TOL,
     attack,
     biseparable_attack,
+    certified_lower_bound,
     expected_game_value,
     random_biseparable_strategy,
     random_kraus_set,

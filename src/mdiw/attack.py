@@ -27,6 +27,7 @@ each restart's start from its own stream first, in restart order.
 
 from __future__ import annotations
 
+import math
 import numbers
 import time
 import warnings
@@ -73,7 +74,8 @@ class AttackConfig:
     dimension.  The bound holds for any dimension, so the cap is a
     validation budget, not an assumption.  ``iterations`` caps the sweeps
     per restart; a restart also ends at the first sweep that lowers the
-    value by at most ``1e-15``.
+    value by at most ``1e-15`` or that brings it to at most ``BOUND_TOL``
+    above the search's :func:`certified_lower_bound`.
     """
 
     restarts: int = 200
@@ -99,11 +101,13 @@ class AttackConfig:
 class AttackReport:
     """Search outcome: the global minimum and per-restart bookkeeping.
 
+    ``floor`` is the searched class's :func:`certified_lower_bound`.
     ``evaluations`` counts the values computed: one per restart for its
     start plus one per sweep run.
     """
 
     min_value: float
+    floor: float
     best_strategy: SeparableStrategy | BiseparableStrategy
     restart_minima: tuple[float, ...]
     evaluations: int
@@ -121,6 +125,7 @@ def report_to_dict(report: AttackReport) -> dict:
     seed = cfg.pop("seed")
     return {
         "min_I": report.min_value,
+        "floor": report.floor,
         "restart_minima": list(report.restart_minima),
         "evals": report.evaluations,
         "seed": seed,
@@ -384,19 +389,61 @@ def _select(state, restarts) -> tuple:
     return weights[restarts], kept_groups, elements, fs, kept_resp
 
 
-def _search(dec, ensembles, config, draw, block, build, hook=None):
+def certified_lower_bound(dec: Decomposition, kind: str) -> float:
+    """Closed-form floor under the value of every ``kind`` strategy on ``dec``.
+
+    With R = reconstruct(dec), one term of an unentangled strategy clicks on
+    inputs tau_s (x) omega_t (x) ... with probability tr[(tau_s^T (x)
+    omega_t^T (x) ...) P], where P = A_1 (x) A_2 (x) ... and A_p =
+    tr_share[E_p (1 (x) sigma_p)]^T lies in [0, 1] for any share dimension
+    and any pre-measurement map, so the term scores tr[R P].  No factor
+    1/prod(d) enters: the all-click strategy A_p = 1 scores tr[R]; only the
+    honest strategy's Bell measurements, each clicking with probability
+    1/d_p, give tr[W rho] / prod(d).  Transposing party r alone, tr[R P] =
+    tr[R^{T_r} P^{T_r}] with P^{T_r} >= 0 of trace at most prod(d), so
+
+        tr[R P] >= min(0, lambda_min(R^{T_r})) * prod(d).
+
+    Every cut bounds a fully separable term, so ``"separable"`` takes the
+    tightest; a biseparable term with singleton r (P = Q (x) A_r, Q in [0, 1]
+    on the pair) only the cut r, so ``"biseparable"`` takes the lowest.  A
+    floor of 0 within rounding certifies the bound (R^{T_r} >= 0; Lewenstein,
+    Kraus, Cirac & Horodecki, PRA 62, 052310 (2000)).  The eigenvalues are
+    computed once per decomposition (``Decomposition.partial_transpose_minima``).
+    """
+    if kind not in ("separable", "biseparable"):
+        raise ValueError(f"kind must be 'separable' or 'biseparable', got {kind!r}")
+    minima = dec.partial_transpose_minima
+    cut = max(minima) if kind == "separable" else min(minima)
+    return min(0.0, cut) * math.prod(e.dim for e in dec.ensembles)
+
+
+# kind: its draw phase, its build phase and the inverse of its block form
+_FAMILIES = {
+    "separable": (_draw_separable, _separable_block, _separable_strategy),
+    "biseparable": (_draw_biseparable, _biseparable_block, _biseparable_strategy),
+}
+
+
+def _search(dec, ensembles, config, kind, hook=None):
     """Shared see-saw search for both strategy families, all restarts as one batch.
 
-    Restart r draws its start with ``draw`` from its own stream
-    ``restart_rng(config.seed, r)``, in restart order; ``block`` checks all
-    the draws and puts them in block form, and :func:`_start` values them.
-    Every :func:`_sweep` then sweeps the restarts still running.  A restart
-    stops at its first sweep that lowers its value by at most ``_STOP``, or
-    after ``config.iterations`` sweeps, and leaves the batch at once
-    (:func:`_select`).  Every earlier sweep lowered its value, so its best
+    Restart r draws its start from its own stream ``restart_rng(config.seed,
+    r)``, in restart order, with the draw phase of ``kind``; its build phase
+    checks all the draws and puts them in block form, and :func:`_start`
+    values them.  Every :func:`_sweep` then sweeps the restarts still
+    running.  A restart stops at its first sweep that lowers its value by at
+    most ``_STOP`` (stalled), that leaves its best value at most
+    ``BOUND_TOL`` above :func:`certified_lower_bound` (at floor), or after
+    ``config.iterations`` sweeps (capped), and leaves the batch at once
+    (:func:`_select`).  No strategy scores below the floor, so an at-floor
+    restart has nothing left to find; a best value more than ``_STOP``
+    below the floor means the scoring or the floor is wrong, so that
+    restart does not stop there and the caller's gates see how deep it
+    goes.  Every earlier sweep lowered its value, so its best
     state is the one before or after that last sweep (before, on a tie).
     The best restart's (the lowest-index one on a tie) is checked and
-    turned back into a strategy by ``build``.
+    turned back into a strategy.
     ``hook(restart, sweep, best)`` is a test seam invoked after every sweep
     once per restart that ran it, in restart order; it must not mutate
     anything.
@@ -407,8 +454,10 @@ def _search(dec, ensembles, config, draw, block, build, hook=None):
             "the nonnegativity bound is only guaranteed for exact witnesses",
             stacklevel=3,
         )
+    draw, block, build = _FAMILIES[kind]
     input_dims, m = tuple(e.dim for e in ensembles), config.share_dim
     beta, inputs = np.asarray(dec.beta), [e.matrices for e in dec.ensembles]
+    floor = certified_lower_bound(dec, kind)
 
     t0 = time.perf_counter()
     draws = [
@@ -428,18 +477,19 @@ def _search(dec, ensembles, config, draw, block, build, hook=None):
         if hook is not None:
             for r, b in zip(running, best):
                 hook(int(r), it, float(b))
-        stop = (value - new <= _STOP) | (it + 1 == config.iterations)
+        at_floor = (floor - _STOP <= best) & (best <= floor + BOUND_TOL)
+        stop = (value - new <= _STOP) | at_floor | (it + 1 == config.iterations)
         if stop.any():
             minima[running[stop]] = best[stop]
             j = np.flatnonzero(stop)[np.argmin(best[stop])]
             if champion is None or (best[j], running[j]) < champion[:2]:
                 champion = (best[j], running[j], _select(swept if lower[j] else state, [j]))
+            if stop.all():
+                break
             go = np.flatnonzero(~stop)
             state, value, running = _select(swept, go), new[go], running[go]
         else:
             state, value = swept, new
-        if not len(running):
-            break
     wall = time.perf_counter() - t0
     min_value, _, (weights, groups, elements, _, _) = champion
     for _, specs, states in groups:
@@ -448,6 +498,7 @@ def _search(dec, ensembles, config, draw, block, build, hook=None):
     povms = tuple(POVM(e[0], (d, m)) for e, d in zip(elements, input_dims))
     return AttackReport(
         min_value=float(min_value),
+        floor=floor,
         best_strategy=build(weights[0], groups, povms),
         restart_minima=tuple(float(b) for b in minima),
         evaluations=evaluations,
@@ -464,9 +515,7 @@ def attack(dec: Decomposition, ensembles, config: AttackConfig, hook=None) -> At
     minimum below ``-BOUND_TOL`` on an exact witness decomposition
     indicates an implementation bug, not a theory violation.
     """
-    return _search(
-        dec, ensembles, config, _draw_separable, _separable_block, _separable_strategy, hook
-    )
+    return _search(dec, ensembles, config, "separable", hook)
 
 
 def biseparable_attack(
@@ -479,9 +528,7 @@ def biseparable_attack(
     """
     if dec.n_parties != 3:
         raise ValueError("biseparable attacks need a three-party decomposition")
-    return _search(
-        dec, ensembles, config, _draw_biseparable, _biseparable_block, _biseparable_strategy, hook
-    )
+    return _search(dec, ensembles, config, "biseparable", hook)
 
 
 def random_kraus_set(dim: int, n_ops: int, rng: np.random.Generator) -> list[np.ndarray]:

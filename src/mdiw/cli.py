@@ -278,10 +278,13 @@ def load_config(path: str) -> ScenarioConfig:
 
 
 def _check_outputs(*paths) -> None:
-    """Reject an output path that names a directory or lies in no directory, before any work is done."""
+    """Reject an output path that names a directory or lies in no directory, before any work is done.
+
+    Each path is checked as the OS resolves it, component by component, so
+    ``missing/../x`` lies in no directory.
+    """
     for path in (p for p in paths if p is not None):
-        full = os.path.abspath(path)
-        if not os.path.basename(path) or os.path.isdir(full) or not os.path.isdir(os.path.dirname(full)):
+        if not os.path.basename(path) or os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError(f"cannot write {path}: not a file in an existing directory")
 
 

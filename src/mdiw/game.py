@@ -313,6 +313,12 @@ def trace_inputs(element: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """
     d = taus.shape[1]
     share = element.shape[-1] // d
+    if share == 1:
+        # F[s] = sum_ij E[i, j] tau[s, j, i] over the flattened pairs: the general einsum
+        # rounds a stack of one differently from a longer stack at this shape
+        e = element.reshape(element.shape[:-2] + (d * d,))
+        f = np.einsum("...k,sk->...s", e, taus.swapaxes(-1, -2).reshape(len(taus), d * d))
+        return f[..., None, None]
     # F[s, a, b] = sum_ij E[i a, j b] tau[s, j, i]
     e = element.reshape(element.shape[:-2] + (d, share, d, share))
     return np.einsum("...iajb,sji->...sab", e, taus)

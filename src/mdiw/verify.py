@@ -19,6 +19,7 @@ import numpy as np
 from . import linalg
 from .states import (
     bloch_vector,
+    pauli6_ensemble,
     projector,
     random_density_matrix,
     singlet_ket,
@@ -112,21 +113,31 @@ def check_werner_closed_form(seed: int) -> tuple[bool, dict]:
 
 @_criterion(5.0)
 def check_witness_trace_identity(seed: int) -> tuple[bool, dict]:
-    """tr[W rho_v] = (1 - 3v)/4, and game value = tr[W rho]/4 for random rho."""
+    """tr[W rho_v] = (1 - 3v)/4, and game value = tr[W rho]/4 for random rho.
+
+    The game value is checked for the singlet witness's two closed-form
+    tables and for random complex Hermitian operators solved over both
+    ensembles: the singlet witness is real symmetric, so only a complex one
+    tells rho from its transpose.
+    """
     w = singlet_witness()
     trace_err = max(
         abs(witness_value(w, werner_state(v)) - (1.0 - 3.0 * v) / 4.0)
         for v in _werner_grid()
     )
     rng = np.random.default_rng((seed, 2))
+    games = [(w, tetrahedron_beta()), (w, pauli6_beta())]
+    operators = np.random.default_rng((seed, 2, 1))
+    for ensembles in (tuple(map(tetrahedron_ensemble, "AB")), tuple(map(pauli6_ensemble, "AB"))):
+        for _ in range(2):
+            h = Witness(_random_hermitian(operators, 4), (2, 2))
+            games.append((h, decompose(h, ensembles)))
     identity_err = 0.0
-    decs = (tetrahedron_beta(), pauli6_beta())
     for _ in range(50):
         rho = random_density_matrix((2, 2), rng)
-        target = witness_value(w, rho) / 4.0
-        for dec in decs:
+        for h, dec in games:
             table = fast_entangled_table(rho, dec.ensembles)
-            identity_err = max(identity_err, abs(mdi_value(dec, table) - target))
+            identity_err = max(identity_err, abs(mdi_value(dec, table) - witness_value(h, rho) / 4.0))
     passed = trace_err <= 1e-12 and identity_err <= 1e-10
     return passed, {
         "max_trace_err": trace_err,
@@ -164,9 +175,26 @@ def check_ghz_threshold(seed: int) -> tuple[bool, dict]:
     }
 
 
+def _bound_gates(rep, suffix: str) -> tuple[bool, dict]:
+    """The two gates of one bounded search, and its details named with ``suffix``.
+
+    The minimum must stay at or above ``-BOUND_TOL`` and at or above its
+    certified floor less ``BOUND_TOL``.  A floor at or above ``-BOUND_TOL``
+    certifies the bound in closed form and reads "certified"; a lower one
+    reads "uncertified" and fails nothing on its own.
+    """
+    certified = rep.floor >= -BOUND_TOL
+    passed = rep.min_value >= -BOUND_TOL and rep.min_value >= rep.floor - BOUND_TOL
+    return passed, {
+        f"min_I{suffix}": rep.min_value,
+        f"floor{suffix}": rep.floor,
+        f"certificate{suffix}": "certified" if certified else "uncertified",
+    }
+
+
 @_criterion(300.0)
 def check_separable_bound(seed: int) -> tuple[bool, dict]:
-    """See-saw attacks from random separable starts never push either singlet game below 0."""
+    """See-saw attacks from random separable starts never push either singlet game below 0 or its floor."""
     jobs = (
         (tetrahedron_beta(), AttackConfig(restarts=200, iterations=500, mixture_size=8,
                                           share_dim=4, seed=seed)),
@@ -174,30 +202,27 @@ def check_separable_bound(seed: int) -> tuple[bool, dict]:
                                      share_dim=2, seed=seed + 1)),
     )
     details = {}
-    minima = []
+    passed = True
     evals = 0
     for dec, cfg in jobs:
         rep = attack(dec, dec.ensembles, cfg)
-        key = dec.ensembles[0].name
-        details[f"min_I_{key}"] = rep.min_value
-        minima.append(rep.min_value)
+        ok, game = _bound_gates(rep, f"_{dec.ensembles[0].name}")
+        passed = passed and ok
+        details.update(game)
         evals += rep.evaluations
     details["evaluations"] = evals
     details["tolerance"] = -BOUND_TOL
-    return min(minima) >= -BOUND_TOL, details
+    return passed, details
 
 
 @_criterion(600.0)
 def check_biseparable_bound(seed: int) -> tuple[bool, dict]:
-    """See-saw attacks from random biseparable starts never push the GHZ game below 0."""
+    """See-saw attacks from random biseparable starts never push the GHZ game below 0 or its floor."""
     dec = ghz_beta()
     cfg = AttackConfig(restarts=100, iterations=500, mixture_size=6, share_dim=2, seed=seed)
     rep = biseparable_attack(dec, dec.ensembles, cfg)
-    return rep.min_value >= -BOUND_TOL, {
-        "min_I": rep.min_value,
-        "evaluations": rep.evaluations,
-        "tolerance": -BOUND_TOL,
-    }
+    passed, details = _bound_gates(rep, "")
+    return passed, details | {"evaluations": rep.evaluations, "tolerance": -BOUND_TOL}
 
 
 def _bloch_grid(n_theta: int, n_phi: int) -> np.ndarray:
@@ -214,6 +239,18 @@ def negated_projector_decomposition():
     ensembles = (tetrahedron_ensemble("A"), tetrahedron_ensemble("B"))
     op = Witness(-projector(singlet_ket()), (2, 2))
     return decompose(op, ensembles)
+
+
+def offset_singlet_decomposition(eps: float):
+    """W_singlet - eps * 1 solved over tetrahedron inputs: a product strategy reaches I = -eps.
+
+    The product state |01> scores exactly -eps, while the all-click and
+    no-click strategies score 1 - 4 eps and 0, so only a search that finds
+    the violating product reaches it.
+    """
+    w = singlet_witness()
+    shifted = Witness(w.matrix - eps * np.eye(4), w.dims)
+    return decompose(shifted, tuple(map(tetrahedron_ensemble, "AB")))
 
 
 # Rows of the product-strategy value table reduced at a time.
@@ -246,7 +283,8 @@ def product_strategy_grid_minimum(dec, n_theta: int = 61, n_phi: int = 120) -> f
 
 @_criterion(120.0)
 def check_optimizer_power(seed: int) -> tuple[bool, dict]:
-    """On a non-witness the attack must dig at least as deep as the grid oracle."""
+    """On a non-witness the attack must dig at least as deep as the grid oracle,
+    and on a slightly offset witness it must find the violation -eps exactly."""
     dec = negated_projector_decomposition()
     oracle = product_strategy_grid_minimum(dec)
     cfg = AttackConfig(restarts=200, iterations=500, mixture_size=4, share_dim=2, seed=seed)
@@ -259,10 +297,20 @@ def check_optimizer_power(seed: int) -> tuple[bool, dict]:
     reached = rep.min_value <= 0.95 * oracle
     sane = rep.min_value >= -1.0 - BOUND_TOL
     strong = rep.min_value <= -0.2
-    return reached and sane and strong, {
+    # Every party clicking reaches the non-witness's -1; on the offset
+    # witness it scores 1 - 4 eps, so only a real search reaches -eps.  Its
+    # floor, -4 eps, lies below that depth, so the floor stop never ends it.
+    eps = 1e-4
+    offset = offset_singlet_decomposition(eps)
+    at_least, at_most = -eps - BOUND_TOL, -0.99 * eps
+    offset_min = attack(offset, offset.ensembles, cfg).min_value
+    return reached and sane and strong and at_least <= offset_min <= at_most, {
         "grid_minimum": oracle,
         "attack_minimum": rep.min_value,
         "required_at_most": 0.95 * oracle,
+        "offset_attack_minimum": offset_min,
+        "offset_required_at_least": at_least,
+        "offset_required_at_most": at_most,
     }
 
 

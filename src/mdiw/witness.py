@@ -95,6 +95,22 @@ class Decomposition:
     def n_parties(self) -> int:
         return len(self.ensembles)
 
+    @functools.cached_property
+    def partial_transpose_minima(self) -> tuple[float, ...]:
+        """Per party r, the lowest eigenvalue of :func:`reconstruct` transposed on party r alone.
+
+        Computed on first use, in one stacked ``eigvalsh``, and kept: the
+        decomposition is immutable.
+        """
+        dims = tuple(e.dim for e in self.ensembles)
+        n, t = len(dims), reconstruct(self).reshape(dims * 2)
+        cuts = []
+        for r in range(n):
+            axes = list(range(2 * n))
+            axes[r], axes[n + r] = n + r, r
+            cuts.append(t.transpose(axes).reshape(math.prod(dims), -1))
+        return tuple(float(v) for v in np.linalg.eigvalsh(np.array(cuts))[:, 0])
+
 
 @functools.cache
 def singlet_witness() -> Witness:

@@ -9,11 +9,12 @@ of :func:`mdiw.game.simulate_separable` and the see-saw.
 outcome bitstring, as the reference for the one contraction of
 :func:`mdiw.game.simulate_entangled`.
 :func:`sequential_search` runs the see-saw's restarts one after another,
-as the reference for the batched search, and :func:`pointwise_scan` scores
+as the reference for the batched search, with :func:`certified_floor` as
+the reference for its floor, and :func:`pointwise_scan` scores
 a violation curve one state at a time, as the reference for the stacked
 scan.
-:func:`pauli` and :func:`permute_subsystems` are small operator helpers
-that only the tests use.
+:func:`pauli`, :func:`permute_subsystems` and :func:`partial_transpose`
+are small operator helpers that only the tests use.
 """
 
 import functools
@@ -22,7 +23,7 @@ import math
 
 import numpy as np
 
-from mdiw.attack import _STOP, AttackReport, _start, _sweep, restart_rng
+from mdiw.attack import _STOP, BOUND_TOL, AttackReport, _start, _sweep, restart_rng
 from mdiw.game import (
     BiseparableStrategy,
     POVM,
@@ -36,6 +37,7 @@ from mdiw.game import (
 )
 from mdiw.linalg import as_matrix, check_dims, kron, partial_trace
 from mdiw.states import DensityMatrix
+from mdiw.witness import reconstruct
 
 _PAULIS = (
     np.eye(2, dtype=complex),
@@ -154,17 +156,48 @@ def per_bitstring_table(strategy, ensembles, include_full):
 
 
 
-def sequential_search(dec, ensembles, config, sample, build, hook=None) -> AttackReport:
+def partial_transpose(m, dims, party: int) -> np.ndarray:
+    """``m`` transposed on factor ``party`` alone.
+
+    The factor is moved last with :func:`permute_subsystems`, where it
+    indexes within each block, every block is transposed, and the factor is
+    moved back.
+    """
+    m = as_matrix(m)
+    dims = check_dims(dims, m.shape[0])
+    order = [p for p in range(len(dims)) if p != party] + [party]
+    moved = permute_subsystems(m, dims, order)
+    rest, d = m.shape[0] // dims[party], dims[party]
+    flipped = moved.reshape(rest, d, rest, d).transpose(0, 3, 2, 1).reshape(m.shape)
+    return permute_subsystems(flipped, [dims[p] for p in order], [order.index(p) for p in range(len(dims))])
+
+
+def certified_floor(dec, kind: str) -> float:
+    """min(0, lambda_min of the reconstruction transposed on one party) * prod(d).
+
+    One eigenvalue problem per party: the highest cut for ``"separable"``,
+    the lowest for ``"biseparable"``.
+    """
+    dims = tuple(e.dim for e in dec.ensembles)
+    r = reconstruct(dec)
+    lows = [np.linalg.eigvalsh(partial_transpose(r, dims, p))[0] for p in range(len(dims))]
+    return min(0.0, max(lows) if kind == "separable" else min(lows)) * math.prod(dims)
+
+
+def sequential_search(dec, ensembles, config, kind, sample, build, hook=None) -> AttackReport:
     """The see-saw search with its restarts run one after another.
 
     Each restart samples its start with the public sampler ``sample`` from
     its own stream, and runs the see-saw steps of :mod:`mdiw.attack` as a
-    batch of one until a sweep lowers its value by at most ``_STOP``, or for
-    ``config.iterations`` sweeps.  ``hook(restart, sweep, best)`` fires after
-    every sweep.  Wall time is reported as 0.
+    batch of one until a sweep lowers its value by at most ``_STOP``, its
+    best value lies between ``_STOP`` below and ``BOUND_TOL`` above
+    :func:`certified_floor` for ``kind``, or for ``config.iterations``
+    sweeps.  ``hook(restart, sweep,
+    best)`` fires after every sweep.  Wall time is reported as 0.
     """
     input_dims = tuple(e.dim for e in ensembles)
     beta, inputs = np.asarray(dec.beta), [e.matrices for e in dec.ensembles]
+    floor = certified_floor(dec, kind)
 
     restart_minima = []
     best_overall = best_state = None
@@ -184,7 +217,7 @@ def sequential_search(dec, ensembles, config, sample, build, hook=None) -> Attac
                 best, kept = value, state
             if hook is not None:
                 hook(r, it, best)
-            if previous - value <= _STOP:
+            if previous - value <= _STOP or floor - _STOP <= best <= floor + BOUND_TOL:
                 break
         restart_minima.append(best)
         if best_overall is None or best < best_overall:
@@ -193,6 +226,7 @@ def sequential_search(dec, ensembles, config, sample, build, hook=None) -> Attac
     povms = tuple(POVM(e[0], m.dims) for e, m in zip(elements, strategy.measurements))
     return AttackReport(
         min_value=float(best_overall),
+        floor=floor,
         best_strategy=build(weights[0], groups, povms),
         restart_minima=tuple(float(b) for b in restart_minima),
         evaluations=evaluations,

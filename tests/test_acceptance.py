@@ -4,12 +4,19 @@ Every criterion runs at its full budget and prints one pass/fail line; run
 with ``pytest tests/test_acceptance.py -v -s`` to watch the lines appear.
 """
 
+import importlib
+import math
 import operator
 
 import numpy as np
 import pytest
 
 from mdiw import game, states, verify, witness
+from mdiw.attack import BOUND_TOL
+from oracles import partial_transpose
+
+# ``mdiw.attack`` is also the name of the package's attack function.
+attack_module = importlib.import_module("mdiw.attack")
 
 CRITERIA = list(verify.BUDGETS.items())
 
@@ -43,9 +50,7 @@ def test_verify_command_all_green(tmp_path, capsys):
 
 def _offset_singlet_beta():
     """W_singlet - 1e-4 * 1 solved over tetrahedron inputs: a product strategy reaches I = -1e-4."""
-    w = witness.singlet_witness()
-    shifted = witness.Witness(w.matrix - 1e-4 * np.eye(4), w.dims)
-    return witness.decompose(shifted, tuple(map(states.tetrahedron_ensemble, "AB")))
+    return verify.offset_singlet_decomposition(1e-4)
 
 
 def _untransposed_trace_inputs(element, taus, trace_inputs=game.trace_inputs):
@@ -53,18 +58,94 @@ def _untransposed_trace_inputs(element, taus, trace_inputs=game.trace_inputs):
     return trace_inputs(element, taus.swapaxes(-1, -2))
 
 
-# criterion: (module, attribute replaced by the defect, the defect, detail, side of its gate it must reach)
+def _conjugated_state_table(rho, ensembles, table=game.fast_entangled_table):
+    """fast_entangled_table scoring the complex conjugate of rho, which is its transpose."""
+    return table(states.DensityMatrix(rho.matrix.conj(), rho.dims), ensembles)
+
+
+def _all_click(x):
+    """Every success element the identity: every party always clicks."""
+    return np.broadcast_to(np.eye(x.shape[-1], dtype=complex), x.shape).copy()
+
+
+def _overstated_floor(dec, kind):
+    """The floor with each cut's largest eigenvalue in place of min(0, its lowest)."""
+    r, dims = witness.reconstruct(dec), tuple(e.dim for e in dec.ensembles)
+    tops = [np.linalg.eigvalsh(partial_transpose(r, dims, p))[-1] for p in range(len(dims))]
+    return (max(tops) if kind == "separable" else min(tops)) * math.prod(dims)
+
+
+def _shifted_scoring(step):
+    """A search step (``_start`` or ``_sweep``) that scores with every coefficient lowered by 1e-6."""
+    return lambda beta, *rest: step(beta - 1e-6, *rest)
+
+
+SHIFTED_SEARCH = ((attack_module, "_start", _shifted_scoring(attack_module._start)),
+                  (attack_module, "_sweep", _shifted_scoring(attack_module._sweep)))
+
+
+def _at(key):
+    return lambda details: details[key]
+
+
+def _floor_gate(suffix):
+    """The second gate of a bound check: the minimum may lie BOUND_TOL below the floor."""
+    return lambda details: details[f"floor{suffix}"] - BOUND_TOL
+
+
+# name: (criterion, the (module, attribute, defect) patches, and each gate the defect must cross
+# as (detail, side of the gate it must reach, the gate's value from the details))
 NEGATIVE_CONTROLS = {
-    "werner_closed_form": (verify, "tetrahedron_beta", _offset_singlet_beta, "max_abs_err", operator.gt),
-    "separable_bound": (verify, "tetrahedron_beta", _offset_singlet_beta, "min_I_tetrahedron", operator.lt),
-    "oracle_equivalence": (game, "trace_inputs", _untransposed_trace_inputs, "max_abs_diff", operator.gt),
+    "werner_closed_form": ("werner_closed_form", ((verify, "tetrahedron_beta", _offset_singlet_beta),),
+                           (("max_abs_err", operator.gt, _at("tolerance")),)),
+    "witness_trace_identity": ("witness_trace_identity",
+                               ((verify, "fast_entangled_table", _conjugated_state_table),),
+                               (("max_quantum_value_err", operator.gt, _at("quantum_value_tolerance")),)),
+    # W_eps is not certified (floor -4e-4): it fails the first gate alone
+    "separable_bound": ("separable_bound", ((verify, "tetrahedron_beta", _offset_singlet_beta),),
+                        (("min_I_tetrahedron", operator.lt, _at("tolerance")),)),
+    "separable_bound_overstated_floor": (
+        "separable_bound", ((attack_module, "certified_lower_bound", _overstated_floor),),
+        (("min_I_tetrahedron", operator.lt, _floor_gate("_tetrahedron")),
+         ("min_I_pauli6", operator.lt, _floor_gate("_pauli6")))),
+    # the tetrahedron search settles where a party never clicks, which no coefficient shift moves
+    "separable_bound_shifted_search": (
+        "separable_bound", SHIFTED_SEARCH,
+        (("min_I_pauli6", operator.lt, _at("tolerance")), ("min_I_pauli6", operator.lt, _floor_gate("_pauli6")))),
+    "biseparable_bound_overstated_floor": (
+        "biseparable_bound", ((attack_module, "certified_lower_bound", _overstated_floor),),
+        (("min_I", operator.lt, _floor_gate("")),)),
+    "optimizer_power": ("optimizer_power", ((attack_module, "_negative_projectors", _all_click),),
+                        (("offset_attack_minimum", operator.gt, _at("offset_required_at_most")),)),
+    "oracle_equivalence": ("oracle_equivalence", ((game, "trace_inputs", _untransposed_trace_inputs),),
+                           (("max_abs_diff", operator.gt, _at("tolerance")),)),
 }
 
 
 @pytest.mark.parametrize("name", list(NEGATIVE_CONTROLS))
 def test_negative_control_crosses_gate(monkeypatch, name):
-    module, attribute, defect, detail, crosses = NEGATIVE_CONTROLS[name]
-    monkeypatch.setattr(module, attribute, defect)
-    verdict = getattr(verify, f"check_{name}")(verify.DEFAULT_SEED)
+    criterion, patches, gates = NEGATIVE_CONTROLS[name]
+    for module, attribute, defect in patches:
+        monkeypatch.setattr(module, attribute, defect)
+    verdict = getattr(verify, f"check_{criterion}")(verify.DEFAULT_SEED)
     assert not verdict.passed
-    assert crosses(verdict.details[detail], verdict.details["tolerance"]), verdict.details
+    for detail, crosses, gate in gates:
+        assert crosses(verdict.details[detail], gate(verdict.details)), (detail, verdict.details)
+
+
+def test_offset_witness_is_uncertified_and_keeps_the_floor_gate(monkeypatch):
+    monkeypatch.setattr(verify, "tetrahedron_beta", _offset_singlet_beta)
+    details = verify.check_separable_bound(verify.DEFAULT_SEED).details
+    assert details["certificate_tetrahedron"] == "uncertified"
+    assert details["floor_tetrahedron"] == pytest.approx(-4e-4)
+    assert details["min_I_tetrahedron"] >= details["floor_tetrahedron"] - BOUND_TOL
+
+
+def test_bounded_games_read_certified():
+    separable = verify.check_separable_bound(verify.DEFAULT_SEED).details
+    biseparable = verify.check_biseparable_bound(verify.DEFAULT_SEED).details
+    assert separable["certificate_tetrahedron"] == separable["certificate_pauli6"] == "certified"
+    assert biseparable["certificate"] == "certified"
+    # each restart stops at its first sweep, on its floor
+    assert separable["evaluations"] == 2 * (200 + 200)
+    assert biseparable["evaluations"] == 2 * 100

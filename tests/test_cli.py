@@ -305,6 +305,9 @@ BAD_FILES = {
     "summary_names_missing_directory": (
         ["simulate", "-c", "{cfg}", "-o", "{tmp}/t.csv", "--summary", "{tmp}/missing/"], None),
     "empty_out": (["simulate", "-c", "{cfg}", "--summary", "{tmp}/s.json", "-o", ""], None),
+    # the OS resolves nodir before .., so this summary lies in no directory
+    "summary_through_missing_directory": (
+        ["simulate", "-c", "{cfg}", "-o", "{tmp}/t.csv", "--summary", "{tmp}/nodir/../s.json"], None),
 }
 
 
