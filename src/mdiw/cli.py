@@ -15,13 +15,15 @@ The environment variable ``MDIW_SEED`` overrides the config seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import os
+import stat
 import sys
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from . import serialize
 from .linalg import TOL_RECON
@@ -62,8 +64,17 @@ _ATTACK_DEFAULTS = {
 _FAMILY_WITNESS = {"werner": "singlet", "noisy_ghz": "ghz"}
 
 
-# JSON container type of each config key that holds one.
-_CONTAINERS = {"ensembles": list, "state": dict, "loss": list, "attack": dict}
+# The type a config keeps each key that holds a JSON container as: tuple for an array, dict for an object.
+_CONTAINERS = {"ensembles": tuple, "state": dict, "loss": tuple, "attack": dict}
+
+
+@contextlib.contextmanager
+def _config_errors(what: str = ""):
+    """Raise a KeyError, TypeError or ValueError that config data causes as a ConfigError."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{what}{exc}") from None
 
 
 def _dims(value, what: str) -> tuple[int, ...]:
@@ -132,36 +143,24 @@ class ScenarioConfig:
             raise ConfigError("state must give a 'family' or an explicit 'matrix'")
         object.__setattr__(self, "loss", loss)
         object.__setattr__(self, "attack", att)
-        self._attack_config()  # a bad search knob is a bad config before any command runs
+        self.attack_config  # a bad search knob is a bad config before any command runs
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(data) - {
-            "parties", "witness", "ensembles", "state", "decomposition", "loss", "seed", "attack",
-        }
+        required = {f.name: f.default is MISSING and f.default_factory is MISSING for f in fields(cls)}
+        unknown = set(data) - set(required)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, kind in _CONTAINERS.items():
-            if key in data and not isinstance(data[key], kind):
-                expected = "array" if kind is list else "object"
-                raise ConfigError(f"{key} must be a JSON {expected}, got {data[key]!r}")
-        try:
-            return cls(
-                parties=data["parties"],
-                witness=data["witness"],
-                ensembles=tuple(data["ensembles"]),
-                state=dict(data["state"]),
-                decomposition=data.get("decomposition", "paper"),
-                loss=tuple(data["loss"]) if "loss" in data else None,
-                seed=data.get("seed", 0),
-                attack=dict(data.get("attack", {})),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"missing config key: {exc.args[0]}") from None
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad config: {exc}") from None
+            if key in data and not isinstance(data[key], list if kind is tuple else dict):
+                raise ConfigError(f"{key} must be a JSON {'array' if kind is tuple else 'object'}, got {data[key]!r}")
+        missing = [key for key, needed in required.items() if needed and key not in data]
+        if missing:
+            raise ConfigError(f"missing config key: {missing[0]}")
+        with _config_errors("bad config: "):
+            return cls(**{key: _CONTAINERS[key](v) if key in _CONTAINERS else v for key, v in data.items()})
 
     # -- resolution to domain objects -------------------------------------
 
@@ -175,16 +174,14 @@ class ScenarioConfig:
         if self.decomposition == "solve":
             dec = decompose(w, ensembles)
         else:
-            try:
+            with _config_errors():
                 dec = tabulated_beta(self.witness if isinstance(self.witness, str) else None, w, ensembles)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
         family = self.state.get("family")
         v = None if family is None else float(self.state["v"])
         rho = self._explicit_state() if family is None else family_state(family, v)
         if rho.dims != dims:
             raise ConfigError(f"state dims {rho.dims} do not match ensemble dims {dims}")
-        return Scenario(self, dec, w, rho, family, v, self._attack_config())
+        return Scenario(self, dec, w, rho, family, v)
 
     def resolve_decomposition(self) -> Decomposition:
         # kept for the cli_scan set-up of perfbench/workloads.py
@@ -192,57 +189,45 @@ class ScenarioConfig:
 
     def _ensemble(self, party: str, spec) -> InputEnsemble:
         if isinstance(spec, str):
-            try:
+            with _config_errors():
                 return named_ensemble(spec, party)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
         if not isinstance(spec, dict):
             raise ConfigError(f"ensemble spec must be a name or object, got {type(spec).__name__}")
         if not isinstance(spec.get("name", ""), str):
             raise ConfigError(f"ensemble name for party {party} must be a string")
-        try:
+        with _config_errors(f"bad ensemble spec for party {party}: "):
             states = tuple(DensityMatrix(serialize.matrix_from_json(m), (len(m),)) for m in spec["states"])
             return InputEnsemble(party, tuple(spec["labels"]), states, name=spec.get("name", "custom"))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad ensemble spec for party {party}: {exc}") from None
 
     def _witness(self, dims: tuple[int, ...]) -> Witness:
         """The witness; an explicit matrix without ``dims`` takes the ensemble dims."""
         if isinstance(self.witness, str):
-            try:
+            with _config_errors():
                 return named_witness(self.witness)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
         if not isinstance(self.witness, dict):
             raise ConfigError("witness must be a name or an explicit matrix object")
-        try:
+        with _config_errors("bad witness spec: "):
             m = serialize.matrix_from_json(self.witness["matrix"])
             w_dims = _dims(self.witness["dims"], "witness") if "dims" in self.witness else dims
             return Witness(m, w_dims, self.witness.get("kind", "bipartite-separability"))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad witness spec: {exc}") from None
 
     def _explicit_state(self) -> DensityMatrix:
-        try:
+        with _config_errors("bad state spec: "):
             m = serialize.matrix_from_json(self.state["matrix"])
             dims = _dims(self.state["dims"], "state") if "dims" in self.state else (2,) * self.parties
             return DensityMatrix(m, dims)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad state spec: {exc}") from None
 
-    def _attack_config(self) -> AttackConfig:
+    @functools.cached_property
+    def attack_config(self) -> AttackConfig:
         """The search knobs at the config seed; ``MDIW_SEED`` is applied by ``attack`` alone."""
-        fields = {k: v for k, v in self.attack.items() if k not in ("kind", "expectation")}
-        try:
-            return AttackConfig(seed=self.seed, **fields)
-        except ValueError as exc:
-            raise ConfigError(f"bad attack config: {exc}") from None
+        knobs = {k: v for k, v in self.attack.items() if k not in ("kind", "expectation")}
+        with _config_errors("bad attack config: "):
+            return AttackConfig(seed=self.seed, **knobs)
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A config resolved to objects, once: the decomposition carries its ensembles,
-    ``family``/``v`` are None for an explicit state, and ``attack_config`` has the config seed."""
+    """A config resolved to objects, once; ``family``/``v`` are None for an explicit state."""
 
     config: ScenarioConfig
     decomposition: Decomposition
@@ -250,7 +235,6 @@ class Scenario:
     state: DensityMatrix
     family: str | None
     v: float | None
-    attack_config: AttackConfig
 
 
 def _effective_seed(config_seed: int) -> int:
@@ -288,22 +272,48 @@ def _check_outputs(*paths) -> None:
             raise ConfigError(f"cannot write {path}: not a file in an existing directory")
 
 
-def _write(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
+def _write_all(artifacts: list[tuple[str, str | None]]) -> None:
+    """Write every ``(text, path)`` artifact: all files or none, then each stdout text (path None).
+
+    Each file goes to a new temporary file beside its target, through any
+    symlink, and the targets are replaced once every one is written.  A
+    target keeps its mode, a new one gets the mode ``open(path, "w")`` gives,
+    and one that is not a regular file (``/dev/null``) is written in place.
+    """
+    staged = []  # (path, target, its temporary file or None to write in place, text)
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        for text, path in (artifact for artifact in artifacts if artifact[1] is not None):
+            mode = os.stat(path).st_mode if os.path.exists(path) else None
+            if mode is not None and not stat.S_ISREG(mode):
+                staged.append((path, path, None, text))
+                continue
+            target = os.path.realpath(path) if os.path.islink(path) else path
+            tmp = os.path.join(os.path.dirname(target), f".mdiw-{os.urandom(6).hex()}.tmp")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            staged.append((path, target, tmp, text))
+            with open(fd, "w", encoding="utf-8", newline="") as fh:
+                if mode is not None:
+                    os.fchmod(fd, stat.S_IMODE(mode))
+                fh.write(text)
+        for path, target, tmp, text in staged:
+            if tmp is not None:
+                os.replace(tmp, target)
+                continue
+            with open(target, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+    finally:
+        for _, _, tmp, _ in staged:
+            if tmp is not None and os.path.lexists(tmp):
+                os.remove(tmp)
+    sys.stdout.write("".join(text for text, path in artifacts if path is None))
 
 
-def cmd_decompose(scenario: Scenario, out: str | None = None) -> int:
-    """Write the decomposition JSON; exit 0 iff it is exact."""
+def cmd_decompose(scenario: Scenario, args: argparse.Namespace) -> tuple[int, list]:
+    """The decomposition JSON; exit 0 iff it is exact."""
     dec = scenario.decomposition
-    _write(serialize.dumps(decomposition_to_dict(dec)), out)
-    return 0 if dec.residual <= TOL_RECON else 1
+    return 0 if dec.residual <= TOL_RECON else 1, [(serialize.dumps(decomposition_to_dict(dec)), args.out)]
 
 
 def _expected_value(scenario: Scenario, v: float) -> float | None:
@@ -314,11 +324,10 @@ def _expected_value(scenario: Scenario, v: float) -> float | None:
     return expected_game_value(family, v) * math.prod(config.loss)
 
 
-def cmd_simulate(scenario: Scenario, out: str | None = None,
-                 summary_out: str | None = None, full: bool = False) -> int:
-    """Emit the correlation table as CSV plus a one-line JSON summary."""
+def cmd_simulate(scenario: Scenario, args: argparse.Namespace) -> tuple[int, list]:
+    """The correlation table as CSV plus a one-line JSON summary."""
     dec, rho, loss = scenario.decomposition, scenario.state, scenario.config.loss
-    if full:
+    if args.full:
         table = simulate_entangled(bell_strategy(rho), dec.ensembles, include_full=True)
     else:
         table = fast_entangled_table(rho, dec.ensembles)
@@ -328,18 +337,16 @@ def cmd_simulate(scenario: Scenario, out: str | None = None,
         "expected": _expected_value(scenario, scenario.v),
         "witness_value_scaled": witness_value(scenario.witness, rho) / math.prod(rho.dims),
     }
-    if full and math.prod(loss) < 1.0:
+    if args.full and math.prod(loss) < 1.0:
         # lossy full distributions are a convention: lost clicks are folded
         # into outcome 0, keeping each row normalized
         summary["loss_folding"] = "outcome-0"
-    _write(table_to_csv(table), out)
-    _write(serialize.dumps(summary), summary_out)
-    return 0
+    return 0, [(table_to_csv(table), args.out), (serialize.dumps(summary), args.summary)]
 
 
-def cmd_scan(scenario: Scenario, v_from: float, v_to: float, steps: int,
-             out: str | None = None) -> int:
+def cmd_scan(scenario: Scenario, args: argparse.Namespace) -> tuple[int, list]:
     """CSV violation curve (v, I, expected, abs_err) over a parameter grid."""
+    v_from, v_to, steps = args.v_from, args.v_to, args.steps
     if not (0.0 <= v_from < v_to <= 1.0):
         raise ConfigError(f"need 0 <= from < to <= 1, got [{v_from}, {v_to}]")
     if steps < 2:
@@ -352,37 +359,52 @@ def cmd_scan(scenario: Scenario, v_from: float, v_to: float, steps: int,
         expected = _expected_value(scenario, v)
         row = (v, value) if expected is None else (v, value, expected, abs(value - expected))
         lines.append(",".join(map(serialize.fmt_float, row)) + ",," * (expected is None))
-    _write("\n".join(lines) + "\n", out)
-    return 0
+    return 0, [("\n".join(lines) + "\n", args.out)]
 
 
-def cmd_attack(scenario: Scenario, out: str | None = None) -> int:
-    """Run the configured strategy search and write its report JSON.
+def cmd_attack(scenario: Scenario, args: argparse.Namespace) -> tuple[int, list]:
+    """Run the configured strategy search; its report JSON.
 
     Exit 0 means the outcome matched the configured expectation: the bound
     held ('bounded'), or a violation was found ('violable', the negative
     control for optimizer power).
     """
-    dec, search = scenario.decomposition, scenario.config.attack
-    attack_config = replace(scenario.attack_config, seed=_effective_seed(scenario.attack_config.seed))
+    dec, config = scenario.decomposition, scenario.config
+    violable = config.attack["expectation"] == "violable"
     with warnings.catch_warnings():
-        if search["expectation"] == "violable":
+        if violable:
             warnings.simplefilter("ignore")  # inexact/non-witness runs are intentional here
-        run = biseparable_attack if search["kind"] == "biseparable" else attack
-        report = run(dec, dec.ensembles, attack_config)
-    _write(serialize.dumps(report_to_dict(report)), out)
-    if search["expectation"] == "violable":
-        return 0 if report.min_value < 0.0 else 1
-    return 0 if report.min_value >= -BOUND_TOL else 1
+        run = biseparable_attack if config.attack["kind"] == "biseparable" else attack
+        report = run(dec, dec.ensembles, replace(config.attack_config, seed=_effective_seed(config.seed)))
+    passed = report.min_value < 0.0 if violable else report.min_value >= -BOUND_TOL
+    return 0 if passed else 1, [(serialize.dumps(report_to_dict(report)), args.out)]
 
 
-def cmd_verify(out: str | None = None) -> int:
-    """Run the acceptance checks and write one verdict per criterion."""
+def cmd_verify(scenario: None, args: argparse.Namespace) -> tuple[int, list]:
+    """Run the acceptance checks; one verdict per criterion."""
     seed = _effective_seed(DEFAULT_SEED)
     verdicts = run_all(seed)
     doc = {"seed": seed, "verdicts": [verdict_to_dict(v) for v in verdicts]}
-    _write(serialize.dumps(doc), out)
-    return 0 if all(v.passed for v in verdicts) else 1
+    return 0 if all(v.passed for v in verdicts) else 1, [(serialize.dumps(doc), args.out)]
+
+
+_CONFIG = (("-c", "--config"), {"required": True})
+_OUT = (("-o", "--out"), {})
+
+# name: (command(scenario or None, args), help, its arguments as (flags, add_argument keywords))
+COMMANDS = {
+    "decompose": (cmd_decompose, "expand a witness over input ensembles", (_CONFIG, _OUT)),
+    "simulate": (cmd_simulate, "correlation table and game value for one state", (
+        _CONFIG, (("-o", "--out"), {"help": "CSV table destination"}),
+        (("--summary",), {"help": "summary JSON destination"}),
+        (("--full",), {"action": "store_true", "help": "include all outcome probabilities"}))),
+    "scan": (cmd_scan, "violation curve over a state-family parameter", (
+        _CONFIG, (("--from",), {"dest": "v_from", "type": float, "default": 0.0}),
+        (("--to",), {"dest": "v_to", "type": float, "default": 1.0}),
+        (("--steps",), {"type": int, "default": 101}), _OUT)),
+    "attack": (cmd_attack, "adversarial search over unentangled strategies", (_CONFIG, _OUT)),
+    "verify": (cmd_verify, "run the full acceptance suite", (_OUT,)),
+}
 
 
 @functools.cache  # built on the first call; parse_args leaves it unchanged
@@ -390,31 +412,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mdiw", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_dec = sub.add_parser("decompose", help="expand a witness over input ensembles")
-    p_dec.add_argument("-c", "--config", required=True)
-    p_dec.add_argument("-o", "--out", default=None)
-
-    p_sim = sub.add_parser("simulate", help="correlation table and game value for one state")
-    p_sim.add_argument("-c", "--config", required=True)
-    p_sim.add_argument("-o", "--out", default=None, help="CSV table destination")
-    p_sim.add_argument("--summary", default=None, help="summary JSON destination")
-    p_sim.add_argument("--full", action="store_true", help="include all outcome probabilities")
-
-    p_scan = sub.add_parser("scan", help="violation curve over a state-family parameter")
-    p_scan.add_argument("-c", "--config", required=True)
-    p_scan.add_argument("--from", dest="v_from", type=float, default=0.0)
-    p_scan.add_argument("--to", dest="v_to", type=float, default=1.0)
-    p_scan.add_argument("--steps", type=int, default=101)
-    p_scan.add_argument("-o", "--out", default=None)
-
-    p_att = sub.add_parser("attack", help="adversarial search over unentangled strategies")
-    p_att.add_argument("-c", "--config", required=True)
-    p_att.add_argument("-o", "--out", default=None)
-
-    p_ver = sub.add_parser("verify", help="run the full acceptance suite")
-    p_ver.add_argument("-o", "--out", default=None)
-
+    for name, (_, help_text, arguments) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flags, keywords in arguments:
+            command.add_argument(*flags, **keywords)
     return parser
 
 
@@ -422,21 +423,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _check_outputs(args.out, getattr(args, "summary", None))
-        if args.command == "verify":
-            return cmd_verify(args.out)
-        scenario = load_config(args.config).resolve()
-        if args.command == "decompose":
-            return cmd_decompose(scenario, args.out)
-        if args.command == "simulate":
-            return cmd_simulate(scenario, args.out, args.summary, args.full)
-        if args.command == "scan":
-            return cmd_scan(scenario, args.v_from, args.v_to, args.steps, args.out)
-        if args.command == "attack":
-            return cmd_attack(scenario, args.out)
-        raise AssertionError(f"unhandled command {args.command}")
+        scenario = load_config(args.config).resolve() if "config" in args else None
+        code, artifacts = COMMANDS[args.command][0](scenario, args)
+        _write_all(artifacts)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import check_operators
+from .serialize import fmt_float
 from .states import FAMILIES, DensityMatrix, _unchecked, family_matrices, max_entangled, projector
 from .witness import Decomposition
 
@@ -712,5 +713,5 @@ def table_to_csv(table: CorrelationTable) -> str:
     keys = itertools.product(*([ls[i] for i in o] for ls, o in zip(table.labels, orders)))
     lines = [",".join(headers)]
     for key, row in zip(keys, np.stack(columns, axis=1).tolist()):
-        lines.append(",".join([*key, *(format(x, ".17g") for x in row)]))
+        lines.append(",".join([*key, *map(fmt_float, row)]))
     return "\n".join(lines) + "\n"

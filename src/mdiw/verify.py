@@ -179,9 +179,12 @@ def _bound_gates(rep, suffix: str) -> tuple[bool, dict]:
     """The two gates of one bounded search, and its details named with ``suffix``.
 
     The minimum must stay at or above ``-BOUND_TOL`` and at or above its
-    certified floor less ``BOUND_TOL``.  A floor at or above ``-BOUND_TOL``
-    certifies the bound in closed form and reads "certified"; a lower one
-    reads "uncertified" and fails nothing on its own.
+    certified floor less ``BOUND_TOL``.  ``certified_lower_bound`` clamps the
+    floor with ``min(0, .)``, so the first gate implies the second: the floor
+    gate fails on its own only when a floor above 0 is reported, the defect
+    the ``*_overstated_floor`` negative controls inject.  A floor at or above
+    ``-BOUND_TOL`` certifies the bound in closed form and reads "certified";
+    a lower one reads "uncertified" and fails nothing on its own.
     """
     certified = rep.floor >= -BOUND_TOL
     passed = rep.min_value >= -BOUND_TOL and rep.min_value >= rep.floor - BOUND_TOL

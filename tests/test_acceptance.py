@@ -4,14 +4,16 @@ Every criterion runs at its full budget and prints one pass/fail line; run
 with ``pytest tests/test_acceptance.py -v -s`` to watch the lines appear.
 """
 
+import functools
 import importlib
+import json
 import math
 import operator
 
 import numpy as np
 import pytest
 
-from mdiw import game, states, verify, witness
+from mdiw import cli, game, states, verify, witness
 from mdiw.attack import BOUND_TOL
 from oracles import partial_transpose
 
@@ -23,9 +25,15 @@ CRITERIA = list(verify.BUDGETS.items())
 IDS = [f"{i + 1:02d}_{check.__name__.removeprefix('check_')}" for i, (check, _) in enumerate(CRITERIA)]
 
 
+@functools.cache
+def _verdict(check):
+    """The check's verdict at the default seed, run once per test session."""
+    return check(verify.DEFAULT_SEED)
+
+
 @pytest.mark.parametrize("check,budget", CRITERIA, ids=IDS)
 def test_criterion(check, budget):
-    verdict = check(verify.DEFAULT_SEED)
+    verdict = _verdict(check)
     status = "PASS" if verdict.passed else "FAIL"
     detail = ", ".join(f"{k}={v}" for k, v in verdict.details.items())
     print(f"{status} {verdict.criterion} [{verdict.seconds:.2f}s / budget {budget:.0f}s] {detail}")
@@ -33,14 +41,16 @@ def test_criterion(check, budget):
     assert verdict.passed, f"{verdict.criterion} failed: {verdict.details}"
 
 
-def test_verify_command_all_green(tmp_path, capsys):
-    """The CLI verify entry point reports every criterion as passing."""
-    import json
+def test_verify_command_all_green(tmp_path, monkeypatch):
+    """The CLI verify entry point reports every criterion as passing, on the verdicts test_criterion gates."""
 
-    from mdiw.cli import main
+    def cached_run_all(seed):
+        assert seed == verify.DEFAULT_SEED
+        return [_verdict(check) for check, _ in CRITERIA]
 
+    monkeypatch.setattr(cli, "run_all", cached_run_all)
     out = tmp_path / "verdicts.json"
-    assert main(["verify", "-o", str(out)]) == 0
+    assert cli.main(["verify", "-o", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["seed"] == verify.DEFAULT_SEED
     names = [v["criterion"] for v in doc["verdicts"]]
@@ -51,6 +61,13 @@ def test_verify_command_all_green(tmp_path, capsys):
 def _offset_singlet_beta():
     """W_singlet - 1e-4 * 1 solved over tetrahedron inputs: a product strategy reaches I = -1e-4."""
     return verify.offset_singlet_decomposition(1e-4)
+
+
+def _offset_ghz_beta():
+    """W_GHZ - 1e-4 * 1 solved over three tetrahedron inputs: not certified, floor -8e-4."""
+    w = witness.ghz_witness()
+    shifted = witness.Witness(w.matrix - 1e-4 * np.eye(8), w.dims, w.kind)
+    return witness.decompose(shifted, tuple(map(states.tetrahedron_ensemble, "ABC")))
 
 
 def _untransposed_trace_inputs(element, taus, trace_inputs=game.trace_inputs):
@@ -112,6 +129,11 @@ NEGATIVE_CONTROLS = {
     "separable_bound_shifted_search": (
         "separable_bound", SHIFTED_SEARCH,
         (("min_I_pauli6", operator.lt, _at("tolerance")), ("min_I_pauli6", operator.lt, _floor_gate("_pauli6")))),
+    "ghz_threshold": ("ghz_threshold", ((verify, "ghz_beta", _offset_ghz_beta),),
+                      (("abs_err", operator.gt, _at("tolerance")),)),
+    # W_GHZ - eps is not certified (floor -8e-4) either: it fails the first gate alone
+    "biseparable_bound": ("biseparable_bound", ((verify, "ghz_beta", _offset_ghz_beta),),
+                          (("min_I", operator.lt, _at("tolerance")),)),
     "biseparable_bound_overstated_floor": (
         "biseparable_bound", ((attack_module, "certified_lower_bound", _overstated_floor),),
         (("min_I", operator.lt, _floor_gate("")),)),
@@ -142,8 +164,8 @@ def test_offset_witness_is_uncertified_and_keeps_the_floor_gate(monkeypatch):
 
 
 def test_bounded_games_read_certified():
-    separable = verify.check_separable_bound(verify.DEFAULT_SEED).details
-    biseparable = verify.check_biseparable_bound(verify.DEFAULT_SEED).details
+    separable = _verdict(verify.check_separable_bound).details
+    biseparable = _verdict(verify.check_biseparable_bound).details
     assert separable["certificate_tetrahedron"] == separable["certificate_pauli6"] == "certified"
     assert biseparable["certificate"] == "certified"
     # each restart stops at its first sweep, on its floor

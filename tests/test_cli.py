@@ -1,12 +1,15 @@
 import argparse
 import contextlib
+import errno
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -322,12 +325,87 @@ def test_bad_file_exits_2_before_any_work(tmp_path, monkeypatch, capsys, case):
         raise AssertionError("verify ran its checks before checking its output path")
 
     monkeypatch.setattr(cli, "run_all", no_checks)
-    before = {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in tmp_path.rglob("*") if p.is_file()}
+    before = snapshot(tmp_path)
     assert main([a.format(cfg=cfg, tmp=tmp_path) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    after = {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in tmp_path.rglob("*") if p.is_file()}
-    assert after == before
+    assert snapshot(tmp_path) == before
+
+
+def snapshot(root):
+    """Every file under ``root``, hidden ones included, with its bytes and modification time."""
+    return {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in Path(root).rglob("*") if p.is_file()}
+
+
+@contextlib.contextmanager
+def failing_write(n):
+    """Make writing the ``n``-th file the CLI opens for writing fail for lack of space (None: none fails)."""
+    opened = []
+
+    def no_space(text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def cli_open(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        if "w" in mode:
+            opened.append(file)
+            if len(opened) == n:
+                fh.write = no_space
+        return fh
+
+    with mock.patch.object(cli, "open", cli_open, create=True):
+        yield
+
+
+SECOND_WRITE_FAILS = ["simulate", "-c", "{cfg}", "-o", "{tmp}/t.csv", "--summary", "{tmp}/s.json"]
+
+
+class TestWriter:
+    """A command writes all of its files or none, through symlinks, keeping each target's mode."""
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new_targets", "existing_targets"])
+    def test_failed_second_write_changes_no_file(self, tmp_path, capsys, existing):
+        cfg = write_config(tmp_path)
+        if existing:
+            (tmp_path / "t.csv").write_text("old table\n")
+            (tmp_path / "s.json").write_text("old summary\n")
+        before = snapshot(tmp_path)
+        with failing_write(2):
+            assert main([a.format(cfg=cfg, tmp=tmp_path) for a in SECOND_WRITE_FAILS]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("dangling", [False, True], ids=["existing_target", "dangling_link"])
+    def test_symlinked_target_is_written_through(self, tmp_path, dangling):
+        cfg = write_config(tmp_path)
+        plain, real, link = tmp_path / "plain.json", tmp_path / "real" / "dec.json", tmp_path / "link.json"
+        real.parent.mkdir()
+        if not dangling:
+            real.write_text("old\n")
+        link.symlink_to(real)
+        assert main(["decompose", "-c", cfg, "-o", str(plain)]) == 0
+        assert main(["decompose", "-c", cfg, "-o", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert real.read_bytes() == plain.read_bytes()
+        assert [p.name for p in real.parent.iterdir()] == ["dec.json"]
+
+    def test_existing_target_keeps_its_mode_and_new_file_gets_open_mode(self, tmp_path):
+        cfg = write_config(tmp_path)
+        existing, new, reference = tmp_path / "old.json", tmp_path / "new.json", tmp_path / "reference"
+        existing.write_text("old\n")
+        existing.chmod(0o640)
+        umask = os.umask(0o002)  # open(path, "w") then gives 0o664, and a private temporary file 0o600
+        try:
+            with open(reference, "w"):
+                pass
+            assert main(["decompose", "-c", cfg, "-o", str(existing)]) == 0
+            assert main(["decompose", "-c", cfg, "-o", str(new)]) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(existing.stat().st_mode) == 0o640
+        assert stat.S_IMODE(new.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode) == 0o664
+        assert existing.read_bytes() == new.read_bytes()
 
 
 class TestSimulateCommand:
@@ -843,3 +921,71 @@ class TestConfigFuzz:
                 assert code in (0, 1, 2)
                 if code == 2:
                     assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+EDGE_VALUES = ["0", "1", "-5", "50", "nan", "inf", "", "x"]
+# in a missing directory, an existing directory, an existing file, a new file,
+# through a missing directory, and a trailing slash
+EDGE_PATHS = ["{tmp}/missing/x", "{tmp}/dir", "{tmp}/old.txt", "{tmp}/new.txt", "{tmp}/nodir/../x", "{tmp}/x/"]
+BAD_CONFIG_BYTES = sorted({config for _, config in BAD_FILES.values() if config is not None})
+
+
+@st.composite
+def parser_argv(draw):
+    """An argv template from the parser's own subcommands and options, valued from the edge pools."""
+    (commands,) = [a.choices for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    name = draw(st.sampled_from(sorted(commands)))
+    argv = [name]
+    for action in draw(st.permutations([a for a in commands[name]._actions
+                                        if a.option_strings and not isinstance(a, argparse._HelpAction)])):
+        if not (action.required or draw(st.booleans())):
+            continue
+        argv.append(draw(st.sampled_from(action.option_strings)))
+        if action.dest == "config":
+            argv.append(draw(st.just("{cfg}") | st.sampled_from(EDGE_PATHS)))
+        elif action.dest in ("out", "summary"):
+            argv.append(draw(st.sampled_from(EDGE_PATHS)))
+        elif action.nargs != 0:
+            argv.append(draw(st.sampled_from(EDGE_VALUES)))
+    return argv
+
+
+def bad_file_examples(test):
+    """Every BAD_FILES case as an explicit example."""
+    for argv, config in BAD_FILES.values():
+        test = example(argv=argv, seed=None, config=config, fail_write=None)(test)
+    return test
+
+
+class TestArgvFuzz:
+    """The CLI contract on any argv, MDIW_SEED and failed write: exit 0, 1 or 2, never a
+    traceback, and an exit 2 prints one error line and creates or changes no file."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(argv=parser_argv(), seed=st.sampled_from([None, *EDGE_VALUES]),
+           config=st.none() | st.sampled_from(BAD_CONFIG_BYTES), fail_write=st.none() | st.sampled_from([1, 2]))
+    @example(argv=SECOND_WRITE_FAILS, seed=None, config=None, fail_write=2)
+    @bad_file_examples
+    def test_any_argv_keeps_exit_contract(self, argv, seed, config, fail_write):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "dir").mkdir()
+            (tmp / "old.txt").write_text("old\n")
+            cfg = tmp / "cfg.json"
+            cfg.write_bytes(json.dumps(BASE_CONFIG).encode() if config is None else config)
+            before = snapshot(tmp)
+            out, err = io.StringIO(), io.StringIO()
+            with mock.patch.dict(os.environ), mock.patch.object(cli, "run_all", lambda seed: []), \
+                    failing_write(fail_write), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                os.environ.pop("MDIW_SEED", None)
+                if seed is not None:
+                    os.environ["MDIW_SEED"] = seed
+                try:
+                    code = main([a.format(cfg=cfg, tmp=tmp) for a in argv])
+                except SystemExit as exc:  # argparse's usage error
+                    code = exc.code
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()
+            if code == 2:
+                assert len([line for line in err.getvalue().splitlines() if "error:" in line]) == 1
+                assert snapshot(tmp) == before
