@@ -254,9 +254,10 @@ def load_config(path: str) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        json.dumps(data, ensure_ascii=False).encode("utf-8")  # a lone surrogate cannot be written out
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, or nested too deep
+    except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, lone surrogate, or nested too deep
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     return ScenarioConfig.from_dict(data)
 

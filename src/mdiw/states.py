@@ -90,7 +90,8 @@ class InputEnsemble:
     """Labelled quantum inputs handed to one party of the game.
 
     ``matrices`` is the read-only (S, d, d) stack of the checked states, in
-    label order, built once on construction.
+    label order, built once on construction; :attr:`transposed_svd`, which
+    :func:`mdiw.witness.decompose` solves through, is built on first use.
     """
 
     party: str
@@ -125,6 +126,20 @@ class InputEnsemble:
 
     def __len__(self) -> int:
         return len(self.states)
+
+    @functools.cached_property
+    def transposed_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only thin SVD (U, s, Vt) of the real (2 d^2, S) matrix of transposed states, built once.
+
+        Column s stacks transpose(state s)'s real and imaginary parts, an isometry.  U
+        comes as its (k, d, d) columns as matrices, orthonormal and Hermitian where s_j > 0.
+        """
+        flat = self.matrices.swapaxes(1, 2).reshape(len(self), -1)
+        u, s, vt = np.linalg.svd(np.concatenate([flat.real, flat.imag], axis=1).T, full_matrices=False)
+        u = (u[:flat.shape[1]] + 1j * u[flat.shape[1]:]).T.reshape(-1, self.dim, self.dim)
+        for a in (u, s, vt):
+            a.setflags(write=False)
+        return u, s, vt
 
 
 def bloch_state(n) -> DensityMatrix:

@@ -104,11 +104,7 @@ class Decomposition:
         """
         dims = tuple(e.dim for e in self.ensembles)
         n, t = len(dims), reconstruct(self).reshape(dims * 2)
-        cuts = []
-        for r in range(n):
-            axes = list(range(2 * n))
-            axes[r], axes[n + r] = n + r, r
-            cuts.append(t.transpose(axes).reshape(math.prod(dims), -1))
+        cuts = [t.swapaxes(r, n + r).reshape(math.prod(dims), -1) for r in range(n)]
         return tuple(float(v) for v in np.linalg.eigvalsh(np.array(cuts))[:, 0])
 
 
@@ -136,48 +132,43 @@ def witness_value(w: Witness, rho: DensityMatrix) -> float:
     return float(val.real)
 
 
-def _hermitian_coordinates(m: np.ndarray) -> np.ndarray:
-    """Isometric real coordinates of Hermitian matrices, stacked on the last axes.
-
-    Maps each d x d Hermitian matrix onto R^(d^2) so that the Euclidean
-    norm equals the Frobenius norm; solving the expansion in these
-    coordinates keeps the coefficients real by construction.
-    """
-    d = m.shape[-1]
-    rows, cols = np.triu_indices(d, k=1)
-    off = math.sqrt(2.0) * m[..., rows, cols]
-    diag = np.diagonal(m, axis1=-2, axis2=-1)
-    return np.concatenate([diag.real, off.real, off.imag], axis=-1)
+def _expand(beta: np.ndarray, ensembles) -> np.ndarray:
+    """Sum of beta over the products of transposed states, contracted one party at a time."""
+    for e in reversed(ensembles):  # each step contracts the last label axis and prepends (row, column)
+        beta = e.matrices.reshape(len(e), -1).T @ beta.reshape(-1, len(e)).T
+    # transpose(tau)[a, b] = tau[b, a]: the states' column axes index the rows
+    t = beta.reshape([e.dim for e in ensembles for _ in "rc"])
+    return t.transpose([*range(1, t.ndim, 2), *range(0, t.ndim, 2)]).reshape(math.prod(t.shape[::2]), -1)
 
 
-def _product_basis(ensembles: tuple[InputEnsemble, ...]) -> np.ndarray:
-    """Transposed-state product operators stacked as (N, D, D), row-major over labels.
-
-    Built one party at a time as an outer product, which is the Kronecker
-    product of every pair of stacked factors at once.
-    """
-    ops = np.ones((1, 1, 1), dtype=complex)
+def _solve(m: np.ndarray, ensembles) -> np.ndarray:
+    """((x) V_p) diag(1/s) ((x) U_p)^T m, s the products of s_p, zero at most lstsq's cutoff on (D^2, N)."""
+    n = len(ensembles)
+    t = m.reshape(tuple(e.dim for e in ensembles) * 2).transpose([i for p in range(n) for i in (p, n + p)])
+    for e in ensembles:  # <U_j, m> on the leading (row, column) pair, appended as the last axis
+        t = t.reshape(e.dim ** 2, -1).T @ e.transposed_svd[0].reshape(-1, e.dim ** 2).conj().T
+    s = functools.reduce(np.multiply.outer, [e.transposed_svd[1] for e in ensembles])
+    keep = s > np.finfo(float).eps * max(m.size, math.prod(map(len, ensembles))) * s.flat[0]
+    t = np.divide(t.real.reshape(s.shape), s, out=np.zeros(s.shape), where=keep)
     for e in ensembles:
-        taus_t = e.matrices.swapaxes(-1, -2)
-        n, d = len(ops) * len(taus_t), ops.shape[1] * taus_t.shape[1]
-        ops = (ops[:, None, :, None, :, None] * taus_t[None, :, None, :, None, :]).reshape(n, d, d)
-    return ops
+        t = t.reshape(len(e.transposed_svd[2]), -1).T @ e.transposed_svd[2]
+    return t.reshape(tuple(map(len, ensembles)))
 
 
 def reconstruct(dec: Decomposition) -> np.ndarray:
-    """Sum beta[s, t, ...] * transpose(tau_s) (x) transpose(omega_t) (x) ..."""
-    return np.tensordot(dec.beta.ravel(), _product_basis(dec.ensembles), axes=1)
+    """Sum beta[s, t, ...] * transpose(tau_s) (x) transpose(omega_t) (x) ..., one party at a time."""
+    return _expand(dec.beta, dec.ensembles)
 
 
 def decompose(w: Witness, ensembles) -> Decomposition:
-    """Expand a witness over products of transposed ensemble states.
+    """Expand a witness over products of transposed ensemble states, by minimum-norm least squares.
 
-    Solves the linear system in the real vector space of Hermitian
-    operators by minimum-norm least squares, so among all coefficient
-    tensors with minimal reconstruction error the one with the smallest
-    Euclidean norm is returned.  If the ensembles span too small a space
-    the recorded residual exceeds ``TOL_RECON`` and the decomposition is
-    flagged inexact rather than rejected.
+    The product basis is a Kronecker product, so its SVD and pseudo-inverse factor
+    into the ensembles' ``transposed_svd``; rank is decided on the products of
+    singular values with ``lstsq``'s cutoff, so this is ``lstsq``'s solution on
+    the full basis, up to rounding, for W's Hermitian part.  One refinement step
+    solves for the matrix W - reconstruct, in the same row space.  A residual
+    above ``TOL_RECON`` flags the decomposition inexact; it is not rejected.
     """
     ensembles = tuple(ensembles)
     if len(ensembles) != w.n_parties:
@@ -185,16 +176,9 @@ def decompose(w: Witness, ensembles) -> Decomposition:
     for e, d in zip(ensembles, w.dims):
         if e.dim != d:
             raise ValueError(f"ensemble for party {e.party} has dim {e.dim}, witness needs {d}")
-    basis = _product_basis(ensembles)
-    a = _hermitian_coordinates(basis).T
-    target = _hermitian_coordinates(w.matrix)
-    coeffs = np.linalg.lstsq(a, target, rcond=None)[0]
-    # One step of iterative refinement: the correction also lies in the row
-    # space of ``a``, so the solution stays the minimum-norm one.
-    coeffs += np.linalg.lstsq(a, target - a @ coeffs, rcond=None)[0]
-    beta = coeffs.reshape(tuple(len(e) for e in ensembles))
-    residual = frobenius_distance(w.matrix, np.tensordot(coeffs, basis, axes=1))
-    return Decomposition(beta, ensembles, residual)
+    beta = _solve(w.matrix, ensembles)
+    beta += _solve(w.matrix - _expand(beta, ensembles), ensembles)
+    return Decomposition(beta, ensembles, frobenius_distance(w.matrix, _expand(beta, ensembles)))
 
 
 # Each table is built on first use and shared; it is read-only, so no caller can change it.

@@ -13,6 +13,11 @@ as the reference for the batched search, with :func:`certified_floor` as
 the reference for its floor, and :func:`pointwise_scan` scores
 a violation curve one state at a time, as the reference for the stacked
 scan.
+:func:`lstsq_decompose` expands a witness by dense least squares over the
+stacked :func:`product_basis`, in :func:`hermitian_coordinates`, as the
+reference for the factored :func:`mdiw.witness.decompose`, and
+:func:`basis_reconstruct` sums that basis, as the reference for
+:func:`mdiw.witness.reconstruct`.
 :func:`pauli`, :func:`permute_subsystems` and :func:`partial_transpose`
 are small operator helpers that only the tests use.
 """
@@ -170,6 +175,50 @@ def partial_transpose(m, dims, party: int) -> np.ndarray:
     rest, d = m.shape[0] // dims[party], dims[party]
     flipped = moved.reshape(rest, d, rest, d).transpose(0, 3, 2, 1).reshape(m.shape)
     return permute_subsystems(flipped, [dims[p] for p in order], [order.index(p) for p in range(len(dims))])
+
+
+def hermitian_coordinates(m: np.ndarray) -> np.ndarray:
+    """Isometric real coordinates of Hermitian matrices, stacked on the last axes.
+
+    The diagonal, then sqrt(2) times the real and the imaginary parts of the
+    strict upper triangle: the Euclidean norm equals the Frobenius norm.
+    """
+    d = m.shape[-1]
+    rows, cols = np.triu_indices(d, k=1)
+    off = math.sqrt(2.0) * m[..., rows, cols]
+    diag = np.diagonal(m, axis1=-2, axis2=-1)
+    return np.concatenate([diag.real, off.real, off.imag], axis=-1)
+
+
+def product_basis(ensembles) -> np.ndarray:
+    """Transposed-state product operators stacked as (N, D, D), row-major over labels."""
+    ops = np.ones((1, 1, 1), dtype=complex)
+    for e in ensembles:
+        taus_t = e.matrices.swapaxes(-1, -2)
+        n, d = len(ops) * len(taus_t), ops.shape[1] * taus_t.shape[1]
+        ops = (ops[:, None, :, None, :, None] * taus_t[None, :, None, :, None, :]).reshape(n, d, d)
+    return ops
+
+
+def basis_reconstruct(beta, ensembles) -> np.ndarray:
+    """Sum of beta against the stacked :func:`product_basis`."""
+    return np.tensordot(np.ravel(beta), product_basis(ensembles), axes=1)
+
+
+def lstsq_decompose(w, ensembles) -> tuple[np.ndarray, float]:
+    """``(beta, residual)`` by dense minimum-norm least squares on the whole product basis.
+
+    ``lstsq`` with its default cutoff on the (D^2, N) matrix of
+    :func:`hermitian_coordinates`, one refinement step in those coordinates,
+    and the Frobenius residual of :func:`basis_reconstruct`.
+    """
+    basis = product_basis(ensembles)
+    a = hermitian_coordinates(basis).T
+    target = hermitian_coordinates(w.matrix)
+    coeffs = np.linalg.lstsq(a, target, rcond=None)[0]
+    coeffs += np.linalg.lstsq(a, target - a @ coeffs, rcond=None)[0]
+    residual = float(np.linalg.norm(w.matrix - np.tensordot(coeffs, basis, axes=1)))
+    return coeffs.reshape(tuple(len(e) for e in ensembles)), residual
 
 
 def certified_floor(dec, kind: str) -> float:

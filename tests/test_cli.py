@@ -292,6 +292,32 @@ class TestDecomposeCommand:
         assert json.loads(out.read_text())["residual"] < 1e-10
 
 
+LONE_SURROGATE_ENSEMBLE = dict(custom_ensemble(tetrahedron_ensemble().states), labels=["\ud800", "1", "2", "3"])
+
+
+class TestQutritDecompose:
+    """``mdiw decompose`` over a custom qutrit ensemble and the tetrahedron, for an explicit (3, 2) witness."""
+
+    @staticmethod
+    def config(tmp_path, n_states):
+        rng = np.random.default_rng(3)
+        qutrits = [states.random_density_matrix((3,), rng) for _ in range(9)]
+        m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        return write_config(tmp_path, {
+            "witness": {"matrix": serialize.matrix_to_json((m + m.conj().T) / 2), "dims": [3, 2]},
+            "ensembles": [custom_ensemble(qutrits[:n_states], name="custom"), "tetrahedron"],
+            "state": {"matrix": serialize.matrix_to_json(np.eye(6) / 6), "dims": [3, 2]},
+            "decomposition": "solve",
+        }, name=f"qutrit{n_states}.json")
+
+    def test_nine_states_span_and_seven_do_not(self, tmp_path, capsys):
+        assert main(["decompose", "-c", self.config(tmp_path, 9)]) == 0
+        assert json.loads(capsys.readouterr().out)["residual"] <= 1e-10
+        assert main(["decompose", "-c", self.config(tmp_path, 7)]) == 1
+        # the seven states span 7 of the 9 qutrit dimensions; the dense lstsq route read 1.6416430626079637
+        assert json.loads(capsys.readouterr().out)["residual"] == pytest.approx(1.6416430626079637, rel=1e-12)
+
+
 # name: (argv, with {cfg} the README config and {tmp} the work directory; the config file's
 # bytes, or None for the README config).  Each used to end in a traceback with exit 1, the
 # code of a failed bound, and the simulate case left its CSV behind.
@@ -303,6 +329,9 @@ BAD_FILES = {
     "config_not_utf8": (["decompose", "-c", "{cfg}", "-o", "{tmp}/d.json"], b"\xff\xfe{}"),
     "config_nested_too_deep": (["decompose", "-c", "{cfg}", "-o", "{tmp}/d.json"],
                                b"[" * 100_000 + b"]" * 100_000),
+    # the escape \ud800 is valid JSON but a lone surrogate, which no UTF-8 file can hold
+    "config_lone_surrogate": (["simulate", "-c", "{cfg}", "-o", "{tmp}/t.csv"],
+                              json.dumps(dict(BASE_CONFIG, ensembles=[LONE_SURROGATE_ENSEMBLE, "tetrahedron"])).encode()),
     "verify_out_in_missing_directory": (["verify", "-o", "{tmp}/missing/v.json"], None),
     # a trailing slash names a directory; the summary path is checked before the CSV is written
     "summary_names_missing_directory": (
@@ -904,6 +933,8 @@ class TestConfigFuzz:
     @example(dict(BASE_CONFIG, ensembles=[custom_ensemble(pauli6_ensemble().states), "tetrahedron"]))
     # a one-element [re, im] pair crashed the matrix reader with an IndexError
     @example(dict(BASE_CONFIG, state={"matrix": [[[0.25]] * 4] * 4, "dims": [2, 2]}))
+    # an input label holding a lone surrogate crashed the CSV write of `simulate`
+    @example(dict(BASE_CONFIG, ensembles=[LONE_SURROGATE_ENSEMBLE, "tetrahedron"]))
     def test_any_config_keeps_exit_contract(self, data):
         with tempfile.TemporaryDirectory() as tmp:
             cfg = Path(tmp) / "cfg.json"

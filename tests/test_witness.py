@@ -35,6 +35,7 @@ from mdiw.witness import (
     tetrahedron_beta,
     witness_value,
 )
+from oracles import basis_reconstruct, lstsq_decompose, partial_transpose
 
 
 def random_hermitian(rng, d):
@@ -61,6 +62,100 @@ class TestRoundTripProperty:
         assert dec.beta.shape == tuple(sizes)
         assert dec.residual <= TOL_RECON
         assert frobenius_distance(reconstruct(dec), w.matrix) <= TOL_RECON
+
+
+def random_ensemble(party, k, d, rng):
+    return InputEnsemble(party, tuple(map(str, range(k))), tuple(random_density_matrix((d,), rng) for _ in range(k)))
+
+
+def flat_ensemble(party, k, rng):
+    """k qubit states whose Bloch vectors leave the x-y plane by +-1e-9.
+
+    The smallest singular value of the ensemble is then about 1e-9 of its
+    largest: kept on its own, but its square falls below ``lstsq``'s cutoff.
+    """
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=k)
+    v = np.stack([0.9 * np.cos(angles), 0.9 * np.sin(angles), 1e-9 * (-1.0) ** np.arange(k)], axis=1)
+    return InputEnsemble(party, tuple(map(str, range(k))), tuple(map(bloch_state, v)))
+
+
+# name: (local dims, per party a count of random full-rank states, "pauli6", or "flat" for 5 flat_ensemble states)
+SOLVE_CASES = {
+    "2p-sizes-1-6": ((2, 2), (1, 6)),  # a single state beside an over-complete ensemble
+    "2p-complete": ((2, 2), (4, 4)),
+    "2p-rank-deficient": ((2, 2), (3, 2)),
+    "2p-pauli6": ((2, 2), ("pauli6", "pauli6")),
+    "2p-qutrit-complete": ((3, 2), (9, 4)),
+    "2p-qutrit-rank-deficient": ((3, 2), (6, 5)),
+    "3p-complete": ((2, 2, 2), (4, 4, 4)),
+    "3p-mixed": ((2, 2, 2), (2, 5, "pauli6")),
+    "3p-qutrit": ((2, 3, 2), (4, 3, 1)),
+    "2p-near-degenerate": ((2, 2), ("flat", "flat")),
+}
+
+
+def solve_case(name, rng):
+    dims, sizes = SOLVE_CASES[name]
+    return tuple(pauli6_ensemble(p) if k == "pauli6" else flat_ensemble(p, 5, rng) if k == "flat"
+                 else random_ensemble(p, k, d, rng) for p, k, d in zip("ABC", sizes, dims))
+
+
+class TestFactoredSolve:
+    """``decompose`` gives the dense ``lstsq`` route's coefficients and exact flag (``oracles.lstsq_decompose``)."""
+
+    @pytest.mark.parametrize("in_span", [False, True], ids=["random-witness", "witness-in-span"])
+    @pytest.mark.parametrize("case", list(SOLVE_CASES))
+    def test_matches_dense_lstsq(self, case, in_span):
+        rng = np.random.default_rng([19, list(SOLVE_CASES).index(case), in_span])
+        ensembles = solve_case(case, rng)
+        d = math.prod(e.dim for e in ensembles)
+        m = random_hermitian(rng, d)  # complex, so a witness and its transpose differ
+        if in_span:
+            m = basis_reconstruct(rng.normal(size=tuple(map(len, ensembles))), ensembles)
+        w = Witness(m, tuple(e.dim for e in ensembles))
+        dec = decompose(w, ensembles)
+        beta, residual = lstsq_decompose(w, ensembles)
+        # a kept singular value 1e-9 of the largest amplifies rounding to about eps * 1e9 in
+        # relative terms on any route; a direction kept on products would move beta 1e9 times more
+        slack = 1e7 if case == "2p-near-degenerate" else 1.0
+        assert np.abs(dec.beta - beta).max() <= 1e-12 * slack * max(1.0, np.abs(beta).max())
+        assert dec.exact == (residual <= TOL_RECON)
+        assert dec.residual == pytest.approx(residual, rel=1e-12 * slack, abs=1e-13)
+
+    def test_near_degenerate_pair_drops_only_the_product_direction(self):
+        rng = np.random.default_rng([19, list(SOLVE_CASES).index("2p-near-degenerate"), False])
+        ensembles = solve_case("2p-near-degenerate", rng)
+        s = [e.transposed_svd[1] for e in ensembles]
+        ratios = [float(x[3] / x[0]) for x in s]
+        assert all(1e-10 < r < 1e-8 for r in ratios)  # each party keeps its small direction
+        assert ratios[0] * ratios[1] < np.finfo(float).eps  # their product falls below the cutoff
+        w = Witness(random_hermitian(rng, 4), (2, 2))
+        dec = decompose(w, ensembles)
+        assert not dec.exact and dec.residual == pytest.approx(lstsq_decompose(w, ensembles)[1], rel=1e-5)
+
+
+class TestFactoredReconstruct:
+    """``reconstruct`` and the partial-transpose minima agree with the stacked product basis."""
+
+    @staticmethod
+    def assert_matches_basis(dec):
+        dims = tuple(e.dim for e in dec.ensembles)
+        expected = basis_reconstruct(dec.beta, dec.ensembles)
+        tol = 1e-14 * max(1.0, np.abs(dec.beta).max())
+        assert np.abs(reconstruct(dec) - expected).max() <= tol
+        minima = [np.linalg.eigvalsh(partial_transpose(expected, dims, r))[0] for r in range(len(dims))]
+        assert np.allclose(dec.partial_transpose_minima, minima, rtol=0.0, atol=tol)
+
+    @pytest.mark.parametrize("make", [tetrahedron_beta, pauli6_beta, ghz_beta], ids=["tetrahedron", "pauli6", "ghz"])
+    def test_closed_form_tables(self, make):
+        self.assert_matches_basis(make())
+
+    @pytest.mark.parametrize("case", ["2p-complete", "2p-pauli6", "2p-qutrit-complete", "3p-mixed", "3p-qutrit"])
+    def test_random_complex_witnesses(self, case):
+        rng = np.random.default_rng([19, 1, list(SOLVE_CASES).index(case)])
+        ensembles = solve_case(case, rng)
+        w = Witness(random_hermitian(rng, math.prod(e.dim for e in ensembles)), tuple(e.dim for e in ensembles))
+        self.assert_matches_basis(decompose(w, ensembles))
 
 
 class TestSingletWitness:
