@@ -35,15 +35,15 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .linalg import TOL_RECON
-from .states import _check_densities
+from .linalg import TOL_RECON, _check_spectrum, check_operators
+from .states import _check_densities, _unchecked
 from .witness import Decomposition
 from .game import (
     BIPARTITIONS_3,
     BiseparableStrategy,
     POVM,
     SeparableStrategy,
-    _binary_povms,
+    _checked_clicks,
     _biseparable_groups,
     _biseparable_strategy,
     _block_responses,
@@ -157,10 +157,11 @@ def _projectors(v: np.ndarray) -> np.ndarray:
 
 # Each sampler has a draw phase, which calls one restart's generator in the
 # documented stream order and keeps the raw numbers, and a build phase, which
-# puts the draws of R restarts in block form (see :mod:`mdiw.game`), every
-# share state and success element checked once.  The search starts from the
-# block form; a public sampler builds a batch of one and turns it back into
-# a strategy with the inverse the search also uses.
+# puts the draws of R restarts in block form (see :mod:`mdiw.game`), each
+# stack of share states and of success elements checked once; it builds no
+# POVM.  The search starts from the block form; a public sampler builds a
+# batch of one and turns it, with its POVMs, back into a strategy with the
+# inverse the search also uses for its best restart.
 
 
 def _draw_success_element(rng: np.random.Generator, d: int) -> tuple[np.ndarray, float]:
@@ -168,24 +169,34 @@ def _draw_success_element(rng: np.random.Generator, d: int) -> tuple[np.ndarray,
     return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)), rng.uniform(0.0, 1.0)
 
 
-def _success_batch(draws, input_dims, m) -> tuple[list, list]:
-    """Each party's (R, D, D) success elements E = G^dagger G scaled into [0, 1], and its R POVMs.
+def _success_batch(draws, input_dims, m) -> list:
+    """Each party's (R, D, D) success elements E = G^dagger G scaled into [0, 1], checked and read-only.
 
-    ``draws[r][p]`` is restart r's draw for party p.  The parties of one
-    input dimension share one stack: one scale and one check for them all.
+    ``draws[r][p]`` is restart r's draw for party p.  The parties of one input
+    dimension share one stack and one ``eigvalsh``: each G^dagger G's top eigenvalue
+    sets its scale, and its eigenvalues over that scale, E's, decide E in [0, 1].
     """
     n, r = len(input_dims), len(draws)
-    elements, povms = [None] * n, [None] * n
+    elements = [None] * n
     for d in dict.fromkeys(input_dims):
         ps = [p for p in range(n) if input_dims[p] == d]
         g = np.array([row[p][0] for p in ps for row in draws])
         u = np.array([row[p][1] for p in ps for row in draws])
         e = g.conj().swapaxes(-1, -2) @ g
-        e = e / (np.linalg.eigvalsh(e)[:, -1] * (1.0 + u))[:, None, None]
-        checked = _binary_povms(e, (d, m))
+        eigs = np.linalg.eigvalsh(e)
+        scale = eigs[:, -1:] * (1.0 + u[:, None])
+        e = e / scale[:, :, None]
+        check_operators(e, (d, m))
+        _check_spectrum(eigs / scale, (0.0, 1.0))
+        e.setflags(write=False)
         for j, p in enumerate(ps):
-            elements[p], povms[p] = e[j * r : (j + 1) * r], checked[j * r : (j + 1) * r]
-    return elements, povms
+            elements[p] = e[j * r : (j + 1) * r]
+    return elements
+
+
+def _povms(elements, input_dims, m) -> tuple:
+    """The POVMs of restart 0, viewing its checked, read-only success elements."""
+    return tuple(_unchecked(POVM, click=e[0], dims=(int(d), int(m))) for e, d in zip(elements, input_dims))
 
 
 def _draw_separable(rng, input_dims, m, k):
@@ -196,12 +207,12 @@ def _draw_separable(rng, input_dims, m, k):
 
 
 def _separable_block(draws, input_dims, m):
-    """Block form (weights, groups, success elements) of R restarts' separable draws, and the POVMs."""
+    """Block form (weights, groups, success elements) of R restarts' separable draws."""
     shares = _projectors(_unit_kets(np.array([kets for _, kets, _ in draws])))
     _check_densities(shares.reshape(-1, m, m), (m,))
     states = shares.transpose(2, 0, 1, 3, 4).reshape(len(input_dims), -1, m, m)
-    elements, povms = _success_batch([s for _, _, s in draws], input_dims, m)
-    return np.array([w for w, _, _ in draws]), _separable_groups(states), elements, povms
+    elements = _success_batch([s for _, _, s in draws], input_dims, m)
+    return np.array([w for w, _, _ in draws]), _separable_groups(states), elements
 
 
 def random_separable_strategy(
@@ -224,8 +235,8 @@ def random_separable_strategy(
     """
     input_dims, m = tuple(int(d) for d in input_dims), share_dim
     draws = _draw_separable(rng, input_dims, m, mixture_size)
-    weights, groups, _, povms = _separable_block([draws], input_dims, m)
-    return _separable_strategy(weights[0], groups, tuple(p[0] for p in povms))
+    weights, groups, elements = _separable_block([draws], input_dims, m)
+    return _separable_strategy(weights[0], groups, _povms(elements, input_dims, m))
 
 
 def _draw_biseparable(rng, input_dims, m, k):
@@ -242,16 +253,16 @@ def _draw_biseparable(rng, input_dims, m, k):
 
 
 def _biseparable_block(draws, input_dims, m):
-    """Block form (weights, groups, success elements) of R restarts' biseparable draws, and the POVMs."""
+    """Block form (weights, groups, success elements) of R restarts' biseparable draws."""
     tags = [tag for _, picks, _, _ in draws for tag in picks]
     kets = np.array([ket for _, _, ks, _ in draws for ket in ks])
     pairs = _projectors(_unit_kets(kets[:, : 2 * m * m].reshape(-1, 2, m * m)))
     singles = _projectors(_unit_kets(kets[:, 2 * m * m :].reshape(-1, 2, m)))
     _check_densities(pairs, (m, m))
     _check_densities(singles, (m,))
-    elements, povms = _success_batch([s for _, _, _, s in draws], input_dims, m)
+    elements = _success_batch([s for _, _, _, s in draws], input_dims, m)
     groups = _biseparable_groups(tags, pairs, singles, (m,) * 3)
-    return np.array([w for w, _, _, _ in draws]), groups, elements, povms
+    return np.array([w for w, _, _, _ in draws]), groups, elements
 
 
 def random_biseparable_strategy(
@@ -274,8 +285,8 @@ def random_biseparable_strategy(
     """
     input_dims, m = tuple(int(d) for d in input_dims), share_dim
     draws = _draw_biseparable(rng, input_dims, m, mixture_size)
-    weights, groups, _, povms = _biseparable_block([draws], input_dims, m)
-    return _biseparable_strategy(weights[0], groups, tuple(p[0] for p in povms))
+    weights, groups, elements = _biseparable_block([draws], input_dims, m)
+    return _biseparable_strategy(weights[0], groups, _povms(elements, input_dims, m))
 
 
 def _negative_projectors(x: np.ndarray) -> np.ndarray:
@@ -430,11 +441,11 @@ def _search(dec, ensembles, config, kind, hook=None):
 
     Restart r draws its start from its own stream ``restart_rng(config.seed,
     r)``, in restart order, with the draw phase of ``kind``; its build phase
-    checks all the draws and puts them in block form, and :func:`_start`
-    values them.  Every :func:`_sweep` then sweeps the restarts still
-    running.  A restart stops at its first sweep that lowers its value by at
-    most ``_STOP`` (stalled), that leaves its best value at most
-    ``BOUND_TOL`` above :func:`certified_lower_bound` (at floor), or after
+    checks all the draws, one check per stack, and puts them in block form,
+    and :func:`_start` values them.  Every :func:`_sweep` then sweeps the
+    restarts still running.  A restart stops at its first sweep that lowers
+    its value by at most ``_STOP`` (stalled), that leaves its best value at
+    most ``BOUND_TOL`` above :func:`certified_lower_bound` (at floor), or after
     ``config.iterations`` sweeps (capped), and leaves the batch at once
     (:func:`_select`).  No strategy scores below the floor, so an at-floor
     restart has nothing left to find; a best value more than ``_STOP``
@@ -442,8 +453,9 @@ def _search(dec, ensembles, config, kind, hook=None):
     restart does not stop there and the caller's gates see how deep it
     goes.  Every earlier sweep lowered its value, so its best
     state is the one before or after that last sweep (before, on a tie).
-    The best restart's (the lowest-index one on a tie) is checked and
-    turned back into a strategy.
+    The best restart's (the lowest-index one on a tie) is checked, its
+    states once per block size and its success elements once per input
+    dimension, and turned back into a strategy.
     ``hook(restart, sweep, best)`` is a test seam invoked after every sweep
     once per restart that ran it, in restart order; it must not mutate
     anything.
@@ -464,7 +476,7 @@ def _search(dec, ensembles, config, kind, hook=None):
         draw(restart_rng(config.seed, r), input_dims, m, config.mixture_size)
         for r in range(config.restarts)
     ]
-    state, value = _start(beta, inputs, *block(draws, input_dims, m)[:3])
+    state, value = _start(beta, inputs, *block(draws, input_dims, m))
     running = np.arange(config.restarts)
     minima = np.empty(config.restarts)
     champion = None  # (value, restart, selected state) of the best stopped restart
@@ -492,14 +504,16 @@ def _search(dec, ensembles, config, kind, hook=None):
             state, value = swept, new
     wall = time.perf_counter() - t0
     min_value, _, (weights, groups, elements, _, _) = champion
-    for _, specs, states in groups:
-        for b, s in zip(specs.blocks, states):
-            _check_densities(s, b.shape[1 : 1 + len(b.parties)])
-    povms = tuple(POVM(e[0], (d, m)) for e, d in zip(elements, input_dims))
+    for size in {s.shape[-1] for _, _, states in groups for s in states}:
+        _check_densities(np.concatenate([s for _, _, ss in groups for s in ss if s.shape[-1] == size]), (size,))
+    for d in dict.fromkeys(input_dims):
+        ps = [p for p in range(len(input_dims)) if input_dims[p] == d]
+        for p, e in zip(ps, _checked_clicks(np.concatenate([elements[p] for p in ps]), (d, m))[0]):
+            elements[p] = e[None]
     return AttackReport(
         min_value=float(min_value),
         floor=floor,
-        best_strategy=build(weights[0], groups, povms),
+        best_strategy=build(weights[0], groups, _povms(elements, input_dims, m)),
         restart_minima=tuple(float(b) for b in minima),
         evaluations=evaluations,
         wall_time=wall,
@@ -531,6 +545,22 @@ def biseparable_attack(
     return _search(dec, ensembles, config, "biseparable", hook)
 
 
+def _draw_kraus(rng: np.random.Generator, dim: int, n_ops: int) -> tuple[np.ndarray, float]:
+    """One set's draws for :func:`random_kraus_set`: its (n_ops, 2, dim, dim) normals, then a uniform."""
+    return rng.normal(size=(n_ops, 2, dim, dim)), rng.uniform(0.0, 1.0)
+
+
+def _kraus_ops(normals: np.ndarray, u) -> np.ndarray:
+    """Kraus operators (..., n_ops, dim, dim) of draws (..., n_ops, 2, dim, dim) and scale uniforms (...).
+
+    A batch pads a set with zero normals: zero operators add exact zeros at the
+    end of sum_i K_i^dagger K_i, so the set's operators are the ones it has alone.
+    """
+    ops = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
+    top = np.linalg.eigvalsh((ops.conj().swapaxes(-1, -2) @ ops).sum(axis=-3))[..., -1]
+    return ops / np.sqrt(top * (1.0 + u))[..., None, None, None]
+
+
 def random_kraus_set(dim: int, n_ops: int, rng: np.random.Generator) -> list[np.ndarray]:
     """Random trace-non-increasing quantum operation as Kraus operators.
 
@@ -541,12 +571,7 @@ def random_kraus_set(dim: int, n_ops: int, rng: np.random.Generator) -> list[np.
     each as its ``dim x dim`` real parts then its imaginary parts; then one
     ``uniform`` draw for the scale.
     """
-    g = rng.normal(size=(n_ops, 2, dim, dim))
-    ops = g[:, 0] + 1j * g[:, 1]
-    total = (ops.conj().transpose(0, 2, 1) @ ops).sum(axis=0)
-    top = float(np.linalg.eigvalsh(total)[-1])
-    scale = np.sqrt(top * (1.0 + rng.uniform(0.0, 1.0)))
-    return list(ops / scale)
+    return list(_kraus_ops(*_draw_kraus(rng, dim, n_ops)))
 
 
 def zero_crossing(curve) -> float:

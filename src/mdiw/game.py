@@ -30,7 +30,7 @@ import numpy as np
 
 from .linalg import check_operators
 from .serialize import fmt_float
-from .states import FAMILIES, DensityMatrix, _unchecked, family_matrices, max_entangled, projector
+from .states import FAMILIES, DensityMatrix, family_matrices, max_entangled, projector
 from .witness import Decomposition
 
 
@@ -69,15 +69,6 @@ def _checked_clicks(clicks, dims) -> tuple[np.ndarray, tuple[int, ...]]:
     return es, dims
 
 
-def _binary_povms(clicks: np.ndarray, dims) -> tuple[POVM, ...]:
-    """One POVM per click element of a (N, d, d) stack, checked once as a stack.
-
-    Each POVM holds a read-only view of one checked copy.
-    """
-    es, dims = _checked_clicks(clicks, dims)
-    return tuple(_unchecked(POVM, click=e, dims=dims) for e in es)
-
-
 @functools.cache
 def bell_outcome_povm(d: int) -> POVM:
     """Projection onto the maximally entangled ket versus its complement, built once per ``d``.
@@ -99,13 +90,18 @@ def apply_pre_measurement_map(povm: POVM, kraus_ops) -> POVM:
     empty Kraus list gives E = 0.  The operators are contracted as one
     stack, summed in list order like the term-by-term loop.
     """
-    e1 = povm.element(1)
+    e1 = povm.click
     ks = np.asarray(list(kraus_ops), dtype=complex)
     if not len(ks):
         ks = ks.reshape((0,) + e1.shape)
     if ks.shape[1:] != e1.shape:
         raise ValueError(f"Kraus operators must be {e1.shape} matrices, got a stack {ks.shape}")
-    return POVM((ks.conj().transpose(0, 2, 1) @ e1 @ ks).sum(axis=0), povm.dims)
+    return POVM(_mapped_clicks(e1, ks), povm.dims)
+
+
+def _mapped_clicks(clicks: np.ndarray, kraus: np.ndarray) -> np.ndarray:
+    """sum_i K_i^dagger E K_i for E of shape (..., D, D) and its Kraus operators (..., n, D, D)."""
+    return (kraus.conj().swapaxes(-1, -2) @ clicks[..., None, :, :] @ kraus).sum(axis=-3)
 
 
 @dataclass(frozen=True)
@@ -347,11 +343,11 @@ def _traced_inputs(measurements, ensembles, include_full: bool) -> list[np.ndarr
     for p, (e, m) in enumerate(zip(ensembles, measurements)):
         if e.dim != m.dims[0]:
             raise ValueError(f"party {p}: ensemble dim {e.dim} vs measurement input dim {m.dims[0]}")
-    bits = (0, 1) if include_full else (1,)
-    return [
-        np.concatenate([trace_inputs(m.element(b), e.matrices) for b in bits])
-        for m, e in zip(measurements, ensembles)
-    ]
+    fs = [trace_inputs(m.click, e.matrices) for m, e in zip(measurements, ensembles)]
+    if include_full:
+        fs = [np.concatenate([trace_inputs(m.element(0), e.matrices), f])
+              for m, e, f in zip(measurements, ensembles, fs)]
+    return fs
 
 
 def _table(ensembles, p: np.ndarray, include_full: bool) -> CorrelationTable:

@@ -68,17 +68,20 @@ def check_operators(ms: np.ndarray, dims, spectrum=None, unit_trace: bool = Fals
     within ``TOL_TRACE``, and with ``spectrum=(lo, hi)`` each eigenvalue
     lies in [lo, hi] within ``TOL_PSD``.  This is the one place validity is
     decided: one numpy call per predicate for the whole stack and one
-    ``eigvalsh`` per matrix, nothing copied.  A failure names the worst
-    matrix's figure, so a stack of one gives the single matrix's message.
+    ``eigvalsh`` per matrix (or :func:`_check_spectrum` on a spectrum the
+    caller already has), nothing copied; entries are scanned for NaN or Inf
+    only when the Hermitian defect is not finite.  A failure names the
+    worst matrix's figure, so a stack of one gives the single matrix's message.
     """
     if ms.ndim != 3 or ms.shape[1] != ms.shape[2]:
         raise ValueError(f"expected square matrices, got array of shape {ms.shape[1:]}")
-    if not np.isfinite(ms).all():
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, reported as a non-finite entry
+        defect = np.abs(ms - ms.conj().transpose(0, 2, 1)).max(initial=0.0)
+    if not math.isfinite(defect) and not np.isfinite(ms).all():
         raise ValueError("matrix has NaN or Inf entries")
     dims = check_dims(dims, ms.shape[1])
     if not len(ms):
         return dims
-    defect = np.abs(ms - ms.conj().transpose(0, 2, 1)).max()
     if defect > TOL_HERM:
         raise ValueError(f"not Hermitian (defect {defect:.3e})")
     if unit_trace:
@@ -87,14 +90,18 @@ def check_operators(ms: np.ndarray, dims, spectrum=None, unit_trace: bool = Fals
         if off.max() > TOL_TRACE:
             raise ValueError(f"trace {float(traces[off.argmax()])} is not 1")
     if spectrum is not None:
-        lo, hi = spectrum
-        eigs = np.linalg.eigvalsh(ms)
-        low, high = eigs[:, 0].min(), eigs[:, -1].max()
-        if low < lo - TOL_PSD:
-            raise ValueError(f"not positive semidefinite (min eigenvalue {low:.3e}, below {lo:g})")
-        if high > hi + TOL_PSD:
-            raise ValueError(f"{hi:g} - E not positive semidefinite (max eigenvalue {high:.3e}, above {hi:g})")
+        _check_spectrum(np.linalg.eigvalsh(ms), spectrum)
     return dims
+
+
+def _check_spectrum(eigs: np.ndarray, spectrum) -> None:
+    """The spectrum rule of :func:`check_operators` on a stack's (N, d) ascending eigenvalues."""
+    lo, hi = spectrum
+    low, high = eigs[:, 0].min(), eigs[:, -1].max()
+    if low < lo - TOL_PSD:
+        raise ValueError(f"not positive semidefinite (min eigenvalue {low:.3e}, below {lo:g})")
+    if high > hi + TOL_PSD:
+        raise ValueError(f"{hi:g} - E not positive semidefinite (max eigenvalue {high:.3e}, above {hi:g})")
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:

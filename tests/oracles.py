@@ -18,6 +18,9 @@ stacked :func:`product_basis`, in :func:`hermitian_coordinates`, as the
 reference for the factored :func:`mdiw.witness.decompose`, and
 :func:`basis_reconstruct` sums that basis, as the reference for
 :func:`mdiw.witness.reconstruct`.
+:func:`mapped_separable_samples` scores the Kraus-mapped samples of
+:func:`mdiw.verify.check_loss_invariance` one public strategy at a time, as
+the reference for its block-form batch.
 :func:`pauli`, :func:`permute_subsystems` and :func:`partial_transpose`
 are small operator helpers that only the tests use.
 """
@@ -28,16 +31,27 @@ import math
 
 import numpy as np
 
-from mdiw.attack import _STOP, BOUND_TOL, AttackReport, _start, _sweep, restart_rng
+from mdiw.attack import (
+    _STOP,
+    BOUND_TOL,
+    AttackReport,
+    _start,
+    _sweep,
+    random_kraus_set,
+    random_separable_strategy,
+    restart_rng,
+)
 from mdiw.game import (
     BiseparableStrategy,
     POVM,
     SeparableStrategy,
     _contract_grid,
     _groups,
+    apply_pre_measurement_map,
     apply_uniform_loss,
     fast_entangled_table,
     mdi_value,
+    simulate_separable,
     trace_inputs,
 )
 from mdiw.linalg import as_matrix, check_dims, kron, partial_trace
@@ -296,4 +310,22 @@ def pointwise_scan(family, dec, grid, etas) -> list[tuple[float, float]]:
     for v in grid:
         table = apply_uniform_loss(fast_entangled_table(family(float(v)), dec.ensembles), etas)
         out.append((float(v), mdi_value(dec, table)))
+    return out
+
+
+def mapped_separable_samples(dec, seed: int, samples: int) -> list[tuple[int, float]]:
+    """(mixture size, value) of the first Kraus-mapped separable samples of the loss check.
+
+    Each sample is a public strategy: its POVMs pass through their Kraus
+    maps one by one, and ``simulate_separable`` scores it alone.
+    """
+    rng = np.random.default_rng((seed, 9))
+    out = []
+    for _ in range(samples):
+        k = int(rng.integers(1, 5))
+        strategy = random_separable_strategy((2, 2), 2, k, rng)
+        povms = tuple(apply_pre_measurement_map(povm, random_kraus_set(4, int(rng.integers(1, 4)), rng))
+                      for povm in strategy.measurements)
+        mapped = SeparableStrategy(strategy.weights, strategy.share_states, povms)
+        out.append((k, mdi_value(dec, simulate_separable(mapped, dec.ensembles))))
     return out

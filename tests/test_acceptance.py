@@ -15,7 +15,7 @@ import pytest
 
 from mdiw import cli, game, states, verify, witness
 from mdiw.attack import BOUND_TOL
-from oracles import partial_transpose
+from oracles import mapped_separable_samples, partial_transpose
 
 # ``mdiw.attack`` is also the name of the package's attack function.
 attack_module = importlib.import_module("mdiw.attack")
@@ -56,6 +56,25 @@ def test_verify_command_all_green(tmp_path, monkeypatch):
     names = [v["criterion"] for v in doc["verdicts"]]
     assert names == [check.__name__.removeprefix("check_") for check, _ in CRITERIA]
     assert all(v["passed"] for v in doc["verdicts"])
+
+
+def test_loss_invariance_batch_matches_one_sample_route(monkeypatch):
+    # the batch values every sample as the public route does; a one-term sample's
+    # block rounds its responses differently from a longer batch, in the last bit
+    values, start = [], attack_module._start
+
+    def recording_start(*args):
+        state, out = start(*args)
+        values.extend(out)
+        return state, out
+
+    monkeypatch.setattr(verify, "_start", recording_start)
+    verdict = verify.check_loss_invariance(verify.DEFAULT_SEED)
+    assert len(values) == verdict.details["samples"] == 10_000
+    assert verdict.details["min_I_with_pre_measurement_maps"] == 0.00037312166740302805 == min(values)
+    one_by_one = mapped_separable_samples(witness.tetrahedron_beta(), verify.DEFAULT_SEED, 400)
+    assert all(v == want for v, (k, want) in zip(values, one_by_one) if k > 1)
+    assert all(abs(v - want) <= 1e-16 for v, (_, want) in zip(values, one_by_one))
 
 
 def _offset_singlet_beta():

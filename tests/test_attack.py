@@ -378,16 +378,17 @@ class TestBuildPhase:
     def test_select_matches_block_of_one(self, family):
         rng = np.random.default_rng(15)
         if family == "separable":
-            dims, draw, block = (2, 3), _draw_separable, _separable_block
+            dims, draw, block, sampler = (2, 3), _draw_separable, _separable_block, random_separable_strategy
             inputs = [np.stack([random_density_matrix((d,), rng).matrix for _ in range(3)]) for d in dims]
             beta = rng.normal(size=(3, 3))
         else:
             dims, draw, block, dec = (2, 2, 2), _draw_biseparable, _biseparable_block, ghz_beta()
+            sampler = random_biseparable_strategy
             inputs, beta = [e.matrices for e in dec.ensembles], np.asarray(dec.beta)
         m, k = 2, 3
         rngs = [restart_rng(12, r) for r in range(5)]
         batch = block([draw(rng, dims, m, k) for rng in rngs], dims, m)
-        state, values = _start(beta, inputs, *batch[:3])
+        state, values = _start(beta, inputs, *batch)
         for r, rng in enumerate(rngs):
             ref = restart_rng(12, r)
             alone = block([draw(ref, dims, m, k)], dims, m)
@@ -399,9 +400,11 @@ class TestBuildPhase:
                 assert np.array_equal(idx, want_idx) and specs == want_specs
                 assert all(np.array_equal(a, b) for a, b in zip(states, want_states))
             assert all(np.array_equal(a, b) for a, b in zip(elements, alone[2]))
-            for e, p, want in zip(batch[2], batch[3], alone[3]):
-                assert np.array_equal(p[r].element(1), e[r]) and np.array_equal(want[0].element(1), e[r])
-            assert _start(beta, inputs, *alone[:3])[1][0] == values[r]
+            # the build phase returns no POVMs; the public sampler's POVMs view the same checked elements
+            povms = sampler(dims, m, k, restart_rng(12, r)).measurements
+            for e, p, want in zip(batch[2], povms, alone[2]):
+                assert np.array_equal(p.element(1), e[r]) and np.array_equal(want[0], e[r])
+            assert _start(beta, inputs, *alone)[1][0] == values[r]
 
     def test_non_psd_share_in_last_restart_rejected_like_single(self):
         # a NaN in the last restart's last ket: only a check of every restart's shares sees it
@@ -416,6 +419,28 @@ class TestBuildPhase:
             with pytest.raises(ValueError, match="NaN") as batched:
                 _separable_block(draws, dims, m)
         assert str(batched.value) == str(single.value)
+
+    def test_one_eigvalsh_per_stack(self, monkeypatch):
+        shapes, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *rest: shapes.append(a.shape) or eigvalsh(a, *rest))
+        random_separable_strategy((2, 2), 2, 2, np.random.default_rng(0))
+        # the shares' density check, then the spectrum that scales the success elements and checks them
+        assert shapes == [(4, 2, 2), (2, 4, 4)]
+
+    @pytest.mark.parametrize("search", [
+        lambda: random_separable_strategy((2, 2), 2, 2, np.random.default_rng(0)),
+        lambda: random_biseparable_strategy((2, 2, 2), 2, 2, np.random.default_rng(0)),
+        lambda: attack(tetrahedron_beta(), tetrahedron_beta().ensembles,
+                       AttackConfig(restarts=2, iterations=3, mixture_size=2, share_dim=2)),
+    ], ids=["random_separable_strategy", "random_biseparable_strategy", "attack"])
+    def test_half_scale_fails_the_folded_click_check(self, monkeypatch, search):
+        # u = -0.5 turns the scale lambda_max (1 + u) into lambda_max / 2: each E's top eigenvalue is 2
+        module = importlib.import_module("mdiw.attack")
+        draw = module._draw_success_element
+        monkeypatch.setattr(module, "_draw_success_element", lambda rng, d: (draw(rng, d)[0], -0.5))
+        with pytest.raises(ValueError) as exc:
+            search()
+        assert str(exc.value) == "1 - E not positive semidefinite (max eigenvalue 2.000e+00, above 1)"
 
     @pytest.mark.parametrize("family", ["separable", "biseparable"])
     def test_success_element_above_one_in_last_restart_rejected_like_single(self, family):
@@ -870,16 +895,17 @@ class TestFloorStop:
         assert report.evaluations > 8 and report.min_value == pytest.approx(-1.0)
 
     def test_restart_below_floor_keeps_searching(self, monkeypatch):
-        # a search scoring with every coefficient lowered by 1e-6 reaches about -1e-10
-        # on its first sweep; below the floor it must not stop there, but dig to -8e-6
+        # a search scoring with every coefficient lowered by 1e-4 reaches about -6e-10 on
+        # restart 0's first sweep, well below the floor (about -2e-15) but inside its
+        # BOUND_TOL band; it must not stop there, but dig to -8e-4
         module = importlib.import_module("mdiw.attack")
         for name in ("_start", "_sweep"):
             step = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda beta, *rest, step=step: step(beta - 1e-6, *rest))
+            monkeypatch.setattr(module, name, lambda beta, *rest, step=step: step(beta - 1e-4, *rest))
         dec = ghz_beta()
         cfg = AttackConfig(restarts=4, iterations=50, mixture_size=6, share_dim=2, seed=0)
         report = biseparable_attack(dec, dec.ensembles, cfg)
-        assert report.min_value == pytest.approx(-8e-6, rel=1e-6)
+        assert report.min_value == pytest.approx(-8e-4, rel=1e-6)
         assert report.min_value < report.floor - BOUND_TOL
 
     def test_stopped_batch_is_not_selected(self, monkeypatch):

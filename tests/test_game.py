@@ -39,7 +39,7 @@ from mdiw.game import (
     EntangledStrategy,
     POVM,
     SeparableStrategy,
-    _binary_povms,
+    _checked_clicks,
     apply_pre_measurement_map,
     apply_uniform_loss,
     bell_outcome_povm,
@@ -228,9 +228,9 @@ class TestPovmValidation:
     def test_broken_last_element_rejected_like_first(self, broken, keyword):
         # only the last click element of the stack breaks its predicate
         with pytest.raises(ValueError, match=keyword) as last:
-            _binary_povms(click_stack(broken, last=True), (2,))
+            _checked_clicks(click_stack(broken, last=True), (2,))
         with pytest.raises(ValueError, match=keyword) as first:
-            _binary_povms(click_stack(broken, last=False), (2,))
+            _checked_clicks(click_stack(broken, last=False), (2,))
         with pytest.raises(ValueError, match=keyword) as single:
             POVM(np.array(broken, dtype=complex), (2,))
         assert str(last.value) == str(first.value) == str(single.value)
@@ -241,23 +241,23 @@ class TestPovmValidation:
         for eig in (-depth, 1.0 + depth):
             stack = click_stack(np.diag([0.0, eig]), last=True)
             if accepted:
-                assert _binary_povms(stack, (2,))[-1].element(1)[1, 1] == eig
+                assert _checked_clicks(stack, (2,))[0][-1, 1, 1] == eig
                 assert POVM(stack[-1], (2,)).element(1)[1, 1] == eig
             else:
                 with pytest.raises(ValueError, match="positive semidefinite"):
-                    _binary_povms(stack, (2,))
+                    _checked_clicks(stack, (2,))
                 with pytest.raises(ValueError, match="positive semidefinite"):
                     POVM(stack[-1], (2,))
 
     def test_elements_are_read_only_copies(self):
         e = np.diag([1.0, 0.0]).astype(complex)
         povm = POVM(e, (2,))
-        stacked = _binary_povms(e[None], (2,))[0]
+        stacked = _checked_clicks(e[None], (2,))[0][0]
         e[0, 0] = 0.5
-        for p in (povm, stacked):
-            assert p.element(1)[0, 0] == 1.0
+        for click in (povm.element(1), stacked):
+            assert click[0, 0] == 1.0
             with pytest.raises(ValueError):
-                p.element(1)[0, 0] = 0.5
+                click[0, 0] = 0.5
 
     @pytest.mark.parametrize("dims", [(2, 1, 2), (4,), (8,)], ids=["three_factors", "one_factor", "too_large"])
     @pytest.mark.parametrize("kind", ["entangled", "separable", "biseparable"])

@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from mdiw import linalg, serialize, verify
 from mdiw.attack import AttackConfig, attack, biseparable_attack, random_biseparable_strategy, random_separable_strategy
-from mdiw.game import POVM, _binary_povms
+from mdiw.game import POVM, _checked_clicks
 from mdiw.witness import Witness, ghz_beta, tetrahedron_beta
 from mdiw.states import DensityMatrix, werner_state, singlet_ket, projector
 from oracles import pauli, permute_subsystems
@@ -238,7 +239,7 @@ class TestPermuteSubsystems:
 # rule: (one matrix, a stack of matrices or None), each built with dims (3,) and raising on a bad input
 RULES = {
     "density": (lambda m: DensityMatrix(m, (3,)), lambda ms: DensityMatrix.stack(ms, (3,))),
-    "click": (lambda m: POVM(m, (3,)), lambda ms: _binary_povms(ms, (3,))),
+    "click": (lambda m: POVM(m, (3,)), lambda ms: _checked_clicks(ms, (3,))[0]),
     "witness": (lambda m: Witness(m, (3,)), None),
     "hermitian_eigenvalues": (linalg.hermitian_eigenvalues, None),
 }
@@ -284,6 +285,58 @@ class TestOperatorRules:
     @pytest.mark.parametrize("rule", list(RULES))
     def test_non_finite_rejected(self, rule):
         _rejected_alike(rule, np.diag([np.nan, 0.5, 0.5]), "NaN or Inf")
+
+
+def _with_entry(i, j, value, n=2):
+    """A valid n x n density matrix stack of one, with entry (i, j) set to ``value``."""
+    m = np.eye(n, dtype=complex) / n
+    m[i, j] = value
+    return m[None]
+
+
+NON_FINITE = "matrix has NaN or Inf entries"
+# case: (stack, dims, the exact message check_operators raises, or None when it accepts)
+MESSAGES = {
+    "nan_diagonal": (_with_entry(0, 0, np.nan), (2,), NON_FINITE),
+    "nan_off_diagonal": (_with_entry(0, 1, np.nan), (2,), NON_FINITE),
+    "inf_diagonal": (_with_entry(1, 1, np.inf), (2,), NON_FINITE),
+    "minus_inf_diagonal": (_with_entry(1, 1, -np.inf), (2,), NON_FINITE),
+    "inf_off_diagonal": (_with_entry(1, 0, np.inf), (2,), NON_FINITE),
+    "minus_inf_off_diagonal": (_with_entry(0, 1, -np.inf), (2,), NON_FINITE),
+    "symmetric_infs": (np.array([[[0.5, np.inf], [np.inf, 0.5]]], dtype=complex), (2,), NON_FINITE),
+    "complex_infinity": (_with_entry(0, 1, complex(np.inf, np.inf)), (2,), NON_FINITE),
+    "imaginary_infinity_diagonal": (_with_entry(0, 0, complex(0.0, np.inf)), (2,), NON_FINITE),
+    "nan_in_last_of_stack": (np.concatenate([_with_entry(0, 0, 0.5)] * 3 + [_with_entry(1, 0, np.nan)]),
+                             (2,), NON_FINITE),
+    "nan_and_bad_dims": (_with_entry(0, 0, np.nan), (3,), NON_FINITE),
+    "nan_and_non_hermitian": (_with_entry(0, 0, np.nan) + _with_entry(0, 1, 1.0), (2,), NON_FINITE),
+    # finite entries whose Hermitian defect overflows to inf: not a non-finite entry
+    "defect_overflows": (np.array([[[0.0, 1e308], [-1e308, 0.0]]], dtype=complex), (2,),
+                         "not Hermitian (defect inf)"),
+    "empty_stack": (np.zeros((0, 2, 2), dtype=complex), (2,), None),
+    "empty_stack_bad_dims": (np.zeros((0, 2, 2), dtype=complex), (3,), "dims (3,) do not multiply to matrix size 2"),
+    "bad_dims": (_with_entry(0, 0, 0.5), (2, 2), "dims (2, 2) do not multiply to matrix size 2"),
+}
+# rule: check_operators keywords
+KEYWORDS = {"bare": {}, "density": {"spectrum": (0.0, math.inf), "unit_trace": True}, "click": {"spectrum": (0.0, 1.0)}}
+
+
+@pytest.mark.parametrize("rule", list(KEYWORDS))
+@pytest.mark.parametrize("case", list(MESSAGES))
+def test_check_operators_message_table(case, rule):
+    # the message, and the order in which the predicates are decided, for each rule
+    ms, dims, message = MESSAGES[case]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if message is None:
+            assert linalg.check_operators(ms, dims, **KEYWORDS[rule]) == dims
+        else:
+            with pytest.raises(ValueError) as exc:
+                linalg.check_operators(ms, dims, **KEYWORDS[rule])
+            assert str(exc.value) == message
+    # numpy reports the overflow of m - m^dagger, and nothing else warns
+    overflow = ["overflow encountered in subtract"] if case == "defect_overflows" else []
+    assert [str(w.message) for w in caught] == overflow
 
 
 # name: a strategy sampled or searched through the public API

@@ -1,0 +1,134 @@
+"""Replay recorded mutants of ``src/mdiw`` against the tests that must catch them.
+
+Each row of ``MUTANTS`` names a file under ``src/mdiw``, a text that occurs
+there exactly once, the text that replaces it, and the tests that must fail
+once it is replaced.  First every named test runs on an unchanged copy of
+``src/`` and ``tests/`` and must pass there.  Then each mutant is applied
+to its own temporary copy, and each of its tests runs in a pytest process
+of its own, one process at a time.  A mutant survives when one of its
+tests still passes.
+
+    python tools/replay_mutants.py                      # every row
+    python tools/replay_mutants.py success_scale_half   # the named rows
+
+Exit status: 0 when every mutant is caught, 1 when one survives, 2 when a
+row does not apply or a named test fails unmutated.  The run takes about
+half a minute; it is not part of the test suite, which only checks that
+each row still applies (``tests/test_mutant_table.py``).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+# name: (file under src/mdiw, old text, new text, tests that must fail)
+MUTANTS = {
+    # the success elements' scale halved: their folded click check must see eigenvalues above 1
+    "success_scale_half": (
+        "attack.py",
+        "scale = eigs[:, -1:] * (1.0 + u[:, None])",
+        "scale = eigs[:, -1:] / 2 * (1.0 + u[:, None])",
+        ["tests/test_attack.py::TestBuildPhase::test_select_matches_block_of_one",
+         "tests/test_linalg.py::test_strategies_hold_read_only_shares_and_clicks"],
+    ),
+    # non-finite entries decided from the Hermitian defect alone: an overflowing defect reads as NaN
+    "isfinite_fallback_dropped": (
+        "linalg.py",
+        "if not math.isfinite(defect) and not np.isfinite(ms).all():",
+        "if not math.isfinite(defect):",
+        ["tests/test_linalg.py::test_check_operators_message_table"],
+    ),
+    # a restart stops at any best value up to BOUND_TOL above the floor, however far below it lies
+    "one_sided_stop_rule": (
+        "attack.py",
+        "at_floor = (floor - _STOP <= best) & (best <= floor + BOUND_TOL)",
+        "at_floor = best <= floor + BOUND_TOL",
+        ["tests/test_attack.py::TestFloorStop::test_restart_below_floor_keeps_searching"],
+    ),
+    # lstsq's cutoff taken on each party's singular values instead of on their products
+    "cutoff_per_party": (
+        "witness.py",
+        "keep = s > np.finfo(float).eps * max(m.size, math.prod(map(len, ensembles))) * s.flat[0]",
+        "keep = functools.reduce(np.logical_and.outer, [e.transposed_svd[1] > np.finfo(float).eps"
+        " * max(e.dim ** 2, len(e)) * e.transposed_svd[1][0] for e in ensembles])",
+        ["tests/test_witness.py::TestFactoredSolve::test_near_degenerate_pair_drops_only_the_product_direction"],
+    ),
+    # the imaginary half of each ensemble's U taken with the wrong sign
+    "imaginary_sign_flipped": (
+        "states.py",
+        "u = (u[:flat.shape[1]] + 1j * u[flat.shape[1]:])",
+        "u = (u[:flat.shape[1]] - 1j * u[flat.shape[1]:])",
+        ["tests/test_witness.py::TestFactoredSolve::test_matches_dense_lstsq",
+         "tests/test_witness.py::TestRoundTripProperty::test_decompose_reconstruct_round_trip"],
+    ),
+}
+
+
+def apply(src: Path, name: str) -> None:
+    """Replace the row's old text in the copy ``src``; it must occur there exactly once."""
+    path, old, new, _ = MUTANTS[name]
+    target = src / "mdiw" / path
+    text = target.read_text()
+    if text.count(old) != 1:
+        raise ValueError(f"{name}: the old text occurs {text.count(old)} times in src/mdiw/{path}")
+    target.write_text(text.replace(old, new))
+
+
+def _copy(tmp: Path) -> Path:
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, tmp / part, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy2(ROOT / "pyproject.toml", tmp / "pyproject.toml")
+    return tmp
+
+
+def passes(copy: Path, test: str) -> bool:
+    """Run one test id in its own pytest process on ``copy``; True if it passes, False if it fails."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", test],
+        cwd=copy, env=env, capture_output=True, text=True,
+    )
+    if run.returncode not in (0, 1):
+        raise RuntimeError(f"{test}: pytest exited {run.returncode}\n{run.stdout[-2000:]}{run.stderr[-2000:]}")
+    return run.returncode == 0
+
+
+def main(argv=None) -> int:
+    names = list(argv if argv is not None else sys.argv[1:]) or list(MUTANTS)
+    unknown = [n for n in names if n not in MUTANTS]
+    if unknown:
+        print(f"error: unknown mutants {unknown}; known: {list(MUTANTS)}", file=sys.stderr)
+        return 2
+    tests = list(dict.fromkeys(t for n in names for t in MUTANTS[n][3]))
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            clean = _copy(Path(tmp))
+            failing = [t for t in tests if not passes(clean, t)]
+        if failing:
+            print(f"error: these tests fail without any mutant: {failing}", file=sys.stderr)
+            return 2
+        survivors = []
+        for name in names:
+            with tempfile.TemporaryDirectory() as tmp:
+                copy = _copy(Path(tmp))
+                apply(copy / "src", name)
+                alive = [t for t in MUTANTS[name][3] if passes(copy, t)]
+            print(f"{name}: {'SURVIVED ' + ', '.join(alive) if alive else 'caught'}")
+            survivors += [name] if alive else []
+    except (ValueError, RuntimeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(f"{len(names) - len(survivors)} of {len(names)} mutants caught")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
