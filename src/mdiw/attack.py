@@ -27,6 +27,7 @@ each restart's start from its own stream first, in restart order.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import time
@@ -39,19 +40,18 @@ from .linalg import TOL_RECON, _check_spectrum, check_operators
 from .states import _check_densities, _unchecked
 from .witness import Decomposition
 from .game import (
-    BIPARTITIONS_3,
     BiseparableStrategy,
     POVM,
     SeparableStrategy,
+    _BIPARTITIONS,
     _checked_clicks,
-    _biseparable_groups,
     _biseparable_strategy,
     _block_responses,
     _fold,
     _grid,
     _responses,
+    _partition_groups,
     _restart_sums,
-    _separable_groups,
     _separable_strategy,
     _term_fs,
     trace_inputs,
@@ -86,15 +86,7 @@ class AttackConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{f.name} must be int, got {value!r}")
-        if self.restarts < 1 or self.iterations < 1 or self.mixture_size < 1:
-            raise ValueError("restarts, iterations and mixture size must be >= 1")
-        if self.share_dim < 1:
-            raise ValueError("share dimension must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+            _check_int(f.name, getattr(self, f.name), 0 if f.name == "seed" else 1)
 
 
 @dataclass(frozen=True)
@@ -155,13 +147,23 @@ def _projectors(v: np.ndarray) -> np.ndarray:
     return v[..., :, None] * v[..., None, :].conj()
 
 
-# Each sampler has a draw phase, which calls one restart's generator in the
-# documented stream order and keeps the raw numbers, and a build phase, which
-# puts the draws of R restarts in block form (see :mod:`mdiw.game`), each
-# stack of share states and of success elements checked once; it builds no
-# POVM.  The search starts from the block form; a public sampler builds a
-# batch of one and turns it, with its POVMs, back into a strategy with the
-# inverse the search also uses for its best restart.
+# A sampled term is a partition of the parties, drawn from its family's (an
+# ``integers`` call only where there are several), plus one random pure state
+# per block, its kets one row: each block's real parts, then imaginary parts.
+# A family's partitions share their block sizes in block order, those of one
+# size adjacent.  The draw phase reads one restart's generator in stream order;
+# the build phase puts R restarts' draws in block form (see :mod:`mdiw.game`),
+# checking each block size's states and each input dimension's success
+# elements as one stack, and builds no POVM.  A public sampler inverts a batch
+# of one with its POVMs, as the search does its best restart.
+
+
+def _check_int(name: str, value, low: int) -> None:
+    """An integer (not a bool) of at least ``low``, or a ValueError."""
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        raise ValueError(f"{name} must be int, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 def _draw_success_element(rng: np.random.Generator, d: int) -> tuple[np.ndarray, float]:
@@ -199,28 +201,60 @@ def _povms(elements, input_dims, m) -> tuple:
     return tuple(_unchecked(POVM, click=e[0], dims=(int(d), int(m))) for e, d in zip(elements, input_dims))
 
 
-def _draw_separable(rng, input_dims, m, k):
-    """One restart's draws for :func:`random_separable_strategy`, in its stream order."""
-    weights = rng.dirichlet(np.ones(k))
-    kets = rng.normal(size=(k, len(input_dims), 2, m))
-    return weights, kets, [_draw_success_element(rng, d * m) for d in input_dims]
+def _draw(rng, partitions, input_dims, m, k):
+    """One restart's draws in stream order: weights, partition picks, kets and success elements."""
+    weights, size = rng.dirichlet(np.ones(k)), 2 * sum(m ** len(b) for b in partitions[0])
+    if len(partitions) == 1:
+        picks, kets = np.zeros(k, int), rng.normal(size=(k, size))
+    else:
+        picks, kets = zip(*[(rng.integers(len(partitions)), rng.normal(size=size)) for _ in range(k)])
+    return weights, picks, kets, [_draw_success_element(rng, d * m) for d in input_dims]
 
 
-def _separable_block(draws, input_dims, m):
-    """Block form (weights, groups, success elements) of R restarts' separable draws."""
-    shares = _projectors(_unit_kets(np.array([kets for _, kets, _ in draws])))
-    _check_densities(shares.reshape(-1, m, m), (m,))
-    states = shares.transpose(2, 0, 1, 3, 4).reshape(len(input_dims), -1, m, m)
-    elements = _success_batch([s for _, _, s in draws], input_dims, m)
-    return np.array([w for w, _, _ in draws]), _separable_groups(states), elements
+def _block(draws, partitions, input_dims, m):
+    """Block form (weights, groups, success elements) of R restarts' :func:`_draw` draws."""
+    kets = np.concatenate([x[2] for x in draws])
+    sizes, ranked, at = [m ** len(b) for b in partitions[0]], {}, 0
+    for d in dict.fromkeys(sizes):
+        c = sizes.count(d)
+        stack = _projectors(_unit_kets(kets[:, at : at + 2 * d * c].reshape(-1, 2, d)))
+        _check_densities(stack, (d,))
+        # [rank among a term's blocks of size d, term]
+        ranked[d], at = np.ascontiguousarray(stack.reshape(-1, c, d, d).swapaxes(0, 1)), at + 2 * d * c
+    blocks = [ranked[d][sizes[:b].count(d)] for b, d in enumerate(sizes)]  # each over every term
+    if len(partitions) == 1:  # every term, in order: the block states view the stacks
+        members, states = [np.arange(len(kets))], [blocks]
+    else:
+        picks = np.concatenate([x[1] for x in draws])
+        members = [(picks == j).nonzero()[0] for j in range(len(partitions))]
+        states = [[x.take(i, axis=0) for x in blocks] for i in members]
+    groups = _partition_groups(partitions, members, states, (m,) * len(input_dims))
+    return np.array([x[0] for x in draws]), groups, _success_batch([x[3] for x in draws], input_dims, m)
 
 
-def random_separable_strategy(
-    input_dims,
-    share_dim: int,
-    mixture_size: int,
-    rng: np.random.Generator,
-) -> SeparableStrategy:
+# kind: the partitions of n parties that its terms draw from, and the inverse of its block form
+_FAMILIES = {
+    "separable": (functools.cache(lambda n: (tuple((p,) for p in range(n)),)), _separable_strategy),
+    "biseparable": (lambda n: tuple(_BIPARTITIONS.values()) if n == 3 else (), _biseparable_strategy),
+}
+
+
+def _sample(kind, input_dims, m, k, rng):
+    """The public samplers' body: check the arguments, draw, build a batch of one and invert it."""
+    input_dims = tuple(input_dims)
+    for name, value in (("parties", len(input_dims)), ("share_dim", m), ("mixture_size", k),
+                        *(("input dim", d) for d in input_dims)):
+        _check_int(name, value, 1)
+    partitions, build = _FAMILIES[kind][0](len(input_dims)), _FAMILIES[kind][1]
+    if not partitions:
+        raise ValueError(f"no {kind} strategy has {len(input_dims)} parties")
+    draws = _draw(rng, partitions, input_dims, m, k)
+    weights, groups, elements = _block([draws], partitions, input_dims, m)
+    return build(weights[0], groups, _povms(elements, input_dims, m))
+
+
+def random_separable_strategy(input_dims, share_dim: int, mixture_size: int,
+                              rng: np.random.Generator) -> SeparableStrategy:
     """Sample a valid strategy whose shared state is fully product per term.
 
     Weights come from a symmetric simplex sample, share states from
@@ -233,44 +267,11 @@ def random_separable_strategy(
     then each party's success element.  All share states are checked as
     one stack.
     """
-    input_dims, m = tuple(int(d) for d in input_dims), share_dim
-    draws = _draw_separable(rng, input_dims, m, mixture_size)
-    weights, groups, elements = _separable_block([draws], input_dims, m)
-    return _separable_strategy(weights[0], groups, _povms(elements, input_dims, m))
+    return _sample("separable", input_dims, share_dim, mixture_size, rng)
 
 
-def _draw_biseparable(rng, input_dims, m, k):
-    """One restart's draws for :func:`random_biseparable_strategy`, in its stream order."""
-    if len(input_dims) != 3:
-        raise ValueError("biseparable strategies are tripartite")
-    weights = rng.dirichlet(np.ones(k))
-    tags = sorted(BIPARTITIONS_3)
-    picks, kets = [], []
-    for _ in range(k):
-        picks.append(tags[int(rng.integers(len(tags)))])
-        kets.append(rng.normal(size=2 * (m * m + m)))
-    return weights, picks, kets, [_draw_success_element(rng, d * m) for d in input_dims]
-
-
-def _biseparable_block(draws, input_dims, m):
-    """Block form (weights, groups, success elements) of R restarts' biseparable draws."""
-    tags = [tag for _, picks, _, _ in draws for tag in picks]
-    kets = np.array([ket for _, _, ks, _ in draws for ket in ks])
-    pairs = _projectors(_unit_kets(kets[:, : 2 * m * m].reshape(-1, 2, m * m)))
-    singles = _projectors(_unit_kets(kets[:, 2 * m * m :].reshape(-1, 2, m)))
-    _check_densities(pairs, (m, m))
-    _check_densities(singles, (m,))
-    elements = _success_batch([s for _, _, _, s in draws], input_dims, m)
-    groups = _biseparable_groups(tags, pairs, singles, (m,) * 3)
-    return np.array([w for w, _, _, _ in draws]), groups, elements
-
-
-def random_biseparable_strategy(
-    input_dims,
-    share_dim: int,
-    mixture_size: int,
-    rng: np.random.Generator,
-) -> BiseparableStrategy:
+def random_biseparable_strategy(input_dims, share_dim: int, mixture_size: int,
+                                rng: np.random.Generator) -> BiseparableStrategy:
     """Sample a tripartite mixture of bipartition-tagged terms.
 
     Group states are random pure two-party kets (entangled within the
@@ -283,10 +284,7 @@ def random_biseparable_strategy(
     ``share_dim`` imaginary); then each party's success element.  Group
     and singleton states are checked as one stack each.
     """
-    input_dims, m = tuple(int(d) for d in input_dims), share_dim
-    draws = _draw_biseparable(rng, input_dims, m, mixture_size)
-    weights, groups, elements = _biseparable_block([draws], input_dims, m)
-    return _biseparable_strategy(weights[0], groups, _povms(elements, input_dims, m))
+    return _sample("biseparable", input_dims, share_dim, mixture_size, rng)
 
 
 def _negative_projectors(x: np.ndarray) -> np.ndarray:
@@ -303,11 +301,6 @@ def _negative_projectors(x: np.ndarray) -> np.ndarray:
     rank = np.maximum(1, np.count_nonzero(vals < 0.0, axis=-1))
     v = vecs * (np.arange(x.shape[-1]) < rank[:, None])[:, None, :]
     return v @ v.conj().swapaxes(-1, -2)
-
-
-def _lowest_states(ops: np.ndarray) -> np.ndarray:
-    """|v><v| for the lowest eigenvector v of each operator in a (K, n, n) stack."""
-    return _projectors(np.linalg.eigh(ops)[1][..., 0])
 
 
 def _start(beta, inputs, weights, groups, elements) -> tuple[tuple, np.ndarray]:
@@ -364,8 +357,8 @@ def _sweep(beta, inputs, state):
             b = specs.where[x]
             block = specs.blocks[b]
             fb = _term_fs(fs, idx, shape[1], block.parties)
-            ops = np.einsum(block.operator, c, *fb)
-            states[b] = _lowest_states(ops.reshape(states[b].shape))
+            ops = np.einsum(block.operator, c, *fb).reshape(states[b].shape)
+            states[b] = _projectors(np.linalg.eigh(ops)[1][..., 0])  # each term's lowest eigenvector
             r[b] = _block_responses(block, fb, states[b])
     # each term's value, from the last party's block: its c and updated R
     terms = np.empty(w.size)
@@ -429,20 +422,14 @@ def certified_lower_bound(dec: Decomposition, kind: str) -> float:
     return min(0.0, cut) * math.prod(e.dim for e in dec.ensembles)
 
 
-# kind: its draw phase, its build phase and the inverse of its block form
-_FAMILIES = {
-    "separable": (_draw_separable, _separable_block, _separable_strategy),
-    "biseparable": (_draw_biseparable, _biseparable_block, _biseparable_strategy),
-}
-
-
 def _search(dec, ensembles, config, kind, hook=None):
     """Shared see-saw search for both strategy families, all restarts as one batch.
 
-    Restart r draws its start from its own stream ``restart_rng(config.seed,
-    r)``, in restart order, with the draw phase of ``kind``; its build phase
-    checks all the draws, one check per stack, and puts them in block form,
-    and :func:`_start` values them.  Every :func:`_sweep` then sweeps the
+    Restart r draws its start, terms of a partition of ``kind`` and one state
+    per block, from its own stream ``restart_rng(config.seed, r)``, in
+    restart order; the build phase checks all the draws, one check per
+    stack, and puts them in block form, and :func:`_start` values them.
+    Every :func:`_sweep` then sweeps the
     restarts still running.  A restart stops at its first sweep that lowers
     its value by at most ``_STOP`` (stalled), that leaves its best value at
     most ``BOUND_TOL`` above :func:`certified_lower_bound` (at floor), or after
@@ -466,17 +453,15 @@ def _search(dec, ensembles, config, kind, hook=None):
             "the nonnegativity bound is only guaranteed for exact witnesses",
             stacklevel=3,
         )
-    draw, block, build = _FAMILIES[kind]
     input_dims, m = tuple(e.dim for e in ensembles), config.share_dim
+    partitions, build = _FAMILIES[kind][0](len(input_dims)), _FAMILIES[kind][1]
     beta, inputs = np.asarray(dec.beta), [e.matrices for e in dec.ensembles]
     floor = certified_lower_bound(dec, kind)
 
     t0 = time.perf_counter()
-    draws = [
-        draw(restart_rng(config.seed, r), input_dims, m, config.mixture_size)
-        for r in range(config.restarts)
-    ]
-    state, value = _start(beta, inputs, *block(draws, input_dims, m))
+    draws = [_draw(restart_rng(config.seed, r), partitions, input_dims, m, config.mixture_size)
+             for r in range(config.restarts)]
+    state, value = _start(beta, inputs, *_block(draws, partitions, input_dims, m))
     running = np.arange(config.restarts)
     minima = np.empty(config.restarts)
     champion = None  # (value, restart, selected state) of the best stopped restart
@@ -532,9 +517,7 @@ def attack(dec: Decomposition, ensembles, config: AttackConfig, hook=None) -> At
     return _search(dec, ensembles, config, "separable", hook)
 
 
-def biseparable_attack(
-    dec: Decomposition, ensembles, config: AttackConfig, hook=None
-) -> AttackReport:
+def biseparable_attack(dec: Decomposition, ensembles, config: AttackConfig, hook=None) -> AttackReport:
     """Minimize the game value over biseparable tripartite strategies.
 
     Bipartition tags stay as sampled within a restart; weights, group and
@@ -571,6 +554,8 @@ def random_kraus_set(dim: int, n_ops: int, rng: np.random.Generator) -> list[np.
     each as its ``dim x dim`` real parts then its imaginary parts; then one
     ``uniform`` draw for the scale.
     """
+    _check_int("dim", dim, 1)
+    _check_int("n_ops", n_ops, 0)
     return list(_kraus_ops(*_draw_kraus(rng, dim, n_ops)))
 
 

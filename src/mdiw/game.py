@@ -399,51 +399,46 @@ def fast_entangled_table(rho: DensityMatrix, ensembles) -> CorrelationTable:
     return _table(ensembles, p, False)
 
 
-# Unentangled mixtures in block form: each term is a product of states over
-# a partition of the parties into blocks, and the terms sharing a partition
-# form a group (idx, specs, states) -- their indices into the weights, the
-# partition's einsum specs (see _specs) and one (K_g, D_b, D_b) state stack
-# per block.  The weights are a dense (R, K) matrix, row r the K weights of
-# restart r, so the R independent mixtures of a see-saw search run as one
-# batch; one strategy is the case R = 1.  Terms run restart-major: term i
-# is weights.flat[i], of restart i // K.  Fully separable is one group of
-# singletons; biseparable, one group per bipartition used.  Only these
-# conversions know the two families.
+# Unentangled mixtures in block form: a term is a partition of the parties
+# into blocks plus one state per block (a fully separable term has the
+# all-singleton partition, a biseparable term a bipartition), and the terms
+# of one partition form a group (idx, specs, states): their indices into the
+# weights, the partition's einsum specs (see _specs) and one (K_g, D_b, D_b)
+# state stack per block.  The weights are a dense (R, K) matrix, row r the
+# weights of restart r, so R mixtures of a see-saw search run as one batch;
+# a strategy is the case R = 1.  Term i is weights.flat[i], of restart i // K.
+# Only _groups and its two inverses read the public strategy types.
+
+# each BIPARTITIONS_3 tag's partition (pair, (singleton,)), in sorted order
+_BIPARTITIONS = {tag: (pair, (single,)) for tag, (pair, single) in sorted(BIPARTITIONS_3.items())}
 
 
-def _separable_groups(states) -> list:
-    """The one group of singleton blocks, from each party's (K, m, m) state stack."""
-    specs = _specs(tuple((p,) for p in range(len(states))), tuple(s.shape[-1] for s in states))
-    return [(np.arange(len(states[0])), specs, list(states))]
+def _partition_groups(partitions, members, states, shares) -> list:
+    """One group per partition with terms, in sorted partition order.
 
-
-def _biseparable_groups(tags, pairs, singles, shares) -> list:
-    """One group per bipartition used; term i has ``tags[i]``, ``pairs[i]`` and ``singles[i]``."""
-    groups = []
-    for tag, (pair, single) in BIPARTITIONS_3.items():
-        idx = [i for i, t in enumerate(tags) if t == tag]
-        if idx:
-            states = [np.array([pairs[i] for i in idx]), np.array([singles[i] for i in idx])]
-            groups.append((np.array(idx), _specs((pair, (single,)), shares), states))
-    return groups
+    Partition j has the terms ``members[j]``, ascending, and one state stack per block, ``states[j]``.
+    """
+    order = sorted(range(len(partitions)), key=partitions.__getitem__)
+    return [(np.asarray(members[j]), _specs(partitions[j], shares), states[j]) for j in order if len(members[j])]
 
 
 def _groups(strategy) -> tuple[np.ndarray, list]:
     """Weights (1, K) and groups of a separable or biseparable strategy."""
-    if not isinstance(strategy, (SeparableStrategy, BiseparableStrategy)):
-        raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
-    n, shares = strategy.n_parties, tuple(m.dims[1] for m in strategy.measurements)
     if isinstance(strategy, SeparableStrategy):
-        states = [np.stack([term[p].matrix for term in strategy.share_states]) for p in range(n)]
-        return np.asarray(strategy.weights)[None], _separable_groups(states)
-    terms = strategy.terms
-    groups = _biseparable_groups(
-        [t.bipartition for t in terms],
-        [t.group_state.matrix for t in terms],
-        [t.singleton_state.matrix for t in terms],
-        shares,
-    )
-    return np.array([[t.weight for t in terms]]), groups
+        partitions = (tuple((p,) for p in range(strategy.n_parties)),)
+        weights, picks, terms = strategy.weights, [0] * len(strategy.weights), strategy.share_states
+    elif isinstance(strategy, BiseparableStrategy):
+        partitions, tags = tuple(_BIPARTITIONS.values()), list(_BIPARTITIONS)
+        weights = [t.weight for t in strategy.terms]
+        picks = [tags.index(t.bipartition) for t in strategy.terms]
+        terms = [(t.group_state, t.singleton_state) for t in strategy.terms]
+    else:
+        raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
+    members = [[i for i, p in enumerate(picks) if p == j] for j in range(len(partitions))]
+    states = [[np.array([terms[i][b].matrix for i in idx]) for b in range(len(part)) if idx]
+              for part, idx in zip(partitions, members)]
+    shares = tuple(m.dims[1] for m in strategy.measurements)
+    return np.array([weights], dtype=float), _partition_groups(partitions, members, states, shares)
 
 
 # The inverses of _groups take one restart's weights (K,) and groups whose

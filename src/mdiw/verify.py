@@ -48,10 +48,10 @@ from .game import (
 from .attack import (
     AttackConfig,
     BOUND_TOL,
+    _block,
+    _draw,
     _draw_kraus,
-    _draw_separable,
     _kraus_ops,
-    _separable_block,
     _start,
     attack,
     biseparable_attack,
@@ -357,15 +357,15 @@ def check_loss_invariance(seed: int) -> tuple[bool, dict]:
             scale_err = max(scale_err, abs(lossy - eta_a * eta_b * base))
             signs_ok = signs_ok and (lossy < 0.0) == (base < 0.0)
     rng = np.random.default_rng((seed, 9))
-    samples, draws, kraus = 10_000, [], []
+    samples, draws, kraus, partitions = 10_000, [], [], (((0,), (1,)),)  # the all-singleton partition
     for _ in range(samples):
         k = int(rng.integers(1, 5))
-        weights, kets, success = _draw_separable(rng, (2, 2), 2, k)
+        weights, _, kets, success = _draw(rng, partitions, (2, 2), 2, k)
         # a padded term has zero weight and a valid share
-        draws.append((np.concatenate([weights, np.zeros(4 - k)]),
-                      np.concatenate([kets, np.ones((4 - k, 2, 2, 2))]), success))
+        draws.append((np.concatenate([weights, np.zeros(4 - k)]), np.zeros(4, int),
+                      np.concatenate([kets, np.ones((4 - k, 8))]), success))
         kraus += [_draw_kraus(rng, 4, int(rng.integers(1, 4))) for _ in range(2)]
-    weights, groups, elements = _separable_block(draws, (2, 2), 2)
+    weights, groups, elements = _block(draws, partitions, (2, 2), 2)
     kraus = kraus[::2] + kraus[1::2]  # party-major, as the success elements
     normals = np.zeros((len(kraus), 3, 2, 4, 4))  # zero operators pad each set to three
     for i, (g, _) in enumerate(kraus):

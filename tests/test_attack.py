@@ -39,12 +39,11 @@ from mdiw.game import (
 from mdiw.attack import (
     BOUND_TOL,
     AttackConfig,
-    _biseparable_block,
-    _draw_biseparable,
-    _draw_separable,
+    _FAMILIES,
+    _block,
+    _draw,
     _negative_projectors,
     _select,
-    _separable_block,
     _start,
     _sweep,
     attack,
@@ -114,6 +113,27 @@ class TestRandomStrategies:
         value = mdi_value(dec, simulate_separable(s, dec.ensembles))
         entangled = EntangledStrategy(mixture_as_shared_state(s), s.measurements)
         assert value == pytest.approx(mdi_value(dec, simulate_entangled(entangled, dec.ensembles)), abs=1e-12)
+
+    @pytest.mark.parametrize("sample", [
+        lambda rng: random_biseparable_strategy((2, 2, 2), 2, 0, rng),
+        lambda rng: random_separable_strategy((2, 2), 0, 2, rng),
+        lambda rng: random_separable_strategy((), 2, 2, rng),
+        lambda rng: random_separable_strategy((2, 0), 2, 2, rng),
+        lambda rng: random_separable_strategy((2, 2), 2.0, 2, rng),
+        lambda rng: random_separable_strategy((2, 2), True, 2, rng),
+        lambda rng: random_biseparable_strategy((2, 2.5, 2), 2, 2, rng),
+        lambda rng: random_biseparable_strategy((2, 2), 2, 2, rng),
+        lambda rng: random_kraus_set(0, 2, rng),
+        lambda rng: random_kraus_set(2, -1, rng),
+        lambda rng: random_kraus_set(2, 1.5, rng),
+    ], ids=["mixture_0", "share_0", "no_parties", "input_dim_0", "float_share", "bool_share",
+            "float_input_dim", "bipartite_biseparable", "kraus_dim_0", "kraus_negative_ops", "kraus_float_ops"])
+    def test_bad_arguments_rejected_before_any_draw(self, sample):
+        rng = np.random.default_rng(64)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            sample(rng)
+        assert rng.bit_generator.state == state
 
     def test_trivial_share_dimension_degenerates(self):
         rng = np.random.default_rng(63)
@@ -191,6 +211,29 @@ class TestStreamContract:
         assert all(_close(p.element(1), e) for p, e in zip(s.measurements, elements))
         assert rng.bit_generator.state == ref.bit_generator.state
 
+    @pytest.mark.parametrize("family", ["separable", "biseparable"])
+    def test_draw_makes_the_documented_calls(self, family):
+        # a lone partition draws no integers and every ket in one normal call
+        calls = []
+
+        class Recorder:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                calls.append(name)
+                return getattr(self.rng, name)
+
+        k, rng = 3, Recorder(np.random.default_rng(65))
+        if family == "separable":
+            random_separable_strategy((2, 2), 2, k, rng)
+            kets = ["normal"]
+        else:
+            random_biseparable_strategy((2, 2, 2), 2, k, rng)
+            kets = ["integers", "normal"] * k
+        success = ["normal", "normal", "uniform"] * (2 if family == "separable" else 3)
+        assert calls == ["dirichlet"] + kets + success
+
     @pytest.mark.parametrize("dim, n_ops", [(2, 1), (4, 2), (4, 3), (3, 5)])
     def test_kraus_sampler(self, dim, n_ops):
         rng, ref = np.random.default_rng((dim, n_ops)), np.random.default_rng((dim, n_ops))
@@ -253,6 +296,24 @@ class TestBlockForm:
             ("AB|C", 0.5), ("BC|A", 0.3), ("AB|C", 0.2)
         ]
         for a, b in zip(back.terms, strategy.terms):
+            assert np.array_equal(a.group_state.matrix, b.group_state.matrix)
+            assert np.array_equal(a.singleton_state.matrix, b.singleton_state.matrix)
+        # share dims (1, 2, 3): each bipartition's group and singleton states differ in size,
+        # and the bipartitions first appear out of sorted order
+        shares, tags = (1, 2, 3), ("AB|C", "BC|A", "AC|B", "AB|C")
+        povms = tuple(POVM(np.eye(2 * m) / 2, (2, m)) for m in shares)
+        terms = []
+        for tag, w in zip(tags, (0.4, 0.3, 0.2, 0.1)):
+            (p, q), r = BIPARTITIONS_3[tag]
+            pair = random_density_matrix((shares[p], shares[q]), rng)
+            terms.append(BiseparableTerm(tag, w, pair, random_density_matrix((shares[r],), rng)))
+        ragged = BiseparableStrategy(tuple(terms), povms)
+        weights, groups = _groups(ragged)
+        pairs = [specs.blocks[0].parties for _, specs, _ in groups]
+        assert pairs == [BIPARTITIONS_3[t][0] for t in sorted(set(tags))]  # groups in sorted order
+        back = _biseparable_strategy(weights[0], groups, ragged.measurements)
+        assert [(t.bipartition, t.weight) for t in back.terms] == list(zip(tags, (0.4, 0.3, 0.2, 0.1)))
+        for a, b in zip(back.terms, ragged.terms):
             assert np.array_equal(a.group_state.matrix, b.group_state.matrix)
             assert np.array_equal(a.singleton_state.matrix, b.singleton_state.matrix)
 
@@ -378,20 +439,20 @@ class TestBuildPhase:
     def test_select_matches_block_of_one(self, family):
         rng = np.random.default_rng(15)
         if family == "separable":
-            dims, draw, block, sampler = (2, 3), _draw_separable, _separable_block, random_separable_strategy
+            dims, partitions, sampler = (2, 3), _FAMILIES["separable"][0](2), random_separable_strategy
             inputs = [np.stack([random_density_matrix((d,), rng).matrix for _ in range(3)]) for d in dims]
             beta = rng.normal(size=(3, 3))
         else:
-            dims, draw, block, dec = (2, 2, 2), _draw_biseparable, _biseparable_block, ghz_beta()
+            dims, partitions, dec = (2, 2, 2), _FAMILIES["biseparable"][0](3), ghz_beta()
             sampler = random_biseparable_strategy
             inputs, beta = [e.matrices for e in dec.ensembles], np.asarray(dec.beta)
         m, k = 2, 3
         rngs = [restart_rng(12, r) for r in range(5)]
-        batch = block([draw(rng, dims, m, k) for rng in rngs], dims, m)
+        batch = _block([_draw(rng, partitions, dims, m, k) for rng in rngs], partitions, dims, m)
         state, values = _start(beta, inputs, *batch)
         for r, rng in enumerate(rngs):
             ref = restart_rng(12, r)
-            alone = block([draw(ref, dims, m, k)], dims, m)
+            alone = _block([_draw(ref, partitions, dims, m, k)], partitions, dims, m)
             assert rng.bit_generator.state == ref.bit_generator.state
             weights, groups, elements, _, _ = _select(state, [r])
             assert np.array_equal(weights, alone[0])
@@ -408,16 +469,32 @@ class TestBuildPhase:
 
     def test_non_psd_share_in_last_restart_rejected_like_single(self):
         # a NaN in the last restart's last ket: only a check of every restart's shares sees it
-        dims, m = (2, 2), 2
-        draws = [_draw_separable(restart_rng(13, r), dims, m, 2) for r in range(4)]
-        ket = draws[-1][1][-1, -1]
+        dims, m, partitions = (2, 2), 2, _FAMILIES["separable"][0](2)
+        draws = [_draw(restart_rng(13, r), partitions, dims, m, 2) for r in range(4)]
+        ket = draws[-1][2][-1].reshape(2, 2, m)[-1]  # the last party's ket in the last term's flat row
         ket[0, 0] = np.nan
         with np.errstate(invalid="ignore"):
             v = (ket[0] + 1j * ket[1]) / np.linalg.norm(ket[0] + 1j * ket[1])
             with pytest.raises(ValueError, match="NaN") as single:
                 DensityMatrix(np.outer(v, v.conj()), (m,))
             with pytest.raises(ValueError, match="NaN") as batched:
-                _separable_block(draws, dims, m)
+                _block(draws, partitions, dims, m)
+        assert str(batched.value) == str(single.value)
+
+    @pytest.mark.parametrize("block", ["pair", "singleton"])
+    def test_nan_in_each_block_size_rejected_like_single(self, block):
+        # a NaN in the last restart's last biseparable term, in its pair ket or its singleton ket
+        m, partitions = 2, _FAMILIES["biseparable"][0](3)
+        draws = [_draw(restart_rng(16, r), partitions, (2, 2, 2), m, 2) for r in range(3)]
+        row = draws[-1][2][-1]
+        ket = (row[: 2 * m * m] if block == "pair" else row[2 * m * m :]).reshape(2, -1)
+        ket[0, 0] = np.nan
+        with np.errstate(invalid="ignore"):
+            v = (ket[0] + 1j * ket[1]) / np.linalg.norm(ket[0] + 1j * ket[1])
+            with pytest.raises(ValueError, match="NaN") as single:
+                DensityMatrix(np.outer(v, v.conj()), (len(v),))
+            with pytest.raises(ValueError, match="NaN") as batched:
+                _block(draws, partitions, (2, 2, 2), m)
         assert str(batched.value) == str(single.value)
 
     def test_one_eigvalsh_per_stack(self, monkeypatch):
@@ -444,18 +521,18 @@ class TestBuildPhase:
 
     @pytest.mark.parametrize("family", ["separable", "biseparable"])
     def test_success_element_above_one_in_last_restart_rejected_like_single(self, family):
-        draw, block, dims = {
-            "separable": (_draw_separable, _separable_block, (2, 2)),
-            "biseparable": (_draw_biseparable, _biseparable_block, (2, 2, 2)),
+        partitions, dims = {
+            "separable": (_FAMILIES["separable"][0](2), (2, 2)),
+            "biseparable": (_FAMILIES["biseparable"][0](3), (2, 2, 2)),
         }[family]
-        draws = [draw(restart_rng(14, r), dims, 2, 2) for r in range(4)]
+        draws = [_draw(restart_rng(14, r), partitions, dims, 2, 2) for r in range(4)]
         g, _ = draws[-1][-1][0]
         draws[-1][-1][0] = (g, -0.5)  # scale 1 / (top * 0.5): the top eigenvalue becomes 2
         e = g.conj().T @ g
         with pytest.raises(ValueError, match="positive semidefinite") as single:
             POVM(e / (np.linalg.eigvalsh(e)[-1] * 0.5), (2, 2))
         with pytest.raises(ValueError, match="positive semidefinite") as batched:
-            block(draws, dims, 2)
+            _block(draws, partitions, dims, 2)
         assert str(batched.value) == str(single.value)
 
 

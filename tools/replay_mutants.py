@@ -69,6 +69,57 @@ MUTANTS = {
         ["tests/test_witness.py::TestFactoredSolve::test_matches_dense_lstsq",
          "tests/test_witness.py::TestRoundTripProperty::test_decompose_reconstruct_round_trip"],
     ),
+    # a lone partition drawn like several: one integers call (reading no bits) and one normal call per term
+    "lone_partition_drawn_per_term": (
+        "attack.py",
+        "if len(partitions) == 1:\n        picks, kets = np.zeros(k, int)",
+        "if len(partitions) == 0:\n        picks, kets = np.zeros(k, int)",
+        ["tests/test_attack.py::TestStreamContract::test_draw_makes_the_documented_calls"],
+    ),
+    # groups in the order their partitions are first used instead of sorted order
+    "groups_in_first_use_order": (
+        "game.py",
+        "order = sorted(range(len(partitions)), key=partitions.__getitem__)",
+        "order = sorted(range(len(partitions)), key=lambda j: members[j][:1].tolist())",
+        ["tests/test_attack.py::TestBlockForm::test_biseparable_round_trip_keeps_term_order",
+         "tests/test_attack.py::TestBuildPhase::test_select_matches_block_of_one"],
+    ),
+    # the build checks the states of one block size only, the singletons'
+    "one_block_size_checked": (
+        "attack.py",
+        "        _check_densities(stack, (d,))",
+        "        if d == m:\n            _check_densities(stack, (d,))",
+        ["tests/test_attack.py::TestBuildPhase::test_nan_in_each_block_size_rejected_like_single"],
+    ),
+    # the build checks restart 0's share states only
+    "restart_0_shares_checked": (
+        "attack.py",
+        "        _check_densities(stack, (d,))",
+        "        _check_densities(stack[: len(stack) // len(draws)], (d,))",
+        ["tests/test_attack.py::TestBuildPhase::test_non_psd_share_in_last_restart_rejected_like_single"],
+    ),
+    # a stopped restart's survivors keep their old term indices
+    "select_without_renumbering": (
+        "attack.py",
+        "kept_groups.append((new[mine] * k + idx[mine] % k, specs",
+        "kept_groups.append((idx[mine], specs",
+        ["tests/test_attack.py::TestBuildPhase::test_select_matches_block_of_one",
+         "tests/test_attack.py::TestBatchedSearch::test_matches_sequential_loop"],
+    ),
+    # every term reads restart 0's F_p
+    "restart_0_traced_inputs": (
+        "game.py",
+        "return [fs[p] if len(fs[p]) == 1 else fs[p][idx // k] for p in parties]",
+        "return [fs[p][:1] for p in parties]",
+        ["tests/test_attack.py::TestBatchedSearch::test_matches_sequential_loop"],
+    ),
+    # the weight step moves every restart onto the term of the lowest value in the whole batch
+    "batch_wide_weight_argmin": (
+        "attack.py",
+        "low = terms.argmin(axis=1)",
+        "low = np.full(shape[0], terms.argmin() % shape[1])",
+        ["tests/test_attack.py::TestBatchedSearch::test_matches_sequential_loop"],
+    ),
 }
 
 
