@@ -47,7 +47,6 @@ from .game import (
     _checked_clicks,
     _biseparable_strategy,
     _block_responses,
-    _fold,
     _grid,
     _responses,
     _partition_groups,
@@ -308,13 +307,11 @@ def _start(beta, inputs, weights, groups, elements) -> tuple[tuple, np.ndarray]:
 
     The state is the block form (weights, groups, each party's (R, D, D)
     success elements; see :mod:`mdiw.game`), then each party's F_p and
-    every block's R.
+    every block's R.  One ``np.vecdot`` values every restart, each as ``np.dot`` would alone.
     """
     fs = [trace_inputs(e, t) for e, t in zip(elements, inputs)]
     resp = _responses(groups, fs, weights.shape[1])
-    grid, beta = _grid(weights, groups, resp).reshape(len(weights), -1), beta.ravel()
-    # one dot per restart: a stacked matmul rounds rows differently by batch size
-    values = np.array([np.dot(g, beta) for g in grid])
+    values = np.vecdot(_grid(weights, groups, resp).reshape(len(weights), -1), beta.ravel())
     return (weights, groups, list(elements), fs, resp), values
 
 
@@ -342,10 +339,12 @@ def _sweep(beta, inputs, state):
             b = specs.where[x]
             block = specs.blocks[b]
             # c[k, s_B]: the value of term k per unit response of x's block to inputs s_B
-            c = np.einsum(block.coefficient, beta, *[rj for j, rj in enumerate(r) if j != b])
+            c = np.einsum(block.coefficient, beta, *[rj.real for j, rj in enumerate(r) if j != b])
             folds, final = specs.partner[x]
             partners = _term_fs(fs, idx, shape[1], [q for q in block.parties if q != x])
-            g = _fold(folds, states[b].reshape(block.shape), partners)
+            g = states[b].reshape(block.shape)
+            for spec, f in zip(folds, partners):  # one einsum per partner's F_q
+                g = np.einsum(spec, f, g)
             parts.append((idx, np.einsum(final, w[idx], c, g)))
             cs.append(c)
         y = _restart_sums(shape, parts)
@@ -364,7 +363,7 @@ def _sweep(beta, inputs, state):
     terms = np.empty(w.size)
     for (idx, specs, _), r, c in zip(groups, resp, cs):
         b = specs.where[-1]
-        terms[idx] = np.einsum(specs.blocks[b].value, c, r[b])
+        terms[idx] = np.einsum(specs.blocks[b].value, c, r[b].real)
     # per restart, all weight onto its lowest term
     terms, rows = terms.reshape(shape), np.arange(shape[0])
     low = terms.argmin(axis=1)

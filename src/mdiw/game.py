@@ -307,18 +307,16 @@ def trace_inputs(element: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """F[..., s] = tr_in[E (tau_s (x) 1)]: inputs (S, d, d) traced into E on input (x) share.
 
     ``element`` is one operator or a stack of them; leading axes carry through.
+    The trace sums each (i, j) pair as one flattened axis: F has the same bits in a stack of any size.
     """
-    d = taus.shape[1]
+    d, lead = taus.shape[1], element.ndim - 2
     share = element.shape[-1] // d
-    if share == 1:
-        # F[s] = sum_ij E[i, j] tau[s, j, i] over the flattened pairs: the general einsum
-        # rounds a stack of one differently from a longer stack at this shape
-        e = element.reshape(element.shape[:-2] + (d * d,))
-        f = np.einsum("...k,sk->...s", e, taus.swapaxes(-1, -2).reshape(len(taus), d * d))
-        return f[..., None, None]
-    # F[s, a, b] = sum_ij E[i a, j b] tau[s, j, i]
+    # F[s, a, b] = sum_ij E[i a, j b] tau[s, j, i], the pair (i, j) as k = i d + j; F views its
+    # C-ordered transpose, which a block response reads (column, row) flattened without a copy
     e = element.reshape(element.shape[:-2] + (d, share, d, share))
-    return np.einsum("...iajb,sji->...sab", e, taus)
+    e = e.transpose(*range(lead), lead + 1, lead + 3, lead, lead + 2).reshape(e.shape[:lead] + (share, share, -1))
+    taus = taus.swapaxes(-1, -2).reshape(len(taus), -1)
+    return np.einsum("...abk,sk->...sba", e, taus, order="C").swapaxes(-1, -2)
 
 
 def _contract_grid(rho: np.ndarray, dims, stacks) -> np.ndarray:
@@ -343,11 +341,9 @@ def _traced_inputs(measurements, ensembles, include_full: bool) -> list[np.ndarr
     for p, (e, m) in enumerate(zip(ensembles, measurements)):
         if e.dim != m.dims[0]:
             raise ValueError(f"party {p}: ensemble dim {e.dim} vs measurement input dim {m.dims[0]}")
-    fs = [trace_inputs(m.click, e.matrices) for m, e in zip(measurements, ensembles)]
-    if include_full:
-        fs = [np.concatenate([trace_inputs(m.element(0), e.matrices), f])
-              for m, e, f in zip(measurements, ensembles, fs)]
-    return fs
+    # with include_full, the outcome-0 element and E_p traced as one stack
+    return [trace_inputs(np.array([m.element(0), m.click]) if include_full else m.click, e.matrices)
+            .reshape((-1,) + 2 * m.dims[1:]) for m, e in zip(measurements, ensembles)]
 
 
 def _table(ensembles, p: np.ndarray, include_full: bool) -> CorrelationTable:
@@ -467,7 +463,8 @@ def _biseparable_strategy(weights, groups, measurements) -> BiseparableStrategy:
 
 
 # einsum letters: k runs over a group's terms; party p has the input letter
-# _IN[p], and _ROW[p], _COL[p] index its share factor.  Every term reads its
+# _IN[p], and _ROW[p], _COL[p] index its share factor; in a response spec
+# _ROW[p] indexes p's (row, column) pair flattened.  Every term reads its
 # own restart's F_p, so F operands carry k too.  A pair block's partner term
 # folds in the other party's F one einsum at a time: one five-operand einsum
 # over all of its indices costs several times more.
@@ -479,7 +476,9 @@ class _Block(NamedTuple):
 
     parties: tuple[int, ...]
     shape: tuple[int, ...]  # a (K, D, D) state stack as (K, m_p..., m_p...)
-    response: str  # R[k, s_B] = tr[(F_p[s_p] (x) ...) sigma_k]
+    pairs: tuple[int, ...]  # the axes of ``shape`` with each party's row next to its column
+    flat: tuple[int, ...]  # those axes with each party's (row, column) pair flattened, (K, m_p**2, ...)
+    response: str  # R[k, s_B] = tr[(F_p[s_p] (x) ...) sigma_k]: F_p's pairs (column, row) meet sigma's (row, column)
     coefficient: str  # c[k, s_B]: beta against the other blocks' R; term k is worth sum c R
     operator: str  # O_k = sum c[k, s_B] F_p[s_p] (x) ..., so term k is worth tr[O_k sigma_k]
     value: str  # sum c R, term by term
@@ -515,18 +514,18 @@ def _specs(partition: tuple, shares: tuple) -> _Specs:
     ins = ["".join(_IN[p] for p in b) for b in partition]
     where = tuple(next(i for i, b in enumerate(partition) if p in b) for p in range(n))
     fss = [",".join(f"k{_IN[p]}{_ROW[p]}{_COL[p]}" for p in b) for b in partition]
-    # tr[F sigma] = F[r, c] sigma[c, r]: the state's rows meet F's columns
-    sigma = ["k" + "".join(_COL[p] for p in b) + "".join(_ROW[p] for p in b) for b in partition]
     blocks = tuple(
         _Block(
             parties=b,
             shape=(-1,) + 2 * tuple(shares[p] for p in b),
-            response=f"{fs},{g}->k{i}",
+            pairs=(0,) + tuple(a for j in range(1, len(b) + 1) for a in (j, j + len(b))),
+            flat=(-1,) + tuple(shares[p] ** 2 for p in b),
+            response=",".join([f"k{_IN[p]}{_ROW[p]}" for p in b] + ["k" + "".join(_ROW[p] for p in b)]) + f"->k{i}",
             coefficient=",".join([_IN[:n]] + [f"k{o}" for o in ins if o != i]) + f"->k{i}",
             operator=f"k{i},{fs}->k" + "".join(_ROW[p] for p in b) + "".join(_COL[p] for p in b),
             value=f"k{i},k{i}->k",
         )
-        for b, i, fs, g in zip(partition, ins, fss, sigma)
+        for b, i, fs in zip(partition, ins, fss)
     )
     partner = tuple(
         (_partner_folds(partition[where[x]], x),
@@ -541,22 +540,22 @@ def _specs(partition: tuple, shares: tuple) -> _Specs:
 def _term_fs(fs, idx, k: int, parties) -> list[np.ndarray]:
     """F_p of each listed party as terms ``idx`` read it: the slice of each term's restart, idx // k.
 
-    A batch of one restart passes its (1, S, m, m) F_p as is; einsum
-    broadcasts it over the terms.
+    A batch of one restart passes its (1, S, m, m) F_p as is; einsum broadcasts it over the
+    terms, and a block response reads it with the bits of a gathered F_p.
     """
     return [fs[p] if len(fs[p]) == 1 else fs[p][idx // k] for p in parties]
 
 
-def _fold(folds, x: np.ndarray, fb) -> np.ndarray:
-    """Fold each F_p of ``fb`` (from :func:`_term_fs`) into ``x``, one einsum per fold."""
-    for spec, f in zip(folds, fb):
-        x = np.einsum(spec, f, x)
-    return x
-
-
 def _block_responses(block: _Block, fb, states: np.ndarray) -> np.ndarray:
-    """R[k, s_B] = tr[(F_p[s_p] (x) ...) sigma_k] for one block of a group."""
-    return np.einsum(block.response, *fb, states.reshape(block.shape)).real
+    """R[k, s_B] = tr[(F_p[s_p] (x) ...) sigma_k] for one block of a group, as a complex array.
+
+    The trace sums each party's (row, column) pair as one flattened axis, F_p read as (column, row),
+    so a term's R has the same bits in a batch of any size.  Readers take a view of the real part:
+    it has one layout fresh or selected, and the contractions reading R round by layout.
+    """
+    fb = [f.swapaxes(-1, -2).reshape(f.shape[:-2] + (-1,)) for f in fb]
+    sigma = states.reshape(block.shape).transpose(block.pairs).reshape(block.flat)
+    return np.einsum(block.response, *fb, sigma)
 
 
 def _responses(groups, fs, k: int) -> list[list[np.ndarray]]:
@@ -586,10 +585,10 @@ def _restart_sums(shape, parts) -> np.ndarray:
 
 
 def _grid(weights: np.ndarray, groups, resp) -> np.ndarray:
-    """p[r, s, t, ...] = sum of w[r, k] prod_B R_B[k, s_B] over restart r's terms."""
+    """p[r, s, t, ...] = sum of w[r, k] prod_B R_B[k, s_B] over restart r's terms, R_B the responses' real parts."""
     w = weights.ravel()
     return _restart_sums(weights.shape, [
-        (idx, np.einsum(specs.grid, w[idx], *r)) for (idx, specs, _), r in zip(groups, resp)
+        (idx, np.einsum(specs.grid, w[idx], *[x.real for x in r])) for (idx, specs, _), r in zip(groups, resp)
     ])
 
 
@@ -667,8 +666,8 @@ def violation_scan(family: str, dec: Decomposition, grid, etas=None) -> list[tup
 
     ``etas`` are the detector efficiencies (lossless when omitted).  Blocks of
     ``SCAN_BLOCK`` states are built and checked as one stack, contracted in
-    one einsum and range-checked before the scaling by prod(etas) <= 1; each
-    value is beta's dot product with its own row, as when scored one by one.
+    one einsum and range-checked before the scaling by prod(etas) <= 1; one
+    ``np.vecdot`` values every row, each as ``np.dot`` would alone.
     """
     dims = FAMILIES[family][1]
     if tuple(e.dim for e in dec.ensembles) != dims:
@@ -682,7 +681,7 @@ def violation_scan(family: str, dec: Decomposition, grid, etas=None) -> list[tup
         vs = grid[start : start + SCAN_BLOCK]
         p = _contract_grid(family_matrices(family, vs), dims, stacks) / math.prod(dims)
         p = _checked_probabilities("p_all_ones", p, p.shape, labels) * factor
-        out += [(v, float(np.dot(beta, row.ravel()))) for v, row in zip(vs, p)]
+        out += zip(vs, np.vecdot(p.reshape(len(vs), -1), beta).tolist())
     return out
 
 

@@ -344,7 +344,8 @@ def check_loss_invariance(seed: int) -> tuple[bool, dict]:
 
     The 10,000 Kraus-mapped samples are drawn one by one and valued as one
     block-form batch, padded with exact zeros to four terms and three Kraus
-    operators: one check per stack, one sum K^dagger E K, one grid.
+    operators: one check per stack, one sum K^dagger E K, one grid.  Each
+    value is bit for bit the one its sample scores alone, one-term ones too.
     """
     dec = tetrahedron_beta()
     table = fast_entangled_table(werner_state(1.0), dec.ensembles)

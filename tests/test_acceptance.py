@@ -58,9 +58,14 @@ def test_verify_command_all_green(tmp_path, monkeypatch):
     assert all(v["passed"] for v in doc["verdicts"])
 
 
-def test_loss_invariance_batch_matches_one_sample_route(monkeypatch):
-    # the batch values every sample as the public route does; a one-term sample's
-    # block rounds its responses differently from a longer batch, in the last bit
+# the one-sample route's minimum over all 10,000 samples, per seed
+LOSS_MINIMA = {verify.DEFAULT_SEED: 0.00037312166740302805, 1: 0.00045146354495265726,
+               2: 0.00048200099415016937, 8: 0.00035615756883761087}
+
+
+@pytest.mark.parametrize("seed", list(LOSS_MINIMA))
+def test_loss_invariance_batch_matches_one_sample_route(monkeypatch, seed):
+    # the batch values every sample bit for bit as the public route does, one-term samples included
     values, start = [], attack_module._start
 
     def recording_start(*args):
@@ -69,12 +74,11 @@ def test_loss_invariance_batch_matches_one_sample_route(monkeypatch):
         return state, out
 
     monkeypatch.setattr(verify, "_start", recording_start)
-    verdict = verify.check_loss_invariance(verify.DEFAULT_SEED)
+    verdict = verify.check_loss_invariance(seed)
     assert len(values) == verdict.details["samples"] == 10_000
-    assert verdict.details["min_I_with_pre_measurement_maps"] == 0.00037312166740302805 == min(values)
-    one_by_one = mapped_separable_samples(witness.tetrahedron_beta(), verify.DEFAULT_SEED, 400)
-    assert all(v == want for v, (k, want) in zip(values, one_by_one) if k > 1)
-    assert all(abs(v - want) <= 1e-16 for v, (_, want) in zip(values, one_by_one))
+    assert verdict.details["min_I_with_pre_measurement_maps"] == LOSS_MINIMA[seed] == min(values)
+    one_by_one = mapped_separable_samples(witness.tetrahedron_beta(), seed, 400)
+    assert values[:400] == [want for _, want in one_by_one]
 
 
 def _offset_singlet_beta():

@@ -28,12 +28,15 @@ from mdiw.game import (
     POVM,
     SeparableStrategy,
     _biseparable_strategy,
+    _block_responses,
     _groups,
     _separable_strategy,
+    _specs,
     apply_pre_measurement_map,
     mdi_value,
     simulate_entangled,
     simulate_separable,
+    trace_inputs,
     violation_scan,
 )
 from mdiw.attack import (
@@ -400,25 +403,21 @@ class TestStoppedRestarts:
         assert batch_sizes == [7, 6, 5]
 
 
+def _independence_cases():
+    """(search, decomposition, mixture size, seed, share dim) of each TestRestartIndependence case."""
+    rows = [("ghz", biseparable_attack, ghz_beta, (1, 2, 3, 6), (66, 9, 3), (1, 2)),
+            ("tetrahedron", attack, tetrahedron_beta, (1, 3), (3, 5), (1, 2, 4)),
+            ("pauli6", attack, pauli6_beta, (1, 2), (4,), (1, 2, 4))]
+    return [pytest.param(search, make, k, seed, share, id=f"{name}_mixture{k}_seed{seed}-{share}")
+            for name, search, make, ks, seeds, shares in rows
+            for k in ks for seed in seeds for share in shares]
+
+
 class TestRestartIndependence:
-    """Restart r's search does not depend on how many restarts run beside it."""
+    """Restart r's search does not depend on how many restarts run beside it, bit for bit."""
 
-    # (search, decomposition, mixture size, seed); share dims 1, 2 and 4 each
-    CASES = {
-        "tetrahedron_mixture1": (attack, tetrahedron_beta, 1, 3),
-        "tetrahedron_mixture3": (attack, tetrahedron_beta, 3, 5),
-        "pauli6_mixture2": (attack, pauli6_beta, 2, 4),
-    }
-    # A batch of one term (mixture 1, one restart) rounds the block responses
-    # differently from a longer batch at share dims >= 2.
-    ONE_TERM = pytest.mark.xfail(strict=True, reason="a one-term batch rounds its block responses differently")
-
-    @pytest.mark.parametrize("share", [1, 2, 4])
-    @pytest.mark.parametrize("case", list(CASES))
-    def test_restart_alone_equals_restart_in_batch(self, request, case, share):
-        if case == "tetrahedron_mixture1" and share > 1:
-            request.applymarker(self.ONE_TERM)
-        search, make, mixture, seed = self.CASES[case]
+    @pytest.mark.parametrize("search, make, mixture, seed, share", _independence_cases())
+    def test_restart_alone_equals_restart_in_batch(self, search, make, mixture, seed, share):
         dec = make()
         runs = {}
         for restarts in (1, 2, 3):
@@ -430,6 +429,35 @@ class TestRestartIndependence:
             runs[restarts] = [(report.restart_minima[r], 1 + sweeps[r]) for r in range(restarts)]
         assert runs[1] == runs[2][:1] == runs[3][:1]
         assert runs[2] == runs[3][:2]
+
+
+class TestBatchInvariance:
+    """Each block-form contraction gives an operator, a term or a restart the same bits in a batch of any size."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([1, 2, 4]), st.integers(1, 5), st.integers(1, 3))
+    def test_batch_equals_one_at_a_time(self, seed, share, size, mixture):
+        rng = np.random.default_rng(seed)
+        taus = tetrahedron_ensemble("A").matrices
+        elements = rng.normal(size=(size, 2 * share, 2 * share)) + 1j * rng.normal(size=(size, 2 * share, 2 * share))
+        f = trace_inputs(elements, taus)
+        for i in range(size):
+            assert np.array_equal(f[i], trace_inputs(elements[i], taus))
+        # a singleton block and a pair block, each party reading its own F_p
+        for block in (_specs(((0,), (1,)), (share,) * 2).blocks[0], _specs(((0, 1), (2,)), (share,) * 3).blocks[0]):
+            fb = [f[rng.permutation(size)] for _ in block.parties]
+            d = share ** len(block.parties)
+            states = np.array([random_density_matrix((d,), rng).matrix for _ in range(size)])
+            r = _block_responses(block, fb, states)
+            for i in range(size):
+                assert np.array_equal(r[i], _block_responses(block, [x[i : i + 1] for x in fb], states[i : i + 1])[0])
+        # R restarts valued as one batch, and each alone
+        for kind, dims, dec in (("separable", (2, 2), tetrahedron_beta()), ("biseparable", (2, 2, 2), ghz_beta())):
+            partitions, inputs = _FAMILIES[kind][0](len(dims)), [e.matrices for e in dec.ensembles]
+            draws = [_draw(restart_rng(seed, r), partitions, dims, share, mixture) for r in range(size)]
+            values = _start(dec.beta, inputs, *_block(draws, partitions, dims, share))[1]
+            for r, one in enumerate(draws):
+                assert values[r] == _start(dec.beta, inputs, *_block([one], partitions, dims, share))[1][0]
 
 
 class TestBuildPhase:

@@ -12,8 +12,8 @@ tests still passes.
     python tools/replay_mutants.py success_scale_half   # the named rows
 
 Exit status: 0 when every mutant is caught, 1 when one survives, 2 when a
-row does not apply or a named test fails unmutated.  The run takes about
-half a minute; it is not part of the test suite, which only checks that
+row does not apply or a named test fails unmutated.  The run takes a few
+minutes; it is not part of the test suite, which only checks that
 each row still applies (``tests/test_mutant_table.py``).
 """
 
@@ -112,6 +112,45 @@ MUTANTS = {
         "return [fs[p] if len(fs[p]) == 1 else fs[p][idx // k] for p in parties]",
         "return [fs[p][:1] for p in parties]",
         ["tests/test_attack.py::TestBatchedSearch::test_matches_sequential_loop"],
+    ),
+    # F_p read as (row, column) in the flattened block response: every share dim above 1 scores tr[F^T sigma]
+    "response_reads_f_row_column": (
+        "game.py",
+        "fb = [f.swapaxes(-1, -2).reshape(f.shape[:-2] + (-1,)) for f in fb]",
+        "fb = [f.reshape(f.shape[:-2] + (-1,)) for f in fb]",
+        ["tests/test_game.py::TestSimulateSeparable::test_matches_explicit_mixture_simulation",
+         "tests/test_attack.py::TestBlockForm::test_sweep_matches_public_route"],
+    ),
+    # each input state traced in untransposed, tr_in[E (tau^T (x) 1)]
+    "trace_inputs_tau_untransposed": (
+        "game.py",
+        "taus.swapaxes(-1, -2).reshape(len(taus), -1)",
+        "taus.reshape(len(taus), -1)",
+        ["tests/test_game.py::TestSimulateEntangled::test_matches_raw_index_oracle_bipartite",
+         "tests/test_game.py::TestSimulateSeparable::test_trivial_share_dimension"],
+    ),
+    # a pair block's state flattened without putting each party's row next to its column
+    "pair_state_axes_apart": (
+        "game.py",
+        "states.reshape(block.shape).transpose(block.pairs).reshape(block.flat)",
+        "states.reshape(block.shape).reshape(block.flat)",
+        ["tests/test_game.py::TestSimulateSeparable::test_biseparable_matches_explicit_mixture",
+         "tests/test_attack.py::TestCertifiedFloor::test_no_biseparable_strategy_below_floor"],
+    ),
+    # block responses stored as their real parts: a selected restart reads them in another layout
+    "responses_stored_real": (
+        "game.py",
+        "    return np.einsum(block.response, *fb, sigma)\n",
+        "    return np.einsum(block.response, *fb, sigma).real\n",
+        ["tests/test_attack.py::TestRestartIndependence::test_restart_alone_equals_restart_in_batch"],
+    ),
+    # the starts valued by one stacked matmul, which rounds a row by the batch it sits in
+    "start_values_by_matmul": (
+        "attack.py",
+        "np.vecdot(_grid(weights, groups, resp).reshape(len(weights), -1), beta.ravel())",
+        "_grid(weights, groups, resp).reshape(len(weights), -1) @ beta.ravel()",
+        ["tests/test_attack.py::TestBatchInvariance::test_batch_equals_one_at_a_time",
+         "tests/test_attack.py::TestBuildPhase::test_select_matches_block_of_one"],
     ),
     # the weight step moves every restart onto the term of the lowest value in the whole batch
     "batch_wide_weight_argmin": (
