@@ -317,12 +317,12 @@ def cmd_decompose(scenario: Scenario, args: argparse.Namespace) -> tuple[int, li
     return 0 if dec.residual <= TOL_RECON else 1, [(serialize.dumps(decomposition_to_dict(dec)), args.out)]
 
 
-def _expected_value(scenario: Scenario, v: float) -> float | None:
-    """The closed-form game value of the scenario's family at ``v``, if it has one."""
+def _closed_form(scenario: Scenario):
+    """The closed-form game value of the scenario's family as a function of v, if it has one."""
     family, config = scenario.family, scenario.config
     if family is None or not scenario.decomposition.exact or _FAMILY_WITNESS[family] != config.witness:
         return None
-    return expected_game_value(family, v) * math.prod(config.loss)
+    return lambda v: expected_game_value(family, v) * math.prod(config.loss)
 
 
 def cmd_simulate(scenario: Scenario, args: argparse.Namespace) -> tuple[int, list]:
@@ -333,9 +333,10 @@ def cmd_simulate(scenario: Scenario, args: argparse.Namespace) -> tuple[int, lis
     else:
         table = fast_entangled_table(rho, dec.ensembles)
     table = apply_uniform_loss(table, loss)
+    expected = _closed_form(scenario)
     summary = {
         "I": mdi_value(dec, table),
-        "expected": _expected_value(scenario, scenario.v),
+        "expected": None if expected is None else expected(scenario.v),
         "witness_value_scaled": witness_value(scenario.witness, rho) / math.prod(rho.dims),
     }
     if args.full and math.prod(loss) < 1.0:
@@ -346,7 +347,7 @@ def cmd_simulate(scenario: Scenario, args: argparse.Namespace) -> tuple[int, lis
 
 
 def cmd_scan(scenario: Scenario, args: argparse.Namespace) -> tuple[int, list]:
-    """CSV violation curve (v, I, expected, abs_err) over a parameter grid."""
+    """CSV violation curve (v, I, expected, abs_err) over a parameter grid, its body one ``%.17g`` format."""
     v_from, v_to, steps = args.v_from, args.v_to, args.steps
     if not (0.0 <= v_from < v_to <= 1.0):
         raise ConfigError(f"need 0 <= from < to <= 1, got [{v_from}, {v_to}]")
@@ -355,12 +356,12 @@ def cmd_scan(scenario: Scenario, args: argparse.Namespace) -> tuple[int, list]:
     if scenario.family is None:
         raise ConfigError("scan requires a named state family")
     grid = [min(v_from + (v_to - v_from) * i / (steps - 1), v_to) for i in range(steps)]
-    lines = ["v,I,expected,abs_err"]
-    for v, value in violation_scan(scenario.family, scenario.decomposition, grid, scenario.config.loss):
-        expected = _expected_value(scenario, v)
-        row = (v, value) if expected is None else (v, value, expected, abs(value - expected))
-        lines.append(",".join(map(serialize.fmt_float, row)) + ",," * (expected is None))
-    return 0, [("\n".join(lines) + "\n", args.out)]
+    rows = violation_scan(scenario.family, scenario.decomposition, grid, scenario.config.loss)
+    expected = _closed_form(scenario)  # the closed-form columns, decided once per scan
+    if expected is not None:
+        rows = [(v, value, e, abs(value - e)) for v, value in rows for e in (expected(v),)]
+    line = "%.17g,%.17g" + (",,\n" if expected is None else ",%.17g,%.17g\n")
+    return 0, [("v,I,expected,abs_err\n" + line * len(rows) % tuple([x for row in rows for x in row]), args.out)]
 
 
 def cmd_attack(scenario: Scenario, args: argparse.Namespace) -> tuple[int, list]:

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import check_operators
-from .serialize import fmt_float
+from .serialize import fmt_row
 from .states import FAMILIES, DensityMatrix, family_matrices, max_entangled, projector
 from .witness import Decomposition
 
@@ -688,9 +688,9 @@ def violation_scan(family: str, dec: Decomposition, grid, etas=None) -> list[tup
 def table_to_csv(table: CorrelationTable) -> str:
     """CSV rendering: one label column per party, then probabilities.
 
-    Rows are ordered lexicographically by label tuple; numbers carry 17
-    significant digits, lines end with LF.  This is the one place where
-    input indices turn back into labels.
+    Rows are ordered lexicographically by label tuple and end with LF; a row's numbers
+    are one ``%.17g`` :func:`~mdiw.serialize.fmt_row` call, its labels joined outside
+    it.  This is the one place where input indices turn back into labels.
     """
     n = table.n_parties
     orders = [sorted(range(len(ls)), key=ls.__getitem__) for ls in table.labels]
@@ -703,5 +703,5 @@ def table_to_csv(table: CorrelationTable) -> str:
     keys = itertools.product(*([ls[i] for i in o] for ls, o in zip(table.labels, orders)))
     lines = [",".join(headers)]
     for key, row in zip(keys, np.stack(columns, axis=1).tolist()):
-        lines.append(",".join([*key, *map(fmt_float, row)]))
+        lines.append(",".join([*key, fmt_row(row)]))
     return "\n".join(lines) + "\n"

@@ -1,18 +1,25 @@
 """Deterministic JSON/CSV rendering and matrix encoding for the CLI.
 
-Floats are written with 17 significant digits so serialized doubles
-round-trip exactly and repeated runs produce byte-identical artifacts;
+Floats are written as ``%.17g``, a row or array of them in one :func:`fmt_row` call, so
+serialized doubles round-trip exactly and repeated runs produce byte-identical artifacts;
 JSON has no NaN or infinity, so :func:`dumps` writes those as ``null``.
 Complex matrices travel as nested row-major arrays of [re, im] pairs.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
 def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def fmt_row(row, sep: str = ",") -> str:
+    """``sep.join(map(fmt_float, row))`` for a sequence of floats, in one format call."""
+    return sep.join(["%.17g"] * len(row)) % tuple(row)
 
 
 def dumps(obj) -> str:
@@ -31,7 +38,7 @@ def _render(obj, depth: int) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return fmt_float(obj) if np.isfinite(obj) else "null"
+        return fmt_float(obj) if math.isfinite(obj) else "null"
     if isinstance(obj, str):
         return _escape(obj)
     if isinstance(obj, dict):
@@ -45,7 +52,8 @@ def _render(obj, depth: int) -> str:
         seq = list(obj)
         if not seq:
             return "[]"
-        items = sep.join(_render(v, depth + 1) for v in seq)
+        finite_floats = all(type(v) is float for v in seq) and all(map(math.isfinite, seq))
+        items = fmt_row(seq, sep) if finite_floats else sep.join(_render(v, depth + 1) for v in seq)
         return "[\n" + pad + items + "\n" + close_pad + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 

@@ -89,8 +89,9 @@ class DensityMatrix:
 class InputEnsemble:
     """Labelled quantum inputs handed to one party of the game.
 
-    ``matrices`` is the read-only (S, d, d) stack of the checked states, in
-    label order, built once on construction; :attr:`transposed_svd`, which
+    ``matrices`` is the read-only (S, d, d) stack of the checked states, in label order,
+    built once on construction as the view of a C-ordered stack of their transposes, so
+    flattening its transpose needs no copy; :attr:`transposed_svd`, which
     :func:`mdiw.witness.decompose` solves through, is built on first use.
     """
 
@@ -114,11 +115,11 @@ class InputEnsemble:
         d = states[0].dim
         if any(s.dim != d for s in states):
             raise ValueError("all ensemble states must share one dimension")
-        matrices = np.stack([s.matrix for s in states])
-        matrices.setflags(write=False)
+        transposes = np.stack([s.matrix for s in states]).swapaxes(1, 2).copy()
+        transposes.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "matrices", matrices)
+        object.__setattr__(self, "matrices", transposes.swapaxes(1, 2))
 
     @property
     def dim(self) -> int:

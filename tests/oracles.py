@@ -21,6 +21,11 @@ reference for the factored :func:`mdiw.witness.decompose`, and
 :func:`mapped_separable_samples` scores the Kraus-mapped samples of
 :func:`mdiw.verify.check_loss_invariance` one public strategy at a time, as
 the reference for its block-form batch.
+:func:`render_json`, :func:`table_csv` and :func:`scan_csv` render
+artifacts one float at a time, each value through ``format(x, ".17g")``,
+as the references for the row-at-a-time renderers
+:func:`mdiw.serialize.dumps`, :func:`mdiw.game.table_to_csv` and the
+``mdiw scan`` CSV.
 :func:`pauli`, :func:`permute_subsystems` and :func:`partial_transpose`
 are small operator helpers that only the tests use.
 """
@@ -41,6 +46,8 @@ from mdiw.attack import (
     random_separable_strategy,
     restart_rng,
 )
+from mdiw.attack import expected_game_value
+from mdiw.cli import _FAMILY_WITNESS
 from mdiw.game import (
     BiseparableStrategy,
     POVM,
@@ -53,6 +60,7 @@ from mdiw.game import (
     mdi_value,
     simulate_separable,
     trace_inputs,
+    violation_scan,
 )
 from mdiw.linalg import as_matrix, check_dims, kron, partial_trace
 from mdiw.states import DensityMatrix
@@ -329,3 +337,85 @@ def mapped_separable_samples(dec, seed: int, samples: int) -> list[tuple[int, fl
         mapped = SeparableStrategy(strategy.weights, strategy.share_states, povms)
         out.append((k, mdi_value(dec, simulate_separable(mapped, dec.ensembles))))
     return out
+
+
+def _fmt(x) -> str:
+    return format(float(x), ".17g")
+
+
+def render_json(obj) -> str:
+    """The JSON document of :func:`mdiw.serialize.dumps`, one recursive call per value."""
+    return _render(obj, 0) + "\n"
+
+
+def _render(obj, depth: int) -> str:
+    pad = "  " * (depth + 1)
+    close_pad = "  " * depth
+    sep = ",\n" + pad
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _fmt(obj) if np.isfinite(obj) else "null"
+    if isinstance(obj, str):
+        return _escape(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = sep.join(f"{_escape(str(k))}: {_render(v, depth + 1)}" for k, v in obj.items())
+        return "{\n" + pad + items + "\n" + close_pad + "}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        seq = list(obj)
+        if not seq:
+            return "[]"
+        items = sep.join(_render(v, depth + 1) for v in seq)
+        return "[\n" + pad + items + "\n" + close_pad + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _escape(s: str) -> str:
+    out = ['"']
+    for ch in s:
+        if ch == '"':
+            out.append('\\"')
+        elif ch == "\\":
+            out.append("\\\\")
+        elif ord(ch) < 0x20:
+            out.append(f"\\u{ord(ch):04x}")
+        else:
+            out.append(ch)
+    out.append('"')
+    return "".join(out)
+
+
+def table_csv(table) -> str:
+    """The CSV of :func:`mdiw.game.table_to_csv`, built cell by cell from the label tuples."""
+    n = table.n_parties
+    headers = list(table.parties) + ["p_all_ones"]
+    if table.full is not None:
+        headers += [f"p_{''.join(bits)}" for bits in itertools.product("01", repeat=n)]
+    lines = [",".join(headers)]
+    orders = [sorted(range(len(ls)), key=ls.__getitem__) for ls in table.labels]
+    for idx in itertools.product(*orders):
+        row = [table.p_all_ones[idx]]
+        if table.full is not None:
+            row += [table.full[bits + idx] for bits in itertools.product((0, 1), repeat=n)]
+        lines.append(",".join([ls[i] for ls, i in zip(table.labels, idx)] + [_fmt(x) for x in row]))
+    return "\n".join(lines) + "\n"
+
+
+def scan_csv(scenario, v_from: float, v_to: float, steps: int) -> str:
+    """The ``mdiw scan`` CSV, one row at a time, its closed-form columns decided per row."""
+    family, config = scenario.family, scenario.config
+    grid = [min(v_from + (v_to - v_from) * i / (steps - 1), v_to) for i in range(steps)]
+    lines = ["v,I,expected,abs_err"]
+    for v, value in violation_scan(family, scenario.decomposition, grid, config.loss):
+        expected = None
+        if scenario.decomposition.exact and _FAMILY_WITNESS[family] == config.witness:
+            expected = expected_game_value(family, v) * math.prod(config.loss)
+        row = (v, value) if expected is None else (v, value, expected, abs(value - expected))
+        lines.append(",".join(map(_fmt, row)) + ",," * (expected is None))
+    return "\n".join(lines) + "\n"

@@ -20,7 +20,8 @@ from mdiw.cli import ConfigError, ScenarioConfig, main
 from mdiw.states import (InputEnsemble, noisy_ghz, pauli6_ensemble, projector, singlet_ket,
                          tetrahedron_ensemble, werner_state)
 from mdiw.witness import Decomposition, Witness, reconstruct, tetrahedron_beta
-from oracles import pointwise_scan
+from mdiw.game import CorrelationTable, table_to_csv
+from oracles import pointwise_scan, render_json, scan_csv, table_csv
 
 
 BASE_CONFIG = {
@@ -819,6 +820,70 @@ class TestSerializeHelpers:
         doc = {"nan": float("nan"), "inf": [np.inf, -np.float64("inf")], "x": 0.5}
         assert json.loads(serialize.dumps(doc)) == {"nan": None, "inf": [None, None], "x": 0.5}
         assert serialize.fmt_float(float("nan")) == "nan"
+
+
+# floats whose 17-digit forms are edge cases: signed zero, the smallest subnormal, the largest
+# double, a power of ten written in full by 17 digits but with an exponent by 16, a repeating fraction
+EDGE_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, 1e16, 1 / 3]
+any_floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(EDGE_FLOATS)
+json_leaves = (any_floats | any_floats.map(np.float64) | st.booleans() | st.none()
+               | st.integers(-2**70, 2**70) | st.text(max_size=4))
+json_docs = st.recursive(
+    json_leaves | st.lists(any_floats, max_size=5),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=4)
+                   | st.lists(st.floats(-1e3, 1e3), max_size=4).map(np.array)),
+    max_leaves=25,
+)
+TABLE_LABELS = [("0", "1", "2", "3"), ("x+", "x-", "y+", "y-", "z+", "z-"), ("5%", "%s", "%%", "%.17g")]
+
+
+@st.composite
+def tables(draw):
+    """Tables of 2 or 3 parties, with or without full distributions; labels may hold '%'."""
+    n, full = draw(st.sampled_from([2, 3])), draw(st.booleans())
+    labels = tuple(tuple(draw(st.permutations(draw(st.sampled_from(TABLE_LABELS))))[:draw(st.integers(1, 4))])
+                   for _ in range(n))
+    grid = tuple(map(len, labels))
+    probs = st.floats(0.0, 1.0) | st.sampled_from([-0.0, 5e-324, 1 / 3, 1.0])
+    p = np.array(draw(st.lists(probs, min_size=int(np.prod(grid)), max_size=int(np.prod(grid))))).reshape(grid)
+    dist = None
+    if full:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+        dist = np.moveaxis(rng.dirichlet(np.ones(2**n), size=grid), -1, 0).reshape((2,) * n + grid)
+        p = dist[(1,) * n]
+    return CorrelationTable(tuple("ABC"[:n]), labels, p, dist)
+
+
+class TestRenderingOracle:
+    """The row-at-a-time renderers write the bytes of the one-float-at-a-time references."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(json_docs)
+    @example({"floats": EDGE_FLOATS, "mixed": [1.5, True, None, 2, "s", np.float64(0.25), float("nan"), -np.inf],
+              "bools": [True, False], "ints": [1, 2**60], "empty": [], "nan_row": [0.5, float("nan")]})
+    def test_dumps_matches_per_value_route(self, doc):
+        assert serialize.dumps(doc) == render_json(doc)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(tables())
+    def test_table_csv_matches_per_value_route(self, table):
+        assert table_to_csv(table) == table_csv(table)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(SCAN_CONFIGS)), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(2, 40))
+    @example("explicit_solve", 0.0, 1.0, 11)
+    @example("ghz_lossy", 0.0, 1.0, 31)
+    def test_scan_csv_matches_per_row_route(self, name, a, b, steps):
+        assume(a != b)
+        v_from, v_to = sorted((a, b))
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = write_config(Path(tmp), SCAN_CONFIGS[name]), Path(tmp) / "curve.csv"
+            argv = ["scan", "-c", cfg, "--from", repr(v_from), "--to", repr(v_to), "--steps", str(steps)]
+            assert main(argv + ["-o", str(out)]) == 0
+            expected = scan_csv(cli.load_config(cfg).resolve(), v_from, v_to, steps)
+            assert out.read_text(encoding="utf-8") == expected
+        assert expected.endswith(",,\n") == (name == "explicit_solve")
 
 
 class TestVerifyPlumbing:

@@ -159,6 +159,28 @@ MUTANTS = {
         "low = np.full(shape[0], terms.argmin() % shape[1])",
         ["tests/test_attack.py::TestBatchedSearch::test_matches_sequential_loop"],
     ),
+    # the JSON fast path without its finiteness test: NaN and infinities in a float array written as nan, inf
+    "float_row_finiteness_dropped": (
+        "serialize.py",
+        "finite_floats = all(type(v) is float for v in seq) and all(map(math.isfinite, seq))",
+        "finite_floats = all(type(v) is float for v in seq)",
+        ["tests/test_cli.py::TestRenderingOracle::test_dumps_matches_per_value_route"],
+    ),
+    # the JSON fast path's type test widened to ints: bools written as 1 and 0, large ints rounded
+    "float_row_takes_ints": (
+        "serialize.py",
+        "all(type(v) is float for v in seq)",
+        "all(isinstance(v, (int, float)) for v in seq)",
+        ["tests/test_cli.py::TestRenderingOracle::test_dumps_matches_per_value_route"],
+    ),
+    # a row of floats written with 16 significant digits, which does not round-trip every double
+    "float_row_16_digits": (
+        "serialize.py",
+        'sep.join(["%.17g"] * len(row))',
+        'sep.join(["%.16g"] * len(row))',
+        ["tests/test_cli.py::TestRenderingOracle::test_dumps_matches_per_value_route",
+         "tests/test_cli.py::TestRenderingOracle::test_table_csv_matches_per_value_route"],
+    ),
 }
 
 
