@@ -42,11 +42,11 @@ from mdiw.attack import (
     AttackReport,
     _start,
     _sweep,
+    expected_game_value,
     random_kraus_set,
     random_separable_strategy,
     restart_rng,
 )
-from mdiw.attack import expected_game_value
 from mdiw.cli import _FAMILY_WITNESS
 from mdiw.game import (
     BiseparableStrategy,
