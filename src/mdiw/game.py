@@ -30,7 +30,7 @@ import numpy as np
 
 from .linalg import check_operators
 from .serialize import fmt_row
-from .states import FAMILIES, DensityMatrix, family_matrices, max_entangled, projector
+from .states import DensityMatrix, _mixing_parameters, family_state, max_entangled, projector
 from .witness import Decomposition
 
 
@@ -657,32 +657,19 @@ def apply_uniform_loss(table: CorrelationTable, etas) -> CorrelationTable:
     return CorrelationTable(table.parties, table.labels, table.p_all_ones * math.prod(etas), full)
 
 
-# Parameters per stacked contraction of a violation scan: its memory does not grow with the grid.
-SCAN_BLOCK = 1024
-
-
 def violation_scan(family: str, dec: Decomposition, grid, etas=None) -> list[tuple[float, float]]:
     """Honest-strategy game value along ``grid`` for a family of :data:`mdiw.states.FAMILIES`.
 
-    ``etas`` are the detector efficiencies (lossless when omitted).  Blocks of
-    ``SCAN_BLOCK`` states are built and checked as one stack, contracted in
-    one einsum and range-checked before the scaling by prod(etas) <= 1; one
-    ``np.vecdot`` values every row, each as ``np.dot`` would alone.
+    ``etas`` are the detector efficiencies (lossless when omitted).  The value is
+    linear in the state, so only the family's ends v = 1 and v = 0 are built,
+    checked and scored, each as one state alone; every point is then
+    ``v I_1 + (1 - v) I_0`` on its own, the same bits in any grid.
     """
-    dims = FAMILIES[family][1]
-    if tuple(e.dim for e in dec.ensembles) != dims:
-        raise ValueError("input dims must match the shared state's factor dims")
-    factor = 1.0 if etas is None else math.prod(check_efficiencies(etas, len(dims)))
-    beta, stacks = dec.beta.ravel(), [e.matrices for e in dec.ensembles]
-    labels = tuple(e.labels for e in dec.ensembles)
-    grid = [float(v) for v in grid]
-    out = []
-    for start in range(0, len(grid), SCAN_BLOCK):
-        vs = grid[start : start + SCAN_BLOCK]
-        p = _contract_grid(family_matrices(family, vs), dims, stacks) / math.prod(dims)
-        p = _checked_probabilities("p_all_ones", p, p.shape, labels) * factor
-        out += zip(vs, np.vecdot(p.reshape(len(vs), -1), beta).tolist())
-    return out
+    etas = (1.0,) * dec.n_parties if etas is None else etas
+    i1, i0 = (mdi_value(dec, apply_uniform_loss(fast_entangled_table(family_state(family, v), dec.ensembles), etas))
+              for v in (1.0, 0.0))
+    vs = _mixing_parameters([float(v) for v in grid])
+    return list(zip(vs.tolist(), (vs * i1 + (1.0 - vs) * i0).tolist()))
 
 
 def table_to_csv(table: CorrelationTable) -> str:

@@ -230,21 +230,20 @@ FAMILIES = {
 }
 
 
-def family_matrices(name: str, vs) -> np.ndarray:
-    """(S, D, D) stack of family ``name`` at parameters ``vs`` in [0, 1], checked once."""
-    target, dims = FAMILIES[name]
-    vs = np.asarray(vs, dtype=float).reshape(-1, 1, 1)
+def _mixing_parameters(vs) -> np.ndarray:
+    """Family parameters as a float array; each must lie in [0, 1], which NaN does not."""
+    vs = np.asarray(vs, dtype=float)
     outside = ~((vs >= 0.0) & (vs <= 1.0))
     if outside.any():
         raise ValueError(f"mixing parameter must lie in [0, 1], got {vs[outside][0]}")
-    ms = vs * target + (1.0 - vs) * np.eye(len(target), dtype=complex) / len(target)
-    _check_densities(ms, dims)
-    return ms
+    return vs
 
 
 def family_state(name: str, v: float) -> DensityMatrix:
-    """The state of family ``name`` at parameter ``v``: its stack of one."""
-    return DensityMatrix._views(family_matrices(name, [v]), FAMILIES[name][1])[0]
+    """The state of family ``name`` at parameter ``v`` in [0, 1]."""
+    target, dims = FAMILIES[name]
+    v = _mixing_parameters(v)
+    return DensityMatrix(v * target + (1.0 - v) * np.eye(len(target), dtype=complex) / len(target), dims)
 
 
 def werner_state(v: float) -> DensityMatrix:

@@ -135,10 +135,10 @@ def witness_value(w: Witness, rho: DensityMatrix) -> float:
 def _expand(beta: np.ndarray, ensembles) -> np.ndarray:
     """Sum of beta over the products of transposed states, contracted one party at a time."""
     for e in reversed(ensembles):  # each step contracts the last label axis and prepends (row, column)
-        beta = e.matrices.reshape(len(e), -1).T @ beta.reshape(-1, len(e)).T
-    # transpose(tau)[a, b] = tau[b, a]: the states' column axes index the rows
+        # of transpose(tau): matrices views a C-ordered stack of transposes, so this flattening is a view
+        beta = e.matrices.swapaxes(1, 2).reshape(len(e), -1).T @ beta.reshape(-1, len(e)).T
     t = beta.reshape([e.dim for e in ensembles for _ in "rc"])
-    return t.transpose([*range(1, t.ndim, 2), *range(0, t.ndim, 2)]).reshape(math.prod(t.shape[::2]), -1)
+    return t.transpose([*range(0, t.ndim, 2), *range(1, t.ndim, 2)]).reshape(math.prod(t.shape[::2]), -1)
 
 
 def _solve(m: np.ndarray, ensembles) -> np.ndarray:

@@ -21,7 +21,6 @@ from mdiw.states import (
 from mdiw.witness import Witness, decompose, ghz_beta, pauli6_beta, singlet_witness, tetrahedron_beta
 from mdiw.game import (
     BIPARTITIONS_3,
-    SCAN_BLOCK,
     BiseparableStrategy,
     BiseparableTerm,
     EntangledStrategy,
@@ -782,12 +781,30 @@ class TestViolationScan:
         grid = np.linspace(0.0, 1.0, size) if size > 1 else [0.37][:size]
         curve = violation_scan(family, dec, grid, etas)
         reference = pointwise_scan(builder, dec, grid, etas or (1.0,) * dec.n_parties)
-        assert curve == reference  # bit for bit, v and I alike
+        assert [v for v, _ in curve] == [v for v, _ in reference]
+        for (v, value), (_, expected) in zip(curve, reference):
+            if v in (0.0, 1.0):
+                assert value == expected  # the ends are the pointwise route, bit for bit
+            else:
+                assert abs(value - expected) <= 1e-15
         assert violation_scan(family, dec, []) == []
+
+    @pytest.mark.parametrize("game", sorted(SCAN_GAMES))
+    def test_point_independent_of_grid(self, game):
+        family, _, make_dec, etas = SCAN_GAMES[game]
+        dec = make_dec()
+        grid = np.random.default_rng(5).uniform(0.0, 1.0, 300).tolist() + [0.0, 1.0, 1 / 3, 3 / 7]
+        alone = {v: violation_scan(family, dec, [v], etas)[0][1] for v in grid}
+        # the grid, its reverse, and a shuffled copy with duplicates
+        shuffled = np.random.default_rng(6).permutation(grid + grid[::7]).tolist()
+        for points in (grid, grid[::-1], shuffled):
+            curve = violation_scan(family, dec, points, etas)
+            assert [v for v, _ in curve] == points
+            assert all(value == alone[v] for v, value in curve)
 
     def test_blocks_bound_memory(self):
         # 100,000 noisy-GHZ states as one (S, 8, 8) complex stack, with its
-        # eigenvalue workspace and (S, 4, 4, 4) table, peak near 300 MB
+        # eigenvalue workspace and (S, 4, 4, 4) table, would peak near 300 MB
         dec = ghz_beta()
         grid = np.linspace(0.0, 1.0, 100_000)
         tracemalloc.start()
@@ -798,47 +815,46 @@ class TestViolationScan:
             tracemalloc.stop()
         assert peak < 50 * 2**20
         assert len(curve) == len(grid)
-        # three whole blocks and one more state, bit for bit the pointwise route
-        grid = np.linspace(0.0, 1.0, 3 * SCAN_BLOCK + 1)
-        etas = (0.9, 0.8, 0.7)
-        assert violation_scan("noisy_ghz", dec, grid, etas) == pointwise_scan(noisy_ghz, dec, grid, etas)
 
     def test_parameter_out_of_range_raises_single_builder_message(self):
-        with pytest.raises(ValueError) as single:
-            werner_state(1.5)
-        for grid in ([0.5, 1.5], [0.5] * (3 * SCAN_BLOCK + 1) + [1.5]):
-            with pytest.raises(ValueError) as scan:
-                violation_scan("werner", tetrahedron_beta(), grid)
-            assert str(scan.value) == str(single.value) == "mixing parameter must lie in [0, 1], got 1.5"
+        for bad in (1.5, -0.25, float("nan")):
+            with pytest.raises(ValueError) as single:
+                werner_state(bad)
+            assert str(single.value) == f"mixing parameter must lie in [0, 1], got {bad}"
+            for grid in ([0.5, bad], [bad, 0.5], [0.5] * 5000 + [bad]):
+                with pytest.raises(ValueError) as scan:
+                    violation_scan("werner", tetrahedron_beta(), grid)
+                assert str(scan.value) == str(single.value)
 
-    def test_states_checked_in_every_block(self, monkeypatch):
+    def test_broken_target_raises_single_builder_message(self, monkeypatch):
         # a family whose target is not a state: v = 0 is white noise, v = 1 is not a state
         monkeypatch.setitem(FAMILIES, "werner", (-projector(singlet_ket()), (2, 2)))
         with pytest.raises(ValueError) as single:
             werner_state(1.0)
-        # the last block holds two states, the second one broken
-        grid = [0.0] * (3 * SCAN_BLOCK + 1) + [1.0]
-        with pytest.raises(ValueError) as scan:
-            violation_scan("werner", tetrahedron_beta(), grid)
-        assert str(scan.value) == str(single.value)
-        violation_scan("werner", tetrahedron_beta(), grid[:-1])
+        # the end v = 1 is built and checked whatever the grid holds
+        for grid in ([0.0, 1.0], [0.0] * 5000, []):
+            with pytest.raises(ValueError) as scan:
+                violation_scan("werner", tetrahedron_beta(), grid)
+            assert str(scan.value) == str(single.value)
 
-    def test_probabilities_range_checked_in_every_block(self, monkeypatch):
+    @pytest.mark.parametrize("end", [1.0, 0.0])
+    def test_spoiled_end_table_raises_single_builder_message(self, monkeypatch, end):
         contract = game_module._contract_grid
-        blocks = []
 
-        def last_block_spoiled(ms, dims, stacks):
-            p = contract(ms, dims, stacks)
-            blocks.append(len(ms))
-            if len(blocks) == 4:
-                p[-1, 2, 1] = 8.0  # one probability of 2 in the last block
+        def spoiled(rho, dims, stacks):
+            p = contract(rho, dims, stacks)
+            if np.allclose(rho, werner_state(end).matrix):
+                p[2, 1] = 8.0  # one probability of 2 at that end, before the scaling by 1/4
             return p
 
-        monkeypatch.setattr(game_module, "_contract_grid", last_block_spoiled)
-        grid = np.linspace(0.0, 1.0, 3 * SCAN_BLOCK + 1)
-        with pytest.raises(ValueError, match=r"probability 2\.0 out of range at \('2', '1'\)"):
-            violation_scan("werner", tetrahedron_beta(), grid, (0.5, 0.5))
-        assert blocks == [SCAN_BLOCK] * 3 + [1]
+        monkeypatch.setattr(game_module, "_contract_grid", spoiled)
+        dec = tetrahedron_beta()
+        with pytest.raises(ValueError) as single:
+            game_module.fast_entangled_table(werner_state(end), dec.ensembles)
+        assert str(single.value) == "probability 2.0 out of range at ('2', '1')"
+        with pytest.raises(ValueError) as scan:
+            violation_scan("werner", dec, np.linspace(0.0, 1.0, 11), (0.5, 0.5))
+        assert str(scan.value) == str(single.value)
 
     def test_efficiencies_and_dims_checked(self):
         dec = tetrahedron_beta()

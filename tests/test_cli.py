@@ -614,7 +614,8 @@ SCAN_CONFIGS = {
 
 
 class TestScanOracle:
-    """`mdiw scan` writes the bytes of the same curve scored one state at a time."""
+    """`mdiw scan` writes the bytes of its curve scored one point at a time, and the values
+    of the curve scored one state at a time to within 1e-15."""
 
     @pytest.mark.parametrize("grid", [("0", "1", "101"), ("0.05", "0.95", "37")])
     @pytest.mark.parametrize("name", sorted(SCAN_CONFIGS))
@@ -622,14 +623,22 @@ class TestScanOracle:
         cfg = write_config(tmp_path, SCAN_CONFIGS[name])
         v_from, v_to, steps = grid
         argv = ["scan", "-c", cfg, "--from", v_from, "--to", v_to, "--steps", steps, "-o"]
-        stacked, pointwise = tmp_path / "stacked.csv", tmp_path / "pointwise.csv"
-        assert main(argv + [str(stacked)]) == 0
+        whole, per_point, pointwise = (tmp_path / f"{k}.csv" for k in ("whole", "per_point", "pointwise"))
+        assert main(argv + [str(whole)]) == 0
+        scan = cli.violation_scan
+        monkeypatch.setattr(cli, "violation_scan", lambda family, dec, grid, etas:
+                            [row for v in grid for row in scan(family, dec, [v], etas)])
+        assert main(argv + [str(per_point)]) == 0
+        assert whole.read_bytes() == per_point.read_bytes()
         builders = {"werner": werner_state, "noisy_ghz": noisy_ghz}
         monkeypatch.setattr(cli, "violation_scan", lambda family, dec, grid, etas:
                             pointwise_scan(builders[family], dec, grid, etas))
         assert main(argv + [str(pointwise)]) == 0
-        assert stacked.read_bytes() == pointwise.read_bytes()
-        rows = stacked.read_text().splitlines()[1:]
+        curves = [[[float(x) for x in row.split(",")[:2]] for row in path.read_text().splitlines()[1:]]
+                  for path in (whole, pointwise)]
+        assert [v for v, _ in curves[0]] == [v for v, _ in curves[1]]
+        assert max(abs(a - b) for (_, a), (_, b) in zip(*curves)) <= 1e-15
+        rows = whole.read_text().splitlines()[1:]
         assert len(rows) == int(steps)
         # the explicit witness has no closed form: its expected and error columns stay blank
         assert all(row.endswith(",,") for row in rows) == (name == "explicit_solve")
@@ -639,10 +648,10 @@ class TestResolveOnce:
     """Each command builds the config's ensembles, its state and its witness once; a second
     command in the same process builds only its state, since built-in ensembles and witnesses are shared."""
 
-    @pytest.mark.parametrize("argv, grid", [(["decompose"], 0), (["simulate"], 0), (["scan", "--steps", "3"], 3)],
+    @pytest.mark.parametrize("argv, ends", [(["decompose"], 0), (["simulate"], 0), (["scan", "--steps", "3"], 2)],
                              ids=["decompose", "simulate", "scan"])
     @pytest.mark.parametrize("name, inputs", [("readme", 8), ("ghz", 12)], ids=["readme", "ghz"])
-    def test_objects_built_once(self, tmp_path, monkeypatch, capsys, name, inputs, argv, grid):
+    def test_objects_built_once(self, tmp_path, monkeypatch, capsys, name, inputs, argv, ends):
         built = {"matrices": 0, "witnesses": 0}
         check, post_init = states._check_densities, Witness.__post_init__
 
@@ -661,11 +670,11 @@ class TestResolveOnce:
         monkeypatch.setattr(Witness, "__post_init__", counted_post_init)
         cfg = write_config(tmp_path, SCAN_CONFIGS[name])
         assert main(argv + ["-c", cfg, "-o", str(tmp_path / "out")]) == 0
-        # ensemble states + the config state + the scan grid, and one witness
-        assert built == {"matrices": inputs + 1 + grid, "witnesses": 1}
+        # ensemble states + the config state + the scan's two end states, whatever its steps, and one witness
+        assert built == {"matrices": inputs + 1 + ends, "witnesses": 1}
         built.update(matrices=0, witnesses=0)
         assert main(argv + ["-c", cfg, "-o", str(tmp_path / "out")]) == 0
-        assert built == {"matrices": 1 + grid, "witnesses": 0}
+        assert built == {"matrices": 1 + ends, "witnesses": 0}
 
 
 class TestRepeatedCalls:

@@ -159,6 +159,28 @@ MUTANTS = {
         "low = np.full(shape[0], terms.argmin() % shape[1])",
         ["tests/test_attack.py::TestBatchedSearch::test_matches_sequential_loop"],
     ),
+    # the scan's ends swapped: every point scored as v I_0 + (1 - v) I_1
+    "scan_ends_swapped": (
+        "game.py",
+        "              for v in (1.0, 0.0))",
+        "              for v in (0.0, 1.0))",
+        ["tests/test_attack.py::TestViolationScan::test_matches_pointwise_oracle",
+         "tests/test_attack.py::TestViolationScan::test_werner_curve_matches_closed_form"],
+    ),
+    # the detector efficiencies applied at the scan's entangled end only
+    "scan_loss_at_one_end": (
+        "game.py",
+        "fast_entangled_table(family_state(family, v), dec.ensembles), etas))",
+        "fast_entangled_table(family_state(family, v), dec.ensembles), etas if v else (1.0,) * len(etas)))",
+        ["tests/test_attack.py::TestViolationScan::test_matches_pointwise_oracle"],
+    ),
+    # the scan's grid taken without the [0, 1] range check its ends pass
+    "scan_grid_range_unchecked": (
+        "game.py",
+        "vs = _mixing_parameters([float(v) for v in grid])",
+        "vs = np.array([float(v) for v in grid])",
+        ["tests/test_attack.py::TestViolationScan::test_parameter_out_of_range_raises_single_builder_message"],
+    ),
     # the JSON fast path without its finiteness test: NaN and infinities in a float array written as nan, inf
     "float_row_finiteness_dropped": (
         "serialize.py",
