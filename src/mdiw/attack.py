@@ -27,7 +27,6 @@ each restart's start from its own stream first, in restart order.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import time
@@ -52,6 +51,7 @@ from .game import (
     _partition_groups,
     _restart_sums,
     _separable_strategy,
+    _singletons,
     _term_fs,
     trace_inputs,
 )
@@ -166,8 +166,8 @@ def _check_int(name: str, value, low: int) -> None:
 
 
 def _draw_success_element(rng: np.random.Generator, d: int) -> tuple[np.ndarray, float]:
-    """One d x d success element's draws: Gram factor G (real, then imaginary parts), scale."""
-    return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)), rng.uniform(0.0, 1.0)
+    """One d x d success element's draws: Gram factor G's (2, d, d) real and imaginary parts, its scale's uniform."""
+    return rng.normal(size=(2, d, d)), rng.random()
 
 
 def _success_batch(draws, input_dims, m) -> list:
@@ -183,6 +183,7 @@ def _success_batch(draws, input_dims, m) -> list:
         ps = [p for p in range(n) if input_dims[p] == d]
         g = np.array([row[p][0] for p in ps for row in draws])
         u = np.array([row[p][1] for p in ps for row in draws])
+        g = g[:, 0] + 1j * g[:, 1]
         e = g.conj().swapaxes(-1, -2) @ g
         eigs = np.linalg.eigvalsh(e)
         scale = eigs[:, -1:] * (1.0 + u[:, None])
@@ -233,7 +234,7 @@ def _block(draws, partitions, input_dims, m):
 
 # kind: the partitions of n parties that its terms draw from, and the inverse of its block form
 _FAMILIES = {
-    "separable": (functools.cache(lambda n: (tuple((p,) for p in range(n)),)), _separable_strategy),
+    "separable": (lambda n: (_singletons(n),), _separable_strategy),
     "biseparable": (lambda n: tuple(_BIPARTITIONS.values()) if n == 3 else (), _biseparable_strategy),
 }
 
@@ -263,8 +264,11 @@ def random_separable_strategy(input_dims, share_dim: int, mixture_size: int,
     Stream order: the weights (one ``dirichlet`` call); every share ket in
     one ``normal`` call, term by term and party by party within a term,
     each ket as ``share_dim`` real parts then ``share_dim`` imaginary parts;
-    then each party's success element.  All share states are checked as
-    one stack.
+    then each party's success element, of dimension D = input dim x
+    ``share_dim``: its Gram factor in one ``normal`` call (D x D real parts,
+    then D x D imaginary parts) and its scale in one ``random`` call, the
+    double ``uniform(0.0, 1.0)`` would give.  All share states are checked
+    as one stack.
     """
     return _sample("separable", input_dims, share_dim, mixture_size, rng)
 
@@ -280,8 +284,10 @@ def random_biseparable_strategy(input_dims, share_dim: int, mixture_size: int,
     bipartition (one ``integers`` call) and its kets in one ``normal``
     call, the group ket (``share_dim**2`` real parts, then as many
     imaginary parts) before the singleton ket (``share_dim`` real, then
-    ``share_dim`` imaginary); then each party's success element.  Group
-    and singleton states are checked as one stack each.
+    ``share_dim`` imaginary); then each party's success element, one
+    ``normal`` and one ``random`` call as in
+    :func:`random_separable_strategy`.  Group and singleton states are
+    checked as one stack each.
     """
     return _sample("biseparable", input_dims, share_dim, mixture_size, rng)
 
@@ -529,7 +535,7 @@ def biseparable_attack(dec: Decomposition, ensembles, config: AttackConfig, hook
 
 def _draw_kraus(rng: np.random.Generator, dim: int, n_ops: int) -> tuple[np.ndarray, float]:
     """One set's draws for :func:`random_kraus_set`: its (n_ops, 2, dim, dim) normals, then a uniform."""
-    return rng.normal(size=(n_ops, 2, dim, dim)), rng.uniform(0.0, 1.0)
+    return rng.normal(size=(n_ops, 2, dim, dim)), rng.random()
 
 
 def _kraus_ops(normals: np.ndarray, u) -> np.ndarray:
@@ -551,7 +557,8 @@ def random_kraus_set(dim: int, n_ops: int, rng: np.random.Generator) -> list[np.
     (i.e. the operation loses weight, like a lossy channel).  Stream
     order: every operator in one ``normal`` call, operator by operator,
     each as its ``dim x dim`` real parts then its imaginary parts; then one
-    ``uniform`` draw for the scale.
+    ``random`` draw for the scale, the double ``uniform(0.0, 1.0)`` would
+    give.
     """
     _check_int("dim", dim, 1)
     _check_int("n_ops", n_ops, 0)

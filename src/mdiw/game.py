@@ -165,8 +165,8 @@ class SeparableStrategy:
     measurements: tuple[POVM, ...]
 
     def __post_init__(self):
-        weights = tuple(float(w) for w in self.weights)
-        share_states = tuple(tuple(term) for term in self.share_states)
+        weights = tuple(map(float, self.weights))
+        share_states = tuple(map(tuple, self.share_states))
         measurements = tuple(self.measurements)
         _check_weights(weights)
         if len(share_states) != len(weights):
@@ -175,9 +175,9 @@ class SeparableStrategy:
         for term in share_states:
             if len(term) != len(shares):
                 raise ValueError("each mixture term needs one share state per party")
-            for p, (sigma, povm) in enumerate(zip(term, measurements)):
-                if shares[p] != sigma.dim:
-                    raise ValueError(f"party {p}: share state dim {sigma.dim} vs POVM {povm.dims}")
+            for p, sigma in enumerate(term):
+                if sigma.dim != shares[p]:
+                    raise ValueError(f"party {p}: share state dim {sigma.dim} vs POVM {measurements[p].dims}")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "share_states", share_states)
         object.__setattr__(self, "measurements", measurements)
@@ -236,10 +236,10 @@ class BiseparableStrategy:
         _check_weights([t.weight for t in terms])
         shares = _share_dims(measurements)
         for t in terms:
-            p, q = t.group
+            (p, q), r = BIPARTITIONS_3[t.bipartition]
             if t.group_state.dims != (shares[p], shares[q]):
                 raise ValueError("group state dims inconsistent with its bipartition")
-            if t.singleton_state.dims != (shares[t.singleton],):
+            if t.singleton_state.dims != (shares[r],):
                 raise ValueError("singleton state dim inconsistent with its bipartition")
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "measurements", measurements)
@@ -341,9 +341,9 @@ def _traced_inputs(measurements, ensembles, include_full: bool) -> list[np.ndarr
     for p, (e, m) in enumerate(zip(ensembles, measurements)):
         if e.dim != m.dims[0]:
             raise ValueError(f"party {p}: ensemble dim {e.dim} vs measurement input dim {m.dims[0]}")
-    # with include_full, the outcome-0 element and E_p traced as one stack
-    return [trace_inputs(np.array([m.element(0), m.click]) if include_full else m.click, e.matrices)
-            .reshape((-1,) + 2 * m.dims[1:]) for m, e in zip(measurements, ensembles)]
+    # with include_full, the outcome-0 element and E_p traced as one stack, (outcome, input) then one axis
+    return [trace_inputs(np.array([m.element(0), m.click]), e.matrices).reshape((-1,) + 2 * m.dims[1:])
+            if include_full else trace_inputs(m.click, e.matrices) for m, e in zip(measurements, ensembles)]
 
 
 def _table(ensembles, p: np.ndarray, include_full: bool) -> CorrelationTable:
@@ -358,12 +358,7 @@ def _table(ensembles, p: np.ndarray, include_full: bool) -> CorrelationTable:
         p = p.reshape([d for e in ensembles for d in (2, len(e))])
         full = p.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
         p = full[(1,) * n]
-    return CorrelationTable(
-        parties=tuple(e.party for e in ensembles),
-        labels=tuple(e.labels for e in ensembles),
-        p_all_ones=p,
-        full=full,
-    )
+    return CorrelationTable(tuple([e.party for e in ensembles]), tuple([e.labels for e in ensembles]), p, full)
 
 
 def simulate_entangled(strategy: EntangledStrategy, ensembles,
@@ -405,8 +400,15 @@ def fast_entangled_table(rho: DensityMatrix, ensembles) -> CorrelationTable:
 # a strategy is the case R = 1.  Term i is weights.flat[i], of restart i // K.
 # Only _groups and its two inverses read the public strategy types.
 
-# each BIPARTITIONS_3 tag's partition (pair, (singleton,)), in sorted order
+# each BIPARTITIONS_3 tag's partition (pair, (singleton,)), in sorted order, and each layout's tag
 _BIPARTITIONS = {tag: (pair, (single,)) for tag, (pair, single) in sorted(BIPARTITIONS_3.items())}
+_TAGS = {layout: tag for tag, layout in BIPARTITIONS_3.items()}
+
+
+@functools.cache
+def _singletons(n: int) -> tuple:
+    """The all-singleton partition of n parties, a fully separable term's."""
+    return tuple((p,) for p in range(n))
 
 
 def _partition_groups(partitions, members, states, shares) -> list:
@@ -419,22 +421,23 @@ def _partition_groups(partitions, members, states, shares) -> list:
 
 
 def _groups(strategy) -> tuple[np.ndarray, list]:
-    """Weights (1, K) and groups of a separable or biseparable strategy."""
+    """Weights (1, K) and groups of a biseparable strategy, or of a separable one: one group, every term in order."""
+    shares = tuple([m.dims[1] for m in strategy.measurements])
     if isinstance(strategy, SeparableStrategy):
-        partitions = (tuple((p,) for p in range(strategy.n_parties)),)
-        weights, picks, terms = strategy.weights, [0] * len(strategy.weights), strategy.share_states
-    elif isinstance(strategy, BiseparableStrategy):
-        partitions, tags = tuple(_BIPARTITIONS.values()), list(_BIPARTITIONS)
-        weights = [t.weight for t in strategy.terms]
-        picks = [tags.index(t.bipartition) for t in strategy.terms]
-        terms = [(t.group_state, t.singleton_state) for t in strategy.terms]
-    else:
+        terms = strategy.share_states
+        states = [np.array([t[p].matrix for t in terms]) for p in range(len(shares))]
+        return (np.array([strategy.weights]),
+                [(np.arange(len(terms)), _specs(_singletons(len(shares)), shares), states)])
+    if not isinstance(strategy, BiseparableStrategy):
         raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
-    members = [[i for i, p in enumerate(picks) if p == j] for j in range(len(partitions))]
-    states = [[np.array([terms[i][b].matrix for i in idx]) for b in range(len(part)) if idx]
-              for part, idx in zip(partitions, members)]
-    shares = tuple(m.dims[1] for m in strategy.measurements)
-    return np.array([weights], dtype=float), _partition_groups(partitions, members, states, shares)
+    terms, members = strategy.terms, {tag: [] for tag in _BIPARTITIONS}
+    for i, t in enumerate(terms):
+        members[t.bipartition].append(i)
+    members = list(members.values())
+    states = [[np.array([terms[i].group_state.matrix for i in idx]),
+               np.array([terms[i].singleton_state.matrix for i in idx])] if idx else [] for idx in members]
+    weights = np.array([[t.weight for t in terms]])
+    return weights, _partition_groups(tuple(_BIPARTITIONS.values()), members, states, shares)
 
 
 # The inverses of _groups take one restart's weights (K,) and groups whose
@@ -450,7 +453,6 @@ def _separable_strategy(weights, groups, measurements) -> SeparableStrategy:
 
 def _biseparable_strategy(weights, groups, measurements) -> BiseparableStrategy:
     """Inverse of :func:`_groups` for bipartition groups; terms return to their indices."""
-    tags = {layout: tag for tag, layout in BIPARTITIONS_3.items()}
     terms = [None] * len(weights)
     for idx, specs, (group, singles) in groups:
         pair, (single,) = (b.parties for b in specs.blocks)
@@ -458,7 +460,7 @@ def _biseparable_strategy(weights, groups, measurements) -> BiseparableStrategy:
         pairs = DensityMatrix._views(group, share[:2])
         ones = DensityMatrix._views(singles, share[2:])
         for i, g, s in zip(idx, pairs, ones):
-            terms[i] = BiseparableTerm(tags[pair, single], weights[i], g, s)
+            terms[i] = BiseparableTerm(_TAGS[pair, single], weights[i], g, s)
     return BiseparableStrategy(tuple(terms), measurements)
 
 
@@ -586,9 +588,10 @@ def _restart_sums(shape, parts) -> np.ndarray:
 
 def _grid(weights: np.ndarray, groups, resp) -> np.ndarray:
     """p[r, s, t, ...] = sum of w[r, k] prod_B R_B[k, s_B] over restart r's terms, R_B the responses' real parts."""
-    w = weights.ravel()
+    w = weights.ravel()  # a lone group holds every term in order: its weights are w
     return _restart_sums(weights.shape, [
-        (idx, np.einsum(specs.grid, w[idx], *[x.real for x in r])) for (idx, specs, _), r in zip(groups, resp)
+        (idx, np.einsum(specs.grid, w if len(groups) == 1 else w[idx], *[x.real for x in r]))
+        for (idx, specs, _), r in zip(groups, resp)
     ])
 
 

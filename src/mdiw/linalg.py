@@ -34,8 +34,8 @@ def as_matrix(m) -> np.ndarray:
 
 def check_dims(dims, size: int) -> tuple[int, ...]:
     """Validate a subsystem dimension profile against a matrix size."""
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
+    dims = tuple(map(int, dims))
+    if min(dims, default=1) < 1:
         raise ValueError(f"subsystem dimensions must be positive, got {dims}")
     if math.prod(dims) != size:
         raise ValueError(f"dims {dims} do not multiply to matrix size {size}")
@@ -75,8 +75,7 @@ def check_operators(ms: np.ndarray, dims, spectrum=None, unit_trace: bool = Fals
     """
     if ms.ndim != 3 or ms.shape[1] != ms.shape[2]:
         raise ValueError(f"expected square matrices, got array of shape {ms.shape[1:]}")
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, reported as a non-finite entry
-        defect = np.abs(ms - ms.conj().transpose(0, 2, 1)).max(initial=0.0)
+    defect = _hermitian_defect(ms)
     if not math.isfinite(defect) and not np.isfinite(ms).all():
         raise ValueError("matrix has NaN or Inf entries")
     dims = check_dims(dims, ms.shape[1])
@@ -94,13 +93,22 @@ def check_operators(ms: np.ndarray, dims, spectrum=None, unit_trace: bool = Fals
     return dims
 
 
+@np.errstate(invalid="ignore")  # inf - inf is NaN, reported as a non-finite entry
+def _hermitian_defect(ms: np.ndarray) -> float:
+    """The largest |m - m^dagger| entry of a (N, d, d) stack, 0 for an empty one."""
+    return np.abs(ms - ms.conj().transpose(0, 2, 1)).max(initial=0.0)
+
+
 def _check_spectrum(eigs: np.ndarray, spectrum) -> None:
-    """The spectrum rule of :func:`check_operators` on a stack's (N, d) ascending eigenvalues."""
+    """The spectrum rule of :func:`check_operators` on a stack's (N, d) eigenvalues, each row ascending.
+
+    Rows ascend, so the stack's least is its first column's least; an infinite ``hi`` needs no maximum.
+    """
     lo, hi = spectrum
-    low, high = eigs[:, 0].min(), eigs[:, -1].max()
+    low = eigs.min()
     if low < lo - TOL_PSD:
         raise ValueError(f"not positive semidefinite (min eigenvalue {low:.3e}, below {lo:g})")
-    if high > hi + TOL_PSD:
+    if hi < math.inf and (high := eigs.max()) > hi + TOL_PSD:
         raise ValueError(f"{hi:g} - E not positive semidefinite (max eigenvalue {high:.3e}, above {hi:g})")
 
 

@@ -34,8 +34,7 @@ def _unchecked(cls, **fields):
     For views of a stack whose checks already ran once for the whole stack.
     """
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(fields)
     return obj
 
 
@@ -77,7 +76,7 @@ class DensityMatrix:
         """States viewing a read-only copy of a stack that passed :func:`_check_densities`."""
         ms = np.array(ms, dtype=complex, order="C")
         ms.setflags(write=False)
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(map(int, dims))
         return tuple(_unchecked(cls, matrix=m, dims=dims) for m in ms)
 
     @property
@@ -123,7 +122,7 @@ class InputEnsemble:
 
     @property
     def dim(self) -> int:
-        return self.states[0].dim
+        return self.matrices.shape[-1]
 
     def __len__(self) -> int:
         return len(self.states)

@@ -215,7 +215,8 @@ class TestStreamContract:
 
     @pytest.mark.parametrize("family", ["separable", "biseparable"])
     def test_draw_makes_the_documented_calls(self, family):
-        # a lone partition draws no integers and every ket in one normal call
+        # a lone partition draws no integers and every ket in one normal call; a success
+        # element draws its Gram factor's real and imaginary parts in one normal call
         calls = []
 
         class Recorder:
@@ -233,7 +234,7 @@ class TestStreamContract:
         else:
             random_biseparable_strategy((2, 2, 2), 2, k, rng)
             kets = ["integers", "normal"] * k
-        success = ["normal", "normal", "uniform"] * (2 if family == "separable" else 3)
+        success = ["normal", "random"] * (2 if family == "separable" else 3)
         assert calls == ["dirichlet"] + kets + success
 
     @pytest.mark.parametrize("dim, n_ops", [(2, 1), (4, 2), (4, 3), (3, 5)])
@@ -270,8 +271,8 @@ class TestBlockForm:
             s = sample((2,) * dec.n_parties, share_dim, int(rng.integers(1, 5)), rng)
             elements = [m.element(1)[None] for m in s.measurements]
             state, (start,) = _start(beta, inputs, *_groups(s), elements)
-            public = mdi_value(dec, simulate_separable(s, dec.ensembles))
-            assert start == pytest.approx(public, abs=1e-12)
+            # the search's start and the public route share every contraction: the same bits
+            assert start == mdi_value(dec, simulate_separable(s, dec.ensembles))
             (weights, groups, elements, _, _), (value,) = _sweep(beta, inputs, state)
             povms = tuple(POVM(e[0], m.dims) for e, m in zip(elements, s.measurements))
             swept = build(weights[0], groups, povms)
@@ -553,8 +554,9 @@ class TestBuildPhase:
             "biseparable": (_FAMILIES["biseparable"][0](3), (2, 2, 2)),
         }[family]
         draws = [_draw(restart_rng(14, r), partitions, dims, 2, 2) for r in range(4)]
-        g, _ = draws[-1][-1][0]
-        draws[-1][-1][0] = (g, -0.5)  # scale 1 / (top * 0.5): the top eigenvalue becomes 2
+        normals, _ = draws[-1][-1][0]
+        draws[-1][-1][0] = (normals, -0.5)  # scale 1 / (top * 0.5): the top eigenvalue becomes 2
+        g = normals[0] + 1j * normals[1]
         e = g.conj().T @ g
         with pytest.raises(ValueError, match="positive semidefinite") as single:
             POVM(e / (np.linalg.eigvalsh(e)[-1] * 0.5), (2, 2))

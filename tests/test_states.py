@@ -295,11 +295,15 @@ class TestDensityStack:
             with pytest.raises(ValueError):
                 rho.matrix[0, 0] = 9.0
 
-    def test_input_is_copied(self):
+    @pytest.mark.parametrize("read_only_view", [False, True], ids=["writable", "read_only_view"])
+    def test_input_is_copied(self, read_only_view):
+        # a read-only view of a writable base is copied too: a write to the base would reach a view
         ms = np.array(self.valid_stack())
-        states = DensityMatrix.stack(ms, (2,))
-        ms[0, 0, 0] = 9.0
-        assert states[0].matrix[0, 0] != 9.0
+        given = ms[:]
+        given.setflags(write=not read_only_view)
+        states = DensityMatrix.stack(given, (2,))
+        ms[:, 0, 0] = 9.0
+        assert all(rho.matrix[0, 0] != 9.0 for rho in states)
 
     @pytest.mark.parametrize("case", list(BROKEN_DENSITIES), ids=list(BROKEN_DENSITIES))
     def test_broken_last_matrix_rejected_like_single(self, case):

@@ -203,6 +203,21 @@ MUTANTS = {
         ["tests/test_cli.py::TestRenderingOracle::test_dumps_matches_per_value_route",
          "tests/test_cli.py::TestRenderingOracle::test_table_csv_matches_per_value_route"],
     ),
+    # a read-only stack viewed instead of copied, though the array owning its memory may be writable
+    "views_any_read_only_stack": (
+        "states.py",
+        'ms = np.array(ms, dtype=complex, order="C")',
+        'ms = ms if not ms.flags.writeable else np.array(ms, dtype=complex, order="C")',
+        ["tests/test_states.py::TestDensityStack::test_input_is_copied"],
+    ),
+    # the spectrum rule's low edge read from each row's top eigenvalue
+    "spectrum_low_edge_from_top": (
+        "linalg.py",
+        "low = eigs.min()",
+        "low = eigs[:, -1].min()",
+        ["tests/test_states.py::TestDensityStack::test_graded_psd_boundary",
+         "tests/test_linalg.py::TestOperatorRules::test_graded_boundary"],
+    ),
 }
 
 
