@@ -46,13 +46,13 @@ from .game import (
     _checked_clicks,
     _biseparable_strategy,
     _block_responses,
+    _by_term,
     _grid,
     _responses,
     _partition_groups,
-    _restart_sums,
+    _rows,
     _separable_strategy,
     _singletons,
-    _term_fs,
     trace_inputs,
 )
 
@@ -300,11 +300,13 @@ def _negative_projectors(x: np.ndarray) -> np.ndarray:
     settles on the trivial fixed point E = 0, where the value is 0 and
     every other step is flat; but where ``x`` is positive semidefinite
     this rank-1 projector is not the minimizer (E = 0 is), and the step
-    can raise the value.
+    can raise the value.  Each row of eigenvalues ascends, so the kept
+    columns are the negative ones and column 0.
     """
     vals, vecs = np.linalg.eigh(x)
-    rank = np.maximum(1, np.count_nonzero(vals < 0.0, axis=-1))
-    v = vecs * (np.arange(x.shape[-1]) < rank[:, None])[:, None, :]
+    keep = vals < 0.0
+    keep[:, 0] = True
+    v = vecs * keep[:, None, :]
     return v @ v.conj().swapaxes(-1, -2)
 
 
@@ -316,7 +318,7 @@ def _start(beta, inputs, weights, groups, elements) -> tuple[tuple, np.ndarray]:
     every block's R.  One ``np.vecdot`` values every restart, each as ``np.dot`` would alone.
     """
     fs = [trace_inputs(e, t) for e, t in zip(elements, inputs)]
-    resp = _responses(groups, fs, weights.shape[1])
+    resp = _responses(groups, fs, weights.shape)
     values = np.vecdot(_grid(weights, groups, resp).reshape(len(weights), -1), beta.ravel())
     return (weights, groups, list(elements), fs, resp), values
 
@@ -333,49 +335,46 @@ def _sweep(beta, inputs, state):
     it keeps rank >= 1 (see :func:`_negative_projectors`), so where X is
     positive semidefinite a sweep can raise the value, and the stop rule
     of :func:`_search` then ends that restart with its best value kept.
-    The state's F_p and R stay current.
+    The state's F_p and R stay current.  Each group's terms' restarts and
+    weights are taken once per sweep; a lone group reads w itself.
     """
     weights, groups, elements, fs, resp = state
     shape, w = weights.shape, weights.ravel()
     elements, fs, resp = list(elements), list(fs), [list(r) for r in resp]
     groups = [(idx, specs, list(states)) for idx, specs, states in groups]
+    rows = [_rows(idx, shape) for idx, _, _ in groups]
+    ws = [w] if len(groups) == 1 else [w[idx] for idx, _, _ in groups]  # a lone group holds every term in order
     for x, taus in enumerate(inputs):
         parts, cs = [], []
-        for (idx, specs, states), r in zip(groups, resp):
+        for (idx, specs, states), r, t, wt in zip(groups, resp, rows, ws):
             b = specs.where[x]
             block = specs.blocks[b]
             # c[k, s_B]: the value of term k per unit response of x's block to inputs s_B
             c = np.einsum(block.coefficient, beta, *[rj.real for j, rj in enumerate(r) if j != b])
             folds, final = specs.partner[x]
-            partners = _term_fs(fs, idx, shape[1], [q for q in block.parties if q != x])
             g = states[b].reshape(block.shape)
-            for spec, f in zip(folds, partners):  # one einsum per partner's F_q
-                g = np.einsum(spec, f, g)
-            parts.append((idx, np.einsum(final, w[idx], c, g)))
+            for spec, q in zip(folds, [q for q in block.parties if q != x]):  # one einsum per partner's F_q
+                g = np.einsum(spec, fs[q][t], g)
+            parts.append((idx, np.einsum(final, wt, c, g)))
             cs.append(c)
-        y = _restart_sums(shape, parts)
+        y = _by_term(shape, parts).sum(axis=1)
         # X = sum_s tau_s (x) Y[s] on input (x) share: the weighted terms sum to tr[E_x X]
         x_op = np.einsum("sij,rsab->riajb", taus, y).reshape(elements[x].shape)
         elements[x] = _negative_projectors(x_op)
         fs[x] = trace_inputs(elements[x], taus)
-        for (idx, specs, states), r, c in zip(groups, resp, cs):
+        for (idx, specs, states), r, c, t in zip(groups, resp, cs, rows):
             b = specs.where[x]
             block = specs.blocks[b]
-            fb = _term_fs(fs, idx, shape[1], block.parties)
+            fb = [fs[p][t] for p in block.parties]
             ops = np.einsum(block.operator, c, *fb).reshape(states[b].shape)
             states[b] = _projectors(np.linalg.eigh(ops)[1][..., 0])  # each term's lowest eigenvector
             r[b] = _block_responses(block, fb, states[b])
     # each term's value, from the last party's block: its c and updated R
-    terms = np.empty(w.size)
-    for (idx, specs, _), r, c in zip(groups, resp, cs):
-        b = specs.where[-1]
-        terms[idx] = np.einsum(specs.blocks[b].value, c, r[b].real)
+    terms = _by_term(shape, [(idx, np.einsum(specs.blocks[specs.where[-1]].value, c, r[specs.where[-1]].real))
+                             for (idx, specs, _), r, c in zip(groups, resp, cs)])
     # per restart, all weight onto its lowest term
-    terms, rows = terms.reshape(shape), np.arange(shape[0])
     low = terms.argmin(axis=1)
-    weights = np.zeros(shape)
-    weights[rows, low] = 1.0
-    return (weights, groups, elements, fs, resp), terms[rows, low]
+    return (np.eye(shape[1])[low], groups, elements, fs, resp), terms[np.arange(shape[0]), low]
 
 
 def _select(state, restarts) -> tuple:
@@ -396,6 +395,15 @@ def _select(state, restarts) -> tuple:
             kept_resp.append([x[mine] for x in rs])
     elements, fs = ([x[restarts] for x in xs] for xs in (elements, fs))
     return weights[restarts], kept_groups, elements, fs, kept_resp
+
+
+def _alone(state, j: int) -> tuple:
+    """Restart j's weights (1, K), groups and success elements: the first three fields of ``_select(state, [j])``."""
+    weights, groups, elements = state[:3]
+    k = weights.shape[1]
+    kept = [(idx[mine] % k, specs, [s[mine] for s in states])
+            for idx, specs, states in groups for mine in [idx // k == j] if mine.any()]
+    return weights[j : j + 1], kept, [e[j : j + 1] for e in elements]
 
 
 def certified_lower_bound(dec: Decomposition, kind: str) -> float:
@@ -439,7 +447,7 @@ def _search(dec, ensembles, config, kind, hook=None):
     its value by at most ``_STOP`` (stalled), that leaves its best value at
     most ``BOUND_TOL`` above :func:`certified_lower_bound` (at floor), or after
     ``config.iterations`` sweeps (capped), and leaves the batch at once
-    (:func:`_select`).  No strategy scores below the floor, so an at-floor
+    (:func:`_select` keeps the others).  No strategy scores below the floor, so an at-floor
     restart has nothing left to find; a best value more than ``_STOP``
     below the floor means the scoring or the floor is wrong, so that
     restart does not stop there and the caller's gates see how deep it
@@ -469,7 +477,7 @@ def _search(dec, ensembles, config, kind, hook=None):
     state, value = _start(beta, inputs, *_block(draws, partitions, input_dims, m))
     running = np.arange(config.restarts)
     minima = np.empty(config.restarts)
-    champion = None  # (value, restart, selected state) of the best stopped restart
+    champion = None  # (value, restart, :func:`_alone` state) of the best stopped restart
     evaluations = config.restarts
     for it in range(config.iterations):
         swept, new = _sweep(beta, inputs, state)
@@ -481,19 +489,20 @@ def _search(dec, ensembles, config, kind, hook=None):
                 hook(int(r), it, float(b))
         at_floor = (floor - _STOP <= best) & (best <= floor + BOUND_TOL)
         stop = (value - new <= _STOP) | at_floor | (it + 1 == config.iterations)
-        if stop.any():
-            minima[running[stop]] = best[stop]
-            j = np.flatnonzero(stop)[np.argmin(best[stop])]
+        done = np.flatnonzero(stop)
+        if len(done):
+            minima[running[done]] = best[done]
+            j = done[best[done].argmin()]
             if champion is None or (best[j], running[j]) < champion[:2]:
-                champion = (best[j], running[j], _select(swept if lower[j] else state, [j]))
-            if stop.all():
+                champion = (best[j], running[j], _alone(swept if lower[j] else state, j))
+            if len(done) == len(running):
                 break
             go = np.flatnonzero(~stop)
             state, value, running = _select(swept, go), new[go], running[go]
         else:
             state, value = swept, new
     wall = time.perf_counter() - t0
-    min_value, _, (weights, groups, elements, _, _) = champion
+    min_value, _, (weights, groups, elements) = champion
     for size in {s.shape[-1] for _, _, states in groups for s in states}:
         _check_densities(np.concatenate([s for _, _, ss in groups for s in ss if s.shape[-1] == size]), (size,))
     for d in dict.fromkeys(input_dims):

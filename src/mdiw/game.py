@@ -308,15 +308,16 @@ def trace_inputs(element: np.ndarray, taus: np.ndarray) -> np.ndarray:
 
     ``element`` is one operator or a stack of them; leading axes carry through.
     The trace sums each (i, j) pair as one flattened axis: F has the same bits in a stack of any size.
+    F views its C-ordered transpose, one copy of einsum's own output (``order="C"`` costs more).
     """
     d, lead = taus.shape[1], element.ndim - 2
     share = element.shape[-1] // d
-    # F[s, a, b] = sum_ij E[i a, j b] tau[s, j, i], the pair (i, j) as k = i d + j; F views its
-    # C-ordered transpose, which a block response reads (column, row) flattened without a copy
+    # F[s, a, b] = sum_ij E[i a, j b] tau[s, j, i], the pair (i, j) as k = i d + j; a block
+    # response reads F's transpose (column, row) flattened without a copy
     e = element.reshape(element.shape[:-2] + (d, share, d, share))
     e = e.transpose(*range(lead), lead + 1, lead + 3, lead, lead + 2).reshape(e.shape[:lead] + (share, share, -1))
     taus = taus.swapaxes(-1, -2).reshape(len(taus), -1)
-    return np.einsum("...abk,sk->...sba", e, taus, order="C").swapaxes(-1, -2)
+    return np.ascontiguousarray(np.einsum("...abk,sk->...abs", e, taus).swapaxes(-1, -3)).swapaxes(-1, -2)
 
 
 def _contract_grid(rho: np.ndarray, dims, stacks) -> np.ndarray:
@@ -539,13 +540,12 @@ def _specs(partition: tuple, shares: tuple) -> _Specs:
     return _Specs(blocks, where, partner, grid)
 
 
-def _term_fs(fs, idx, k: int, parties) -> list[np.ndarray]:
-    """F_p of each listed party as terms ``idx`` read it: the slice of each term's restart, idx // k.
+def _rows(idx, shape) -> np.ndarray | slice:
+    """Each term ``idx``'s restart of the (R, K) weights ``shape``, as it indexes a (R, S, m, m) F_p.
 
-    A batch of one restart passes its (1, S, m, m) F_p as is; einsum broadcasts it over the
-    terms, and a block response reads it with the bits of a gathered F_p.
+    A batch of one reads its F_p whole: einsum broadcasts it over the terms, with a gathered F_p's bits.
     """
-    return [fs[p] if len(fs[p]) == 1 else fs[p][idx // k] for p in parties]
+    return idx // shape[1] if shape[0] > 1 else slice(None)
 
 
 def _block_responses(block: _Block, fb, states: np.ndarray) -> np.ndarray:
@@ -560,39 +560,36 @@ def _block_responses(block: _Block, fb, states: np.ndarray) -> np.ndarray:
     return np.einsum(block.response, *fb, sigma)
 
 
-def _responses(groups, fs, k: int) -> list[list[np.ndarray]]:
+def _responses(groups, fs, shape) -> list[list[np.ndarray]]:
     """Every group's block responses, block by block, from each party's (R, S, m, m) F_p in ``fs``.
 
-    ``k`` is the number of terms per restart.
+    ``shape`` is that of the (R, K) weights.
     """
-    return [
-        [_block_responses(b, _term_fs(fs, idx, k, b.parties), s)
-         for b, s in zip(specs.blocks, states)]
-        for idx, specs, states in groups
-    ]
+    return [[_block_responses(b, [fs[p][t] for p in b.parties], s) for b, s in zip(specs.blocks, states)]
+            for idx, specs, states in groups for t in [_rows(idx, shape)]]
 
 
-def _restart_sums(shape, parts) -> np.ndarray:
-    """out[r] = the sum of z[i] over restart r's terms, added in term order.
+def _by_term(shape, parts) -> np.ndarray:
+    """z[r, k, ...] = the value of restart r's term k, of the (R, K) weights ``shape``.
 
     ``parts`` holds one (idx, z) pair per group, z[j] the value of term
-    idx[j]; together they cover every term of the (R, K) weights ``shape``.
+    idx[j]; together they cover every term.
     """
     z = parts[0][1]
     if len(parts) > 1:  # a lone group holds every term in order already
         z = np.empty((math.prod(shape),) + z.shape[1:], dtype=z.dtype)
         for idx, part in parts:
             z[idx] = part
-    return z.reshape(tuple(shape) + z.shape[1:]).sum(axis=1)
+    return z.reshape(tuple(shape) + z.shape[1:])
 
 
 def _grid(weights: np.ndarray, groups, resp) -> np.ndarray:
     """p[r, s, t, ...] = sum of w[r, k] prod_B R_B[k, s_B] over restart r's terms, R_B the responses' real parts."""
     w = weights.ravel()  # a lone group holds every term in order: its weights are w
-    return _restart_sums(weights.shape, [
+    return _by_term(weights.shape, [
         (idx, np.einsum(specs.grid, w if len(groups) == 1 else w[idx], *[x.real for x in r]))
         for (idx, specs, _), r in zip(groups, resp)
-    ])
+    ]).sum(axis=1)
 
 
 def simulate_separable(strategy, ensembles, include_full: bool = False) -> CorrelationTable:
@@ -609,7 +606,7 @@ def simulate_separable(strategy, ensembles, include_full: bool = False) -> Corre
     ensembles = tuple(ensembles)
     weights, groups = _groups(strategy)
     fs = [f[None] for f in _traced_inputs(strategy.measurements, ensembles, include_full)]
-    p = _grid(weights, groups, _responses(groups, fs, weights.shape[1]))[0]
+    p = _grid(weights, groups, _responses(groups, fs, weights.shape))[0]
     return _table(ensembles, p, include_full)
 
 

@@ -26,6 +26,11 @@ artifacts one float at a time, each value through ``format(x, ".17g")``,
 as the references for the row-at-a-time renderers
 :func:`mdiw.serialize.dumps`, :func:`mdiw.game.table_to_csv` and the
 ``mdiw scan`` CSV.
+:func:`einsum_trace_inputs` writes F through an ``order="C"`` einsum and
+:func:`rank_rule_negative_projectors` keeps each operator's lowest
+``max(1, #negative)`` eigenvectors by rank, as the references for the
+one-copy layout of :func:`mdiw.game.trace_inputs` and the kept-column mask
+of the see-saw's success-element step.
 :func:`pauli`, :func:`permute_subsystems` and :func:`partial_transpose`
 are small operator helpers that only the tests use.
 """
@@ -160,6 +165,27 @@ def mixture_as_shared_state(strategy) -> DensityMatrix:
         return DensityMatrix(m, dims)
     raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
 
+
+
+def einsum_trace_inputs(element, taus) -> np.ndarray:
+    """F[..., s] = tr_in[E (tau_s (x) 1)], the einsum writing F's C-ordered transpose itself.
+
+    The reference for :func:`mdiw.game.trace_inputs`: the same values and the same memory layout.
+    """
+    d, lead = taus.shape[1], element.ndim - 2
+    share = element.shape[-1] // d
+    e = element.reshape(element.shape[:-2] + (d, share, d, share))
+    e = e.transpose(*range(lead), lead + 1, lead + 3, lead, lead + 2).reshape(e.shape[:lead] + (share, share, -1))
+    taus = taus.swapaxes(-1, -2).reshape(len(taus), -1)
+    return np.einsum("...abk,sk->...sba", e, taus, order="C").swapaxes(-1, -2)
+
+
+def rank_rule_negative_projectors(x) -> np.ndarray:
+    """Per operator of a (R, D, D) stack, the projector onto its lowest max(1, #negative) eigenvectors."""
+    vals, vecs = np.linalg.eigh(x)
+    rank = np.maximum(1, np.count_nonzero(vals < 0.0, axis=-1))
+    v = vecs * (np.arange(x.shape[-1]) < rank[:, None])[:, None, :]
+    return v @ v.conj().swapaxes(-1, -2)
 
 
 def per_bitstring_table(strategy, ensembles, include_full):

@@ -44,6 +44,7 @@ from mdiw.attack import (
     _FAMILIES,
     _block,
     _draw,
+    _alone,
     _negative_projectors,
     _select,
     _start,
@@ -68,6 +69,7 @@ from mdiw.verify import (
 )
 from oracles import (
     certified_floor,
+    rank_rule_negative_projectors,
     mixture_as_shared_state,
     partial_transpose,
     pointwise_scan,
@@ -495,6 +497,31 @@ class TestBuildPhase:
                 assert np.array_equal(p.element(1), e[r]) and np.array_equal(want[0], e[r])
             assert _start(beta, inputs, *alone)[1][0] == values[r]
 
+    @pytest.mark.parametrize("family", ["separable", "biseparable"])
+    def test_alone_matches_select(self, family):
+        # the search takes its best restart alone: the first three fields of _select(state, [j]), bit for bit
+        def same(a, b):
+            return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+        dims, dec = {"separable": ((2, 2), tetrahedron_beta()), "biseparable": ((2, 2, 2), ghz_beta())}[family]
+        partitions, inputs = _FAMILIES[family][0](len(dims)), [e.matrices for e in dec.ensembles]
+        beta = np.asarray(dec.beta)
+        draws = [_draw(restart_rng(19, r), partitions, dims, 2, 3) for r in range(6)]
+        state = _start(beta, inputs, *_block(draws, partitions, dims, 2))[0]
+        lacking = 0
+        for batch in (state, _sweep(beta, inputs, state)[0]):
+            for j in range(6):
+                weights, groups, elements = _alone(batch, j)
+                want_weights, want_groups, want_elements, _, _ = _select(batch, [j])
+                assert same(weights, want_weights) and len(groups) == len(want_groups)
+                for (idx, specs, states), (want_idx, want_specs, want_states) in zip(groups, want_groups):
+                    assert same(idx, want_idx) and specs == want_specs and len(states) == len(want_states)
+                    assert all(same(a, b) for a, b in zip(states, want_states))
+                assert len(elements) == len(want_elements) and all(map(same, elements, want_elements))
+                lacking += len(groups) < len(batch[1])
+        # some restart holds no term of a bipartition that others use: its group is dropped
+        assert (lacking > 0) == (family == "biseparable")
+
     def test_non_psd_share_in_last_restart_rejected_like_single(self):
         # a NaN in the last restart's last ket: only a check of every restart's shares sees it
         dims, m, partitions = (2, 2), 2, _FAMILIES["separable"][0](2)
@@ -575,6 +602,26 @@ class TestNegativeProjectorRank:
         assert np.allclose(e[0], np.diag([1.0, 0.0]))
         assert np.allclose(e[1], np.diag([1.0, 0.0]))
         assert np.allclose(e[2], np.eye(2))
+
+    @pytest.mark.parametrize("signs", ["positive", "negative", "mixed", "zero"])
+    @pytest.mark.parametrize("d", [1, 2, 4, 6])
+    def test_mask_matches_rank_rule(self, d, signs):
+        # random unitaries rotate spectra of the given signs; "zero" stacks hold exact zeros on a diagonal
+        rng = np.random.default_rng((18, d))
+        g = rng.normal(size=(12, d, d)) + 1j * rng.normal(size=(12, d, d))
+        u = np.linalg.qr(g)[0]
+        spectra = {
+            "positive": rng.uniform(0.1, 2.0, size=(12, d)),
+            "negative": -rng.uniform(0.1, 2.0, size=(12, d)),
+            "mixed": rng.uniform(-2.0, 2.0, size=(12, d)),
+            "zero": rng.choice([-1.0, 0.0, 0.0, 1.0], size=(12, d)),
+        }[signs]
+        if signs == "zero":
+            x = np.array([np.diag(v) for v in spectra], dtype=complex)
+            x[0], x[1] = 0.0, np.diag(np.full(d, -0.0))
+        else:
+            x = (u * spectra[:, None, :]) @ u.conj().swapaxes(-1, -2)
+        assert _negative_projectors(x).tobytes() == rank_rule_negative_projectors(x).tobytes()
 
     def test_sweep_can_raise_value_on_ghz_share_dim_1(self):
         dec = ghz_beta()
@@ -1032,13 +1079,15 @@ class TestFloorStop:
         assert report.min_value < report.floor - BOUND_TOL
 
     def test_stopped_batch_is_not_selected(self, monkeypatch):
-        # when every running restart stops, the search ends without selecting an empty batch
+        # every restart stops after one sweep: the search ends without selecting an empty batch,
+        # and takes its best restart alone, once
         module = importlib.import_module("mdiw.attack")
-        select, sizes = module._select, []
+        select, alone, sizes, picked = module._select, module._alone, [], []
         monkeypatch.setattr(module, "_select", lambda state, rs: sizes.append(len(rs)) or select(state, rs))
+        monkeypatch.setattr(module, "_alone", lambda state, j: picked.append(j) or alone(state, j))
         dec = tetrahedron_beta()
         attack(dec, dec.ensembles, AttackConfig(restarts=4, iterations=200, mixture_size=8, share_dim=4, seed=0))
-        assert sizes == [1]
+        assert sizes == [] and len(picked) == 1
 
 
 class TestConfigAndReport:

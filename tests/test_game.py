@@ -50,6 +50,7 @@ from mdiw.game import (
     simulate_entangled,
     simulate_separable,
     table_to_csv,
+    trace_inputs,
 )
 from mdiw.attack import (
     BOUND_TOL,
@@ -57,7 +58,13 @@ from mdiw.attack import (
     random_kraus_set,
     random_separable_strategy,
 )
-from oracles import effective_povm_element, mixture_as_shared_state, per_bitstring_table, permute_subsystems
+from oracles import (
+    effective_povm_element,
+    einsum_trace_inputs,
+    mixture_as_shared_state,
+    per_bitstring_table,
+    permute_subsystems,
+)
 
 
 def game_probability_oracle(inputs, rho, elements):
@@ -174,6 +181,26 @@ class TestContractionProperties:
         full = simulate_entangled(bell_strategy(rho), ens)
         assert fast.p_all_ones.shape == full.p_all_ones.shape == (size,) * len(dims)
         assert np.abs(fast.p_all_ones - full.p_all_ones).max() <= 1e-12
+
+
+class TestTraceInputsOracle:
+    """trace_inputs gives the bits and the memory layout of the order="C" einsum."""
+
+    @pytest.mark.parametrize("size", [4, 6])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_order_c_einsum(self, d, size):
+        rng = np.random.default_rng((17, d, size))
+        taus = random_ensemble(rng, "A", d, size).matrices
+        for share in (1, 2, 3, 4):
+            for lead in ((), (1,), (2,), (3,), (4,), (5,), (200,)):
+                shape = lead + (d * share, d * share)
+                element = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                got, want = trace_inputs(element, taus), einsum_trace_inputs(element, taus)
+                assert got.shape == want.shape == lead + (size, share, share)
+                # one memory layout: the strides of every axis longer than 1 agree
+                assert [(n, t) for n, t in zip(got.shape, got.strides) if n > 1] == \
+                    [(n, t) for n, t in zip(want.shape, want.strides) if n > 1], (share, lead)
+                assert got.tobytes() == want.tobytes(), (share, lead)
 
 
 class TestBellOutcomePovm:

@@ -109,8 +109,8 @@ MUTANTS = {
     # every term reads restart 0's F_p
     "restart_0_traced_inputs": (
         "game.py",
-        "return [fs[p] if len(fs[p]) == 1 else fs[p][idx // k] for p in parties]",
-        "return [fs[p][:1] for p in parties]",
+        "return idx // shape[1] if shape[0] > 1 else slice(None)",
+        "return slice(0, 1)",
         ["tests/test_attack.py::TestBatchedSearch::test_matches_sequential_loop"],
     ),
     # F_p read as (row, column) in the flattened block response: every share dim above 1 scores tr[F^T sigma]
@@ -217,6 +217,30 @@ MUTANTS = {
         "low = eigs[:, -1].min()",
         ["tests/test_states.py::TestDensityStack::test_graded_psd_boundary",
          "tests/test_linalg.py::TestOperatorRules::test_graded_boundary"],
+    ),
+    # the success-element step keeps the top eigenvector instead of the lowest where none is negative
+    "kept_column_top": (
+        "attack.py",
+        "keep[:, 0] = True",
+        "keep[:, -1] = True",
+        ["tests/test_attack.py::TestNegativeProjectorRank::test_psd_operator_keeps_lowest_eigenvector",
+         "tests/test_attack.py::TestNegativeProjectorRank::test_mask_matches_rank_rule"],
+    ),
+    # trace_inputs' output swapped on the wrong axes: each F_p[s] comes out transposed
+    "trace_inputs_output_transposed": (
+        "game.py",
+        "taus).swapaxes(-1, -3)).swapaxes(-1, -2)",
+        "taus).swapaxes(-1, -3))",
+        ["tests/test_game.py::TestTraceInputsOracle::test_matches_order_c_einsum",
+         "tests/test_game.py::TestSimulateEntangled::test_matches_raw_index_oracle_bipartite"],
+    ),
+    # the sweep's lone-group shortcut taken by every group: each contracts all the batch's weights
+    "lone_group_weights_for_every_group": (
+        "attack.py",
+        "ws = [w] if len(groups) == 1 else [w[idx] for idx, _, _ in groups]",
+        "ws = [w] * len(groups)",
+        ["tests/test_attack.py::TestBatchedSearch::test_matches_sequential_loop",
+         "tests/test_attack.py::TestBlockForm::test_sweep_matches_public_route"],
     ),
 }
 
