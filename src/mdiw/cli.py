@@ -263,14 +263,19 @@ def load_config(path: str) -> ScenarioConfig:
 
 
 def _check_outputs(*paths) -> None:
-    """Reject an output path that names a directory or lies in no directory, before any work is done.
+    """Reject an output path that names a directory or lies in no directory, and two output paths
+    that name one regular file, before any work is done.
 
     Each path is checked as the OS resolves it, component by component, so
-    ``missing/../x`` lies in no directory.
+    ``missing/../x`` lies in no directory, and ``./x`` or a symlink to x names x.
     """
-    for path in (p for p in paths if p is not None):
+    paths = [p for p in paths if p is not None]
+    for path in paths:
         if not os.path.basename(path) or os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError(f"cannot write {path}: not a file in an existing directory")
+    same = len(paths) == 2 and os.path.realpath(paths[0]) == os.path.realpath(paths[1])
+    if same and (os.path.isfile(paths[0]) or not os.path.exists(paths[0])):  # not /dev/null, say
+        raise ConfigError(f"cannot write {paths[0]} and {paths[1]}: both name the file {os.path.realpath(paths[0])}")
 
 
 def _write_all(artifacts: list[tuple[str, str | None]]) -> None:
@@ -329,7 +334,9 @@ def cmd_simulate(scenario: Scenario, args: argparse.Namespace) -> tuple[int, lis
     """The correlation table as CSV plus a one-line JSON summary."""
     dec, rho, loss = scenario.decomposition, scenario.state, scenario.config.loss
     if args.full:
-        table = simulate_entangled(bell_strategy(rho), dec.ensembles, include_full=True)
+        with _config_errors("--full: "):  # the Bell projection needs every local dimension >= 2
+            strategy = bell_strategy(rho)
+        table = simulate_entangled(strategy, dec.ensembles, include_full=True)
     else:
         table = fast_entangled_table(rho, dec.ensembles)
     table = apply_uniform_loss(table, loss)

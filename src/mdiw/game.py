@@ -8,13 +8,14 @@ always laid out as
 
 with each party's input adjacent to its share, though tables never build
 that joint space: :func:`trace_inputs` folds each party's inputs into its
-outcome elements, and one contraction with the shared state gives the
-whole table.  Unentangled strategies mix terms that are products over
-blocks of parties; the traced elements meet each block's states in one
-contraction, and one more over the weighted terms gives their table.  The
-game functional contracts a witness decomposition against the all-ones
-outcome probabilities, so a negative value certifies entanglement of the
-shared state no matter what the devices actually did.
+outcome elements.  Every strategy mixes terms that are products over
+blocks of parties (a shared state is one term in one block); the traced
+elements meet each block's states in one contraction, and one more over
+the weighted terms gives the table.  The honest table contracts the shared
+state with the inputs on a route of its own.  The game functional
+contracts a witness decomposition against the all-ones outcome
+probabilities, so a negative value certifies entanglement of the shared
+state no matter what the devices actually did.
 """
 
 from __future__ import annotations
@@ -329,26 +330,8 @@ def _contract_grid(rho: np.ndarray, dims, stacks) -> np.ndarray:
     return np.einsum(f"{spec}->...{labels}", rho, *stacks).real
 
 
-def _traced_inputs(measurements, ensembles, include_full: bool) -> list[np.ndarray]:
-    """Each party's inputs traced into its click element, F_p[s] = tr_in[E_p (tau_s (x) 1)].
-
-    With ``include_full`` the inputs traced into the outcome-0 element come
-    first and those traced into E_p after them, so each input axis doubles.
-    Each ensemble must be on its measurement's input space.
-    """
-    n = len(measurements)
-    if len(ensembles) != n:
-        raise ValueError(f"strategy has {n} parties, got {len(ensembles)} ensembles")
-    for p, (e, m) in enumerate(zip(ensembles, measurements)):
-        if e.dim != m.dims[0]:
-            raise ValueError(f"party {p}: ensemble dim {e.dim} vs measurement input dim {m.dims[0]}")
-    # with include_full, the outcome-0 element and E_p traced as one stack, (outcome, input) then one axis
-    return [trace_inputs(np.array([m.element(0), m.click]), e.matrices).reshape((-1,) + 2 * m.dims[1:])
-            if include_full else trace_inputs(m.click, e.matrices) for m, e in zip(measurements, ensembles)]
-
-
 def _table(ensembles, p: np.ndarray, include_full: bool) -> CorrelationTable:
-    """Table over the ensembles' input grid from the grid ``p`` of :func:`_traced_inputs` inputs.
+    """Table over the ensembles' input grid from the grid ``p`` of each party's inputs.
 
     With ``include_full`` each party's axis of ``p`` runs over (outcome,
     input); the outcome axes move to the front.
@@ -362,27 +345,12 @@ def _table(ensembles, p: np.ndarray, include_full: bool) -> CorrelationTable:
     return CorrelationTable(tuple([e.party for e in ensembles]), tuple([e.labels for e in ensembles]), p, full)
 
 
-def simulate_entangled(strategy: EntangledStrategy, ensembles,
-                       include_full: bool = False) -> CorrelationTable:
-    """Full-tensor correlation table for a shared-state strategy.
-
-    Each party's inputs are traced into its outcome elements once, and one
-    contraction with the shared state gives every input tuple at once; with
-    ``include_full`` the outcome-0 elements ride along as extra inputs.
-    """
-    ensembles = tuple(ensembles)
-    fs = _traced_inputs(strategy.measurements, ensembles, include_full)
-    rho = strategy.shared
-    # F's column index meets rho's row index
-    p = _contract_grid(rho.matrix, rho.dims, [f.transpose(0, 2, 1) for f in fs])
-    return _table(ensembles, p, include_full)
-
-
 def fast_entangled_table(rho: DensityMatrix, ensembles) -> CorrelationTable:
     """Honest-strategy table over full input grids by one contraction.
 
     tr[(tau_s^T (x) omega_t^T (x) ...) rho] sums rho entrywise against
     tau_s (x) omega_t (x) ..., so rho meets the stacked inputs directly.
+    No other table uses :func:`_contract_grid`: it checks :func:`simulate_entangled` independently.
     """
     ensembles = tuple(ensembles)
     if tuple(e.dim for e in ensembles) != rho.dims:
@@ -391,14 +359,15 @@ def fast_entangled_table(rho: DensityMatrix, ensembles) -> CorrelationTable:
     return _table(ensembles, p, False)
 
 
-# Unentangled mixtures in block form: a term is a partition of the parties
-# into blocks plus one state per block (a fully separable term has the
-# all-singleton partition, a biseparable term a bipartition), and the terms
-# of one partition form a group (idx, specs, states): their indices into the
-# weights, the partition's einsum specs (see _specs) and one (K_g, D_b, D_b)
-# state stack per block.  The weights are a dense (R, K) matrix, row r the
-# weights of restart r, so R mixtures of a see-saw search run as one batch;
-# a strategy is the case R = 1.  Term i is weights.flat[i], of restart i // K.
+# Strategies in block form: a term is a partition of the parties into blocks
+# plus one state per block (a shared state is one block of every party, a
+# fully separable term has the all-singleton partition, a biseparable term a
+# bipartition), and the terms of one partition form a group (idx, specs,
+# states): their indices into the weights, the partition's einsum specs (see
+# _specs) and one (K_g, D_b, D_b) state stack per block.  The weights are a
+# dense (R, K) matrix, row r the weights of restart r, so R mixtures of a
+# see-saw search run as one batch; a strategy is the case R = 1.  Term i is
+# weights.flat[i], of restart i // K.
 # Only _groups and its two inverses read the public strategy types.
 
 # each BIPARTITIONS_3 tag's partition (pair, (singleton,)), in sorted order, and each layout's tag
@@ -422,8 +391,12 @@ def _partition_groups(partitions, members, states, shares) -> list:
 
 
 def _groups(strategy) -> tuple[np.ndarray, list]:
-    """Weights (1, K) and groups of a biseparable strategy, or of a separable one: one group, every term in order."""
+    """Weights (1, K) and groups of a strategy: a shared state is one term of weight 1 in one block of
+    every party, a separable strategy one group, every term in order."""
     shares = tuple([m.dims[1] for m in strategy.measurements])
+    if isinstance(strategy, EntangledStrategy):
+        every = (tuple(range(len(shares))),)
+        return np.ones((1, 1)), _partition_groups((every,), [[0]], [[strategy.shared.matrix[None]]], shares)
     if isinstance(strategy, SeparableStrategy):
         terms = strategy.share_states
         states = [np.array([t[p].matrix for t in terms]) for p in range(len(shares))]
@@ -592,22 +565,41 @@ def _grid(weights: np.ndarray, groups, resp) -> np.ndarray:
     ]).sum(axis=1)
 
 
-def simulate_separable(strategy, ensembles, include_full: bool = False) -> CorrelationTable:
-    """Correlation table for strategies without any shared entanglement.
+def _simulate(strategy, ensembles, include_full: bool) -> CorrelationTable:
+    """Correlation table of any strategy, through its block form.
 
     The strategy's terms become block products, a batch of one restart
-    (see :func:`_groups`).  Each party's inputs are traced into its outcome
-    elements once, one contraction per block gives ``R[k, s_B] =
-    tr[(F_p[s_p] (x) ...) sigma_k]`` for every input and term, and one per
-    group contracts the weighted terms into every input tuple at once; with
-    ``include_full`` the outcome-0 elements ride along as extra inputs.
-    The see-saw in :mod:`mdiw.attack` shares these contractions.
+    (see :func:`_groups`).  Each party's inputs are traced into its click
+    element once, ``F_p[s] = tr_in[E_p (tau_s (x) 1)]``; with
+    ``include_full`` the inputs traced into the outcome-0 element come first
+    and those traced into E_p after them, so each input axis doubles.  One
+    contraction per block gives ``R[k, s_B] = tr[(F_p[s_p] (x) ...) sigma_k]``
+    for every input and term, and one per group contracts the weighted terms
+    into every input tuple at once.  The see-saw in :mod:`mdiw.attack`
+    shares these contractions.
     """
-    ensembles = tuple(ensembles)
+    ensembles, measurements = tuple(ensembles), strategy.measurements
     weights, groups = _groups(strategy)
-    fs = [f[None] for f in _traced_inputs(strategy.measurements, ensembles, include_full)]
+    if len(ensembles) != len(measurements):
+        raise ValueError(f"strategy has {len(measurements)} parties, got {len(ensembles)} ensembles")
+    for p, (e, m) in enumerate(zip(ensembles, measurements)):
+        if e.dim != m.dims[0]:
+            raise ValueError(f"party {p}: ensemble dim {e.dim} vs measurement input dim {m.dims[0]}")
+    # with include_full, the outcome-0 element and E_p traced as one stack, (outcome, input) then one axis
+    fs = [(trace_inputs(np.array([m.element(0), m.click]), e.matrices).reshape((-1,) + 2 * m.dims[1:])
+           if include_full else trace_inputs(m.click, e.matrices))[None] for m, e in zip(measurements, ensembles)]
     p = _grid(weights, groups, _responses(groups, fs, weights.shape))[0]
     return _table(ensembles, p, include_full)
+
+
+def simulate_entangled(strategy: EntangledStrategy, ensembles, include_full: bool = False) -> CorrelationTable:
+    """Correlation table for a shared-state strategy: the one-term, one-block case of the block form."""
+    return _simulate(strategy, ensembles, include_full)
+
+
+def simulate_separable(strategy, ensembles, include_full: bool = False) -> CorrelationTable:
+    """Correlation table for a separable or biseparable strategy, through the block form."""
+    return _simulate(strategy, ensembles, include_full)
 
 
 def mdi_value(dec: Decomposition, table: CorrelationTable) -> float:

@@ -3,11 +3,17 @@
 :func:`effective_povm_element` absorbs a share state into a POVM element by
 explicit embedding and partial trace, and :func:`mixture_as_shared_state`
 materializes an unentangled mixture as one shared state, so that
-:func:`mdiw.game.simulate_entangled` can cross-check the block contractions
-of :func:`mdiw.game.simulate_separable` and the see-saw.
+:func:`mdiw.game.simulate_entangled` (the block form's one-block case) can
+cross-check the per-block contractions of
+:func:`mdiw.game.simulate_separable` and the see-saw, and
+:func:`per_bitstring_table` and :func:`grid_value` can check them outside
+the block form.
 :func:`per_bitstring_table` contracts a shared-state strategy once per
-outcome bitstring, as the reference for the one contraction of
-:func:`mdiw.game.simulate_entangled`.
+outcome bitstring, as the reference for the one outcome-extended
+contraction of :func:`mdiw.game.simulate_entangled`: through the block
+form's one-block case, the route under test, or through
+:func:`mdiw.game._contract_grid`, the honest table's contraction, which
+shares no code with it past the traced inputs.
 :func:`sequential_search` runs the see-saw's restarts one after another,
 as the reference for the batched search, with :func:`certified_floor` as
 the reference for its floor, and :func:`pointwise_scan` scores
@@ -58,7 +64,9 @@ from mdiw.game import (
     POVM,
     SeparableStrategy,
     _contract_grid,
+    _grid,
     _groups,
+    _responses,
     apply_pre_measurement_map,
     apply_uniform_loss,
     fast_entangled_table,
@@ -139,8 +147,10 @@ def effective_povm_element(element, dims, share: DensityMatrix, share_axes=(1,))
 def mixture_as_shared_state(strategy) -> DensityMatrix:
     """Explicit shared state of a separable or biseparable strategy.
 
-    Materializing the mixture lets :func:`simulate_entangled` serve as an
-    independent cross-check of :func:`simulate_separable`.
+    Materializing the mixture lets a shared-state table cross-check
+    :func:`simulate_separable`: :func:`simulate_entangled` contracts it as
+    one block of every party, :func:`per_bitstring_table` with ``route="grid"``
+    outside the block form.
     """
     if isinstance(strategy, SeparableStrategy):
         dims = tuple(p.dims[1] for p in strategy.measurements)
@@ -188,24 +198,36 @@ def rank_rule_negative_projectors(x) -> np.ndarray:
     return v @ v.conj().swapaxes(-1, -2)
 
 
-def per_bitstring_table(strategy, ensembles, include_full):
+def per_bitstring_table(strategy, ensembles, include_full, route="block"):
     """``(p_all_ones, full)`` of a shared-state strategy, one contraction per outcome bitstring.
 
-    Each party's inputs are traced into both outcome elements; the grids
-    of the bitstrings are stacked in lexicographic order, and ``full`` is
-    None without ``include_full``.
+    Each party's inputs are traced into both outcome elements, F_p^b.
+    ``route`` "block" contracts each bitstring's F_p^b as the one-term,
+    one-block case of the block form (``_groups``, ``_responses``,
+    ``_grid``); "grid" contracts them with the shared state by
+    ``_contract_grid``.  The grids of the bitstrings are stacked in
+    lexicographic order, and ``full`` is None without ``include_full``.
     """
     n = strategy.n_parties
-    # g[p][b][s, a, A] = F_p^b[s, A, a]: F's column index meets rho's row index.
-    g = [
-        np.stack([trace_inputs(m.element(b), e.matrices) for b in (0, 1)]).transpose(0, 1, 3, 2)
-        for m, e in zip(strategy.measurements, ensembles)
-    ]
-    outcomes = itertools.product((0, 1), repeat=n) if include_full else [(1,) * n]
+    f = [np.stack([trace_inputs(m.element(b), e.matrices) for b in (0, 1)])
+         for m, e in zip(strategy.measurements, ensembles)]
     rho = strategy.shared
-    p = np.stack([_contract_grid(rho.matrix, rho.dims, [gp[b] for gp, b in zip(g, bits)])
-                  for bits in outcomes])
+
+    def contract(fs):
+        if route == "grid":  # F's column index meets rho's row index
+            return _contract_grid(rho.matrix, rho.dims, [x.transpose(0, 2, 1) for x in fs])
+        weights, groups = _groups(strategy)
+        return _grid(weights, groups, _responses(groups, [x[None] for x in fs], weights.shape))[0]
+
+    outcomes = itertools.product((0, 1), repeat=n) if include_full else [(1,) * n]
+    p = np.stack([contract([fp[b] for fp, b in zip(f, bits)]) for bits in outcomes])
     return p[-1], p.reshape((2,) * n + p.shape[1:]) if include_full else None
+
+
+def grid_value(dec, strategy) -> float:
+    """Game value of a shared-state strategy by :func:`per_bitstring_table`'s ``_contract_grid`` route."""
+    p_all_ones, _ = per_bitstring_table(strategy, dec.ensembles, False, route="grid")
+    return float(np.dot(np.asarray(dec.beta).ravel(), p_all_ones.ravel()))
 
 
 

@@ -103,6 +103,11 @@ def _conjugated_state_table(rho, ensembles, table=game.fast_entangled_table):
     return table(states.DensityMatrix(rho.matrix.conj(), rho.dims), ensembles)
 
 
+def _conjugated_contraction(rho, dims, stacks, contract=game._contract_grid):
+    """_contract_grid with rho entering conjugated, which is its transpose: the honest table scores rho^T."""
+    return contract(rho.conj(), dims, stacks)
+
+
 def _all_click(x):
     """Every success element the identity: every party always clicks."""
     return np.broadcast_to(np.eye(x.shape[-1], dtype=complex), x.shape).copy()
@@ -164,6 +169,10 @@ NEGATIVE_CONTROLS = {
                         (("offset_attack_minimum", operator.gt, _at("offset_required_at_most")),)),
     "oracle_equivalence": ("oracle_equivalence", ((game, "trace_inputs", _untransposed_trace_inputs),),
                            (("max_abs_diff", operator.gt, _at("tolerance")),)),
+    # the honest table's own contraction spoiled: the full table shares none of it, so the check sees it
+    "oracle_equivalence_conjugated_contraction": (
+        "oracle_equivalence", ((game, "_contract_grid", _conjugated_contraction),),
+        (("max_abs_diff", operator.gt, _at("tolerance")),)),
 }
 
 

@@ -69,6 +69,7 @@ from mdiw.verify import (
 )
 from oracles import (
     certified_floor,
+    grid_value,
     rank_rule_negative_projectors,
     mixture_as_shared_state,
     partial_transpose,
@@ -117,6 +118,7 @@ class TestRandomStrategies:
         value = mdi_value(dec, simulate_separable(s, dec.ensembles))
         entangled = EntangledStrategy(mixture_as_shared_state(s), s.measurements)
         assert value == pytest.approx(mdi_value(dec, simulate_entangled(entangled, dec.ensembles)), abs=1e-12)
+        assert value == pytest.approx(grid_value(dec, entangled), abs=1e-12)
 
     @pytest.mark.parametrize("sample", [
         lambda rng: random_biseparable_strategy((2, 2, 2), 2, 0, rng),
@@ -280,10 +282,12 @@ class TestBlockForm:
             swept = build(weights[0], groups, povms)
             public = mdi_value(dec, simulate_separable(swept, dec.ensembles))
             assert value == pytest.approx(public, abs=1e-12)
-            # an independent route: the mixture as one explicit shared state
+            # the mixture as one explicit shared state, in the block form's one block of every party
+            # and by the honest table's contraction, an independent route
             entangled = EntangledStrategy(mixture_as_shared_state(swept), povms)
             explicit = mdi_value(dec, simulate_entangled(entangled, dec.ensembles))
             assert value == pytest.approx(explicit, abs=1e-12)
+            assert value == pytest.approx(grid_value(dec, entangled), abs=1e-12)
 
     def test_biseparable_round_trip_keeps_term_order(self):
         rng = np.random.default_rng(67)
@@ -711,6 +715,7 @@ class TestSearch:
             entangled = EntangledStrategy(mixture_as_shared_state(s), s.measurements)
             value = mdi_value(dec, simulate_entangled(entangled, dec.ensembles))
             assert value == pytest.approx(report.min_value, abs=1e-12)
+            assert grid_value(dec, entangled) == pytest.approx(report.min_value, abs=1e-12)
 
     def test_inexact_decomposition_warns(self):
         from mdiw.states import InputEnsemble, bloch_state

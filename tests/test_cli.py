@@ -296,6 +296,13 @@ class TestDecomposeCommand:
 LONE_SURROGATE_ENSEMBLE = dict(custom_ensemble(tetrahedron_ensemble().states), labels=["\ud800", "1", "2", "3"])
 
 
+# every dimension 1: an explicit 1 x 1 witness and state, and one 1 x 1 input state per party
+ONE = serialize.matrix_to_json(np.eye(1))
+DIMENSION_ONE_CONFIG = dict(BASE_CONFIG, witness={"matrix": ONE, "dims": [1, 1]},
+                            ensembles=[{"labels": ["0"], "states": [ONE]}] * 2,
+                            state={"matrix": ONE, "dims": [1, 1]}, decomposition="solve")
+
+
 class TestQutritDecompose:
     """``mdiw decompose`` over a custom qutrit ensemble and the tetrahedron, for an explicit (3, 2) witness."""
 
@@ -321,7 +328,8 @@ class TestQutritDecompose:
 
 # name: (argv, with {cfg} the README config and {tmp} the work directory; the config file's
 # bytes, or None for the README config).  Each used to end in a traceback with exit 1, the
-# code of a failed bound, and the simulate case left its CSV behind.
+# code of a failed bound, and the simulate case left its CSV behind; the two outputs that
+# name one file used to exit 0 with the summary in place of the table.
 BAD_FILES = {
     "out_is_directory": (["decompose", "-c", "{cfg}", "-o", "{tmp}"], None),
     "out_in_missing_directory": (["decompose", "-c", "{cfg}", "-o", "{tmp}/missing/x"], None),
@@ -341,6 +349,12 @@ BAD_FILES = {
     # the OS resolves nodir before .., so this summary lies in no directory
     "summary_through_missing_directory": (
         ["simulate", "-c", "{cfg}", "-o", "{tmp}/t.csv", "--summary", "{tmp}/nodir/../s.json"], None),
+    # the Bell projection of --full needs every local dimension >= 2
+    "full_on_dimension_one": (["simulate", "-c", "{cfg}", "--full", "-o", "{tmp}/t.csv", "--summary", "{tmp}/s.json"],
+                              json.dumps(DIMENSION_ONE_CONFIG).encode()),
+    "out_and_summary_same_path": (["simulate", "-c", "{cfg}", "-o", "{tmp}/t.csv", "--summary", "{tmp}/t.csv"], None),
+    "out_and_summary_dot_spelling": (
+        ["simulate", "-c", "{cfg}", "-o", "{tmp}/t.csv", "--summary", "{tmp}/./t.csv"], None),
 }
 
 
@@ -419,6 +433,23 @@ class TestWriter:
         assert link.is_symlink() and os.readlink(link) == str(real)
         assert real.read_bytes() == plain.read_bytes()
         assert [p.name for p in real.parent.iterdir()] == ["dec.json"]
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new_target", "existing_target"])
+    @pytest.mark.parametrize("summary", ["t.csv", "./t.csv", "link.csv"], ids=["same_path", "dot_spelling", "symlink"])
+    def test_outputs_naming_one_file_exit_2(self, tmp_path, monkeypatch, capsys, existing, summary):
+        cfg = write_config(tmp_path)
+        (tmp_path / "link.csv").symlink_to(tmp_path / "t.csv")
+        if existing:
+            (tmp_path / "t.csv").write_text("old table\n")
+        monkeypatch.chdir(tmp_path)
+        before = snapshot(tmp_path)
+        assert main(["simulate", "-c", cfg, "-o", "t.csv", "--summary", summary]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "both name the file" in err
+        assert snapshot(tmp_path) == before
+
+    def test_outputs_naming_one_special_file_are_written(self, tmp_path, capsys):
+        assert main(["simulate", "-c", write_config(tmp_path), "-o", os.devnull, "--summary", os.devnull]) == 0
 
     def test_existing_target_keeps_its_mode_and_new_file_gets_open_mode(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -1017,7 +1048,7 @@ class TestConfigFuzz:
             quick = Path(tmp) / "quick.json"
             quick.write_text(json.dumps(_capped_search(data)))
             for argv, path in (
-                (["simulate", "--summary", out], cfg), (["scan", "--steps", "3"], cfg),
+                (["simulate", "--summary", str(Path(tmp) / "summary")], cfg), (["scan", "--steps", "3"], cfg),
                 (["decompose"], cfg), (["attack"], quick),
             ):
                 err = io.StringIO()

@@ -154,7 +154,8 @@ class TestContractionProperties:
     def test_simulate_entangled_matches_per_bitstring_route(self, seed, shares, include_full,
                                                           random_state, inputs):
         # one contraction over the outcome-extended inputs, bit for bit the
-        # contraction of every outcome bitstring on its own
+        # contraction of every outcome bitstring on its own; the honest
+        # table's contraction, which shares no code with it, within 1e-14
         rng = np.random.default_rng(seed)
         n = len(shares)
         builders = {"tetrahedron": tetrahedron_ensemble, "pauli6": pauli6_ensemble,
@@ -169,6 +170,9 @@ class TestContractionProperties:
         p_all_ones, full = per_bitstring_table(strategy, ens, include_full)
         assert np.array_equal(table.p_all_ones, p_all_ones)
         assert (table.full is None and full is None) or np.array_equal(table.full, full)
+        p_all_ones, full = per_bitstring_table(strategy, ens, include_full, route="grid")
+        assert np.abs(table.p_all_ones - p_all_ones).max() <= 1e-14
+        assert (table.full is None and full is None) or np.abs(table.full - full).max() <= 1e-14
 
     @settings(max_examples=30, deadline=None)
     @given(seed=seeds, dims=st.lists(st.integers(2, 3), min_size=2, max_size=3),
@@ -490,6 +494,9 @@ class TestSimulateSeparable:
                 EntangledStrategy(mixed, strategy.measurements), ens
             )
             assert np.abs(via_effective.p_all_ones - via_full.p_all_ones).max() <= 1e-12
+            # the shared state's table by the honest table's contraction, which shares no block code
+            via_grid, _ = per_bitstring_table(EntangledStrategy(mixed, strategy.measurements), ens, False, "grid")
+            assert np.abs(via_effective.p_all_ones - via_grid).max() <= 1e-12
 
     def test_biseparable_matches_explicit_mixture(self):
         rng = np.random.default_rng(50)
@@ -502,6 +509,9 @@ class TestSimulateSeparable:
                 EntangledStrategy(mixed, strategy.measurements), ens
             )
             assert np.abs(via_effective.p_all_ones - via_full.p_all_ones).max() <= 1e-12
+            # the shared state's table by the honest table's contraction, which shares no block code
+            via_grid, _ = per_bitstring_table(EntangledStrategy(mixed, strategy.measurements), ens, False, "grid")
+            assert np.abs(via_effective.p_all_ones - via_grid).max() <= 1e-12
 
     def test_full_distribution_is_product_rule(self):
         rng = np.random.default_rng(51)

@@ -242,6 +242,15 @@ MUTANTS = {
         ["tests/test_attack.py::TestBatchedSearch::test_matches_sequential_loop",
          "tests/test_attack.py::TestBlockForm::test_sweep_matches_public_route"],
     ),
+    # the shared state enters the block form transposed: every shared-state table scores rho^T
+    "entangled_block_transposed": (
+        "game.py",
+        "[[strategy.shared.matrix[None]]]",
+        "[[strategy.shared.matrix.T[None]]]",
+        ["tests/test_game.py::TestContractionProperties::test_simulate_entangled_matches_index_oracle",
+         "tests/test_game.py::TestContractionProperties::test_simulate_entangled_matches_per_bitstring_route",
+         "tests/test_game.py::TestContractionProperties::test_fast_table_matches_bell_strategy"],
+    ),
 }
 
 
