@@ -334,9 +334,7 @@ def cmd_simulate(scenario: Scenario, args: argparse.Namespace) -> tuple[int, lis
     """The correlation table as CSV plus a one-line JSON summary."""
     dec, rho, loss = scenario.decomposition, scenario.state, scenario.config.loss
     if args.full:
-        with _config_errors("--full: "):  # the Bell projection needs every local dimension >= 2
-            strategy = bell_strategy(rho)
-        table = simulate_entangled(strategy, dec.ensembles, include_full=True)
+        table = simulate_entangled(bell_strategy(rho), dec.ensembles, include_full=True)
     else:
         table = fast_entangled_table(rho, dec.ensembles)
     table = apply_uniform_loss(table, loss)

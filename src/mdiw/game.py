@@ -75,10 +75,8 @@ def bell_outcome_povm(d: int) -> POVM:
     """Projection onto the maximally entangled ket versus its complement, built once per ``d``.
 
     Outcome 1 flags a successful projection of (input (x) share) onto
-    (1/sqrt(d)) sum_i |ii>.
+    (1/sqrt(d)) sum_i |ii>; at d = 1 that projection is the identity, so the party always clicks.
     """
-    if d < 2:
-        raise ValueError(f"local dimension must be >= 2, got {d}")
     return POVM(projector(max_entangled(d)), (d, d))
 
 

@@ -210,9 +210,9 @@ def ghz_ket() -> np.ndarray:
 
 
 def max_entangled(d: int) -> np.ndarray:
-    """The maximally entangled ket (1/sqrt(d)) sum_i |ii>."""
-    if d < 2:
-        raise ValueError(f"local dimension must be >= 2, got {d}")
+    """The maximally entangled ket (1/sqrt(d)) sum_i |ii>, defined for every d >= 1."""
+    if d < 1:
+        raise ValueError(f"local dimension must be >= 1, got {d}")
     return np.eye(d, dtype=complex).ravel() / math.sqrt(d)
 
 

@@ -919,6 +919,10 @@ class TestViolationScan:
         with pytest.raises(ValueError, match="input dims"):
             violation_scan("noisy_ghz", dec, [0.5])
 
+    def test_curve_starting_at_zero_crosses_there(self):
+        # a first point of value exactly 0 is the crossing, whatever follows it
+        assert zero_crossing([(0.25, 0.0), (0.5, 1.0), (1.0, -1.0)]) == 0.25
+
     def test_no_crossing_raises(self):
         with pytest.raises(ValueError, match="sign"):
             zero_crossing([(0.0, 1.0), (1.0, 0.5)])

@@ -36,27 +36,44 @@ BASE_CONFIG = {
 }
 
 
-# Wrong JSON types: each used to crash with a traceback (exit 1, the code
-# for a failed bound) or to be coerced silently.
+# name: (BASE_CONFIG overrides, the message of the one error line).  Wrong JSON types up
+# to biseparable_two_parties: each used to crash with a traceback (exit 1, the code for a
+# failed bound) or to be coerced silently.
 MALFORMED = {
-    "parties_string": {"parties": "x"},
-    "parties_float": {"parties": 2.5},
-    "v_string": {"state": {"family": "werner", "v": "abc"}},
-    "ensembles_number": {"ensembles": 5},
-    "loss_strings": {"loss": ["a", "b"]},
-    "state_list": {"state": [1]},
-    "ensemble_state_not_pairs": {
-        "ensembles": [{"labels": ["0"], "states": [[[1, 0]]]}, "tetrahedron"]
-    },
-    "seed_float": {"seed": 1.7},
-    "restarts_string": {"attack": {"restarts": "many"}},
-    "loss_bool": {"loss": [True, 1.0]},
-    "loss_empty": {"loss": []},
-    "v_bool": {"state": {"family": "werner", "v": True}},
-    "v_numeric_string": {"state": {"family": "werner", "v": "0.5"}},
+    "parties_string": ({"parties": "x"}, "parties must be the integer 2 or 3, got 'x'"),
+    "parties_float": ({"parties": 2.5}, "parties must be the integer 2 or 3, got 2.5"),
+    "v_string": ({"state": {"family": "werner", "v": "abc"}},
+                 "family parameter v must be a number in [0, 1], got 'abc'"),
+    "ensembles_number": ({"ensembles": 5}, "ensembles must be a JSON array, got 5"),
+    "loss_strings": ({"loss": ["a", "b"]}, "loss efficiencies must be numbers in (0, 1], got ['a', 'b']"),
+    "state_list": ({"state": [1]}, "state must be a JSON object, got [1]"),
+    "ensemble_state_not_pairs": (
+        {"ensembles": [{"labels": ["0"], "states": [[[1, 0]]]}, "tetrahedron"]},
+        "bad ensemble spec for party A: matrix row 0 must hold [re, im] pairs of numbers, got [1, 0]"),
+    "seed_float": ({"seed": 1.7}, "seed must be a nonnegative integer, got 1.7"),
+    "restarts_string": ({"attack": {"restarts": "many"}}, "bad attack config: restarts must be int, got 'many'"),
+    "loss_bool": ({"loss": [True, 1.0]}, "loss efficiencies must be numbers in (0, 1], got [True, 1.0]"),
+    "loss_empty": ({"loss": []}, "one loss efficiency per party required"),
+    "v_bool": ({"state": {"family": "werner", "v": True}}, "family parameter v must be a number in [0, 1], got True"),
+    "v_numeric_string": ({"state": {"family": "werner", "v": "0.5"}},
+                         "family parameter v must be a number in [0, 1], got '0.5'"),
     # `attack` crashed with a ValueError traceback on a 2-party config
-    "biseparable_two_parties": {"attack": {"kind": "biseparable"}},
+    "biseparable_two_parties": ({"attack": {"kind": "biseparable"}}, "attack kind 'biseparable' needs 3 parties, got 2"),
+    "state_neither_family_nor_matrix": ({"state": {"v": 0.5}}, "state must give a 'family' or an explicit 'matrix'"),
+    "witness_number": ({"witness": 5}, "witness must be a name or an explicit matrix object"),
+    "state_dims_string": ({"state": {"matrix": serialize.matrix_to_json(np.eye(4) / 4), "dims": "2x2"}},
+                          "state dims must be a JSON array of integers, got '2x2'"),
+    "state_matrix_empty": ({"state": {"matrix": [], "dims": [2, 2]}},
+                           "bad state spec: matrix JSON must be a nested list of [re, im] pairs"),
+    "attack_expectation": ({"attack": {"expectation": "maybe"}}, "attack expectation must be 'bounded' or 'violable'"),
+    "ensemble_spec_number": ({"ensembles": [5, "tetrahedron"]}, "ensemble spec must be a name or object, got int"),
+    "ensemble_name_number": ({"ensembles": [{"name": 5, "labels": ["0"], "states": [[[[1, 0]]]]}, "tetrahedron"]},
+                             "ensemble name for party A must be a string"),
 }
+
+
+# every command that reads a config, as its argv words: a config one rejects with exit 2, all reject
+CONFIG_COMMANDS = ["decompose", "simulate", "simulate --full", "scan", "attack"]
 
 
 def write_config(tmp_path, overrides=None, name="cfg.json"):
@@ -103,16 +120,15 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict(data)
 
-    @pytest.mark.parametrize("overrides", list(MALFORMED.values()), ids=list(MALFORMED))
-    def test_malformed_config_exits_2(self, tmp_path, capsys, overrides):
+    @pytest.mark.parametrize("name", list(MALFORMED))
+    def test_malformed_config_exits_2(self, tmp_path, capsys, name):
+        overrides, message = MALFORMED[name]
         cfg = write_config(tmp_path, overrides)
         assert main(["simulate", "-c", cfg, "-o", str(tmp_path / "t.csv")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_biseparable_attack_on_two_parties_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, MALFORMED["biseparable_two_parties"])
+        cfg = write_config(tmp_path, MALFORMED["biseparable_two_parties"][0])
         assert main(["attack", "-c", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "3 parties" in err
@@ -197,11 +213,11 @@ class TestCustomEnsembleNames:
         assert json.loads(outs[1].read_text())["residual"] == pytest.approx(0.4507, abs=5e-5)
         assert outs[2].read_bytes() == outs[0].read_bytes()
 
-    @pytest.mark.parametrize("command", ["decompose", "simulate", "scan", "attack"])
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
     def test_size_that_does_not_fit_table_exits_2(self, tmp_path, capsys, command):
         spec = custom_ensemble(pauli6_ensemble().states)
         cfg = write_config(tmp_path, {"ensembles": [spec, "tetrahedron"]})
-        assert main([command, "-c", cfg, "-o", str(tmp_path / "out")]) == 2
+        assert main([*command.split(), "-c", cfg, "-o", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "(6, 4)" in err
 
@@ -213,12 +229,12 @@ UNRESOLVABLE_STATES = {
 }
 
 
-@pytest.mark.parametrize("command", ["decompose", "simulate", "scan", "attack"])
+@pytest.mark.parametrize("command", CONFIG_COMMANDS)
 @pytest.mark.parametrize("state", sorted(UNRESOLVABLE_STATES))
 def test_unresolvable_state_exits_2_on_every_command(tmp_path, capsys, command, state):
     # decompose and attack never resolved the state and exited 0
     cfg = write_config(tmp_path, {"state": UNRESOLVABLE_STATES[state]})
-    assert main([command, "-c", cfg, "-o", str(tmp_path / "out")]) == 2
+    assert main([*command.split(), "-c", cfg, "-o", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "state" in err
 
@@ -303,6 +319,19 @@ DIMENSION_ONE_CONFIG = dict(BASE_CONFIG, witness={"matrix": ONE, "dims": [1, 1]}
                             state={"matrix": ONE, "dims": [1, 1]}, decomposition="solve")
 
 
+def test_dimension_one_config_simulates_with_and_without_full(tmp_path):
+    # --full exited 2: its Bell projection took local dimensions >= 2 only; at d = 1 every party clicks
+    cfg = write_config(tmp_path, DIMENSION_ONE_CONFIG)
+    tables, summaries = [], []
+    for i, full in enumerate([[], ["--full"]]):
+        table, summary = tmp_path / f"t{i}.csv", tmp_path / f"s{i}.json"
+        assert main(["simulate", "-c", cfg, *full, "-o", str(table), "--summary", str(summary)]) == 0
+        tables.append([line.split(",")[2] for line in table.read_text().splitlines()])
+        summaries.append(json.loads(summary.read_text()))
+    assert tables[0] == tables[1] == ["p_all_ones", "1"]
+    assert summaries[0]["I"] == summaries[1]["I"] == 1.0
+
+
 class TestQutritDecompose:
     """``mdiw decompose`` over a custom qutrit ensemble and the tetrahedron, for an explicit (3, 2) witness."""
 
@@ -336,6 +365,8 @@ BAD_FILES = {
     "summary_in_missing_directory": (
         ["simulate", "-c", "{cfg}", "-o", "{tmp}/t.csv", "--summary", "{tmp}/missing/s.json"], None),
     "config_not_utf8": (["decompose", "-c", "{cfg}", "-o", "{tmp}/d.json"], b"\xff\xfe{}"),
+    "config_not_object": (["decompose", "-c", "{cfg}", "-o", "{tmp}/d.json"], b"[]"),
+    "config_missing_key": (["decompose", "-c", "{cfg}", "-o", "{tmp}/d.json"], b'{"parties": 2}'),
     "config_nested_too_deep": (["decompose", "-c", "{cfg}", "-o", "{tmp}/d.json"],
                                b"[" * 100_000 + b"]" * 100_000),
     # the escape \ud800 is valid JSON but a lone surrogate, which no UTF-8 file can hold
@@ -349,13 +380,15 @@ BAD_FILES = {
     # the OS resolves nodir before .., so this summary lies in no directory
     "summary_through_missing_directory": (
         ["simulate", "-c", "{cfg}", "-o", "{tmp}/t.csv", "--summary", "{tmp}/nodir/../s.json"], None),
-    # the Bell projection of --full needs every local dimension >= 2
-    "full_on_dimension_one": (["simulate", "-c", "{cfg}", "--full", "-o", "{tmp}/t.csv", "--summary", "{tmp}/s.json"],
-                              json.dumps(DIMENSION_ONE_CONFIG).encode()),
     "out_and_summary_same_path": (["simulate", "-c", "{cfg}", "-o", "{tmp}/t.csv", "--summary", "{tmp}/t.csv"], None),
     "out_and_summary_dot_spelling": (
         ["simulate", "-c", "{cfg}", "-o", "{tmp}/t.csv", "--summary", "{tmp}/./t.csv"], None),
 }
+
+
+# case: its error line, where the case is a config guard of its own
+BAD_FILE_MESSAGES = {"config_not_object": "error: config must be a JSON object\n",
+                     "config_missing_key": "error: missing config key: witness\n"}
 
 
 @pytest.mark.parametrize("case", list(BAD_FILES))
@@ -373,6 +406,7 @@ def test_bad_file_exits_2_before_any_work(tmp_path, monkeypatch, capsys, case):
     assert main([a.format(cfg=cfg, tmp=tmp_path) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert BAD_FILE_MESSAGES.get(case, "") in err
     assert snapshot(tmp_path) == before
 
 
@@ -602,9 +636,11 @@ class TestScanCommand:
             vs = [float(row.split(",")[0]) for row in out.read_text().splitlines()[1:]]
         assert len(vs) == steps and all(v_from <= v <= v_to for v in vs)
 
-    def test_bad_range_exits_2(self, tmp_path):
+    def test_bad_range_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["scan", "-c", cfg, "--from", "0.9", "--to", "0.2"]) == 2
+        assert main(["scan", "-c", cfg, "--steps", "1"]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "error: need at least 2 steps, got 1"
 
     def test_explicit_state_cannot_scan(self, tmp_path):
         state = {"matrix": serialize.matrix_to_json(np.eye(4) / 4), "dims": [2, 2]}
@@ -813,6 +849,14 @@ class TestAttackCommand:
         assert doc_b["seed"] == 7
         assert doc_a["restart_minima"] != doc_b["restart_minima"]
 
+    @pytest.mark.parametrize("seed, message", [("-5", "MDIW_SEED must be nonnegative"),
+                                               ("x", "MDIW_SEED must be an integer, got 'x'")])
+    def test_bad_env_seed_exits_2(self, tmp_path, monkeypatch, capsys, seed, message):
+        monkeypatch.setenv("MDIW_SEED", seed)
+        assert main(["attack", "-c", write_config(tmp_path), "-o", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "r.json").exists()
+
     def test_biseparable_kind(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -945,6 +989,15 @@ class TestVerifyPlumbing:
         assert not verdict.passed
         assert verdict.details["tetrahedron_residual"] > 1e-10
 
+    def test_run_all_runs_every_registered_check_in_order_at_its_seed(self, monkeypatch):
+        import mdiw.verify as verify
+
+        calls = []
+        checks = {(lambda seed, name=name: calls.append((name, seed)) or name): 1.0 for name in "bca"}
+        monkeypatch.setattr(verify, "BUDGETS", checks)
+        assert verify.run_all(7) == ["b", "c", "a"]
+        assert calls == [("b", 7), ("c", 7), ("a", 7)]
+
     def test_cheap_checks_deterministic(self):
         import mdiw.verify as verify
 
@@ -1063,7 +1116,9 @@ EDGE_VALUES = ["0", "1", "-5", "50", "nan", "inf", "", "x"]
 # in a missing directory, an existing directory, an existing file, a new file,
 # through a missing directory, and a trailing slash
 EDGE_PATHS = ["{tmp}/missing/x", "{tmp}/dir", "{tmp}/old.txt", "{tmp}/new.txt", "{tmp}/nodir/../x", "{tmp}/x/"]
-BAD_CONFIG_BYTES = sorted({config for _, config in BAD_FILES.values() if config is not None})
+# the BAD_FILES config bytes and the dimension-one config, which every command takes
+FUZZ_CONFIG_BYTES = sorted({config for _, config in BAD_FILES.values() if config is not None}
+                           | {json.dumps(DIMENSION_ONE_CONFIG).encode()})
 
 
 @st.composite
@@ -1099,7 +1154,7 @@ class TestArgvFuzz:
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(argv=parser_argv(), seed=st.sampled_from([None, *EDGE_VALUES]),
-           config=st.none() | st.sampled_from(BAD_CONFIG_BYTES), fail_write=st.none() | st.sampled_from([1, 2]))
+           config=st.none() | st.sampled_from(FUZZ_CONFIG_BYTES), fail_write=st.none() | st.sampled_from([1, 2]))
     @example(argv=SECOND_WRITE_FAILS, seed=None, config=None, fail_write=2)
     @bad_file_examples
     def test_any_argv_keeps_exit_contract(self, argv, seed, config, fail_write):

@@ -218,8 +218,10 @@ class TestBellOutcomePovm:
         assert np.allclose(e, projector(max_entangled(3)), atol=1e-14)
 
     def test_rejects_trivial_dimension(self):
-        with pytest.raises(ValueError):
-            bell_outcome_povm(1)
+        # d = 0 has no maximally entangled ket; at d = 1 the projection is the identity: the party always clicks
+        with pytest.raises(ValueError, match="local dimension must be >= 1, got 0"):
+            bell_outcome_povm(0)
+        assert np.array_equal(bell_outcome_povm(1).click, [[1.0]])
 
     def test_shared_per_dimension_and_read_only(self):
         assert bell_outcome_povm(2) is bell_outcome_povm(2)
@@ -394,6 +396,19 @@ class TestFastEntangledProb:
                 fast = fast_entangled_table(rho, ens)
                 full = simulate_entangled(bell_strategy(rho), ens)
                 assert np.abs(fast.p_all_ones - full.p_all_ones).max() <= 1e-12
+
+    @pytest.mark.parametrize("dims", [(1, 2), (2, 1), (1, 1, 2)])
+    def test_dimension_one_parties_agree_with_full_simulation(self, dims):
+        # a dimension-1 party's Bell projection is the identity: it clicks on its one input
+        rng = np.random.default_rng(44)
+        trivial = DensityMatrix(np.eye(1), (1,))
+        ens = tuple(one_state(p, trivial) if d == 1 else tetrahedron_ensemble(p) for p, d in zip("ABC", dims))
+        for _ in range(5):
+            rho = random_density_matrix(dims, rng)
+            fast = fast_entangled_table(rho, ens).p_all_ones
+            for include_full in (False, True):
+                full = simulate_entangled(bell_strategy(rho), ens, include_full=include_full).p_all_ones
+                assert np.abs(fast - full).max() <= 1e-15
 
     def test_dims_mismatch(self):
         with pytest.raises(ValueError, match="input dims"):
@@ -967,6 +982,12 @@ class TestStrategyTypes:
         )
         with pytest.raises(ValueError, match="group state dims"):
             BiseparableStrategy((bad_term,), good.measurements)
+
+    def test_party_counts(self):
+        rng = np.random.default_rng(58)
+        assert random_separable_strategy((2, 2), 2, 2, rng).n_parties == 2
+        assert random_biseparable_strategy((2, 2, 2), 2, 2, rng).n_parties == 3
+        assert bell_strategy(noisy_ghz(0.5)).n_parties == 3
 
     def test_entangled_strategy_checks_share_dims(self):
         with pytest.raises(ValueError, match="incompatible"):

@@ -17,6 +17,6 @@ def test_row_applies_once_and_names_existing_tests(name):
     assert (ROOT / "src" / "mdiw" / path).read_text().count(old) == 1
     assert old != new and tests
     for test in tests:
-        file, *scopes = test.split("::")
+        file, *scopes = test.split("[")[0].split("::")  # a parametrized test by its function
         source = (ROOT / file).read_text()
         assert all(f"class {s}" in source or f"def {s}(" in source for s in scopes), test

@@ -221,8 +221,10 @@ class TestMaxEntangled:
                 assert np.allclose(marginal, np.eye(d) / d, atol=1e-12)
 
     def test_too_small(self):
-        with pytest.raises(ValueError):
-            max_entangled(1)
+        # every local dimension d >= 1 has the ket; at d = 1 it is |00> = [1]
+        with pytest.raises(ValueError, match="local dimension must be >= 1, got 0"):
+            max_entangled(0)
+        assert np.array_equal(max_entangled(1), [1.0])
 
 
 class TestCatalogValidity:

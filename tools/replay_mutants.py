@@ -251,6 +251,44 @@ MUTANTS = {
          "tests/test_game.py::TestContractionProperties::test_simulate_entangled_matches_per_bitstring_route",
          "tests/test_game.py::TestContractionProperties::test_fast_table_matches_bell_strategy"],
     ),
+    # the old local-dimension rule: the Bell measurement refuses a dimension-1 party
+    "dimension_two_rule_restored": (
+        "states.py",
+        "if d < 1:",
+        "if d < 2:",
+        ["tests/test_states.py::TestMaxEntangled::test_too_small",
+         "tests/test_game.py::TestBellOutcomePovm::test_rejects_trivial_dimension",
+         "tests/test_game.py::TestFastEntangledProb::test_dimension_one_parties_agree_with_full_simulation",
+         "tests/test_cli.py::test_dimension_one_config_simulates_with_and_without_full"],
+    ),
+    # a state spec with neither a family nor a matrix read as a matrix spec: a KeyError's message
+    "state_spec_guard_dropped": (
+        "cli.py",
+        "elif \"matrix\" not in self.state:",
+        "elif False:",
+        ["tests/test_cli.py::TestScenarioConfig::test_malformed_config_exits_2[state_neither_family_nor_matrix]"],
+    ),
+    # a table simulated for fewer ensembles than parties: an IndexError deep in the contraction
+    "simulate_party_count_dropped": (
+        "game.py",
+        "if len(ensembles) != len(measurements):",
+        "if False:",
+        ["tests/test_input_guards.py::test_guard_raises_its_message[simulate_party_count]"],
+    ),
+    # a decomposition scored against a table of more parties: numpy's shape error
+    "mdi_value_party_count_dropped": (
+        "game.py",
+        "if dec.n_parties != table.n_parties:",
+        "if False:",
+        ["tests/test_input_guards.py::test_guard_raises_its_message[mdi_value_party_count]"],
+    ),
+    # a separable strategy built with share states of the wrong dimension
+    "separable_share_dim_dropped": (
+        "game.py",
+        "if sigma.dim != shares[p]:",
+        "if False:",
+        ["tests/test_input_guards.py::test_guard_raises_its_message[separable_share_dim]"],
+    ),
 }
 
 
