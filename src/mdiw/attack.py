@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .linalg import TOL_RECON, _check_spectrum, check_operators
+from .linalg import _check_spectrum, check_operators
 from .states import _check_densities, _unchecked
 from .witness import Decomposition
 from .game import (
@@ -90,24 +90,31 @@ class AttackConfig:
 
 @dataclass(frozen=True)
 class AttackReport:
-    """Search outcome: the global minimum and per-restart bookkeeping.
+    """Search outcome: each restart's descent, and the best strategy found.
 
+    ``restart_paths[r]`` holds restart r's start value, then its best value
+    after each sweep it ran.  Its last entry is the restart's minimum, the
+    least of those is ``min_value``, and ``evaluations`` counts every entry.
     ``floor`` is the searched class's :func:`certified_lower_bound`.
-    ``evaluations`` counts the values computed: one per restart for its
-    start plus one per sweep run.
     """
 
-    min_value: float
     floor: float
     best_strategy: SeparableStrategy | BiseparableStrategy
-    restart_minima: tuple[float, ...]
-    evaluations: int
+    restart_paths: tuple[tuple[float, ...], ...]
     wall_time: float
     config: AttackConfig
 
-    def __post_init__(self):
-        if self.min_value != min(self.restart_minima):
-            raise ValueError("reported minimum must equal the best restart minimum")
+    @property
+    def restart_minima(self) -> tuple[float, ...]:
+        return tuple(path[-1] for path in self.restart_paths)
+
+    @property
+    def min_value(self) -> float:
+        return min(self.restart_minima)
+
+    @property
+    def evaluations(self) -> int:
+        return sum(map(len, self.restart_paths))
 
 
 def report_to_dict(report: AttackReport) -> dict:
@@ -435,7 +442,7 @@ def certified_lower_bound(dec: Decomposition, kind: str) -> float:
     return min(0.0, cut) * math.prod(e.dim for e in dec.ensembles)
 
 
-def _search(dec, ensembles, config, kind, hook=None):
+def _search(dec, ensembles, config, kind):
     """Shared see-saw search for both strategy families, all restarts as one batch.
 
     Restart r draws its start, terms of a partition of ``kind`` and one state
@@ -456,11 +463,8 @@ def _search(dec, ensembles, config, kind, hook=None):
     The best restart's (the lowest-index one on a tie) is checked, its
     states once per block size and its success elements once per input
     dimension, and turned back into a strategy.
-    ``hook(restart, sweep, best)`` is a test seam invoked after every sweep
-    once per restart that ran it, in restart order; it must not mutate
-    anything.
     """
-    if dec.residual > TOL_RECON:
+    if not dec.exact:
         warnings.warn(
             f"attacking an inexact decomposition (residual {dec.residual:.3e}); "
             "the nonnegativity bound is only guaranteed for exact witnesses",
@@ -475,23 +479,18 @@ def _search(dec, ensembles, config, kind, hook=None):
     draws = [_draw(restart_rng(config.seed, r), partitions, input_dims, m, config.mixture_size)
              for r in range(config.restarts)]
     state, value = _start(beta, inputs, *_block(draws, partitions, input_dims, m))
-    running = np.arange(config.restarts)
-    minima = np.empty(config.restarts)
+    running, paths = np.arange(config.restarts), [[v] for v in value.tolist()]
     champion = None  # (value, restart, :func:`_alone` state) of the best stopped restart
-    evaluations = config.restarts
     for it in range(config.iterations):
         swept, new = _sweep(beta, inputs, state)
-        evaluations += len(running)
         lower = new < value
         best = np.where(lower, new, value)
-        if hook is not None:
-            for r, b in zip(running, best):
-                hook(int(r), it, float(b))
+        for r, b in zip(running.tolist(), best.tolist()):
+            paths[r].append(b)
         at_floor = (floor - _STOP <= best) & (best <= floor + BOUND_TOL)
         stop = (value - new <= _STOP) | at_floor | (it + 1 == config.iterations)
         done = np.flatnonzero(stop)
         if len(done):
-            minima[running[done]] = best[done]
             j = done[best[done].argmin()]
             if champion is None or (best[j], running[j]) < champion[:2]:
                 champion = (best[j], running[j], _alone(swept if lower[j] else state, j))
@@ -502,7 +501,7 @@ def _search(dec, ensembles, config, kind, hook=None):
         else:
             state, value = swept, new
     wall = time.perf_counter() - t0
-    min_value, _, (weights, groups, elements) = champion
+    weights, groups, elements = champion[2]
     for size in {s.shape[-1] for _, _, states in groups for s in states}:
         _check_densities(np.concatenate([s for _, _, ss in groups for s in ss if s.shape[-1] == size]), (size,))
     for d in dict.fromkeys(input_dims):
@@ -510,17 +509,15 @@ def _search(dec, ensembles, config, kind, hook=None):
         for p, e in zip(ps, _checked_clicks(np.concatenate([elements[p] for p in ps]), (d, m))[0]):
             elements[p] = e[None]
     return AttackReport(
-        min_value=float(min_value),
         floor=floor,
         best_strategy=build(weights[0], groups, _povms(elements, input_dims, m)),
-        restart_minima=tuple(float(b) for b in minima),
-        evaluations=evaluations,
+        restart_paths=tuple(map(tuple, paths)),
         wall_time=wall,
         config=config,
     )
 
 
-def attack(dec: Decomposition, ensembles, config: AttackConfig, hook=None) -> AttackReport:
+def attack(dec: Decomposition, ensembles, config: AttackConfig) -> AttackReport:
     """Minimize the game value over fully separable strategies.
 
     Every point the see-saw visits is a feasible strategy (weights on the
@@ -528,10 +525,10 @@ def attack(dec: Decomposition, ensembles, config: AttackConfig, hook=None) -> At
     minimum below ``-BOUND_TOL`` on an exact witness decomposition
     indicates an implementation bug, not a theory violation.
     """
-    return _search(dec, ensembles, config, "separable", hook)
+    return _search(dec, ensembles, config, "separable")
 
 
-def biseparable_attack(dec: Decomposition, ensembles, config: AttackConfig, hook=None) -> AttackReport:
+def biseparable_attack(dec: Decomposition, ensembles, config: AttackConfig) -> AttackReport:
     """Minimize the game value over biseparable tripartite strategies.
 
     Bipartition tags stay as sampled within a restart; weights, group and
@@ -539,7 +536,7 @@ def biseparable_attack(dec: Decomposition, ensembles, config: AttackConfig, hook
     """
     if dec.n_parties != 3:
         raise ValueError("biseparable attacks need a three-party decomposition")
-    return _search(dec, ensembles, config, "biseparable", hook)
+    return _search(dec, ensembles, config, "biseparable")
 
 
 def _draw_kraus(rng: np.random.Generator, dim: int, n_ops: int) -> tuple[np.ndarray, float]:

@@ -26,7 +26,6 @@ import warnings
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 from . import serialize
-from .linalg import TOL_RECON
 from .states import FAMILIES, DensityMatrix, InputEnsemble, family_state, named_ensemble
 from .witness import (
     Decomposition,
@@ -319,7 +318,7 @@ def _write_all(artifacts: list[tuple[str, str | None]]) -> None:
 def cmd_decompose(scenario: Scenario, args: argparse.Namespace) -> tuple[int, list]:
     """The decomposition JSON; exit 0 iff it is exact."""
     dec = scenario.decomposition
-    return 0 if dec.residual <= TOL_RECON else 1, [(serialize.dumps(decomposition_to_dict(dec)), args.out)]
+    return 0 if dec.exact else 1, [(serialize.dumps(decomposition_to_dict(dec)), args.out)]
 
 
 def _closed_form(scenario: Scenario):

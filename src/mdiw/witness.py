@@ -39,8 +39,10 @@ WITNESS_KINDS = ("bipartite-separability", "genuine-multipartite")
 class Witness:
     """Hermitian operator with entanglement-witness semantics.
 
-    ``kind`` is metadata describing which notion of entanglement the operator
-    is meant to detect; nothing beyond the party structure is enforced.
+    ``matrix`` is stored as the checked input's Hermitian part (m + m^dagger)/2,
+    which is m itself when m is exactly Hermitian.  ``kind`` is metadata
+    describing which notion of entanglement the operator is meant to detect;
+    nothing beyond the party structure is enforced.
     """
 
     matrix: np.ndarray
@@ -52,6 +54,7 @@ class Witness:
         dims = check_operators(m[None], self.dims)
         if self.kind not in WITNESS_KINDS:
             raise ValueError(f"unknown witness kind {self.kind!r}")
+        m = (m + m.conj().T) / 2
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)

@@ -303,7 +303,7 @@ def certified_floor(dec, kind: str) -> float:
     return min(0.0, max(lows) if kind == "separable" else min(lows)) * math.prod(dims)
 
 
-def sequential_search(dec, ensembles, config, kind, sample, build, hook=None) -> AttackReport:
+def sequential_search(dec, ensembles, config, kind, sample, build) -> AttackReport:
     """The see-saw search with its restarts run one after another.
 
     Each restart samples its start with the public sampler ``sample`` from
@@ -311,44 +311,39 @@ def sequential_search(dec, ensembles, config, kind, sample, build, hook=None) ->
     batch of one until a sweep lowers its value by at most ``_STOP``, its
     best value lies between ``_STOP`` below and ``BOUND_TOL`` above
     :func:`certified_floor` for ``kind``, or for ``config.iterations``
-    sweeps.  ``hook(restart, sweep,
-    best)`` fires after every sweep.  Wall time is reported as 0.
+    sweeps.  Its path is its start value, then its best value after each
+    sweep.  Wall time is reported as 0.
     """
     input_dims = tuple(e.dim for e in ensembles)
     beta, inputs = np.asarray(dec.beta), [e.matrices for e in dec.ensembles]
     floor = certified_floor(dec, kind)
 
-    restart_minima = []
+    paths = []
     best_overall = best_state = None
-    evaluations = 0
     for r in range(config.restarts):
         rng = restart_rng(config.seed, r)
         strategy = sample(input_dims, config.share_dim, config.mixture_size, rng)
         elements = [m.element(1)[None] for m in strategy.measurements]
         state, (value,) = _start(beta, inputs, *_groups(strategy), elements)
-        evaluations += 1
         best, kept = value, state
-        for it in range(config.iterations):
+        path = [float(value)]
+        for _ in range(config.iterations):
             previous = value
             state, (value,) = _sweep(beta, inputs, state)
-            evaluations += 1
             if value < best:
                 best, kept = value, state
-            if hook is not None:
-                hook(r, it, best)
+            path.append(float(best))
             if previous - value <= _STOP or floor - _STOP <= best <= floor + BOUND_TOL:
                 break
-        restart_minima.append(best)
+        paths.append(tuple(path))
         if best_overall is None or best < best_overall:
             best_overall, best_state = best, kept
     weights, groups, elements, _, _ = best_state
     povms = tuple(POVM(e[0], m.dims) for e, m in zip(elements, strategy.measurements))
     return AttackReport(
-        min_value=float(best_overall),
         floor=floor,
         best_strategy=build(weights[0], groups, povms),
-        restart_minima=tuple(float(b) for b in restart_minima),
-        evaluations=evaluations,
+        restart_paths=tuple(paths),
         wall_time=0.0,
         config=config,
     )

@@ -364,29 +364,23 @@ class TestBatchedSearch:
         dec = make()
         cfg = AttackConfig(restarts=restarts, iterations=iterations, mixture_size=mixture,
                            share_dim=share, seed=seed)
-        calls, want_calls = [], []
-        batched = search(dec, dec.ensembles, cfg, hook=lambda *a: calls.append(a))
-        want = sequential_search(
-            dec, dec.ensembles, cfg, kind, sample, build, hook=lambda *a: want_calls.append(a)
-        )
+        batched = search(dec, dec.ensembles, cfg)
+        want = sequential_search(dec, dec.ensembles, cfg, kind, sample, build)
         assert batched.evaluations == want.evaluations
         assert batched.floor == want.floor
-        assert np.abs(np.subtract(batched.restart_minima, want.restart_minima)).max() <= 1e-12
+        # each restart's path, entry by entry: its start, then its best value after each sweep
+        assert [len(p) for p in batched.restart_paths] == [len(p) for p in want.restart_paths]
+        for got, path in zip(batched.restart_paths, want.restart_paths):
+            assert np.abs(np.subtract(got, path)).max() <= 1e-12
         rescored = mdi_value(dec, simulate_separable(batched.best_strategy, dec.ensembles))
         assert rescored == pytest.approx(batched.min_value, abs=1e-12)
-        # one hook call per running restart after each sweep, sweep by sweep in restart order
-        order = sorted(((r, it) for r, it, _ in want_calls), key=lambda c: (c[1], c[0]))
-        assert [(r, it) for r, it, _ in calls] == order
-        got = {(r, it): b for r, it, b in calls}
-        assert all(abs(got[r, it] - b) <= 1e-12 for r, it, b in want_calls)
 
     def test_restarts_stop_at_different_sweeps(self):
         # the ghz_share1 cases must exercise the stop mask
         dec = ghz_beta()
-        sweeps: dict[int, int] = {}
         cfg = AttackConfig(restarts=7, iterations=500, mixture_size=3, share_dim=1, seed=66)
-        biseparable_attack(dec, dec.ensembles, cfg, hook=lambda r, it, b: sweeps.__setitem__(r, it + 1))
-        assert len(set(sweeps.values())) >= 3 and min(sweeps.values()) == 1
+        sweeps = [len(p) - 1 for p in biseparable_attack(dec, dec.ensembles, cfg).restart_paths]
+        assert len(set(sweeps)) >= 3 and min(sweeps) == 1
 
 
 class TestStoppedRestarts:
@@ -427,12 +421,10 @@ class TestRestartIndependence:
         dec = make()
         runs = {}
         for restarts in (1, 2, 3):
-            sweeps = {}
             cfg = AttackConfig(restarts=restarts, iterations=500, mixture_size=mixture,
                                share_dim=share, seed=seed)
-            report = search(dec, dec.ensembles, cfg, hook=lambda r, it, b: sweeps.__setitem__(r, it + 1))
-            # restart r's minimum, and its evaluations: its start plus its sweeps
-            runs[restarts] = [(report.restart_minima[r], 1 + sweeps[r]) for r in range(restarts)]
+            # restart r's whole path, as bytes: its start, then its best value after each sweep
+            runs[restarts] = [np.array(p).tobytes() for p in search(dec, dec.ensembles, cfg).restart_paths]
         assert runs[1] == runs[2][:1] == runs[3][:1]
         assert runs[2] == runs[3][:2]
 
@@ -646,14 +638,13 @@ class TestNegativeProjectorRank:
         # restart 3 of this search rises on its first sweep, stops, and keeps its start
         dec = ghz_beta()
         cfg = AttackConfig(restarts=7, iterations=500, mixture_size=3, share_dim=1, seed=66)
-        history: dict[int, list[float]] = {}
-        report = biseparable_attack(dec, dec.ensembles, cfg,
-                                    hook=lambda r, it, b: history.setdefault(r, []).append(b))
+        report = biseparable_attack(dec, dec.ensembles, cfg)
         start = mdi_value(dec, simulate_separable(
             random_biseparable_strategy((2, 2, 2), 1, 3, restart_rng(66, 3)), dec.ensembles))
-        assert len(history[3]) == 1
-        assert report.restart_minima[3] == pytest.approx(start, abs=1e-12)
-        assert report.restart_minima[3] > 0.15
+        path = report.restart_paths[3]
+        assert path == (path[0], path[0])
+        assert path[0] == pytest.approx(start, abs=1e-12)
+        assert report.restart_minima[3] == path[0] > 0.15
         assert report.min_value <= 1e-15
 
 
@@ -685,25 +676,19 @@ class TestSearch:
 
     def test_tracked_best_is_monotone_within_restart(self):
         dec = tetrahedron_beta()
-        history: dict[int, list[float]] = {}
-
-        def hook(restart, iteration, best):
-            history.setdefault(restart, []).append(best)
-
         cfg = AttackConfig(restarts=3, iterations=80, mixture_size=2, share_dim=2, seed=5)
-        report = attack(dec, dec.ensembles, cfg, hook=hook)
-        for r, values in history.items():
-            assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
-            assert report.restart_minima[r] == values[-1]
+        report = attack(dec, dec.ensembles, cfg)
+        for path, minimum in zip(report.restart_paths, report.restart_minima):
+            assert 2 <= len(path) <= cfg.iterations + 1
+            assert all(b <= a for a, b in zip(path, path[1:]))
+            assert minimum == path[-1]
 
     def test_report_minimum_consistent(self):
-        sweeps = []
-        report = attack(
-            tetrahedron_beta(), tetrahedron_beta().ensembles, SMALL, hook=lambda *a: sweeps.append(a)
-        )
-        assert report.min_value == min(report.restart_minima)
+        report = attack(tetrahedron_beta(), tetrahedron_beta().ensembles, SMALL)
+        assert len(report.restart_paths) == SMALL.restarts
+        assert report.min_value == min(path[-1] for path in report.restart_paths)
         # one value per restart's start, plus one per sweep run
-        assert report.evaluations == SMALL.restarts + len(sweeps)
+        assert report.evaluations == sum(len(path) for path in report.restart_paths)
         assert SMALL.restarts < report.evaluations <= SMALL.restarts * (SMALL.iterations + 1)
 
     def test_best_strategy_reproduces_reported_minimum(self):

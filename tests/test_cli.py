@@ -17,6 +17,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from mdiw import cli, serialize, states, witness
 from mdiw.cli import ConfigError, ScenarioConfig, main
+from mdiw.linalg import TOL_RECON
 from mdiw.states import (InputEnsemble, noisy_ghz, pauli6_ensemble, projector, singlet_ket,
                          tetrahedron_ensemble, werner_state)
 from mdiw.witness import Decomposition, Witness, reconstruct, tetrahedron_beta
@@ -330,6 +331,26 @@ def test_dimension_one_config_simulates_with_and_without_full(tmp_path):
         summaries.append(json.loads(summary.read_text()))
     assert tables[0] == tables[1] == ["p_all_ones", "1"]
     assert summaries[0]["I"] == summaries[1]["I"] == 1.0
+
+
+# an explicit 3-qubit witness 1 + 0.4e-10 i J (J all ones): its anti-Hermitian part passes TOL_HERM = 1e-10
+SKEW_WITNESS_CONFIG = dict(
+    BASE_CONFIG, parties=3, ensembles=["tetrahedron"] * 3, loss=[1.0] * 3, decomposition="solve",
+    witness={"matrix": serialize.matrix_to_json(np.eye(8) + 0.4e-10j * np.ones((8, 8))), "dims": [2, 2, 2]},
+    state={"matrix": serialize.matrix_to_json(np.ones((8, 8)) / 8), "dims": [2, 2, 2]})
+
+
+def test_skew_witness_config_decomposes_and_simulates(tmp_path, capsys):
+    # decompose exited 1 (its residual was that anti-Hermitian part, 3.2e-10) and simulate
+    # ended in "trace has imaginary residue 3.200e-10": the witness is stored as its Hermitian part
+    cfg = write_config(tmp_path, SKEW_WITNESS_CONFIG)
+    assert main(["decompose", "-c", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["residual"] <= TOL_RECON
+    summary = tmp_path / "s.json"
+    assert main(["simulate", "-c", cfg, "-o", str(tmp_path / "t.csv"), "--summary", str(summary)]) == 0
+    doc = json.loads(summary.read_text())
+    assert doc["witness_value_scaled"] == 0.125
+    assert doc["I"] == pytest.approx(doc["witness_value_scaled"], abs=1e-12)
 
 
 class TestQutritDecompose:

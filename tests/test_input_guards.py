@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from mdiw import serialize
-from mdiw.attack import AttackConfig, AttackReport, random_biseparable_strategy, random_separable_strategy
+from mdiw.attack import random_biseparable_strategy, random_separable_strategy
 from mdiw.game import (BiseparableStrategy, BiseparableTerm, EntangledStrategy, SeparableStrategy, bell_outcome_povm,
                        bell_strategy, fast_entangled_table, mdi_value, simulate_entangled, simulate_separable)
 from mdiw.linalg import as_matrix, check_dims, partial_trace
@@ -40,13 +40,13 @@ def _qutrit():
     return DensityMatrix(np.eye(3) / 3, (3,))
 
 
-def _skew_witness_value():
-    """tr[W rho] for a W whose anti-Hermitian part, 0.4e-10 i in every entry, passes TOL_HERM = 1e-10.
+def _skew_state_value():
+    """tr[1 rho] for a rho whose anti-Hermitian part, 0.4e-10 i on the diagonal, passes TOL_HERM = 1e-10.
 
-    On the uniform superposition of 8 levels that part adds 8 x 0.4e-10 i to the trace.
+    The trace check reads the real part only, so that diagonal adds 8 x 0.4e-10 i to the trace unseen.
     """
-    w = Witness(np.eye(8) + 0.4e-10j * np.ones((8, 8)), (2, 2, 2))
-    return witness_value(w, DensityMatrix(np.ones((8, 8)) / 8, (2, 2, 2)))
+    rho = DensityMatrix(np.ones((8, 8)) / 8 + 0.4e-10j * np.eye(8), (2, 2, 2))
+    return witness_value(Witness(np.eye(8), (2, 2, 2)), rho)
 
 
 # name: (a call that reaches the guard, the exception type, its exact message)
@@ -110,17 +110,13 @@ GUARDS = {
     "ket_digit": (lambda: ket("02"), ValueError, "digit 2 out of range for local dimension 2"),
     # witness
     "witness_kind": (lambda: Witness(np.eye(4), (2, 2), kind="bound"), ValueError, "unknown witness kind 'bound'"),
-    "imaginary_residue": (_skew_witness_value, ValueError, "trace has imaginary residue 3.200e-10"),
+    "imaginary_residue": (_skew_state_value, ValueError, "trace has imaginary residue 3.200e-10"),
     "ensemble_dim": (
         lambda: decompose(singlet_witness(), (tetrahedron_ensemble("A"), InputEnsemble("B", ("0",), (_qutrit(),)))),
         ValueError, "ensemble for party B has dim 3, witness needs 2"),
     "witness_name": (lambda: named_witness("bell"), ValueError, "unknown witness 'bell'; known: ['ghz', 'singlet']"),
     # serialize
     "cannot_serialize": (lambda: serialize.dumps({"x": object()}), TypeError, "cannot serialize object"),
-    # attack
-    "report_minimum": (
-        lambda: AttackReport(-1.0, 0.0, _separable(), (0.0, 0.5), 2, 0.0, AttackConfig()),
-        ValueError, "reported minimum must equal the best restart minimum"),
 }
 
 

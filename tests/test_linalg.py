@@ -368,26 +368,30 @@ def test_strategies_hold_read_only_shares_and_clicks(name):
 VALIDITY_TOLERANCES = {"TOL_HERM", "TOL_PSD", "TOL_TRACE"}
 
 
-def _tolerance_uses(source: str, imports_allowed: bool = False) -> list[int]:
-    """Lines whose code (not strings) names a validity tolerance; with ``imports_allowed``, imports don't count."""
+def _tolerance_uses(source: str, imports_allowed: bool = False, names=VALIDITY_TOLERANCES) -> list[int]:
+    """Lines whose code (not strings) names one of ``names``; with ``imports_allowed``, imports don't count."""
     named = []
     for node in ast.walk(ast.parse(source)):
         name = getattr(node, "id", None) or getattr(node, "attr", None)
         if isinstance(node, ast.alias) and not imports_allowed:
             name = node.name
-        if name in VALIDITY_TOLERANCES:
+        if name in names:
             named.append(node.lineno)
     return sorted(named)
 
 
 class TestOneValidityRule:
-    """Only linalg.check_operators decides validity: no other module uses its tolerances."""
+    """Only linalg.check_operators decides validity: no other module uses its tolerances.
+
+    Likewise only ``Decomposition.exact`` decides exactness: only witness.py names ``TOL_RECON``.
+    """
 
     def test_no_other_module_names_the_tolerances(self):
         uses = {}
         for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
             if path.name != "linalg.py":
-                lines = _tolerance_uses(path.read_text(), imports_allowed=path.name == "__init__.py")
+                names = VALIDITY_TOLERANCES | ({"TOL_RECON"} if path.name != "witness.py" else set())
+                lines = _tolerance_uses(path.read_text(), path.name == "__init__.py", names)
                 if lines:
                     uses[path.name] = lines
         assert uses == {}

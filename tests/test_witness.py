@@ -43,6 +43,17 @@ def random_hermitian(rng, d):
     return (m + m.conj().T) / 2
 
 
+class TestHermitianPart:
+    def test_skew_input_stored_as_its_hermitian_part(self):
+        # an anti-Hermitian part within TOL_HERM passes the check; the stored witness drops it
+        w = Witness(np.eye(4) + 0.4e-10j * np.ones((4, 4)), (2, 2))
+        assert w.matrix.tobytes() == np.eye(4, dtype=complex).tobytes()
+
+    def test_exactly_hermitian_input_stored_bit_for_bit(self):
+        m = random_hermitian(np.random.default_rng(34), 8)
+        assert Witness(m, (2, 2, 2)).matrix.tobytes() == m.tobytes()
+
+
 class TestRoundTripProperty:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(4, 6), min_size=2, max_size=3))

@@ -289,6 +289,31 @@ MUTANTS = {
         "if False:",
         ["tests/test_input_guards.py::test_guard_raises_its_message[separable_share_dim]"],
     ),
+    # a restart's path records each sweep's own value, not its best so far: a rising sweep ends it above its start
+    "path_records_raw_value": (
+        "attack.py",
+        "for r, b in zip(running.tolist(), best.tolist()):",
+        "for r, b in zip(running.tolist(), new.tolist()):",
+        ["tests/test_attack.py::TestNegativeProjectorRank::test_rising_sweep_ends_restart_with_start_value_kept",
+         "tests/test_attack.py::TestBatchedSearch::test_matches_sequential_loop"],
+    ),
+    # restart paths begun empty: the start values go unrecorded and uncounted
+    "paths_without_start": (
+        "attack.py",
+        "[[v] for v in value.tolist()]",
+        "[[] for v in value.tolist()]",
+        ["tests/test_attack.py::TestBatchedSearch::test_matches_sequential_loop",
+         "tests/test_attack.py::TestStoppedRestarts::test_stopped_restarts_leave_the_batch",
+         "tests/test_attack.py::TestSearch::test_tracked_best_is_monotone_within_restart"],
+    ),
+    # a witness stored as given: an anti-Hermitian part within TOL_HERM reaches the evaluation and the solve
+    "witness_symmetrization_dropped": (
+        "witness.py",
+        "m = (m + m.conj().T) / 2",
+        "m = m",
+        ["tests/test_witness.py::TestHermitianPart::test_skew_input_stored_as_its_hermitian_part",
+         "tests/test_cli.py::test_skew_witness_config_decomposes_and_simulates"],
+    ),
 }
 
 
