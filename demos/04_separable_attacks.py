@@ -2,9 +2,11 @@
 
 No strategy built from unentangled shared states can push the game value
 below zero, whatever the measurement devices do.  The search below tries
-anyway: random mixtures, random share states, random measurements, then
-see-saw refinement, where each step sets one measurement, share state or
-weight vector to its exact minimizer with the rest held fixed.  On a
+anyway: random mixtures, random share states, random measurements, each
+term reduced to one effective operator per party (or per entangled pair),
+then see-saw refinement, where each step sets one of those operators to
+the projector onto the negative eigenspace of its gradient with the rest
+held fixed.  On a
 genuine witness it stops at the bound; on a non-witness operator the same
 optimizer digs far below zero, showing the failure to violate is not
 optimizer weakness.

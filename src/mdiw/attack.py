@@ -3,20 +3,20 @@
 The bound "game value >= 0 without shared entanglement" holds for any
 measurement devices, any shared randomness and any share dimension; this
 module stress-tests an implementation of the game by actively trying to
-break the bound.  Each restart samples a random strategy and refines it by
-see-saw (Werner & Wolf, QIC 1, 1 (2001); Liang & Doherty, PRA 75, 042103
-(2007)): the value is linear in each success element, block state and
-weight vector on its own, so each step sets one of them to its exact
-minimizer, an eigenprojector or a vertex of the simplex (the success
-element step keeps rank >= 1, see :func:`_sweep`).  Separable and
-biseparable strategies share the one sweep, in the block form and with the
-contractions of :mod:`mdiw.game`, which also scores the violation curves
-whose closed forms and zero crossings live here.
-
-All restarts of a search run as one batch: their terms share one block
-form whose weights are the dense (R, K) matrix of each restart's own
-mixture weights, every sweep updates every running restart at once, and a
-restart that stops leaves the batch.
+break the bound.  One term of an unentangled strategy scores tr[R (A_1 (x)
+A_2 (x) ...)], one effective operator 0 <= A_B <= 1 per block of its
+partition on that block's inputs (see :func:`certified_lower_bound`), and
+the value is linear in the mixture weights, so the search moves only those
+operators: each restart samples a random strategy, converts its terms once
+and refines each by see-saw (Werner & Wolf, QIC 1, 1 (2001); Liang &
+Doherty, PRA 75, 042103 (2007)), every step setting one block's operator to
+the projector onto the negative eigenspace of its gradient (see
+:func:`_sweep`).  All restarts run as one batch.  A restart's value is its
+lowest term's as a strategy realizes it (:func:`_strategy`), so the mixture
+size and share dimension shape only the start distribution and that
+strategy's embedding (see :class:`AttackConfig`).  The samplers
+share the block form of :mod:`mdiw.game`, which also scores the violation
+curves whose closed forms and zero crossings live here.
 
 Randomness contract: restart ``r`` of a search with master seed ``m`` draws
 from ``numpy.random.default_rng((m, r))``, i.e. a PCG64 generator seeded
@@ -27,30 +27,30 @@ each restart's start from its own stream first, in restart order.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import time
 import warnings
 from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import _check_spectrum, check_operators
-from .states import _check_densities, _unchecked
+from .states import DensityMatrix, _check_densities, _unchecked, projector
 from .witness import Decomposition
 from .game import (
     BiseparableStrategy,
+    BiseparableTerm,
     POVM,
     SeparableStrategy,
     _BIPARTITIONS,
-    _checked_clicks,
+    _TAGS,
     _biseparable_strategy,
-    _block_responses,
-    _by_term,
     _grid,
     _responses,
     _partition_groups,
-    _rows,
     _separable_strategy,
     _singletons,
     trace_inputs,
@@ -68,13 +68,17 @@ _STOP = 1e-15
 class AttackConfig:
     """Knobs for the see-saw strategy search.
 
-    ``mixture_size`` and ``share_dim`` shape each restart's random start and
-    so the class searched: that many mixture terms, and shares of that
-    dimension.  The bound holds for any dimension, so the cap is a
-    validation budget, not an assumption.  ``iterations`` caps the sweeps
-    per restart; a restart also ends at the first sweep that lowers the
-    value by at most ``1e-15`` or that brings it to at most ``BOUND_TOL``
-    above the search's :func:`certified_lower_bound`.
+    ``mixture_size`` and ``share_dim`` shape the start distribution, each
+    restart's random start of that many terms with shares of that
+    dimension, and the embedding of the best term: its share dimension, and
+    whether a biseparable pair is searched whole, which teleportation
+    realizes only where ``share_dim`` is at least the pair's first input
+    dimension, or as a product of its parties' operators.  The bound holds
+    for any dimension, so the cap is a validation budget, not an
+    assumption.  ``iterations`` caps the sweeps per restart; a restart also
+    ends at the first sweep that lowers the value by at most ``1e-15`` or
+    that brings it to at most ``BOUND_TOL`` above the search's
+    :func:`certified_lower_bound`.
     """
 
     restarts: int = 200
@@ -161,7 +165,7 @@ def _projectors(v: np.ndarray) -> np.ndarray:
 # the build phase puts R restarts' draws in block form (see :mod:`mdiw.game`),
 # checking each block size's states and each input dimension's success
 # elements as one stack, and builds no POVM.  A public sampler inverts a batch
-# of one with its POVMs, as the search does its best restart.
+# of one with its POVMs; the search converts its batch (see :func:`_effective`).
 
 
 def _check_int(name: str, value, low: int) -> None:
@@ -300,13 +304,13 @@ def random_biseparable_strategy(input_dims, share_dim: int, mixture_size: int,
 
 
 def _negative_projectors(x: np.ndarray) -> np.ndarray:
-    """Per operator of a (R, D, D) stack, the projector onto its negative eigenspace, at rank >= 1.
+    """Per operator of a (N, D, D) stack, the projector onto its negative eigenspace, at rank >= 1.
 
-    Where ``x`` has a negative eigenvalue this minimizes tr[E x] over
-    0 <= E <= 1.  The lowest eigenvector always stays in, so a restart never
-    settles on the trivial fixed point E = 0, where the value is 0 and
+    Where ``x`` has a negative eigenvalue this minimizes tr[A x] over
+    0 <= A <= 1.  The lowest eigenvector always stays in, so a term never
+    settles on the trivial fixed point A = 0, where the value is 0 and
     every other step is flat; but where ``x`` is positive semidefinite
-    this rank-1 projector is not the minimizer (E = 0 is), and the step
+    this rank-1 projector is not the minimizer (A = 0 is), and the step
     can raise the value.  Each row of eigenvalues ascends, so the kept
     columns are the negative ones and column 0.
     """
@@ -317,100 +321,193 @@ def _negative_projectors(x: np.ndarray) -> np.ndarray:
     return v @ v.conj().swapaxes(-1, -2)
 
 
-def _start(beta, inputs, weights, groups, elements) -> tuple[tuple, np.ndarray]:
-    """Search state of a batch in block form, and each restart's value.
+def _mixture_values(beta, inputs, weights, groups, elements) -> np.ndarray:
+    """Each restart's value of a batch in block form (weights, groups, success elements; see :mod:`mdiw.game`).
 
-    The state is the block form (weights, groups, each party's (R, D, D)
-    success elements; see :mod:`mdiw.game`), then each party's F_p and
-    every block's R.  One ``np.vecdot`` values every restart, each as ``np.dot`` would alone.
+    Each party's F_p, then every block's R, then one ``np.vecdot`` values
+    every restart, each as ``np.dot`` would alone.  The loss check values its samples with it.
     """
     fs = [trace_inputs(e, t) for e, t in zip(elements, inputs)]
     resp = _responses(groups, fs, weights.shape)
-    values = np.vecdot(_grid(weights, groups, resp).reshape(len(weights), -1), beta.ravel())
-    return (weights, groups, list(elements), fs, resp), values
+    return np.vecdot(_grid(weights, groups, resp).reshape(len(weights), -1), beta.ravel())
 
 
-def _sweep(beta, inputs, state):
-    """One see-saw sweep of every restart in the batch, and each restart's value.
+# The search state of a batch: per searched partition, its _Plan, each term's
+# restart and column (drawn term t of a mixture of k, in the partition's f-th
+# plan, is column f k + t), and per block the terms' (N, D, D) effective
+# operators A and (N, S) responses r[k, s] = tr[A_k T[s]], T[s] = (x)_p
+# tau_p,s_p^T over the block's parties.  Every step is one stacked matmul,
+# vecdot, trace or eigendecomposition over the terms, the same work for each
+# term, so a term has the same bits in a batch of any size.
 
-    For each party x in turn: its success element against everything else,
-    one eigendecomposition per restart in one stacked call; then, in every
-    term, the state of the block holding x.  Last, each restart moves all
-    its weight to its lowest term.  The block-state and weight steps
-    minimize the value exactly.  The success-element step does so only
-    where the operator X it minimizes against has a negative eigenvalue:
-    it keeps rank >= 1 (see :func:`_negative_projectors`), so where X is
-    positive semidefinite a sweep can raise the value, and the stop rule
-    of :func:`_search` then ends that restart with its best value kept.
-    The state's F_p and R stay current.  Each group's terms' restarts and
-    weights are taken once per sweep; a lone group reads w itself.
+
+class _Plan(NamedTuple):
+    """The contractions of one searched partition, built once per search."""
+
+    blocks: tuple  # one tuple of parties per block
+    inputs: tuple  # per block, its T as a real (S, 2 D^2) view: each entry's real, then imaginary part
+    betas: tuple  # per block, beta over its inputs, then each other block's, in block order
+    scale: float  # the realized share of a term's value: 1 for a product, 1 / d_i^2 for a teleported pair
+
+
+def _plan(beta, inputs, blocks, scale=1.0) -> _Plan:
+    """The :class:`_Plan` of ``blocks`` for ``beta`` and each party's (S_p, d_p, d_p) input states."""
+    ts, betas = [], []
+    for b in blocks:
+        t = functools.reduce(lambda t, u: (t[:, None, :, None, :, None] * u[None, :, None, :, None, :]).reshape(
+            len(t) * len(u), t.shape[-1] * u.shape[-1], -1), [inputs[p].swapaxes(-1, -2) for p in b])
+        ts.append(np.ascontiguousarray(t).reshape(len(t), -1).view(float))
+        order = (b,) + tuple(o for o in blocks if o != b)
+        sizes = [math.prod(beta.shape[p] for p in o) for o in order]
+        betas.append(np.ascontiguousarray(beta.transpose(sum(order, ()))).reshape(sizes))
+    return _Plan(tuple(blocks), tuple(ts), tuple(betas), scale)
+
+
+def _plans(beta, inputs, partitions, m) -> dict:
+    """Each drawn partition's searched :class:`_Plan` s: every term as a product, one operator per party, and
+    a pair (i, j) also whole where ``m`` >= d_i, which teleportation needs (see :func:`_strategy`)."""
+    single, plans = _plan(beta, inputs, _singletons(len(inputs))), {}
+    for part in partitions:
+        d = inputs[part[0][0]].shape[-1]
+        whole = len(part) < len(inputs) and m >= d
+        plans[part] = (single,) + ((_plan(beta, inputs, part, d**-2.0),) if whole else ())
+    return plans
+
+
+def _coefficients(beta, resp) -> np.ndarray:
+    """c[k, s]: a block's ``beta`` contracted with the other blocks' (N, S) responses, the last first.
+
+    Term k scores sum_s c[k, s] r[k, s], so its block's gradient is sum_s c[k, s] T[s].
     """
-    weights, groups, elements, fs, resp = state
-    shape, w = weights.shape, weights.ravel()
-    elements, fs, resp = list(elements), list(fs), [list(r) for r in resp]
-    groups = [(idx, specs, list(states)) for idx, specs, states in groups]
-    rows = [_rows(idx, shape) for idx, _, _ in groups]
-    ws = [w] if len(groups) == 1 else [w[idx] for idx, _, _ in groups]  # a lone group holds every term in order
-    for x, taus in enumerate(inputs):
-        parts, cs = [], []
-        for (idx, specs, states), r, t, wt in zip(groups, resp, rows, ws):
-            b = specs.where[x]
-            block = specs.blocks[b]
-            # c[k, s_B]: the value of term k per unit response of x's block to inputs s_B
-            c = np.einsum(block.coefficient, beta, *[rj.real for j, rj in enumerate(r) if j != b])
-            folds, final = specs.partner[x]
-            g = states[b].reshape(block.shape)
-            for spec, q in zip(folds, [q for q in block.parties if q != x]):  # one einsum per partner's F_q
-                g = np.einsum(spec, fs[q][t], g)
-            parts.append((idx, np.einsum(final, wt, c, g)))
-            cs.append(c)
-        y = _by_term(shape, parts).sum(axis=1)
-        # X = sum_s tau_s (x) Y[s] on input (x) share: the weighted terms sum to tr[E_x X]
-        x_op = np.einsum("sij,rsab->riajb", taus, y).reshape(elements[x].shape)
-        elements[x] = _negative_projectors(x_op)
-        fs[x] = trace_inputs(elements[x], taus)
-        for (idx, specs, states), r, c, t in zip(groups, resp, cs, rows):
-            b = specs.where[x]
-            block = specs.blocks[b]
-            fb = [fs[p][t] for p in block.parties]
-            ops = np.einsum(block.operator, c, *fb).reshape(states[b].shape)
-            states[b] = _projectors(np.linalg.eigh(ops)[1][..., 0])  # each term's lowest eigenvector
-            r[b] = _block_responses(block, fb, states[b])
-    # each term's value, from the last party's block: its c and updated R
-    terms = _by_term(shape, [(idx, np.einsum(specs.blocks[specs.where[-1]].value, c, r[specs.where[-1]].real))
-                             for (idx, specs, _), r, c in zip(groups, resp, cs)])
-    # per restart, all weight onto its lowest term
-    low = terms.argmin(axis=1)
-    return (np.eye(shape[1])[low], groups, elements, fs, resp), terms[np.arange(shape[0]), low]
+    x, lead = beta, ()
+    for r in resp[::-1]:
+        x = (x.reshape(lead + (-1, x.shape[-1])) @ r[:, :, None]).reshape((len(r),) + x.shape[len(lead) : -1])
+        lead = (len(r),)
+    return x
 
 
-def _select(state, restarts) -> tuple:
-    """The search state of the listed restarts (ascending) alone, their terms renumbered.
+def _readout(ops, t) -> np.ndarray:
+    """r[k, s] = tr[A_k T[s]] for (N, D, D) operators and a block's T view ``t``; T is Hermitian."""
+    return (ops.reshape(len(ops), 1, -1).view(float) @ t.T)[:, 0]
 
-    A group left without terms is dropped.
+
+def _absorb(elements, sigma, m) -> np.ndarray:
+    """A_k = tr_share[(E_p,k (x) ...)(1 (x) sigma_k)]^T for a block's (N, d m, d m) success elements, one
+    per party, and its (N, M, M) states: one stacked matmul per party."""
+    n, k = len(sigma), len(elements)
+    # x[k, (a, b) of each party still to absorb..., (i, j) of each absorbed] = sigma[k, b..., a...]
+    x = sigma.reshape((n,) + (m,) * 2 * k).transpose([0] + [a for p in range(1, k + 1) for a in (k + p, p)])
+    dims = [e.shape[-1] // m for e in elements]
+    for e, d in zip(elements, dims):
+        e = e.reshape(n, d, m, d, m).transpose(0, 1, 3, 2, 4).reshape(n, d * d, m * m)
+        x = (e @ x.reshape(n, m * m, -1)).swapaxes(1, 2)
+    x = x.reshape([n] + [d for d in dims for _ in "ij"])
+    return x.transpose([0] + list(range(2, 2 * k + 1, 2)) + list(range(1, 2 * k, 2))).reshape(n, math.prod(dims), -1)
+
+
+def _marginals(q, d) -> list[np.ndarray]:
+    """tr_j Q and tr_i Q of (N, d d_j, d d_j) pair operators, each over its top eigenvalue: in [0, 1]."""
+    q = q.reshape(len(q), d, -1, d, q.shape[-1] // d)
+    return [a / np.linalg.eigvalsh(a)[:, -1:, None] for a in (q.trace(axis1=2, axis2=4), q.trace(axis1=1, axis2=3))]
+
+
+def _effective(groups, elements, plans, k, m) -> list:
+    """The search state of drawn strategies in block form (see :func:`_block`), mixtures of ``k`` terms.
+
+    Each block of a term is absorbed once (:func:`_absorb`); a pair's
+    product form starts from its :func:`_marginals`.
     """
-    weights, groups, elements, fs, resp = state
-    r, k = weights.shape
-    slot = np.full(r, -1)
-    slot[restarts] = np.arange(len(restarts))
-    kept_groups, kept_resp = [], []
-    for (idx, specs, states), rs in zip(groups, resp):
-        new = slot[idx // k]
-        mine = new >= 0
-        if mine.any():
-            kept_groups.append((new[mine] * k + idx[mine] % k, specs, [s[mine] for s in states]))
-            kept_resp.append([x[mine] for x in rs])
-    elements, fs = ([x[restarts] for x in xs] for xs in (elements, fs))
-    return weights[restarts], kept_groups, elements, fs, kept_resp
+    merged = {}
+    for idx, specs, states in groups:
+        blocks, rows = tuple(b.parties for b in specs.blocks), idx // k
+        ops = [_absorb([elements[p][rows] for p in b], s, m) for b, s in zip(blocks, states)]
+        for f, plan in enumerate(plans[blocks]):
+            part = ops
+            if len(plan.blocks) > len(blocks):  # one operator per party of the pair
+                (i, j), (r,) = blocks
+                part = dict(zip((i, j, r), _marginals(ops[0], elements[i].shape[-1] // m) + ops[1:]))
+                part = [part[p] for p in range(3)]
+            merged.setdefault(plan.blocks, (plan, []))[1].append((rows, f * k + idx % k, part))
+    state = []
+    for plan, parts in merged.values():
+        rows, cols, ops = zip(*parts)
+        ops = [np.concatenate(a) for a in zip(*ops)]
+        resp = [_readout(a, t) for a, t in zip(ops, plan.inputs)]
+        state.append((plan, np.concatenate(rows), np.concatenate(cols), ops, resp))
+    return state
 
 
-def _alone(state, j: int) -> tuple:
-    """Restart j's weights (1, K), groups and success elements: the first three fields of ``_select(state, [j])``."""
-    weights, groups, elements = state[:3]
-    k = weights.shape[1]
-    kept = [(idx[mine] % k, specs, [s[mine] for s in states])
-            for idx, specs, states in groups for mine in [idx // k == j] if mine.any()]
-    return weights[j : j + 1], kept, [e[j : j + 1] for e in elements]
+def _values(state, shape) -> np.ndarray:
+    """z[r, c]: the realized value of restart r's searched term c, inf where the state has none.
+
+    A term scores its last block's coefficients against that block's
+    responses, realized in full by a product and over d_i^2 by a teleported pair.
+    """
+    z = np.full(shape, np.inf)
+    for plan, rows, cols, ops, resp in state:
+        z[rows, cols] = np.vecdot(_coefficients(plan.betas[-1], resp[:-1]), resp[-1]) * plan.scale
+    return z
+
+
+def _sweep(state) -> list:
+    """One see-saw sweep of every term in the batch.
+
+    Each block in turn, in every term at once, moves to the operator that
+    minimizes tr[A G] at rank >= 1 (see :func:`_negative_projectors`), G
+    its gradient against the other blocks' current responses: exact where
+    G has a negative eigenvalue, and where it has none the step can raise
+    the value; the stop rule of :func:`_search` keeps that restart's best.
+    """
+    swept = []
+    for plan, rows, cols, ops, resp in state:
+        ops, resp = list(ops), list(resp)
+        for b, t in enumerate(plan.inputs):
+            c = _coefficients(plan.betas[b], resp[:b] + resp[b + 1 :])
+            ops[b] = _negative_projectors((c[:, None, :] @ t).reshape(len(c), -1).view(complex).reshape(ops[b].shape))
+            resp[b] = _readout(ops[b], t)
+        swept.append((plan, rows, cols, ops, resp))
+    return swept
+
+
+def _keep(state, alive) -> list:
+    """The search state of the restarts the (R,) mask ``alive`` marks; a partition left without terms is dropped."""
+    return [(plan, rows[mine], cols[mine], [a[mine] for a in ops], [r[mine] for r in resp])
+            for plan, rows, cols, ops, resp in state for mine in [alive[rows]] if mine.any()]
+
+
+def _term(state, j, c) -> tuple:
+    """Restart j's searched term c: its plan, and each block's operators as a batch of one."""
+    for plan, rows, cols, ops, resp in state:
+        for i in np.flatnonzero((rows == j) & (cols == c)):
+            return plan, [a[i : i + 1] for a in ops]
+
+
+def _strategy(plan, ops, input_dims, m, kind):
+    """One searched term, its operators a batch of one, as a strategy that scores its realized value.
+
+    Each party of a product clicks on A_p^T (x) 1_m, which scores
+    tr[A_p tau_s^T] whatever its share holds.  A pair (i, j) is teleported:
+    it shares |Phi> = sum_a |aa> / sqrt(d_i) on its shares, party i clicks
+    on |Phi><Phi| of input (x) share, which sends tau_s to party j's share
+    with probability 1 / d_i^2, and party j clicks on SWAP Q^T SWAP of input
+    (x) share.  Every other share holds |0>.
+    """
+    n, one, zero = len(input_dims), np.eye(m)[None, :, None, :], projector(np.eye(m)[0])
+    clicks = {b[0]: (a[0].T[:, None, :, None] * one).reshape(input_dims[b[0]] * m, -1)
+              for b, a in zip(plan.blocks, ops) if len(b) == 1}
+    pair, tag = projector(np.eye(m * m)[0]), "AB|C"  # a product's parties click alone: any bipartition tag describes it
+    if len(plan.blocks) < n:
+        ((i, j), (r,)), d, dj = plan.blocks, input_dims[plan.blocks[0][0]], input_dims[plan.blocks[0][1]]
+        phi = np.zeros((m, m))
+        phi[:d, :d] = np.eye(d) / math.sqrt(d)
+        click = np.zeros((dj, m, dj, m), dtype=complex)
+        click[:, :d, :, :d] = ops[0][0].reshape(d, dj, d, dj).transpose(3, 2, 1, 0)
+        clicks |= {i: projector(phi[:d]), j: click.reshape(dj * m, -1)}
+        pair, tag = projector(phi), _TAGS[(i, j), r]
+    povms, single = tuple(POVM(clicks[p], (input_dims[p], m)) for p in range(n)), DensityMatrix(zero, (m,))
+    if kind == "separable":
+        return SeparableStrategy((1.0,), ((single,) * n,), povms)
+    return BiseparableStrategy((BiseparableTerm(tag, 1.0, DensityMatrix(pair, (m, m)), single),), povms)
 
 
 def certified_lower_bound(dec: Decomposition, kind: str) -> float:
@@ -445,24 +542,20 @@ def certified_lower_bound(dec: Decomposition, kind: str) -> float:
 def _search(dec, ensembles, config, kind):
     """Shared see-saw search for both strategy families, all restarts as one batch.
 
-    Restart r draws its start, terms of a partition of ``kind`` and one state
-    per block, from its own stream ``restart_rng(config.seed, r)``, in
-    restart order; the build phase checks all the draws, one check per
-    stack, and puts them in block form, and :func:`_start` values them.
-    Every :func:`_sweep` then sweeps the
-    restarts still running.  A restart stops at its first sweep that lowers
-    its value by at most ``_STOP`` (stalled), that leaves its best value at
-    most ``BOUND_TOL`` above :func:`certified_lower_bound` (at floor), or after
-    ``config.iterations`` sweeps (capped), and leaves the batch at once
-    (:func:`_select` keeps the others).  No strategy scores below the floor, so an at-floor
-    restart has nothing left to find; a best value more than ``_STOP``
-    below the floor means the scoring or the floor is wrong, so that
-    restart does not stop there and the caller's gates see how deep it
-    goes.  Every earlier sweep lowered its value, so its best
-    state is the one before or after that last sweep (before, on a tie).
-    The best restart's (the lowest-index one on a tie) is checked, its
-    states once per block size and its success elements once per input
-    dimension, and turned back into a strategy.
+    Restart r draws ``config.mixture_size`` terms of a partition of ``kind``
+    from ``restart_rng(config.seed, r)``, in restart order; the build phase
+    checks every draw, and :func:`_effective` converts each term once.  A
+    restart's value is its lowest term's realized value.  It stops at its
+    first sweep that lowers that value by at most ``_STOP`` (stalled), that
+    leaves its best value at most ``BOUND_TOL`` above
+    :func:`certified_lower_bound` (at floor; more than ``_STOP`` below it
+    means the scoring or the floor is wrong, so the search goes on), or
+    after ``config.iterations`` sweeps (capped), and leaves the batch.  Every
+    earlier sweep lowered the value, so its best state is the one before or
+    after the last sweep (before, on a tie).  The first best restart's first
+    best term becomes the reported strategy (:func:`_strategy`), embedded in
+    shares of ``config.share_dim``, which with ``config.mixture_size`` shapes
+    only the start distribution and that embedding.
     """
     if not dec.exact:
         warnings.warn(
@@ -470,47 +563,44 @@ def _search(dec, ensembles, config, kind):
             "the nonnegativity bound is only guaranteed for exact witnesses",
             stacklevel=3,
         )
-    input_dims, m = tuple(e.dim for e in ensembles), config.share_dim
-    partitions, build = _FAMILIES[kind][0](len(input_dims)), _FAMILIES[kind][1]
-    beta, inputs = np.asarray(dec.beta), [e.matrices for e in dec.ensembles]
+    input_dims, m, k = tuple(e.dim for e in ensembles), config.share_dim, config.mixture_size
+    partitions = _FAMILIES[kind][0](len(input_dims))
+    plans = _plans(np.asarray(dec.beta), [e.matrices for e in dec.ensembles], partitions, m)
     floor = certified_lower_bound(dec, kind)
 
     t0 = time.perf_counter()
-    draws = [_draw(restart_rng(config.seed, r), partitions, input_dims, m, config.mixture_size)
-             for r in range(config.restarts)]
-    state, value = _start(beta, inputs, *_block(draws, partitions, input_dims, m))
-    running, paths = np.arange(config.restarts), [[v] for v in value.tolist()]
-    champion = None  # (value, restart, :func:`_alone` state) of the best stopped restart
+    draws = [_draw(restart_rng(config.seed, r), partitions, input_dims, m, k) for r in range(config.restarts)]
+    _, groups, elements = _block(draws, partitions, input_dims, m)
+    state = _effective(groups, elements, plans, k, m)
+    terms = _values(state, (config.restarts, k * max(map(len, plans.values()))))
+    running, value = np.arange(config.restarts), terms.min(axis=1)
+    paths, champion = [[v] for v in value.tolist()], None  # champion: (value, restart, its best :func:`_term`)
     for it in range(config.iterations):
-        swept, new = _sweep(beta, inputs, state)
+        swept = _sweep(state)
+        swept_terms = _values(swept, terms.shape)
+        new = swept_terms[running].min(axis=1)
         lower = new < value
         best = np.where(lower, new, value)
         for r, b in zip(running.tolist(), best.tolist()):
             paths[r].append(b)
         at_floor = (floor - _STOP <= best) & (best <= floor + BOUND_TOL)
         stop = (value - new <= _STOP) | at_floor | (it + 1 == config.iterations)
-        done = np.flatnonzero(stop)
-        if len(done):
-            j = done[best[done].argmin()]
+        if stop.any():
+            j = np.flatnonzero(stop)[best[stop].argmin()]
             if champion is None or (best[j], running[j]) < champion[:2]:
-                champion = (best[j], running[j], _alone(swept if lower[j] else state, j))
-            if len(done) == len(running):
+                kept, z = (swept, swept_terms) if lower[j] else (state, terms)
+                champion = (best[j], running[j], _term(kept, running[j], z[running[j]].argmin()))
+            if stop.all():
                 break
-            go = np.flatnonzero(~stop)
-            state, value, running = _select(swept, go), new[go], running[go]
+            running, value, alive = running[~stop], new[~stop], np.zeros(len(terms), bool)
+            alive[running] = True
+            state, terms = _keep(swept, alive), swept_terms
         else:
-            state, value = swept, new
+            state, terms, value = swept, swept_terms, new
     wall = time.perf_counter() - t0
-    weights, groups, elements = champion[2]
-    for size in {s.shape[-1] for _, _, states in groups for s in states}:
-        _check_densities(np.concatenate([s for _, _, ss in groups for s in ss if s.shape[-1] == size]), (size,))
-    for d in dict.fromkeys(input_dims):
-        ps = [p for p in range(len(input_dims)) if input_dims[p] == d]
-        for p, e in zip(ps, _checked_clicks(np.concatenate([elements[p] for p in ps]), (d, m))[0]):
-            elements[p] = e[None]
     return AttackReport(
         floor=floor,
-        best_strategy=build(weights[0], groups, _povms(elements, input_dims, m)),
+        best_strategy=_strategy(*champion[2], input_dims, m, kind),
         restart_paths=tuple(map(tuple, paths)),
         wall_time=wall,
         config=config,
@@ -520,19 +610,23 @@ def _search(dec, ensembles, config, kind):
 def attack(dec: Decomposition, ensembles, config: AttackConfig) -> AttackReport:
     """Minimize the game value over fully separable strategies.
 
-    Every point the see-saw visits is a feasible strategy (weights on the
-    simplex, pure share states, success elements that are projectors), so a
-    minimum below ``-BOUND_TOL`` on an exact witness decomposition
-    indicates an implementation bug, not a theory violation.
+    Every value on a restart's path is that of a feasible strategy (each
+    party clicking on its effective operator's transpose, tensored with the
+    identity on its share), so a minimum below ``-BOUND_TOL`` on an exact
+    witness decomposition indicates an implementation bug, not a theory
+    violation.
     """
+    if dec.n_parties < 2:
+        raise ValueError("separable attacks need at least two parties")
     return _search(dec, ensembles, config, "separable")
 
 
 def biseparable_attack(dec: Decomposition, ensembles, config: AttackConfig) -> AttackReport:
     """Minimize the game value over biseparable tripartite strategies.
 
-    Bipartition tags stay as sampled within a restart; weights, group and
-    singleton states and the success elements move.
+    Bipartitions stay as sampled within a restart; each term's pair and
+    singleton operators move, and the best term is realized as
+    :func:`_strategy` describes.
     """
     if dec.n_parties != 3:
         raise ValueError("biseparable attacks need a three-party decomposition")

@@ -363,9 +363,9 @@ def fast_entangled_table(rho: DensityMatrix, ensembles) -> CorrelationTable:
 # bipartition), and the terms of one partition form a group (idx, specs,
 # states): their indices into the weights, the partition's einsum specs (see
 # _specs) and one (K_g, D_b, D_b) state stack per block.  The weights are a
-# dense (R, K) matrix, row r the weights of restart r, so R mixtures of a
-# see-saw search run as one batch; a strategy is the case R = 1.  Term i is
-# weights.flat[i], of restart i // K.
+# dense (R, K) matrix, row r the weights of mixture r, so R drawn mixtures (a
+# search's starts, the loss check's samples) form one batch; a strategy is the
+# case R = 1.  Term i is weights.flat[i], of mixture i // K.
 # Only _groups and its two inverses read the public strategy types.
 
 # each BIPARTITIONS_3 tag's partition (pair, (singleton,)), in sorted order, and each layout's tag
@@ -412,7 +412,7 @@ def _groups(strategy) -> tuple[np.ndarray, list]:
     return weights, _partition_groups(tuple(_BIPARTITIONS.values()), members, states, shares)
 
 
-# The inverses of _groups take one restart's weights (K,) and groups whose
+# The inverses of _groups take one mixture's weights (K,) and groups whose
 # state stacks have already passed the density checks.
 
 
@@ -437,12 +437,9 @@ def _biseparable_strategy(weights, groups, measurements) -> BiseparableStrategy:
 
 
 # einsum letters: k runs over a group's terms; party p has the input letter
-# _IN[p], and _ROW[p], _COL[p] index its share factor; in a response spec
-# _ROW[p] indexes p's (row, column) pair flattened.  Every term reads its
-# own restart's F_p, so F operands carry k too.  A pair block's partner term
-# folds in the other party's F one einsum at a time: one five-operand einsum
-# over all of its indices costs several times more.
-_IN, _ROW, _COL = "stuvwxyz", "abcdefgh", "ABCDEFGH"
+# _IN[p], and _ROW[p] indexes its share factor's (row, column) pair flattened.
+# Every term reads its own mixture's F_p, so F operands carry k too.
+_IN, _ROW = "stuvwxyz", "abcdefgh"
 
 
 class _Block(NamedTuple):
@@ -453,41 +450,17 @@ class _Block(NamedTuple):
     pairs: tuple[int, ...]  # the axes of ``shape`` with each party's row next to its column
     flat: tuple[int, ...]  # those axes with each party's (row, column) pair flattened, (K, m_p**2, ...)
     response: str  # R[k, s_B] = tr[(F_p[s_p] (x) ...) sigma_k]: F_p's pairs (column, row) meet sigma's (row, column)
-    coefficient: str  # c[k, s_B]: beta against the other blocks' R; term k is worth sum c R
-    operator: str  # O_k = sum c[k, s_B] F_p[s_p] (x) ..., so term k is worth tr[O_k sigma_k]
-    value: str  # sum c R, term by term
 
 
 class _Specs(NamedTuple):
     blocks: tuple[_Block, ...]
-    where: tuple[int, ...]  # index of the block holding each party
-    partner: tuple[tuple, ...]  # per party x: (folds of others into sigma, w_k Y_k[s_x] on share_x)
     grid: str  # w_k prod_B R_B[k, s_B], term by term
-
-
-def _partner_folds(block, x: int) -> tuple[str, ...]:
-    """Specs folding F_q, for each party q of ``block`` but x, into its states sigma[k, cols, rows].
-
-    Each fold trades q's row and column for q's input letter.
-    """
-    specs, done, left = [], "", list(block)
-    for q in block:
-        if q != x:
-            before = "k" + done + "".join(_COL[p] for p in left) + "".join(_ROW[p] for p in left)
-            left.remove(q)
-            done += _IN[q]
-            after = "k" + done + "".join(_COL[p] for p in left) + "".join(_ROW[p] for p in left)
-            specs.append(f"k{_IN[q]}{_ROW[q]}{_COL[q]},{before}->{after}")
-    return tuple(specs)
 
 
 @functools.cache
 def _specs(partition: tuple, shares: tuple) -> _Specs:
     """einsum specs of a partition of the parties, whose share dims are ``shares``."""
-    n = len(shares)
     ins = ["".join(_IN[p] for p in b) for b in partition]
-    where = tuple(next(i for i, b in enumerate(partition) if p in b) for p in range(n))
-    fss = [",".join(f"k{_IN[p]}{_ROW[p]}{_COL[p]}" for p in b) for b in partition]
     blocks = tuple(
         _Block(
             parties=b,
@@ -495,24 +468,14 @@ def _specs(partition: tuple, shares: tuple) -> _Specs:
             pairs=(0,) + tuple(a for j in range(1, len(b) + 1) for a in (j, j + len(b))),
             flat=(-1,) + tuple(shares[p] ** 2 for p in b),
             response=",".join([f"k{_IN[p]}{_ROW[p]}" for p in b] + ["k" + "".join(_ROW[p] for p in b)]) + f"->k{i}",
-            coefficient=",".join([_IN[:n]] + [f"k{o}" for o in ins if o != i]) + f"->k{i}",
-            operator=f"k{i},{fs}->k" + "".join(_ROW[p] for p in b) + "".join(_COL[p] for p in b),
-            value=f"k{i},k{i}->k",
         )
-        for b, i, fs in zip(partition, ins, fss)
+        for b, i in zip(partition, ins)
     )
-    partner = tuple(
-        (_partner_folds(partition[where[x]], x),
-         f"k,k{ins[where[x]]},k{ins[where[x]].replace(_IN[x], '')}{_COL[x]}{_ROW[x]}"
-         f"->k{_IN[x]}{_COL[x]}{_ROW[x]}")
-        for x in range(n)
-    )
-    grid = ",".join(["k"] + [f"k{i}" for i in ins]) + f"->k{_IN[:n]}"
-    return _Specs(blocks, where, partner, grid)
+    return _Specs(blocks, ",".join(["k"] + [f"k{i}" for i in ins]) + f"->k{_IN[:len(shares)]}")
 
 
 def _rows(idx, shape) -> np.ndarray | slice:
-    """Each term ``idx``'s restart of the (R, K) weights ``shape``, as it indexes a (R, S, m, m) F_p.
+    """Each term ``idx``'s mixture of the (R, K) weights ``shape``, as it indexes a (R, S, m, m) F_p.
 
     A batch of one reads its F_p whole: einsum broadcasts it over the terms, with a gathered F_p's bits.
     """
@@ -523,8 +486,7 @@ def _block_responses(block: _Block, fb, states: np.ndarray) -> np.ndarray:
     """R[k, s_B] = tr[(F_p[s_p] (x) ...) sigma_k] for one block of a group, as a complex array.
 
     The trace sums each party's (row, column) pair as one flattened axis, F_p read as (column, row),
-    so a term's R has the same bits in a batch of any size.  Readers take a view of the real part:
-    it has one layout fresh or selected, and the contractions reading R round by layout.
+    so a term's R has the same bits in a batch of any size.  Readers take a view of the real part.
     """
     fb = [f.swapaxes(-1, -2).reshape(f.shape[:-2] + (-1,)) for f in fb]
     sigma = states.reshape(block.shape).transpose(block.pairs).reshape(block.flat)
@@ -540,41 +502,34 @@ def _responses(groups, fs, shape) -> list[list[np.ndarray]]:
             for idx, specs, states in groups for t in [_rows(idx, shape)]]
 
 
-def _by_term(shape, parts) -> np.ndarray:
-    """z[r, k, ...] = the value of restart r's term k, of the (R, K) weights ``shape``.
+def _grid(weights: np.ndarray, groups, resp) -> np.ndarray:
+    """p[r, s, t, ...] = sum of w[r, k] prod_B R_B[k, s_B] over mixture r's terms, R_B the responses' real parts.
 
-    ``parts`` holds one (idx, z) pair per group, z[j] the value of term
-    idx[j]; together they cover every term.
+    Each group's terms are scattered to their indices, save a lone group's: it holds every term in order.
     """
+    w = weights.ravel()
+    parts = [(idx, np.einsum(specs.grid, w if len(groups) == 1 else w[idx], *[x.real for x in r]))
+             for (idx, specs, _), r in zip(groups, resp)]
     z = parts[0][1]
-    if len(parts) > 1:  # a lone group holds every term in order already
-        z = np.empty((math.prod(shape),) + z.shape[1:], dtype=z.dtype)
+    if len(parts) > 1:
+        z = np.empty((len(w),) + z.shape[1:])
         for idx, part in parts:
             z[idx] = part
-    return z.reshape(tuple(shape) + z.shape[1:])
-
-
-def _grid(weights: np.ndarray, groups, resp) -> np.ndarray:
-    """p[r, s, t, ...] = sum of w[r, k] prod_B R_B[k, s_B] over restart r's terms, R_B the responses' real parts."""
-    w = weights.ravel()  # a lone group holds every term in order: its weights are w
-    return _by_term(weights.shape, [
-        (idx, np.einsum(specs.grid, w if len(groups) == 1 else w[idx], *[x.real for x in r]))
-        for (idx, specs, _), r in zip(groups, resp)
-    ]).sum(axis=1)
+    return z.reshape(weights.shape + z.shape[1:]).sum(axis=1)
 
 
 def _simulate(strategy, ensembles, include_full: bool) -> CorrelationTable:
     """Correlation table of any strategy, through its block form.
 
-    The strategy's terms become block products, a batch of one restart
+    The strategy's terms become block products, a batch of one mixture
     (see :func:`_groups`).  Each party's inputs are traced into its click
     element once, ``F_p[s] = tr_in[E_p (tau_s (x) 1)]``; with
     ``include_full`` the inputs traced into the outcome-0 element come first
     and those traced into E_p after them, so each input axis doubles.  One
     contraction per block gives ``R[k, s_B] = tr[(F_p[s_p] (x) ...) sigma_k]``
     for every input and term, and one per group contracts the weighted terms
-    into every input tuple at once.  The see-saw in :mod:`mdiw.attack`
-    shares these contractions.
+    into every input tuple at once.  The samplers in :mod:`mdiw.attack`
+    build their batches in this form.
     """
     ensembles, measurements = tuple(ensembles), strategy.measurements
     weights, groups = _groups(strategy)

@@ -112,6 +112,15 @@ def _check_spectrum(eigs: np.ndarray, spectrum) -> None:
         raise ValueError(f"{hi:g} - E not positive semidefinite (max eigenvalue {high:.3e}, above {hi:g})")
 
 
+def _trace_product(w: np.ndarray, rho: np.ndarray) -> float:
+    """tr[W rho] of a Hermitian W and a checked state rho: only rho's anti-Hermitian part, its entries within
+    ``TOL_HERM``, makes it complex, so a residue above ``TOL_HERM`` sum |W_ij| (the most that gives) raises."""
+    val = complex(np.trace(w @ rho))
+    if abs(val.imag) > TOL_HERM * np.abs(w).sum():
+        raise ValueError(f"trace has imaginary residue {val.imag:.3e}")
+    return float(val.real)
+
+
 def hermitian_eigenvalues(m) -> np.ndarray:
     """Ascending real eigenvalues of a Hermitian matrix.
 

@@ -52,7 +52,7 @@ from .attack import (
     _draw,
     _draw_kraus,
     _kraus_ops,
-    _start,
+    _mixture_values,
     attack,
     biseparable_attack,
     expected_game_value,
@@ -373,7 +373,7 @@ def check_loss_invariance(seed: int) -> tuple[bool, dict]:
         normals[i, : len(g)] = g
     ks = _kraus_ops(normals, np.array([u for _, u in kraus]))
     mapped, _ = _checked_clicks(_mapped_clicks(np.concatenate(elements), ks), (2, 2))
-    _, values = _start(dec.beta, [e.matrices for e in dec.ensembles], weights, groups, np.split(mapped, 2))
+    values = _mixture_values(dec.beta, [e.matrices for e in dec.ensembles], weights, groups, np.split(mapped, 2))
     min_i = float(values.min())
     passed = scale_err <= 1e-13 and signs_ok and min_i >= -BOUND_TOL
     return passed, {

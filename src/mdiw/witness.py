@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TOL_RECON, check_operators, frobenius_distance
+from .linalg import TOL_RECON, _trace_product, check_operators, frobenius_distance
 from .states import (
     _PAULI6_INDEX,
     DensityMatrix,
@@ -126,13 +126,10 @@ def ghz_witness() -> Witness:
 
 
 def witness_value(w: Witness, rho: DensityMatrix) -> float:
-    """tr[W rho]; negative values certify the entanglement W detects."""
+    """tr[W rho]; negative values certify the entanglement W detects (see :func:`mdiw.linalg._trace_product`)."""
     if w.dims != rho.dims:
         raise ValueError(f"dimension mismatch: witness {w.dims} vs state {rho.dims}")
-    val = complex(np.trace(w.matrix @ rho.matrix))
-    if abs(val.imag) > 1e-10:
-        raise ValueError(f"trace has imaginary residue {val.imag:.3e}")
-    return float(val.real)
+    return _trace_product(w.matrix, rho.matrix)
 
 
 def _expand(beta: np.ndarray, ensembles) -> np.ndarray:

@@ -5,7 +5,7 @@ explicit embedding and partial trace, and :func:`mixture_as_shared_state`
 materializes an unentangled mixture as one shared state, so that
 :func:`mdiw.game.simulate_entangled` (the block form's one-block case) can
 cross-check the per-block contractions of
-:func:`mdiw.game.simulate_separable` and the see-saw, and
+:func:`mdiw.game.simulate_separable` and the search's realized strategies, and
 :func:`per_bitstring_table` and :func:`grid_value` can check them outside
 the block form.
 :func:`per_bitstring_table` contracts a shared-state strategy once per
@@ -15,7 +15,7 @@ form's one-block case, the route under test, or through
 :func:`mdiw.game._contract_grid`, the honest table's contraction, which
 shares no code with it past the traced inputs.
 :func:`sequential_search` runs the see-saw's restarts one after another,
-as the reference for the batched search, with :func:`certified_floor` as
+each from its public sampler's strategy, as the reference for the batched search, with :func:`certified_floor` as
 the reference for its floor, and :func:`pointwise_scan` scores
 a violation curve one state at a time, as the reference for the stacked
 scan.
@@ -36,7 +36,7 @@ as the references for the row-at-a-time renderers
 :func:`rank_rule_negative_projectors` keeps each operator's lowest
 ``max(1, #negative)`` eigenvectors by rank, as the references for the
 one-copy layout of :func:`mdiw.game.trace_inputs` and the kept-column mask
-of the see-saw's success-element step.
+of the see-saw's step.
 :func:`pauli`, :func:`permute_subsystems` and :func:`partial_transpose`
 are small operator helpers that only the tests use.
 """
@@ -48,11 +48,16 @@ import math
 import numpy as np
 
 from mdiw.attack import (
+    _FAMILIES,
     _STOP,
     BOUND_TOL,
     AttackReport,
-    _start,
+    _effective,
+    _plans,
+    _strategy,
     _sweep,
+    _term,
+    _values,
     expected_game_value,
     random_kraus_set,
     random_separable_strategy,
@@ -61,7 +66,6 @@ from mdiw.attack import (
 from mdiw.cli import _FAMILY_WITNESS
 from mdiw.game import (
     BiseparableStrategy,
-    POVM,
     SeparableStrategy,
     _contract_grid,
     _grid,
@@ -303,46 +307,49 @@ def certified_floor(dec, kind: str) -> float:
     return min(0.0, max(lows) if kind == "separable" else min(lows)) * math.prod(dims)
 
 
-def sequential_search(dec, ensembles, config, kind, sample, build) -> AttackReport:
+def sequential_search(dec, ensembles, config, kind, sample) -> AttackReport:
     """The see-saw search with its restarts run one after another.
 
     Each restart samples its start with the public sampler ``sample`` from
-    its own stream, and runs the see-saw steps of :mod:`mdiw.attack` as a
-    batch of one until a sweep lowers its value by at most ``_STOP``, its
+    its own stream, converts the strategy's block form to its searched
+    terms, and runs the see-saw steps of :mod:`mdiw.attack` as a batch of
+    one until a sweep lowers its realized value by at most ``_STOP``, its
     best value lies between ``_STOP`` below and ``BOUND_TOL`` above
     :func:`certified_floor` for ``kind``, or for ``config.iterations``
     sweeps.  Its path is its start value, then its best value after each
-    sweep.  Wall time is reported as 0.
+    sweep; the first restart of the lowest minimum gives its best term,
+    the first of its lowest, as the strategy.  Wall time is reported as 0.
     """
-    input_dims = tuple(e.dim for e in ensembles)
+    input_dims, m, k = tuple(e.dim for e in ensembles), config.share_dim, config.mixture_size
     beta, inputs = np.asarray(dec.beta), [e.matrices for e in dec.ensembles]
+    plans = _plans(beta, inputs, _FAMILIES[kind][0](len(input_dims)), m)
+    shape = (1, k * max(len(p) for p in plans.values()))
     floor = certified_floor(dec, kind)
 
-    paths = []
-    best_overall = best_state = None
+    paths, champion = [], None
     for r in range(config.restarts):
-        rng = restart_rng(config.seed, r)
-        strategy = sample(input_dims, config.share_dim, config.mixture_size, rng)
-        elements = [m.element(1)[None] for m in strategy.measurements]
-        state, (value,) = _start(beta, inputs, *_groups(strategy), elements)
-        best, kept = value, state
-        path = [float(value)]
+        strategy = sample(input_dims, m, k, restart_rng(config.seed, r))
+        elements = [povm.element(1)[None] for povm in strategy.measurements]
+        state = _effective(_groups(strategy)[1], elements, plans, k, m)
+        terms = _values(state, shape)
+        value = best = terms.min()
+        kept, path = (state, terms), [float(value)]
         for _ in range(config.iterations):
             previous = value
-            state, (value,) = _sweep(beta, inputs, state)
+            state = _sweep(state)
+            terms = _values(state, shape)
+            value = terms.min()
             if value < best:
-                best, kept = value, state
+                best, kept = value, (state, terms)
             path.append(float(best))
             if previous - value <= _STOP or floor - _STOP <= best <= floor + BOUND_TOL:
                 break
         paths.append(tuple(path))
-        if best_overall is None or best < best_overall:
-            best_overall, best_state = best, kept
-    weights, groups, elements, _, _ = best_state
-    povms = tuple(POVM(e[0], m.dims) for e, m in zip(elements, strategy.measurements))
+        if champion is None or best < champion[0]:
+            champion = (best, _term(kept[0], 0, kept[1][0].argmin()))
     return AttackReport(
         floor=floor,
-        best_strategy=build(weights[0], groups, povms),
+        best_strategy=_strategy(*champion[1], input_dims, m, kind),
         restart_paths=tuple(paths),
         wall_time=0.0,
         config=config,

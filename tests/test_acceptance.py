@@ -66,14 +66,14 @@ LOSS_MINIMA = {verify.DEFAULT_SEED: 0.00037312166740302805, 1: 0.000451463544952
 @pytest.mark.parametrize("seed", list(LOSS_MINIMA))
 def test_loss_invariance_batch_matches_one_sample_route(monkeypatch, seed):
     # the batch values every sample bit for bit as the public route does, one-term samples included
-    values, start = [], attack_module._start
+    values, mixture_values = [], attack_module._mixture_values
 
-    def recording_start(*args):
-        state, out = start(*args)
+    def recording(*args):
+        out = mixture_values(*args)
         values.extend(out)
-        return state, out
+        return out
 
-    monkeypatch.setattr(verify, "_start", recording_start)
+    monkeypatch.setattr(verify, "_mixture_values", recording)
     verdict = verify.check_loss_invariance(seed)
     assert len(values) == verdict.details["samples"] == 10_000
     assert verdict.details["min_I_with_pre_measurement_maps"] == LOSS_MINIMA[seed] == min(values)
@@ -120,13 +120,12 @@ def _overstated_floor(dec, kind):
     return (max(tops) if kind == "separable" else min(tops)) * math.prod(dims)
 
 
-def _shifted_scoring(step):
-    """A search step (``_start`` or ``_sweep``) that scores with every coefficient lowered by 1e-6."""
-    return lambda beta, *rest: step(beta - 1e-6, *rest)
+def _shifted_plans(beta, *rest, plans=attack_module._plans):
+    """The search's contractions, which value its starts and sweeps, with every coefficient lowered by 1e-6."""
+    return plans(beta - 1e-6, *rest)
 
 
-SHIFTED_SEARCH = ((attack_module, "_start", _shifted_scoring(attack_module._start)),
-                  (attack_module, "_sweep", _shifted_scoring(attack_module._sweep)))
+SHIFTED_SEARCH = ((attack_module, "_plans", _shifted_plans),)
 
 
 def _at(key):
@@ -153,10 +152,11 @@ NEGATIVE_CONTROLS = {
         "separable_bound", ((attack_module, "certified_lower_bound", _overstated_floor),),
         (("min_I_tetrahedron", operator.lt, _floor_gate("_tetrahedron")),
          ("min_I_pauli6", operator.lt, _floor_gate("_pauli6")))),
-    # the tetrahedron search settles where a party never clicks, which no coefficient shift moves
     "separable_bound_shifted_search": (
         "separable_bound", SHIFTED_SEARCH,
-        (("min_I_pauli6", operator.lt, _at("tolerance")), ("min_I_pauli6", operator.lt, _floor_gate("_pauli6")))),
+        (("min_I_tetrahedron", operator.lt, _at("tolerance")),
+         ("min_I_tetrahedron", operator.lt, _floor_gate("_tetrahedron")),
+         ("min_I_pauli6", operator.lt, _at("tolerance")), ("min_I_pauli6", operator.lt, _floor_gate("_pauli6")))),
     "ghz_threshold": ("ghz_threshold", ((verify, "ghz_beta", _offset_ghz_beta),),
                       (("abs_err", operator.gt, _at("tolerance")),)),
     # W_GHZ - eps is not certified (floor -8e-4) either: it fails the first gate alone

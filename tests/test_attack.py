@@ -1,6 +1,7 @@
 import functools
 import importlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from mdiw.states import (
     FAMILIES,
     DensityMatrix,
+    InputEnsemble,
     bloch_vector,
     ghz_ket,
     noisy_ghz,
@@ -18,7 +20,8 @@ from mdiw.states import (
     tetrahedron_ensemble,
     werner_state,
 )
-from mdiw.witness import Witness, decompose, ghz_beta, pauli6_beta, singlet_witness, tetrahedron_beta
+from mdiw.witness import (Witness, decompose, ghz_beta, ghz_witness, pauli6_beta, singlet_witness,
+                         tetrahedron_beta)
 from mdiw.game import (
     BIPARTITIONS_3,
     BiseparableStrategy,
@@ -44,11 +47,15 @@ from mdiw.attack import (
     _FAMILIES,
     _block,
     _draw,
-    _alone,
+    _effective,
+    _keep,
+    _mixture_values,
     _negative_projectors,
-    _select,
-    _start,
+    _plans,
+    _strategy,
     _sweep,
+    _term,
+    _values,
     attack,
     biseparable_attack,
     certified_lower_bound,
@@ -80,6 +87,19 @@ from oracles import (
 game_module = importlib.import_module("mdiw.game")
 
 SMALL = AttackConfig(restarts=8, iterations=120, mixture_size=3, share_dim=2, seed=7)
+
+
+def _public(dec, strategy) -> float:
+    return mdi_value(dec, simulate_separable(strategy, dec.ensembles))
+
+
+def _one_term(s, t):
+    """Term t of a sampled strategy alone, at weight 1, and its partition of the parties."""
+    if isinstance(s, SeparableStrategy):
+        return SeparableStrategy((1.0,), (s.share_states[t],), s.measurements), tuple((p,) for p in range(s.n_parties))
+    term = s.terms[t]
+    alone = BiseparableTerm(term.bipartition, 1.0, term.group_state, term.singleton_state)
+    return BiseparableStrategy((alone,), s.measurements), (term.group, (term.singleton,))
 
 
 def _mixed_separable(dims, m, k, rng) -> SeparableStrategy:
@@ -258,36 +278,43 @@ class TestStreamContract:
 
 
 class TestBlockForm:
-    """The see-saw and simulation share one block form of every unentangled mixture."""
+    """The search converts the block form of every unentangled mixture, and realizes every searched term."""
 
     @pytest.mark.parametrize("game", ["tetrahedron", "pauli6", "ghz"])
     @pytest.mark.parametrize("share_dim", [1, 2, 3])
     def test_sweep_matches_public_route(self, game, share_dim):
         dec = {"tetrahedron": tetrahedron_beta, "pauli6": pauli6_beta, "ghz": ghz_beta}[game]()
-        sample, build = (
-            (random_biseparable_strategy, _biseparable_strategy)
-            if game == "ghz"
-            else (random_separable_strategy, _separable_strategy)
-        )
-        beta, inputs = np.asarray(dec.beta), [e.matrices for e in dec.ensembles]
+        kind, sample = ("biseparable", random_biseparable_strategy) if game == "ghz" else (
+            "separable", random_separable_strategy)
+        dims, beta, inputs = (2,) * dec.n_parties, np.asarray(dec.beta), [e.matrices for e in dec.ensembles]
+        plans = _plans(beta, inputs, _FAMILIES[kind][0](dec.n_parties), share_dim)
         rng = np.random.default_rng((66, share_dim))
         for _ in range(5):
-            s = sample((2,) * dec.n_parties, share_dim, int(rng.integers(1, 5)), rng)
+            k = int(rng.integers(1, 5))
+            s = sample(dims, share_dim, k, rng)
             elements = [m.element(1)[None] for m in s.measurements]
-            state, (start,) = _start(beta, inputs, *_groups(s), elements)
-            # the search's start and the public route share every contraction: the same bits
-            assert start == mdi_value(dec, simulate_separable(s, dec.ensembles))
-            (weights, groups, elements, _, _), (value,) = _sweep(beta, inputs, state)
-            povms = tuple(POVM(e[0], m.dims) for e, m in zip(elements, s.measurements))
-            swept = build(weights[0], groups, povms)
-            public = mdi_value(dec, simulate_separable(swept, dec.ensembles))
-            assert value == pytest.approx(public, abs=1e-12)
-            # the mixture as one explicit shared state, in the block form's one block of every party
-            # and by the honest table's contraction, an independent route
-            entangled = EntangledStrategy(mixture_as_shared_state(swept), povms)
-            explicit = mdi_value(dec, simulate_entangled(entangled, dec.ensembles))
-            assert value == pytest.approx(explicit, abs=1e-12)
-            assert value == pytest.approx(grid_value(dec, entangled), abs=1e-12)
+            weights, groups = _groups(s)
+            # the mixture's value in block form and through the public route share every contraction: the same bits
+            assert _mixture_values(beta, inputs, weights, groups, elements)[0] == _public(dec, s)
+            state = _effective(groups, elements, plans, k, share_dim)
+            shape = (1, k * max(map(len, plans.values())))
+            start = _values(state, shape)
+            for t in range(k):
+                alone, partition = _one_term(s, t)
+                for f, plan in enumerate(plans[partition]):
+                    if plan.blocks == partition:  # searched as drawn: its effective operators score it as it scores
+                        assert start[0, f * k + t] / plan.scale == pytest.approx(_public(dec, alone), abs=1e-12)
+            # every searched term, before and after a sweep, realized: three routes score its realized value
+            for state, values in ((state, start), (swept := _sweep(state), _values(swept, shape))):
+                assert np.isfinite(values).all()
+                for c, value in enumerate(values[0]):
+                    realized = _strategy(*_term(state, 0, c), dims, share_dim, kind)
+                    assert value == pytest.approx(_public(dec, realized), abs=1e-12)
+                    # the strategy as one explicit shared state, in the block form's one block of every party
+                    # and by the honest table's contraction, an independent route
+                    entangled = EntangledStrategy(mixture_as_shared_state(realized), realized.measurements)
+                    assert value == pytest.approx(mdi_value(dec, simulate_entangled(entangled, dec.ensembles)), abs=1e-12)
+                    assert value == pytest.approx(grid_value(dec, entangled), abs=1e-12)
 
     def test_biseparable_round_trip_keeps_term_order(self):
         rng = np.random.default_rng(67)
@@ -340,14 +367,36 @@ def _graded(eps):
     return decompose(Witness(singlet_witness().matrix - eps * np.eye(4), (2, 2)), ensembles)
 
 
-SEPARABLE = ("separable", attack, random_separable_strategy, _separable_strategy)
-BISEPARABLE = ("biseparable", biseparable_attack, random_biseparable_strategy, _biseparable_strategy)
+def _offset_ghz():
+    """W_GHZ - 1e-4 * 1 over three tetrahedron inputs: the product |000> scores -1e-4, the floor is -8e-4."""
+    w = ghz_witness()
+    return decompose(Witness(w.matrix - 1e-4 * np.eye(8), w.dims, w.kind), tuple(map(tetrahedron_ensemble, "ABC")))
+
+
+def _teleported_game():
+    """(0.45 * 1 - |psi><psi|) (x) |0><0| over three tetrahedron inputs, psi = (|00> + i|11>) / sqrt(2).
+
+    A product scores at least -0.05, but the pair AB searched whole reaches Q = |psi><psi| at
+    0.45 - 1, which teleportation realizes at (0.45 - 1) / 4 = -0.1375; psi^* is not SWAP psi,
+    so only SWAP Q^T SWAP at party B realizes it.
+    """
+    psi = np.array([1.0, 0.0, 0.0, 1.0j]) / np.sqrt(2.0)
+    m = np.kron(0.45 * np.eye(4) - projector(psi), np.diag([1.0, 0.0]))
+    return decompose(Witness(m, (2, 2, 2)), tuple(map(tetrahedron_ensemble, "ABC")))
+
+
+SEPARABLE = ("separable", attack, random_separable_strategy)
+BISEPARABLE = ("biseparable", biseparable_attack, random_biseparable_strategy)
 # name: (family, decomposition, mixture size, share dim, iterations, seed)
 BATCH_CASES = {
     "tetrahedron": (SEPARABLE, tetrahedron_beta, 8, 4, 200, 7),
     "pauli6": (SEPARABLE, pauli6_beta, 4, 2, 200, 8),
     "graded_1e-4": (SEPARABLE, lambda: _graded(1e-4), 4, 2, 200, 101),
+    "non_witness": (SEPARABLE, negated_projector_decomposition, 2, 2, 200, 3),
     "ghz": (BISEPARABLE, ghz_beta, 6, 2, 200, 9),
+    "ghz_offset": (BISEPARABLE, _offset_ghz, 6, 2, 200, 101),
+    "teleported": (BISEPARABLE, _teleported_game, 3, 2, 200, 5),
+    "teleported_share3": (BISEPARABLE, _teleported_game, 2, 3, 200, 6),
     # restarts stop after 1, 2 or 3 sweeps; capped at 2, some stop on their own
     "ghz_share1": (BISEPARABLE, ghz_beta, 3, 1, 500, 66),
     "ghz_share1_capped": (BISEPARABLE, ghz_beta, 3, 1, 2, 66),
@@ -360,20 +409,20 @@ class TestBatchedSearch:
     @pytest.mark.parametrize("restarts", [1, 3, 7])
     @pytest.mark.parametrize("case", list(BATCH_CASES))
     def test_matches_sequential_loop(self, case, restarts):
-        (kind, search, sample, build), make, mixture, share, iterations, seed = BATCH_CASES[case]
+        (kind, search, sample), make, mixture, share, iterations, seed = BATCH_CASES[case]
         dec = make()
         cfg = AttackConfig(restarts=restarts, iterations=iterations, mixture_size=mixture,
                            share_dim=share, seed=seed)
         batched = search(dec, dec.ensembles, cfg)
-        want = sequential_search(dec, dec.ensembles, cfg, kind, sample, build)
+        want = sequential_search(dec, dec.ensembles, cfg, kind, sample)
         assert batched.evaluations == want.evaluations
         assert batched.floor == want.floor
         # each restart's path, entry by entry: its start, then its best value after each sweep
         assert [len(p) for p in batched.restart_paths] == [len(p) for p in want.restart_paths]
         for got, path in zip(batched.restart_paths, want.restart_paths):
             assert np.abs(np.subtract(got, path)).max() <= 1e-12
-        rescored = mdi_value(dec, simulate_separable(batched.best_strategy, dec.ensembles))
-        assert rescored == pytest.approx(batched.min_value, abs=1e-12)
+        assert repr(batched.best_strategy) == repr(want.best_strategy)
+        assert _public(dec, batched.best_strategy) == pytest.approx(batched.min_value, abs=1e-12)
 
     def test_restarts_stop_at_different_sweeps(self):
         # the ghz_share1 cases must exercise the stop mask
@@ -385,15 +434,14 @@ class TestBatchedSearch:
 
 class TestStoppedRestarts:
     def test_stopped_restarts_leave_the_batch(self, monkeypatch):
-        # restarts of this search stop after 1, 2 or 3 sweeps (one rises, six
-        # reach the floor); every sweep must run only the restarts still
-        # running, one counted evaluation each
+        # restarts of this search stop after 1, 2 or 3 sweeps (restart 3 rises on its first);
+        # every sweep must run only the restarts still running, one counted evaluation each
         module = importlib.import_module("mdiw.attack")
         sweep, batch_sizes = module._sweep, []
 
-        def spy(beta, inputs, state):
-            batch_sizes.append(len(state[0]))
-            return sweep(beta, inputs, state)
+        def spy(state):
+            batch_sizes.append(len(np.unique(np.concatenate([rows for _, rows, *_ in state]))))
+            return sweep(state)
 
         monkeypatch.setattr(module, "_sweep", spy)
         dec = ghz_beta()
@@ -449,20 +497,29 @@ class TestBatchInvariance:
             r = _block_responses(block, fb, states)
             for i in range(size):
                 assert np.array_equal(r[i], _block_responses(block, [x[i : i + 1] for x in fb], states[i : i + 1])[0])
-        # R restarts valued as one batch, and each alone
+        # R restarts valued, converted, searched and swept as one batch, and each alone
         for kind, dims, dec in (("separable", (2, 2), tetrahedron_beta()), ("biseparable", (2, 2, 2), ghz_beta())):
             partitions, inputs = _FAMILIES[kind][0](len(dims)), [e.matrices for e in dec.ensembles]
+            plans = _plans(np.asarray(dec.beta), inputs, partitions, share)
+            width = mixture * max(map(len, plans.values()))
             draws = [_draw(restart_rng(seed, r), partitions, dims, share, mixture) for r in range(size)]
-            values = _start(dec.beta, inputs, *_block(draws, partitions, dims, share))[1]
+            batch = _block(draws, partitions, dims, share)
+            values = _mixture_values(dec.beta, inputs, *batch)
+            state = _effective(*batch[1:], plans, mixture, share)
+            starts, swept = _values(state, (size, width)), _values(_sweep(state), (size, width))
             for r, one in enumerate(draws):
-                assert values[r] == _start(dec.beta, inputs, *_block([one], partitions, dims, share))[1][0]
+                alone = _block([one], partitions, dims, share)
+                assert values[r] == _mixture_values(dec.beta, inputs, *alone)[0]
+                state = _effective(*alone[1:], plans, mixture, share)
+                assert starts[r].tobytes() == _values(state, (1, width))[0].tobytes()
+                assert swept[r].tobytes() == _values(_sweep(state), (1, width))[0].tobytes()
 
 
 class TestBuildPhase:
     """Draws of R restarts become one batch, checked once, without touching the streams."""
 
     @pytest.mark.parametrize("family", ["separable", "biseparable"])
-    def test_select_matches_block_of_one(self, family):
+    def test_batch_matches_block_of_one(self, family):
         rng = np.random.default_rng(15)
         if family == "separable":
             dims, partitions, sampler = (2, 3), _FAMILIES["separable"][0](2), random_separable_strategy
@@ -472,50 +529,30 @@ class TestBuildPhase:
             dims, partitions, dec = (2, 2, 2), _FAMILIES["biseparable"][0](3), ghz_beta()
             sampler = random_biseparable_strategy
             inputs, beta = [e.matrices for e in dec.ensembles], np.asarray(dec.beta)
-        m, k = 2, 3
+        m, k, lacking = 2, 3, 0
+        plans = _plans(beta, inputs, partitions, m)
         rngs = [restart_rng(12, r) for r in range(5)]
         batch = _block([_draw(rng, partitions, dims, m, k) for rng in rngs], partitions, dims, m)
-        state, values = _start(beta, inputs, *batch)
+        values, state = _mixture_values(beta, inputs, *batch), _effective(*batch[1:], plans, k, m)
         for r, rng in enumerate(rngs):
             ref = restart_rng(12, r)
             alone = _block([_draw(ref, partitions, dims, m, k)], partitions, dims, m)
             assert rng.bit_generator.state == ref.bit_generator.state
-            weights, groups, elements, _, _ = _select(state, [r])
-            assert np.array_equal(weights, alone[0])
-            assert len(groups) == len(alone[1])
-            for (idx, specs, states), (want_idx, want_specs, want_states) in zip(groups, alone[1]):
-                assert np.array_equal(idx, want_idx) and specs == want_specs
-                assert all(np.array_equal(a, b) for a, b in zip(states, want_states))
-            assert all(np.array_equal(a, b) for a, b in zip(elements, alone[2]))
+            # the batch's searched terms of restart r are those of its block of one, bit for bit
+            kept, want = _keep(state, np.arange(5) == r), _effective(*alone[1:], plans, k, m)
+            assert len(kept) == len(want)
+            for (plan, rows, cols, ops, resp), (want_plan, want_rows, *want_arrays) in zip(kept, want):
+                assert plan is want_plan and np.array_equal(rows, want_rows + r)
+                for got, expected in zip([cols, *ops, *resp], [want_arrays[0], *want_arrays[1], *want_arrays[2]]):
+                    assert got.dtype == expected.dtype and got.shape == expected.shape
+                    assert got.tobytes() == expected.tobytes()
+            lacking += len(kept) < len(state)
             # the build phase returns no POVMs; the public sampler's POVMs view the same checked elements
             povms = sampler(dims, m, k, restart_rng(12, r)).measurements
             for e, p, want in zip(batch[2], povms, alone[2]):
                 assert np.array_equal(p.element(1), e[r]) and np.array_equal(want[0], e[r])
-            assert _start(beta, inputs, *alone)[1][0] == values[r]
-
-    @pytest.mark.parametrize("family", ["separable", "biseparable"])
-    def test_alone_matches_select(self, family):
-        # the search takes its best restart alone: the first three fields of _select(state, [j]), bit for bit
-        def same(a, b):
-            return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-        dims, dec = {"separable": ((2, 2), tetrahedron_beta()), "biseparable": ((2, 2, 2), ghz_beta())}[family]
-        partitions, inputs = _FAMILIES[family][0](len(dims)), [e.matrices for e in dec.ensembles]
-        beta = np.asarray(dec.beta)
-        draws = [_draw(restart_rng(19, r), partitions, dims, 2, 3) for r in range(6)]
-        state = _start(beta, inputs, *_block(draws, partitions, dims, 2))[0]
-        lacking = 0
-        for batch in (state, _sweep(beta, inputs, state)[0]):
-            for j in range(6):
-                weights, groups, elements = _alone(batch, j)
-                want_weights, want_groups, want_elements, _, _ = _select(batch, [j])
-                assert same(weights, want_weights) and len(groups) == len(want_groups)
-                for (idx, specs, states), (want_idx, want_specs, want_states) in zip(groups, want_groups):
-                    assert same(idx, want_idx) and specs == want_specs and len(states) == len(want_states)
-                    assert all(same(a, b) for a, b in zip(states, want_states))
-                assert len(elements) == len(want_elements) and all(map(same, elements, want_elements))
-                lacking += len(groups) < len(batch[1])
-        # some restart holds no term of a bipartition that others use: its group is dropped
+            assert _mixture_values(beta, inputs, *alone)[0] == values[r]
+        # some restart holds no term of a bipartition that others use: its searched partition is dropped
         assert (lacking > 0) == (family == "biseparable")
 
     def test_non_psd_share_in_last_restart_rejected_like_single(self):
@@ -589,7 +626,7 @@ class TestBuildPhase:
 
 
 class TestNegativeProjectorRank:
-    """The success-element step keeps rank >= 1: exact only where X has a negative eigenvalue."""
+    """The see-saw step keeps rank >= 1: exact only where the gradient has a negative eigenvalue."""
 
     def test_psd_operator_keeps_lowest_eigenvector(self):
         x = np.array([np.diag([1.0, 2.0]), np.diag([-1.0, 2.0]), np.diag([-1.0, -2.0])], dtype=complex)
@@ -620,30 +657,27 @@ class TestNegativeProjectorRank:
         assert _negative_projectors(x).tobytes() == rank_rule_negative_projectors(x).tobytes()
 
     def test_sweep_can_raise_value_on_ghz_share_dim_1(self):
+        # an exact step cannot raise a term's value, so where one rises some step met a
+        # positive semidefinite gradient and kept rank 1
         dec = ghz_beta()
-        beta, inputs = np.asarray(dec.beta), [e.matrices for e in dec.ensembles]
-        rng = np.random.default_rng((66, 1))
+        plans = _plans(np.asarray(dec.beta), [e.matrices for e in dec.ensembles], _FAMILIES["biseparable"][0](3), 1)
         moves = []
-        for _ in range(5):
-            s = random_biseparable_strategy((2, 2, 2), 1, int(rng.integers(1, 5)), rng)
-            elements = [m.element(1)[None] for m in s.measurements]
-            state, (start,) = _start(beta, inputs, *_groups(s), elements)
-            moves.append((start, _sweep(beta, inputs, state)[1][0]))
-        rising = [i for i, (a, b) in enumerate(moves) if b > a]
-        assert rising == [0, 3]
-        assert moves[0] == pytest.approx((0.14587, 0.25160), abs=1e-5)
-        assert moves[3] == pytest.approx((0.16007, 0.18995), abs=1e-5)
+        for r in range(7):
+            s = random_biseparable_strategy((2, 2, 2), 1, 3, restart_rng(66, r))
+            state = _effective(_groups(s)[1], [m.element(1)[None] for m in s.measurements], plans, 3, 1)
+            moves.append((_values(state, (1, 3))[0], _values(_sweep(state), (1, 3))[0]))
+        assert [r for r, (start, swept) in enumerate(moves) if swept.min() > start.min()] == [3]
+        assert moves[3][0] == pytest.approx((0.32834, 0.27291, 0.36400), abs=1e-5)
+        assert moves[3][1] == pytest.approx((0.27689,) * 3, abs=1e-5)
 
     def test_rising_sweep_ends_restart_with_start_value_kept(self):
         # restart 3 of this search rises on its first sweep, stops, and keeps its start
         dec = ghz_beta()
         cfg = AttackConfig(restarts=7, iterations=500, mixture_size=3, share_dim=1, seed=66)
         report = biseparable_attack(dec, dec.ensembles, cfg)
-        start = mdi_value(dec, simulate_separable(
-            random_biseparable_strategy((2, 2, 2), 1, 3, restart_rng(66, 3)), dec.ensembles))
         path = report.restart_paths[3]
         assert path == (path[0], path[0])
-        assert path[0] == pytest.approx(start, abs=1e-12)
+        assert path[0] == pytest.approx(0.27291, abs=1e-5)
         assert report.restart_minima[3] == path[0] > 0.15
         assert report.min_value <= 1e-15
 
@@ -702,6 +736,21 @@ class TestSearch:
             assert value == pytest.approx(report.min_value, abs=1e-12)
             assert grid_value(dec, entangled) == pytest.approx(report.min_value, abs=1e-12)
 
+    @pytest.mark.parametrize("share_dim", [2, 3])
+    def test_teleported_pair_realizes_a_quarter(self, share_dim):
+        # the pair AB searched whole reaches 0.45 - 1 at Q = |psi><psi|, a quarter of which
+        # teleportation realizes; no product reaches below -0.05
+        dec = _teleported_game()
+        cfg = AttackConfig(restarts=4, iterations=100, mixture_size=3, share_dim=share_dim, seed=2)
+        report = biseparable_attack(dec, dec.ensembles, cfg)
+        assert report.min_value == pytest.approx(-0.55 / 4, abs=1e-12)
+        (term,) = report.best_strategy.terms
+        assert term.bipartition == "AB|C"
+        phi = np.zeros((2, share_dim))
+        phi[[0, 1], [0, 1]] = 2**-0.5
+        assert np.allclose(report.best_strategy.measurements[0].click, projector(phi))
+        assert _public(dec, report.best_strategy) == pytest.approx(report.min_value, abs=1e-12)
+
     def test_inexact_decomposition_warns(self):
         from mdiw.states import InputEnsemble, bloch_state
 
@@ -725,6 +774,55 @@ class TestSearch:
     def test_biseparable_requires_three_parties(self):
         with pytest.raises(ValueError, match="three-party"):
             biseparable_attack(tetrahedron_beta(), tetrahedron_beta().ensembles, SMALL)
+
+
+class TestRealizedSearch:
+    """Every search reports a strategy that scores its minimum, and every path descends."""
+
+    GAMES = {
+        "separable": ((tetrahedron_beta, pauli6_beta, lambda: _graded(1e-4), negated_projector_decomposition), attack),
+        "biseparable": ((ghz_beta, _offset_ghz, _teleported_game), biseparable_attack),
+    }
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from(["separable", "biseparable"]), st.integers(0, 3), st.integers(0, 2**31 - 1),
+           st.integers(1, 3), st.integers(1, 4), st.integers(1, 4))
+    def test_best_strategy_scores_min_value(self, kind, game, seed, share, mixture, restarts):
+        makes, search = self.GAMES[kind]
+        dec = makes[game % len(makes)]()
+        cfg = AttackConfig(restarts=restarts, iterations=100, mixture_size=mixture, share_dim=share, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = search(dec, dec.ensembles, cfg)
+        assert _public(dec, report.best_strategy) == pytest.approx(report.min_value, abs=1e-12)
+        for path in report.restart_paths:
+            assert all(b <= a for a, b in zip(path, path[1:]))
+
+    @pytest.mark.parametrize("dims, share", [((3, 2, 2), 2), ((2, 3, 2), 2), ((2, 2, 3), 3), ((3, 2, 3), 1)])
+    def test_ragged_input_dims(self, dims, share):
+        # a pair is searched whole only where the share holds its first party's input, and a share
+        # larger than that input pads the teleportation
+        rng = np.random.default_rng((sum(dims), share))
+        ensembles = tuple(InputEnsemble(p, tuple(map(str, range(d * d))),
+                                        tuple(random_density_matrix((d,), rng) for _ in range(d * d)))
+                          for p, d in zip("ABC", dims))
+        g = rng.normal(size=(np.prod(dims),) * 2) + 1j * rng.normal(size=(np.prod(dims),) * 2)
+        dec = decompose(Witness((g + g.conj().T) / 2, dims), ensembles)
+        # random qutrit inputs solve with coefficients up to about 1e4: the rounding of each route scales with them
+        tol = 1e-14 * np.abs(dec.beta).sum()
+        assert dec.exact
+        for search in (attack, biseparable_attack):
+            cfg = AttackConfig(restarts=3, iterations=50, mixture_size=3, share_dim=share, seed=1)
+            report = search(dec, dec.ensembles, cfg)
+            assert _public(dec, report.best_strategy) == pytest.approx(report.min_value, abs=tol)
+        # every searched form of a biseparable start, the teleported pairs included, realized
+        plans = _plans(np.asarray(dec.beta), [e.matrices for e in ensembles], _FAMILIES["biseparable"][0](3), share)
+        s = random_biseparable_strategy(dims, share, 3, np.random.default_rng(1))
+        state = _effective(_groups(s)[1], [p.element(1)[None] for p in s.measurements], plans, 3, share)
+        values = _values(state, (1, 3 * max(map(len, plans.values()))))[0]
+        for c in np.flatnonzero(np.isfinite(values)):
+            realized = _strategy(*_term(state, 0, c), dims, share, "biseparable")
+            assert _public(dec, realized) == pytest.approx(values[c], abs=tol)
 
 
 class TestPowerNegativeControl:
@@ -1048,8 +1146,10 @@ class TestFloorStop:
         cfg = AttackConfig(restarts=4, iterations=200, mixture_size=4, share_dim=2, seed=101)
         report = attack(dec, dec.ensembles, cfg)
         assert report.floor == pytest.approx(-4 * eps)
-        assert report.evaluations == 16
-        assert -eps - 1e-9 <= report.min_value <= -0.99 * eps
+        # every restart reaches -eps on its first sweep and stops when its second stalls there
+        assert report.evaluations == 12
+        for path in report.restart_paths:
+            assert -eps - 1e-9 <= path[2] <= path[1] <= -0.99 * eps and path[1] - path[2] <= 1e-15
 
     def test_non_witness_search_keeps_digging(self):
         dec = negated_projector_decomposition()
@@ -1063,9 +1163,8 @@ class TestFloorStop:
         # restart 0's first sweep, well below the floor (about -2e-15) but inside its
         # BOUND_TOL band; it must not stop there, but dig to -8e-4
         module = importlib.import_module("mdiw.attack")
-        for name in ("_start", "_sweep"):
-            step = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda beta, *rest, step=step: step(beta - 1e-4, *rest))
+        plans = module._plans
+        monkeypatch.setattr(module, "_plans", lambda beta, *rest: plans(beta - 1e-4, *rest))
         dec = ghz_beta()
         cfg = AttackConfig(restarts=4, iterations=50, mixture_size=6, share_dim=2, seed=0)
         report = biseparable_attack(dec, dec.ensembles, cfg)
@@ -1074,11 +1173,11 @@ class TestFloorStop:
 
     def test_stopped_batch_is_not_selected(self, monkeypatch):
         # every restart stops after one sweep: the search ends without selecting an empty batch,
-        # and takes its best restart alone, once
+        # and takes its best restart's best term, once
         module = importlib.import_module("mdiw.attack")
-        select, alone, sizes, picked = module._select, module._alone, [], []
-        monkeypatch.setattr(module, "_select", lambda state, rs: sizes.append(len(rs)) or select(state, rs))
-        monkeypatch.setattr(module, "_alone", lambda state, j: picked.append(j) or alone(state, j))
+        keep, term, sizes, picked = module._keep, module._term, [], []
+        monkeypatch.setattr(module, "_keep", lambda state, alive: sizes.append(alive.sum()) or keep(state, alive))
+        monkeypatch.setattr(module, "_term", lambda state, j, k: picked.append(j) or term(state, j, k))
         dec = tetrahedron_beta()
         attack(dec, dec.ensembles, AttackConfig(restarts=4, iterations=200, mixture_size=8, share_dim=4, seed=0))
         assert sizes == [] and len(picked) == 1

@@ -353,6 +353,24 @@ def test_skew_witness_config_decomposes_and_simulates(tmp_path, capsys):
     assert doc["I"] == pytest.approx(doc["witness_value_scaled"], abs=1e-12)
 
 
+# rho = J/8 + 0.4e-10 i 1 passes the state check (anti-Hermitian part 0.8e-10 per diagonal entry)
+SKEW_STATE_CONFIG = dict(
+    BASE_CONFIG, parties=3, witness="ghz", ensembles=["tetrahedron"] * 3, loss=[1.0] * 3,
+    state={"matrix": serialize.matrix_to_json(np.ones((8, 8)) / 8 + 0.4e-10j * np.eye(8)), "dims": [2, 2, 2]})
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["table", "full"])
+def test_skew_state_config_simulates(tmp_path, full):
+    # simulate ended in "trace has imaginary residue 1.200e-10": the residue of a checked state lies
+    # within TOL_HERM sum |W_ij|
+    cfg = write_config(tmp_path, SKEW_STATE_CONFIG)
+    summary = tmp_path / "s.json"
+    argv = ["simulate", "-c", cfg, "-o", str(tmp_path / "t.csv"), "--summary", str(summary)] + ["--full"] * full
+    assert main(argv) == 0
+    doc = json.loads(summary.read_text())
+    assert doc["I"] == pytest.approx(doc["witness_value_scaled"], abs=1e-12)
+
+
 class TestQutritDecompose:
     """``mdiw decompose`` over a custom qutrit ensemble and the tetrahedron, for an explicit (3, 2) witness."""
 

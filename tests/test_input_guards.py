@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from mdiw import serialize
-from mdiw.attack import random_biseparable_strategy, random_separable_strategy
+from mdiw.attack import AttackConfig, attack, random_biseparable_strategy, random_separable_strategy
 from mdiw.game import (BiseparableStrategy, BiseparableTerm, EntangledStrategy, SeparableStrategy, bell_outcome_povm,
                        bell_strategy, fast_entangled_table, mdi_value, simulate_entangled, simulate_separable)
 from mdiw.linalg import as_matrix, check_dims, partial_trace
-from mdiw.states import (DensityMatrix, InputEnsemble, bloch_state, ket, noisy_ghz, random_density_matrix,
-                         tetrahedron_ensemble, werner_state)
+from mdiw.states import (DensityMatrix, InputEnsemble, _unchecked, bloch_state, ket, noisy_ghz,
+                         random_density_matrix, tetrahedron_ensemble, werner_state)
 from mdiw.witness import Witness, decompose, named_witness, singlet_witness, tetrahedron_beta, witness_value
 
 
@@ -41,11 +41,11 @@ def _qutrit():
 
 
 def _skew_state_value():
-    """tr[1 rho] for a rho whose anti-Hermitian part, 0.4e-10 i on the diagonal, passes TOL_HERM = 1e-10.
+    """tr[1 rho] for an unchecked rho whose anti-Hermitian part, 2e-10 i on the diagonal, exceeds TOL_HERM = 1e-10.
 
-    The trace check reads the real part only, so that diagonal adds 8 x 0.4e-10 i to the trace unseen.
+    The residue 8 x 2e-10 exceeds TOL_HERM sum |W_ij| = 8e-10, which no checked state reaches.
     """
-    rho = DensityMatrix(np.ones((8, 8)) / 8 + 0.4e-10j * np.eye(8), (2, 2, 2))
+    rho = _unchecked(DensityMatrix, matrix=np.ones((8, 8)) / 8 + 2e-10j * np.eye(8), dims=(2, 2, 2))
     return witness_value(Witness(np.eye(8), (2, 2, 2)), rho)
 
 
@@ -94,6 +94,11 @@ GUARDS = {
         lambda: mdi_value(tetrahedron_beta(),
                           fast_entangled_table(noisy_ghz(0.5), tuple(map(tetrahedron_ensemble, "ABC")))),
         ValueError, "decomposition has 2 parties, table has 3"),
+    # attack
+    "one_party_attack": (
+        lambda: attack(decompose(Witness(np.diag([1.0, -0.5]), (2,)), (tetrahedron_ensemble("A"),)), None,
+                       AttackConfig(restarts=1)),
+        ValueError, "separable attacks need at least two parties"),
     # linalg
     "as_matrix_ndim": (lambda: as_matrix([1.0, 2.0]), ValueError, "expected a matrix, got array of shape (2,)"),
     "dims_non_positive": (
@@ -110,7 +115,7 @@ GUARDS = {
     "ket_digit": (lambda: ket("02"), ValueError, "digit 2 out of range for local dimension 2"),
     # witness
     "witness_kind": (lambda: Witness(np.eye(4), (2, 2), kind="bound"), ValueError, "unknown witness kind 'bound'"),
-    "imaginary_residue": (_skew_state_value, ValueError, "trace has imaginary residue 3.200e-10"),
+    "imaginary_residue": (_skew_state_value, ValueError, "trace has imaginary residue 1.600e-09"),
     "ensemble_dim": (
         lambda: decompose(singlet_witness(), (tetrahedron_ensemble("A"), InputEnsemble("B", ("0",), (_qutrit(),)))),
         ValueError, "ensemble for party B has dim 3, witness needs 2"),

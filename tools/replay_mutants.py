@@ -36,7 +36,7 @@ MUTANTS = {
         "attack.py",
         "scale = eigs[:, -1:] * (1.0 + u[:, None])",
         "scale = eigs[:, -1:] / 2 * (1.0 + u[:, None])",
-        ["tests/test_attack.py::TestBuildPhase::test_select_matches_block_of_one",
+        ["tests/test_attack.py::TestBuildPhase::test_batch_matches_block_of_one",
          "tests/test_linalg.py::test_strategies_hold_read_only_shares_and_clicks"],
     ),
     # non-finite entries decided from the Hermitian defect alone: an overflowing defect reads as NaN
@@ -82,7 +82,7 @@ MUTANTS = {
         "order = sorted(range(len(partitions)), key=partitions.__getitem__)",
         "order = sorted(range(len(partitions)), key=lambda j: members[j][:1].tolist())",
         ["tests/test_attack.py::TestBlockForm::test_biseparable_round_trip_keeps_term_order",
-         "tests/test_attack.py::TestBuildPhase::test_select_matches_block_of_one"],
+         "tests/test_attack.py::TestBuildPhase::test_batch_matches_block_of_one"],
     ),
     # the build checks the states of one block size only, the singletons'
     "one_block_size_checked": (
@@ -98,20 +98,21 @@ MUTANTS = {
         "        _check_densities(stack[: len(stack) // len(draws)], (d,))",
         ["tests/test_attack.py::TestBuildPhase::test_non_psd_share_in_last_restart_rejected_like_single"],
     ),
-    # a stopped restart's survivors keep their old term indices
-    "select_without_renumbering": (
+    # a stopped restart keeps its terms in the batch: the next sweep's stop rule reads them again
+    "keep_ignores_stopped": (
         "attack.py",
-        "kept_groups.append((new[mine] * k + idx[mine] % k, specs",
-        "kept_groups.append((idx[mine], specs",
-        ["tests/test_attack.py::TestBuildPhase::test_select_matches_block_of_one",
-         "tests/test_attack.py::TestBatchedSearch::test_matches_sequential_loop"],
+        "for mine in [alive[rows]] if mine.any()]",
+        "for mine in [alive[rows] | True] if mine.any()]",
+        ["tests/test_attack.py::TestBuildPhase::test_batch_matches_block_of_one",
+         "tests/test_attack.py::TestStoppedRestarts::test_stopped_restarts_leave_the_batch"],
     ),
-    # every term reads restart 0's F_p
+    # every term of a batch of mixtures reads mixture 0's F_p
     "restart_0_traced_inputs": (
         "game.py",
         "return idx // shape[1] if shape[0] > 1 else slice(None)",
         "return slice(0, 1)",
-        ["tests/test_attack.py::TestBatchedSearch::test_matches_sequential_loop"],
+        ["tests/test_attack.py::TestBatchInvariance::test_batch_equals_one_at_a_time",
+         "tests/test_acceptance.py::test_loss_invariance_batch_matches_one_sample_route"],
     ),
     # F_p read as (row, column) in the flattened block response: every share dim above 1 scores tr[F^T sigma]
     "response_reads_f_row_column": (
@@ -137,27 +138,13 @@ MUTANTS = {
         ["tests/test_game.py::TestSimulateSeparable::test_biseparable_matches_explicit_mixture",
          "tests/test_attack.py::TestCertifiedFloor::test_no_biseparable_strategy_below_floor"],
     ),
-    # block responses stored as their real parts: a selected restart reads them in another layout
-    "responses_stored_real": (
-        "game.py",
-        "    return np.einsum(block.response, *fb, sigma)\n",
-        "    return np.einsum(block.response, *fb, sigma).real\n",
-        ["tests/test_attack.py::TestRestartIndependence::test_restart_alone_equals_restart_in_batch"],
-    ),
     # the starts valued by one stacked matmul, which rounds a row by the batch it sits in
     "start_values_by_matmul": (
         "attack.py",
         "np.vecdot(_grid(weights, groups, resp).reshape(len(weights), -1), beta.ravel())",
         "_grid(weights, groups, resp).reshape(len(weights), -1) @ beta.ravel()",
         ["tests/test_attack.py::TestBatchInvariance::test_batch_equals_one_at_a_time",
-         "tests/test_attack.py::TestBuildPhase::test_select_matches_block_of_one"],
-    ),
-    # the weight step moves every restart onto the term of the lowest value in the whole batch
-    "batch_wide_weight_argmin": (
-        "attack.py",
-        "low = terms.argmin(axis=1)",
-        "low = np.full(shape[0], terms.argmin() % shape[1])",
-        ["tests/test_attack.py::TestBatchedSearch::test_matches_sequential_loop"],
+         "tests/test_attack.py::TestBuildPhase::test_batch_matches_block_of_one"],
     ),
     # the scan's ends swapped: every point scored as v I_0 + (1 - v) I_1
     "scan_ends_swapped": (
@@ -234,14 +221,6 @@ MUTANTS = {
         ["tests/test_game.py::TestTraceInputsOracle::test_matches_order_c_einsum",
          "tests/test_game.py::TestSimulateEntangled::test_matches_raw_index_oracle_bipartite"],
     ),
-    # the sweep's lone-group shortcut taken by every group: each contracts all the batch's weights
-    "lone_group_weights_for_every_group": (
-        "attack.py",
-        "ws = [w] if len(groups) == 1 else [w[idx] for idx, _, _ in groups]",
-        "ws = [w] * len(groups)",
-        ["tests/test_attack.py::TestBatchedSearch::test_matches_sequential_loop",
-         "tests/test_attack.py::TestBlockForm::test_sweep_matches_public_route"],
-    ),
     # the shared state enters the block form transposed: every shared-state table scores rho^T
     "entangled_block_transposed": (
         "game.py",
@@ -305,6 +284,39 @@ MUTANTS = {
         ["tests/test_attack.py::TestBatchedSearch::test_matches_sequential_loop",
          "tests/test_attack.py::TestStoppedRestarts::test_stopped_restarts_leave_the_batch",
          "tests/test_attack.py::TestSearch::test_tracked_best_is_monotone_within_restart"],
+    ),
+    # a teleported pair's party j clicks on Q itself, not on SWAP Q^T SWAP
+    "teleported_click_untransposed": (
+        "attack.py",
+        ".reshape(d, dj, d, dj).transpose(3, 2, 1, 0)",
+        ".reshape(d, dj, d, dj)",
+        ["tests/test_attack.py::TestBlockForm::test_sweep_matches_public_route",
+         "tests/test_attack.py::TestSearch::test_teleported_pair_realizes_a_quarter"],
+    ),
+    # a product term's parties click on A_p (x) 1 instead of A_p^T (x) 1
+    "product_click_untransposed": (
+        "attack.py",
+        "(a[0].T[:, None, :, None] * one)",
+        "(a[0][:, None, :, None] * one)",
+        ["tests/test_attack.py::TestBlockForm::test_sweep_matches_public_route",
+         "tests/test_attack.py::TestSearch::test_best_strategy_reproduces_reported_minimum"],
+    ),
+    # the step's rank floor dropped: a positive semidefinite gradient gives A = 0
+    "kept_column_dropped": (
+        "attack.py",
+        "    keep[:, 0] = True\n",
+        "",
+        ["tests/test_attack.py::TestNegativeProjectorRank::test_psd_operator_keeps_lowest_eigenvector",
+         "tests/test_attack.py::TestNegativeProjectorRank::test_mask_matches_rank_rule"],
+    ),
+    # the path and the stop rule read relaxed values: a teleported pair's are d_i^2 times its realized ones
+    "relaxed_values_read": (
+        "attack.py",
+        "resp[-1]) * plan.scale",
+        "resp[-1])",
+        ["tests/test_attack.py::TestBlockForm::test_sweep_matches_public_route",
+         "tests/test_attack.py::TestSearch::test_teleported_pair_realizes_a_quarter",
+         "tests/test_attack.py::TestBatchedSearch::test_matches_sequential_loop"],
     ),
     # a witness stored as given: an anti-Hermitian part within TOL_HERM reaches the evaluation and the solve
     "witness_symmetrization_dropped": (

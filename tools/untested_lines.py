@@ -79,6 +79,22 @@ def _trace(hits: set):
     return global_
 
 
+class _Rearm:
+    """A pytest plugin that sets the tracer again after each test.
+
+    CPython unsets a trace function that raises, and a call to it at the
+    recursion limit raises: a test that recurses that deep (a fuzzed config
+    nested past the limit) would leave every later test untraced.
+    """
+
+    def __init__(self, tracer):
+        self.tracer = tracer
+
+    def pytest_runtest_teardown(self, item):
+        if sys.gettrace() is not self.tracer:
+            sys.settrace(self.tracer)
+
+
 def main(argv=None) -> int:
     import pytest
 
@@ -89,7 +105,7 @@ def main(argv=None) -> int:
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        code = pytest.main(["-q", "-p", "no:cacheprovider", "--rootdir", str(ROOT), *args])
+        code = pytest.main(["-q", "-p", "no:cacheprovider", "--rootdir", str(ROOT), *args], plugins=[_Rearm(tracer)])
     finally:
         sys.settrace(None)
         threading.settrace(None)
