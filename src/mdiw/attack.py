@@ -48,6 +48,7 @@ from .game import (
     _BIPARTITIONS,
     _TAGS,
     _biseparable_strategy,
+    _checked_clicks,
     _grid,
     _responses,
     _partition_groups,
@@ -152,20 +153,17 @@ def _unit_kets(draws: np.ndarray) -> np.ndarray:
     return v / np.sqrt(sq[..., 0])
 
 
-def _projectors(v: np.ndarray) -> np.ndarray:
-    """|v><v| for each ket along the last axis of a stack."""
-    return v[..., :, None] * v[..., None, :].conj()
-
-
 # A sampled term is a partition of the parties, drawn from its family's (an
 # ``integers`` call only where there are several), plus one random pure state
 # per block, its kets one row: each block's real parts, then imaginary parts.
 # A family's partitions share their block sizes in block order, those of one
 # size adjacent.  The draw phase reads one restart's generator in stream order;
 # the build phase puts R restarts' draws in block form (see :mod:`mdiw.game`),
-# checking each block size's states and each input dimension's success
-# elements as one stack, and builds no POVM.  A public sampler inverts a batch
-# of one with its POVMs; the search converts its batch (see :func:`_effective`).
+# checking each block size's states and each input dimension's success elements
+# as one stack, and builds no POVM.  A public sampler inverts a batch of one with
+# POVMs viewing its stacks; the search converts its batch (:func:`_effective`) and
+# checks its reported term's clicks as one stack per input dimension, with share
+# states built and checked once per share shape (:func:`_strategy`).
 
 
 def _check_int(name: str, value, low: int) -> None:
@@ -207,11 +205,6 @@ def _success_batch(draws, input_dims, m) -> list:
     return elements
 
 
-def _povms(elements, input_dims, m) -> tuple:
-    """The POVMs of restart 0, viewing its checked, read-only success elements."""
-    return tuple(_unchecked(POVM, click=e[0], dims=(int(d), int(m))) for e, d in zip(elements, input_dims))
-
-
 def _draw(rng, partitions, input_dims, m, k):
     """One restart's draws in stream order: weights, partition picks, kets and success elements."""
     weights, size = rng.dirichlet(np.ones(k)), 2 * sum(m ** len(b) for b in partitions[0])
@@ -228,7 +221,8 @@ def _block(draws, partitions, input_dims, m):
     sizes, ranked, at = [m ** len(b) for b in partitions[0]], {}, 0
     for d in dict.fromkeys(sizes):
         c = sizes.count(d)
-        stack = _projectors(_unit_kets(kets[:, at : at + 2 * d * c].reshape(-1, 2, d)))
+        v = _unit_kets(kets[:, at : at + 2 * d * c].reshape(-1, 2, d))
+        stack = v[:, :, None] * v[:, None, :].conj()  # |v><v|
         _check_densities(stack, (d,))
         # [rank among a term's blocks of size d, term]
         ranked[d], at = np.ascontiguousarray(stack.reshape(-1, c, d, d).swapaxes(0, 1)), at + 2 * d * c
@@ -261,7 +255,8 @@ def _sample(kind, input_dims, m, k, rng):
         raise ValueError(f"no {kind} strategy has {len(input_dims)} parties")
     draws = _draw(rng, partitions, input_dims, m, k)
     weights, groups, elements = _block([draws], partitions, input_dims, m)
-    return build(weights[0], groups, _povms(elements, input_dims, m))
+    povms = tuple(_unchecked(POVM, click=e[0], dims=(int(d), int(m))) for e, d in zip(elements, input_dims))
+    return build(weights[0], groups, povms)  # restart 0's POVMs view its checked, read-only success elements
 
 
 def random_separable_strategy(input_dims, share_dim: int, mixture_size: int,
@@ -405,30 +400,36 @@ def _absorb(elements, sigma, m) -> np.ndarray:
     return x.transpose([0] + list(range(2, 2 * k + 1, 2)) + list(range(1, 2 * k, 2))).reshape(n, math.prod(dims), -1)
 
 
-def _marginals(q, d) -> list[np.ndarray]:
-    """tr_j Q and tr_i Q of (N, d d_j, d d_j) pair operators, each over its top eigenvalue: in [0, 1]."""
-    q = q.reshape(len(q), d, -1, d, q.shape[-1] // d)
-    return [a / np.linalg.eigvalsh(a)[:, -1:, None] for a in (q.trace(axis1=2, axis2=4), q.trace(axis1=1, axis2=3))]
+def _marginals(pairs) -> list[np.ndarray]:
+    """tr_j Q and tr_i Q of each (Q, d_i) pair's (N, d_i d_j, d_i d_j) operators over their top eigenvalues, in
+    [0, 1]; the marginals of one size share one ``eigvalsh``, which gives each the bits of a call of its own."""
+    ms = [a for q, d in pairs for q in [q.reshape(len(q), d, -1, d, q.shape[-1] // d)]
+          for a in (q.trace(axis1=2, axis2=4), q.trace(axis1=1, axis2=3))]
+    scaled = {}
+    for size in dict.fromkeys(a.shape[-1] for a in ms):
+        same = [a for a in ms if a.shape[-1] == size]
+        tops = np.linalg.eigvalsh(np.concatenate(same))[:, -1:, None]
+        scaled[size] = iter(np.split(tops, np.cumsum([len(a) for a in same])[:-1]))
+    return [a / next(scaled[a.shape[-1]]) for a in ms]
 
 
 def _effective(groups, elements, plans, k, m) -> list:
     """The search state of drawn strategies in block form (see :func:`_block`), mixtures of ``k`` terms.
 
     Each block of a term is absorbed once (:func:`_absorb`); a pair's
-    product form starts from its :func:`_marginals`.
+    product form starts from its :func:`_marginals`, those of every cut taken at once.
     """
-    merged = {}
-    for idx, specs, states in groups:
-        blocks, rows = tuple(b.parties for b in specs.blocks), idx // k
-        ops = [_absorb([elements[p][rows] for p in b], s, m) for b, s in zip(blocks, states)]
+    drawn = [(idx, blocks, [_absorb([elements[p][idx // k] for p in b], s, m) for b, s in zip(blocks, states)])
+             for idx, specs, states in groups for blocks in [tuple(b.parties for b in specs.blocks)]]
+    pairs = iter(_marginals([(ops[0], elements[b[0][0]].shape[-1] // m) for _, b, ops in drawn if len(b[0]) == 2]))
+    merged, state = {}, []
+    for idx, blocks, ops in drawn:
         for f, plan in enumerate(plans[blocks]):
             part = ops
             if len(plan.blocks) > len(blocks):  # one operator per party of the pair
-                (i, j), (r,) = blocks
-                part = dict(zip((i, j, r), _marginals(ops[0], elements[i].shape[-1] // m) + ops[1:]))
+                part = dict(zip(sum(blocks, ()), [next(pairs), next(pairs)] + ops[1:]))
                 part = [part[p] for p in range(3)]
-            merged.setdefault(plan.blocks, (plan, []))[1].append((rows, f * k + idx % k, part))
-    state = []
+            merged.setdefault(plan.blocks, (plan, []))[1].append((idx // k, f * k + idx % k, part))
     for plan, parts in merged.values():
         rows, cols, ops = zip(*parts)
         ops = [np.concatenate(a) for a in zip(*ops)]
@@ -438,19 +439,16 @@ def _effective(groups, elements, plans, k, m) -> list:
 
 
 def _values(state, shape) -> np.ndarray:
-    """z[r, c]: the realized value of restart r's searched term c, inf where the state has none.
-
-    A term scores its last block's coefficients against that block's
-    responses, realized in full by a product and over d_i^2 by a teleported pair.
-    """
+    """z[r, c]: the realized value of restart r's searched term c, inf where the state has none: its last block's
+    coefficients against that block's responses, in full for a product and over d_i^2 for a teleported pair."""
     z = np.full(shape, np.inf)
     for plan, rows, cols, ops, resp in state:
         z[rows, cols] = np.vecdot(_coefficients(plan.betas[-1], resp[:-1]), resp[-1]) * plan.scale
     return z
 
 
-def _sweep(state) -> list:
-    """One see-saw sweep of every term in the batch.
+def _sweep(state, shape) -> tuple[list, np.ndarray]:
+    """One see-saw sweep of every term in the batch, and the swept terms' values as :func:`_values` gives them.
 
     Each block in turn, in every term at once, moves to the operator that
     minimizes tr[A G] at rank >= 1 (see :func:`_negative_projectors`), G
@@ -458,15 +456,16 @@ def _sweep(state) -> list:
     G has a negative eigenvalue, and where it has none the step can raise
     the value; the stop rule of :func:`_search` keeps that restart's best.
     """
-    swept = []
+    swept, z = [], np.full(shape, np.inf)
     for plan, rows, cols, ops, resp in state:
         ops, resp = list(ops), list(resp)
         for b, t in enumerate(plan.inputs):
             c = _coefficients(plan.betas[b], resp[:b] + resp[b + 1 :])
             ops[b] = _negative_projectors((c[:, None, :] @ t).reshape(len(c), -1).view(complex).reshape(ops[b].shape))
             resp[b] = _readout(ops[b], t)
+        z[rows, cols] = np.vecdot(c, resp[-1]) * plan.scale  # c: the last block's coefficients
         swept.append((plan, rows, cols, ops, resp))
-    return swept
+    return swept, z
 
 
 def _keep(state, alive) -> list:
@@ -482,6 +481,13 @@ def _term(state, j, c) -> tuple:
             return plan, [a[i : i + 1] for a in ops]
 
 
+@functools.cache
+def _shares(d, m) -> tuple[DensityMatrix, DensityMatrix]:
+    """|0><0| on a share of dimension ``m`` and |Phi><Phi| on two (|00> at d = 1), each checked once per (d, m)."""
+    phi = np.diag(np.arange(m) < d) / math.sqrt(d)  # |Phi> as an m x m matrix
+    return DensityMatrix(projector(np.eye(m)[0]), (m,)), DensityMatrix(projector(phi), (m, m))
+
+
 def _strategy(plan, ops, input_dims, m, kind):
     """One searched term, its operators a batch of one, as a strategy that scores its realized value.
 
@@ -492,22 +498,25 @@ def _strategy(plan, ops, input_dims, m, kind):
     with probability 1 / d_i^2, and party j clicks on SWAP Q^T SWAP of input
     (x) share.  Every other share holds |0>.
     """
-    n, one, zero = len(input_dims), np.eye(m)[None, :, None, :], projector(np.eye(m)[0])
+    n, one = len(input_dims), np.eye(m)[None, :, None, :]
     clicks = {b[0]: (a[0].T[:, None, :, None] * one).reshape(input_dims[b[0]] * m, -1)
               for b, a in zip(plan.blocks, ops) if len(b) == 1}
-    pair, tag = projector(np.eye(m * m)[0]), "AB|C"  # a product's parties click alone: any bipartition tag describes it
+    d, tag = 1, "AB|C"  # a product's parties click alone: any bipartition tag describes it, with shares |00>
     if len(plan.blocks) < n:
         ((i, j), (r,)), d, dj = plan.blocks, input_dims[plan.blocks[0][0]], input_dims[plan.blocks[0][1]]
-        phi = np.zeros((m, m))
-        phi[:d, :d] = np.eye(d) / math.sqrt(d)
         click = np.zeros((dj, m, dj, m), dtype=complex)
         click[:, :d, :, :d] = ops[0][0].reshape(d, dj, d, dj).transpose(3, 2, 1, 0)
-        clicks |= {i: projector(phi[:d]), j: click.reshape(dj * m, -1)}
-        pair, tag = projector(phi), _TAGS[(i, j), r]
-    povms, single = tuple(POVM(clicks[p], (input_dims[p], m)) for p in range(n)), DensityMatrix(zero, (m,))
+        clicks |= {i: projector(np.eye(d, m) / math.sqrt(d)), j: click.reshape(dj * m, -1)}
+        tag = _TAGS[(i, j), r]
+    povms = {}
+    for dp in dict.fromkeys(input_dims):
+        ps = [p for p in range(n) if input_dims[p] == dp]
+        es, dims = _checked_clicks([clicks[p] for p in ps], (dp, m))
+        povms |= {p: _unchecked(POVM, click=e, dims=dims) for p, e in zip(ps, es)}
+    (single, pair), povms = _shares(d, m), tuple(povms[p] for p in range(n))
     if kind == "separable":
         return SeparableStrategy((1.0,), ((single,) * n,), povms)
-    return BiseparableStrategy((BiseparableTerm(tag, 1.0, DensityMatrix(pair, (m, m)), single),), povms)
+    return BiseparableStrategy((BiseparableTerm(tag, 1.0, pair, single),), povms)
 
 
 def certified_lower_bound(dec: Decomposition, kind: str) -> float:
@@ -576,8 +585,7 @@ def _search(dec, ensembles, config, kind):
     running, value = np.arange(config.restarts), terms.min(axis=1)
     paths, champion = [[v] for v in value.tolist()], None  # champion: (value, restart, its best :func:`_term`)
     for it in range(config.iterations):
-        swept = _sweep(state)
-        swept_terms = _values(swept, terms.shape)
+        swept, swept_terms = _sweep(state, terms.shape)
         new = swept_terms[running].min(axis=1)
         lower = new < value
         best = np.where(lower, new, value)

@@ -332,11 +332,12 @@ def _closed_form(scenario: Scenario):
 def cmd_simulate(scenario: Scenario, args: argparse.Namespace) -> tuple[int, list]:
     """The correlation table as CSV plus a one-line JSON summary."""
     dec, rho, loss = scenario.decomposition, scenario.state, scenario.config.loss
-    if args.full:
-        table = simulate_entangled(bell_strategy(rho), dec.ensembles, include_full=True)
-    else:
-        table = fast_entangled_table(rho, dec.ensembles)
-    table = apply_uniform_loss(table, loss)
+    with _config_errors("state gives no probability table: "):
+        if args.full:
+            table = simulate_entangled(bell_strategy(rho), dec.ensembles, include_full=True)
+        else:
+            table = fast_entangled_table(rho, dec.ensembles)
+        table = apply_uniform_loss(table, loss)
     expected = _closed_form(scenario)
     summary = {
         "I": mdi_value(dec, table),

@@ -336,8 +336,8 @@ def sequential_search(dec, ensembles, config, kind, sample) -> AttackReport:
         kept, path = (state, terms), [float(value)]
         for _ in range(config.iterations):
             previous = value
-            state = _sweep(state)
-            terms = _values(state, shape)
+            state = _sweep(state, shape)[0]
+            terms = _values(state, shape)  # not the sweep's own values: the search's are checked against these
             value = terms.min()
             if value < best:
                 best, kept = value, (state, terms)

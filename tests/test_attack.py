@@ -2,6 +2,7 @@ import functools
 import importlib
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,6 +50,7 @@ from mdiw.attack import (
     _draw,
     _effective,
     _keep,
+    _marginals,
     _mixture_values,
     _negative_projectors,
     _plans,
@@ -305,7 +307,10 @@ class TestBlockForm:
                     if plan.blocks == partition:  # searched as drawn: its effective operators score it as it scores
                         assert start[0, f * k + t] / plan.scale == pytest.approx(_public(dec, alone), abs=1e-12)
             # every searched term, before and after a sweep, realized: three routes score its realized value
-            for state, values in ((state, start), (swept := _sweep(state), _values(swept, shape))):
+            swept, swept_values = _sweep(state, shape)
+            # the sweep values its terms from its last block's coefficients, with the bits of the separate route
+            assert swept_values.tobytes() == _values(swept, shape).tobytes()
+            for state, values in ((state, start), (swept, swept_values)):
                 assert np.isfinite(values).all()
                 for c, value in enumerate(values[0]):
                     realized = _strategy(*_term(state, 0, c), dims, share_dim, kind)
@@ -417,10 +422,11 @@ class TestBatchedSearch:
         want = sequential_search(dec, dec.ensembles, cfg, kind, sample)
         assert batched.evaluations == want.evaluations
         assert batched.floor == want.floor
-        # each restart's path, entry by entry: its start, then its best value after each sweep
+        # each restart's path, bit for bit: its start, then its best value after each sweep (the search's
+        # sweep values against the oracle's separate _values route)
         assert [len(p) for p in batched.restart_paths] == [len(p) for p in want.restart_paths]
         for got, path in zip(batched.restart_paths, want.restart_paths):
-            assert np.abs(np.subtract(got, path)).max() <= 1e-12
+            assert np.array(got).tobytes() == np.array(path).tobytes()
         assert repr(batched.best_strategy) == repr(want.best_strategy)
         assert _public(dec, batched.best_strategy) == pytest.approx(batched.min_value, abs=1e-12)
 
@@ -439,9 +445,9 @@ class TestStoppedRestarts:
         module = importlib.import_module("mdiw.attack")
         sweep, batch_sizes = module._sweep, []
 
-        def spy(state):
+        def spy(state, shape):
             batch_sizes.append(len(np.unique(np.concatenate([rows for _, rows, *_ in state]))))
-            return sweep(state)
+            return sweep(state, shape)
 
         monkeypatch.setattr(module, "_sweep", spy)
         dec = ghz_beta()
@@ -506,13 +512,14 @@ class TestBatchInvariance:
             batch = _block(draws, partitions, dims, share)
             values = _mixture_values(dec.beta, inputs, *batch)
             state = _effective(*batch[1:], plans, mixture, share)
-            starts, swept = _values(state, (size, width)), _values(_sweep(state), (size, width))
+            starts, (swept_state, swept) = _values(state, (size, width)), _sweep(state, (size, width))
+            assert swept.tobytes() == _values(swept_state, (size, width)).tobytes()
             for r, one in enumerate(draws):
                 alone = _block([one], partitions, dims, share)
                 assert values[r] == _mixture_values(dec.beta, inputs, *alone)[0]
                 state = _effective(*alone[1:], plans, mixture, share)
                 assert starts[r].tobytes() == _values(state, (1, width))[0].tobytes()
-                assert swept[r].tobytes() == _values(_sweep(state), (1, width))[0].tobytes()
+                assert swept[r].tobytes() == _sweep(state, (1, width))[1][0].tobytes()
 
 
 class TestBuildPhase:
@@ -665,7 +672,7 @@ class TestNegativeProjectorRank:
         for r in range(7):
             s = random_biseparable_strategy((2, 2, 2), 1, 3, restart_rng(66, r))
             state = _effective(_groups(s)[1], [m.element(1)[None] for m in s.measurements], plans, 3, 1)
-            moves.append((_values(state, (1, 3))[0], _values(_sweep(state), (1, 3))[0]))
+            moves.append((_values(state, (1, 3))[0], _sweep(state, (1, 3))[1][0]))
         assert [r for r, (start, swept) in enumerate(moves) if swept.min() > start.min()] == [3]
         assert moves[3][0] == pytest.approx((0.32834, 0.27291, 0.36400), abs=1e-5)
         assert moves[3][1] == pytest.approx((0.27689,) * 3, abs=1e-5)
@@ -776,6 +783,15 @@ class TestSearch:
             biseparable_attack(tetrahedron_beta(), tetrahedron_beta().ensembles, SMALL)
 
 
+def _random_game(dims, rng):
+    """A random Hermitian witness over d^2 random input states per party of ``dims``, decomposed."""
+    ensembles = tuple(InputEnsemble(p, tuple(map(str, range(d * d))),
+                                    tuple(random_density_matrix((d,), rng) for _ in range(d * d)))
+                      for p, d in zip("ABC", dims))
+    g = rng.normal(size=(np.prod(dims),) * 2) + 1j * rng.normal(size=(np.prod(dims),) * 2)
+    return decompose(Witness((g + g.conj().T) / 2, dims), ensembles)
+
+
 class TestRealizedSearch:
     """Every search reports a strategy that scores its minimum, and every path descends."""
 
@@ -802,12 +818,7 @@ class TestRealizedSearch:
     def test_ragged_input_dims(self, dims, share):
         # a pair is searched whole only where the share holds its first party's input, and a share
         # larger than that input pads the teleportation
-        rng = np.random.default_rng((sum(dims), share))
-        ensembles = tuple(InputEnsemble(p, tuple(map(str, range(d * d))),
-                                        tuple(random_density_matrix((d,), rng) for _ in range(d * d)))
-                          for p, d in zip("ABC", dims))
-        g = rng.normal(size=(np.prod(dims),) * 2) + 1j * rng.normal(size=(np.prod(dims),) * 2)
-        dec = decompose(Witness((g + g.conj().T) / 2, dims), ensembles)
+        dec = _random_game(dims, np.random.default_rng((sum(dims), share)))
         # random qutrit inputs solve with coefficients up to about 1e4: the rounding of each route scales with them
         tol = 1e-14 * np.abs(dec.beta).sum()
         assert dec.exact
@@ -816,13 +827,102 @@ class TestRealizedSearch:
             report = search(dec, dec.ensembles, cfg)
             assert _public(dec, report.best_strategy) == pytest.approx(report.min_value, abs=tol)
         # every searched form of a biseparable start, the teleported pairs included, realized
-        plans = _plans(np.asarray(dec.beta), [e.matrices for e in ensembles], _FAMILIES["biseparable"][0](3), share)
+        plans = _plans(np.asarray(dec.beta), [e.matrices for e in dec.ensembles], _FAMILIES["biseparable"][0](3), share)
         s = random_biseparable_strategy(dims, share, 3, np.random.default_rng(1))
         state = _effective(_groups(s)[1], [p.element(1)[None] for p in s.measurements], plans, 3, share)
         values = _values(state, (1, 3 * max(map(len, plans.values()))))[0]
         for c in np.flatnonzero(np.isfinite(values)):
             realized = _strategy(*_term(state, 0, c), dims, share, "biseparable")
             assert _public(dec, realized) == pytest.approx(values[c], abs=tol)
+
+
+class TestEigenCalls:
+    """The reported strategy's clicks are checked as stacks and its share states once; marginals are scaled at once."""
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 2), (2, 3, 2), (3, 2, 3)])
+    @pytest.mark.parametrize("kind", ["separable", "biseparable"])
+    def test_strategy_checks_clicks_once_per_input_dimension(self, monkeypatch, kind, dims):
+        module, stacks = importlib.import_module("mdiw.attack"), []
+        checked = module._checked_clicks
+
+        def spy(clicks, d):
+            stacks.append((len(clicks), d))
+            return checked(clicks, d)
+
+        monkeypatch.setattr(module, "_checked_clicks", spy)
+        dec, share = _random_game(dims, np.random.default_rng(sum(dims))), 3  # a share of 3 teleports every pair
+        plans = _plans(np.asarray(dec.beta), [e.matrices for e in dec.ensembles], _FAMILIES[kind][0](3), share)
+        sample = random_separable_strategy if kind == "separable" else random_biseparable_strategy
+        s = sample(dims, share, 4, np.random.default_rng(2))
+        state = _effective(_groups(s)[1], [p.element(1)[None] for p in s.measurements], plans, 4, share)
+        values = _values(state, (1, 4 * max(map(len, plans.values()))))[0]
+        forms = set()
+        for c in np.flatnonzero(np.isfinite(values)):
+            stacks.clear()
+            plan, ops = _term(state, 0, c)
+            realized = _strategy(plan, ops, dims, share, kind)
+            forms.add(len(plan.blocks))
+            # one stack per input dimension, in first-party order, holding every party of that dimension
+            assert stacks == [(dims.count(d), (d, share)) for d in dict.fromkeys(dims)]
+            for p, povm in enumerate(realized.measurements):
+                assert povm.dims == (dims[p], share) and not povm.click.flags.writeable
+        assert forms == ({3} if kind == "separable" else {2, 3})
+
+    @pytest.mark.parametrize("dims, sizes", [((2, 2, 2), [2]), ((3, 2, 2), [3, 2]), ((2, 2, 3), [2, 3])])
+    def test_marginals_one_eigvalsh_per_size_per_search(self, monkeypatch, dims, sizes):
+        module, calls, inside = importlib.import_module("mdiw.attack"), [], []
+        eigvalsh, marginals = np.linalg.eigvalsh, module._marginals
+
+        def counting(a):
+            if inside:
+                calls[-1].append(a.shape[-1])
+            return eigvalsh(a)
+
+        def spy(pairs):
+            calls.append([])
+            inside.append(True)
+            try:
+                return marginals(pairs)
+            finally:
+                inside.clear()
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        monkeypatch.setattr(module, "_marginals", spy)
+        dec = _random_game(dims, np.random.default_rng(sum(dims)))
+        for share in (1, 2):
+            calls.clear()
+            biseparable_attack(dec, dec.ensembles, AttackConfig(restarts=5, iterations=3, mixture_size=4,
+                                                                share_dim=share, seed=0))
+            assert calls == [sizes]
+
+    def test_stacked_marginals_match_each_alone(self):
+        # pairs of three shapes, their marginals of two sizes: each marginal has the bits of its own eigvalsh
+        rng = np.random.default_rng(8)
+        pairs = []
+        for n, (d, dj) in zip((3, 1, 4), ((2, 2), (3, 2), (2, 3))):
+            g = rng.normal(size=(n, d * dj, d * dj)) + 1j * rng.normal(size=(n, d * dj, d * dj))
+            pairs.append((g.conj().swapaxes(-1, -2) @ g, d))
+        got = _marginals(pairs)
+        assert len(got) == 2 * len(pairs)
+        for (q, d), pair in zip(pairs, zip(got[::2], got[1::2])):
+            x = q.reshape(len(q), d, -1, d, q.shape[-1] // d)
+            for a, want in zip(pair, (x.trace(axis1=2, axis2=4), x.trace(axis1=1, axis2=3))):
+                assert a.tobytes() == (want / np.linalg.eigvalsh(want)[:, -1:, None]).tobytes()
+        assert _marginals([]) == []
+
+    def test_searches_share_one_read_only_state(self):
+        # |0> and |Phi> are built and checked once per (d, share dim): every search returns the same objects
+        tet, ghz = tetrahedron_beta(), ghz_beta()
+        shares = []
+        for seed in (0, 1):
+            cfg = AttackConfig(restarts=2, iterations=5, mixture_size=2, share_dim=2, seed=seed)
+            separable = attack(tet, tet.ensembles, cfg).best_strategy
+            # at share dim 1 no pair is teleported: the best term shares |00> and |0>
+            (term,) = biseparable_attack(ghz, ghz.ensembles, replace(cfg, share_dim=1)).best_strategy.terms
+            shares.append(separable.share_states[0] + (term.singleton_state, term.group_state))
+        assert shares[0][0] is shares[0][1] and np.array_equal(shares[0][0].matrix, np.diag([1.0, 0.0]))
+        for a, b in zip(*shares):
+            assert a is b and not a.matrix.flags.writeable
 
 
 class TestPowerNegativeControl:

@@ -371,6 +371,26 @@ def test_skew_state_config_simulates(tmp_path, full):
     assert doc["I"] == pytest.approx(doc["witness_value_scaled"], abs=1e-12)
 
 
+# rho = diag(-0.99e-10, 0, 0, 1 + 1.98e-10) passes the state check (trace 1 + 0.99e-10, lowest eigenvalue
+# -0.99e-10), but its full distribution leaves [0, 1] by 1.7e-10 at (+z, +z)
+EDGE_STATE_CONFIG = dict(
+    BASE_CONFIG, ensembles=["pauli6"] * 2, decomposition="solve",
+    state={"matrix": serialize.matrix_to_json(np.diag([-0.99e-10, 0.0, 0.0, 1.0 + 1.98e-10])), "dims": [2, 2]})
+
+
+def test_edge_state_full_table_is_a_config_error(tmp_path, capsys):
+    # simulate --full ended in "ValueError: probability 1.00000000017325 out of range at ('+z', '+z')", exit 1
+    cfg = write_config(tmp_path, EDGE_STATE_CONFIG)
+    out = ["-o", str(tmp_path / "t.csv"), "--summary", str(tmp_path / "s.json")]
+    assert main(["simulate", "-c", cfg] + out) == 0
+    capsys.readouterr()
+    assert main(["simulate", "-c", cfg, "--full", "-o", str(tmp_path / "full.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: state gives no probability table: probability 1.0000000001")
+    assert err.endswith(" out of range at ('+z', '+z')\n") and err.count("\n") == 1
+    assert not (tmp_path / "full.csv").exists()
+
+
 class TestQutritDecompose:
     """``mdiw decompose`` over a custom qutrit ensemble and the tetrahedron, for an explicit (3, 2) witness."""
 

@@ -309,14 +309,33 @@ MUTANTS = {
         ["tests/test_attack.py::TestNegativeProjectorRank::test_psd_operator_keeps_lowest_eigenvector",
          "tests/test_attack.py::TestNegativeProjectorRank::test_mask_matches_rank_rule"],
     ),
-    # the path and the stop rule read relaxed values: a teleported pair's are d_i^2 times its realized ones
+    # the sweep values, which the path and the stop rule read, relaxed: a teleported pair's are d_i^2 times its
+    # realized ones
     "relaxed_values_read": (
         "attack.py",
-        "resp[-1]) * plan.scale",
-        "resp[-1])",
+        "np.vecdot(c, resp[-1]) * plan.scale",
+        "np.vecdot(c, resp[-1])",
         ["tests/test_attack.py::TestBlockForm::test_sweep_matches_public_route",
          "tests/test_attack.py::TestSearch::test_teleported_pair_realizes_a_quarter",
          "tests/test_attack.py::TestBatchedSearch::test_matches_sequential_loop"],
+    ),
+    # the reported strategy's click stacks skip the first party's input dimension: a party whose input
+    # dimension no other party has gets no POVM (equal dims hide it)
+    "click_stack_skips_first_party": (
+        "attack.py",
+        "for dp in dict.fromkeys(input_dims):",
+        "for dp in dict.fromkeys(input_dims[1:]):",
+        ["tests/test_attack.py::TestEigenCalls::test_strategy_checks_clicks_once_per_input_dimension",
+         "tests/test_attack.py::TestRealizedSearch::test_ragged_input_dims"],
+    ),
+    # the stacked marginals split one row early: each marginal meets the top eigenvalues of its neighbours' rows
+    "marginal_split_offset": (
+        "attack.py",
+        "np.cumsum([len(a) for a in same])[:-1]",
+        "np.cumsum([len(a) for a in same])[:-1] - 1",
+        ["tests/test_attack.py::TestEigenCalls::test_stacked_marginals_match_each_alone",
+         "tests/test_attack.py::TestBatchedSearch::test_matches_sequential_loop",
+         "tests/test_attack.py::TestBuildPhase::test_batch_matches_block_of_one"],
     ),
     # a witness stored as given: an anti-Hermitian part within TOL_HERM reaches the evaluation and the solve
     "witness_symmetrization_dropped": (
