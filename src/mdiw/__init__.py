@@ -76,4 +76,4 @@ from .attack import (
 )
 from .verify import Verdict, run_all
 
-__version__ = "0.2.0"
+__version__ = "0.2.1"

@@ -15,8 +15,9 @@ the projector onto the negative eigenspace of its gradient (see
 lowest term's as a strategy realizes it (:func:`_strategy`), so the mixture
 size and share dimension shape only the start distribution and that
 strategy's embedding (see :class:`AttackConfig`).  The samplers
-share the block form of :mod:`mdiw.game`, which also scores the violation
-curves whose closed forms and zero crossings live here.
+share the block form of :mod:`mdiw.game`, and the conversion its block
+contraction; :mod:`mdiw.game` also scores the violation curves whose
+closed forms and zero crossings live here.
 
 Randomness contract: restart ``r`` of a search with master seed ``m`` draws
 from ``numpy.random.default_rng((m, r))``, i.e. a PCG64 generator seeded
@@ -49,6 +50,7 @@ from .game import (
     _TAGS,
     _biseparable_strategy,
     _checked_clicks,
+    _contract,
     _grid,
     _responses,
     _partition_groups,
@@ -233,7 +235,7 @@ def _block(draws, partitions, input_dims, m):
         picks = np.concatenate([x[1] for x in draws])
         members = [(picks == j).nonzero()[0] for j in range(len(partitions))]
         states = [[x.take(i, axis=0) for x in blocks] for i in members]
-    groups = _partition_groups(partitions, members, states, (m,) * len(input_dims))
+    groups = _partition_groups(partitions, members, states)
     return np.array([x[0] for x in draws]), groups, _success_batch([x[3] for x in draws], input_dims, m)
 
 
@@ -388,16 +390,13 @@ def _readout(ops, t) -> np.ndarray:
 
 def _absorb(elements, sigma, m) -> np.ndarray:
     """A_k = tr_share[(E_p,k (x) ...)(1 (x) sigma_k)]^T for a block's (N, d m, d m) success elements, one
-    per party, and its (N, M, M) states: one stacked matmul per party."""
-    n, k = len(sigma), len(elements)
-    # x[k, (a, b) of each party still to absorb..., (i, j) of each absorbed] = sigma[k, b..., a...]
-    x = sigma.reshape((n,) + (m,) * 2 * k).transpose([0] + [a for p in range(1, k + 1) for a in (k + p, p)])
-    dims = [e.shape[-1] // m for e in elements]
-    for e, d in zip(elements, dims):
-        e = e.reshape(n, d, m, d, m).transpose(0, 1, 3, 2, 4).reshape(n, d * d, m * m)
-        x = (e @ x.reshape(n, m * m, -1)).swapaxes(1, 2)
-    x = x.reshape([n] + [d for d in dims for _ in "ij"])
-    return x.transpose([0] + list(range(2, 2 * k + 1, 2)) + list(range(1, 2 * k, 2))).reshape(n, math.prod(dims), -1)
+    per party, and its (N, M, M) states: the block contraction of each E_p as its (i, j) pairs' share operators."""
+    dims, k = [e.shape[-1] // m for e in elements], len(elements)
+    # x[k, (i, j) of each party] = tr_share[...][i..., j...]
+    x = _contract([e.reshape(len(e), d, m, d, m).transpose(0, 1, 3, 2, 4).reshape(len(e), d * d, m, m)
+                   for e, d in zip(elements, dims)], sigma).reshape([len(sigma)] + [d for d in dims for _ in "ij"])
+    return x.transpose([0] + list(range(2, 2 * k + 1, 2)) + list(range(1, 2 * k, 2))).reshape(
+        len(sigma), math.prod(dims), -1)
 
 
 def _marginals(pairs) -> list[np.ndarray]:
@@ -420,7 +419,7 @@ def _effective(groups, elements, plans, k, m) -> list:
     product form starts from its :func:`_marginals`, those of every cut taken at once.
     """
     drawn = [(idx, blocks, [_absorb([elements[p][idx // k] for p in b], s, m) for b, s in zip(blocks, states)])
-             for idx, specs, states in groups for blocks in [tuple(b.parties for b in specs.blocks)]]
+             for idx, blocks, states in groups]
     pairs = iter(_marginals([(ops[0], elements[b[0][0]].shape[-1] // m) for _, b, ops in drawn if len(b[0]) == 2]))
     merged, state = {}, []
     for idx, blocks, ops in drawn:

@@ -10,8 +10,9 @@ with each party's input adjacent to its share, though tables never build
 that joint space: :func:`trace_inputs` folds each party's inputs into its
 outcome elements.  Every strategy mixes terms that are products over
 blocks of parties (a shared state is one term in one block); the traced
-elements meet each block's states in one contraction, and one more over
-the weighted terms gives the table.  The honest table contracts the shared
+elements meet each block's states in the block contraction, which the
+attack search shares, and one more over the weighted terms gives the
+table.  The honest table contracts the shared
 state with the inputs on a route of its own.  The game functional
 contracts a witness decomposition against the all-ones outcome
 probabilities, so a negative value certifies entanglement of the shared
@@ -25,7 +26,6 @@ import itertools
 import math
 import string
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -307,16 +307,15 @@ def trace_inputs(element: np.ndarray, taus: np.ndarray) -> np.ndarray:
 
     ``element`` is one operator or a stack of them; leading axes carry through.
     The trace sums each (i, j) pair as one flattened axis: F has the same bits in a stack of any size.
-    F views its C-ordered transpose, one copy of einsum's own output (``order="C"`` costs more).
+    F is C-ordered, one copy of einsum's own output (``order="C"`` costs more on a stack).
     """
     d, lead = taus.shape[1], element.ndim - 2
     share = element.shape[-1] // d
-    # F[s, a, b] = sum_ij E[i a, j b] tau[s, j, i], the pair (i, j) as k = i d + j; a block
-    # response reads F's transpose (column, row) flattened without a copy
+    # F[s, a, b] = sum_ij E[i a, j b] tau[s, j, i], the pair (i, j) as k = i d + j
     e = element.reshape(element.shape[:-2] + (d, share, d, share))
     e = e.transpose(*range(lead), lead + 1, lead + 3, lead, lead + 2).reshape(e.shape[:lead] + (share, share, -1))
     taus = taus.swapaxes(-1, -2).reshape(len(taus), -1)
-    return np.ascontiguousarray(np.einsum("...abk,sk->...abs", e, taus).swapaxes(-1, -3)).swapaxes(-1, -2)
+    return np.ascontiguousarray(np.einsum("...abk,sk->...abs", e, taus).swapaxes(-1, -3).swapaxes(-1, -2))
 
 
 def _contract_grid(rho: np.ndarray, dims, stacks) -> np.ndarray:
@@ -329,17 +328,10 @@ def _contract_grid(rho: np.ndarray, dims, stacks) -> np.ndarray:
 
 
 def _table(ensembles, p: np.ndarray, include_full: bool) -> CorrelationTable:
-    """Table over the ensembles' input grid from the grid ``p`` of each party's inputs.
-
-    With ``include_full`` each party's axis of ``p`` runs over (outcome,
-    input); the outcome axes move to the front.
-    """
-    full = None
+    """Table over the ensembles' input grid from ``p``, which with ``include_full`` has the outcome axes in front."""
+    full = p if include_full else None
     if include_full:
-        n = len(ensembles)
-        p = p.reshape([d for e in ensembles for d in (2, len(e))])
-        full = p.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
-        p = full[(1,) * n]
+        p = full[(1,) * len(ensembles)]
     return CorrelationTable(tuple([e.party for e in ensembles]), tuple([e.labels for e in ensembles]), p, full)
 
 
@@ -360,12 +352,12 @@ def fast_entangled_table(rho: DensityMatrix, ensembles) -> CorrelationTable:
 # Strategies in block form: a term is a partition of the parties into blocks
 # plus one state per block (a shared state is one block of every party, a
 # fully separable term has the all-singleton partition, a biseparable term a
-# bipartition), and the terms of one partition form a group (idx, specs,
-# states): their indices into the weights, the partition's einsum specs (see
-# _specs) and one (K_g, D_b, D_b) state stack per block.  The weights are a
-# dense (R, K) matrix, row r the weights of mixture r, so R drawn mixtures (a
-# search's starts, the loss check's samples) form one batch; a strategy is the
-# case R = 1.  Term i is weights.flat[i], of mixture i // K.
+# bipartition), and the terms of one partition form a group (idx, partition,
+# states): their indices into the weights, the partition and one (K_g, D_b,
+# D_b) state stack per block.  The weights are a dense (R, K) matrix, row r
+# the weights of mixture r, so R drawn mixtures (a search's starts, the loss
+# check's samples) form one batch; a strategy is the case R = 1.  Term i is
+# weights.flat[i], of mixture i // K.
 # Only _groups and its two inverses read the public strategy types.
 
 # each BIPARTITIONS_3 tag's partition (pair, (singleton,)), in sorted order, and each layout's tag
@@ -379,27 +371,25 @@ def _singletons(n: int) -> tuple:
     return tuple((p,) for p in range(n))
 
 
-def _partition_groups(partitions, members, states, shares) -> list:
+def _partition_groups(partitions, members, states) -> list:
     """One group per partition with terms, in sorted partition order.
 
     Partition j has the terms ``members[j]``, ascending, and one state stack per block, ``states[j]``.
     """
     order = sorted(range(len(partitions)), key=partitions.__getitem__)
-    return [(np.asarray(members[j]), _specs(partitions[j], shares), states[j]) for j in order if len(members[j])]
+    return [(np.asarray(members[j]), partitions[j], states[j]) for j in order if len(members[j])]
 
 
 def _groups(strategy) -> tuple[np.ndarray, list]:
     """Weights (1, K) and groups of a strategy: a shared state is one term of weight 1 in one block of
     every party, a separable strategy one group, every term in order."""
-    shares = tuple([m.dims[1] for m in strategy.measurements])
     if isinstance(strategy, EntangledStrategy):
-        every = (tuple(range(len(shares))),)
-        return np.ones((1, 1)), _partition_groups((every,), [[0]], [[strategy.shared.matrix[None]]], shares)
+        every = (tuple(range(strategy.n_parties)),)
+        return np.ones((1, 1)), _partition_groups((every,), [[0]], [[strategy.shared.matrix[None]]])
     if isinstance(strategy, SeparableStrategy):
         terms = strategy.share_states
-        states = [np.array([t[p].matrix for t in terms]) for p in range(len(shares))]
-        return (np.array([strategy.weights]),
-                [(np.arange(len(terms)), _specs(_singletons(len(shares)), shares), states)])
+        states = [np.array([t[p].matrix for t in terms]) for p in range(strategy.n_parties)]
+        return np.array([strategy.weights]), [(np.arange(len(terms)), _singletons(strategy.n_parties), states)]
     if not isinstance(strategy, BiseparableStrategy):
         raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
     terms, members = strategy.terms, {tag: [] for tag in _BIPARTITIONS}
@@ -409,7 +399,7 @@ def _groups(strategy) -> tuple[np.ndarray, list]:
     states = [[np.array([terms[i].group_state.matrix for i in idx]),
                np.array([terms[i].singleton_state.matrix for i in idx])] if idx else [] for idx in members]
     weights = np.array([[t.weight for t in terms]])
-    return weights, _partition_groups(tuple(_BIPARTITIONS.values()), members, states, shares)
+    return weights, _partition_groups(tuple(_BIPARTITIONS.values()), members, states)
 
 
 # The inverses of _groups take one mixture's weights (K,) and groups whose
@@ -426,8 +416,7 @@ def _separable_strategy(weights, groups, measurements) -> SeparableStrategy:
 def _biseparable_strategy(weights, groups, measurements) -> BiseparableStrategy:
     """Inverse of :func:`_groups` for bipartition groups; terms return to their indices."""
     terms = [None] * len(weights)
-    for idx, specs, (group, singles) in groups:
-        pair, (single,) = (b.parties for b in specs.blocks)
+    for idx, (pair, (single,)), (group, singles) in groups:
         share = tuple(measurements[p].dims[1] for p in pair + (single,))
         pairs = DensityMatrix._views(group, share[:2])
         ones = DensityMatrix._views(singles, share[2:])
@@ -436,80 +425,64 @@ def _biseparable_strategy(weights, groups, measurements) -> BiseparableStrategy:
     return BiseparableStrategy(tuple(terms), measurements)
 
 
-# einsum letters: k runs over a group's terms; party p has the input letter
-# _IN[p], and _ROW[p] indexes its share factor's (row, column) pair flattened.
-# Every term reads its own mixture's F_p, so F operands carry k too.
-_IN, _ROW = "stuvwxyz", "abcdefgh"
+def _contract(stacks, sigma) -> np.ndarray:
+    """The block contraction x[..., k, x_1, x_2, ...] = tr[(G_1[..., k, x_1] (x) G_2[..., k, x_2] (x) ...) sigma_k].
+
+    ``stacks`` holds one (..., K or 1, X_p, m_p, m_p) stack G_p per party of
+    a block, ``sigma`` the block's (K, M, M) states, M = prod m_p.  One stacked
+    matmul per party sums each (row, column) pair of its share as one
+    flattened axis, so a state has the same bits in a stack of any size; a
+    stack of one broadcasts over the states, and the leading axes of the
+    stacks broadcast against each other.  Tables pass the traced elements
+    F_p (X_p = S_p), the search each success element as its (i, j) pairs'
+    share operators (X_p = d_p^2).
+    """
+    n, ms = len(stacks), [g.shape[-1] for g in stacks]
+    # x[k, (b, a) of each party still to contract..., x of each contracted] = sigma[k, a..., b...]
+    x = sigma.reshape((len(sigma),) + (*ms, *ms)).transpose([0] + [a for p in range(1, n + 1) for a in (n + p, p)])
+    lead = x.shape[:1]
+    for g, m in zip(stacks, ms):
+        x = (g.reshape(g.shape[:-2] + (m * m,)) @ x.reshape(lead + (m * m, -1))).swapaxes(-1, -2)
+        lead = x.shape[:-2]
+    return x.reshape(lead + tuple([g.shape[-3] for g in stacks]))
 
 
-class _Block(NamedTuple):
-    """einsum specs of one block B, with F_p = trace_inputs(E_p, tau_p) and sigma its states."""
-
-    parties: tuple[int, ...]
-    shape: tuple[int, ...]  # a (K, D, D) state stack as (K, m_p..., m_p...)
-    pairs: tuple[int, ...]  # the axes of ``shape`` with each party's row next to its column
-    flat: tuple[int, ...]  # those axes with each party's (row, column) pair flattened, (K, m_p**2, ...)
-    response: str  # R[k, s_B] = tr[(F_p[s_p] (x) ...) sigma_k]: F_p's pairs (column, row) meet sigma's (row, column)
-
-
-class _Specs(NamedTuple):
-    blocks: tuple[_Block, ...]
-    grid: str  # w_k prod_B R_B[k, s_B], term by term
+# einsum letters: k runs over a group's terms, party p has the input letter
+# _IN[p], and the ellipsis carries a full table's outcome axes.
+_IN = "stuvwxyz"
 
 
 @functools.cache
-def _specs(partition: tuple, shares: tuple) -> _Specs:
-    """einsum specs of a partition of the parties, whose share dims are ``shares``."""
+def _grid_spec(partition: tuple) -> str:
+    """einsum spec of w_k prod_B R_B[..., k, s_B], term by term, for a partition's block responses."""
     ins = ["".join(_IN[p] for p in b) for b in partition]
-    blocks = tuple(
-        _Block(
-            parties=b,
-            shape=(-1,) + 2 * tuple(shares[p] for p in b),
-            pairs=(0,) + tuple(a for j in range(1, len(b) + 1) for a in (j, j + len(b))),
-            flat=(-1,) + tuple(shares[p] ** 2 for p in b),
-            response=",".join([f"k{_IN[p]}{_ROW[p]}" for p in b] + ["k" + "".join(_ROW[p] for p in b)]) + f"->k{i}",
-        )
-        for b, i in zip(partition, ins)
-    )
-    return _Specs(blocks, ",".join(["k"] + [f"k{i}" for i in ins]) + f"->k{_IN[:len(shares)]}")
+    return ",".join(["k"] + [f"...k{i}" for i in ins]) + f"->k...{_IN[:sum(map(len, partition))]}"
 
 
 def _rows(idx, shape) -> np.ndarray | slice:
     """Each term ``idx``'s mixture of the (R, K) weights ``shape``, as it indexes a (R, S, m, m) F_p.
 
-    A batch of one reads its F_p whole: einsum broadcasts it over the terms, with a gathered F_p's bits.
+    A batch of one reads its F_p whole: the contraction broadcasts it over the terms, with a gathered F_p's bits.
     """
     return idx // shape[1] if shape[0] > 1 else slice(None)
 
 
-def _block_responses(block: _Block, fb, states: np.ndarray) -> np.ndarray:
-    """R[k, s_B] = tr[(F_p[s_p] (x) ...) sigma_k] for one block of a group, as a complex array.
-
-    The trace sums each party's (row, column) pair as one flattened axis, F_p read as (column, row),
-    so a term's R has the same bits in a batch of any size.  Readers take a view of the real part.
-    """
-    fb = [f.swapaxes(-1, -2).reshape(f.shape[:-2] + (-1,)) for f in fb]
-    sigma = states.reshape(block.shape).transpose(block.pairs).reshape(block.flat)
-    return np.einsum(block.response, *fb, sigma)
-
-
 def _responses(groups, fs, shape) -> list[list[np.ndarray]]:
-    """Every group's block responses, block by block, from each party's (R, S, m, m) F_p in ``fs``.
-
-    ``shape`` is that of the (R, K) weights.
-    """
-    return [[_block_responses(b, [fs[p][t] for p in b.parties], s) for b, s in zip(specs.blocks, states)]
-            for idx, specs, states in groups for t in [_rows(idx, shape)]]
+    """Every group's block responses R[..., k, s_B] = tr[(F_p[s_p] (x) ...) sigma_k], block by block, as
+    complex arrays, from each party's (..., R, S, m, m) F_p in ``fs``; ``shape`` is that of the (R, K) weights."""
+    return [[_contract([fs[p][t] for p in b], s) for b, s in zip(partition, states)]
+            for idx, partition, states in groups for t in [_rows(idx, shape)]]
 
 
 def _grid(weights: np.ndarray, groups, resp) -> np.ndarray:
-    """p[r, s, t, ...] = sum of w[r, k] prod_B R_B[k, s_B] over mixture r's terms, R_B the responses' real parts.
+    """p[r, ..., s, t, ...] = sum of w[r, k] prod_B R_B[..., k, s_B] over mixture r's terms, R_B the responses'
+    real parts.
 
     Each group's terms are scattered to their indices, save a lone group's: it holds every term in order.
     """
     w = weights.ravel()
-    parts = [(idx, np.einsum(specs.grid, w if len(groups) == 1 else w[idx], *[x.real for x in r]))
-             for (idx, specs, _), r in zip(groups, resp)]
+    parts = [(idx, np.einsum(_grid_spec(partition), w if len(groups) == 1 else w[idx], *[x.real for x in r]))
+             for (idx, partition, _), r in zip(groups, resp)]
     z = parts[0][1]
     if len(parts) > 1:
         z = np.empty((len(w),) + z.shape[1:])
@@ -524,12 +497,13 @@ def _simulate(strategy, ensembles, include_full: bool) -> CorrelationTable:
     The strategy's terms become block products, a batch of one mixture
     (see :func:`_groups`).  Each party's inputs are traced into its click
     element once, ``F_p[s] = tr_in[E_p (tau_s (x) 1)]``; with
-    ``include_full`` the inputs traced into the outcome-0 element come first
-    and those traced into E_p after them, so each input axis doubles.  One
-    contraction per block gives ``R[k, s_B] = tr[(F_p[s_p] (x) ...) sigma_k]``
-    for every input and term, and one per group contracts the weighted terms
-    into every input tuple at once.  The samplers in :mod:`mdiw.attack`
-    build their batches in this form.
+    ``include_full`` the outcome-0 element and E_p are traced as one stack
+    whose outcome axis is party p's own leading axis, one of n.  The block
+    contraction (:func:`_contract`) gives ``R[..., k, s_B] = tr[(F_p[s_p]
+    (x) ...) sigma_k]`` for every input and term, the outcome axes
+    broadcasting into every outcome tuple, and one more per group contracts
+    the weighted terms into every input tuple at once.  The samplers and
+    the search in :mod:`mdiw.attack` build their batches in this form.
     """
     ensembles, measurements = tuple(ensembles), strategy.measurements
     weights, groups = _groups(strategy)
@@ -538,11 +512,11 @@ def _simulate(strategy, ensembles, include_full: bool) -> CorrelationTable:
     for p, (e, m) in enumerate(zip(ensembles, measurements)):
         if e.dim != m.dims[0]:
             raise ValueError(f"party {p}: ensemble dim {e.dim} vs measurement input dim {m.dims[0]}")
-    # with include_full, the outcome-0 element and E_p traced as one stack, (outcome, input) then one axis
-    fs = [(trace_inputs(np.array([m.element(0), m.click]), e.matrices).reshape((-1,) + 2 * m.dims[1:])
-           if include_full else trace_inputs(m.click, e.matrices))[None] for m, e in zip(measurements, ensembles)]
-    p = _grid(weights, groups, _responses(groups, fs, weights.shape))[0]
-    return _table(ensembles, p, include_full)
+    n = len(ensembles)
+    fs = [trace_inputs(np.array([m.element(0), m.click]), e.matrices).reshape(
+          (1,) * p + (2,) + (1,) * (n - 1 - p) + (1, len(e)) + (m.dims[1],) * 2) if include_full
+          else trace_inputs(m.click, e.matrices)[None] for p, (m, e) in enumerate(zip(measurements, ensembles))]
+    return _table(ensembles, _grid(weights, groups, _responses(groups, fs, weights.shape))[0], include_full)
 
 
 def simulate_entangled(strategy: EntangledStrategy, ensembles, include_full: bool = False) -> CorrelationTable:

@@ -32,11 +32,13 @@ artifacts one float at a time, each value through ``format(x, ".17g")``,
 as the references for the row-at-a-time renderers
 :func:`mdiw.serialize.dumps`, :func:`mdiw.game.table_to_csv` and the
 ``mdiw scan`` CSV.
-:func:`einsum_trace_inputs` writes F through an ``order="C"`` einsum and
-:func:`rank_rule_negative_projectors` keeps each operator's lowest
-``max(1, #negative)`` eigenvectors by rank, as the references for the
-one-copy layout of :func:`mdiw.game.trace_inputs` and the kept-column mask
-of the see-saw's step.
+:func:`einsum_trace_inputs` writes F through an ``order="C"`` einsum,
+:func:`dense_block_contraction` traces each block state against a dense
+Kronecker product, and :func:`rank_rule_negative_projectors` keeps each
+operator's lowest ``max(1, #negative)`` eigenvectors by rank, as the
+references for the one-copy layout of :func:`mdiw.game.trace_inputs`, the
+block contraction :func:`mdiw.game._contract` and the kept-column mask of
+the see-saw's step.
 :func:`pauli`, :func:`permute_subsystems` and :func:`partial_transpose`
 are small operator helpers that only the tests use.
 """
@@ -182,7 +184,7 @@ def mixture_as_shared_state(strategy) -> DensityMatrix:
 
 
 def einsum_trace_inputs(element, taus) -> np.ndarray:
-    """F[..., s] = tr_in[E (tau_s (x) 1)], the einsum writing F's C-ordered transpose itself.
+    """F[..., s] = tr_in[E (tau_s (x) 1)], the einsum writing F C-ordered itself.
 
     The reference for :func:`mdiw.game.trace_inputs`: the same values and the same memory layout.
     """
@@ -191,7 +193,20 @@ def einsum_trace_inputs(element, taus) -> np.ndarray:
     e = element.reshape(element.shape[:-2] + (d, share, d, share))
     e = e.transpose(*range(lead), lead + 1, lead + 3, lead, lead + 2).reshape(e.shape[:lead] + (share, share, -1))
     taus = taus.swapaxes(-1, -2).reshape(len(taus), -1)
-    return np.einsum("...abk,sk->...sba", e, taus, order="C").swapaxes(-1, -2)
+    return np.einsum("...abk,sk->...sab", e, taus, order="C")
+
+
+def dense_block_contraction(stacks, sigma) -> np.ndarray:
+    """x[k, x_1, x_2, ...] = tr[(G_1[k, x_1] (x) G_2[k, x_2] (x) ...) sigma_k], each product a dense Kronecker matrix.
+
+    The reference for :func:`mdiw.game._contract` on (K or 1, X_p, m_p, m_p) stacks: a stack of one
+    serves every state.
+    """
+    out = np.empty((len(sigma),) + tuple(g.shape[1] for g in stacks), dtype=complex)
+    for idx in np.ndindex(out.shape):
+        product = functools.reduce(np.kron, [g[idx[0] % len(g), x] for g, x in zip(stacks, idx[1:])])
+        out[idx] = np.einsum("ab,ba->", product, sigma[idx[0]])
+    return out
 
 
 def rank_rule_negative_projectors(x) -> np.ndarray:

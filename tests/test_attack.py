@@ -31,10 +31,9 @@ from mdiw.game import (
     POVM,
     SeparableStrategy,
     _biseparable_strategy,
-    _block_responses,
+    _contract,
     _groups,
     _separable_strategy,
-    _specs,
     apply_pre_measurement_map,
     mdi_value,
     simulate_entangled,
@@ -350,7 +349,7 @@ class TestBlockForm:
             terms.append(BiseparableTerm(tag, w, pair, random_density_matrix((shares[r],), rng)))
         ragged = BiseparableStrategy(tuple(terms), povms)
         weights, groups = _groups(ragged)
-        pairs = [specs.blocks[0].parties for _, specs, _ in groups]
+        pairs = [partition[0] for _, partition, _ in groups]
         assert pairs == [BIPARTITIONS_3[t][0] for t in sorted(set(tags))]  # groups in sorted order
         back = _biseparable_strategy(weights[0], groups, ragged.measurements)
         assert [(t.bipartition, t.weight) for t in back.terms] == list(zip(tags, (0.4, 0.3, 0.2, 0.1)))
@@ -496,13 +495,12 @@ class TestBatchInvariance:
         for i in range(size):
             assert np.array_equal(f[i], trace_inputs(elements[i], taus))
         # a singleton block and a pair block, each party reading its own F_p
-        for block in (_specs(((0,), (1,)), (share,) * 2).blocks[0], _specs(((0, 1), (2,)), (share,) * 3).blocks[0]):
-            fb = [f[rng.permutation(size)] for _ in block.parties]
-            d = share ** len(block.parties)
-            states = np.array([random_density_matrix((d,), rng).matrix for _ in range(size)])
-            r = _block_responses(block, fb, states)
+        for parties in (1, 2):
+            fb = [f[rng.permutation(size)] for _ in range(parties)]
+            states = np.array([random_density_matrix((share**parties,), rng).matrix for _ in range(size)])
+            r = _contract(fb, states)
             for i in range(size):
-                assert np.array_equal(r[i], _block_responses(block, [x[i : i + 1] for x in fb], states[i : i + 1])[0])
+                assert r[i].tobytes() == _contract([x[i : i + 1] for x in fb], states[i : i + 1])[0].tobytes()
         # R restarts valued, converted, searched and swept as one batch, and each alone
         for kind, dims, dec in (("separable", (2, 2), tetrahedron_beta()), ("biseparable", (2, 2, 2), ghz_beta())):
             partitions, inputs = _FAMILIES[kind][0](len(dims)), [e.matrices for e in dec.ensembles]

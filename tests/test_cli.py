@@ -17,7 +17,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from mdiw import cli, serialize, states, witness
 from mdiw.cli import ConfigError, ScenarioConfig, main
-from mdiw.linalg import TOL_RECON
+from mdiw.linalg import TOL_HERM, TOL_PSD, TOL_RECON, TOL_TRACE
 from mdiw.states import (InputEnsemble, noisy_ghz, pauli6_ensemble, projector, singlet_ket,
                          tetrahedron_ensemble, werner_state)
 from mdiw.witness import Decomposition, Witness, reconstruct, tetrahedron_beta
@@ -389,6 +389,72 @@ def test_edge_state_full_table_is_a_config_error(tmp_path, capsys):
     assert err.startswith("error: state gives no probability table: probability 1.0000000001")
     assert err.endswith(" out of range at ('+z', '+z')\n") and err.count("\n") == 1
     assert not (tmp_path / "full.csv").exists()
+
+
+def _edge_matrix(rng, kets, edges):
+    """A density matrix on the rows ``kets`` of an orthonormal basis, at 0.99 of the tolerance edges ``(kind,
+    trace)``.
+
+    Weight 1 + trace 0.99 TOL_TRACE, trace in (-1, 0, 1), lies on ``kets[0]``.  Kind "psd" puts the
+    eigenvalue -0.99 TOL_PSD on ``kets[-1]`` and grows the weight on ``kets[0]`` by as much; kind "herm"
+    adds an anti-Hermitian part, diagonal included, whose largest entry of |m - m^dagger| is 0.99 TOL_HERM.
+    """
+    kind, trace = edges
+    low = 0.99 * TOL_PSD if kind == "psd" and len(kets) > 1 else 0.0
+    m = (1.0 + trace * 0.99 * TOL_TRACE + low) * np.outer(kets[0], kets[0].conj())
+    m -= low * np.outer(kets[-1], kets[-1].conj())
+    if kind == "herm":
+        x = rng.normal(size=m.shape) + 1j * rng.normal(size=m.shape)
+        k = x - x.conj().T
+        m = m + k * (0.99 * TOL_HERM / np.abs(k - k.conj().T).max())
+    return m
+
+
+def _kets(rng, d, last=None):
+    """A random orthonormal basis of C^d as rows, its last along the unit ket ``last`` where given."""
+    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    if last is not None:
+        x[:, 0] = last
+    return np.roll(np.linalg.qr(x)[0].T, -1, axis=0)
+
+
+@st.composite
+def edge_configs(draw):
+    """A 2- or 3-party simulate config whose custom input states, of dims 1-3, and explicit state each sit at
+    0.99 of the trace edge (either side) and of the PSD or the Hermitian edge.  The state's negative
+    eigenvector is the conjugate product of one input state per party, so that input tuple's table entry
+    reads the negative eigenvalue."""
+    edges = st.tuples(st.sampled_from([None, "psd", "herm"]), st.sampled_from([-1, 0, 1]))
+    dims = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ensembles, aligned = [], np.ones(1)
+    for d in dims:
+        bases = [_kets(rng, d) for _ in range(draw(st.integers(1, 4)))]
+        ensembles.append({"labels": [str(i) for i in range(len(bases))], "name": "custom", "states": [
+            serialize.matrix_to_json(_edge_matrix(rng, b, draw(edges))) for b in bases]})
+        aligned = np.kron(aligned, bases[draw(st.integers(0, len(bases) - 1))][0].conj())
+    size = len(aligned)
+    w = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    kets = _kets(rng, size, aligned)
+    return dict(BASE_CONFIG, parties=len(dims), ensembles=ensembles, loss=[1.0] * len(dims), decomposition="solve",
+                witness={"matrix": serialize.matrix_to_json(w + w.conj().T), "dims": dims},
+                state={"matrix": serialize.matrix_to_json(_edge_matrix(rng, kets, draw(edges))), "dims": dims})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(edge_configs())
+def test_edge_configs_keep_simulate_contract(config):
+    # simulate, plain and --full, exits 0, or 2 with one error line; it never ends in a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), config)
+        for full in ([], ["--full"]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["simulate", "-c", cfg, "-o", str(Path(tmp) / "t.csv"),
+                             "--summary", str(Path(tmp) / "s.json")] + full)
+            assert code in (0, 2), (code, full)
+            assert err.getvalue() == "" if code == 0 else (
+                err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1), err.getvalue()
 
 
 class TestQutritDecompose:

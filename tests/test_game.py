@@ -40,6 +40,7 @@ from mdiw.game import (
     POVM,
     SeparableStrategy,
     _checked_clicks,
+    _contract,
     apply_pre_measurement_map,
     apply_uniform_loss,
     bell_outcome_povm,
@@ -59,6 +60,7 @@ from mdiw.attack import (
     random_separable_strategy,
 )
 from oracles import (
+    dense_block_contraction,
     effective_povm_element,
     einsum_trace_inputs,
     mixture_as_shared_state,
@@ -205,6 +207,31 @@ class TestTraceInputsOracle:
                 assert [(n, t) for n, t in zip(got.shape, got.strides) if n > 1] == \
                     [(n, t) for n, t in zip(want.shape, want.strides) if n > 1], (share, lead)
                 assert got.tobytes() == want.tobytes(), (share, lead)
+
+
+class TestBlockContraction:
+    """The block contraction that tables, the loss check's batch and the search share."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(seeds, st.lists(st.tuples(st.integers(1, 3), st.integers(1, 6), st.booleans()), min_size=1, max_size=3),
+           st.integers(1, 5))
+    def test_batch_broadcast_and_dense_oracle(self, seed, parties, n):
+        # parties: each party's share dim, X_p and whether it passes a stack of one
+        rng = np.random.default_rng(seed)
+        stacks = []
+        for m, x, one in parties:
+            g = rng.normal(size=(1 if one else n, x, m, m)) + 1j * rng.normal(size=(1 if one else n, x, m, m))
+            stacks.append(g / np.linalg.norm(g, axis=(-2, -1), keepdims=True))  # every G_p[k, x] of unit norm
+        sigma = np.array([random_density_matrix((math.prod(m for m, _, _ in parties),), rng).matrix
+                          for _ in range(n)])
+        got = _contract(stacks, sigma)
+        assert got.shape == (n,) + tuple(x for _, x, _ in parties)
+        for k in range(n):  # each state alone has the batch's bytes
+            alone = _contract([g[k : k + 1] if len(g) > 1 else g for g in stacks], sigma[k : k + 1])
+            assert alone.tobytes() == got[k : k + 1].tobytes()
+        # a stack of one has the bytes of that stack gathered for every state
+        assert _contract([np.repeat(g, n // len(g), axis=0) for g in stacks], sigma).tobytes() == got.tobytes()
+        assert np.abs(got - dense_block_contraction(stacks, sigma)).max() <= 1e-14
 
 
 class TestBellOutcomePovm:

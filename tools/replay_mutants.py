@@ -114,14 +114,6 @@ MUTANTS = {
         ["tests/test_attack.py::TestBatchInvariance::test_batch_equals_one_at_a_time",
          "tests/test_acceptance.py::test_loss_invariance_batch_matches_one_sample_route"],
     ),
-    # F_p read as (row, column) in the flattened block response: every share dim above 1 scores tr[F^T sigma]
-    "response_reads_f_row_column": (
-        "game.py",
-        "fb = [f.swapaxes(-1, -2).reshape(f.shape[:-2] + (-1,)) for f in fb]",
-        "fb = [f.reshape(f.shape[:-2] + (-1,)) for f in fb]",
-        ["tests/test_game.py::TestSimulateSeparable::test_matches_explicit_mixture_simulation",
-         "tests/test_attack.py::TestBlockForm::test_sweep_matches_public_route"],
-    ),
     # each input state traced in untransposed, tr_in[E (tau^T (x) 1)]
     "trace_inputs_tau_untransposed": (
         "game.py",
@@ -130,13 +122,32 @@ MUTANTS = {
         ["tests/test_game.py::TestSimulateEntangled::test_matches_raw_index_oracle_bipartite",
          "tests/test_game.py::TestSimulateSeparable::test_trivial_share_dimension"],
     ),
-    # a pair block's state flattened without putting each party's row next to its column
-    "pair_state_axes_apart": (
+    # sigma's (row, column) pairs met as they are, not as (column, row): a block's states read transposed,
+    # in tables and search starts alike (a transposed state is a state, so only an independent route sees it)
+    "contract_sigma_untransposed": (
         "game.py",
-        "states.reshape(block.shape).transpose(block.pairs).reshape(block.flat)",
-        "states.reshape(block.shape).reshape(block.flat)",
-        ["tests/test_game.py::TestSimulateSeparable::test_biseparable_matches_explicit_mixture",
-         "tests/test_attack.py::TestCertifiedFloor::test_no_biseparable_strategy_below_floor"],
+        "for a in (n + p, p)]",
+        "for a in (p, n + p)]",
+        ["tests/test_game.py::TestBlockContraction::test_batch_broadcast_and_dense_oracle",
+         "tests/test_game.py::TestSimulateSeparable::test_matches_explicit_mixture_simulation"],
+    ),
+    # each party's outcome traced onto the leading axis of the party in mirror position: a full table's
+    # outcome axes in the wrong party order
+    "full_outcome_axes_mirrored": (
+        "game.py",
+        "(1,) * p + (2,) + (1,) * (n - 1 - p)",
+        "(1,) * (n - 1 - p) + (2,) + (1,) * p",
+        ["tests/test_game.py::TestContractionProperties::test_simulate_entangled_matches_per_bitstring_route",
+         "tests/test_game.py::TestSeparableTableOracle::test_separable_matches_cell_oracle"],
+    ),
+    # a stack of one, broadcast over a block's states, read transposed: it scores tr[G^T sigma] where the
+    # same stack gathered for every state scores tr[G sigma]
+    "broadcast_stack_transposed": (
+        "game.py",
+        "x = (g.reshape(g.shape[:-2] + (m * m,))",
+        "x = ((g if len(g) > 1 else g.swapaxes(-1, -2)).reshape(g.shape[:-2] + (m * m,))",
+        ["tests/test_game.py::TestBlockContraction::test_batch_broadcast_and_dense_oracle",
+         "tests/test_acceptance.py::test_loss_invariance_batch_matches_one_sample_route"],
     ),
     # the starts valued by one stacked matmul, which rounds a row by the batch it sits in
     "start_values_by_matmul": (
@@ -212,14 +223,6 @@ MUTANTS = {
         "keep[:, -1] = True",
         ["tests/test_attack.py::TestNegativeProjectorRank::test_psd_operator_keeps_lowest_eigenvector",
          "tests/test_attack.py::TestNegativeProjectorRank::test_mask_matches_rank_rule"],
-    ),
-    # trace_inputs' output swapped on the wrong axes: each F_p[s] comes out transposed
-    "trace_inputs_output_transposed": (
-        "game.py",
-        "taus).swapaxes(-1, -3)).swapaxes(-1, -2)",
-        "taus).swapaxes(-1, -3))",
-        ["tests/test_game.py::TestTraceInputsOracle::test_matches_order_c_einsum",
-         "tests/test_game.py::TestSimulateEntangled::test_matches_raw_index_oracle_bipartite"],
     ),
     # the shared state enters the block form transposed: every shared-state table scores rho^T
     "entangled_block_transposed": (
