@@ -591,11 +591,15 @@ class TestBuildPhase:
         assert str(batched.value) == str(single.value)
 
     def test_one_eigvalsh_per_stack(self, monkeypatch):
-        shapes, eigvalsh = [], np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *rest: shapes.append(a.shape) or eigvalsh(a, *rest))
+        calls, eigvalsh, cholesky = [], np.linalg.eigvalsh, np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *rest: calls.append(("eigvalsh", a.shape))
+                            or eigvalsh(a, *rest))
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a, *rest: calls.append(("cholesky", a.shape))
+                            or cholesky(a, *rest))
         random_separable_strategy((2, 2), 2, 2, np.random.default_rng(0))
-        # the shares' density check, then the spectrum that scales the success elements and checks them
-        assert shapes == [(4, 2, 2), (2, 4, 4)]
+        # the shares' density check by one factorization, then the spectrum that scales the success elements
+        # and checks them
+        assert calls == [("cholesky", (4, 2, 2)), ("eigvalsh", (2, 4, 4))]
 
     @pytest.mark.parametrize("search", [
         lambda: random_separable_strategy((2, 2), 2, 2, np.random.default_rng(0)),

@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -455,6 +456,23 @@ def test_edge_configs_keep_simulate_contract(config):
             assert code in (0, 2), (code, full)
             assert err.getvalue() == "" if code == 0 else (
                 err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1), err.getvalue()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(edge_configs())
+def test_edge_configs_keep_the_other_commands_contract(config):
+    # decompose, scan and attack (BASE_CONFIG's search budget) end without a traceback, and exit 2 only with
+    # one error line; exit 1 is an inexact decomposition or a failed bound, which a random witness may give
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), config)
+        for command in ("decompose", "scan", "attack"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # attacking an inexact decomposition warns
+                code = main([command, "-c", cfg, "-o", str(Path(tmp) / "out")])
+            assert code in (0, 1, 2), (command, code)
+            if code == 2:
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
 
 
 class TestQutritDecompose:

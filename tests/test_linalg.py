@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdiw import linalg, serialize, verify
 from mdiw.attack import AttackConfig, attack, biseparable_attack, random_biseparable_strategy, random_separable_strategy
@@ -285,6 +286,38 @@ class TestOperatorRules:
     @pytest.mark.parametrize("rule", list(RULES))
     def test_non_finite_rejected(self, rule):
         _rejected_alike(rule, np.diag([np.nan, 0.5, 0.5]), "NaN or Inf")
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 4), st.integers(1, 5), st.sampled_from([0.99, 0.999, 1.001, 1.01]),
+           st.integers(0, 2**32 - 1))
+    def test_density_rule_decides_like_its_eigenvalues(self, d, n, depth, seed):
+        # complex Hermitian stacks, rotated off the diagonal, whose last matrix has lowest eigenvalue
+        # -depth TOL_PSD, the others eigenvalues in [0, 1]; the factorization accepts what eigvalsh accepts,
+        # rejects with its message and reads eigenvalues only where it fails. The two rules part only within
+        # rounding (about d eps) of the edge, far inside the 1e-13 margin of depths 0.999 and 1.001
+        rng = np.random.default_rng(seed)
+        eigs = rng.random((n, d)) * (rng.random((n, d)) < 0.7)
+        eigs[-1, 0] = -depth * linalg.TOL_PSD
+        u = np.linalg.qr(rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d)))[0]
+        ms = (u * eigs[:, None, :]) @ u.conj().swapaxes(1, 2)
+        ms = (ms + ms.conj().swapaxes(1, 2)) / 2
+        try:
+            linalg._check_spectrum(np.linalg.eigvalsh(ms), (0.0, math.inf))
+        except ValueError as exc:
+            expected = str(exc)
+        else:
+            expected = None
+        assert (expected is None) == (depth < 1.0)
+        calls, eigvalsh = [], np.linalg.eigvalsh
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", lambda a, *rest: calls.append(a.shape) or eigvalsh(a, *rest))
+            if expected is None:
+                assert linalg.check_operators(ms, (d,), spectrum=(0.0, math.inf)) == (d,)
+            else:
+                with pytest.raises(ValueError) as exc:
+                    linalg.check_operators(ms, (d,), spectrum=(0.0, math.inf))
+                assert str(exc.value) == expected
+        assert calls == ([] if expected is None else [ms.shape])
 
 
 def _with_entry(i, j, value, n=2):

@@ -348,6 +348,21 @@ MUTANTS = {
         ["tests/test_witness.py::TestHermitianPart::test_skew_input_stored_as_its_hermitian_part",
          "tests/test_cli.py::test_skew_witness_config_decomposes_and_simulates"],
     ),
+    # the density rule's shift subtracted: every edge matrix fails the factorization and is decided by eigvalsh
+    "cholesky_shift_sign_flipped": (
+        "linalg.py",
+        "np.linalg.cholesky(ms + _psd_shift(ms.shape[1]))",
+        "np.linalg.cholesky(ms - _psd_shift(ms.shape[1]))",
+        ["tests/test_attack.py::TestBuildPhase::test_one_eigvalsh_per_stack",
+         "tests/test_linalg.py::TestOperatorRules::test_density_rule_decides_like_its_eigenvalues"],
+    ),
+    # the density rule's shift ten times TOL_PSD: eigenvalues down to -1e-9 factor and pass
+    "cholesky_shift_tenfold": (
+        "linalg.py",
+        "np.broadcast_to(TOL_PSD * np.eye(d), (d, d))",
+        "np.broadcast_to(10 * TOL_PSD * np.eye(d), (d, d))",
+        ["tests/test_linalg.py::TestOperatorRules::test_density_rule_decides_like_its_eigenvalues"],
+    ),
 }
 
 
