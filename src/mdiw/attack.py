@@ -29,6 +29,7 @@ each restart's start from its own stream first, in restart order.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 import time
@@ -329,17 +330,18 @@ def _mixture_values(beta, inputs, weights, groups, elements) -> np.ndarray:
     return np.vecdot(_grid(weights, groups, resp).reshape(len(weights), -1), beta.ravel())
 
 
-# The search state of a batch: per searched partition, its _Plan, each term's
-# restart and column (drawn term t of a mixture of k, in the partition's f-th
-# plan, is column f k + t), and per block the terms' (N, D, D) effective
-# operators A and (N, S) responses r[k, s] = tr[A_k T[s]], T[s] = (x)_p
-# tau_p,s_p^T over the block's parties.  Every step is one stacked matmul,
-# vecdot, trace or eigendecomposition over the terms, the same work for each
-# term, so a term has the same bits in a batch of any size.
+# The search state of a batch: per distinct contraction, its _Plan, each term's
+# restart, column (drawn term t of a mixture of k, in its partition's f-th
+# plan, is column f k + t) and own partition, and per block the terms' (N, D,
+# D) effective operators A and (N, S) responses r[k, s] = tr[A_k T[s]], T[s] =
+# (x)_p tau_p,s_p^T over the block's parties.  Every step is one stacked
+# matmul, vecdot, trace or eigendecomposition over the terms, the same work
+# for each term, so a term has the same bits in a batch of any size.
 
 
 class _Plan(NamedTuple):
-    """The contractions of one searched partition, built once per search."""
+    """The contractions of one searched partition, built once per search and shared by every partition whose
+    contraction has the same bits (see :func:`_plans`); ``blocks`` are those of the first."""
 
     blocks: tuple  # one tuple of parties per block
     inputs: tuple  # per block, its T as a real (S, 2 D^2) view: each entry's real, then imaginary part
@@ -362,12 +364,19 @@ def _plan(beta, inputs, blocks, scale=1.0) -> _Plan:
 
 def _plans(beta, inputs, partitions, m) -> dict:
     """Each drawn partition's searched :class:`_Plan` s: every term as a product, one operator per party, and
-    a pair (i, j) also whole where ``m`` >= d_i, which teleportation needs (see :func:`_strategy`)."""
-    single, plans = _plan(beta, inputs, _singletons(len(inputs))), {}
+    a pair (i, j) also whole where ``m`` >= d_i, which teleportation needs (see :func:`_strategy`).
+
+    Each distinct contraction is built once: partitions whose ``beta`` in their block order, blocks' input
+    stacks and realized scale have the same bits (every cut, where ``beta`` and the inputs are symmetric under
+    permuting the parties, as GHZ's over three tetrahedra are) share one plan, and so one batch.
+    """
+    single, plans, built = _plan(beta, inputs, _singletons(len(inputs))), {}, {}
     for part in partitions:
-        d = inputs[part[0][0]].shape[-1]
-        whole = len(part) < len(inputs) and m >= d
-        plans[part] = (single,) + ((_plan(beta, inputs, part, d**-2.0),) if whole else ())
+        d, order, plans[part] = inputs[part[0][0]].shape[-1], sum(part, ()), (single,)
+        if len(part) < len(inputs) and m >= d:
+            key = (d**-2.0, *((a.shape, a.tobytes()) for a in [beta.transpose(order), *(inputs[p] for p in order)]))
+            built[key] = built.get(key) or _plan(beta, inputs, part, d**-2.0)
+            plans[part] += (built[key],)
     return plans
 
 
@@ -407,8 +416,8 @@ def _marginals(pairs) -> list[np.ndarray]:
     scaled = {}
     for size in dict.fromkeys(a.shape[-1] for a in ms):
         same = [a for a in ms if a.shape[-1] == size]
-        tops = np.linalg.eigvalsh(np.concatenate(same))[:, -1:, None]
-        scaled[size] = iter(np.split(tops, np.cumsum([len(a) for a in same])[:-1]))
+        tops, ends = np.linalg.eigvalsh(np.concatenate(same))[:, -1:, None], [0, *itertools.accumulate(map(len, same))]
+        scaled[size] = iter([tops[i:j] for i, j in zip(ends, ends[1:])])
     return [a / next(scaled[a.shape[-1]]) for a in ms]
 
 
@@ -417,6 +426,7 @@ def _effective(groups, elements, plans, k, m) -> list:
 
     Each block of a term is absorbed once (:func:`_absorb`); a pair's
     product form starts from its :func:`_marginals`, those of every cut taken at once.
+    The terms of every partition that shares a plan form one batch, each keeping its own partition.
     """
     drawn = [(idx, blocks, [_absorb([elements[p][idx // k] for p in b], s, m) for b, s in zip(blocks, states)])
              for idx, blocks, states in groups]
@@ -424,16 +434,17 @@ def _effective(groups, elements, plans, k, m) -> list:
     merged, state = {}, []
     for idx, blocks, ops in drawn:
         for f, plan in enumerate(plans[blocks]):
-            part = ops
+            cut, part = blocks, ops
             if len(plan.blocks) > len(blocks):  # one operator per party of the pair
                 part = dict(zip(sum(blocks, ()), [next(pairs), next(pairs)] + ops[1:]))
-                part = [part[p] for p in range(3)]
-            merged.setdefault(plan.blocks, (plan, []))[1].append((idx // k, f * k + idx % k, part))
+                cut, part = plan.blocks, [part[p] for p in range(3)]
+            cuts = np.fromiter([cut] * len(idx), object, len(idx))
+            merged.setdefault(id(plan), (plan, []))[1].append((idx // k, f * k + idx % k, cuts, part))
     for plan, parts in merged.values():
-        rows, cols, ops = zip(*parts)
+        rows, cols, cuts, ops = zip(*parts)
         ops = [np.concatenate(a) for a in zip(*ops)]
         resp = [_readout(a, t) for a, t in zip(ops, plan.inputs)]
-        state.append((plan, np.concatenate(rows), np.concatenate(cols), ops, resp))
+        state.append((plan, np.concatenate(rows), np.concatenate(cols), np.concatenate(cuts), ops, resp))
     return state
 
 
@@ -441,7 +452,7 @@ def _values(state, shape) -> np.ndarray:
     """z[r, c]: the realized value of restart r's searched term c, inf where the state has none: its last block's
     coefficients against that block's responses, in full for a product and over d_i^2 for a teleported pair."""
     z = np.full(shape, np.inf)
-    for plan, rows, cols, ops, resp in state:
+    for plan, rows, cols, cuts, ops, resp in state:
         z[rows, cols] = np.vecdot(_coefficients(plan.betas[-1], resp[:-1]), resp[-1]) * plan.scale
     return z
 
@@ -456,28 +467,28 @@ def _sweep(state, shape) -> tuple[list, np.ndarray]:
     the value; the stop rule of :func:`_search` keeps that restart's best.
     """
     swept, z = [], np.full(shape, np.inf)
-    for plan, rows, cols, ops, resp in state:
+    for plan, rows, cols, cuts, ops, resp in state:
         ops, resp = list(ops), list(resp)
         for b, t in enumerate(plan.inputs):
             c = _coefficients(plan.betas[b], resp[:b] + resp[b + 1 :])
             ops[b] = _negative_projectors((c[:, None, :] @ t).reshape(len(c), -1).view(complex).reshape(ops[b].shape))
             resp[b] = _readout(ops[b], t)
         z[rows, cols] = np.vecdot(c, resp[-1]) * plan.scale  # c: the last block's coefficients
-        swept.append((plan, rows, cols, ops, resp))
+        swept.append((plan, rows, cols, cuts, ops, resp))
     return swept, z
 
 
 def _keep(state, alive) -> list:
-    """The search state of the restarts the (R,) mask ``alive`` marks; a partition left without terms is dropped."""
-    return [(plan, rows[mine], cols[mine], [a[mine] for a in ops], [r[mine] for r in resp])
-            for plan, rows, cols, ops, resp in state for mine in [alive[rows]] if mine.any()]
+    """The search state of the restarts the (R,) mask ``alive`` marks; a plan left without terms is dropped."""
+    return [(plan, rows[mine], cols[mine], cuts[mine], [a[mine] for a in ops], [r[mine] for r in resp])
+            for plan, rows, cols, cuts, ops, resp in state for mine in [alive[rows]] if mine.any()]
 
 
 def _term(state, j, c) -> tuple:
-    """Restart j's searched term c: its plan, and each block's operators as a batch of one."""
-    for plan, rows, cols, ops, resp in state:
+    """Restart j's searched term c: its own partition, and each block's operators as a batch of one."""
+    for plan, rows, cols, cuts, ops, resp in state:
         for i in np.flatnonzero((rows == j) & (cols == c)):
-            return plan, [a[i : i + 1] for a in ops]
+            return cuts[i], [a[i : i + 1] for a in ops]
 
 
 @functools.cache
@@ -487,8 +498,8 @@ def _shares(d, m) -> tuple[DensityMatrix, DensityMatrix]:
     return DensityMatrix(projector(np.eye(m)[0]), (m,)), DensityMatrix(projector(phi), (m, m))
 
 
-def _strategy(plan, ops, input_dims, m, kind):
-    """One searched term, its operators a batch of one, as a strategy that scores its realized value.
+def _strategy(blocks, ops, input_dims, m, kind):
+    """One searched term, its partition and its operators a batch of one, as a strategy that scores its realized value.
 
     Each party of a product clicks on A_p^T (x) 1_m, which scores
     tr[A_p tau_s^T] whatever its share holds.  A pair (i, j) is teleported:
@@ -499,10 +510,10 @@ def _strategy(plan, ops, input_dims, m, kind):
     """
     n, one = len(input_dims), np.eye(m)[None, :, None, :]
     clicks = {b[0]: (a[0].T[:, None, :, None] * one).reshape(input_dims[b[0]] * m, -1)
-              for b, a in zip(plan.blocks, ops) if len(b) == 1}
+              for b, a in zip(blocks, ops) if len(b) == 1}
     d, tag = 1, "AB|C"  # a product's parties click alone: any bipartition tag describes it, with shares |00>
-    if len(plan.blocks) < n:
-        ((i, j), (r,)), d, dj = plan.blocks, input_dims[plan.blocks[0][0]], input_dims[plan.blocks[0][1]]
+    if len(blocks) < n:
+        ((i, j), (r,)), d, dj = blocks, input_dims[blocks[0][0]], input_dims[blocks[0][1]]
         click = np.zeros((dj, m, dj, m), dtype=complex)
         click[:, :d, :, :d] = ops[0][0].reshape(d, dj, d, dj).transpose(3, 2, 1, 0)
         clicks |= {i: projector(np.eye(d, m) / math.sqrt(d)), j: click.reshape(dj * m, -1)}

@@ -16,7 +16,8 @@ form's one-block case, the route under test, or through
 shares no code with it past the traced inputs.
 :func:`sequential_search` runs the see-saw's restarts one after another,
 each from its public sampler's strategy, as the reference for the batched search, with :func:`certified_floor` as
-the reference for its floor, and :func:`pointwise_scan` scores
+the reference for its floor and :func:`unshared_plans`, one plan per searched partition, as the reference for
+the search's plans shared between partitions, and :func:`pointwise_scan` scores
 a violation curve one state at a time, as the reference for the stacked
 scan.
 :func:`lstsq_decompose` expands a witness by dense least squares over the
@@ -55,7 +56,7 @@ from mdiw.attack import (
     BOUND_TOL,
     AttackReport,
     _effective,
-    _plans,
+    _plan,
     _strategy,
     _sweep,
     _term,
@@ -322,22 +323,34 @@ def certified_floor(dec, kind: str) -> float:
     return min(0.0, max(lows) if kind == "separable" else min(lows)) * math.prod(dims)
 
 
+def unshared_plans(beta, inputs, partitions, m) -> dict:
+    """Each partition's searched plans, a pair's whole plan built for that partition alone by ``_plan``.
+
+    Every partition searches its terms as a product, and a pair (i, j) also whole where ``m`` >= d_i.  No
+    two partitions share a whole plan, so each term is searched and realized on its own partition's.
+    """
+    single = _plan(beta, inputs, tuple((p,) for p in range(len(inputs))))
+    return {part: (single,) + ((_plan(beta, inputs, part, inputs[part[0][0]].shape[-1] ** -2.0),)
+                               if len(part) < len(inputs) and m >= inputs[part[0][0]].shape[-1] else ())
+            for part in partitions}
+
+
 def sequential_search(dec, ensembles, config, kind, sample) -> AttackReport:
     """The see-saw search with its restarts run one after another.
 
     Each restart samples its start with the public sampler ``sample`` from
     its own stream, converts the strategy's block form to its searched
-    terms, and runs the see-saw steps of :mod:`mdiw.attack` as a batch of
-    one until a sweep lowers its realized value by at most ``_STOP``, its
-    best value lies between ``_STOP`` below and ``BOUND_TOL`` above
-    :func:`certified_floor` for ``kind``, or for ``config.iterations``
-    sweeps.  Its path is its start value, then its best value after each
+    terms over :func:`unshared_plans`, and runs the see-saw steps of
+    :mod:`mdiw.attack` as a batch of one until a sweep lowers its realized
+    value by at most ``_STOP``, its best value lies between ``_STOP`` below
+    and ``BOUND_TOL`` above :func:`certified_floor` for ``kind``, or for
+    ``config.iterations`` sweeps.  Its path is its start value, then its best value after each
     sweep; the first restart of the lowest minimum gives its best term,
     the first of its lowest, as the strategy.  Wall time is reported as 0.
     """
     input_dims, m, k = tuple(e.dim for e in ensembles), config.share_dim, config.mixture_size
     beta, inputs = np.asarray(dec.beta), [e.matrices for e in dec.ensembles]
-    plans = _plans(beta, inputs, _FAMILIES[kind][0](len(input_dims)), m)
+    plans = unshared_plans(beta, inputs, _FAMILIES[kind][0](len(input_dims)), m)
     shape = (1, k * max(len(p) for p in plans.values()))
     floor = certified_floor(dec, kind)
 

@@ -1,5 +1,6 @@
 import functools
 import importlib
+import itertools
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -21,7 +22,7 @@ from mdiw.states import (
     tetrahedron_ensemble,
     werner_state,
 )
-from mdiw.witness import (Witness, decompose, ghz_beta, ghz_witness, pauli6_beta, singlet_witness,
+from mdiw.witness import (Decomposition, Witness, decompose, ghz_beta, ghz_witness, pauli6_beta, singlet_witness,
                          tetrahedron_beta)
 from mdiw.game import (
     BIPARTITIONS_3,
@@ -34,6 +35,7 @@ from mdiw.game import (
     _contract,
     _groups,
     _separable_strategy,
+    _singletons,
     apply_pre_measurement_map,
     mdi_value,
     simulate_entangled,
@@ -83,6 +85,7 @@ from oracles import (
     partial_transpose,
     pointwise_scan,
     sequential_search,
+    unshared_plans,
 )
 
 game_module = importlib.import_module("mdiw.game")
@@ -389,6 +392,21 @@ def _teleported_game():
     return decompose(Witness(m, (2, 2, 2)), tuple(map(tetrahedron_ensemble, "ABC")))
 
 
+def _one_ensemble_game(d, seed, symmetric=True):
+    """A random three-party game with one ensemble of d^2 random input states for every party.
+
+    Symmetric, its beta is the sorted mean of a random tensor's six transposes, so beta in every cut's block
+    order has the same bits and the three cuts share one whole-pair plan; otherwise it is that tensor.
+    The witness is the decomposition's reconstruction, so it is exact.
+    """
+    rng = np.random.default_rng(seed)
+    states = tuple(random_density_matrix((d,), rng) for _ in range(d * d))
+    ensembles = tuple(InputEnsemble(p, tuple(map(str, range(d * d))), states) for p in "ABC")
+    x = rng.normal(size=(d * d,) * 3) / d**3
+    beta = np.sort([x.transpose(p) for p in itertools.permutations(range(3))], axis=0).sum(axis=0) / 6
+    return Decomposition(beta if symmetric else x, ensembles, 0.0)
+
+
 SEPARABLE = ("separable", attack, random_separable_strategy)
 BISEPARABLE = ("biseparable", biseparable_attack, random_biseparable_strategy)
 # name: (family, decomposition, mixture size, share dim, iterations, seed)
@@ -401,6 +419,8 @@ BATCH_CASES = {
     "ghz_offset": (BISEPARABLE, _offset_ghz, 6, 2, 200, 101),
     "teleported": (BISEPARABLE, _teleported_game, 3, 2, 200, 5),
     "teleported_share3": (BISEPARABLE, _teleported_game, 2, 3, 200, 6),
+    # the three cuts share one whole-pair plan; the champion is teleported on AC|B or BC|A, never the plan's first
+    "symmetric": (BISEPARABLE, lambda: _one_ensemble_game(2, 0), 3, 2, 200, 2),
     # restarts stop after 1, 2 or 3 sweeps; capped at 2, some stop on their own
     "ghz_share1": (BISEPARABLE, ghz_beta, 3, 1, 500, 66),
     "ghz_share1_capped": (BISEPARABLE, ghz_beta, 3, 1, 2, 66),
@@ -520,10 +540,62 @@ class TestBatchInvariance:
                 assert swept[r].tobytes() == _sweep(state, (1, width))[1][0].tobytes()
 
 
+def _terms_at(state) -> dict:
+    """Each searched term of a search state by (restart, column): its partition, and its operators' and responses'
+    bytes."""
+    return {(r, c): (cut, [x[i].tobytes() for x in (*ops, *resp)])
+            for plan, rows, cols, cuts, ops, resp in state
+            for i, (r, c, cut) in enumerate(zip(rows.tolist(), cols.tolist(), cuts.tolist()))}
+
+
+class TestSharedPlans:
+    """Cuts whose whole-pair contractions have the same bits share one plan and one batch."""
+
+    def test_plans_shared_only_where_contractions_agree(self):
+        partitions = _FAMILIES["biseparable"][0](3)
+        # (decomposition, share dim, whole-pair plans): one ensemble for every party shares a plan only where
+        # beta is symmetric too, and a share dim below the input dim searches no pair whole
+        games = [(ghz_beta(), 2, 1), (_one_ensemble_game(2, 0), 2, 1), (_one_ensemble_game(3, 0), 3, 1),
+                 (_one_ensemble_game(2, 0, symmetric=False), 2, 3), (_teleported_game(), 2, 3),
+                 (_random_game((2, 2, 2), np.random.default_rng(4)), 2, 3), (ghz_beta(), 1, 0)]
+        for dec, share, count in games:
+            plans = _plans(np.asarray(dec.beta), [e.matrices for e in dec.ensembles], partitions, share)
+            wholes = {id(p) for found in plans.values() for p in found[1:]}
+            assert len(wholes) == count
+            assert len({id(found[0]) for found in plans.values()}) == 1  # one product plan
+
+    @pytest.mark.parametrize("game", ["ghz", "symmetric_2", "symmetric_3", "one_ensemble_2"])
+    def test_merged_sweep_matches_each_cut_alone(self, game):
+        # every term of the merged batch, before and after each of two sweeps, has the partition and the bytes it
+        # has when only its own cut's terms are searched, over that cut's own plan built by _plan
+        dec = {"ghz": ghz_beta, "symmetric_2": lambda: _one_ensemble_game(2, 0),
+               "symmetric_3": lambda: _one_ensemble_game(3, 0),
+               "one_ensemble_2": lambda: _one_ensemble_game(2, 0, symmetric=False)}[game]()
+        d, k, restarts, partitions = dec.ensembles[0].dim, 3, 4, _FAMILIES["biseparable"][0](3)
+        dims, beta, inputs = (d,) * 3, np.asarray(dec.beta), [e.matrices for e in dec.ensembles]
+        draws = [_draw(restart_rng(21, r), partitions, dims, d, k) for r in range(restarts)]
+        _, groups, elements = _block(draws, partitions, dims, d)
+        state = _effective(groups, elements, _plans(beta, inputs, partitions, d), k, d)
+        alone = [_effective([g for g in groups if g[1] == part], elements, unshared_plans(beta, inputs, [part], d),
+                            k, d) for part in partitions]
+        shape, cuts = (restarts, 2 * k), set()
+        for _ in range(3):
+            merged = _terms_at(state)
+            assert merged == {key: term for one in alone for key, term in _terms_at(one).items()}
+            assert sum(len(_terms_at(one)) for one in alone) == len(merged)
+            cuts |= {cut for cut, _ in merged.values()}
+            (state, values), swept = _sweep(state, shape), [_sweep(one, shape) for one in alone]
+            for one, one_values in swept:
+                mask = np.isfinite(one_values)
+                assert values[mask].tobytes() == one_values[mask].tobytes()
+            alone = [one for one, _ in swept]
+        assert cuts == set(partitions) | {_singletons(3)}
+
+
 class TestBuildPhase:
     """Draws of R restarts become one batch, checked once, without touching the streams."""
 
-    @pytest.mark.parametrize("family", ["separable", "biseparable"])
+    @pytest.mark.parametrize("family", ["separable", "biseparable", "biseparable_asymmetric"])
     def test_batch_matches_block_of_one(self, family):
         rng = np.random.default_rng(15)
         if family == "separable":
@@ -531,7 +603,9 @@ class TestBuildPhase:
             inputs = [np.stack([random_density_matrix((d,), rng).matrix for _ in range(3)]) for d in dims]
             beta = rng.normal(size=(3, 3))
         else:
-            dims, partitions, dec = (2, 2, 2), _FAMILIES["biseparable"][0](3), ghz_beta()
+            # GHZ's three cuts share one whole-pair plan; the random game keeps one per cut
+            dec = ghz_beta() if family == "biseparable" else _random_game((2, 2, 2), rng)
+            dims, partitions = (2, 2, 2), _FAMILIES["biseparable"][0](3)
             sampler = random_biseparable_strategy
             inputs, beta = [e.matrices for e in dec.ensembles], np.asarray(dec.beta)
         m, k, lacking = 2, 3, 0
@@ -546,9 +620,10 @@ class TestBuildPhase:
             # the batch's searched terms of restart r are those of its block of one, bit for bit
             kept, want = _keep(state, np.arange(5) == r), _effective(*alone[1:], plans, k, m)
             assert len(kept) == len(want)
-            for (plan, rows, cols, ops, resp), (want_plan, want_rows, *want_arrays) in zip(kept, want):
-                assert plan is want_plan and np.array_equal(rows, want_rows + r)
-                for got, expected in zip([cols, *ops, *resp], [want_arrays[0], *want_arrays[1], *want_arrays[2]]):
+            for (plan, rows, cols, cuts, ops, resp), (want_plan, want_rows, *want_arrays) in zip(kept, want):
+                want_cols, want_cuts, want_ops, want_resp = want_arrays
+                assert plan is want_plan and np.array_equal(rows, want_rows + r) and cuts.tolist() == want_cuts.tolist()
+                for got, expected in zip([cols, *ops, *resp], [want_cols, *want_ops, *want_resp]):
                     assert got.dtype == expected.dtype and got.shape == expected.shape
                     assert got.tobytes() == expected.tobytes()
             lacking += len(kept) < len(state)
@@ -557,8 +632,9 @@ class TestBuildPhase:
             for e, p, want in zip(batch[2], povms, alone[2]):
                 assert np.array_equal(p.element(1), e[r]) and np.array_equal(want[0], e[r])
             assert _mixture_values(beta, inputs, *alone)[0] == values[r]
-        # some restart holds no term of a bipartition that others use: its searched partition is dropped
-        assert (lacking > 0) == (family == "biseparable")
+        # some restart holds no term of a bipartition that others use: where that bipartition has a plan of its
+        # own, the plan is dropped from the restart's state
+        assert (lacking > 0) == (family == "biseparable_asymmetric")
 
     def test_non_psd_share_in_last_restart_rejected_like_single(self):
         # a NaN in the last restart's last ket: only a check of every restart's shares sees it
@@ -799,7 +875,8 @@ class TestRealizedSearch:
 
     GAMES = {
         "separable": ((tetrahedron_beta, pauli6_beta, lambda: _graded(1e-4), negated_projector_decomposition), attack),
-        "biseparable": ((ghz_beta, _offset_ghz, _teleported_game), biseparable_attack),
+        "biseparable": ((ghz_beta, _offset_ghz, _teleported_game, lambda: _one_ensemble_game(2, 0)),
+                        biseparable_attack),
     }
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -837,6 +914,26 @@ class TestRealizedSearch:
             realized = _strategy(*_term(state, 0, c), dims, share, "biseparable")
             assert _public(dec, realized) == pytest.approx(values[c], abs=tol)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_symmetric_game_realizes_each_term_on_its_own_cut(self, d):
+        # the three cuts share one plan: each searched term is still realized on its drawn cut, as over the cut's
+        # own plan, and a teleported term carries that cut's tag
+        dec, k = _one_ensemble_game(d, 0), 4
+        beta, inputs = np.asarray(dec.beta), [e.matrices for e in dec.ensembles]
+        partitions = _FAMILIES["biseparable"][0](3)
+        s = random_biseparable_strategy((d,) * 3, d, k, np.random.default_rng(3))
+        groups, elements = _groups(s)[1], [p.element(1)[None] for p in s.measurements]
+        shared, own = (_effective(groups, elements, plans(beta, inputs, partitions, d), k, d)
+                       for plans in (_plans, unshared_plans))
+        values = _values(shared, (1, 2 * k))[0]
+        assert values.tobytes() == _values(own, (1, 2 * k))[0].tobytes() and np.isfinite(values).all()
+        for c, value in enumerate(values):
+            realized = _strategy(*_term(shared, 0, c), (d,) * 3, d, "biseparable")
+            assert repr(realized) == repr(_strategy(*_term(own, 0, c), (d,) * 3, d, "biseparable"))
+            assert realized.terms[0].bipartition == (s.terms[c % k].bipartition if c >= k else "AB|C")
+            assert _public(dec, realized) == pytest.approx(value, abs=1e-12)
+        assert len({t.bipartition for t in s.terms}) > 1
+
 
 class TestEigenCalls:
     """The reported strategy's clicks are checked as stacks and its share states once; marginals are scaled at once."""
@@ -861,9 +958,9 @@ class TestEigenCalls:
         forms = set()
         for c in np.flatnonzero(np.isfinite(values)):
             stacks.clear()
-            plan, ops = _term(state, 0, c)
-            realized = _strategy(plan, ops, dims, share, kind)
-            forms.add(len(plan.blocks))
+            blocks, ops = _term(state, 0, c)
+            realized = _strategy(blocks, ops, dims, share, kind)
+            forms.add(len(blocks))
             # one stack per input dimension, in first-party order, holding every party of that dimension
             assert stacks == [(dims.count(d), (d, share)) for d in dict.fromkeys(dims)]
             for p, povm in enumerate(realized.measurements):

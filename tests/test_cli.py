@@ -420,13 +420,13 @@ def _kets(rng, d, last=None):
 
 
 @st.composite
-def edge_configs(draw):
-    """A 2- or 3-party simulate config whose custom input states, of dims 1-3, and explicit state each sit at
-    0.99 of the trace edge (either side) and of the PSD or the Hermitian edge.  The state's negative
+def edge_configs(draw, parties=(2, 3)):
+    """A simulate config of ``parties`` parties whose custom input states, of dims 1-3, and explicit state each
+    sit at 0.99 of the trace edge (either side) and of the PSD or the Hermitian edge.  The state's negative
     eigenvector is the conjugate product of one input state per party, so that input tuple's table entry
     reads the negative eigenvalue."""
     edges = st.tuples(st.sampled_from([None, "psd", "herm"]), st.sampled_from([-1, 0, 1]))
-    dims = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    dims = draw(st.lists(st.integers(1, 3), min_size=min(parties), max_size=max(parties)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ensembles, aligned = [], np.ones(1)
     for d in dims:
@@ -473,6 +473,23 @@ def test_edge_configs_keep_the_other_commands_contract(config):
             assert code in (0, 1, 2), (command, code)
             if code == 2:
                 assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(edge_configs(parties=(3,)))
+def test_edge_configs_keep_the_biseparable_attack_contract(config):
+    # attack with "kind": "biseparable" (BASE_CONFIG's search budget) on 3-party edge configs: no traceback, and
+    # exit 2 only with one error line
+    config = dict(config, attack=dict(config["attack"], kind="biseparable"))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), config)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # attacking an inexact decomposition warns
+            code = main(["attack", "-c", cfg, "-o", str(Path(tmp) / "out")])
+        assert code in (0, 1, 2), code
+        if code == 2:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
 
 
 class TestQutritDecompose:

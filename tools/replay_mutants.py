@@ -331,11 +331,12 @@ MUTANTS = {
         ["tests/test_attack.py::TestEigenCalls::test_strategy_checks_clicks_once_per_input_dimension",
          "tests/test_attack.py::TestRealizedSearch::test_ragged_input_dims"],
     ),
-    # the stacked marginals split one row early: each marginal meets the top eigenvalues of its neighbours' rows
-    "marginal_split_offset": (
+    # the stacked marginals sliced from the stack's start: each marginal after the first of its size meets the
+    # top eigenvalues of the first one's rows
+    "marginal_slice_from_stack_start": (
         "attack.py",
-        "np.cumsum([len(a) for a in same])[:-1]",
-        "np.cumsum([len(a) for a in same])[:-1] - 1",
+        "tops[i:j] for i, j in",
+        "tops[: j - i] for i, j in",
         ["tests/test_attack.py::TestEigenCalls::test_stacked_marginals_match_each_alone",
          "tests/test_attack.py::TestBatchedSearch::test_matches_sequential_loop",
          "tests/test_attack.py::TestBuildPhase::test_batch_matches_block_of_one"],
@@ -362,6 +363,26 @@ MUTANTS = {
         "np.broadcast_to(TOL_PSD * np.eye(d), (d, d))",
         "np.broadcast_to(10 * TOL_PSD * np.eye(d), (d, d))",
         ["tests/test_linalg.py::TestOperatorRules::test_density_rule_decides_like_its_eigenvalues"],
+    ),
+    # every term of a shared plan realized on the plan's first cut: on a symmetric game only the reported
+    # strategy's cut tag and repr show it, its value does not
+    "realized_on_plan_first_cut": (
+        "attack.py",
+        "cut, part = blocks, ops",
+        "cut, part = plan.blocks, ops",
+        ["tests/test_attack.py::TestSharedPlans::test_merged_sweep_matches_each_cut_alone",
+         "tests/test_attack.py::TestRealizedSearch::test_symmetric_game_realizes_each_term_on_its_own_cut",
+         "tests/test_attack.py::TestBatchedSearch::test_matches_sequential_loop"],
+    ),
+    # the plan key reads beta in its own order, not the cut's: one ensemble for every party merges the cuts of
+    # an asymmetric game, and two of them are searched over the first one's contraction
+    "plan_key_without_beta_order": (
+        "attack.py",
+        "for a in [beta.transpose(order), *(inputs[p] for p in order)]",
+        "for a in [beta, *(inputs[p] for p in order)]",
+        ["tests/test_attack.py::TestSharedPlans::test_plans_shared_only_where_contractions_agree",
+         "tests/test_attack.py::TestSharedPlans::test_merged_sweep_matches_each_cut_alone",
+         "tests/test_attack.py::TestBatchedSearch::test_matches_sequential_loop"],
     ),
 }
 
