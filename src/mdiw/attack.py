@@ -7,23 +7,28 @@ break the bound.  One term of an unentangled strategy scores tr[R (A_1 (x)
 A_2 (x) ...)], one effective operator 0 <= A_B <= 1 per block of its
 partition on that block's inputs (see :func:`certified_lower_bound`), and
 the value is linear in the mixture weights, so the search moves only those
-operators: each restart samples a random strategy, converts its terms once
-and refines each by see-saw (Werner & Wolf, QIC 1, 1 (2001); Liang &
+operators: each restart draws random operators as its start (:func:`_start`)
+and refines each term by see-saw (Werner & Wolf, QIC 1, 1 (2001); Liang &
 Doherty, PRA 75, 042103 (2007)), every step setting one block's operator to
 the projector onto the negative eigenspace of its gradient (see
 :func:`_sweep`).  All restarts run as one batch.  A restart's value is its
-lowest term's as a strategy realizes it (:func:`_strategy`), so the mixture
-size and share dimension shape only the start distribution and that
-strategy's embedding (see :class:`AttackConfig`).  The samplers
-share the block form of :mod:`mdiw.game`, and the conversion its block
-contraction; :mod:`mdiw.game` also scores the violation curves whose
-closed forms and zero crossings live here.
+lowest term's as a strategy realizes it (:func:`_strategy`).  The public
+samplers share the block form of :mod:`mdiw.game`, which also scores the
+violation curves whose closed forms and zero crossings live here.
 
 Randomness contract: restart ``r`` of a search with master seed ``m`` draws
 from ``numpy.random.default_rng((m, r))``, i.e. a PCG64 generator seeded
 with ``SeedSequence(entropy=(m, r))``.  Identical configurations therefore
-reproduce identical reports, independent of scheduling; the batch draws
-each restart's start from its own stream first, in restart order.
+reproduce identical reports, independent of scheduling.  The batch draws
+each restart's start from its own stream, in restart order: its k partition
+picks in one ``integers`` call, made only where the family has several
+partitions; then per searched form f, f = 0 every term as a product and f =
+1 each term whose pick searches its pair whole (its f-th plan in
+:func:`_plans`), those terms' draws in term order: every block's Gram factor
+in one ``normal`` call, term by term and block by block, each D x D real
+parts then imaginary parts, and one uniform per term and block in one
+``random`` call (a form without terms draws neither).  Cuts that share a
+plan therefore draw what they draw on plans of their own.
 """
 
 from __future__ import annotations
@@ -51,7 +56,6 @@ from .game import (
     _TAGS,
     _biseparable_strategy,
     _checked_clicks,
-    _contract,
     _grid,
     _responses,
     _partition_groups,
@@ -72,16 +76,17 @@ _STOP = 1e-15
 class AttackConfig:
     """Knobs for the see-saw strategy search.
 
-    ``mixture_size`` and ``share_dim`` shape the start distribution, each
-    restart's random start of that many terms with shares of that
-    dimension, and the embedding of the best term: its share dimension, and
-    whether a biseparable pair is searched whole, which teleportation
-    realizes only where ``share_dim`` is at least the pair's first input
-    dimension, or as a product of its parties' operators.  The bound holds
-    for any dimension, so the cap is a validation budget, not an
-    assumption.  ``iterations`` caps the sweeps per restart; a restart also
-    ends at the first sweep that lowers the value by at most ``1e-15`` or
-    that brings it to at most ``BOUND_TOL`` above the search's
+    ``mixture_size`` is the number k of terms each restart draws, each on
+    every searched plan of its drawn partition (:func:`_start`): the product
+    plan gets all k, a random operator per party each, and a pair searched
+    whole the terms whose bipartition it is, a random pair and singleton
+    operator each.  ``share_dim`` decides only whether a biseparable pair is
+    searched whole, which teleportation realizes only where it is at least
+    the pair's first input dimension, and the reported strategy's share
+    dimension.  The bound holds for any dimension, so the cap is a validation
+    budget, not an assumption.  ``iterations`` caps the sweeps per restart; a
+    restart also ends at the first sweep that lowers the value by at most
+    ``1e-15`` or that brings it to at most ``BOUND_TOL`` above the search's
     :func:`certified_lower_bound`.
     """
 
@@ -160,13 +165,11 @@ def _unit_kets(draws: np.ndarray) -> np.ndarray:
 # ``integers`` call only where there are several), plus one random pure state
 # per block, its kets one row: each block's real parts, then imaginary parts.
 # A family's partitions share their block sizes in block order, those of one
-# size adjacent.  The draw phase reads one restart's generator in stream order;
-# the build phase puts R restarts' draws in block form (see :mod:`mdiw.game`),
-# checking each block size's states and each input dimension's success elements
-# as one stack, and builds no POVM.  A public sampler inverts a batch of one with
-# POVMs viewing its stacks; the search converts its batch (:func:`_effective`) and
-# checks its reported term's clicks as one stack per input dimension, with share
-# states built and checked once per share shape (:func:`_strategy`).
+# size adjacent.  The draw phase reads one generator in stream order; the build
+# phase puts R draws in block form (see :mod:`mdiw.game`), checking each block
+# size's states and each input dimension's success elements as one stack, and
+# builds no POVM; a public sampler inverts a batch of one with POVMs viewing its
+# stacks.  The search's start (:func:`_start`) draws no strategy.
 
 
 def _check_int(name: str, value, low: int) -> None:
@@ -177,45 +180,30 @@ def _check_int(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
-def _draw_success_element(rng: np.random.Generator, d: int) -> tuple[np.ndarray, float]:
-    """One d x d success element's draws: Gram factor G's (2, d, d) real and imaginary parts, its scale's uniform."""
-    return rng.normal(size=(2, d, d)), rng.random()
-
-
-def _success_batch(draws, input_dims, m) -> list:
-    """Each party's (R, D, D) success elements E = G^dagger G scaled into [0, 1], checked and read-only.
-
-    ``draws[r][p]`` is restart r's draw for party p.  The parties of one input
-    dimension share one stack and one ``eigvalsh``: each G^dagger G's top eigenvalue
-    sets its scale, and its eigenvalues over that scale, E's, decide E in [0, 1].
-    """
-    n, r = len(input_dims), len(draws)
-    elements = [None] * n
-    for d in dict.fromkeys(input_dims):
-        ps = [p for p in range(n) if input_dims[p] == d]
-        g = np.array([row[p][0] for p in ps for row in draws])
-        u = np.array([row[p][1] for p in ps for row in draws])
-        g = g[:, 0] + 1j * g[:, 1]
-        e = g.conj().swapaxes(-1, -2) @ g
-        eigs = np.linalg.eigvalsh(e)
-        scale = eigs[:, -1:] * (1.0 + u[:, None])
-        e = e / scale[:, :, None]
-        check_operators(e, (d, m))
-        _check_spectrum(eigs / scale, (0.0, 1.0))
-        e.setflags(write=False)
-        for j, p in enumerate(ps):
-            elements[p] = e[j * r : (j + 1) * r]
-    return elements
+def _unit_stack(g, u, dims) -> np.ndarray:
+    """The read-only (N, D, D) operators E = G^dagger G / (lambda_max (1 + u)) of (N, 2, D, D) Gram factors G (real
+    parts, then imaginary parts) and (N,) uniforms u, checked as one stack against ``dims``: its one ``eigvalsh``
+    sets each scale, and its eigenvalues over that scale, E's, decide E in [0, 1]."""
+    g = g[:, 0] + 1j * g[:, 1]
+    e = g.conj().swapaxes(-1, -2) @ g
+    eigs = np.linalg.eigvalsh(e)
+    scale = eigs[:, -1:] * (1.0 + u[:, None])
+    e = e / scale[:, :, None]
+    check_operators(e, dims)
+    _check_spectrum(eigs / scale, (0.0, 1.0))
+    e.setflags(write=False)
+    return e
 
 
 def _draw(rng, partitions, input_dims, m, k):
-    """One restart's draws in stream order: weights, partition picks, kets and success elements."""
+    """One restart's draws in stream order: weights, partition picks, kets and success elements, each its Gram
+    factor's (2, D, D) real and imaginary parts and its scale's uniform."""
     weights, size = rng.dirichlet(np.ones(k)), 2 * sum(m ** len(b) for b in partitions[0])
     if len(partitions) == 1:
         picks, kets = np.zeros(k, int), rng.normal(size=(k, size))
     else:
         picks, kets = zip(*[(rng.integers(len(partitions)), rng.normal(size=size)) for _ in range(k)])
-    return weights, picks, kets, [_draw_success_element(rng, d * m) for d in input_dims]
+    return weights, picks, kets, [(rng.normal(size=(2, d * m, d * m)), rng.random()) for d in input_dims]
 
 
 def _block(draws, partitions, input_dims, m):
@@ -237,7 +225,12 @@ def _block(draws, partitions, input_dims, m):
         members = [(picks == j).nonzero()[0] for j in range(len(partitions))]
         states = [[x.take(i, axis=0) for x in blocks] for i in members]
     groups = _partition_groups(partitions, members, states)
-    return np.array([x[0] for x in draws]), groups, _success_batch([x[3] for x in draws], input_dims, m)
+    elements = {}  # the parties of one input dimension share one stack
+    for d in dict.fromkeys(input_dims):
+        ps = [p for p in range(len(input_dims)) if input_dims[p] == d]
+        g, u = (np.array([x[3][p][i] for p in ps for x in draws]) for i in (0, 1))
+        elements |= zip(ps, _unit_stack(g, u, (d, m)).reshape(len(ps), len(draws), d * m, d * m))
+    return np.array([x[0] for x in draws]), groups, [elements[p] for p in range(len(input_dims))]
 
 
 # kind: the partitions of n parties that its terms draw from, and the inverse of its block form
@@ -331,12 +324,13 @@ def _mixture_values(beta, inputs, weights, groups, elements) -> np.ndarray:
 
 
 # The search state of a batch: per distinct contraction, its _Plan, each term's
-# restart, column (drawn term t of a mixture of k, in its partition's f-th
-# plan, is column f k + t) and own partition, and per block the terms' (N, D,
-# D) effective operators A and (N, S) responses r[k, s] = tr[A_k T[s]], T[s] =
-# (x)_p tau_p,s_p^T over the block's parties.  Every step is one stacked
-# matmul, vecdot, trace or eigendecomposition over the terms, the same work
-# for each term, so a term has the same bits in a batch of any size.
+# restart and column (term t of k, in its partition's f-th plan, is column
+# f k + t), and per block the terms' (N, D, D) effective operators A and (N, S)
+# responses r[k, s] = tr[A_k T[s]], T[s] = (x)_p tau_p,s_p^T over the block's
+# parties.  A term's partition is its restart's pick (see :func:`_term`).  Every
+# step is one stacked matmul, vecdot, trace or eigendecomposition over the
+# terms, the same work for each term, so a term has the same bits in a batch
+# of any size.
 
 
 class _Plan(NamedTuple):
@@ -397,62 +391,46 @@ def _readout(ops, t) -> np.ndarray:
     return (ops.reshape(len(ops), 1, -1).view(float) @ t.T)[:, 0]
 
 
-def _absorb(elements, sigma, m) -> np.ndarray:
-    """A_k = tr_share[(E_p,k (x) ...)(1 (x) sigma_k)]^T for a block's (N, d m, d m) success elements, one
-    per party, and its (N, M, M) states: the block contraction of each E_p as its (i, j) pairs' share operators."""
-    dims, k = [e.shape[-1] // m for e in elements], len(elements)
-    # x[k, (i, j) of each party] = tr_share[...][i..., j...]
-    x = _contract([e.reshape(len(e), d, m, d, m).transpose(0, 1, 3, 2, 4).reshape(len(e), d * d, m, m)
-                   for e, d in zip(elements, dims)], sigma).reshape([len(sigma)] + [d for d in dims for _ in "ij"])
-    return x.transpose([0] + list(range(2, 2 * k + 1, 2)) + list(range(1, 2 * k, 2))).reshape(
-        len(sigma), math.prod(dims), -1)
+def _start(plans, partitions, input_dims, config) -> tuple[np.ndarray, list]:
+    """Every restart's (R, k) partition picks, and the search state of its random start.
 
-
-def _marginals(pairs) -> list[np.ndarray]:
-    """tr_j Q and tr_i Q of each (Q, d_i) pair's (N, d_i d_j, d_i d_j) operators over their top eigenvalues, in
-    [0, 1]; the marginals of one size share one ``eigvalsh``, which gives each the bits of a call of its own."""
-    ms = [a for q, d in pairs for q in [q.reshape(len(q), d, -1, d, q.shape[-1] // d)]
-          for a in (q.trace(axis1=2, axis2=4), q.trace(axis1=1, axis2=3))]
-    scaled = {}
-    for size in dict.fromkeys(a.shape[-1] for a in ms):
-        same = [a for a in ms if a.shape[-1] == size]
-        tops, ends = np.linalg.eigvalsh(np.concatenate(same))[:, -1:, None], [0, *itertools.accumulate(map(len, same))]
-        scaled[size] = iter([tops[i:j] for i, j in zip(ends, ends[1:])])
-    return [a / next(scaled[a.shape[-1]]) for a in ms]
-
-
-def _effective(groups, elements, plans, k, m) -> list:
-    """The search state of drawn strategies in block form (see :func:`_block`), mixtures of ``k`` terms.
-
-    Each block of a term is absorbed once (:func:`_absorb`); a pair's
-    product form starts from its :func:`_marginals`, those of every cut taken at once.
-    The terms of every partition that shares a plan form one batch, each keeping its own partition.
+    Restart r reads ``restart_rng(config.seed, r)`` as the module's randomness contract says; term t of
+    form f (its f-th plan in :func:`_plans`) is column f k + t.  Each operator is G^dagger G / (lambda_max
+    (1 + u)); those of one plan and block size, over every restart, are one :func:`_unit_stack`.
     """
-    drawn = [(idx, blocks, [_absorb([elements[p][idx // k] for p in b], s, m) for b, s in zip(blocks, states)])
-             for idx, blocks, states in groups]
-    pairs = iter(_marginals([(ops[0], elements[b[0][0]].shape[-1] // m) for _, b, ops in drawn if len(b[0]) == 2]))
-    merged, state = {}, []
-    for idx, blocks, ops in drawn:
-        for f, plan in enumerate(plans[blocks]):
-            cut, part = blocks, ops
-            if len(plan.blocks) > len(blocks):  # one operator per party of the pair
-                part = dict(zip(sum(blocks, ()), [next(pairs), next(pairs)] + ops[1:]))
-                cut, part = plan.blocks, [part[p] for p in range(3)]
-            cuts = np.fromiter([cut] * len(idx), object, len(idx))
-            merged.setdefault(id(plan), (plan, []))[1].append((idx // k, f * k + idx % k, cuts, part))
-    for plan, parts in merged.values():
-        rows, cols, cuts, ops = zip(*parts)
-        ops = [np.concatenate(a) for a in zip(*ops)]
-        resp = [_readout(a, t) for a, t in zip(ops, plan.inputs)]
-        state.append((plan, np.concatenate(rows), np.concatenate(cols), np.concatenate(cuts), ops, resp))
-    return state
+    k, forms, drawn = config.mixture_size, [plans[part] for part in partitions], {}
+    sizes = {id(p): [math.prod(input_dims[q] for q in b) for b in p.blocks] for ps in forms for p in ps}
+    widths = {key: 2 * sum(d * d for d in size) for key, size in sizes.items()}  # a term's normals
+    picks = np.zeros((config.restarts, k), int)
+    for r in range(config.restarts):
+        rng = restart_rng(config.seed, r)
+        if len(partitions) > 1:
+            picks[r] = rng.integers(len(partitions), size=k)
+        for f in range(max(map(len, forms))):
+            if terms := [(t, forms[j][f]) for t, j in enumerate(picks[r].tolist()) if len(forms[j]) > f]:
+                ends = [0, *itertools.accumulate(widths[id(p)] for _, p in terms)]
+                x, u = rng.normal(size=ends[-1]), rng.random((len(terms), len(terms[0][1].blocks)))
+                for (t, plan), a, b, v in zip(terms, ends, ends[1:], u):
+                    drawn.setdefault(id(plan), (plan, []))[1].append((r, f * k + t, x[a:b], v))
+    state = []
+    for plan, got in drawn.values():
+        (rows, cols, g, u), size = map(np.array, zip(*got)), sizes[id(plan)]
+        ends, ops = [0, *itertools.accumulate(2 * d * d for d in size)], {}
+        for d in dict.fromkeys(size):  # the blocks of one size share one stack
+            bs = [b for b, x in enumerate(size) if x == d]
+            e = _unit_stack(np.concatenate([g[:, ends[b] : ends[b + 1]].reshape(-1, 2, d, d) for b in bs]),
+                            u[:, bs].T.ravel(), (d,))
+            ops |= zip(bs, e.reshape(len(bs), -1, d, d))
+        ops = [ops[b] for b in range(len(size))]
+        state.append((plan, rows, cols, ops, [_readout(a, t) for a, t in zip(ops, plan.inputs)]))
+    return picks, state
 
 
 def _values(state, shape) -> np.ndarray:
     """z[r, c]: the realized value of restart r's searched term c, inf where the state has none: its last block's
     coefficients against that block's responses, in full for a product and over d_i^2 for a teleported pair."""
     z = np.full(shape, np.inf)
-    for plan, rows, cols, cuts, ops, resp in state:
+    for plan, rows, cols, ops, resp in state:
         z[rows, cols] = np.vecdot(_coefficients(plan.betas[-1], resp[:-1]), resp[-1]) * plan.scale
     return z
 
@@ -467,28 +445,30 @@ def _sweep(state, shape) -> tuple[list, np.ndarray]:
     the value; the stop rule of :func:`_search` keeps that restart's best.
     """
     swept, z = [], np.full(shape, np.inf)
-    for plan, rows, cols, cuts, ops, resp in state:
+    for plan, rows, cols, ops, resp in state:
         ops, resp = list(ops), list(resp)
         for b, t in enumerate(plan.inputs):
             c = _coefficients(plan.betas[b], resp[:b] + resp[b + 1 :])
             ops[b] = _negative_projectors((c[:, None, :] @ t).reshape(len(c), -1).view(complex).reshape(ops[b].shape))
             resp[b] = _readout(ops[b], t)
         z[rows, cols] = np.vecdot(c, resp[-1]) * plan.scale  # c: the last block's coefficients
-        swept.append((plan, rows, cols, cuts, ops, resp))
+        swept.append((plan, rows, cols, ops, resp))
     return swept, z
 
 
 def _keep(state, alive) -> list:
     """The search state of the restarts the (R,) mask ``alive`` marks; a plan left without terms is dropped."""
-    return [(plan, rows[mine], cols[mine], cuts[mine], [a[mine] for a in ops], [r[mine] for r in resp])
-            for plan, rows, cols, cuts, ops, resp in state for mine in [alive[rows]] if mine.any()]
+    return [(plan, rows[mine], cols[mine], [a[mine] for a in ops], [r[mine] for r in resp])
+            for plan, rows, cols, ops, resp in state for mine in [alive[rows]] if mine.any()]
 
 
-def _term(state, j, c) -> tuple:
-    """Restart j's searched term c: its own partition, and each block's operators as a batch of one."""
-    for plan, rows, cols, cuts, ops, resp in state:
+def _term(state, j, c, picks, partitions) -> tuple:
+    """Restart j's searched term c and its partition, each block's operators as a batch of one: a product's
+    partition is its plan's, a whole pair's its pick, ``partitions[picks[j, c % k]]``."""
+    for plan, rows, cols, ops, resp in state:
         for i in np.flatnonzero((rows == j) & (cols == c)):
-            return cuts[i], [a[i : i + 1] for a in ops]
+            cut = plan.blocks if len(plan.blocks[0]) == 1 else partitions[picks[j, c % picks.shape[1]]]
+            return cut, [a[i : i + 1] for a in ops]
 
 
 @functools.cache
@@ -561,36 +541,28 @@ def certified_lower_bound(dec: Decomposition, kind: str) -> float:
 def _search(dec, ensembles, config, kind):
     """Shared see-saw search for both strategy families, all restarts as one batch.
 
-    Restart r draws ``config.mixture_size`` terms of a partition of ``kind``
-    from ``restart_rng(config.seed, r)``, in restart order; the build phase
-    checks every draw, and :func:`_effective` converts each term once.  A
-    restart's value is its lowest term's realized value.  It stops at its
-    first sweep that lowers that value by at most ``_STOP`` (stalled), that
+    Restart r draws its start as effective operators, checked where they
+    are drawn (:func:`_start`).  A restart's value is its lowest term's
+    realized value.  It stops at its first sweep that lowers that value by at most ``_STOP`` (stalled), that
     leaves its best value at most ``BOUND_TOL`` above
     :func:`certified_lower_bound` (at floor; more than ``_STOP`` below it
     means the scoring or the floor is wrong, so the search goes on), or
     after ``config.iterations`` sweeps (capped), and leaves the batch.  Every
     earlier sweep lowered the value, so its best state is the one before or
     after the last sweep (before, on a tie).  The first best restart's first
-    best term becomes the reported strategy (:func:`_strategy`), embedded in
-    shares of ``config.share_dim``, which with ``config.mixture_size`` shapes
-    only the start distribution and that embedding.
+    best term becomes the reported strategy (:func:`_strategy`) on its
+    partition (:func:`_term`), embedded in shares of ``config.share_dim``.
     """
     if not dec.exact:
-        warnings.warn(
-            f"attacking an inexact decomposition (residual {dec.residual:.3e}); "
-            "the nonnegativity bound is only guaranteed for exact witnesses",
-            stacklevel=3,
-        )
+        warnings.warn(f"attacking an inexact decomposition (residual {dec.residual:.3e}); the nonnegativity bound is "
+                      "only guaranteed for exact witnesses", stacklevel=3)
     input_dims, m, k = tuple(e.dim for e in ensembles), config.share_dim, config.mixture_size
     partitions = _FAMILIES[kind][0](len(input_dims))
     plans = _plans(np.asarray(dec.beta), [e.matrices for e in dec.ensembles], partitions, m)
     floor = certified_lower_bound(dec, kind)
 
     t0 = time.perf_counter()
-    draws = [_draw(restart_rng(config.seed, r), partitions, input_dims, m, k) for r in range(config.restarts)]
-    _, groups, elements = _block(draws, partitions, input_dims, m)
-    state = _effective(groups, elements, plans, k, m)
+    picks, state = _start(plans, partitions, input_dims, config)
     terms = _values(state, (config.restarts, k * max(map(len, plans.values()))))
     running, value = np.arange(config.restarts), terms.min(axis=1)
     paths, champion = [[v] for v in value.tolist()], None  # champion: (value, restart, its best :func:`_term`)
@@ -607,7 +579,7 @@ def _search(dec, ensembles, config, kind):
             j = np.flatnonzero(stop)[best[stop].argmin()]
             if champion is None or (best[j], running[j]) < champion[:2]:
                 kept, z = (swept, swept_terms) if lower[j] else (state, terms)
-                champion = (best[j], running[j], _term(kept, running[j], z[running[j]].argmin()))
+                champion = (best[j], running[j], _term(kept, running[j], z[running[j]].argmin(), picks, partitions))
             if stop.all():
                 break
             running, value, alive = running[~stop], new[~stop], np.zeros(len(terms), bool)
@@ -616,13 +588,8 @@ def _search(dec, ensembles, config, kind):
         else:
             state, terms, value = swept, swept_terms, new
     wall = time.perf_counter() - t0
-    return AttackReport(
-        floor=floor,
-        best_strategy=_strategy(*champion[2], input_dims, m, kind),
-        restart_paths=tuple(map(tuple, paths)),
-        wall_time=wall,
-        config=config,
-    )
+    return AttackReport(floor=floor, best_strategy=_strategy(*champion[2], input_dims, m, kind),
+                        restart_paths=tuple(map(tuple, paths)), wall_time=wall, config=config)
 
 
 def attack(dec: Decomposition, ensembles, config: AttackConfig) -> AttackReport:
@@ -642,9 +609,8 @@ def attack(dec: Decomposition, ensembles, config: AttackConfig) -> AttackReport:
 def biseparable_attack(dec: Decomposition, ensembles, config: AttackConfig) -> AttackReport:
     """Minimize the game value over biseparable tripartite strategies.
 
-    Bipartitions stay as sampled within a restart; each term's pair and
-    singleton operators move, and the best term is realized as
-    :func:`_strategy` describes.
+    Each term keeps its drawn bipartition while its operators move, and the
+    best term is realized on it as :func:`_strategy` describes.
     """
     if dec.n_parties != 3:
         raise ValueError("biseparable attacks need a three-party decomposition")

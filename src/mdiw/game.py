@@ -10,10 +10,9 @@ with each party's input adjacent to its share, though tables never build
 that joint space: :func:`trace_inputs` folds each party's inputs into its
 outcome elements.  Every strategy mixes terms that are products over
 blocks of parties (a shared state is one term in one block); the traced
-elements meet each block's states in the block contraction, which the
-attack search shares, and one more over the weighted terms gives the
-table.  The honest table contracts the shared
-state with the inputs on a route of its own.  The game functional
+elements meet each block's states in the block contraction, and one more
+over the weighted terms gives the table.  The honest table contracts the
+shared state with the inputs on a route of its own.  The game functional
 contracts a witness decomposition against the all-ones outcome
 probabilities, so a negative value certifies entanglement of the shared
 state no matter what the devices actually did.
@@ -355,8 +354,8 @@ def fast_entangled_table(rho: DensityMatrix, ensembles) -> CorrelationTable:
 # bipartition), and the terms of one partition form a group (idx, partition,
 # states): their indices into the weights, the partition and one (K_g, D_b,
 # D_b) state stack per block.  The weights are a dense (R, K) matrix, row r
-# the weights of mixture r, so R drawn mixtures (a search's starts, the loss
-# check's samples) form one batch; a strategy is the case R = 1.  Term i is
+# the weights of mixture r, so R drawn mixtures (the loss check's samples)
+# form one batch; a strategy is the case R = 1.  Term i is
 # weights.flat[i], of mixture i // K.
 # Only _groups and its two inverses read the public strategy types.
 
@@ -434,8 +433,7 @@ def _contract(stacks, sigma) -> np.ndarray:
     flattened axis, so a state has the same bits in a stack of any size; a
     stack of one broadcasts over the states, and the leading axes of the
     stacks broadcast against each other.  Tables pass the traced elements
-    F_p (X_p = S_p), the search each success element as its (i, j) pairs'
-    share operators (X_p = d_p^2).
+    F_p (X_p = S_p).
     """
     n, ms = len(stacks), [g.shape[-1] for g in stacks]
     # x[k, (b, a) of each party still to contract..., x of each contracted] = sigma[k, a..., b...]
@@ -502,8 +500,8 @@ def _simulate(strategy, ensembles, include_full: bool) -> CorrelationTable:
     contraction (:func:`_contract`) gives ``R[..., k, s_B] = tr[(F_p[s_p]
     (x) ...) sigma_k]`` for every input and term, the outcome axes
     broadcasting into every outcome tuple, and one more per group contracts
-    the weighted terms into every input tuple at once.  The samplers and
-    the search in :mod:`mdiw.attack` build their batches in this form.
+    the weighted terms into every input tuple at once.  The samplers in
+    :mod:`mdiw.attack` build their batches in this form.
     """
     ensembles, measurements = tuple(ensembles), strategy.measurements
     weights, groups = _groups(strategy)
@@ -537,14 +535,10 @@ def mdi_value(dec: Decomposition, table: CorrelationTable) -> float:
     tr[W rho] / prod(dims) for the honest strategy on rho.
     """
     if dec.n_parties != table.n_parties:
-        raise ValueError(
-            f"decomposition has {dec.n_parties} parties, table has {table.n_parties}"
-        )
+        raise ValueError(f"decomposition has {dec.n_parties} parties, table has {table.n_parties}")
     for p, e in enumerate(dec.ensembles):
         if e.labels != table.labels[p]:
-            raise ValueError(
-                f"party {p}: decomposition labels {e.labels} vs table labels {table.labels[p]}"
-            )
+            raise ValueError(f"party {p}: decomposition labels {e.labels} vs table labels {table.labels[p]}")
     return float(np.dot(dec.beta.ravel(), table.p_all_ones.ravel()))
 
 

@@ -14,12 +14,17 @@ contraction of :func:`mdiw.game.simulate_entangled`: through the block
 form's one-block case, the route under test, or through
 :func:`mdiw.game._contract_grid`, the honest table's contraction, which
 shares no code with it past the traced inputs.
-:func:`sequential_search` runs the see-saw's restarts one after another,
-each from its public sampler's strategy, as the reference for the batched search, with :func:`certified_floor` as
-the reference for its floor and :func:`unshared_plans`, one plan per searched partition, as the reference for
-the search's plans shared between partitions, and :func:`pointwise_scan` scores
-a violation curve one state at a time, as the reference for the stacked
-scan.
+:func:`restart_start` draws one restart's start one operator at a time, as
+the reference for the search's stacked start, and :func:`sequential_search`
+runs the see-saw's restarts one after another, each from that start, as the
+reference for the batched search, with :func:`certified_floor` as the
+reference for its floor and :func:`unshared_plans`, one plan per searched
+partition, as the reference for the search's plans shared between
+partitions; :func:`terms_state` merges one restart's terms into search
+state.  :func:`strategy_state` converts a given strategy's terms to
+search terms by :func:`absorb`, for tests that search from a strategy, and
+:func:`pointwise_scan` scores a violation curve one state at a time, as the
+reference for the stacked scan.
 :func:`lstsq_decompose` expands a witness by dense least squares over the
 stacked :func:`product_basis`, in :func:`hermitian_coordinates`, as the
 reference for the factored :func:`mdiw.witness.decompose`, and
@@ -55,8 +60,8 @@ from mdiw.attack import (
     _STOP,
     BOUND_TOL,
     AttackReport,
-    _effective,
     _plan,
+    _readout,
     _strategy,
     _sweep,
     _term,
@@ -64,12 +69,12 @@ from mdiw.attack import (
     expected_game_value,
     random_kraus_set,
     random_separable_strategy,
-    restart_rng,
 )
 from mdiw.cli import _FAMILY_WITNESS
 from mdiw.game import (
     BiseparableStrategy,
     SeparableStrategy,
+    _contract,
     _contract_grid,
     _grid,
     _groups,
@@ -335,13 +340,88 @@ def unshared_plans(beta, inputs, partitions, m) -> dict:
             for part in partitions}
 
 
-def sequential_search(dec, ensembles, config, kind, sample) -> AttackReport:
+def absorb(elements, sigma, m) -> np.ndarray:
+    """A_k = tr_share[(E_p,k (x) ...)(1 (x) sigma_k)]^T for a block's (N, d m, d m) success elements, one per party,
+    and its (N, M, M) states: the block contraction of each E_p as its (i, j) pairs' share operators."""
+    dims, k = [e.shape[-1] // m for e in elements], len(elements)
+    # x[k, (i, j) of each party] = tr_share[...][i..., j...]
+    x = _contract([e.reshape(len(e), d, m, d, m).transpose(0, 1, 3, 2, 4).reshape(len(e), d * d, m, m)
+                   for e, d in zip(elements, dims)], sigma).reshape([len(sigma)] + [d for d in dims for _ in "ij"])
+    return x.transpose([0] + list(range(2, 2 * k + 1, 2)) + list(range(1, 2 * k, 2))).reshape(
+        len(sigma), math.prod(dims), -1)
+
+
+def terms_state(terms) -> list:
+    """The search state, one restart (row 0), of (plan, column, per-block operators) terms, those of a plan merged."""
+    merged = {}
+    for plan, col, ops in terms:
+        merged.setdefault(id(plan), (plan, []))[1].append((col, ops))
+    state = []
+    for plan, got in merged.values():
+        ops = [np.array(a) for a in zip(*(ops for _, ops in got))]
+        state.append((plan, np.zeros(len(got), int), np.array([c for c, _ in got]), ops,
+                      [_readout(a, t) for a, t in zip(ops, plan.inputs)]))
+    return state
+
+
+def strategy_state(strategy, plans, m) -> tuple[np.ndarray, list]:
+    """(1, K) partition picks and the search state of a strategy's K terms, each block absorbed once.
+
+    Term t of partition ``part`` is column f K + t in ``plans[part]``'s f-th plan: searched as drawn, or
+    where the plan splits its pair, as a product of the pair's marginals over their top eigenvalues.
+    """
+    weights, groups = _groups(strategy)
+    k, partitions = weights.shape[1], list(plans)
+    elements = [p.element(1)[None] for p in strategy.measurements]
+    picks, terms = np.zeros((1, k), int), []
+    for idx, blocks, states in groups:
+        picks[0, idx] = partitions.index(blocks)
+        ops = [absorb([elements[p][idx // k] for p in b], s, m) for b, s in zip(blocks, states)]
+        for f, plan in enumerate(plans[blocks]):
+            part = ops
+            if len(plan.blocks) > len(blocks):  # one operator per party of the pair
+                d = elements[blocks[0][0]].shape[-1] // m
+                q = ops[0].reshape(len(idx), d, -1, d, ops[0].shape[-1] // d)
+                pair = [a / np.linalg.eigvalsh(a)[:, -1:, None]
+                        for a in (q.trace(axis1=2, axis2=4), q.trace(axis1=1, axis2=3))]
+                by_party = dict(zip(sum(blocks, ()), pair + ops[1:]))
+                part = [by_party[p] for p in range(len(by_party))]
+            terms += [(plan, f * k + t, [a[i] for a in part]) for i, t in enumerate(idx.tolist())]
+    return picks, terms_state(terms)
+
+
+def restart_start(seed, r, plans, input_dims, k) -> tuple[np.ndarray, list, np.random.Generator]:
+    """Restart r's (k,) partition picks, its start as (plan, column, per-block operators) terms, and its generator.
+
+    One generator call at a time, in the documented order: the picks where ``plans`` holds several
+    partitions, then per searched form f, where its terms are any, every term's blocks' Gram factors in
+    one ``normal`` call and their scales in one ``random`` call.  Each operator is G^dagger G over its
+    own top eigenvalue times (1 + u), one 2-D ``eigvalsh`` each.
+    """
+    partitions, rng = list(plans), np.random.default_rng((seed, r))
+    picks = rng.integers(len(partitions), size=k) if len(partitions) > 1 else np.zeros(k, int)
+    terms = []
+    for f in range(max(map(len, plans.values()))):
+        on = [(t, plans[partitions[j]][f]) for t, j in enumerate(picks) if len(plans[partitions[j]]) > f]
+        if not on:
+            continue
+        sizes = [[math.prod(input_dims[p] for p in b) for b in plan.blocks] for _, plan in on]
+        x, at = rng.normal(size=sum(2 * d * d for s in sizes for d in s)), 0
+        for (t, plan), s, u in zip(on, sizes, rng.random((len(on), len(sizes[0])))):
+            ops = []
+            for d, scale in zip(s, u):
+                g = x[at : at + d * d].reshape(d, d) + 1j * x[at + d * d : at + 2 * d * d].reshape(d, d)
+                e, at = g.conj().T @ g, at + 2 * d * d
+                ops.append(e / (np.linalg.eigvalsh(e)[-1] * (1.0 + scale)))
+            terms.append((plan, f * k + t, ops))
+    return picks, terms, rng
+
+
+def sequential_search(dec, ensembles, config, kind) -> AttackReport:
     """The see-saw search with its restarts run one after another.
 
-    Each restart samples its start with the public sampler ``sample`` from
-    its own stream, converts the strategy's block form to its searched
-    terms over :func:`unshared_plans`, and runs the see-saw steps of
-    :mod:`mdiw.attack` as a batch of one until a sweep lowers its realized
+    Each restart starts from :func:`restart_start` over :func:`unshared_plans`, and runs the see-saw steps
+    of :mod:`mdiw.attack` as a batch of one until a sweep lowers its realized
     value by at most ``_STOP``, its best value lies between ``_STOP`` below
     and ``BOUND_TOL`` above :func:`certified_floor` for ``kind``, or for
     ``config.iterations`` sweeps.  Its path is its start value, then its best value after each
@@ -350,15 +430,15 @@ def sequential_search(dec, ensembles, config, kind, sample) -> AttackReport:
     """
     input_dims, m, k = tuple(e.dim for e in ensembles), config.share_dim, config.mixture_size
     beta, inputs = np.asarray(dec.beta), [e.matrices for e in dec.ensembles]
-    plans = unshared_plans(beta, inputs, _FAMILIES[kind][0](len(input_dims)), m)
+    partitions = _FAMILIES[kind][0](len(input_dims))
+    plans = unshared_plans(beta, inputs, partitions, m)
     shape = (1, k * max(len(p) for p in plans.values()))
     floor = certified_floor(dec, kind)
 
     paths, champion = [], None
     for r in range(config.restarts):
-        strategy = sample(input_dims, m, k, restart_rng(config.seed, r))
-        elements = [povm.element(1)[None] for povm in strategy.measurements]
-        state = _effective(_groups(strategy)[1], elements, plans, k, m)
+        picks, terms, _ = restart_start(config.seed, r, plans, input_dims, k)
+        state = terms_state(terms)
         terms = _values(state, shape)
         value = best = terms.min()
         kept, path = (state, terms), [float(value)]
@@ -374,7 +454,7 @@ def sequential_search(dec, ensembles, config, kind, sample) -> AttackReport:
                 break
         paths.append(tuple(path))
         if champion is None or best < champion[0]:
-            champion = (best, _term(kept[0], 0, kept[1][0].argmin()))
+            champion = (best, _term(kept[0], 0, kept[1][0].argmin(), picks[None], partitions))
     return AttackReport(
         floor=floor,
         best_strategy=_strategy(*champion[1], input_dims, m, kind),

@@ -49,12 +49,11 @@ from mdiw.attack import (
     _FAMILIES,
     _block,
     _draw,
-    _effective,
     _keep,
-    _marginals,
     _mixture_values,
     _negative_projectors,
     _plans,
+    _start,
     _strategy,
     _sweep,
     _term,
@@ -84,7 +83,10 @@ from oracles import (
     mixture_as_shared_state,
     partial_transpose,
     pointwise_scan,
+    restart_start,
     sequential_search,
+    strategy_state,
+    terms_state,
     unshared_plans,
 )
 
@@ -213,6 +215,57 @@ def _close(a, b) -> bool:
     return np.abs(np.asarray(a) - np.asarray(b)).max() <= 1e-15
 
 
+class _Recorder:
+    """A generator that appends the name of each method called on it to ``calls``."""
+
+    def __init__(self, rng, calls):
+        self.rng, self.calls = rng, calls
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.rng, name)
+
+
+class _Spoiled:
+    """A generator whose ``random`` calls return ``u`` in their last entry, or in every entry with ``every``."""
+
+    def __init__(self, rng, u, every=False):
+        self.rng, self.u, self.every = rng, u, every
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def random(self, size=None):
+        u = np.array(self.rng.random(size))
+        if self.every:
+            u[...] = self.u
+        else:
+            u.flat[-1] = self.u
+        return u if size is not None else float(u)
+
+
+# (family, input dims, share dim) of each start-stream case: a separable family of two and of three parties,
+# and a biseparable family at share dims 1 (no pair searched whole), 2 (pairs searched whole only where the first
+# party is a qubit, or all on one shared plan for GHZ) and 3 (each cut on a plan of its own block sizes)
+START_CASES = {
+    "separable_2": ("separable", (2, 3), 2),
+    "separable_3": ("separable", (3, 2, 2), 1),
+    "biseparable_share1": ("biseparable", (2, 2, 3), 1),
+    "biseparable_share2": ("biseparable", (3, 2, 2), 2),
+    "biseparable_ghz": ("biseparable", None, 2),
+    "biseparable_share3": ("biseparable", (2, 3, 2), 3),
+}
+
+
+def _start_case(case, restarts, mixture, seed):
+    """The plans, partitions, dims and config of a START_CASES row."""
+    kind, dims, share = START_CASES[case]
+    dec = ghz_beta() if dims is None else _random_game(dims, np.random.default_rng(sum(dims)))
+    dims, partitions = tuple(e.dim for e in dec.ensembles), _FAMILIES[kind][0](dec.n_parties)
+    plans = _plans(np.asarray(dec.beta), [e.matrices for e in dec.ensembles], partitions, share)
+    return plans, partitions, dims, AttackConfig(restarts=restarts, mixture_size=mixture, share_dim=share, seed=seed)
+
+
 class TestStreamContract:
     """The vectorized samplers draw the same numbers as one rng call per draw."""
 
@@ -246,16 +299,7 @@ class TestStreamContract:
         # a lone partition draws no integers and every ket in one normal call; a success
         # element draws its Gram factor's real and imaginary parts in one normal call
         calls = []
-
-        class Recorder:
-            def __init__(self, rng):
-                self.rng = rng
-
-            def __getattr__(self, name):
-                calls.append(name)
-                return getattr(self.rng, name)
-
-        k, rng = 3, Recorder(np.random.default_rng(65))
+        k, rng = 3, _Recorder(np.random.default_rng(65), calls)
         if family == "separable":
             random_separable_strategy((2, 2), 2, k, rng)
             kets = ["normal"]
@@ -264,6 +308,39 @@ class TestStreamContract:
             kets = ["integers", "normal"] * k
         success = ["normal", "random"] * (2 if family == "separable" else 3)
         assert calls == ["dirichlet"] + kets + success
+
+    @pytest.mark.parametrize("case", list(START_CASES))
+    def test_search_start_matches_oracle(self, monkeypatch, case):
+        # every restart's picks and start operators, byte for byte, its generator calls by name and its stream left
+        # where the oracle, one call and one operator at a time, leaves it
+        module = importlib.import_module("mdiw.attack")
+        plans, partitions, dims, cfg = _start_case(case, 4, 3, 23)
+        streams, calls = [], []
+
+        def recorded(seed, r):
+            streams.append(np.random.default_rng((seed, r)))  # the stream the contract names
+            calls.append([])
+            return _Recorder(streams[-1], calls[-1])
+
+        monkeypatch.setattr(module, "restart_rng", recorded)
+        picks, state = _start(plans, partitions, dims, cfg)
+        got = {(r, c): (plan, [a[i].tobytes() for a in ops]) for plan, rows, cols, ops, _ in state
+               for i, (r, c) in enumerate(zip(rows.tolist(), cols.tolist()))}
+        forms = set()
+        for r in range(cfg.restarts):
+            want_picks, terms, ref = restart_start(cfg.seed, r, plans, dims, cfg.mixture_size)
+            assert picks[r].tolist() == want_picks.tolist()
+            for plan, c, ops in terms:
+                got_plan, got_ops = got.pop((r, c))
+                assert got_plan is plan and got_ops == [a.tobytes() for a in ops]
+            assert streams[r].bit_generator.state == ref.bit_generator.state
+            drawn = sorted({c // cfg.mixture_size for _, c, _ in terms})
+            assert calls[r] == ["integers"] * (len(partitions) > 1) + ["normal", "random"] * len(drawn)
+            forms.add(len(drawn))
+        assert not got and len(calls) == cfg.restarts
+        # restarts draw the whole-pair form where some pick searches a pair whole: never, always, or by their picks
+        whole = [len(plans[part]) > 1 for part in partitions]
+        assert forms == ({1} if not any(whole) else {2} if all(whole) else {1, 2})
 
     @pytest.mark.parametrize("dim, n_ops", [(2, 1), (4, 2), (4, 3), (3, 5)])
     def test_kraus_sampler(self, dim, n_ops):
@@ -282,7 +359,7 @@ class TestStreamContract:
 
 
 class TestBlockForm:
-    """The search converts the block form of every unentangled mixture, and realizes every searched term."""
+    """Every unentangled mixture's block form, converted by the oracle, is searched and realized as it scores."""
 
     @pytest.mark.parametrize("game", ["tetrahedron", "pauli6", "ghz"])
     @pytest.mark.parametrize("share_dim", [1, 2, 3])
@@ -291,7 +368,8 @@ class TestBlockForm:
         kind, sample = ("biseparable", random_biseparable_strategy) if game == "ghz" else (
             "separable", random_separable_strategy)
         dims, beta, inputs = (2,) * dec.n_parties, np.asarray(dec.beta), [e.matrices for e in dec.ensembles]
-        plans = _plans(beta, inputs, _FAMILIES[kind][0](dec.n_parties), share_dim)
+        partitions = _FAMILIES[kind][0](dec.n_parties)
+        plans = _plans(beta, inputs, partitions, share_dim)
         rng = np.random.default_rng((66, share_dim))
         for _ in range(5):
             k = int(rng.integers(1, 5))
@@ -300,7 +378,7 @@ class TestBlockForm:
             weights, groups = _groups(s)
             # the mixture's value in block form and through the public route share every contraction: the same bits
             assert _mixture_values(beta, inputs, weights, groups, elements)[0] == _public(dec, s)
-            state = _effective(groups, elements, plans, k, share_dim)
+            picks, state = strategy_state(s, plans, share_dim)
             shape = (1, k * max(map(len, plans.values())))
             start = _values(state, shape)
             for t in range(k):
@@ -315,7 +393,7 @@ class TestBlockForm:
             for state, values in ((state, start), (swept, swept_values)):
                 assert np.isfinite(values).all()
                 for c, value in enumerate(values[0]):
-                    realized = _strategy(*_term(state, 0, c), dims, share_dim, kind)
+                    realized = _strategy(*_term(state, 0, c, picks, partitions), dims, share_dim, kind)
                     assert value == pytest.approx(_public(dec, realized), abs=1e-12)
                     # the strategy as one explicit shared state, in the block form's one block of every party
                     # and by the honest table's contraction, an independent route
@@ -407,8 +485,8 @@ def _one_ensemble_game(d, seed, symmetric=True):
     return Decomposition(beta if symmetric else x, ensembles, 0.0)
 
 
-SEPARABLE = ("separable", attack, random_separable_strategy)
-BISEPARABLE = ("biseparable", biseparable_attack, random_biseparable_strategy)
+SEPARABLE = ("separable", attack)
+BISEPARABLE = ("biseparable", biseparable_attack)
 # name: (family, decomposition, mixture size, share dim, iterations, seed)
 BATCH_CASES = {
     "tetrahedron": (SEPARABLE, tetrahedron_beta, 8, 4, 200, 7),
@@ -420,10 +498,10 @@ BATCH_CASES = {
     "teleported": (BISEPARABLE, _teleported_game, 3, 2, 200, 5),
     "teleported_share3": (BISEPARABLE, _teleported_game, 2, 3, 200, 6),
     # the three cuts share one whole-pair plan; the champion is teleported on AC|B or BC|A, never the plan's first
-    "symmetric": (BISEPARABLE, lambda: _one_ensemble_game(2, 0), 3, 2, 200, 2),
+    "symmetric": (BISEPARABLE, lambda: _one_ensemble_game(2, 0), 3, 2, 200, 6),
     # restarts stop after 1, 2 or 3 sweeps; capped at 2, some stop on their own
-    "ghz_share1": (BISEPARABLE, ghz_beta, 3, 1, 500, 66),
-    "ghz_share1_capped": (BISEPARABLE, ghz_beta, 3, 1, 2, 66),
+    "ghz_share1": (BISEPARABLE, ghz_beta, 3, 1, 500, 61),
+    "ghz_share1_capped": (BISEPARABLE, ghz_beta, 3, 1, 2, 61),
 }
 
 
@@ -433,12 +511,12 @@ class TestBatchedSearch:
     @pytest.mark.parametrize("restarts", [1, 3, 7])
     @pytest.mark.parametrize("case", list(BATCH_CASES))
     def test_matches_sequential_loop(self, case, restarts):
-        (kind, search, sample), make, mixture, share, iterations, seed = BATCH_CASES[case]
+        (kind, search), make, mixture, share, iterations, seed = BATCH_CASES[case]
         dec = make()
         cfg = AttackConfig(restarts=restarts, iterations=iterations, mixture_size=mixture,
                            share_dim=share, seed=seed)
         batched = search(dec, dec.ensembles, cfg)
-        want = sequential_search(dec, dec.ensembles, cfg, kind, sample)
+        want = sequential_search(dec, dec.ensembles, cfg, kind)
         assert batched.evaluations == want.evaluations
         assert batched.floor == want.floor
         # each restart's path, bit for bit: its start, then its best value after each sweep (the search's
@@ -452,14 +530,14 @@ class TestBatchedSearch:
     def test_restarts_stop_at_different_sweeps(self):
         # the ghz_share1 cases must exercise the stop mask
         dec = ghz_beta()
-        cfg = AttackConfig(restarts=7, iterations=500, mixture_size=3, share_dim=1, seed=66)
+        cfg = AttackConfig(restarts=7, iterations=500, mixture_size=3, share_dim=1, seed=61)
         sweeps = [len(p) - 1 for p in biseparable_attack(dec, dec.ensembles, cfg).restart_paths]
         assert len(set(sweeps)) >= 3 and min(sweeps) == 1
 
 
 class TestStoppedRestarts:
     def test_stopped_restarts_leave_the_batch(self, monkeypatch):
-        # restarts of this search stop after 1, 2 or 3 sweeps (restart 3 rises on its first);
+        # restarts of this search stop after 1, 2 or 3 sweeps (restart 2 rises on its first);
         # every sweep must run only the restarts still running, one counted evaluation each
         module = importlib.import_module("mdiw.attack")
         sweep, batch_sizes = module._sweep, []
@@ -470,10 +548,10 @@ class TestStoppedRestarts:
 
         monkeypatch.setattr(module, "_sweep", spy)
         dec = ghz_beta()
-        cfg = AttackConfig(restarts=7, iterations=500, mixture_size=3, share_dim=1, seed=66)
+        cfg = AttackConfig(restarts=7, iterations=500, mixture_size=3, share_dim=1, seed=61)
         report = biseparable_attack(dec, dec.ensembles, cfg)
-        assert sum(batch_sizes) == report.evaluations - cfg.restarts == 18
-        assert batch_sizes == [7, 6, 5]
+        assert sum(batch_sizes) == report.evaluations - cfg.restarts == 17
+        assert batch_sizes == [7, 6, 4]
 
 
 def _independence_cases():
@@ -501,6 +579,18 @@ class TestRestartIndependence:
         assert runs[1] == runs[2][:1] == runs[3][:1]
         assert runs[2] == runs[3][:2]
 
+    @pytest.mark.parametrize("case", list(START_CASES))
+    def test_start_alone_equals_start_in_batch(self, case):
+        # restart r's picks, and each of its start terms' plan, operators and responses, as bytes
+        runs, (plans, partitions, dims, cfg) = {}, _start_case(case, 3, 4, 17)
+        for restarts in (1, 2, 3):
+            picks, state = _start(plans, partitions, dims, replace(cfg, restarts=restarts))
+            runs[restarts] = (picks.tobytes(), {key: (id(plan), term) for key, (plan, term) in _terms_at(state).items()})
+        for restarts in (1, 2):
+            picks, terms = runs[restarts]
+            assert runs[3][0][: len(picks)] == picks
+            assert terms == {(r, c): term for (r, c), term in runs[3][1].items() if r < restarts}
+
 
 class TestBatchInvariance:
     """Each block-form contraction gives an operator, a term or a restart the same bits in a batch of any size."""
@@ -521,31 +611,30 @@ class TestBatchInvariance:
             r = _contract(fb, states)
             for i in range(size):
                 assert r[i].tobytes() == _contract([x[i : i + 1] for x in fb], states[i : i + 1])[0].tobytes()
-        # R restarts valued, converted, searched and swept as one batch, and each alone
+        # R sampled mixtures valued as one batch and each alone; R restarts' starts searched and swept as one
+        # batch, and each alone from the oracle's start
         for kind, dims, dec in (("separable", (2, 2), tetrahedron_beta()), ("biseparable", (2, 2, 2), ghz_beta())):
             partitions, inputs = _FAMILIES[kind][0](len(dims)), [e.matrices for e in dec.ensembles]
             plans = _plans(np.asarray(dec.beta), inputs, partitions, share)
             width = mixture * max(map(len, plans.values()))
             draws = [_draw(restart_rng(seed, r), partitions, dims, share, mixture) for r in range(size)]
-            batch = _block(draws, partitions, dims, share)
-            values = _mixture_values(dec.beta, inputs, *batch)
-            state = _effective(*batch[1:], plans, mixture, share)
+            values = _mixture_values(dec.beta, inputs, *_block(draws, partitions, dims, share))
+            cfg = AttackConfig(restarts=size, mixture_size=mixture, share_dim=share, seed=seed)
+            state = _start(plans, partitions, dims, cfg)[1]
             starts, (swept_state, swept) = _values(state, (size, width)), _sweep(state, (size, width))
             assert swept.tobytes() == _values(swept_state, (size, width)).tobytes()
             for r, one in enumerate(draws):
                 alone = _block([one], partitions, dims, share)
                 assert values[r] == _mixture_values(dec.beta, inputs, *alone)[0]
-                state = _effective(*alone[1:], plans, mixture, share)
+                state = terms_state(restart_start(seed, r, plans, dims, mixture)[1])
                 assert starts[r].tobytes() == _values(state, (1, width))[0].tobytes()
                 assert swept[r].tobytes() == _sweep(state, (1, width))[1][0].tobytes()
 
 
 def _terms_at(state) -> dict:
-    """Each searched term of a search state by (restart, column): its partition, and its operators' and responses'
-    bytes."""
-    return {(r, c): (cut, [x[i].tobytes() for x in (*ops, *resp)])
-            for plan, rows, cols, cuts, ops, resp in state
-            for i, (r, c, cut) in enumerate(zip(rows.tolist(), cols.tolist(), cuts.tolist()))}
+    """Each searched term of a search state by (restart, column): its plan, and its operators' and responses' bytes."""
+    return {(r, c): (plan, [x[i].tobytes() for x in (*ops, *resp)])
+            for plan, rows, cols, ops, resp in state for i, (r, c) in enumerate(zip(rows.tolist(), cols.tolist()))}
 
 
 class TestSharedPlans:
@@ -567,74 +656,65 @@ class TestSharedPlans:
     @pytest.mark.parametrize("game", ["ghz", "symmetric_2", "symmetric_3", "one_ensemble_2"])
     def test_merged_sweep_matches_each_cut_alone(self, game):
         # every term of the merged batch, before and after each of two sweeps, has the partition and the bytes it
-        # has when only its own cut's terms are searched, over that cut's own plan built by _plan
+        # has where each cut's terms are searched over that cut's own plan built by _plan: the start draws the
+        # same numbers whichever plans its cuts share
         dec = {"ghz": ghz_beta, "symmetric_2": lambda: _one_ensemble_game(2, 0),
                "symmetric_3": lambda: _one_ensemble_game(3, 0),
                "one_ensemble_2": lambda: _one_ensemble_game(2, 0, symmetric=False)}[game]()
         d, k, restarts, partitions = dec.ensembles[0].dim, 3, 4, _FAMILIES["biseparable"][0](3)
         dims, beta, inputs = (d,) * 3, np.asarray(dec.beta), [e.matrices for e in dec.ensembles]
-        draws = [_draw(restart_rng(21, r), partitions, dims, d, k) for r in range(restarts)]
-        _, groups, elements = _block(draws, partitions, dims, d)
-        state = _effective(groups, elements, _plans(beta, inputs, partitions, d), k, d)
-        alone = [_effective([g for g in groups if g[1] == part], elements, unshared_plans(beta, inputs, [part], d),
-                            k, d) for part in partitions]
+        cfg = AttackConfig(restarts=restarts, mixture_size=k, share_dim=d, seed=21)
+        picks, state = _start(_plans(beta, inputs, partitions, d), partitions, dims, cfg)
+        own_plans = unshared_plans(beta, inputs, partitions, d)
+        own_picks, alone = _start(own_plans, partitions, dims, cfg)
+        assert picks.tobytes() == own_picks.tobytes()
         shape, cuts = (restarts, 2 * k), set()
         for _ in range(3):
-            merged = _terms_at(state)
-            assert merged == {key: term for one in alone for key, term in _terms_at(one).items()}
-            assert sum(len(_terms_at(one)) for one in alone) == len(merged)
-            cuts |= {cut for cut, _ in merged.values()}
-            (state, values), swept = _sweep(state, shape), [_sweep(one, shape) for one in alone]
-            for one, one_values in swept:
-                mask = np.isfinite(one_values)
-                assert values[mask].tobytes() == one_values[mask].tobytes()
-            alone = [one for one, _ in swept]
+            merged, own = _terms_at(state), _terms_at(alone)
+            assert {key: term for key, (_, term) in merged.items()} == {key: term for key, (_, term) in own.items()}
+            assert len(merged) == restarts * 2 * k
+            for (r, c), (plan, _) in own.items():
+                cut = _term(state, r, c, picks, partitions)[0]
+                # each term's partition, on the merged plans, is the one whose own plan it is searched on alone
+                assert plan is (own_plans[cut][1] if c >= k else own_plans[partitions[0]][0])
+                assert cut == _term(alone, r, c, picks, partitions)[0]
+                cuts.add(cut)
+            (state, values), (alone, own_values) = _sweep(state, shape), _sweep(alone, shape)
+            assert values.tobytes() == own_values.tobytes() and np.isfinite(values).all()
         assert cuts == set(partitions) | {_singletons(3)}
 
 
+def _build_case(family, rng):
+    """(input dims, partitions, public sampler, beta, inputs) of a TestBuildPhase or TestStart family."""
+    if family == "separable":
+        dims = (2, 3)
+        inputs = [np.stack([random_density_matrix((d,), rng).matrix for _ in range(3)]) for d in dims]
+        return dims, _FAMILIES["separable"][0](2), random_separable_strategy, rng.normal(size=(3, 3)), inputs
+    # GHZ's three cuts share one whole-pair plan; the random game keeps one per cut
+    dec = ghz_beta() if family == "biseparable" else _random_game((2, 2, 2), rng)
+    return ((2, 2, 2), _FAMILIES["biseparable"][0](3), random_biseparable_strategy, np.asarray(dec.beta),
+            [e.matrices for e in dec.ensembles])
+
+
 class TestBuildPhase:
-    """Draws of R restarts become one batch, checked once, without touching the streams."""
+    """The samplers' draws of R restarts become one batch, checked once, without touching the streams."""
 
     @pytest.mark.parametrize("family", ["separable", "biseparable", "biseparable_asymmetric"])
     def test_batch_matches_block_of_one(self, family):
-        rng = np.random.default_rng(15)
-        if family == "separable":
-            dims, partitions, sampler = (2, 3), _FAMILIES["separable"][0](2), random_separable_strategy
-            inputs = [np.stack([random_density_matrix((d,), rng).matrix for _ in range(3)]) for d in dims]
-            beta = rng.normal(size=(3, 3))
-        else:
-            # GHZ's three cuts share one whole-pair plan; the random game keeps one per cut
-            dec = ghz_beta() if family == "biseparable" else _random_game((2, 2, 2), rng)
-            dims, partitions = (2, 2, 2), _FAMILIES["biseparable"][0](3)
-            sampler = random_biseparable_strategy
-            inputs, beta = [e.matrices for e in dec.ensembles], np.asarray(dec.beta)
-        m, k, lacking = 2, 3, 0
-        plans = _plans(beta, inputs, partitions, m)
+        dims, partitions, sampler, beta, inputs = _build_case(family, np.random.default_rng(15))
+        m, k = 2, 3
         rngs = [restart_rng(12, r) for r in range(5)]
         batch = _block([_draw(rng, partitions, dims, m, k) for rng in rngs], partitions, dims, m)
-        values, state = _mixture_values(beta, inputs, *batch), _effective(*batch[1:], plans, k, m)
+        values = _mixture_values(beta, inputs, *batch)
         for r, rng in enumerate(rngs):
             ref = restart_rng(12, r)
             alone = _block([_draw(ref, partitions, dims, m, k)], partitions, dims, m)
             assert rng.bit_generator.state == ref.bit_generator.state
-            # the batch's searched terms of restart r are those of its block of one, bit for bit
-            kept, want = _keep(state, np.arange(5) == r), _effective(*alone[1:], plans, k, m)
-            assert len(kept) == len(want)
-            for (plan, rows, cols, cuts, ops, resp), (want_plan, want_rows, *want_arrays) in zip(kept, want):
-                want_cols, want_cuts, want_ops, want_resp = want_arrays
-                assert plan is want_plan and np.array_equal(rows, want_rows + r) and cuts.tolist() == want_cuts.tolist()
-                for got, expected in zip([cols, *ops, *resp], [want_cols, *want_ops, *want_resp]):
-                    assert got.dtype == expected.dtype and got.shape == expected.shape
-                    assert got.tobytes() == expected.tobytes()
-            lacking += len(kept) < len(state)
             # the build phase returns no POVMs; the public sampler's POVMs view the same checked elements
             povms = sampler(dims, m, k, restart_rng(12, r)).measurements
             for e, p, want in zip(batch[2], povms, alone[2]):
                 assert np.array_equal(p.element(1), e[r]) and np.array_equal(want[0], e[r])
             assert _mixture_values(beta, inputs, *alone)[0] == values[r]
-        # some restart holds no term of a bipartition that others use: where that bipartition has a plan of its
-        # own, the plan is dropped from the restart's state
-        assert (lacking > 0) == (family == "biseparable_asymmetric")
 
     def test_non_psd_share_in_last_restart_rejected_like_single(self):
         # a NaN in the last restart's last ket: only a check of every restart's shares sees it
@@ -678,16 +758,19 @@ class TestBuildPhase:
         assert calls == [("cholesky", (4, 2, 2)), ("eigvalsh", (2, 4, 4))]
 
     @pytest.mark.parametrize("search", [
-        lambda: random_separable_strategy((2, 2), 2, 2, np.random.default_rng(0)),
-        lambda: random_biseparable_strategy((2, 2, 2), 2, 2, np.random.default_rng(0)),
+        lambda: random_separable_strategy((2, 2), 2, 2, _Spoiled(np.random.default_rng(0), -0.5, every=True)),
+        lambda: random_biseparable_strategy((2, 2, 2), 2, 2, _Spoiled(np.random.default_rng(0), -0.5, every=True)),
         lambda: attack(tetrahedron_beta(), tetrahedron_beta().ensembles,
                        AttackConfig(restarts=2, iterations=3, mixture_size=2, share_dim=2)),
-    ], ids=["random_separable_strategy", "random_biseparable_strategy", "attack"])
+        lambda: biseparable_attack(ghz_beta(), ghz_beta().ensembles,
+                                   AttackConfig(restarts=2, iterations=3, mixture_size=2, share_dim=2)),
+    ], ids=["random_separable_strategy", "random_biseparable_strategy", "attack", "biseparable_attack"])
     def test_half_scale_fails_the_folded_click_check(self, monkeypatch, search):
-        # u = -0.5 turns the scale lambda_max (1 + u) into lambda_max / 2: each E's top eigenvalue is 2
+        # u = -0.5 turns the scale lambda_max (1 + u) into lambda_max / 2: each E's top eigenvalue is 2, a
+        # sampler's success elements' and the search's start operators' alike
         module = importlib.import_module("mdiw.attack")
-        draw = module._draw_success_element
-        monkeypatch.setattr(module, "_draw_success_element", lambda rng, d: (draw(rng, d)[0], -0.5))
+        stream = module.restart_rng
+        monkeypatch.setattr(module, "restart_rng", lambda seed, r: _Spoiled(stream(seed, r), -0.5, every=True))
         with pytest.raises(ValueError) as exc:
             search()
         assert str(exc.value) == "1 - E not positive semidefinite (max eigenvalue 2.000e+00, above 1)"
@@ -708,6 +791,65 @@ class TestBuildPhase:
         with pytest.raises(ValueError, match="positive semidefinite") as batched:
             _block(draws, partitions, dims, 2)
         assert str(batched.value) == str(single.value)
+
+
+class TestStart:
+    """The search's start: R restarts drawn and checked as one batch, each restart's terms those it draws alone."""
+
+    @pytest.mark.parametrize("family", ["separable", "biseparable", "biseparable_asymmetric"])
+    def test_batch_matches_restart_alone(self, family):
+        dims, partitions, _, beta, inputs = _build_case(family, np.random.default_rng(15))
+        m, k, lacking = 2, 3, 0
+        plans = _plans(beta, inputs, partitions, m)
+        picks, state = _start(plans, partitions, dims, AttackConfig(restarts=5, mixture_size=k, share_dim=m, seed=12))
+        for r in range(5):
+            want_picks, terms, _ = restart_start(12, r, plans, dims, k)
+            assert picks[r].tolist() == want_picks.tolist()
+            # the batch's searched terms of restart r are those of its start alone, bit for bit
+            kept = {id(entry[0]): entry for entry in _keep(state, np.arange(5) == r)}
+            want = {id(entry[0]): entry for entry in terms_state(terms)}
+            assert kept.keys() == want.keys()
+            for key, (plan, rows, cols, ops, resp) in kept.items():
+                _, want_rows, want_cols, want_ops, want_resp = want[key]
+                assert np.array_equal(rows, want_rows + r)
+                for got, expected in zip([cols, *ops, *resp], [want_cols, *want_ops, *want_resp]):
+                    assert got.dtype == expected.dtype and got.shape == expected.shape
+                    assert got.tobytes() == expected.tobytes()
+            lacking += len(kept) < len(state)
+        # some restart holds no term of a bipartition that others use: where that bipartition has a plan of its
+        # own, the plan is dropped from the restart's state
+        assert (lacking > 0) == (family == "biseparable_asymmetric")
+
+    @pytest.mark.parametrize("search", [attack, biseparable_attack], ids=["separable", "biseparable"])
+    def test_start_operator_above_one_in_last_restart_rejected_like_single(self, monkeypatch, search):
+        # each random call of restart 3 (seed 14) ends in u = -0.3: its last operator's top eigenvalue is 1 / 0.7.
+        # Only a check of every restart's start sees it, and a batch names it as restart 3 alone does
+        module = importlib.import_module("mdiw.attack")
+        stream, dec, errors = module.restart_rng, tetrahedron_beta() if search is attack else ghz_beta(), []
+        for restarts in (4, 1):
+            monkeypatch.setattr(module, "restart_rng", lambda seed, r: _Spoiled(stream(seed, 3), -0.3)
+                                if r == restarts - 1 else stream(seed, r))
+            with pytest.raises(ValueError, match="positive semidefinite") as exc:
+                search(dec, dec.ensembles, AttackConfig(restarts=restarts, iterations=5, mixture_size=2, seed=14))
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1] == "1 - E not positive semidefinite (max eigenvalue 1.429e+00, above 1)"
+
+    @pytest.mark.parametrize("case", list(START_CASES))
+    def test_one_eigvalsh_per_plan_and_block_size(self, monkeypatch, case):
+        # each plan's operators of one block size, over every restart, are one eigvalsh and one check
+        plans, partitions, dims, cfg = _start_case(case, 5, 4, 3)
+        calls, eigvalsh, check = [], np.linalg.eigvalsh, importlib.import_module("mdiw.attack").check_operators
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(("eigvalsh", a.shape)) or eigvalsh(a))
+        monkeypatch.setattr(importlib.import_module("mdiw.attack"), "check_operators",
+                            lambda ms, dims: calls.append(("check", ms.shape)) or check(ms, dims))
+        _, state = _start(plans, partitions, dims, cfg)
+        want = []
+        for plan, rows, cols, ops, resp in state:
+            sizes = [a.shape[-1] for a in ops]
+            for d in dict.fromkeys(sizes):
+                shape = (sizes.count(d) * len(rows), d, d)
+                want += [("eigvalsh", shape), ("check", shape)]
+        assert calls == want
 
 
 class TestNegativeProjectorRank:
@@ -744,26 +886,24 @@ class TestNegativeProjectorRank:
     def test_sweep_can_raise_value_on_ghz_share_dim_1(self):
         # an exact step cannot raise a term's value, so where one rises some step met a
         # positive semidefinite gradient and kept rank 1
-        dec = ghz_beta()
-        plans = _plans(np.asarray(dec.beta), [e.matrices for e in dec.ensembles], _FAMILIES["biseparable"][0](3), 1)
-        moves = []
-        for r in range(7):
-            s = random_biseparable_strategy((2, 2, 2), 1, 3, restart_rng(66, r))
-            state = _effective(_groups(s)[1], [m.element(1)[None] for m in s.measurements], plans, 3, 1)
-            moves.append((_values(state, (1, 3))[0], _sweep(state, (1, 3))[1][0]))
-        assert [r for r, (start, swept) in enumerate(moves) if swept.min() > start.min()] == [3]
-        assert moves[3][0] == pytest.approx((0.32834, 0.27291, 0.36400), abs=1e-5)
-        assert moves[3][1] == pytest.approx((0.27689,) * 3, abs=1e-5)
+        dec, partitions = ghz_beta(), _FAMILIES["biseparable"][0](3)
+        plans = _plans(np.asarray(dec.beta), [e.matrices for e in dec.ensembles], partitions, 1)
+        cfg = AttackConfig(restarts=7, mixture_size=3, share_dim=1, seed=61)
+        state = _start(plans, partitions, (2, 2, 2), cfg)[1]
+        start, swept = _values(state, (7, 3)), _sweep(state, (7, 3))[1]
+        assert [r for r in range(7) if swept[r].min() > start[r].min()] == [2]
+        assert start[2] == pytest.approx((0.20404, 0.16704, 0.17920), abs=1e-5)
+        assert swept[2] == pytest.approx((0.24344, 0.19951, 0.27178), abs=1e-5)
 
     def test_rising_sweep_ends_restart_with_start_value_kept(self):
-        # restart 3 of this search rises on its first sweep, stops, and keeps its start
+        # restart 2 of this search rises on its first sweep, stops, and keeps its start
         dec = ghz_beta()
-        cfg = AttackConfig(restarts=7, iterations=500, mixture_size=3, share_dim=1, seed=66)
+        cfg = AttackConfig(restarts=7, iterations=500, mixture_size=3, share_dim=1, seed=61)
         report = biseparable_attack(dec, dec.ensembles, cfg)
-        path = report.restart_paths[3]
+        path = report.restart_paths[2]
         assert path == (path[0], path[0])
-        assert path[0] == pytest.approx(0.27291, abs=1e-5)
-        assert report.restart_minima[3] == path[0] > 0.15
+        assert path[0] == pytest.approx(0.16704, abs=1e-5)
+        assert report.restart_minima[2] == path[0] > 0.15
         assert report.min_value <= 1e-15
 
 
@@ -905,14 +1045,18 @@ class TestRealizedSearch:
             cfg = AttackConfig(restarts=3, iterations=50, mixture_size=3, share_dim=share, seed=1)
             report = search(dec, dec.ensembles, cfg)
             assert _public(dec, report.best_strategy) == pytest.approx(report.min_value, abs=tol)
-        # every searched form of a biseparable start, the teleported pairs included, realized
-        plans = _plans(np.asarray(dec.beta), [e.matrices for e in dec.ensembles], _FAMILIES["biseparable"][0](3), share)
+        # every searched form of a biseparable start, the teleported pairs included, realized: the search's own
+        # start, and a sampled strategy's terms converted by the oracle
+        partitions = _FAMILIES["biseparable"][0](3)
+        plans = _plans(np.asarray(dec.beta), [e.matrices for e in dec.ensembles], partitions, share)
         s = random_biseparable_strategy(dims, share, 3, np.random.default_rng(1))
-        state = _effective(_groups(s)[1], [p.element(1)[None] for p in s.measurements], plans, 3, share)
-        values = _values(state, (1, 3 * max(map(len, plans.values()))))[0]
-        for c in np.flatnonzero(np.isfinite(values)):
-            realized = _strategy(*_term(state, 0, c), dims, share, "biseparable")
-            assert _public(dec, realized) == pytest.approx(values[c], abs=tol)
+        starts = (_start(plans, partitions, dims, AttackConfig(restarts=1, mixture_size=3, share_dim=share, seed=1)),
+                  strategy_state(s, plans, share))
+        for picks, state in starts:
+            values = _values(state, (1, 3 * max(map(len, plans.values()))))[0]
+            for c in np.flatnonzero(np.isfinite(values)):
+                realized = _strategy(*_term(state, 0, c, picks, partitions), dims, share, "biseparable")
+                assert _public(dec, realized) == pytest.approx(values[c], abs=tol)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_symmetric_game_realizes_each_term_on_its_own_cut(self, d):
@@ -921,22 +1065,23 @@ class TestRealizedSearch:
         dec, k = _one_ensemble_game(d, 0), 4
         beta, inputs = np.asarray(dec.beta), [e.matrices for e in dec.ensembles]
         partitions = _FAMILIES["biseparable"][0](3)
-        s = random_biseparable_strategy((d,) * 3, d, k, np.random.default_rng(3))
-        groups, elements = _groups(s)[1], [p.element(1)[None] for p in s.measurements]
-        shared, own = (_effective(groups, elements, plans(beta, inputs, partitions, d), k, d)
-                       for plans in (_plans, unshared_plans))
+        cfg = AttackConfig(restarts=1, mixture_size=k, share_dim=d, seed=3)
+        (picks, shared), (_, own) = (_start(plans(beta, inputs, partitions, d), partitions, (d,) * 3, cfg)
+                                     for plans in (_plans, unshared_plans))
         values = _values(shared, (1, 2 * k))[0]
         assert values.tobytes() == _values(own, (1, 2 * k))[0].tobytes() and np.isfinite(values).all()
+        assert len(shared) == 2 and len(own) == 1 + len(set(picks[0].tolist()))
         for c, value in enumerate(values):
-            realized = _strategy(*_term(shared, 0, c), (d,) * 3, d, "biseparable")
-            assert repr(realized) == repr(_strategy(*_term(own, 0, c), (d,) * 3, d, "biseparable"))
-            assert realized.terms[0].bipartition == (s.terms[c % k].bipartition if c >= k else "AB|C")
+            realized = _strategy(*_term(shared, 0, c, picks, partitions), (d,) * 3, d, "biseparable")
+            assert repr(realized) == repr(_strategy(*_term(own, 0, c, picks, partitions), (d,) * 3, d, "biseparable"))
+            # the family's partitions are its bipartitions in sorted tag order
+            assert realized.terms[0].bipartition == (sorted(BIPARTITIONS_3)[picks[0, c % k]] if c >= k else "AB|C")
             assert _public(dec, realized) == pytest.approx(value, abs=1e-12)
-        assert len({t.bipartition for t in s.terms}) > 1
+        assert len(set(picks[0].tolist())) > 1
 
 
 class TestEigenCalls:
-    """The reported strategy's clicks are checked as stacks and its share states once; marginals are scaled at once."""
+    """The reported strategy's clicks are checked as stacks and its share states once."""
 
     @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 2), (2, 3, 2), (3, 2, 3)])
     @pytest.mark.parametrize("kind", ["separable", "biseparable"])
@@ -950,15 +1095,15 @@ class TestEigenCalls:
 
         monkeypatch.setattr(module, "_checked_clicks", spy)
         dec, share = _random_game(dims, np.random.default_rng(sum(dims))), 3  # a share of 3 teleports every pair
-        plans = _plans(np.asarray(dec.beta), [e.matrices for e in dec.ensembles], _FAMILIES[kind][0](3), share)
-        sample = random_separable_strategy if kind == "separable" else random_biseparable_strategy
-        s = sample(dims, share, 4, np.random.default_rng(2))
-        state = _effective(_groups(s)[1], [p.element(1)[None] for p in s.measurements], plans, 4, share)
+        partitions = _FAMILIES[kind][0](3)
+        plans = _plans(np.asarray(dec.beta), [e.matrices for e in dec.ensembles], partitions, share)
+        cfg = AttackConfig(restarts=1, mixture_size=4, share_dim=share, seed=2)
+        picks, state = _start(plans, partitions, dims, cfg)
         values = _values(state, (1, 4 * max(map(len, plans.values()))))[0]
         forms = set()
         for c in np.flatnonzero(np.isfinite(values)):
             stacks.clear()
-            blocks, ops = _term(state, 0, c)
+            blocks, ops = _term(state, 0, c, picks, partitions)
             realized = _strategy(blocks, ops, dims, share, kind)
             forms.add(len(blocks))
             # one stack per input dimension, in first-party order, holding every party of that dimension
@@ -966,48 +1111,6 @@ class TestEigenCalls:
             for p, povm in enumerate(realized.measurements):
                 assert povm.dims == (dims[p], share) and not povm.click.flags.writeable
         assert forms == ({3} if kind == "separable" else {2, 3})
-
-    @pytest.mark.parametrize("dims, sizes", [((2, 2, 2), [2]), ((3, 2, 2), [3, 2]), ((2, 2, 3), [2, 3])])
-    def test_marginals_one_eigvalsh_per_size_per_search(self, monkeypatch, dims, sizes):
-        module, calls, inside = importlib.import_module("mdiw.attack"), [], []
-        eigvalsh, marginals = np.linalg.eigvalsh, module._marginals
-
-        def counting(a):
-            if inside:
-                calls[-1].append(a.shape[-1])
-            return eigvalsh(a)
-
-        def spy(pairs):
-            calls.append([])
-            inside.append(True)
-            try:
-                return marginals(pairs)
-            finally:
-                inside.clear()
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        monkeypatch.setattr(module, "_marginals", spy)
-        dec = _random_game(dims, np.random.default_rng(sum(dims)))
-        for share in (1, 2):
-            calls.clear()
-            biseparable_attack(dec, dec.ensembles, AttackConfig(restarts=5, iterations=3, mixture_size=4,
-                                                                share_dim=share, seed=0))
-            assert calls == [sizes]
-
-    def test_stacked_marginals_match_each_alone(self):
-        # pairs of three shapes, their marginals of two sizes: each marginal has the bits of its own eigvalsh
-        rng = np.random.default_rng(8)
-        pairs = []
-        for n, (d, dj) in zip((3, 1, 4), ((2, 2), (3, 2), (2, 3))):
-            g = rng.normal(size=(n, d * dj, d * dj)) + 1j * rng.normal(size=(n, d * dj, d * dj))
-            pairs.append((g.conj().swapaxes(-1, -2) @ g, d))
-        got = _marginals(pairs)
-        assert len(got) == 2 * len(pairs)
-        for (q, d), pair in zip(pairs, zip(got[::2], got[1::2])):
-            x = q.reshape(len(q), d, -1, d, q.shape[-1] // d)
-            for a, want in zip(pair, (x.trace(axis1=2, axis2=4), x.trace(axis1=1, axis2=3))):
-                assert a.tobytes() == (want / np.linalg.eigvalsh(want)[:, -1:, None]).tobytes()
-        assert _marginals([]) == []
 
     def test_searches_share_one_read_only_state(self):
         # |0> and |Phi> are built and checked once per (d, share dim): every search returns the same objects
@@ -1376,7 +1479,7 @@ class TestFloorStop:
         module = importlib.import_module("mdiw.attack")
         keep, term, sizes, picked = module._keep, module._term, [], []
         monkeypatch.setattr(module, "_keep", lambda state, alive: sizes.append(alive.sum()) or keep(state, alive))
-        monkeypatch.setattr(module, "_term", lambda state, j, k: picked.append(j) or term(state, j, k))
+        monkeypatch.setattr(module, "_term", lambda state, j, *rest: picked.append(j) or term(state, j, *rest))
         dec = tetrahedron_beta()
         attack(dec, dec.ensembles, AttackConfig(restarts=4, iterations=200, mixture_size=8, share_dim=4, seed=0))
         assert sizes == [] and len(picked) == 1

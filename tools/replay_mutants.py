@@ -31,12 +31,13 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # name: (file under src/mdiw, old text, new text, tests that must fail)
 MUTANTS = {
-    # the success elements' scale halved: their folded click check must see eigenvalues above 1
+    # the success elements' and start operators' scale halved: their folded click check must see eigenvalues above 1
     "success_scale_half": (
         "attack.py",
-        "scale = eigs[:, -1:] * (1.0 + u[:, None])",
-        "scale = eigs[:, -1:] / 2 * (1.0 + u[:, None])",
+        "scale = eigs[:, -1:] * (1.0 + ",
+        "scale = eigs[:, -1:] / 2 * (1.0 + ",
         ["tests/test_attack.py::TestBuildPhase::test_batch_matches_block_of_one",
+         "tests/test_attack.py::TestStart::test_batch_matches_restart_alone",
          "tests/test_linalg.py::test_strategies_hold_read_only_shares_and_clicks"],
     ),
     # non-finite entries decided from the Hermitian defect alone: an overflowing defect reads as NaN
@@ -103,7 +104,7 @@ MUTANTS = {
         "attack.py",
         "for mine in [alive[rows]] if mine.any()]",
         "for mine in [alive[rows] | True] if mine.any()]",
-        ["tests/test_attack.py::TestBuildPhase::test_batch_matches_block_of_one",
+        ["tests/test_attack.py::TestStart::test_batch_matches_restart_alone",
          "tests/test_attack.py::TestStoppedRestarts::test_stopped_restarts_leave_the_batch"],
     ),
     # every term of a batch of mixtures reads mixture 0's F_p
@@ -331,16 +332,6 @@ MUTANTS = {
         ["tests/test_attack.py::TestEigenCalls::test_strategy_checks_clicks_once_per_input_dimension",
          "tests/test_attack.py::TestRealizedSearch::test_ragged_input_dims"],
     ),
-    # the stacked marginals sliced from the stack's start: each marginal after the first of its size meets the
-    # top eigenvalues of the first one's rows
-    "marginal_slice_from_stack_start": (
-        "attack.py",
-        "tops[i:j] for i, j in",
-        "tops[: j - i] for i, j in",
-        ["tests/test_attack.py::TestEigenCalls::test_stacked_marginals_match_each_alone",
-         "tests/test_attack.py::TestBatchedSearch::test_matches_sequential_loop",
-         "tests/test_attack.py::TestBuildPhase::test_batch_matches_block_of_one"],
-    ),
     # a witness stored as given: an anti-Hermitian part within TOL_HERM reaches the evaluation and the solve
     "witness_symmetrization_dropped": (
         "witness.py",
@@ -364,12 +355,12 @@ MUTANTS = {
         "np.broadcast_to(10 * TOL_PSD * np.eye(d), (d, d))",
         ["tests/test_linalg.py::TestOperatorRules::test_density_rule_decides_like_its_eigenvalues"],
     ),
-    # every term of a shared plan realized on the plan's first cut: on a symmetric game only the reported
-    # strategy's cut tag and repr show it, its value does not
-    "realized_on_plan_first_cut": (
+    # every term realized on its plan's cut: on a symmetric game a whole pair's drawn cut is lost, and only the
+    # reported strategy's cut tag and repr show it, its value does not
+    "term_cut_from_plan": (
         "attack.py",
-        "cut, part = blocks, ops",
-        "cut, part = plan.blocks, ops",
+        "cut = plan.blocks if len(plan.blocks[0]) == 1 else partitions[picks[j, c % picks.shape[1]]]",
+        "cut = plan.blocks",
         ["tests/test_attack.py::TestSharedPlans::test_merged_sweep_matches_each_cut_alone",
          "tests/test_attack.py::TestRealizedSearch::test_symmetric_game_realizes_each_term_on_its_own_cut",
          "tests/test_attack.py::TestBatchedSearch::test_matches_sequential_loop"],
@@ -383,6 +374,38 @@ MUTANTS = {
         ["tests/test_attack.py::TestSharedPlans::test_plans_shared_only_where_contractions_agree",
          "tests/test_attack.py::TestSharedPlans::test_merged_sweep_matches_each_cut_alone",
          "tests/test_attack.py::TestBatchedSearch::test_matches_sequential_loop"],
+    ),
+    # the start operators' scale halved alone, (1 + u) / 2 in place of 1 + u: the start's check must see it
+    "start_scale_half": (
+        "attack.py",
+        "u[:, bs].T.ravel(), (d,))",
+        "u[:, bs].T.ravel() / 2 - 0.5, (d,))",
+        ["tests/test_attack.py::TestStreamContract::test_search_start_matches_oracle",
+         "tests/test_attack.py::TestStart::test_batch_matches_restart_alone",
+         "tests/test_attack.py::TestBatchedSearch::test_matches_sequential_loop"],
+    ),
+    # two plans' draws in swapped order: the whole pairs' form before the products'
+    "start_forms_swapped": (
+        "attack.py",
+        "for f in range(max(map(len, forms))):",
+        "for f in reversed(range(max(map(len, forms)))):",
+        ["tests/test_attack.py::TestStreamContract::test_search_start_matches_oracle"],
+    ),
+    # restart r seeded (r, m), not (m, r)
+    "restart_stream_seed_swapped": (
+        "attack.py",
+        "rng = restart_rng(config.seed, r)",
+        "rng = restart_rng(r, config.seed)",
+        ["tests/test_attack.py::TestStreamContract::test_search_start_matches_oracle",
+         "tests/test_attack.py::TestBatchedSearch::test_matches_sequential_loop"],
+    ),
+    # the unit check reads each stack's first operator only: an operator above 1 later in a stack passes
+    "unit_check_first_only": (
+        "attack.py",
+        "_check_spectrum(eigs / scale, (0.0, 1.0))",
+        "_check_spectrum(eigs[:1] / scale[:1], (0.0, 1.0))",
+        ["tests/test_attack.py::TestStart::test_start_operator_above_one_in_last_restart_rejected_like_single",
+         "tests/test_attack.py::TestBuildPhase::test_success_element_above_one_in_last_restart_rejected_like_single"],
     ),
 }
 
