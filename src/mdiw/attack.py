@@ -54,12 +54,9 @@ from .game import (
     SeparableStrategy,
     _BIPARTITIONS,
     _TAGS,
-    _biseparable_strategy,
     _checked_clicks,
     _grid,
     _responses,
-    _partition_groups,
-    _separable_strategy,
     _singletons,
     trace_inputs,
 )
@@ -166,10 +163,12 @@ def _unit_kets(draws: np.ndarray) -> np.ndarray:
 # per block, its kets one row: each block's real parts, then imaginary parts.
 # A family's partitions share their block sizes in block order, those of one
 # size adjacent.  The draw phase reads one generator in stream order; the build
-# phase puts R draws in block form (see :mod:`mdiw.game`), checking each block
-# size's states and each input dimension's success elements as one stack, and
-# builds no POVM; a public sampler inverts a batch of one with POVMs viewing its
-# stacks.  The search's start (:func:`_start`) draws no strategy.
+# phase checks each block size's states and each input dimension's success
+# elements as one stack, and builds no POVM.  A public sampler builds its
+# strategy straight from one draw's checked stacks, its terms in draw order and
+# its states and POVMs viewing the stacks; the loss check puts many draws of one
+# partition in block form (:func:`_block`).  The search's start (:func:`_start`)
+# draws no strategy.
 
 
 def _check_int(name: str, value, low: int) -> None:
@@ -206,10 +205,10 @@ def _draw(rng, partitions, input_dims, m, k):
     return weights, picks, kets, [(rng.normal(size=(2, d * m, d * m)), rng.random()) for d in input_dims]
 
 
-def _block(draws, partitions, input_dims, m):
-    """Block form (weights, groups, success elements) of R restarts' :func:`_draw` draws."""
-    kets = np.concatenate([x[2] for x in draws])
-    sizes, ranked, at = [m ** len(b) for b in partitions[0]], {}, 0
+def _block_states(kets, partition, m) -> list:
+    """Each block's (K, D, D) pure states of (K, 2 sum D) ket rows on ``partition``, those of one size checked as
+    one stack."""
+    sizes, ranked, at = [m ** len(b) for b in partition], {}, 0
     for d in dict.fromkeys(sizes):
         c = sizes.count(d)
         v = _unit_kets(kets[:, at : at + 2 * d * c].reshape(-1, 2, d))
@@ -217,42 +216,55 @@ def _block(draws, partitions, input_dims, m):
         _check_densities(stack, (d,))
         # [rank among a term's blocks of size d, term]
         ranked[d], at = np.ascontiguousarray(stack.reshape(-1, c, d, d).swapaxes(0, 1)), at + 2 * d * c
-    blocks = [ranked[d][sizes[:b].count(d)] for b, d in enumerate(sizes)]  # each over every term
-    if len(partitions) == 1:  # every term, in order: the block states view the stacks
-        members, states = [np.arange(len(kets))], [blocks]
-    else:
-        picks = np.concatenate([x[1] for x in draws])
-        members = [(picks == j).nonzero()[0] for j in range(len(partitions))]
-        states = [[x.take(i, axis=0) for x in blocks] for i in members]
-    groups = _partition_groups(partitions, members, states)
-    elements = {}  # the parties of one input dimension share one stack
+    return [ranked[d][sizes[:b].count(d)] for b, d in enumerate(sizes)]  # each over every term
+
+
+def _elements(success, input_dims, m) -> list:
+    """Each party's (R, D, D) success elements of R draws' per-party (Gram factor, uniform), the parties of one
+    input dimension one stack."""
+    elements = {}
     for d in dict.fromkeys(input_dims):
         ps = [p for p in range(len(input_dims)) if input_dims[p] == d]
-        g, u = (np.array([x[3][p][i] for p in ps for x in draws]) for i in (0, 1))
-        elements |= zip(ps, _unit_stack(g, u, (d, m)).reshape(len(ps), len(draws), d * m, d * m))
-    return np.array([x[0] for x in draws]), groups, [elements[p] for p in range(len(input_dims))]
+        g, u = (np.array([x[p][i] for p in ps for x in success]) for i in (0, 1))
+        elements |= zip(ps, _unit_stack(g, u, (d, m)).reshape(len(ps), len(success), d * m, d * m))
+    return [elements[p] for p in range(len(input_dims))]
 
 
-# kind: the partitions of n parties that its terms draw from, and the inverse of its block form
+def _block(draws, partition, input_dims, m):
+    """Block form (weights, groups, success elements) of R restarts' :func:`_draw` draws on one partition: one
+    group, every term in order, its block states viewing the checked stacks."""
+    kets = np.concatenate([x[2] for x in draws])
+    groups = [(np.arange(len(kets)), partition, _block_states(kets, partition, m))]
+    return np.array([x[0] for x in draws]), groups, _elements([x[3] for x in draws], input_dims, m)
+
+
+# kind: the partitions of n parties that its terms draw from
 _FAMILIES = {
-    "separable": (lambda n: (_singletons(n),), _separable_strategy),
-    "biseparable": (lambda n: tuple(_BIPARTITIONS.values()) if n == 3 else (), _biseparable_strategy),
+    "separable": lambda n: (_singletons(n),),
+    "biseparable": lambda n: tuple(_BIPARTITIONS.values()) if n == 3 else (),
 }
 
 
 def _sample(kind, input_dims, m, k, rng):
-    """The public samplers' body: check the arguments, draw, build a batch of one and invert it."""
+    """The public samplers' body: check the arguments, draw, and build the strategy from the draw's checked
+    stacks, its terms in draw order, each tag its pick's, and its states and POVMs read-only views."""
     input_dims = tuple(input_dims)
     for name, value in (("parties", len(input_dims)), ("share_dim", m), ("mixture_size", k),
                         *(("input dim", d) for d in input_dims)):
         _check_int(name, value, 1)
-    partitions, build = _FAMILIES[kind][0](len(input_dims)), _FAMILIES[kind][1]
+    partitions = _FAMILIES[kind](len(input_dims))
     if not partitions:
         raise ValueError(f"no {kind} strategy has {len(input_dims)} parties")
-    draws = _draw(rng, partitions, input_dims, m, k)
-    weights, groups, elements = _block([draws], partitions, input_dims, m)
-    povms = tuple(_unchecked(POVM, click=e[0], dims=(int(d), int(m))) for e, d in zip(elements, input_dims))
-    return build(weights[0], groups, povms)  # restart 0's POVMs view its checked, read-only success elements
+    weights, picks, kets, success = _draw(rng, partitions, input_dims, m, k)
+    blocks = _block_states(np.asarray(kets), partitions[0], m)
+    povms = tuple(_unchecked(POVM, click=e[0], dims=(int(d), int(m)))
+                  for e, d in zip(_elements([success], input_dims, m), input_dims))
+    if kind == "separable":
+        return SeparableStrategy(tuple(weights), tuple(zip(*(DensityMatrix._views(x, (m,)) for x in blocks))), povms)
+    tags = [*_BIPARTITIONS]  # partition j's tag
+    terms = map(BiseparableTerm, [tags[j] for j in picks], weights, DensityMatrix._views(blocks[0], (m, m)),
+                DensityMatrix._views(blocks[1], (m,)))
+    return BiseparableStrategy(tuple(terms), povms)
 
 
 def random_separable_strategy(input_dims, share_dim: int, mixture_size: int,
@@ -557,7 +569,7 @@ def _search(dec, ensembles, config, kind):
         warnings.warn(f"attacking an inexact decomposition (residual {dec.residual:.3e}); the nonnegativity bound is "
                       "only guaranteed for exact witnesses", stacklevel=3)
     input_dims, m, k = tuple(e.dim for e in ensembles), config.share_dim, config.mixture_size
-    partitions = _FAMILIES[kind][0](len(input_dims))
+    partitions = _FAMILIES[kind](len(input_dims))
     plans = _plans(np.asarray(dec.beta), [e.matrices for e in dec.ensembles], partitions, m)
     floor = certified_lower_bound(dec, kind)
 

@@ -357,7 +357,7 @@ def fast_entangled_table(rho: DensityMatrix, ensembles) -> CorrelationTable:
 # the weights of mixture r, so R drawn mixtures (the loss check's samples)
 # form one batch; a strategy is the case R = 1.  Term i is
 # weights.flat[i], of mixture i // K.
-# Only _groups and its two inverses read the public strategy types.
+# Only _groups reads the public strategy types; nothing turns a block form back into a strategy.
 
 # each BIPARTITIONS_3 tag's partition (pair, (singleton,)), in sorted order, and each layout's tag
 _BIPARTITIONS = {tag: (pair, (single,)) for tag, (pair, single) in sorted(BIPARTITIONS_3.items())}
@@ -370,21 +370,13 @@ def _singletons(n: int) -> tuple:
     return tuple((p,) for p in range(n))
 
 
-def _partition_groups(partitions, members, states) -> list:
-    """One group per partition with terms, in sorted partition order.
-
-    Partition j has the terms ``members[j]``, ascending, and one state stack per block, ``states[j]``.
-    """
-    order = sorted(range(len(partitions)), key=partitions.__getitem__)
-    return [(np.asarray(members[j]), partitions[j], states[j]) for j in order if len(members[j])]
-
-
 def _groups(strategy) -> tuple[np.ndarray, list]:
     """Weights (1, K) and groups of a strategy: a shared state is one term of weight 1 in one block of
-    every party, a separable strategy one group, every term in order."""
+    every party, a separable strategy one group, every term in order, and a biseparable one a group per
+    bipartition with terms, in sorted partition order, each group's terms ascending."""
     if isinstance(strategy, EntangledStrategy):
         every = (tuple(range(strategy.n_parties)),)
-        return np.ones((1, 1)), _partition_groups((every,), [[0]], [[strategy.shared.matrix[None]]])
+        return np.ones((1, 1)), [(np.arange(1), every, [strategy.shared.matrix[None]])]
     if isinstance(strategy, SeparableStrategy):
         terms = strategy.share_states
         states = [np.array([t[p].matrix for t in terms]) for p in range(strategy.n_parties)]
@@ -394,34 +386,10 @@ def _groups(strategy) -> tuple[np.ndarray, list]:
     terms, members = strategy.terms, {tag: [] for tag in _BIPARTITIONS}
     for i, t in enumerate(terms):
         members[t.bipartition].append(i)
-    members = list(members.values())
-    states = [[np.array([terms[i].group_state.matrix for i in idx]),
-               np.array([terms[i].singleton_state.matrix for i in idx])] if idx else [] for idx in members]
-    weights = np.array([[t.weight for t in terms]])
-    return weights, _partition_groups(tuple(_BIPARTITIONS.values()), members, states)
-
-
-# The inverses of _groups take one mixture's weights (K,) and groups whose
-# state stacks have already passed the density checks.
-
-
-def _separable_strategy(weights, groups, measurements) -> SeparableStrategy:
-    """Inverse of :func:`_groups` for one group of singleton blocks."""
-    ((_, _, states),) = groups
-    terms = zip(*(DensityMatrix._views(s, (s.shape[1],)) for s in states))
-    return SeparableStrategy(tuple(weights), tuple(terms), measurements)
-
-
-def _biseparable_strategy(weights, groups, measurements) -> BiseparableStrategy:
-    """Inverse of :func:`_groups` for bipartition groups; terms return to their indices."""
-    terms = [None] * len(weights)
-    for idx, (pair, (single,)), (group, singles) in groups:
-        share = tuple(measurements[p].dims[1] for p in pair + (single,))
-        pairs = DensityMatrix._views(group, share[:2])
-        ones = DensityMatrix._views(singles, share[2:])
-        for i, g, s in zip(idx, pairs, ones):
-            terms[i] = BiseparableTerm(_TAGS[pair, single], weights[i], g, s)
-    return BiseparableStrategy(tuple(terms), measurements)
+    groups = [(np.asarray(idx), _BIPARTITIONS[tag], [np.array([terms[i].group_state.matrix for i in idx]),
+                                                    np.array([terms[i].singleton_state.matrix for i in idx])])
+              for tag, idx in members.items() if idx]
+    return np.array([[t.weight for t in terms]]), groups
 
 
 def _contract(stacks, sigma) -> np.ndarray:
@@ -500,8 +468,8 @@ def _simulate(strategy, ensembles, include_full: bool) -> CorrelationTable:
     contraction (:func:`_contract`) gives ``R[..., k, s_B] = tr[(F_p[s_p]
     (x) ...) sigma_k]`` for every input and term, the outcome axes
     broadcasting into every outcome tuple, and one more per group contracts
-    the weighted terms into every input tuple at once.  The samplers in
-    :mod:`mdiw.attack` build their batches in this form.
+    the weighted terms into every input tuple at once.  The loss check's
+    batch of samples is built in this form by :func:`mdiw.attack._block`.
     """
     ensembles, measurements = tuple(ensembles), strategy.measurements
     weights, groups = _groups(strategy)

@@ -9,7 +9,6 @@ twice with the same seed produces identical verdicts.
 from __future__ import annotations
 
 import functools
-import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -18,7 +17,6 @@ import numpy as np
 
 from . import linalg
 from .states import (
-    bloch_vector,
     pauli6_ensemble,
     projector,
     random_density_matrix,
@@ -31,6 +29,7 @@ from .witness import (
     decompose,
     ghz_beta,
     pauli6_beta,
+    reconstruct,
     singlet_witness,
     tetrahedron_beta,
     witness_value,
@@ -231,15 +230,6 @@ def check_biseparable_bound(seed: int) -> tuple[bool, dict]:
     return passed, details | {"evaluations": rep.evaluations, "tolerance": -BOUND_TOL}
 
 
-def _bloch_grid(n_theta: int, n_phi: int) -> np.ndarray:
-    thetas = np.linspace(0.0, math.pi, n_theta)
-    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    return np.stack(
-        [np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1
-    ).reshape(-1, 3)
-
-
 def negated_projector_decomposition():
     """The standard non-witness target for optimizer power checks."""
     ensembles = (tetrahedron_ensemble("A"), tetrahedron_ensemble("B"))
@@ -259,50 +249,23 @@ def offset_singlet_decomposition(eps: float):
     return decompose(shifted, tuple(map(tetrahedron_ensemble, "AB")))
 
 
-# Rows of the product-strategy value table reduced at a time.
-_GRID_BLOCK = 64
-
-
-def product_strategy_grid_minimum(dec, n_theta: int = 61, n_phi: int = 120) -> float:
-    """Brute-force minimum over pure product-projector strategies.
-
-    Both parties respond with a fixed rank-1 projector; the grid sweeps
-    each projector's Bloch vector.  This restricted class lower-bounds
-    the depth a competent optimizer must reach on a non-witness.  The
-    value table is reduced in blocks of rows, so memory stays at one
-    block instead of the whole (grid x grid) matrix.
-    """
-    grid = _bloch_grid(n_theta, n_phi)
-    vertices = np.stack([bloch_vector(s) for s in dec.ensembles[0].states])
-    # tr[P_a tau_s] = (1 + a . n_s)/2
-    resp_a = 0.5 * (1.0 + grid @ vertices.T)
-    vertices_b = np.stack([bloch_vector(s) for s in dec.ensembles[1].states])
-    resp_b = 0.5 * (1.0 + grid @ vertices_b.T)
-    beta = np.asarray(dec.beta)
-    return float(
-        min(
-            (resp_a[i : i + _GRID_BLOCK] @ beta @ resp_b.T).min()
-            for i in range(0, len(grid), _GRID_BLOCK)
-        )
-    )
-
-
 @_criterion(120.0)
 def check_optimizer_power(seed: int) -> tuple[bool, dict]:
-    """On a non-witness the attack must dig at least as deep as the grid oracle,
-    and on a slightly offset witness it must find the violation -eps exactly."""
+    """On a non-witness the attack must reach its class's exact minimum, and on a
+    slightly offset witness it must find the violation -eps exactly.
+
+    The non-witness reconstructs R = -|psi-><psi-| <= 0, so every term scores
+    tr[R P] >= tr[R] = sum(beta) = -1 for 0 <= P <= 1, and the all-click term
+    scores exactly that: sum(beta) is the separable class's minimum.
+    """
     dec = negated_projector_decomposition()
-    oracle = product_strategy_grid_minimum(dec)
+    top = float(linalg.hermitian_eigenvalues(reconstruct(dec))[-1])
+    minimum = float(np.sum(dec.beta))
     cfg = AttackConfig(restarts=200, iterations=500, mixture_size=4, share_dim=2, seed=seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the non-witness flag is expected here
         rep = attack(dec, dec.ensembles, cfg)
-    # The grid class (pure product projectors, no share) is a subset of
-    # the searched class, so the attack may legitimately go deeper; the
-    # sum of all coefficients (-1) bounds how deep anything can go.
-    reached = rep.min_value <= 0.95 * oracle
-    sane = rep.min_value >= -1.0 - BOUND_TOL
-    strong = rep.min_value <= -0.2
+    reached = top <= BOUND_TOL and minimum - BOUND_TOL <= rep.min_value <= 0.99 * minimum
     # Every party clicking reaches the non-witness's -1; on the offset
     # witness it scores 1 - 4 eps, so only a real search reaches -eps.  Its
     # floor, -4 eps, lies below that depth, so the floor stop never ends it.
@@ -310,10 +273,12 @@ def check_optimizer_power(seed: int) -> tuple[bool, dict]:
     offset = offset_singlet_decomposition(eps)
     at_least, at_most = -eps - BOUND_TOL, -0.99 * eps
     offset_min = attack(offset, offset.ensembles, cfg).min_value
-    return reached and sane and strong and at_least <= offset_min <= at_most, {
-        "grid_minimum": oracle,
+    return reached and at_least <= offset_min <= at_most, {
+        "class_minimum": minimum,
+        "reconstruction_max_eigenvalue": top,
         "attack_minimum": rep.min_value,
-        "required_at_most": 0.95 * oracle,
+        "required_at_least": minimum - BOUND_TOL,
+        "required_at_most": 0.99 * minimum,
         "offset_attack_minimum": offset_min,
         "offset_required_at_least": at_least,
         "offset_required_at_most": at_most,
@@ -366,7 +331,7 @@ def check_loss_invariance(seed: int) -> tuple[bool, dict]:
         draws.append((np.concatenate([weights, np.zeros(4 - k)]), np.zeros(4, int),
                       np.concatenate([kets, np.ones((4 - k, 8))]), success))
         kraus += [_draw_kraus(rng, 4, int(rng.integers(1, 4))) for _ in range(2)]
-    weights, groups, elements = _block(draws, partitions, (2, 2), 2)
+    weights, groups, elements = _block(draws, partitions[0], (2, 2), 2)
     kraus = kraus[::2] + kraus[1::2]  # party-major, as the success elements
     normals = np.zeros((len(kraus), 3, 2, 4, 4))  # zero operators pad each set to three
     for i, (g, _) in enumerate(kraus):

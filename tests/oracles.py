@@ -30,6 +30,8 @@ stacked :func:`product_basis`, in :func:`hermitian_coordinates`, as the
 reference for the factored :func:`mdiw.witness.decompose`, and
 :func:`basis_reconstruct` sums that basis, as the reference for
 :func:`mdiw.witness.reconstruct`.
+:func:`product_grid_minimum` values rank-1 product projectors on a Bloch
+grid, an upper bound on a two-qubit game's separable minimum.
 :func:`mapped_separable_samples` scores the Kraus-mapped samples of
 :func:`mdiw.verify.check_loss_invariance` one public strategy at a time, as
 the reference for its block-form batch.
@@ -88,7 +90,7 @@ from mdiw.game import (
     violation_scan,
 )
 from mdiw.linalg import as_matrix, check_dims, kron, partial_trace
-from mdiw.states import DensityMatrix
+from mdiw.states import DensityMatrix, bloch_vector
 from mdiw.witness import reconstruct
 
 _PAULIS = (
@@ -430,7 +432,7 @@ def sequential_search(dec, ensembles, config, kind) -> AttackReport:
     """
     input_dims, m, k = tuple(e.dim for e in ensembles), config.share_dim, config.mixture_size
     beta, inputs = np.asarray(dec.beta), [e.matrices for e in dec.ensembles]
-    partitions = _FAMILIES[kind][0](len(input_dims))
+    partitions = _FAMILIES[kind](len(input_dims))
     plans = unshared_plans(beta, inputs, partitions, m)
     shape = (1, k * max(len(p) for p in plans.values()))
     floor = certified_floor(dec, kind)
@@ -477,6 +479,18 @@ def pointwise_scan(family, dec, grid, etas) -> list[tuple[float, float]]:
         table = apply_uniform_loss(fast_entangled_table(family(float(v)), dec.ensembles), etas)
         out.append((float(v), mdi_value(dec, table)))
     return out
+
+
+def product_grid_minimum(dec, n_theta: int, n_phi: int) -> float:
+    """The least value of two qubit parties each clicking on a rank-1 projector, its Bloch vector on an
+    ``n_theta`` x ``n_phi`` polar grid, without shares: an upper bound on the separable class's minimum."""
+    thetas = np.linspace(0.0, math.pi, n_theta)[:, None]
+    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    grid = np.stack(np.broadcast_arrays(np.sin(thetas) * np.cos(phis), np.sin(thetas) * np.sin(phis), np.cos(thetas)),
+                    axis=-1).reshape(-1, 3)
+    # tr[P_a tau_s] = (1 + a . n_s) / 2
+    resp_a, resp_b = (0.5 * (1.0 + grid @ np.stack([bloch_vector(s) for s in e.states]).T) for e in dec.ensembles)
+    return float((resp_a @ np.asarray(dec.beta) @ resp_b.T).min())
 
 
 def mapped_separable_samples(dec, seed: int, samples: int) -> list[tuple[int, float]]:

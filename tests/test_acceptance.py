@@ -113,6 +113,12 @@ def _all_click(x):
     return np.broadcast_to(np.eye(x.shape[-1], dtype=complex), x.shape).copy()
 
 
+def _rank_one_steps(x):
+    """Each step's projector onto the lowest eigenvector alone: a product of pure projectors, never all-click."""
+    v = np.linalg.eigh(x)[1][..., :1]
+    return v @ v.conj().swapaxes(-1, -2)
+
+
 def _overstated_floor(dec, kind):
     """The floor with each cut's largest eigenvalue in place of min(0, its lowest)."""
     r, dims = witness.reconstruct(dec), tuple(e.dim for e in dec.ensembles)
@@ -167,6 +173,14 @@ NEGATIVE_CONTROLS = {
         (("min_I", operator.lt, _floor_gate("")),)),
     "optimizer_power": ("optimizer_power", ((attack_module, "_negative_projectors", _all_click),),
                         (("offset_attack_minimum", operator.gt, _at("offset_required_at_most")),)),
+    # rank-1 steps stop at the product-projector grid's -1/2, which the old gate (0.95 of that grid) accepted;
+    # the class minimum is -1
+    "optimizer_power_rank_one_steps": ("optimizer_power", ((attack_module, "_negative_projectors", _rank_one_steps),),
+                                       (("attack_minimum", operator.gt, _at("required_at_most")),)),
+    # a target with a positive eigenvalue: sum(beta) is no longer its class minimum
+    "optimizer_power_target_not_negative": ("optimizer_power", ((verify, "negated_projector_decomposition",
+                                                                 _offset_singlet_beta),),
+                                            (("reconstruction_max_eigenvalue", operator.gt, lambda _: BOUND_TOL),)),
     "oracle_equivalence": ("oracle_equivalence", ((game, "trace_inputs", _untransposed_trace_inputs),),
                            (("max_abs_diff", operator.gt, _at("tolerance")),)),
     # the honest table's own contraction spoiled: the full table shares none of it, so the check sees it

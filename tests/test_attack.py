@@ -13,7 +13,6 @@ from mdiw.states import (
     FAMILIES,
     DensityMatrix,
     InputEnsemble,
-    bloch_vector,
     ghz_ket,
     noisy_ghz,
     projector,
@@ -22,8 +21,8 @@ from mdiw.states import (
     tetrahedron_ensemble,
     werner_state,
 )
-from mdiw.witness import (Decomposition, Witness, decompose, ghz_beta, ghz_witness, pauli6_beta, singlet_witness,
-                         tetrahedron_beta)
+from mdiw.witness import (Decomposition, Witness, decompose, ghz_beta, ghz_witness, pauli6_beta, reconstruct,
+                         singlet_witness, tetrahedron_beta)
 from mdiw.game import (
     BIPARTITIONS_3,
     BiseparableStrategy,
@@ -31,10 +30,8 @@ from mdiw.game import (
     EntangledStrategy,
     POVM,
     SeparableStrategy,
-    _biseparable_strategy,
     _contract,
     _groups,
-    _separable_strategy,
     _singletons,
     apply_pre_measurement_map,
     mdi_value,
@@ -70,12 +67,7 @@ from mdiw.attack import (
     zero_crossing,
 )
 from mdiw.serialize import dumps
-from mdiw.verify import (
-    _bloch_grid,
-    negated_projector_decomposition,
-    offset_singlet_decomposition,
-    product_strategy_grid_minimum,
-)
+from mdiw.verify import negated_projector_decomposition, offset_singlet_decomposition
 from oracles import (
     certified_floor,
     grid_value,
@@ -83,6 +75,7 @@ from oracles import (
     mixture_as_shared_state,
     partial_transpose,
     pointwise_scan,
+    product_grid_minimum,
     restart_start,
     sequential_search,
     strategy_state,
@@ -261,7 +254,7 @@ def _start_case(case, restarts, mixture, seed):
     """The plans, partitions, dims and config of a START_CASES row."""
     kind, dims, share = START_CASES[case]
     dec = ghz_beta() if dims is None else _random_game(dims, np.random.default_rng(sum(dims)))
-    dims, partitions = tuple(e.dim for e in dec.ensembles), _FAMILIES[kind][0](dec.n_parties)
+    dims, partitions = tuple(e.dim for e in dec.ensembles), _FAMILIES[kind](dec.n_parties)
     plans = _plans(np.asarray(dec.beta), [e.matrices for e in dec.ensembles], partitions, share)
     return plans, partitions, dims, AttackConfig(restarts=restarts, mixture_size=mixture, share_dim=share, seed=seed)
 
@@ -368,7 +361,7 @@ class TestBlockForm:
         kind, sample = ("biseparable", random_biseparable_strategy) if game == "ghz" else (
             "separable", random_separable_strategy)
         dims, beta, inputs = (2,) * dec.n_parties, np.asarray(dec.beta), [e.matrices for e in dec.ensembles]
-        partitions = _FAMILIES[kind][0](dec.n_parties)
+        partitions = _FAMILIES[kind](dec.n_parties)
         plans = _plans(beta, inputs, partitions, share_dim)
         rng = np.random.default_rng((66, share_dim))
         for _ in range(5):
@@ -401,7 +394,7 @@ class TestBlockForm:
                     assert value == pytest.approx(mdi_value(dec, simulate_entangled(entangled, dec.ensembles)), abs=1e-12)
                     assert value == pytest.approx(grid_value(dec, entangled), abs=1e-12)
 
-    def test_biseparable_round_trip_keeps_term_order(self):
+    def test_biseparable_groups_keep_term_indices(self):
         rng = np.random.default_rng(67)
         s = random_biseparable_strategy((2, 2, 2), 2, 3, rng)
         strategy = BiseparableStrategy(
@@ -412,13 +405,15 @@ class TestBlockForm:
             s.measurements,
         )
         weights, groups = _groups(strategy)
-        back = _biseparable_strategy(weights[0], groups, strategy.measurements)
-        assert [(t.bipartition, t.weight) for t in back.terms] == [
-            ("AB|C", 0.5), ("BC|A", 0.3), ("AB|C", 0.2)
+        assert weights.tolist() == [[0.5, 0.3, 0.2]]
+        # each group holds its terms' indices, ascending, and their states in that order
+        assert [(idx.tolist(), partition) for idx, partition, _ in groups] == [
+            ([0, 2], ((0, 1), (2,))), ([1], ((1, 2), (0,)))
         ]
-        for a, b in zip(back.terms, strategy.terms):
-            assert np.array_equal(a.group_state.matrix, b.group_state.matrix)
-            assert np.array_equal(a.singleton_state.matrix, b.singleton_state.matrix)
+        for idx, _, (pairs, singles) in groups:
+            for i, pair, single in zip(idx, pairs, singles):
+                assert np.array_equal(pair, strategy.terms[i].group_state.matrix)
+                assert np.array_equal(single, strategy.terms[i].singleton_state.matrix)
         # share dims (1, 2, 3): each bipartition's group and singleton states differ in size,
         # and the bipartitions first appear out of sorted order
         shares, tags = (1, 2, 3), ("AB|C", "BC|A", "AC|B", "AB|C")
@@ -430,21 +425,25 @@ class TestBlockForm:
             terms.append(BiseparableTerm(tag, w, pair, random_density_matrix((shares[r],), rng)))
         ragged = BiseparableStrategy(tuple(terms), povms)
         weights, groups = _groups(ragged)
+        assert weights.tolist() == [[0.4, 0.3, 0.2, 0.1]]
         pairs = [partition[0] for _, partition, _ in groups]
         assert pairs == [BIPARTITIONS_3[t][0] for t in sorted(set(tags))]  # groups in sorted order
-        back = _biseparable_strategy(weights[0], groups, ragged.measurements)
-        assert [(t.bipartition, t.weight) for t in back.terms] == list(zip(tags, (0.4, 0.3, 0.2, 0.1)))
-        for a, b in zip(back.terms, ragged.terms):
-            assert np.array_equal(a.group_state.matrix, b.group_state.matrix)
-            assert np.array_equal(a.singleton_state.matrix, b.singleton_state.matrix)
+        assert [idx.tolist() for idx, _, _ in groups] == [[0, 3], [2], [1]]
+        for idx, ((p, q), (r,)), (pair_states, single_states) in groups:
+            assert pair_states.shape == (len(idx), shares[p] * shares[q], shares[p] * shares[q])
+            assert single_states.shape == (len(idx), shares[r], shares[r])
+            for i, pair, single in zip(idx, pair_states, single_states):
+                assert np.array_equal(pair, ragged.terms[i].group_state.matrix)
+                assert np.array_equal(single, ragged.terms[i].singleton_state.matrix)
 
-    def test_separable_round_trip(self):
+    def test_separable_groups_hold_every_term_in_order(self):
         s = _mixed_separable((2, 3), 2, 3, np.random.default_rng(68))
         weights, groups = _groups(s)
-        back = _separable_strategy(weights[0], groups, s.measurements)
-        assert back.weights == s.weights
-        for a, b in zip(back.share_states, s.share_states):
-            assert all(np.array_equal(x.matrix, y.matrix) for x, y in zip(a, b))
+        assert weights.tolist() == [list(s.weights)]
+        ((idx, partition, states),) = groups
+        assert idx.tolist() == [0, 1, 2] and partition == ((0,), (1,))
+        for p, stack in enumerate(states):
+            assert all(np.array_equal(x, term[p].matrix) for x, term in zip(stack, s.share_states))
 
 
 def _graded(eps):
@@ -611,21 +610,23 @@ class TestBatchInvariance:
             r = _contract(fb, states)
             for i in range(size):
                 assert r[i].tobytes() == _contract([x[i : i + 1] for x in fb], states[i : i + 1])[0].tobytes()
-        # R sampled mixtures valued as one batch and each alone; R restarts' starts searched and swept as one
-        # batch, and each alone from the oracle's start
+        # R sampled mixtures on the separable partition, the loss check's batch, valued as one batch and each alone
+        dec, partition = tetrahedron_beta(), _singletons(2)
+        inputs = [e.matrices for e in dec.ensembles]
+        draws = [_draw(restart_rng(seed, r), (partition,), (2, 2), share, mixture) for r in range(size)]
+        values = _mixture_values(dec.beta, inputs, *_block(draws, partition, (2, 2), share))
+        for r, one in enumerate(draws):
+            assert values[r] == _mixture_values(dec.beta, inputs, *_block([one], partition, (2, 2), share))[0]
+        # R restarts' starts searched and swept as one batch, and each alone from the oracle's start
         for kind, dims, dec in (("separable", (2, 2), tetrahedron_beta()), ("biseparable", (2, 2, 2), ghz_beta())):
-            partitions, inputs = _FAMILIES[kind][0](len(dims)), [e.matrices for e in dec.ensembles]
+            partitions, inputs = _FAMILIES[kind](len(dims)), [e.matrices for e in dec.ensembles]
             plans = _plans(np.asarray(dec.beta), inputs, partitions, share)
             width = mixture * max(map(len, plans.values()))
-            draws = [_draw(restart_rng(seed, r), partitions, dims, share, mixture) for r in range(size)]
-            values = _mixture_values(dec.beta, inputs, *_block(draws, partitions, dims, share))
             cfg = AttackConfig(restarts=size, mixture_size=mixture, share_dim=share, seed=seed)
             state = _start(plans, partitions, dims, cfg)[1]
             starts, (swept_state, swept) = _values(state, (size, width)), _sweep(state, (size, width))
             assert swept.tobytes() == _values(swept_state, (size, width)).tobytes()
-            for r, one in enumerate(draws):
-                alone = _block([one], partitions, dims, share)
-                assert values[r] == _mixture_values(dec.beta, inputs, *alone)[0]
+            for r in range(size):
                 state = terms_state(restart_start(seed, r, plans, dims, mixture)[1])
                 assert starts[r].tobytes() == _values(state, (1, width))[0].tobytes()
                 assert swept[r].tobytes() == _sweep(state, (1, width))[1][0].tobytes()
@@ -641,7 +642,7 @@ class TestSharedPlans:
     """Cuts whose whole-pair contractions have the same bits share one plan and one batch."""
 
     def test_plans_shared_only_where_contractions_agree(self):
-        partitions = _FAMILIES["biseparable"][0](3)
+        partitions = _FAMILIES["biseparable"](3)
         # (decomposition, share dim, whole-pair plans): one ensemble for every party shares a plan only where
         # beta is symmetric too, and a share dim below the input dim searches no pair whole
         games = [(ghz_beta(), 2, 1), (_one_ensemble_game(2, 0), 2, 1), (_one_ensemble_game(3, 0), 3, 1),
@@ -661,7 +662,7 @@ class TestSharedPlans:
         dec = {"ghz": ghz_beta, "symmetric_2": lambda: _one_ensemble_game(2, 0),
                "symmetric_3": lambda: _one_ensemble_game(3, 0),
                "one_ensemble_2": lambda: _one_ensemble_game(2, 0, symmetric=False)}[game]()
-        d, k, restarts, partitions = dec.ensembles[0].dim, 3, 4, _FAMILIES["biseparable"][0](3)
+        d, k, restarts, partitions = dec.ensembles[0].dim, 3, 4, _FAMILIES["biseparable"](3)
         dims, beta, inputs = (d,) * 3, np.asarray(dec.beta), [e.matrices for e in dec.ensembles]
         cfg = AttackConfig(restarts=restarts, mixture_size=k, share_dim=d, seed=21)
         picks, state = _start(_plans(beta, inputs, partitions, d), partitions, dims, cfg)
@@ -689,26 +690,27 @@ def _build_case(family, rng):
     if family == "separable":
         dims = (2, 3)
         inputs = [np.stack([random_density_matrix((d,), rng).matrix for _ in range(3)]) for d in dims]
-        return dims, _FAMILIES["separable"][0](2), random_separable_strategy, rng.normal(size=(3, 3)), inputs
+        return dims, _FAMILIES["separable"](2), random_separable_strategy, rng.normal(size=(3, 3)), inputs
     # GHZ's three cuts share one whole-pair plan; the random game keeps one per cut
     dec = ghz_beta() if family == "biseparable" else _random_game((2, 2, 2), rng)
-    return ((2, 2, 2), _FAMILIES["biseparable"][0](3), random_biseparable_strategy, np.asarray(dec.beta),
+    return ((2, 2, 2), _FAMILIES["biseparable"](3), random_biseparable_strategy, np.asarray(dec.beta),
             [e.matrices for e in dec.ensembles])
 
 
 class TestBuildPhase:
-    """The samplers' draws of R restarts become one batch, checked once, without touching the streams."""
+    """The loss check's draws of R restarts become one batch, checked once; a public sampler builds its strategy
+    from one draw's checked stacks.  Neither touches the streams."""
 
-    @pytest.mark.parametrize("family", ["separable", "biseparable", "biseparable_asymmetric"])
+    @pytest.mark.parametrize("family", ["separable"])
     def test_batch_matches_block_of_one(self, family):
         dims, partitions, sampler, beta, inputs = _build_case(family, np.random.default_rng(15))
         m, k = 2, 3
         rngs = [restart_rng(12, r) for r in range(5)]
-        batch = _block([_draw(rng, partitions, dims, m, k) for rng in rngs], partitions, dims, m)
+        batch = _block([_draw(rng, partitions, dims, m, k) for rng in rngs], partitions[0], dims, m)
         values = _mixture_values(beta, inputs, *batch)
         for r, rng in enumerate(rngs):
             ref = restart_rng(12, r)
-            alone = _block([_draw(ref, partitions, dims, m, k)], partitions, dims, m)
+            alone = _block([_draw(ref, partitions, dims, m, k)], partitions[0], dims, m)
             assert rng.bit_generator.state == ref.bit_generator.state
             # the build phase returns no POVMs; the public sampler's POVMs view the same checked elements
             povms = sampler(dims, m, k, restart_rng(12, r)).measurements
@@ -718,7 +720,7 @@ class TestBuildPhase:
 
     def test_non_psd_share_in_last_restart_rejected_like_single(self):
         # a NaN in the last restart's last ket: only a check of every restart's shares sees it
-        dims, m, partitions = (2, 2), 2, _FAMILIES["separable"][0](2)
+        dims, m, partitions = (2, 2), 2, _FAMILIES["separable"](2)
         draws = [_draw(restart_rng(13, r), partitions, dims, m, 2) for r in range(4)]
         ket = draws[-1][2][-1].reshape(2, 2, m)[-1]  # the last party's ket in the last term's flat row
         ket[0, 0] = np.nan
@@ -727,24 +729,31 @@ class TestBuildPhase:
             with pytest.raises(ValueError, match="NaN") as single:
                 DensityMatrix(np.outer(v, v.conj()), (m,))
             with pytest.raises(ValueError, match="NaN") as batched:
-                _block(draws, partitions, dims, m)
+                _block(draws, partitions[0], dims, m)
         assert str(batched.value) == str(single.value)
 
     @pytest.mark.parametrize("block", ["pair", "singleton"])
-    def test_nan_in_each_block_size_rejected_like_single(self, block):
-        # a NaN in the last restart's last biseparable term, in its pair ket or its singleton ket
-        m, partitions = 2, _FAMILIES["biseparable"][0](3)
-        draws = [_draw(restart_rng(16, r), partitions, (2, 2, 2), m, 2) for r in range(3)]
-        row = draws[-1][2][-1]
-        ket = (row[: 2 * m * m] if block == "pair" else row[2 * m * m :]).reshape(2, -1)
-        ket[0, 0] = np.nan
+    def test_nan_in_each_block_size_rejected_like_single(self, monkeypatch, block):
+        # a NaN in a biseparable sample's last term, in its pair ket or its singleton ket
+        module, m, spoiled = importlib.import_module("mdiw.attack"), 2, []
+        draw = module._draw
+
+        def spoil(*args):
+            draws = draw(*args)
+            row = draws[2][-1]
+            spoiled.append((row[: 2 * m * m] if block == "pair" else row[2 * m * m :]).reshape(2, -1))
+            spoiled[0][0, 0] = np.nan
+            return draws
+
+        monkeypatch.setattr(module, "_draw", spoil)
         with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="NaN") as sampled:
+                random_biseparable_strategy((2, 2, 2), m, 3, restart_rng(16, 2))
+            (ket,) = spoiled
             v = (ket[0] + 1j * ket[1]) / np.linalg.norm(ket[0] + 1j * ket[1])
             with pytest.raises(ValueError, match="NaN") as single:
                 DensityMatrix(np.outer(v, v.conj()), (len(v),))
-            with pytest.raises(ValueError, match="NaN") as batched:
-                _block(draws, partitions, (2, 2, 2), m)
-        assert str(batched.value) == str(single.value)
+        assert str(sampled.value) == str(single.value)
 
     def test_one_eigvalsh_per_stack(self, monkeypatch):
         calls, eigvalsh, cholesky = [], np.linalg.eigvalsh, np.linalg.cholesky
@@ -776,20 +785,30 @@ class TestBuildPhase:
         assert str(exc.value) == "1 - E not positive semidefinite (max eigenvalue 2.000e+00, above 1)"
 
     @pytest.mark.parametrize("family", ["separable", "biseparable"])
-    def test_success_element_above_one_in_last_restart_rejected_like_single(self, family):
-        partitions, dims = {
-            "separable": (_FAMILIES["separable"][0](2), (2, 2)),
-            "biseparable": (_FAMILIES["biseparable"][0](3), (2, 2, 2)),
-        }[family]
-        draws = [_draw(restart_rng(14, r), partitions, dims, 2, 2) for r in range(4)]
-        normals, _ = draws[-1][-1][0]
-        draws[-1][-1][0] = (normals, -0.5)  # scale 1 / (top * 0.5): the top eigenvalue becomes 2
-        g = normals[0] + 1j * normals[1]
+    def test_success_element_above_one_in_last_restart_rejected_like_single(self, monkeypatch, family):
+        # the last party's element scaled by 1 / (top * 0.5), so its top eigenvalue becomes 2: in the last of the
+        # loss check's four restarts, and in the public biseparable sampler's one draw, the last of its stack
+        module, spoiled = importlib.import_module("mdiw.attack"), []
+        draw = module._draw
+
+        def spoil(*args):
+            draws = draw(*args)
+            spoiled.append(draws[-1][-1][0])
+            draws[-1][-1] = (spoiled[-1], -0.5)
+            return draws
+
+        monkeypatch.setattr(module, "_draw", spoil)
+        with pytest.raises(ValueError, match="positive semidefinite") as batched:
+            if family == "separable":
+                partitions = _FAMILIES["separable"](2)
+                draws = [draw(restart_rng(14, r), partitions, (2, 2), 2, 2) for r in range(3)]
+                _block(draws + [spoil(restart_rng(14, 3), partitions, (2, 2), 2, 2)], partitions[0], (2, 2), 2)
+            else:
+                random_biseparable_strategy((2, 2, 2), 2, 2, restart_rng(14, 3))
+        g = spoiled[0][0] + 1j * spoiled[0][1]
         e = g.conj().T @ g
         with pytest.raises(ValueError, match="positive semidefinite") as single:
             POVM(e / (np.linalg.eigvalsh(e)[-1] * 0.5), (2, 2))
-        with pytest.raises(ValueError, match="positive semidefinite") as batched:
-            _block(draws, partitions, dims, 2)
         assert str(batched.value) == str(single.value)
 
 
@@ -886,7 +905,7 @@ class TestNegativeProjectorRank:
     def test_sweep_can_raise_value_on_ghz_share_dim_1(self):
         # an exact step cannot raise a term's value, so where one rises some step met a
         # positive semidefinite gradient and kept rank 1
-        dec, partitions = ghz_beta(), _FAMILIES["biseparable"][0](3)
+        dec, partitions = ghz_beta(), _FAMILIES["biseparable"](3)
         plans = _plans(np.asarray(dec.beta), [e.matrices for e in dec.ensembles], partitions, 1)
         cfg = AttackConfig(restarts=7, mixture_size=3, share_dim=1, seed=61)
         state = _start(plans, partitions, (2, 2, 2), cfg)[1]
@@ -1047,7 +1066,7 @@ class TestRealizedSearch:
             assert _public(dec, report.best_strategy) == pytest.approx(report.min_value, abs=tol)
         # every searched form of a biseparable start, the teleported pairs included, realized: the search's own
         # start, and a sampled strategy's terms converted by the oracle
-        partitions = _FAMILIES["biseparable"][0](3)
+        partitions = _FAMILIES["biseparable"](3)
         plans = _plans(np.asarray(dec.beta), [e.matrices for e in dec.ensembles], partitions, share)
         s = random_biseparable_strategy(dims, share, 3, np.random.default_rng(1))
         starts = (_start(plans, partitions, dims, AttackConfig(restarts=1, mixture_size=3, share_dim=share, seed=1)),
@@ -1064,7 +1083,7 @@ class TestRealizedSearch:
         # own plan, and a teleported term carries that cut's tag
         dec, k = _one_ensemble_game(d, 0), 4
         beta, inputs = np.asarray(dec.beta), [e.matrices for e in dec.ensembles]
-        partitions = _FAMILIES["biseparable"][0](3)
+        partitions = _FAMILIES["biseparable"](3)
         cfg = AttackConfig(restarts=1, mixture_size=k, share_dim=d, seed=3)
         (picks, shared), (_, own) = (_start(plans(beta, inputs, partitions, d), partitions, (d,) * 3, cfg)
                                      for plans in (_plans, unshared_plans))
@@ -1095,7 +1114,7 @@ class TestEigenCalls:
 
         monkeypatch.setattr(module, "_checked_clicks", spy)
         dec, share = _random_game(dims, np.random.default_rng(sum(dims))), 3  # a share of 3 teleports every pair
-        partitions = _FAMILIES[kind][0](3)
+        partitions = _FAMILIES[kind](3)
         plans = _plans(np.asarray(dec.beta), [e.matrices for e in dec.ensembles], partitions, share)
         cfg = AttackConfig(restarts=1, mixture_size=4, share_dim=share, seed=2)
         picks, state = _start(plans, partitions, dims, cfg)
@@ -1133,8 +1152,9 @@ class TestPowerNegativeControl:
         assert dec.residual < 1e-10
         cfg = AttackConfig(restarts=20, iterations=400, mixture_size=2, share_dim=2, seed=11)
         report = attack(dec, dec.ensembles, cfg)
-        assert report.min_value <= -0.2
-        assert report.min_value >= -1.0 - 1e-9  # sum of coefficients bounds the depth
+        # the sum of coefficients is the class minimum (test_non_witness_class_minimum_is_coefficient_sum)
+        minimum = float(np.sum(dec.beta))
+        assert minimum - BOUND_TOL <= report.min_value <= 0.99 * minimum
 
     def test_biseparable_attack_violates_non_witness(self):
         ensembles = tuple(tetrahedron_ensemble(p) for p in "ABC")
@@ -1155,33 +1175,18 @@ class TestPowerNegativeControl:
         report = attack(dec, dec.ensembles, cfg)
         assert -eps - 1e-9 <= report.min_value <= -0.99 * eps
 
-    def test_grid_oracle_near_closed_form(self):
-        # for the negated singlet projector the best pure product pair is
-        # antipodal Bloch vectors: -(1 + 1)/4 = -1/2
+    def test_non_witness_class_minimum_is_coefficient_sum(self):
+        # R = -|psi-><psi-| <= 0, so tr[R P] >= tr[R] = sum(beta) for every 0 <= P <= 1, and the all-click
+        # strategy scores exactly that; rank-1 product projectors without shares stop at -1/2 (antipodal Bloch
+        # vectors: -(1 + 1)/4)
         dec = negated_projector_decomposition()
-        oracle = product_strategy_grid_minimum(dec)
-        assert oracle == pytest.approx(-0.5, abs=1e-3)
-
-    def test_grid_oracle_reduces_in_blocks(self):
-        # 61 x 120 Bloch points per party: the whole value table would be a
-        # 7320 x 7320 float64 matrix of 428 MB
-        dec = negated_projector_decomposition()
-        tracemalloc.start()
-        try:
-            oracle = product_strategy_grid_minimum(dec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 50 * 2**20
-        assert oracle == pytest.approx(-0.5, abs=1e-12)
-        # on a grid small enough to hold, the blocks give the whole table's minimum exactly
-        grid = _bloch_grid(21, 40)
-        resp_a, resp_b = (
-            0.5 * (1.0 + grid @ np.stack([bloch_vector(s) for s in e.states]).T)
-            for e in dec.ensembles
-        )
-        whole = resp_a @ np.asarray(dec.beta) @ resp_b.T
-        assert product_strategy_grid_minimum(dec, 21, 40) == whole.min()
+        r, minimum = reconstruct(dec), float(np.sum(dec.beta))
+        assert np.linalg.eigvalsh(r)[-1] <= 1e-12
+        assert minimum == pytest.approx(np.trace(r).real, abs=1e-12) and minimum == pytest.approx(-1.0, abs=1e-12)
+        zero = DensityMatrix(projector([1.0, 0.0]), (2,))
+        click = SeparableStrategy((1.0,), ((zero, zero),), (POVM(np.eye(4), (2, 2)),) * 2)
+        assert _public(dec, click) == pytest.approx(minimum, abs=1e-12)
+        assert product_grid_minimum(dec, 21, 40) == pytest.approx(-0.5, abs=1e-12)
 
 
 # name: (family, its one-state builder, decomposition, detector efficiencies)
@@ -1417,7 +1422,8 @@ class TestCertifiedFloor:
     @given(st.integers(0, 2**31 - 1), st.floats(0.0, 0.5))
     def test_floor_below_product_grid_minimum(self, seed, shift):
         dec = _random_target(seed, shift)
-        assert certified_lower_bound(dec, "separable") <= product_strategy_grid_minimum(dec, 11, 20)
+        # the class minimum lies at or below every strategy's value: the product grid's and the all-click sum(beta)
+        assert certified_lower_bound(dec, "separable") <= min(product_grid_minimum(dec, 11, 20), np.sum(dec.beta))
 
 
 class TestFloorStop:

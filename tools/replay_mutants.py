@@ -77,13 +77,12 @@ MUTANTS = {
         "if len(partitions) == 0:\n        picks, kets = np.zeros(k, int)",
         ["tests/test_attack.py::TestStreamContract::test_draw_makes_the_documented_calls"],
     ),
-    # groups in the order their partitions are first used instead of sorted order
+    # groups in the order their bipartitions are first used instead of sorted order
     "groups_in_first_use_order": (
         "game.py",
-        "order = sorted(range(len(partitions)), key=partitions.__getitem__)",
-        "order = sorted(range(len(partitions)), key=lambda j: members[j][:1].tolist())",
-        ["tests/test_attack.py::TestBlockForm::test_biseparable_round_trip_keeps_term_order",
-         "tests/test_attack.py::TestBuildPhase::test_batch_matches_block_of_one"],
+        "members = strategy.terms, {tag: [] for tag in _BIPARTITIONS}",
+        "members = strategy.terms, {t.bipartition: [] for t in strategy.terms}",
+        ["tests/test_attack.py::TestBlockForm::test_biseparable_groups_keep_term_indices"],
     ),
     # the build checks the states of one block size only, the singletons'
     "one_block_size_checked": (
@@ -92,12 +91,13 @@ MUTANTS = {
         "        if d == m:\n            _check_densities(stack, (d,))",
         ["tests/test_attack.py::TestBuildPhase::test_nan_in_each_block_size_rejected_like_single"],
     ),
-    # the build checks restart 0's share states only
-    "restart_0_shares_checked": (
+    # the build checks the first term's share states only
+    "first_term_shares_checked": (
         "attack.py",
         "        _check_densities(stack, (d,))",
-        "        _check_densities(stack[: len(stack) // len(draws)], (d,))",
-        ["tests/test_attack.py::TestBuildPhase::test_non_psd_share_in_last_restart_rejected_like_single"],
+        "        _check_densities(stack[:c], (d,))",
+        ["tests/test_attack.py::TestBuildPhase::test_non_psd_share_in_last_restart_rejected_like_single",
+         "tests/test_attack.py::TestBuildPhase::test_nan_in_each_block_size_rejected_like_single"],
     ),
     # a stopped restart keeps its terms in the batch: the next sweep's stop rule reads them again
     "keep_ignores_stopped": (
@@ -228,8 +228,8 @@ MUTANTS = {
     # the shared state enters the block form transposed: every shared-state table scores rho^T
     "entangled_block_transposed": (
         "game.py",
-        "[[strategy.shared.matrix[None]]]",
-        "[[strategy.shared.matrix.T[None]]]",
+        "[strategy.shared.matrix[None]]",
+        "[strategy.shared.matrix.T[None]]",
         ["tests/test_game.py::TestContractionProperties::test_simulate_entangled_matches_index_oracle",
          "tests/test_game.py::TestContractionProperties::test_simulate_entangled_matches_per_bitstring_route",
          "tests/test_game.py::TestContractionProperties::test_fast_table_matches_bell_strategy"],
@@ -406,6 +406,20 @@ MUTANTS = {
         "_check_spectrum(eigs[:1] / scale[:1], (0.0, 1.0))",
         ["tests/test_attack.py::TestStart::test_start_operator_above_one_in_last_restart_rejected_like_single",
          "tests/test_attack.py::TestBuildPhase::test_success_element_above_one_in_last_restart_rejected_like_single"],
+    ),
+    # a sampled biseparable strategy's tags read in sorted order, not in its terms' pick order
+    "sampled_tags_sorted": (
+        "attack.py",
+        "[tags[j] for j in picks]",
+        "[tags[j] for j in sorted(picks)]",
+        ["tests/test_attack.py::TestStreamContract::test_biseparable_sampler"],
+    ),
+    # a sampled biseparable term's pair states viewing the singleton stack and its singleton states the pair stack
+    "sampled_pair_singleton_swapped": (
+        "attack.py",
+        "DensityMatrix._views(blocks[0], (m, m)),\n                DensityMatrix._views(blocks[1], (m,))",
+        "DensityMatrix._views(blocks[1], (m, m)),\n                DensityMatrix._views(blocks[0], (m,))",
+        ["tests/test_attack.py::TestStreamContract::test_biseparable_sampler"],
     ),
 }
 
